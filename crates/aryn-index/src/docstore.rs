@@ -754,6 +754,12 @@ impl DocStore {
     /// All documents, id-ordered (deterministic scan order): a k-way merge
     /// of memtable and segments, newest layer winning per id.
     pub fn scan(&self) -> impl Iterator<Item = &Document> {
+        self.scan_shared().map(Arc::as_ref)
+    }
+
+    /// [`DocStore::scan`] handing out the stored rows themselves: cloning an
+    /// item is a pointer copy, never a document copy.
+    pub fn scan_shared(&self) -> impl Iterator<Item = &Arc<Document>> {
         layered_scan(&self.mem, &self.segments)
     }
 
@@ -761,7 +767,15 @@ impl DocStore {
     /// once (term tokenization hoisted), then streamed over the scan.
     pub fn filter(&self, pred: &Predicate) -> Vec<&Document> {
         let compiled = pred.compile();
-        self.scan().filter(|d| compiled.matches(d)).collect()
+        self.filter_shared(&compiled).map(Arc::as_ref).collect()
+    }
+
+    /// The stored rows matching an already compiled predicate, streamed.
+    pub fn filter_shared<'a, 'p>(
+        &'a self,
+        pred: &'p CompiledPredicate,
+    ) -> impl Iterator<Item = &'a Arc<Document>> + use<'a, 'p> {
+        self.scan_shared().filter(move |d| pred.matches(d))
     }
 
     /// Distinct non-null values of a property with counts (facets).
@@ -857,9 +871,9 @@ struct MergeScan<'a> {
 }
 
 impl<'a> Iterator for MergeScan<'a> {
-    type Item = &'a Document;
+    type Item = &'a Arc<Document>;
 
-    fn next(&mut self) -> Option<&'a Document> {
+    fn next(&mut self) -> Option<&'a Arc<Document>> {
         loop {
             let mut best: Option<&'a String> = None;
             for it in self.iters.iter_mut() {
@@ -960,12 +974,26 @@ impl StoreSnapshot {
     }
 
     pub fn scan(&self) -> impl Iterator<Item = &Document> {
+        self.scan_shared().map(Arc::as_ref)
+    }
+
+    /// The frozen rows themselves, id-ordered: cloning an item is a pointer
+    /// copy, so a reader can hold any subset without copying a document.
+    pub fn scan_shared(&self) -> impl Iterator<Item = &Arc<Document>> {
         layered_scan(&self.mem, &self.segments)
     }
 
     pub fn filter(&self, pred: &Predicate) -> Vec<&Document> {
         let compiled = pred.compile();
-        self.scan().filter(|d| compiled.matches(d)).collect()
+        self.filter_shared(&compiled).map(Arc::as_ref).collect()
+    }
+
+    /// The frozen rows matching an already compiled predicate, streamed.
+    pub fn filter_shared<'a, 'p>(
+        &'a self,
+        pred: &'p CompiledPredicate,
+    ) -> impl Iterator<Item = &'a Arc<Document>> + use<'a, 'p> {
+        self.scan_shared().filter(move |d| pred.matches(d))
     }
 
     pub fn facet(&self, path: &str) -> Vec<(Value, usize)> {

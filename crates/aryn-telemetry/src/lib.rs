@@ -267,12 +267,19 @@ impl Telemetry {
 
     /// Copy of the trace so far (the collector keeps recording).
     pub fn snapshot(&self) -> Trace {
+        self.spans_since(0)
+    }
+
+    /// Copy of only the spans recorded after the first `mark` (a value
+    /// [`Telemetry::span_count`] returned earlier): what one request added
+    /// to a long-lived collector, at a cost independent of its history.
+    pub fn spans_since(&self, mark: usize) -> Trace {
         match &self.inner {
             Some(inner) => {
                 let c = inner.lock();
                 Trace {
                     label: c.label.clone(),
-                    spans: c.spans.clone(),
+                    spans: c.spans[mark.min(c.spans.len())..].to_vec(),
                 }
             }
             None => Trace::default(),
@@ -458,6 +465,22 @@ mod tests {
         let taken = tel.take();
         assert_eq!(taken.spans.len(), 2);
         assert_eq!(tel.span_count(), 0);
+    }
+
+    #[test]
+    fn spans_since_copies_only_the_tail() {
+        let tel = Telemetry::new("t");
+        sample(&tel);
+        let mark = tel.span_count();
+        tel.count("later", "analyzer", &[("n", 1)]);
+        let tail = tel.spans_since(mark);
+        assert_eq!(tail.label, "t");
+        assert_eq!(tail.spans.len(), 1);
+        assert_eq!(tail.spans[0].name, "later");
+        assert_eq!(tel.span_count(), 3, "the collector keeps everything");
+        // A mark past the end (the collector was drained in between) is empty.
+        assert!(tel.spans_since(99).spans.is_empty());
+        assert_eq!(tel.spans_since(0).spans, tel.snapshot().spans);
     }
 
     #[test]

@@ -1294,7 +1294,7 @@ mod tests {
             "cause_detail" => "wind", "fatal" => 0i64, "weather_related" => true,
         };
         ntsb.put(d);
-        vec![IndexSchema::discover("ntsb", &ntsb)]
+        vec![IndexSchema::discover("ntsb", ntsb.len(), ntsb.schema())]
     }
 
     fn scan(id: usize) -> PlanNode {
@@ -1597,8 +1597,8 @@ mod tests {
         d.properties = obj! { "company" => 7i64 };
         right.put(d);
         let schemas = vec![
-            IndexSchema::discover("left", &left),
-            IndexSchema::discover("right", &right),
+            IndexSchema::discover("left", left.len(), left.schema()),
+            IndexSchema::discover("right", right.len(), right.schema()),
         ];
         let plan = Plan {
             nodes: vec![

@@ -844,8 +844,8 @@ mod tests {
             index: "ntsb".into(),
             doc_count: docs,
             fields: vec![
-                Field { path: "fatal".into(), ftype: "int".into(), count: docs, samples: vec![] },
-                Field { path: "year".into(), ftype: "int".into(), count: docs, samples: vec![] },
+                Field { path: "fatal".into(), ftype: "int".into(), count: docs },
+                Field { path: "year".into(), ftype: "int".into(), count: docs },
             ],
         }
     }

@@ -5,10 +5,15 @@
 //! Every node leaves a [`NodeTrace`]: rows in/out, wall time, LLM calls and
 //! cost (meter deltas), and sample rows — "a detailed trace of how the
 //! answer was computed" (§2, §6.1).
+//!
+//! Row sets are shared `Arc<Document>`s (DESIGN.md "Data plane"): a scan
+//! hands out the pinned snapshot's own documents, filters, sorts and counts
+//! move or read pointers, and only `llmExtract`, `graphExpand` and `join`
+//! copy a document, because they write to it.
 
 use crate::ops::{Plan, PlanOp};
 use aryn_core::{ArynError, Document, Result, Value};
-use aryn_index::{GraphStore, StoreSnapshot};
+use aryn_index::{CompiledPredicate, GraphStore, Predicate, StoreSnapshot};
 use aryn_llm::prompt::tasks;
 use aryn_llm::{LlmClient, UsageStats};
 use aryn_telemetry::Telemetry;
@@ -20,12 +25,12 @@ use std::time::Instant;
 /// A node's output.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NodeOutput {
-    Rows(Vec<Document>),
+    Rows(Vec<Arc<Document>>),
     Scalar(Value),
 }
 
 impl NodeOutput {
-    pub fn rows(&self) -> Option<&[Document]> {
+    pub fn rows(&self) -> Option<&[Arc<Document>]> {
         match self {
             NodeOutput::Rows(r) => Some(r),
             NodeOutput::Scalar(_) => None,
@@ -181,7 +186,7 @@ pub struct PlanExecutor {
     /// Optional per-model clients (the optimizer pins models by name).
     pub model_clients: BTreeMap<String, LlmClient>,
     /// Knowledge graph for `graphExpand` nodes (None = the operator errors).
-    pub graph: Option<std::sync::Arc<GraphStore>>,
+    pub graph: Option<Arc<GraphStore>>,
     /// Span collector; defaults to the context's, so engine-level stage
     /// spans and Luna operator spans land in one trace.
     pub telemetry: Telemetry,
@@ -227,7 +232,7 @@ impl PlanExecutor {
         self.pins.write().clear();
     }
 
-    pub fn with_graph(mut self, graph: std::sync::Arc<GraphStore>) -> PlanExecutor {
+    pub fn with_graph(mut self, graph: Arc<GraphStore>) -> PlanExecutor {
         self.graph = Some(graph);
         self
     }
@@ -254,15 +259,13 @@ impl PlanExecutor {
         // Pin every store the plan scans to one MVCC snapshot for the whole
         // run (explicit pins win), so a question sees a single consistent
         // view per store even while an ingest stream mutates it underneath.
-        // A store that cannot be snapshotted stays unpinned and the scan
-        // operator surfaces its own `Index` error at runtime, as before.
+        // A store that cannot be snapshotted cannot be scanned either: its
+        // `Index` error is the run's error.
         let mut run_pins: BTreeMap<String, Arc<StoreSnapshot>> = self.pins.read().clone();
         for n in &plan.nodes {
             let PlanOp::QueryDatabase { index, .. } = &n.op else { continue };
             if !run_pins.contains_key(index) {
-                if let Ok(snap) = self.ctx.snapshot_store(index) {
-                    run_pins.insert(index.clone(), snap);
-                }
+                run_pins.insert(index.clone(), self.ctx.snapshot_store(index)?);
             }
         }
         self.check_plan(plan, &run_pins)?;
@@ -340,10 +343,9 @@ impl PlanExecutor {
         })
     }
 
-    /// The executor's analyzer gate. Schemas are discovered best-effort from
-    /// the stores the plan scans: a store that cannot be opened is skipped
-    /// (the scan operator surfaces its own `Index` error at runtime), so the
-    /// gate never masks unknown-index failures with a different error kind.
+    /// The executor's analyzer gate. It judges the plan against the schema
+    /// each pinned snapshot maintains (O(paths), no corpus walk), so the
+    /// analyzer and the scan operators see the same frozen view.
     fn check_plan(&self, plan: &Plan, pins: &BTreeMap<String, Arc<StoreSnapshot>>) -> Result<()> {
         let mut schemas: Vec<crate::schema::IndexSchema> = Vec::new();
         for n in &plan.nodes {
@@ -351,16 +353,8 @@ impl PlanExecutor {
             if schemas.iter().any(|s| s.index == *index) {
                 continue;
             }
-            // Discover from the run's pinned snapshot so the analyzer and
-            // the scan operators judge the same frozen view.
-            if let Some(snap) = pins.get(index) {
-                schemas.push(crate::schema::IndexSchema::discover_snapshot(index, snap));
-            } else if let Ok(schema) = self
-                .ctx
-                .with_store(index, |s| crate::schema::IndexSchema::discover(index, s))
-            {
-                schemas.push(schema);
-            }
+            let snap = run_snapshot(pins, index)?;
+            schemas.push(crate::schema::IndexSchema::discover(index, snap.len(), snap.schema()));
         }
         let analysis = crate::analyze::analyze(plan, &schemas);
         if self.telemetry.is_enabled() {
@@ -516,85 +510,57 @@ impl PlanExecutor {
         all: &BTreeMap<usize, NodeOutput>,
         pins: &BTreeMap<String, Arc<StoreSnapshot>>,
     ) -> Result<NodeOutput> {
-        let rows_of = |i: usize| -> Result<Vec<Document>> {
+        let rows_of = |i: usize| -> Result<&[Arc<Document>]> {
             inputs
                 .get(i)
                 .and_then(|o| o.rows())
-                .map(|r| r.to_vec())
                 .ok_or_else(|| ArynError::Exec(format!("{} expects a row input", op.kind())))
         };
         match op {
             PlanOp::QueryDatabase { index, prefilter } => {
-                let keep = |d: &&Document| {
-                    prefilter.iter().all(|(path, val)| prop_matches(d, path, val))
-                };
-                let docs = match pins.get(index) {
-                    // The run's pinned snapshot: consistent reads while
-                    // ingestion continues underneath.
-                    Some(snap) => snap.scan().filter(keep).cloned().collect::<Vec<_>>(),
-                    None => self.ctx.with_store(index, |s| {
-                        s.scan().filter(keep).cloned().collect::<Vec<_>>()
-                    })?,
-                };
-                Ok(NodeOutput::Rows(docs))
+                let filter = RowFilter::all_eq(prefilter.iter().map(|(path, value)| (path, value)));
+                // The run's pinned snapshot: consistent reads while
+                // ingestion continues underneath. The property conjuncts are
+                // evaluated inside the store's scan.
+                let rows = run_snapshot(pins, index)?
+                    .filter_shared(&filter.props)
+                    .filter(|d| filter.keeps_id(d))
+                    .map(Arc::clone)
+                    .collect();
+                Ok(NodeOutput::Rows(rows))
             }
             PlanOp::BasicFilter { path, value } => {
-                let docs = rows_of(0)?;
-                Ok(NodeOutput::Rows(
-                    docs.into_iter()
-                        .filter(|d| prop_matches(d, path, value))
-                        .collect(),
-                ))
+                let filter = RowFilter::all_eq([(path, value)]);
+                Ok(kept(rows_of(0)?, |d| filter.keeps_id(d) && filter.props.matches(d)))
             }
             PlanOp::RangeFilter { path, lo, hi } => {
-                let docs = rows_of(0)?;
-                Ok(NodeOutput::Rows(
-                    docs.into_iter()
-                        .filter(|d| {
-                            let Some(v) = d.prop(path) else { return false };
-                            if v.is_null() {
-                                return false;
-                            }
-                            let ge = lo.as_ref().is_none_or(|l| {
-                                v.cmp_total(l) != std::cmp::Ordering::Less
-                            });
-                            let le = hi.as_ref().is_none_or(|h| {
-                                v.cmp_total(h) != std::cmp::Ordering::Greater
-                            });
-                            ge && le
-                        })
-                        .collect(),
-                ))
+                let range = Predicate::Range { path: path.clone(), lo: lo.clone(), hi: hi.clone() }
+                    .compile();
+                Ok(kept(rows_of(0)?, |d| range.matches(d)))
             }
             PlanOp::LlmFilter { predicate, model } => {
-                let docs = rows_of(0)?;
-                let client = self.client_for(model);
                 let out = self
                     .ctx
-                    .read_docs(docs)
-                    .llm_filter(client, predicate)
-                    .collect()?;
+                    .read_shared(rows_of(0)?)
+                    .llm_filter(self.client_for(model), predicate)
+                    .collect_shared()?;
                 Ok(NodeOutput::Rows(out))
             }
             PlanOp::LlmExtract { field, ftype, model } => {
-                let docs = rows_of(0)?;
-                let client = self.client_for(model);
                 let schema = aryn_core::obj! { field.as_str() => ftype.as_str() };
                 let out = self
                     .ctx
-                    .read_docs(docs)
-                    .extract_properties(client, schema)
-                    .collect()?;
+                    .read_shared(rows_of(0)?)
+                    .extract_properties(self.client_for(model), schema)
+                    .collect_shared()?;
                 Ok(NodeOutput::Rows(out))
             }
             PlanOp::Count => Ok(NodeOutput::Scalar(Value::Int(rows_of(0)?.len() as i64))),
             PlanOp::Aggregate { key, func, path } => {
-                let docs = rows_of(0)?;
+                let aggs = [("value".to_string(), agg_from_name(func, path)?)];
                 if key.is_empty() {
                     // Whole-collection aggregate → scalar.
-                    let agg = agg_from_name(func, path)?;
-                    let groups =
-                        sycamore::transforms::reduce_by_key(docs, "__all__", &[("value".into(), agg)]);
+                    let groups = sycamore::transforms::reduce_by_key(rows_of(0)?, "__all__", &aggs);
                     let v = groups
                         .first()
                         .and_then(|g| g.prop("value"))
@@ -602,12 +568,7 @@ impl PlanExecutor {
                         .unwrap_or(Value::Null);
                     Ok(NodeOutput::Scalar(v))
                 } else {
-                    let agg = agg_from_name(func, path)?;
-                    Ok(NodeOutput::Rows(sycamore::transforms::reduce_by_key(
-                        docs,
-                        key,
-                        &[("value".into(), agg)],
-                    )))
+                    Ok(NodeOutput::Rows(sycamore::transforms::reduce_by_key(rows_of(0)?, key, &aggs)))
                 }
             }
             PlanOp::Sort { path, descending } => Ok(NodeOutput::Rows(
@@ -622,11 +583,11 @@ impl PlanExecutor {
                 let left = rows_of(0)?;
                 let right = rows_of(1)?;
                 let mut out = Vec::new();
-                for l in &left {
+                for l in left {
                     let Some(lv) = l.prop(on) else { continue };
-                    for r in &right {
+                    for r in right {
                         if r.prop(on).is_some_and(|rv| rv.loose_eq(lv)) {
-                            let mut merged = l.clone();
+                            let mut merged = Document::clone(l);
                             if let (Some(dst), Some(src)) = (
                                 merged.properties.as_object_mut(),
                                 r.properties.as_object(),
@@ -639,7 +600,7 @@ impl PlanExecutor {
                                 aryn_core::LineageRecord::new("join", on.clone())
                                     .with_sources(vec![l.id.0.clone(), r.id.0.clone()]),
                             );
-                            out.push(merged);
+                            out.push(Arc::new(merged));
                         }
                     }
                 }
@@ -657,7 +618,8 @@ impl PlanExecutor {
                 })?;
                 let docs = rows_of(0)?;
                 let mut out = Vec::with_capacity(docs.len());
-                for mut d in docs {
+                for row in docs {
+                    let mut d = Document::clone(row);
                     // Resolve the row to a graph node: by a name-like
                     // property first, then by document id.
                     let node_id = ["company", "entity", "name"]
@@ -684,13 +646,13 @@ impl PlanExecutor {
                     d.lineage.push(
                         aryn_core::LineageRecord::new("graph_expand", relation.clone()),
                     );
-                    out.push(d);
+                    out.push(Arc::new(d));
                 }
                 Ok(NodeOutput::Rows(out))
             }
             PlanOp::SummarizeData { instructions } => {
-                let docs = rows_of(0)?;
-                let doc = sycamore::transforms::summarize_all(&self.client, instructions, &docs)?;
+                let doc =
+                    sycamore::transforms::summarize_all(&self.client, instructions, rows_of(0)?)?;
                 let text = doc
                     .prop("summary")
                     .and_then(Value::as_str)
@@ -731,12 +693,49 @@ impl PlanExecutor {
     }
 }
 
-/// Property match with the `_id` pseudo-field (the document key).
-fn prop_matches(d: &Document, path: &str, val: &Value) -> bool {
-    if path == "_id" {
-        return val.as_str().is_some_and(|s| d.id.as_str().eq_ignore_ascii_case(s));
+/// The run's snapshot of `index`; `execute` pins every store the plan scans
+/// before any node runs.
+fn run_snapshot<'a>(
+    pins: &'a BTreeMap<String, Arc<StoreSnapshot>>,
+    index: &str,
+) -> Result<&'a Arc<StoreSnapshot>> {
+    pins.get(index)
+        .ok_or_else(|| ArynError::Index(format!("index {index:?} was not pinned for this run")))
+}
+
+/// A structured Luna filter lowered onto the store's predicate evaluator.
+/// The `_id` pseudo-field is the document key, not a property, so equality
+/// on it is peeled off here and compared against the key directly.
+struct RowFilter {
+    props: CompiledPredicate,
+    ids: Vec<Value>,
+}
+
+impl RowFilter {
+    /// The conjunction of `path == value` pairs.
+    fn all_eq<'a>(pairs: impl IntoIterator<Item = (&'a String, &'a Value)>) -> RowFilter {
+        let mut ids = Vec::new();
+        let mut props = Vec::new();
+        for (path, value) in pairs {
+            if path == "_id" {
+                ids.push(value.clone());
+            } else {
+                props.push(Predicate::Eq(path.clone(), value.clone()));
+            }
+        }
+        RowFilter { props: Predicate::And(props).compile(), ids }
     }
-    d.prop(path).is_some_and(|v| v.loose_eq(val))
+
+    fn keeps_id(&self, d: &Document) -> bool {
+        self.ids
+            .iter()
+            .all(|v| v.as_str().is_some_and(|s| d.id.as_str().eq_ignore_ascii_case(s)))
+    }
+}
+
+/// The rows `keep` accepts, as pointers to the same documents.
+fn kept(rows: &[Arc<Document>], keep: impl Fn(&Document) -> bool) -> NodeOutput {
+    NodeOutput::Rows(rows.iter().filter(|d| keep(d)).map(Arc::clone).collect())
 }
 
 fn agg_from_name(func: &str, path: &str) -> Result<sycamore::Agg> {
@@ -964,7 +963,10 @@ mod tests {
     fn substitution_resolves_scalars_and_rowcounts() {
         let mut all = BTreeMap::new();
         all.insert(2usize, NodeOutput::Scalar(Value::Int(8)));
-        all.insert(4usize, NodeOutput::Rows(vec![Document::new("a"), Document::new("b")]));
+        all.insert(
+            4usize,
+            NodeOutput::Rows(vec![Arc::new(Document::new("a")), Arc::new(Document::new("b"))]),
+        );
         let s = substitute_outputs("100 * {out_4} / {out_2}", &all).unwrap();
         assert_eq!(eval_math(&s).unwrap(), 25.0);
         assert!(substitute_outputs("{out_9}", &all).is_err());
@@ -975,7 +977,7 @@ mod tests {
     fn render_answer_shapes() {
         assert_eq!(render_answer(&NodeOutput::Scalar(Value::from("hi"))), "hi");
         assert_eq!(render_answer(&NodeOutput::Scalar(Value::Int(3))), "3");
-        let rows = NodeOutput::Rows(vec![Document::new("x")]);
+        let rows = NodeOutput::Rows(vec![Arc::new(Document::new("x"))]);
         assert!(render_answer(&rows).contains("x:"));
     }
 }

@@ -237,7 +237,7 @@ impl Luna {
             None => {
                 let mut schemas = Vec::new();
                 for name in indexes {
-                    let schema = ctx.with_store(name, |s| IndexSchema::discover(name, s))?;
+                    let schema = ctx.with_store(name, |s| IndexSchema::discover(name, s.len(), s.schema()))?;
                     schemas.push(schema);
                 }
                 schemas
@@ -657,11 +657,7 @@ impl Luna {
         // per-node intervals line up with the execution traces.
         let cost = self.estimate_cost(&optimized.plan);
         let result = self.execute(&optimized.plan)?;
-        let snapshot = tel.snapshot();
-        let trace = Trace {
-            label: snapshot.label.clone(),
-            spans: snapshot.spans.into_iter().skip(mark).collect(),
-        };
+        let trace = tel.spans_since(mark);
         Ok(LunaAnswer {
             question: question.to_string(),
             plan,

@@ -538,8 +538,8 @@ mod tests {
         };
         earn.put(d);
         vec![
-            IndexSchema::discover("ntsb", &ntsb),
-            IndexSchema::discover("earnings", &earn),
+            IndexSchema::discover("ntsb", ntsb.len(), ntsb.schema()),
+            IndexSchema::discover("earnings", earn.len(), earn.schema()),
         ]
     }
 
@@ -933,7 +933,7 @@ mod batch_tests {
             d.properties = aryn_core::obj! { "us_state_abbrev" => "AK" };
             store.put(d);
         }
-        let schemas = vec![crate::schema::IndexSchema::discover("ntsb", &store)];
+        let schemas = vec![crate::schema::IndexSchema::discover("ntsb", store.len(), store.schema())];
         let cfg = OptimizerCfg {
             pushdown: false,
             reorder: false,

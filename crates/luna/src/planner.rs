@@ -759,8 +759,8 @@ mod tests {
         };
         earn.put(d);
         vec![
-            IndexSchema::discover("ntsb", &ntsb),
-            IndexSchema::discover("earnings", &earn),
+            IndexSchema::discover("ntsb", ntsb.len(), ntsb.schema()),
+            IndexSchema::discover("earnings", earn.len(), earn.schema()),
         ]
     }
 
@@ -947,7 +947,7 @@ mod query_time_extract_tests {
             "us_state_abbrev" => "AK", "year" => 2019i64, "cause_category" => "environmental",
         };
         ntsb.put(d);
-        vec![IndexSchema::discover("ntsb", &ntsb)]
+        vec![IndexSchema::discover("ntsb", ntsb.len(), ntsb.schema())]
     }
 
     #[test]
@@ -1002,7 +1002,7 @@ mod year_range_tests {
         let mut d = aryn_core::Document::new("n1");
         d.properties = obj! { "year" => 2019i64, "cause_detail" => "wind" };
         ntsb.put(d);
-        vec![IndexSchema::discover("ntsb", &ntsb)]
+        vec![IndexSchema::discover("ntsb", ntsb.len(), ntsb.schema())]
     }
 
     fn year_filter(p: &Plan) -> Option<(Option<i64>, Option<i64>)> {

@@ -4,10 +4,11 @@
 //!
 //! The schema is *discovered* from a document store's properties and "can
 //! evolve over time" — re-deriving it after new extractions picks up new
-//! fields automatically.
+//! fields automatically. The store maintains `path -> (type, count)` from
+//! put/delete deltas, so discovery is O(paths) and never walks the corpus.
 
 use aryn_core::Value;
-use aryn_index::{DocStore, StoreSnapshot};
+use std::collections::BTreeMap;
 
 /// One discovered field.
 #[derive(Debug, Clone, PartialEq)]
@@ -16,8 +17,6 @@ pub struct Field {
     pub ftype: String,
     /// How many documents carry the field.
     pub count: usize,
-    /// A few distinct sample values (for planner grounding).
-    pub samples: Vec<Value>,
 }
 
 /// Schema of one index.
@@ -29,54 +28,22 @@ pub struct IndexSchema {
 }
 
 impl IndexSchema {
-    /// Discovers the schema of a store.
-    pub fn discover(index: &str, store: &DocStore) -> IndexSchema {
-        let mut fields = Vec::new();
-        for (path, (ftype, count)) in store.schema() {
-            let samples: Vec<Value> = store
-                .facet(&path)
-                .into_iter()
-                .take(8)
-                .map(|(v, _)| v)
-                .collect();
-            fields.push(Field {
-                path,
-                ftype,
-                count,
-                samples,
-            });
-        }
+    /// The schema of an index from what its store (or a frozen snapshot of
+    /// it) maintains: `len()` and `schema()`. From a pinned snapshot the
+    /// fields and counts are those of its sequence number, stable under
+    /// concurrent ingestion.
+    pub fn discover(
+        index: &str,
+        doc_count: usize,
+        maintained: BTreeMap<String, (String, usize)>,
+    ) -> IndexSchema {
         IndexSchema {
             index: index.to_string(),
-            doc_count: store.len(),
-            fields,
-        }
-    }
-
-    /// Discovers the schema of a frozen MVCC snapshot — the same derivation
-    /// as [`IndexSchema::discover`], but stable under concurrent ingestion:
-    /// a question planned against a pinned snapshot sees the fields and
-    /// counts as of that snapshot's sequence number.
-    pub fn discover_snapshot(index: &str, snap: &StoreSnapshot) -> IndexSchema {
-        let mut fields = Vec::new();
-        for (path, (ftype, count)) in snap.schema() {
-            let samples: Vec<Value> = snap
-                .facet(&path)
+            doc_count,
+            fields: maintained
                 .into_iter()
-                .take(8)
-                .map(|(v, _)| v)
-                .collect();
-            fields.push(Field {
-                path,
-                ftype,
-                count,
-                samples,
-            });
-        }
-        IndexSchema {
-            index: index.to_string(),
-            doc_count: snap.len(),
-            fields,
+                .map(|(path, (ftype, count))| Field { path, ftype, count })
+                .collect(),
         }
     }
 
@@ -109,7 +76,7 @@ impl IndexSchema {
 
     /// Renders the schema for the planner prompt.
     pub fn render(&self) -> Value {
-        let mut m = std::collections::BTreeMap::new();
+        let mut m = BTreeMap::new();
         for f in &self.fields {
             m.insert(f.path.clone(), Value::from(f.ftype.as_str()));
         }
@@ -121,6 +88,12 @@ impl IndexSchema {
 mod tests {
     use super::*;
     use aryn_core::{obj, Document};
+    use aryn_index::DocStore;
+
+    fn schema() -> IndexSchema {
+        let s = store();
+        IndexSchema::discover("x", s.len(), s.schema())
+    }
 
     fn store() -> DocStore {
         let mut s = DocStore::new();
@@ -137,18 +110,20 @@ mod tests {
     }
 
     #[test]
-    fn discover_collects_fields_and_samples() {
-        let schema = IndexSchema::discover("x", &store());
+    fn discover_collects_fields_and_counts() {
+        let schema = schema();
         assert_eq!(schema.doc_count, 3);
         let state = schema.field("us_state_abbrev").unwrap();
         assert_eq!(state.ftype, "string");
         assert_eq!(state.count, 3);
-        assert!(!state.samples.is_empty());
+        // A frozen snapshot yields the same schema as the live store.
+        let snap = store().snapshot();
+        assert_eq!(IndexSchema::discover("x", snap.len(), snap.schema()), schema);
     }
 
     #[test]
     fn resolve_field_by_mention() {
-        let schema = IndexSchema::discover("x", &store());
+        let schema = schema();
         assert_eq!(schema.resolve_field("growth").unwrap().path, "growth_pct");
         assert_eq!(schema.resolve_field("revenue").unwrap().path, "revenue_musd");
         assert_eq!(schema.resolve_field("state").unwrap().path, "us_state_abbrev");
@@ -158,7 +133,7 @@ mod tests {
 
     #[test]
     fn render_is_prompt_friendly() {
-        let schema = IndexSchema::discover("x", &store());
+        let schema = schema();
         let v = schema.render();
         assert_eq!(v.get("growth_pct").unwrap().as_str(), Some("float"));
     }

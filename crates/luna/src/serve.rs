@@ -266,7 +266,7 @@ impl QueryService {
     pub fn new(ctx: sycamore::Context, indexes: &[&str], cfg: ServeConfig) -> Result<QueryService> {
         let mut schemas = Vec::new();
         for name in indexes {
-            schemas.push(ctx.with_store(name, |s| IndexSchema::discover(name, s))?);
+            schemas.push(ctx.with_store(name, |s| IndexSchema::discover(name, s.len(), s.schema()))?);
         }
         let mut graph = aryn_index::GraphStore::new();
         for name in indexes {

@@ -80,6 +80,10 @@ impl Default for ExecConfig {
 /// Entries of one lake: `(doc id, raw rendering)` pairs.
 pub(crate) type LakeEntries = Vec<(String, Arc<RawDocument>)>;
 
+/// A materialization: the fingerprint of the op-prefix that produced it and
+/// its rows, shared with whatever pipeline wrote or resumes from them.
+pub(crate) type Checkpoint = (u64, Vec<Arc<Document>>);
+
 pub(crate) struct ContextInner {
     /// "Data lake" of raw renderings: lake name -> (doc id, raw document).
     pub lake: RwLock<BTreeMap<String, LakeEntries>>,
@@ -92,7 +96,7 @@ pub(crate) struct ContextInner {
     /// Named in-memory materializations, keyed by name and stamped with a
     /// fingerprint of the op-prefix that produced them — so a checkpoint
     /// written by one pipeline shape is never reused by a different one.
-    pub materialized: RwLock<BTreeMap<String, (u64, Vec<Document>)>>,
+    pub materialized: RwLock<BTreeMap<String, Checkpoint>>,
     /// Shared reliability state (per-query deadline budget + per-model
     /// circuit breakers). `None` = reliability off; LLM ops built on this
     /// context attach it when present.
@@ -328,7 +332,14 @@ impl Context {
 
     /// DocSet over in-memory documents.
     pub fn read_docs(&self, docs: Vec<Document>) -> DocSet {
-        DocSet::new(self.clone(), Source::Docs(Arc::new(docs)))
+        DocSet::new(self.clone(), Source::Docs(docs.into_iter().map(Arc::new).collect()))
+    }
+
+    /// DocSet over rows something else already holds (a store snapshot,
+    /// another pipeline's output): the pointers are copied, never the
+    /// documents, and a transform that writes to one copies it first.
+    pub fn read_shared(&self, rows: &[Arc<Document>]) -> DocSet {
+        DocSet::new(self.clone(), Source::Docs(rows.into()))
     }
 
     /// DocSet over a previous materialization.

@@ -22,8 +22,8 @@ pub enum Source {
     Lake(String),
     /// A document store in the catalog.
     Store(String),
-    /// Literal in-memory documents.
-    Docs(Arc<Vec<Document>>),
+    /// Literal in-memory rows.
+    Docs(Arc<[Arc<Document>]>),
     /// A named materialization.
     Materialized(String),
     /// A frozen MVCC view of a store (`name` is the store it was taken
@@ -311,24 +311,38 @@ impl DocSet {
 
     // --- actions -------------------------------------------------------------
 
-    /// Executes the plan and returns the documents.
+    /// Executes the plan and returns the documents, owned: a row nothing
+    /// else holds is unwrapped for free, one still shared with a store or a
+    /// materialization is copied here.
     pub fn collect(&self) -> Result<Vec<Document>> {
         Ok(self.collect_stats()?.0)
     }
 
     /// Executes the plan, returning documents and per-stage statistics.
     pub fn collect_stats(&self) -> Result<(Vec<Document>, ExecStats)> {
+        let (rows, stats) = self.collect_shared_stats()?;
+        Ok((rows.into_iter().map(Arc::unwrap_or_clone).collect(), stats))
+    }
+
+    /// Executes the plan and returns the rows as the executor holds them:
+    /// rows no transform wrote to are still the source's own documents.
+    pub fn collect_shared(&self) -> Result<Vec<Arc<Document>>> {
+        Ok(self.collect_shared_stats()?.0)
+    }
+
+    /// [`DocSet::collect_shared`] with per-stage statistics.
+    pub fn collect_shared_stats(&self) -> Result<(Vec<Arc<Document>>, ExecStats)> {
         crate::exec::execute(&self.ctx, &self.source, &self.ops)
     }
 
     /// Executes and counts.
     pub fn count(&self) -> Result<usize> {
-        Ok(self.collect()?.len())
+        Ok(self.collect_shared()?.len())
     }
 
     /// Executes and returns the first document, if any.
     pub fn first(&self) -> Result<Option<Document>> {
-        Ok(self.collect()?.into_iter().next())
+        Ok(self.collect_shared()?.into_iter().next().map(Arc::unwrap_or_clone))
     }
 
     /// Executes and writes the documents into a (new or replaced) document
@@ -343,7 +357,7 @@ impl DocSet {
 
     /// Executes and indexes full text into a keyword index.
     pub fn write_keyword(&self, name: &str) -> Result<usize> {
-        let docs = self.collect()?;
+        let docs = self.collect_shared()?;
         let mut kw = self.ctx.inner.keyword.write();
         let ix = kw.entry(name.to_string()).or_default();
         for d in &docs {
@@ -355,7 +369,7 @@ impl DocSet {
     /// Executes and writes embeddings into a vector index (created if
     /// missing). Documents without an embedding are embedded on the fly.
     pub fn write_vector(&self, name: &str) -> Result<usize> {
-        let docs = self.collect()?;
+        let docs = self.collect_shared()?;
         {
             let vx = self.ctx.inner.vector.read();
             if !vx.contains_key(name) {

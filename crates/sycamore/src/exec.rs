@@ -12,6 +12,11 @@
 //! merged once at finalize, never locked mid-stage — so per-worker
 //! utilization gauges are exact, and retries of injected Ray-style failures
 //! stay keyed by `(seed, stage, doc, attempt)`, never by scheduling.
+//!
+//! Rows are shared `Arc<Document>`s end to end (DESIGN.md "Data plane"):
+//! sources, morsels, retries and barriers move pointers, and a document is
+//! copied only by the first transform that writes to a row something else
+//! still holds.
 
 use crate::context::{Context, StealPolicy};
 use crate::docset::Source;
@@ -193,12 +198,16 @@ fn record_stage_span(tel: &Telemetry, stage: &StageStats, delta: &UsageStats) {
 /// fingerprint of the op-prefix that would produce it matches the one
 /// stamped at write time, so a changed upstream pipeline (or a different
 /// source) invalidates the cache instead of silently serving stale rows.
-pub fn execute(ctx: &Context, source: &Source, ops: &[Op]) -> Result<(Vec<Document>, ExecStats)> {
+pub fn execute(
+    ctx: &Context,
+    source: &Source,
+    ops: &[Op],
+) -> Result<(Vec<Arc<Document>>, ExecStats)> {
     let tel = ctx.telemetry();
     let mut stats = ExecStats::default();
     // Find the last cached materialize checkpoint whose recorded op-prefix
     // fingerprint matches this plan's, if any.
-    let mut resume_at: Option<(usize, Vec<Document>)> = None;
+    let mut resume_at: Option<(usize, Vec<Arc<Document>>)> = None;
     for (idx, op) in ops.iter().enumerate() {
         if let Op::Materialize { name, .. } = op {
             let fp = plan_fingerprint(source, &ops[..=idx]);
@@ -359,20 +368,22 @@ fn plan_fingerprint(source: &Source, prefix: &[Op]) -> u64 {
     stable_hash(0x4D47_F1A5, &refs)
 }
 
-fn resolve_source(ctx: &Context, source: &Source) -> Result<Vec<Document>> {
+/// The source's rows. Stores, snapshots, literal rows and materializations
+/// hand out pointers to the documents they hold; only a lake builds new ones.
+fn resolve_source(ctx: &Context, source: &Source) -> Result<Vec<Arc<Document>>> {
     match source {
-        Source::Docs(docs) => Ok(docs.as_ref().clone()),
+        Source::Docs(docs) => Ok(docs.iter().map(Arc::clone).collect()),
         Source::Lake(name) => {
             let lake = ctx.inner.lake.read();
             let entries = lake
                 .get(name)
                 .ok_or_else(|| ArynError::Index(format!("unknown lake {name:?}")))?;
-            let mut docs: Vec<Document> = entries
+            let mut docs: Vec<Arc<Document>> = entries
                 .iter()
                 .map(|(id, raw)| {
                     let mut d = Document::from_text(id.clone(), raw.full_text());
                     d.set_prop("lake", name.as_str());
-                    d
+                    Arc::new(d)
                 })
                 .collect();
             // Scan order must not depend on ingest interleaving: sort by doc
@@ -381,10 +392,8 @@ fn resolve_source(ctx: &Context, source: &Source) -> Result<Vec<Document>> {
             docs.sort_by(|a, b| a.id.as_str().cmp(b.id.as_str()));
             Ok(docs)
         }
-        Source::Store(name) => {
-            ctx.with_store(name, |s| s.scan().cloned().collect::<Vec<_>>())
-        }
-        Source::Snapshot { snap, .. } => Ok(snap.scan().cloned().collect()),
+        Source::Store(name) => ctx.with_store(name, |s| s.scan_shared().map(Arc::clone).collect()),
+        Source::Snapshot { snap, .. } => Ok(snap.scan_shared().map(Arc::clone).collect()),
         Source::Materialized(name) => ctx
             .inner
             .materialized
@@ -397,7 +406,7 @@ fn resolve_source(ctx: &Context, source: &Source) -> Result<Vec<Document>> {
 
 /// What one fused per-doc stage produced.
 struct SegmentOutcome {
-    docs: Vec<Document>,
+    docs: Vec<Arc<Document>>,
     retries: usize,
     failed: usize,
     /// Per-worker stats shards (empty for batched segments, which have no
@@ -414,7 +423,7 @@ struct SegmentOutcome {
 
 /// Applies a fused run of per-doc ops over all documents — morsel-parallel
 /// when configured, with cross-document micro-batching when enabled.
-fn run_segment(ctx: &Context, segment: &[Op], docs: Vec<Document>) -> Result<SegmentOutcome> {
+fn run_segment(ctx: &Context, segment: &[Op], docs: Vec<Arc<Document>>) -> Result<SegmentOutcome> {
     let cfg = ctx.exec_config();
     if cfg.batch_max_items > 1 && segment.iter().any(Op::is_batchable) {
         run_segment_batched(ctx, segment, docs)
@@ -435,7 +444,7 @@ fn run_segment(ctx: &Context, segment: &[Op], docs: Vec<Document>) -> Result<Seg
 fn run_segment_batched(
     ctx: &Context,
     segment: &[Op],
-    docs: Vec<Document>,
+    docs: Vec<Arc<Document>>,
 ) -> Result<SegmentOutcome> {
     let cfg = ctx.exec_config();
     let bcfg = aryn_llm::BatchConfig {
@@ -480,21 +489,27 @@ fn run_segment_batched(
 
 /// Applies the op chain to one document (with injected worker failures and
 /// retries), yielding its 0..N outputs or an error after retries exhaust.
+/// `doc` is the retry original: every attempt but the last runs on a pointer
+/// to it, so an attempt's writes land in a copy made at its first write and
+/// a failed attempt leaves the original as it was; the last attempt has no
+/// retry to protect and takes the original itself.
 fn process_doc(
     ctx: &Context,
     segment: &[Op],
     stage_tag: &str,
-    doc: Document,
-) -> (Result<Vec<Document>>, usize) {
+    doc: Arc<Document>,
+) -> (Result<Vec<Arc<Document>>>, usize) {
     let cfg = ctx.exec_config();
     let mut retries = 0usize;
+    let id = doc.id.clone();
+    let mut original = Some(doc);
     for attempt in 0..=cfg.max_retries {
         // Injected worker failure (deterministic per doc+attempt): the
         // Ray-style fault the scheduler must absorb.
         if cfg.fail_rate > 0.0 {
             let h = stable_hash(
                 cfg.seed,
-                &[stage_tag, doc.id.as_str(), &attempt.to_string()],
+                &[stage_tag, id.as_str(), &attempt.to_string()],
             );
             let draw = (h >> 11) as f64 / (1u64 << 53) as f64;
             if draw < cfg.fail_rate {
@@ -502,7 +517,12 @@ fn process_doc(
                 continue;
             }
         }
-        let mut current = vec![doc.clone()];
+        let input = if attempt == cfg.max_retries {
+            original.take()
+        } else {
+            original.clone()
+        };
+        let mut current: Vec<Arc<Document>> = input.into_iter().collect();
         let mut err = None;
         'seg: for op in segment {
             let mut next = Vec::with_capacity(current.len());
@@ -531,7 +551,7 @@ fn process_doc(
         Err(ArynError::Exec(format!(
             "worker failed {} times on {:?}",
             cfg.max_retries + 1,
-            doc.id
+            id
         ))),
         retries,
     )
@@ -540,7 +560,7 @@ fn process_doc(
 fn run_segment_sequential(
     ctx: &Context,
     segment: &[Op],
-    docs: Vec<Document>,
+    docs: Vec<Arc<Document>>,
 ) -> Result<SegmentOutcome> {
     let cfg = ctx.exec_config();
     let tag = segment
@@ -586,12 +606,12 @@ fn run_segment_sequential(
 struct Morsel {
     id: usize,
     base: usize,
-    docs: Vec<Document>,
+    docs: Vec<Arc<Document>>,
 }
 
 /// What one completed morsel contributes: its output documents (in input
 /// order) and how many of its documents failed permanently (skip mode).
-type MorselResult = (Vec<Document>, usize);
+type MorselResult = (Vec<Arc<Document>>, usize);
 
 /// The effective morsel size: the configured size, shrunk for small inputs
 /// so the work splits into at least ~4 morsels per worker. Load balance
@@ -636,7 +656,7 @@ fn next_morsel(
 fn run_segment_morsels(
     ctx: &Context,
     segment: &[Op],
-    docs: Vec<Document>,
+    docs: Vec<Arc<Document>>,
 ) -> Result<SegmentOutcome> {
     let cfg = ctx.exec_config();
     let tag = segment
@@ -655,7 +675,7 @@ fn run_segment_morsels(
     let mut docs = docs.into_iter();
     let mut base = 0usize;
     for id in 0..num_morsels {
-        let chunk: Vec<Document> = docs.by_ref().take(msize).collect();
+        let chunk: Vec<Arc<Document>> = docs.by_ref().take(msize).collect();
         let len = chunk.len();
         deques[id % workers].lock().push_back(Morsel { id, base, docs: chunk });
         base += len;
@@ -761,12 +781,12 @@ fn run_segment_morsels(
 fn apply_barrier(
     ctx: &Context,
     op: &Op,
-    docs: Vec<Document>,
+    docs: Vec<Arc<Document>>,
     fingerprint: u64,
-) -> Result<(Vec<Document>, usize)> {
+) -> Result<(Vec<Arc<Document>>, usize)> {
     match op {
-        Op::ReduceByKey { key, aggs } => Ok((transforms::reduce_by_key(docs, key, aggs), 0)),
-        Op::SortBy { path, descending } => Ok((transforms::sort_by(docs, path, *descending), 0)),
+        Op::ReduceByKey { key, aggs } => Ok((transforms::reduce_by_key(&docs, key, aggs), 0)),
+        Op::SortBy { path, descending } => Ok((transforms::sort_by(&docs, path, *descending), 0)),
         Op::Limit(n) => {
             let mut d = docs;
             d.truncate(*n);
@@ -779,7 +799,7 @@ fn apply_barrier(
             let skip = ctx.exec_config().skip_failures;
             let (doc, failed) =
                 transforms::summarize_all_stats(client, instructions, &docs, skip)?;
-            Ok((vec![doc], failed))
+            Ok((vec![Arc::new(doc)], failed))
         }
         Op::Materialize { name, dir } => {
             transforms::materialize(ctx, name, fingerprint, dir.as_deref(), &docs)?;

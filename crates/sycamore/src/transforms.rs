@@ -5,6 +5,12 @@
 //! because the executor calls it from multiple workers in arbitrary order and
 //! relies on output assembly by input position — never arrival order — for
 //! bit-identical results at any parallelism (DESIGN.md §5g).
+//!
+//! Rows are shared `Arc<Document>`s (DESIGN.md "Data plane"): a transform
+//! that only reads or drops a row forwards the pointer; one that writes goes
+//! through `Arc::make_mut`, after its fallible work, so a row still held by
+//! a snapshot, a materialization or a retry original is copied once, at the
+//! first write, and never for a row that is about to be dropped.
 
 use crate::context::Context;
 use crate::op::{Agg, ElementSelector, Op, PartitionCfg};
@@ -16,38 +22,40 @@ use aryn_llm::semantics;
 use aryn_llm::{run_batched, BatchConfig, BatchReport, LlmClient, TaskKind};
 use aryn_partitioner::{Partitioner, PartitionerOptions};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Applies one per-document op, producing 0..N output documents.
-pub fn apply_per_doc(ctx: &Context, op: &Op, doc: Document) -> Result<Vec<Document>> {
+pub fn apply_per_doc(ctx: &Context, op: &Op, mut doc: Arc<Document>) -> Result<Vec<Arc<Document>>> {
     match op {
         Op::Map { name, f } => {
-            let mut out = f(doc);
+            let mut out = f(Arc::unwrap_or_clone(doc));
             out.lineage.push(LineageRecord::new("map", name.clone()));
-            Ok(vec![out])
+            Ok(vec![Arc::new(out)])
         }
         Op::Filter { name, f } => {
             if f(&doc) {
-                let mut d = doc;
-                d.lineage.push(LineageRecord::new("filter", name.clone()));
-                Ok(vec![d])
+                Arc::make_mut(&mut doc)
+                    .lineage
+                    .push(LineageRecord::new("filter", name.clone()));
+                Ok(vec![doc])
             } else {
                 Ok(vec![])
             }
         }
         Op::FlatMap { name, f } => {
             let src = doc.id.0.clone();
-            Ok(f(doc)
+            Ok(f(Arc::unwrap_or_clone(doc))
                 .into_iter()
                 .map(|mut d| {
                     d.lineage.push(
                         LineageRecord::new("flat_map", name.clone()).with_sources(vec![src.clone()]),
                     );
-                    d
+                    Arc::new(d)
                 })
                 .collect())
         }
-        Op::Partition { lake, cfg } => partition(ctx, lake, cfg, doc).map(|d| vec![d]),
-        Op::Explode => Ok(explode(doc)),
+        Op::Partition { lake, cfg } => partition(ctx, lake, cfg, &doc).map(|d| vec![Arc::new(d)]),
+        Op::Explode => Ok(explode(&doc)),
         Op::LlmQuery {
             client,
             template,
@@ -79,12 +87,12 @@ pub fn apply_per_doc(ctx: &Context, op: &Op, doc: Document) -> Result<Vec<Docume
         } => summarize_doc(client, instructions, output_path, selector, doc).map(|d| vec![d]),
         Op::SummarizeSections { client } => summarize_sections(client, doc).map(|d| vec![d]),
         Op::Embed => {
-            let mut d = doc;
-            let text = d.full_text();
-            d.embedding = Some(ctx.embedder().embed(&text));
+            let embedding = ctx.embedder().embed(&doc.full_text());
+            let d = Arc::make_mut(&mut doc);
+            d.embedding = Some(embedding);
             d.lineage
                 .push(LineageRecord::new("embed", ctx.embedder().name().to_string()));
-            Ok(vec![d])
+            Ok(vec![doc])
         }
         barrier => Err(ArynError::Exec(format!(
             "{} is a barrier op, not per-document",
@@ -94,7 +102,7 @@ pub fn apply_per_doc(ctx: &Context, op: &Op, doc: Document) -> Result<Vec<Docume
 }
 
 /// Runs the Aryn Partitioner against the raw rendering in the lake.
-fn partition(ctx: &Context, lake: &str, cfg: &PartitionCfg, doc: Document) -> Result<Document> {
+fn partition(ctx: &Context, lake: &str, cfg: &PartitionCfg, doc: &Document) -> Result<Document> {
     let raw = ctx.raw_from_lake(lake, doc.id.as_str()).ok_or_else(|| {
         ArynError::Exec(format!(
             "partition: no raw rendering for {:?} in lake {lake:?}",
@@ -121,7 +129,7 @@ fn partition(ctx: &Context, lake: &str, cfg: &PartitionCfg, doc: Document) -> Re
 
 /// Emits each element as a chunk document (paper §5.2: explode "creates a
 /// new DocSet containing the elements of its input documents").
-fn explode(doc: Document) -> Vec<Document> {
+fn explode(doc: &Document) -> Vec<Arc<Document>> {
     let parent_id = doc.id.0.clone();
     doc.elements
         .iter()
@@ -138,7 +146,7 @@ fn explode(doc: Document) -> Vec<Document> {
             child
                 .lineage
                 .push(LineageRecord::new("explode", "").with_sources(vec![parent_id.clone()]));
-            child
+            Arc::new(child)
         })
         .collect()
 }
@@ -184,30 +192,31 @@ fn llm_query(
     template: &str,
     output_path: &str,
     selector: &ElementSelector,
-    mut doc: Document,
-) -> Result<Document> {
-    let text = selector.select_text(&doc);
-    let question = render_template(template, &doc, "");
+    mut row: Arc<Document>,
+) -> Result<Arc<Document>> {
+    let text = selector.select_text(&row);
+    let question = render_template(template, &row, "");
     let prompt = client.fit_prompt(&text, 256, |ctx| tasks::answer(&question, ctx));
     let v = client.generate_json(&prompt, 256)?;
     let answer = v
         .get("answer")
         .cloned()
         .unwrap_or(Value::Null);
+    let doc = Arc::make_mut(&mut row);
     doc.properties.set_path(output_path, answer);
     doc.lineage.push(
         LineageRecord::new("llm_query", template.to_string()).with_llm(1, 0.0),
     );
-    Ok(doc)
+    Ok(row)
 }
 
 fn extract_properties(
     client: &LlmClient,
     schema: &Value,
     selector: &ElementSelector,
-    mut doc: Document,
-) -> Result<Document> {
-    let text = selector.select_text(&doc);
+    mut row: Arc<Document>,
+) -> Result<Arc<Document>> {
+    let text = selector.select_text(&row);
     let (v, degraded_to) =
         match client.generate_json_with_fallback(&text, 512, &|ctx| tasks::extract(schema, ctx)) {
             Ok(out) => (out.value, out.degraded_to),
@@ -219,32 +228,38 @@ fn extract_properties(
             }
             Err(e) => return Err(e),
         };
-    if let Some(fields) = v.as_object() {
+    let doc = Arc::make_mut(&mut row);
+    accept_extracted(doc, schema, &v);
+    if let Some(tier) = degraded_to {
+        doc.set_prop("_degraded", tier.as_str());
+        client.note_degraded_docs(1);
+    }
+    Ok(row)
+}
+
+/// Writes an extraction result into `doc`: only the fields the schema asked
+/// for (models sometimes hallucinate extras), then the lineage record. The
+/// batched and unbatched paths share it so their outputs cannot drift.
+fn accept_extracted(doc: &mut Document, schema: &Value, extracted: &Value) {
+    if let Some(fields) = extracted.as_object() {
         for (k, val) in fields {
-            // Only accept fields the schema asked for — models sometimes
-            // hallucinate extras.
             if schema.get(k).is_some() {
                 doc.properties.set_path(k, val.clone());
             }
         }
     }
-    if let Some(tier) = degraded_to {
-        doc.set_prop("_degraded", tier.as_str());
-        client.note_degraded_docs(1);
-    }
     doc.lineage.push(
         LineageRecord::new("extract_properties", json::to_string(schema)).with_llm(1, 0.0),
     );
-    Ok(doc)
 }
 
 fn llm_filter(
     client: &LlmClient,
     predicate: &str,
     selector: &ElementSelector,
-    mut doc: Document,
-) -> Result<Vec<Document>> {
-    let text = selector.select_text(&doc);
+    mut row: Arc<Document>,
+) -> Result<Vec<Arc<Document>>> {
+    let text = selector.select_text(&row);
     let (keep, degraded_to) =
         match client.generate_json_with_fallback(&text, 64, &|ctx| tasks::filter(predicate, ctx)) {
             Ok(out) => (
@@ -260,17 +275,19 @@ fn llm_filter(
             ),
             Err(e) => return Err(e),
         };
-    if let Some(tier) = degraded_to {
-        doc.set_prop("_degraded", tier.as_str());
+    if degraded_to.is_some() {
         client.note_degraded_docs(1);
     }
-    if keep {
-        doc.lineage
-            .push(LineageRecord::new("llm_filter", predicate.to_string()).with_llm(1, 0.0));
-        Ok(vec![doc])
-    } else {
-        Ok(vec![])
+    if !keep {
+        return Ok(vec![]);
     }
+    let doc = Arc::make_mut(&mut row);
+    if let Some(tier) = degraded_to {
+        doc.set_prop("_degraded", tier.as_str());
+    }
+    doc.lineage
+        .push(LineageRecord::new("llm_filter", predicate.to_string()).with_llm(1, 0.0));
+    Ok(vec![row])
 }
 
 /// Applies one batchable semantic op collection-at-a-time through the
@@ -282,9 +299,9 @@ fn llm_filter(
 pub fn apply_batched(
     ctx: &Context,
     op: &Op,
-    docs: Vec<Document>,
+    docs: Vec<Arc<Document>>,
     cfg: BatchConfig,
-) -> Result<(Vec<Document>, usize, BatchReport)> {
+) -> Result<(Vec<Arc<Document>>, usize, BatchReport)> {
     let skip = ctx.exec_config().skip_failures;
     match op {
         Op::LlmFilter {
@@ -308,10 +325,10 @@ fn llm_filter_batched(
     client: &LlmClient,
     predicate: &str,
     selector: &ElementSelector,
-    docs: Vec<Document>,
+    docs: Vec<Arc<Document>>,
     cfg: BatchConfig,
     skip_failures: bool,
-) -> Result<(Vec<Document>, usize, BatchReport)> {
+) -> Result<(Vec<Arc<Document>>, usize, BatchReport)> {
     let params = obj! { "predicate" => predicate };
     let contexts: Vec<String> = docs
         .iter()
@@ -328,7 +345,7 @@ fn llm_filter_batched(
         match res {
             Ok(v) => {
                 if v.get("match").and_then(Value::as_bool).unwrap_or(false) {
-                    doc.lineage.push(
+                    Arc::make_mut(&mut doc).lineage.push(
                         LineageRecord::new("llm_filter", predicate.to_string()).with_llm(1, 0.0),
                     );
                     out.push(doc);
@@ -350,10 +367,10 @@ fn extract_properties_batched(
     client: &LlmClient,
     schema: &Value,
     selector: &ElementSelector,
-    docs: Vec<Document>,
+    docs: Vec<Arc<Document>>,
     cfg: BatchConfig,
     skip_failures: bool,
-) -> Result<(Vec<Document>, usize, BatchReport)> {
+) -> Result<(Vec<Arc<Document>>, usize, BatchReport)> {
     let params = obj! { "schema" => schema.clone() };
     let contexts: Vec<String> = docs
         .iter()
@@ -369,19 +386,7 @@ fn extract_properties_batched(
     for (mut doc, res) in docs.into_iter().zip(values) {
         match res {
             Ok(v) => {
-                if let Some(fields) = v.as_object() {
-                    for (k, val) in fields {
-                        // Same acceptance rule as the unbatched path: only
-                        // fields the schema asked for.
-                        if schema.get(k).is_some() {
-                            doc.properties.set_path(k, val.clone());
-                        }
-                    }
-                }
-                doc.lineage.push(
-                    LineageRecord::new("extract_properties", json::to_string(schema))
-                        .with_llm(1, 0.0),
-                );
+                accept_extracted(Arc::make_mut(&mut doc), schema, &v);
                 out.push(doc);
             }
             Err(e) => {
@@ -402,17 +407,18 @@ fn llm_classify(
     labels: &[String],
     output_path: &str,
     selector: &ElementSelector,
-    mut doc: Document,
-) -> Result<Document> {
-    let text = selector.select_text(&doc);
+    mut row: Arc<Document>,
+) -> Result<Arc<Document>> {
+    let text = selector.select_text(&row);
     let label_refs: Vec<&str> = labels.iter().map(String::as_str).collect();
     let prompt = client.fit_prompt(&text, 64, |ctx| tasks::classify(question, &label_refs, ctx));
     let v = client.generate_json(&prompt, 64)?;
     let label = v.get("label").cloned().unwrap_or(Value::Null);
+    let doc = Arc::make_mut(&mut row);
     doc.properties.set_path(output_path, label);
     doc.lineage
         .push(LineageRecord::new("llm_classify", question.to_string()).with_llm(1, 0.0));
-    Ok(doc)
+    Ok(row)
 }
 
 fn summarize_doc(
@@ -420,25 +426,25 @@ fn summarize_doc(
     instructions: &str,
     output_path: &str,
     selector: &ElementSelector,
-    mut doc: Document,
-) -> Result<Document> {
-    let text = selector.select_text(&doc);
+    mut row: Arc<Document>,
+) -> Result<Arc<Document>> {
+    let text = selector.select_text(&row);
     let prompt = client.fit_prompt(&text, 256, |ctx| tasks::summarize(instructions, ctx));
     let v = client.generate_json(&prompt, 256)?;
     let summary = v.get("summary").cloned().unwrap_or(Value::Null);
+    let doc = Arc::make_mut(&mut row);
     doc.properties.set_path(output_path, summary);
     doc.lineage
         .push(LineageRecord::new("summarize", instructions.to_string()).with_llm(1, 0.0));
-    Ok(doc)
+    Ok(row)
 }
 
 /// Summarizes each section of the document's semantic tree into
 /// `properties.section_summaries.<heading>`, one LLM call per section with
 /// a non-empty body.
-fn summarize_sections(client: &LlmClient, mut doc: Document) -> Result<Document> {
-    // Collect (heading, body text) pairs first: the tree borrows the doc.
+fn summarize_sections(client: &LlmClient, mut row: Arc<Document>) -> Result<Arc<Document>> {
     let sections: Vec<(String, String)> = {
-        let tree = doc.tree();
+        let tree = row.tree();
         tree.sections()
             .iter()
             .filter(|s| !s.body.is_empty())
@@ -446,14 +452,16 @@ fn summarize_sections(client: &LlmClient, mut doc: Document) -> Result<Document>
                 let body: String = s
                     .body
                     .iter()
-                    .map(|i| doc.elements[*i].content_text())
+                    .map(|i| row.elements[*i].content_text())
                     .collect::<Vec<_>>()
                     .join("\n");
                 (s.heading_text().to_string(), body)
             })
             .collect()
     };
-    let mut calls = 0u32;
+    // Every call first, then the writes: a failing section must leave a row
+    // shared with the retry original untouched.
+    let mut summaries: Vec<(String, Value)> = Vec::new();
     for (heading, body) in sections {
         if body.trim().is_empty() || heading.is_empty() {
             continue;
@@ -469,38 +477,44 @@ fn summarize_sections(client: &LlmClient, mut doc: Document) -> Result<Document>
             .chars()
             .map(|c| if c.is_alphanumeric() { c } else { '_' })
             .collect();
-        doc.properties
-            .set_path(&format!("section_summaries.{slug}"), summary);
-        calls += 1;
+        summaries.push((format!("section_summaries.{slug}"), summary));
+    }
+    let doc = Arc::make_mut(&mut row);
+    let calls = summaries.len() as u32;
+    for (path, summary) in summaries {
+        doc.properties.set_path(&path, summary);
     }
     doc.lineage
         .push(LineageRecord::new("summarize_sections", "").with_llm(calls, 0.0));
-    Ok(doc)
+    Ok(row)
 }
 
 // ---------------------------------------------------------------------------
 // Barrier transforms
 // ---------------------------------------------------------------------------
 
+/// A row's sort/group key, borrowed: a missing property orders as `Null`.
+fn key_of<'a>(doc: &'a Document, path: &str) -> &'a Value {
+    doc.prop(path).unwrap_or(&Value::Null)
+}
+
 /// Groups documents by a key property and aggregates. Missing keys group
 /// under `Null`; missing aggregated values are skipped.
-pub fn reduce_by_key(docs: Vec<Document>, key: &str, aggs: &[(String, Agg)]) -> Vec<Document> {
-    let mut sorted = docs;
-    sorted.sort_by(|a, b| {
-        let ka = a.prop(key).cloned().unwrap_or(Value::Null);
-        let kb = b.prop(key).cloned().unwrap_or(Value::Null);
-        ka.cmp_total(&kb)
-    });
+pub fn reduce_by_key(
+    docs: &[Arc<Document>],
+    key: &str,
+    aggs: &[(String, Agg)],
+) -> Vec<Arc<Document>> {
+    let mut sorted: Vec<&Document> = docs.iter().map(Arc::as_ref).collect();
+    sorted.sort_by(|a, b| key_of(a, key).cmp_total(key_of(b, key)));
     let mut out = Vec::new();
     let mut i = 0;
     while i < sorted.len() {
-        let key_val = sorted[i].prop(key).cloned().unwrap_or(Value::Null);
+        let key_val = key_of(sorted[i], key);
         let mut j = i;
-        while j < sorted.len() {
-            let kj = sorted[j].prop(key).cloned().unwrap_or(Value::Null);
-            if kj.cmp_total(&key_val) != std::cmp::Ordering::Equal {
-                break;
-            }
+        while j < sorted.len()
+            && key_of(sorted[j], key).cmp_total(key_val) == std::cmp::Ordering::Equal
+        {
             j += 1;
         }
         let group = &sorted[i..j];
@@ -515,13 +529,13 @@ pub fn reduce_by_key(docs: Vec<Document>, key: &str, aggs: &[(String, Agg)]) -> 
             LineageRecord::new("reduce_by_key", key.to_string())
                 .with_sources(group.iter().map(|d| d.id.0.clone()).collect()),
         );
-        out.push(g);
+        out.push(Arc::new(g));
         i = j;
     }
     out
 }
 
-fn eval_agg(group: &[Document], agg: &Agg) -> Value {
+fn eval_agg(group: &[&Document], agg: &Agg) -> Value {
     let nums = |path: &str| -> Vec<f64> {
         group
             .iter()
@@ -578,18 +592,17 @@ fn eval_agg(group: &[Document], agg: &Agg) -> Value {
 
 /// Stable sort by property (total order; missing = Null sorts first
 /// ascending, last descending).
-pub fn sort_by(mut docs: Vec<Document>, path: &str, descending: bool) -> Vec<Document> {
-    docs.sort_by(|a, b| {
-        let ka = a.prop(path).cloned().unwrap_or(Value::Null);
-        let kb = b.prop(path).cloned().unwrap_or(Value::Null);
-        let ord = ka.cmp_total(&kb);
+pub fn sort_by(docs: &[Arc<Document>], path: &str, descending: bool) -> Vec<Arc<Document>> {
+    let mut sorted = docs.to_vec();
+    sorted.sort_by(|a, b| {
+        let ord = key_of(a, path).cmp_total(key_of(b, path));
         if descending {
             ord.reverse()
         } else {
             ord
         }
     });
-    docs
+    sorted
 }
 
 /// Hierarchical collection summarization: per-document summaries are packed
@@ -599,7 +612,7 @@ pub fn sort_by(mut docs: Vec<Document>, path: &str, descending: bool) -> Vec<Doc
 pub fn summarize_all(
     client: &LlmClient,
     instructions: &str,
-    docs: &[Document],
+    docs: &[Arc<Document>],
 ) -> Result<Document> {
     Ok(summarize_all_stats(client, instructions, docs, false)?.0)
 }
@@ -614,7 +627,7 @@ pub fn summarize_all(
 pub fn summarize_all_stats(
     client: &LlmClient,
     instructions: &str,
-    docs: &[Document],
+    docs: &[Arc<Document>],
     skip_failures: bool,
 ) -> Result<(Document, usize)> {
     // Each piece carries the number of source documents it represents, so a
@@ -723,7 +736,7 @@ pub fn materialize(
     name: &str,
     fingerprint: u64,
     dir: Option<&std::path::Path>,
-    docs: &[Document],
+    docs: &[Arc<Document>],
 ) -> Result<()> {
     ctx.inner
         .materialized

@@ -450,7 +450,7 @@ fn torn_materialize_checkpoint_is_discarded() {
     let mem: Arc<MemFs> = Arc::new(MemFs::new());
     let ctx = Context::new();
     ctx.set_vfs(mem.clone() as Arc<dyn Vfs>);
-    let docs: Vec<Document> = (0..6).map(doc).collect();
+    let docs: Vec<Arc<Document>> = (0..6).map(doc).map(Arc::new).collect();
     let dir = Path::new("/mat");
     sycamore::transforms::materialize(&ctx, "ckpt", 42, Some(dir), &docs).unwrap();
     let path = dir.join("ckpt.jsonl");
