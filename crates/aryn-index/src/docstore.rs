@@ -14,7 +14,7 @@
 //! [`StoreSnapshot`], an O(memtable) frozen view that stays bit-stable while
 //! ingestion and compaction continue underneath it (MVCC reads).
 
-use aryn_core::vfs::{self, StdFs, Vfs};
+use aryn_core::vfs::{self, Vfs};
 use aryn_core::{ArynError, Document, Result, Value};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -1154,68 +1154,6 @@ impl DocStore {
         }
         Ok(())
     }
-
-    /// Persists a point-in-time copy of the store as a single checksummed
-    /// file: per-record CRCs plus a count footer, staged through a temp
-    /// file and renamed into place — a crash mid-save leaves the previous
-    /// copy intact. (Unrelated to the WAL: this is the whole-store
-    /// export/import path.)
-    pub fn save(&self, path: &Path) -> Result<()> {
-        self.save_on(&StdFs, path)
-    }
-
-    /// [`DocStore::save`] through an explicit VFS.
-    pub fn save_on(&self, fs: &dyn Vfs, path: &Path) -> Result<()> {
-        let records: Vec<(char, String)> = self
-            .scan()
-            .map(|d| {
-                (
-                    's',
-                    aryn_core::json::to_string(&aryn_core::serialize::document_to_value(d)),
-                )
-            })
-            .collect();
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                fs.create_dir_all(parent)?;
-            }
-        }
-        vfs::atomic_write(fs, path, vfs::encode_tagged_file(&records).as_bytes())
-    }
-
-    /// Loads a store persisted by [`DocStore::save`]. Verifies every record
-    /// CRC and the footer count; also accepts the legacy plain-JSONL format.
-    pub fn load(path: &Path) -> Result<DocStore> {
-        DocStore::load_on(&StdFs, path)
-    }
-
-    /// [`DocStore::load`] through an explicit VFS.
-    pub fn load_on(fs: &dyn Vfs, path: &Path) -> Result<DocStore> {
-        let text = vfs::read_to_string(fs, path)?;
-        let mut store = DocStore::new();
-        let legacy = text
-            .lines()
-            .find(|l| !l.trim().is_empty())
-            .is_none_or(|l| l.trim_start().starts_with('{'));
-        if legacy {
-            for line in text.lines().filter(|l| !l.trim().is_empty()) {
-                let v = aryn_core::json::parse(line)?;
-                store.put(aryn_core::serialize::document_from_value(&v)?);
-            }
-        } else {
-            for (tag, payload) in vfs::decode_tagged_file(&text)? {
-                if tag != 's' {
-                    return Err(ArynError::Io(format!(
-                        "{}: unexpected record tag {tag:?}",
-                        path.display()
-                    )));
-                }
-                let v = aryn_core::json::parse(&payload)?;
-                store.put(aryn_core::serialize::document_from_value(&v)?);
-            }
-        }
-        Ok(store)
-    }
 }
 
 /// Materializes a store from documents.
@@ -1758,115 +1696,5 @@ mod durability_tests {
         drop(s);
         let r = DocStore::open(dir, mem).unwrap();
         assert_eq!(r.len(), acked, "exactly the acked puts recover");
-    }
-
-    #[test]
-    fn save_is_atomic_under_crash() {
-        let mem = Arc::new(MemFs::new());
-        let mut s = DocStore::new();
-        for i in 0..3 {
-            s.put(doc(&format!("d{i}"), i));
-        }
-        let path = Path::new("/exports/store.dat");
-        s.save_on(&*mem, path).unwrap();
-        let before = mem.read(path).unwrap();
-        s.put(doc("d9", 9));
-        // save = create_dir_all + write tmp + sync + rename: crash at every
-        // point must leave the old export intact or the new one complete.
-        for k in 0..4u64 {
-            let fs = ChaosFs::wrap(
-                mem.clone(),
-                StorageSchedule::calm().with_crash_at(k).with_seed(k),
-            );
-            assert!(s.save_on(&fs, path).is_err());
-            let img = mem.read(path).unwrap();
-            let loaded = DocStore::load_on(&*mem, path).unwrap();
-            assert!(
-                img == before || loaded.len() == 4,
-                "crash at op {k}: torn export"
-            );
-            // Reset for the next crash point.
-            mem.write(path, &before).unwrap();
-        }
-        s.save_on(&*mem, path).unwrap();
-        assert_eq!(DocStore::load_on(&*mem, path).unwrap().len(), 4);
-    }
-
-    #[test]
-    fn load_detects_bitflips_in_checksummed_format() {
-        let mem = MemFs::new();
-        let mut s = DocStore::new();
-        s.put(doc("a", 1));
-        let path = Path::new("/x/store.dat");
-        s.save_on(&mem, path).unwrap();
-        let mut bytes = mem.read(path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
-        mem.write(path, &bytes).unwrap();
-        assert!(DocStore::load_on(&mem, path).is_err(), "bitflip must fail the CRC");
-    }
-}
-
-#[cfg(test)]
-mod persistence_tests {
-    use super::*;
-    use aryn_core::obj;
-
-    #[test]
-    fn save_and_load_roundtrip() {
-        let mut s = DocStore::new();
-        for i in 0..5 {
-            let mut d = Document::new(format!("d{i}"));
-            d.properties = obj! { "n" => i as i64, "state" => "AK" };
-            s.put(d);
-        }
-        let path = std::env::temp_dir().join("aryn-docstore-test/store.jsonl");
-        s.save(&path).unwrap();
-        let loaded = DocStore::load(&path).unwrap();
-        assert_eq!(loaded.len(), 5);
-        assert_eq!(
-            loaded.get("d3").unwrap().prop("n").unwrap().as_int(),
-            Some(3)
-        );
-        // Schema and facets survive.
-        assert_eq!(loaded.schema()["state"].1, 5);
-        let _ = std::fs::remove_dir_all(path.parent().unwrap());
-    }
-
-    #[test]
-    fn save_and_load_roundtrip_with_segments() {
-        let mut s = DocStore::with_config(StoreConfig {
-            seal_threshold: 3,
-            compact_fanout: 2,
-        });
-        for i in 0..10 {
-            let mut d = Document::new(format!("d{i}"));
-            d.properties = obj! { "n" => i as i64 };
-            s.put(d);
-        }
-        s.delete("d4");
-        assert!(s.segment_count() > 0);
-        let path = std::env::temp_dir().join("aryn-docstore-test-seg/store.jsonl");
-        s.save(&path).unwrap();
-        let loaded = DocStore::load(&path).unwrap();
-        assert_eq!(loaded.len(), 9);
-        assert!(loaded.get("d4").is_none());
-        let _ = std::fs::remove_dir_all(path.parent().unwrap());
-    }
-
-    #[test]
-    fn load_rejects_corrupt_lines() {
-        let path = std::env::temp_dir().join("aryn-docstore-corrupt.jsonl");
-        std::fs::write(&path, "{not json}\n").unwrap();
-        assert!(DocStore::load(&path).is_err());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn load_missing_file_is_io_error() {
-        assert!(matches!(
-            DocStore::load(std::path::Path::new("/nonexistent/x.jsonl")),
-            Err(ArynError::Io(_))
-        ));
     }
 }

@@ -250,8 +250,7 @@ impl LlmCallCache {
     /// chaos covers cache IO. New entries append as checksummed records
     /// (`c <crc32> <json>`); loading verifies each line, skips-and-counts
     /// corrupt ones mid-file, physically truncates a corrupt *tail* (the
-    /// crash-mid-append shape) with an atomic rewrite, and still accepts
-    /// the legacy plain-JSONL format.
+    /// crash-mid-append shape) with an atomic rewrite.
     pub fn with_disk_on(
         mut self,
         fs: Arc<dyn Vfs>,
@@ -274,12 +273,9 @@ impl LlmCallCache {
                 if line.trim().is_empty() {
                     continue;
                 }
-                // Checksummed record or legacy plain JSON, per line.
                 let parsed = match vfs::decode_record(line) {
                     Ok(('c', payload)) => json::parse(payload).ok(),
-                    Ok(_) => None,
-                    Err(_) if line.trim_start().starts_with('{') => json::parse(line).ok(),
-                    Err(_) => None,
+                    _ => None,
                 };
                 let Some(v) = parsed else {
                     g.stats.corrupt_entries += 1;
@@ -767,12 +763,13 @@ mod tests {
         cache.get_or_compute(k1, || Ok(("v1".into(), usage(0.1)))).unwrap();
         cache.get_or_compute(k2, || Ok(("v2".into(), usage(0.1)))).unwrap();
         drop(cache);
-        // Simulate a crash mid-append (truncated trailing line) plus an
-        // entry with a mangled key field in the middle of the file.
+        // Simulate a crash mid-append (truncated trailing line) plus a
+        // well-formed entry without a checksum in the middle of the file:
+        // no writer produces that, so it is corruption, not an entry.
         let path = dir.join("llm_cache.jsonl");
         let mut lines: Vec<String> =
             std::fs::read_to_string(&path).unwrap().lines().map(String::from).collect();
-        lines.insert(1, "{\"key\": \"not-hex!\", \"text\": \"zzz\"}".to_string());
+        lines.insert(1, "{\"key\": \"00000000000000ff\", \"text\": \"zzz\"}".to_string());
         let mut text = lines.join("\n");
         text.push_str("\n{\"key\": \"0000000000000001\", \"te");
         std::fs::write(&path, text).unwrap();
@@ -871,8 +868,7 @@ mod tests {
         drop(cache);
         let path = dir.join("llm_cache.jsonl");
         let mut bytes = fs.read(&path).unwrap();
-        // Flip one payload byte: plain JSONL would load the mangled text,
-        // the CRC rejects it.
+        // Flip one payload byte: the CRC rejects the mangled text.
         let pos = bytes.len() - 20;
         bytes[pos] ^= 0x02;
         fs.write(&path, &bytes).unwrap();

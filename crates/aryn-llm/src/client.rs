@@ -120,6 +120,61 @@ impl UsageMeter {
     }
 }
 
+/// One measurement of LLM work: the meters and call caches reachable from a
+/// set of clients (each client's whole fallback chain), every distinct meter
+/// and cache counted once however many clients share it. Opened before a
+/// stage, a plan node or a planning session runs; [`MeterScope::finish`]
+/// returns what happened in between. This is the only place accounting is
+/// measured — stage and node records carry the returned pair.
+pub struct MeterScope {
+    meters: Vec<Arc<UsageMeter>>,
+    caches: Vec<Arc<LlmCallCache>>,
+    opened_at: (UsageStats, CacheStats),
+}
+
+impl MeterScope {
+    pub fn open<'a>(clients: impl IntoIterator<Item = &'a LlmClient>) -> MeterScope {
+        let mut scope = MeterScope {
+            meters: Vec::new(),
+            caches: Vec::new(),
+            opened_at: Default::default(),
+        };
+        for client in clients {
+            for tier in client.fallback_chain() {
+                if !scope.meters.iter().any(|m| Arc::ptr_eq(m, &tier.meter)) {
+                    scope.meters.push(Arc::clone(&tier.meter));
+                }
+                if let Some(cache) = &tier.cache {
+                    if !scope.caches.iter().any(|c| Arc::ptr_eq(c, cache)) {
+                        scope.caches.push(Arc::clone(cache));
+                    }
+                }
+            }
+        }
+        scope.opened_at = scope.totals();
+        scope
+    }
+
+    /// Lifetime totals of the scoped meters and caches, as of now.
+    pub fn totals(&self) -> (UsageStats, CacheStats) {
+        let mut llm = UsageStats::default();
+        let mut cache = CacheStats::default();
+        for m in &self.meters {
+            llm.merge(&m.snapshot());
+        }
+        for c in &self.caches {
+            cache.merge(&c.stats());
+        }
+        (llm, cache)
+    }
+
+    /// Usage and cache activity since the scope was opened.
+    pub fn finish(&self) -> (UsageStats, CacheStats) {
+        let (llm, cache) = self.totals();
+        (llm.since(&self.opened_at.0), cache.since(&self.opened_at.1))
+    }
+}
+
 /// Retry policy for one logical call.
 #[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
@@ -318,10 +373,6 @@ impl LlmClient {
 
     pub(crate) fn retry_policy(&self) -> RetryPolicy {
         self.policy
-    }
-
-    pub fn meter(&self) -> Arc<UsageMeter> {
-        Arc::clone(&self.meter)
     }
 
     pub fn stats(&self) -> UsageStats {
@@ -729,6 +780,43 @@ mod tests {
         a.generate(&p, 32).unwrap();
         b.generate(&p, 32).unwrap();
         assert_eq!(meter.snapshot().calls, 2);
+    }
+
+    #[test]
+    fn meter_scope_counts_each_meter_and_cache_once() {
+        let meter = UsageMeter::new();
+        let cache = Arc::new(crate::cache::LlmCallCache::with_capacity(32));
+        // `a` and `b` share one meter; `a`'s fallback tier shares `a`'s cache
+        // but meters on its own; `pinned` shares nothing.
+        let tier = client(&LLAMA7B_SIM, SimConfig::perfect(1)).with_cache(Arc::clone(&cache));
+        let a = client(&GPT4_SIM, SimConfig::perfect(1))
+            .with_meter(Arc::clone(&meter))
+            .with_cache(Arc::clone(&cache))
+            .with_fallback(tier);
+        let b = client(&GPT35_SIM, SimConfig::perfect(1)).with_meter(Arc::clone(&meter));
+        let pinned = client(&GPT35_SIM, SimConfig::perfect(2));
+        let p = tasks::filter("mentions wind", "gusty wind all day");
+        a.generate(&p, 32).unwrap(); // spend before the scope opens: not in the delta
+        let before = [a.stats(), a.fallback().unwrap().stats(), pinned.stats()];
+        let cache_before = cache.stats();
+        let scope = MeterScope::open([&a, &b, &pinned, &a]);
+        assert_eq!((scope.meters.len(), scope.caches.len()), (3, 1));
+        a.generate(&p, 32).unwrap(); // cache hit: no meter moves
+        b.generate(&p, 32).unwrap();
+        a.fallback().unwrap().generate(&p, 32).unwrap();
+        pinned.generate(&p, 32).unwrap();
+        pinned.generate(&tasks::filter("mentions rain", "heavy rain"), 32).unwrap();
+        let (llm, hits) = scope.finish();
+        let mut want = UsageStats::default();
+        for (c, b4) in [&a, a.fallback().unwrap(), &pinned].into_iter().zip(&before) {
+            want.merge(&c.stats().since(b4));
+        }
+        assert_eq!((llm.calls, llm.usage.tokens()), (want.calls, want.usage.tokens()));
+        // Dollars are a float sum: equal up to summation order.
+        assert!((llm.usage.cost_usd - want.usage.cost_usd).abs() < 1e-12);
+        assert_eq!(llm.calls, 4, "shared meter counted once, not per client");
+        assert_eq!(hits, cache.stats().since(&cache_before));
+        assert_eq!((hits.hits, hits.misses), (1, 1));
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub use cache::{CacheKey, CacheStats, LlmCallCache};
 pub use chaos::{
     ChaosKeying, ChaosModel, ChaosSchedule, FaultKind, FaultWindow, StorageFault, StorageSchedule,
 };
-pub use client::{DegradedJson, LlmClient, RetryPolicy, UsageMeter, UsageStats};
+pub use client::{DegradedJson, LlmClient, MeterScope, RetryPolicy, UsageMeter, UsageStats};
 pub use reliability::{
     BreakerBoard, BreakerState, CircuitBreaker, ReliabilityPolicy, ReliabilitySlot,
     ReliabilityState,

@@ -64,6 +64,11 @@ pub struct Usage {
 }
 
 impl Usage {
+    /// Prompt plus completion tokens.
+    pub fn tokens(&self) -> u64 {
+        (self.input_tokens + self.output_tokens) as u64
+    }
+
     pub fn add(&mut self, other: &Usage) {
         self.input_tokens += other.input_tokens;
         self.output_tokens += other.output_tokens;

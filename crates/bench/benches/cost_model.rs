@@ -68,30 +68,30 @@ fn predicted_vs_actual(smoke: bool, report: &mut String) {
     for q in &fixture.questions {
         let ans = fixture.luna.ask(&q.question).expect("question executes");
         let cost = ans.cost.as_ref().expect("analyze_cost attaches a report");
-        let calls = ans.result.total_llm_calls() as f64;
-        let tokens = ans.result.total_tokens() as f64;
+        let calls = ans.result.llm().calls as f64;
+        let tokens = ans.result.llm().usage.tokens() as f64;
         assert!(
-            cost.llm_calls.contains(calls),
+            cost.llm.calls.contains(calls),
             "{}: actual calls {calls} outside {}",
             q.question,
-            cost.llm_calls.render()
+            cost.llm.calls.render()
         );
         assert!(
-            cost.total_tokens().contains(tokens),
+            cost.llm.total_tokens().contains(tokens),
             "{}: actual tokens {tokens} outside {}",
             q.question,
-            cost.total_tokens().render()
+            cost.llm.total_tokens().render()
         );
         assert!(
-            cost.cost_usd.contains(ans.result.total_cost()),
+            cost.llm.cost_usd.contains(ans.result.llm().usage.cost_usd),
             "{}: actual cost {} outside {}",
             q.question,
-            ans.result.total_cost(),
-            cost.cost_usd.render()
+            ans.result.llm().usage.cost_usd,
+            cost.llm.cost_usd.render()
         );
         println!(
             "{:<26} {:>9.1} {:>9.0} {:>10.0} {:>10.0}  {}",
-            cost.llm_calls.render(),
+            cost.llm.calls.render(),
             cost.expected_calls,
             calls,
             cost.expected_tokens,
@@ -252,18 +252,18 @@ fn dead_field_pruning(smoke: bool, report: &mut String) {
             est_on.expected_tokens
         );
         assert!(
-            res_on.total_tokens() < res_off.total_tokens(),
+            res_on.llm().usage.tokens() < res_off.llm().usage.tokens(),
             "{question}: actual tokens did not drop ({} -> {})",
-            res_off.total_tokens(),
-            res_on.total_tokens()
+            res_off.llm().usage.tokens(),
+            res_on.llm().usage.tokens()
         );
         println!(
             "answer {:?} (bit-identical)\n  predicted tokens {:>8.0} -> {:>8.0}   actual tokens {:>7} -> {:>7}\n  {}",
             res_on.answer,
             est_off.expected_tokens,
             est_on.expected_tokens,
-            res_off.total_tokens(),
-            res_on.total_tokens(),
+            res_off.llm().usage.tokens(),
+            res_on.llm().usage.tokens(),
             question
         );
         let _ = writeln!(
@@ -272,8 +272,8 @@ fn dead_field_pruning(smoke: bool, report: &mut String) {
             res_on.answer,
             est_off.expected_tokens,
             est_on.expected_tokens,
-            res_off.total_tokens(),
-            res_on.total_tokens(),
+            res_off.llm().usage.tokens(),
+            res_on.llm().usage.tokens(),
             question
         );
     }

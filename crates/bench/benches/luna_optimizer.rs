@@ -71,8 +71,8 @@ fn main() {
             let optimized = aryn::luna::optimize(&plan, fixture.luna.schemas(), &v.cfg).unwrap();
             match fixture.luna.execute(&optimized.plan) {
                 Ok(result) => {
-                    llm_calls += result.total_llm_calls();
-                    cost += result.total_cost();
+                    llm_calls += result.llm().calls;
+                    cost += result.llm().usage.cost_usd;
                     match grade_answer(&result.answer, &q.expected) {
                         Grade::Correct => c += 1,
                         Grade::Plausible => p += 1,

@@ -50,10 +50,10 @@ fn main() {
         println!(
             "{:>6} {:>14} / {:<6.4} {:>14} / {:<6.4} {:>14.4}",
             n,
-            raw.total_llm_calls(),
-            raw.total_cost(),
-            opt.total_llm_calls(),
-            opt.total_cost(),
+            raw.llm().calls,
+            raw.llm().usage.cost_usd,
+            opt.llm().calls,
+            opt.llm().usage.cost_usd,
             etl_cost
         );
     }

@@ -31,105 +31,17 @@ use crate::schema::IndexSchema;
 use aryn_core::text::count_tokens;
 use aryn_core::Diagnostic;
 use aryn_llm::prompt::tasks;
-use aryn_llm::registry::{spec_by_name, ModelSpec, ALL_MODELS, GPT4_SIM};
-use aryn_llm::ReliabilityPolicy;
+use aryn_llm::registry::{spec_by_name, ModelSpec, ALL_MODELS};
 use std::collections::{BTreeMap, BTreeSet};
 
-pub use sycamore::cost::Interval;
+pub use sycamore::cost::{CostKnobs, Interval, LlmBounds};
+use sycamore::cost::{llm_bounds, TierFacts};
 
 /// Typical per-document context tokens assumed by the clean-run point
 /// estimates (sim corpora produce short narratives).
 const TYP_CTX_TOKENS: f64 = 220.0;
 /// Typical completion tokens per answered item for the point estimates.
 const TYP_OUT_TOKENS: f64 = 20.0;
-
-/// Execution knobs the estimator needs; mirrors the relevant
-/// [`crate::luna::LunaConfig`] fields plus [`aryn_llm::RetryPolicy`].
-#[derive(Debug, Clone)]
-pub struct CostKnobs {
-    /// Model used by nodes that don't pin one.
-    pub default_model: &'static ModelSpec,
-    pub batch_max_items: usize,
-    pub batch_token_budget: usize,
-    pub max_transient: u32,
-    pub max_reask: u32,
-    pub backoff_base_ms: f64,
-    /// Active reliability policy: enables degradation-ladder call headroom,
-    /// zero-call lower bounds (breakers/skips), and deadline verification.
-    pub reliability: Option<ReliabilityPolicy>,
-    /// A chaos schedule is installed (faults consume retry budget).
-    pub chaos: bool,
-    /// The shared call cache is on (warm calls never meter).
-    pub call_cache: bool,
-    pub workers: usize,
-}
-
-impl Default for CostKnobs {
-    fn default() -> Self {
-        CostKnobs {
-            default_model: &GPT4_SIM,
-            batch_max_items: 1,
-            batch_token_budget: 2048,
-            max_transient: 4,
-            max_reask: 2,
-            backoff_base_ms: 100.0,
-            reliability: None,
-            chaos: false,
-            call_cache: false,
-            workers: 1,
-        }
-    }
-}
-
-impl CostKnobs {
-    fn guaranteed(&self) -> bool {
-        !self.call_cache && self.reliability.is_none() && !self.chaos
-    }
-
-    fn attempts(&self) -> f64 {
-        1.0 + self.max_transient as f64 + self.max_reask as f64
-    }
-
-    fn backoff_ceiling(&self) -> f64 {
-        let retries = self.max_transient + self.max_reask;
-        self.backoff_base_ms * 1.5 * ((1u64 << retries.min(30)) as f64 - 1.0)
-    }
-}
-
-/// Pricing/latency facts across the degradation ladder a node's calls could
-/// walk (the primary tier alone when no reliability policy is installed).
-struct TierFacts {
-    primary: &'static ModelSpec,
-    tiers: usize,
-    window: f64,
-    usd_in_max: f64,
-    usd_out_max: f64,
-    base_min: f64,
-    base_max: f64,
-    tps_min: f64,
-}
-
-fn tier_facts(primary: &'static ModelSpec, laddered: bool) -> TierFacts {
-    let specs: Vec<&'static ModelSpec> = if laddered {
-        let start = ALL_MODELS
-            .iter()
-            .position(|s| s.name == primary.name)
-            .unwrap_or(0);
-        ALL_MODELS[start..].to_vec()
-    } else {
-        vec![primary]
-    };
-    TierFacts {
-        primary,
-        tiers: specs.len(),
-        window: specs.iter().map(|s| s.context_window as f64).fold(0.0, f64::max),
-        usd_in_max: specs.iter().map(|s| s.usd_per_1k_input).fold(0.0, f64::max),
-        usd_out_max: specs.iter().map(|s| s.usd_per_1k_output).fold(0.0, f64::max),
-        base_min: specs.iter().map(|s| s.base_latency_ms).fold(f64::INFINITY, f64::min),
-        base_max: specs.iter().map(|s| s.base_latency_ms).fold(0.0, f64::max),
-        tps_min: specs.iter().map(|s| s.tokens_per_sec).fold(f64::INFINITY, f64::min),
-    }
-}
 
 /// Per-node cost abstraction: sound intervals plus clean-run point
 /// estimates.
@@ -139,13 +51,7 @@ pub struct NodeCost {
     pub op_kind: String,
     /// Rows (or 1 for a scalar) flowing out of this node.
     pub rows: Interval,
-    pub llm_calls: Interval,
-    pub input_tokens: Interval,
-    pub output_tokens: Interval,
-    pub cost_usd: Interval,
-    /// Total virtual-clock latency of this node's calls — the quantity a
-    /// per-query deadline budget observes (workers share one budget).
-    pub latency_ms: Interval,
+    pub llm: LlmBounds,
     pub expected_calls: f64,
     pub expected_tokens: f64,
     pub expected_cost_usd: f64,
@@ -158,11 +64,7 @@ impl NodeCost {
             node_id,
             op_kind: op_kind.to_string(),
             rows,
-            llm_calls: Interval::ZERO,
-            input_tokens: Interval::ZERO,
-            output_tokens: Interval::ZERO,
-            cost_usd: Interval::ZERO,
-            latency_ms: Interval::ZERO,
+            llm: LlmBounds::default(),
             expected_calls: 0.0,
             expected_tokens: 0.0,
             expected_cost_usd: 0.0,
@@ -176,11 +78,7 @@ impl NodeCost {
 pub struct CostReport {
     pub nodes: Vec<NodeCost>,
     pub rows_out: Interval,
-    pub llm_calls: Interval,
-    pub input_tokens: Interval,
-    pub output_tokens: Interval,
-    pub cost_usd: Interval,
-    pub latency_ms: Interval,
+    pub llm: LlmBounds,
     /// Makespan bound: per-doc work divides across workers at best, runs
     /// sequentially at worst.
     pub critical_path_ms: Interval,
@@ -195,10 +93,6 @@ impl CostReport {
         self.nodes.iter().find(|n| n.node_id == id)
     }
 
-    pub fn total_tokens(&self) -> Interval {
-        self.input_tokens + self.output_tokens
-    }
-
     /// One line per node plus totals — the `explain_analyze` cost block.
     pub fn render(&self) -> String {
         let mut out = String::from("static cost envelope (per node):\n");
@@ -208,17 +102,17 @@ impl CostReport {
                 n.node_id,
                 n.op_kind,
                 n.rows.render(),
-                n.llm_calls.render(),
-                (n.input_tokens + n.output_tokens).render(),
-                n.cost_usd.render()
+                n.llm.calls.render(),
+                n.llm.total_tokens().render(),
+                n.llm.cost_usd.render()
             ));
         }
         out.push_str(&format!(
             "  totals: calls {}  tokens {}  cost {}  latency_ms {}  critical_path_ms {}\n",
-            self.llm_calls.render(),
-            self.total_tokens().render(),
-            self.cost_usd.render(),
-            self.latency_ms.render(),
+            self.llm.calls.render(),
+            self.llm.total_tokens().render(),
+            self.llm.cost_usd.render(),
+            self.llm.latency_ms.render(),
             self.critical_path_ms.render()
         ));
         out.push_str(&format!(
@@ -253,45 +147,27 @@ fn llm_node(
     primary: &'static ModelSpec,
     knobs: &CostKnobs,
 ) -> NodeCost {
-    let facts = tier_facts(primary, shape.laddered && knobs.reliability.is_some());
-    let pack = if shape.batchable { knobs.batch_max_items.max(1) as f64 } else { 1.0 };
-    let bisect = if shape.batchable && knobs.batch_max_items > 1 { 2.0 } else { 1.0 };
-    let calls = Interval::new(
-        if knobs.guaranteed() { (shape.items.lo / pack).ceil() } else { 0.0 },
-        shape.items.hi * knobs.attempts() * facts.tiers as f64 * bisect,
-    );
-    // Packed prompts use a different template than singletons, so only the
-    // pack count survives as a per-call floor there.
-    let env_lo = if pack > 1.0 { 1.0 } else { shape.envelope };
-    let input_tokens = Interval::new(calls.lo * env_lo, calls.hi * facts.window);
-    // Per item ≤ max_output (+8 packed headroom); per call +16 pack
-    // overhead. `calls.hi` dominates both item and call counts.
-    let output_tokens = Interval::new(0.0, calls.hi * (shape.max_output + 24.0));
-    let cost_usd = Interval::new(
-        input_tokens.lo / 1000.0 * facts.primary.usd_per_1k_input.min(facts.usd_in_max),
-        input_tokens.hi / 1000.0 * facts.usd_in_max
-            + output_tokens.hi / 1000.0 * facts.usd_out_max,
-    );
-    // Mock latency: base + (0.2·in + out)/tps · 1000; retry backoff is
-    // charged to the deadline budget (never slept), so it widens the top.
-    let latency_ms = Interval::new(
-        calls.lo * facts.base_min,
-        calls.hi * facts.base_max
-            + (input_tokens.hi * 0.2 + output_tokens.hi) / facts.tps_min * 1000.0
-            + shape.items.hi * knobs.backoff_ceiling(),
-    );
+    // The tiers this node's calls can reach: the catalogue ladder from the
+    // primary down when it degrades, the primary alone otherwise.
+    let facts = if shape.laddered && knobs.reliability.is_some() {
+        let start = ALL_MODELS.iter().position(|s| s.name == primary.name).unwrap_or(0);
+        TierFacts::of(&ALL_MODELS[start..])
+    } else {
+        TierFacts::of(&[primary])
+    };
+    let llm = llm_bounds(shape.items, shape.envelope, shape.max_output, shape.batchable, &facts, knobs);
     // Clean-run point estimates: one attempt per item at the upper
     // cardinality, typical context, typical completion.
     let (expected_calls, expected_tokens, expected_cost_usd, expected_latency_ms) =
         if shape.items.hi.is_finite() {
             let items = shape.items.hi;
-            let calls_e = (items / pack).ceil();
+            let calls_e = (items / knobs.pack(shape.batchable)).ceil();
             let in_e = items * (TYP_CTX_TOKENS + 4.0) + calls_e * shape.envelope;
             let out_e = items * TYP_OUT_TOKENS.min(shape.max_output);
-            let cost_e = in_e / 1000.0 * facts.primary.usd_per_1k_input
-                + out_e / 1000.0 * facts.primary.usd_per_1k_output;
-            let lat_e = calls_e * facts.primary.base_latency_ms
-                + (in_e * 0.2 + out_e) / facts.primary.tokens_per_sec * 1000.0;
+            let cost_e = in_e / 1000.0 * primary.usd_per_1k_input
+                + out_e / 1000.0 * primary.usd_per_1k_output;
+            let lat_e = calls_e * primary.base_latency_ms
+                + (in_e * 0.2 + out_e) / primary.tokens_per_sec * 1000.0;
             (calls_e, in_e + out_e, cost_e, lat_e)
         } else {
             (f64::INFINITY, f64::INFINITY, f64::INFINITY, f64::INFINITY)
@@ -300,11 +176,7 @@ fn llm_node(
         node_id,
         op_kind: op_kind.to_string(),
         rows,
-        llm_calls: calls,
-        input_tokens,
-        output_tokens,
-        cost_usd,
-        latency_ms,
+        llm,
         expected_calls,
         expected_tokens,
         expected_cost_usd,
@@ -423,7 +295,7 @@ pub fn estimate(plan: &Plan, schemas: &[IndexSchema], knobs: &CostKnobs) -> Cost
                 node.op.kind(),
                 Interval::exact(1.0),
                 &LlmShape {
-                    items: Interval::new(if knobs.guaranteed() { 1.0 } else { 0.0 }, 1.0),
+                    items: Interval::new(if knobs.calls_guaranteed() { 1.0 } else { 0.0 }, 1.0),
                     envelope: count_tokens(&tasks::answer(question, "")) as f64,
                     max_output: 512.0,
                     batchable: false,
@@ -436,24 +308,11 @@ pub fn estimate(plan: &Plan, schemas: &[IndexSchema], knobs: &CostKnobs) -> Cost
         rows_of.insert(id, nc.rows);
         nodes.push(nc);
     }
-    let fold = |f: fn(&NodeCost) -> Interval| {
-        nodes.iter().map(f).fold(Interval::ZERO, |a, b| a + b)
-    };
-    let llm_calls = fold(|n| n.llm_calls);
-    let input_tokens = fold(|n| n.input_tokens);
-    let output_tokens = fold(|n| n.output_tokens);
-    let cost_usd = fold(|n| n.cost_usd);
-    let latency_ms = fold(|n| n.latency_ms);
-    let critical_path_ms =
-        Interval::new(latency_ms.lo / knobs.workers.max(1) as f64, latency_ms.hi);
+    let llm = nodes.iter().fold(LlmBounds::default(), |a, n| a + n.llm);
     CostReport {
         rows_out: rows_of.get(&plan.result).copied().unwrap_or(Interval::ZERO),
-        llm_calls,
-        input_tokens,
-        output_tokens,
-        cost_usd,
-        latency_ms,
-        critical_path_ms,
+        critical_path_ms: llm.critical_path_ms(knobs.workers),
+        llm,
         expected_calls: nodes.iter().map(|n| n.expected_calls).sum(),
         expected_tokens: nodes.iter().map(|n| n.expected_tokens).sum(),
         expected_cost_usd: nodes.iter().map(|n| n.expected_cost_usd).sum(),
@@ -621,14 +480,14 @@ pub fn verify(
     };
     // L22: the deadline budget cannot (or may not) cover the plan.
     if let Some(p) = knobs.reliability.filter(|p| p.deadline_ms > 0.0) {
-        if report.latency_ms.lo > p.deadline_ms {
+        if report.llm.latency_ms.lo > p.deadline_ms {
             out.push(
                 hard(
                     codes::INFEASIBLE_DEADLINE,
                     format!(
                         "plan cannot finish inside the {:.0} ms deadline: even the optimistic \
                          latency bound is {:.0} ms",
-                        p.deadline_ms, report.latency_ms.lo
+                        p.deadline_ms, report.llm.latency_ms.lo
                     ),
                 )
                 .at_node(plan.result)
@@ -838,6 +697,7 @@ mod tests {
     use crate::ops::PlanNode;
     use crate::schema::Field;
     use aryn_core::Severity;
+    use aryn_llm::ReliabilityPolicy;
 
     fn schema(docs: usize) -> IndexSchema {
         IndexSchema {
@@ -880,7 +740,7 @@ mod tests {
         assert_eq!(r.node(0).map(|n| n.rows), Some(Interval::exact(60.0)));
         assert_eq!(r.node(1).map(|n| n.rows), Some(Interval::new(0.0, 60.0)));
         assert_eq!(r.rows_out, Interval::exact(1.0));
-        assert_eq!(r.llm_calls, Interval::ZERO);
+        assert_eq!(r.llm.calls, Interval::ZERO);
     }
 
     #[test]
@@ -897,7 +757,7 @@ mod tests {
             1,
         );
         let exact = estimate(&p, &[schema(10)], &CostKnobs::default());
-        let calls = exact.node(1).map(|n| n.llm_calls).unwrap_or(Interval::ZERO);
+        let calls = exact.node(1).map(|n| n.llm.calls).unwrap_or(Interval::ZERO);
         assert_eq!(calls.lo, 10.0);
         assert!(calls.contains(10.0));
         // Batching drops the floor to the pack count.
@@ -906,14 +766,14 @@ mod tests {
             &[schema(10)],
             &CostKnobs { batch_max_items: 4, ..CostKnobs::default() },
         );
-        assert_eq!(batched.node(1).map(|n| n.llm_calls.lo), Some(3.0));
+        assert_eq!(batched.node(1).map(|n| n.llm.calls.lo), Some(3.0));
         // A cache (or reliability, or chaos) legalizes zero calls.
         let cached = estimate(
             &p,
             &[schema(10)],
             &CostKnobs { call_cache: true, ..CostKnobs::default() },
         );
-        assert_eq!(cached.node(1).map(|n| n.llm_calls.lo), Some(0.0));
+        assert_eq!(cached.node(1).map(|n| n.llm.calls.lo), Some(0.0));
         // A reliability ladder multiplies the ceiling.
         let laddered = estimate(
             &p,
@@ -924,7 +784,7 @@ mod tests {
             },
         );
         assert!(
-            laddered.node(1).map(|n| n.llm_calls.hi) > exact.node(1).map(|n| n.llm_calls.hi)
+            laddered.node(1).map(|n| n.llm.calls.hi) > exact.node(1).map(|n| n.llm.calls.hi)
         );
     }
 
@@ -972,7 +832,7 @@ mod tests {
             ..CostKnobs::default()
         };
         let r = estimate(&p, &[schema(60)], &knobs);
-        assert_eq!(r.latency_ms.lo, 0.0);
+        assert_eq!(r.llm.latency_ms.lo, 0.0);
         let diags = verify(&p, &r, &knobs, true);
         let l22: Vec<_> =
             diags.iter().filter(|d| d.code == codes::INFEASIBLE_DEADLINE).collect();

@@ -15,7 +15,7 @@ use crate::ops::{Plan, PlanOp};
 use aryn_core::{ArynError, Document, Result, Value};
 use aryn_index::{CompiledPredicate, GraphStore, Predicate, StoreSnapshot};
 use aryn_llm::prompt::tasks;
-use aryn_llm::{LlmClient, UsageStats};
+use aryn_llm::{CacheStats, LlmClient, MeterScope, UsageStats};
 use aryn_telemetry::Telemetry;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -65,32 +65,12 @@ pub struct NodeTrace {
     pub rows_in: usize,
     pub rows_out: usize,
     pub wall_ms: f64,
-    pub llm_calls: u64,
-    /// LLM retries (transient failures + JSON re-asks) during this node.
-    pub retries: u64,
-    /// Prompt tokens consumed by this node's LLM calls.
-    pub input_tokens: u64,
-    /// Completion tokens produced by this node's LLM calls.
-    pub output_tokens: u64,
-    pub cost_usd: f64,
-    /// Call-cache hits during this node (0 when no cache is attached).
-    pub cache_hits: u64,
-    /// Simulated dollars those cache hits would have cost.
-    pub cost_saved_usd: f64,
-    /// Packed micro-batch calls issued during this node (0 when batching is
-    /// off).
-    pub batched_calls: u64,
-    /// LLM calls avoided by micro-batching during this node.
-    pub calls_saved: u64,
-    /// Circuit-breaker trips (closed → open) during this node (0 when no
-    /// reliability policy is installed).
-    pub breaker_trips: u64,
-    /// Calls answered by a cheaper fallback tier of a degradation ladder
-    /// during this node.
-    pub fallback_calls: u64,
-    /// Documents this node flagged `_degraded` (answered by a fallback
-    /// model, string matching, or skipped under a breaker/deadline).
-    pub degraded_docs: u64,
+    /// Model calls, tokens, dollars, LLM retries, batching and reliability
+    /// counters metered while this node ran.
+    pub llm: UsageStats,
+    /// Call-cache activity while this node ran (zeros when no cache is
+    /// attached).
+    pub cache: CacheStats,
     /// Up to three sample row ids (provenance peek).
     pub sample_ids: Vec<String>,
     /// Scalar output, if the node produced one.
@@ -109,51 +89,18 @@ pub struct LunaResult {
 }
 
 impl LunaResult {
-    pub fn total_cost(&self) -> f64 {
-        self.traces.iter().map(|t| t.cost_usd).sum()
+    /// LLM usage merged over all nodes.
+    pub fn llm(&self) -> UsageStats {
+        let mut total = UsageStats::default();
+        self.traces.iter().for_each(|t| total.merge(&t.llm));
+        total
     }
 
-    pub fn total_llm_calls(&self) -> u64 {
-        self.traces.iter().map(|t| t.llm_calls).sum()
-    }
-
-    pub fn total_tokens(&self) -> u64 {
-        self.traces
-            .iter()
-            .map(|t| t.input_tokens + t.output_tokens)
-            .sum()
-    }
-
-    pub fn total_retries(&self) -> u64 {
-        self.traces.iter().map(|t| t.retries).sum()
-    }
-
-    pub fn total_cache_hits(&self) -> u64 {
-        self.traces.iter().map(|t| t.cache_hits).sum()
-    }
-
-    pub fn total_cost_saved_usd(&self) -> f64 {
-        self.traces.iter().map(|t| t.cost_saved_usd).sum()
-    }
-
-    pub fn total_batched_calls(&self) -> u64 {
-        self.traces.iter().map(|t| t.batched_calls).sum()
-    }
-
-    pub fn total_calls_saved(&self) -> u64 {
-        self.traces.iter().map(|t| t.calls_saved).sum()
-    }
-
-    pub fn total_breaker_trips(&self) -> u64 {
-        self.traces.iter().map(|t| t.breaker_trips).sum()
-    }
-
-    pub fn total_fallback_calls(&self) -> u64 {
-        self.traces.iter().map(|t| t.fallback_calls).sum()
-    }
-
-    pub fn total_degraded_docs(&self) -> u64 {
-        self.traces.iter().map(|t| t.degraded_docs).sum()
+    /// Call-cache activity merged over all nodes.
+    pub fn cache(&self) -> CacheStats {
+        let mut total = CacheStats::default();
+        self.traces.iter().for_each(|t| total.merge(&t.cache));
+        total
     }
 
     /// Renders the execution history as a table (the debugging view §6.1).
@@ -168,10 +115,10 @@ impl LunaResult {
                 t.op_kind,
                 t.rows_in,
                 t.rows_out,
-                t.llm_calls,
-                t.input_tokens + t.output_tokens,
-                t.retries,
-                t.cost_usd
+                t.llm.calls,
+                t.llm.usage.tokens(),
+                t.llm.retries,
+                t.llm.usage.cost_usd
             ));
         }
         out
@@ -288,8 +235,8 @@ impl PlanExecutor {
                 .node(id)
                 .ok_or_else(|| ArynError::InvalidPlan(format!("node out_{id} missing from plan")))?;
             let start = Instant::now();
-            let before = self.meter_snapshot();
-            let cache_before = self.cache_snapshot();
+            let scope =
+                MeterScope::open(std::iter::once(&self.client).chain(self.model_clients.values()));
             let inputs: Vec<&NodeOutput> = node
                 .inputs
                 .iter()
@@ -301,8 +248,7 @@ impl PlanExecutor {
                 .collect::<Result<_>>()?;
             let rows_in = inputs.iter().map(|o| o.len()).sum();
             let out = self.run_node(&node.op, &inputs, &outputs, &run_pins)?;
-            let delta = self.meter_snapshot().since(&before);
-            let cache_delta = self.cache_snapshot().since(&cache_before);
+            let (llm, cache) = scope.finish();
             let trace = NodeTrace {
                 node_id: id,
                 op_kind: node.op.kind().to_string(),
@@ -310,18 +256,8 @@ impl PlanExecutor {
                 rows_in,
                 rows_out: out.len(),
                 wall_ms: start.elapsed().as_secs_f64() * 1000.0,
-                llm_calls: delta.calls,
-                retries: delta.retries,
-                input_tokens: delta.usage.input_tokens as u64,
-                output_tokens: delta.usage.output_tokens as u64,
-                cost_usd: delta.usage.cost_usd,
-                cache_hits: cache_delta.hits,
-                cost_saved_usd: cache_delta.cost_saved_usd,
-                batched_calls: delta.batched_calls,
-                calls_saved: delta.calls_saved,
-                breaker_trips: delta.breaker_trips,
-                fallback_calls: delta.fallback_calls,
-                degraded_docs: delta.degraded_docs,
+                llm,
+                cache,
                 sample_ids: out
                     .rows()
                     .map(|r| r.iter().take(3).map(|d| d.id.0.clone()).collect())
@@ -379,44 +315,6 @@ impl PlanExecutor {
         Ok(())
     }
 
-    /// Combined call-cache snapshot across the default client and all pinned
-    /// model clients, deduplicated by cache identity (Luna shares one cache
-    /// across all of them).
-    fn cache_snapshot(&self) -> aryn_llm::CacheStats {
-        let mut seen: Vec<*const aryn_llm::LlmCallCache> = Vec::new();
-        let mut total = aryn_llm::CacheStats::default();
-        for client in std::iter::once(&self.client).chain(self.model_clients.values()) {
-            for tier in client.fallback_chain() {
-                if let Some(cache) = tier.cache() {
-                    let ptr = std::sync::Arc::as_ptr(&cache);
-                    if !seen.contains(&ptr) {
-                        seen.push(ptr);
-                        total.merge(&cache.stats());
-                    }
-                }
-            }
-        }
-        total
-    }
-
-    /// Combined snapshot across the default client and all pinned model
-    /// clients, deduplicated by meter identity.
-    fn meter_snapshot(&self) -> UsageStats {
-        let mut seen: Vec<*const aryn_llm::UsageMeter> = Vec::new();
-        let mut total = UsageStats::default();
-        for client in std::iter::once(&self.client).chain(self.model_clients.values()) {
-            for tier in client.fallback_chain() {
-                let meter = tier.meter();
-                let ptr = std::sync::Arc::as_ptr(&meter);
-                if !seen.contains(&ptr) {
-                    seen.push(ptr);
-                    total.merge(&meter.snapshot());
-                }
-            }
-        }
-        total
-    }
-
     fn record_node_span(&self, t: &NodeTrace) {
         if !self.telemetry.is_enabled() {
             return;
@@ -427,46 +325,16 @@ impl PlanExecutor {
         span.note(t.description.clone());
         span.set("rows_in", t.rows_in as u64)
             .set("rows_out", t.rows_out as u64)
-            .set("llm_calls", t.llm_calls)
-            .set("retries", t.retries)
-            .set("llm_input_tokens", t.input_tokens)
-            .set("llm_output_tokens", t.output_tokens)
-            .gauge("wall_ms", t.wall_ms)
-            .gauge("llm_cost_usd", t.cost_usd);
-        // Only when nonzero, so cache-off traces keep their historical
-        // fingerprints (counters feed the fingerprint; gauges do not).
-        if t.cache_hits > 0 {
-            span.set("llm_cache_hits", t.cache_hits);
-        }
-        // Likewise for batching-off traces.
-        if t.batched_calls > 0 {
-            span.set("llm_batched_calls", t.batched_calls);
-        }
-        if t.calls_saved > 0 {
-            span.set("llm_calls_saved", t.calls_saved);
-        }
-        if t.cost_saved_usd > 0.0 {
-            span.gauge("llm_cost_saved_usd", t.cost_saved_usd);
-        }
-        // Reliability counters, also nonzero-only: traces recorded without a
-        // policy keep their historical fingerprints.
-        if t.breaker_trips > 0 {
-            span.set("breaker_trips", t.breaker_trips);
-        }
-        if t.fallback_calls > 0 {
-            span.set("fallback_calls", t.fallback_calls);
-        }
-        if t.degraded_docs > 0 {
-            span.set("degraded_docs", t.degraded_docs);
-        }
+            .set("retries", t.llm.retries)
+            .gauge("wall_ms", t.wall_ms);
+        sycamore::stats::write_llm_group(&mut span, &t.llm, &t.cache);
         span.finish();
     }
 
     /// One span per live ingest stream feeding a store this run pinned:
     /// stream progress (docs/seals/compactions) and the current index lag,
     /// so `explain_analyze` can say what was churning under the question.
-    /// Quiet stores record nothing — traces without streams keep their
-    /// historical fingerprints.
+    /// Quiet stores record nothing.
     fn record_ingest_spans(&self, pins: &BTreeMap<String, Arc<StoreSnapshot>>) {
         if !self.telemetry.is_enabled() {
             return;
@@ -483,8 +351,7 @@ impl PlanExecutor {
                 .set("ingest_compactions", stream.compactions() as u64)
                 .gauge("index_lag_ms", stream.last_lag_ms())
                 .gauge("index_lag_max_ms", stream.max_lag_ms());
-            // Durability/recovery counters, nonzero-only: in-memory stores
-            // (and pre-durability traces) keep their fingerprints.
+            // Durability/recovery counters (all zero for in-memory stores).
             if let Ok(stats) = self.ctx.with_store(index, |s| s.stats()) {
                 for (key, n) in [
                     ("wal_appends", stats.wal_appends),
@@ -494,9 +361,7 @@ impl PlanExecutor {
                     ("orphans_removed", stats.orphans_removed),
                     ("storage_io_errors", stats.io_errors),
                 ] {
-                    if n > 0 {
-                        span.set(key, n as u64);
-                    }
+                    span.set(key, n as u64);
                 }
             }
             span.finish();

@@ -10,8 +10,8 @@ use crate::schema::IndexSchema;
 use aryn_core::{ArynError, Result, Severity, Value};
 use aryn_llm::prompt::tasks;
 use aryn_llm::{
-    CacheStats, FairShare, LlmCallCache, LlmClient, MockLlm, ModelSpec, ReliabilitySlot,
-    ReliabilityState, SimConfig, TaskEngine, UsageStats,
+    CacheStats, FairShare, LlmCallCache, LlmClient, MeterScope, MockLlm, ModelSpec,
+    ReliabilitySlot, ReliabilityState, SimConfig, TaskEngine, UsageStats,
 };
 use aryn_telemetry::{Telemetry, Trace};
 use std::sync::Arc;
@@ -503,7 +503,7 @@ impl Luna {
         let mut prompt = base_prompt.clone();
         let mut last_err = None;
         let tel = self.executor.telemetry.clone();
-        let meter_before = self.planner_client.stats();
+        let scope = MeterScope::open([&self.planner_client]);
         let started = std::time::Instant::now();
         // Records the planning session as one span: LLM spend, re-plan
         // attempts, and whether a valid plan came out.
@@ -511,18 +511,15 @@ impl Luna {
             if !tel.is_enabled() {
                 return;
             }
-            let delta = self.planner_client.stats().since(&meter_before);
+            let (llm, cache) = scope.finish();
             let mut span = tel.span("plan", "planner");
             span.note(format!("question={question}"));
             span.note(format!("outcome={outcome}"));
-            span.set("llm_calls", delta.calls)
-                .set("retries", delta.retries)
+            span.set("retries", llm.retries)
                 .set("replans", replans as u64)
                 .set("plan_nodes", plan_nodes as u64)
-                .set("llm_input_tokens", delta.usage.input_tokens as u64)
-                .set("llm_output_tokens", delta.usage.output_tokens as u64)
-                .gauge("wall_ms", started.elapsed().as_secs_f64() * 1e3)
-                .gauge("llm_cost_usd", delta.usage.cost_usd);
+                .gauge("wall_ms", started.elapsed().as_secs_f64() * 1e3);
+            sycamore::stats::write_llm_group(&mut span, &llm, &cache);
             span.finish();
         };
         // One semantic repair re-prompt per question: structural re-asks are
@@ -710,28 +707,15 @@ impl Luna {
         self.usage_stats().usage.cost_usd
     }
 
-    /// Aggregate usage across the planner and every execution client —
-    /// walking each client's degradation ladder so calls a cheaper fallback
-    /// tier answered are counted — deduplicated by meter identity. `calls`
-    /// counts real model calls only (cache hits never meter), so call-count
-    /// deltas between runs measure what the cache saved.
+    /// Aggregate usage across the planner and every execution client
+    /// (fallback tiers included, each meter once). `calls` counts real model
+    /// calls only (cache hits never meter), so call-count deltas between
+    /// runs measure what the cache saved.
     pub fn usage_stats(&self) -> UsageStats {
-        let mut seen: Vec<*const aryn_llm::UsageMeter> = Vec::new();
-        let mut total = UsageStats::default();
-        let clients = std::iter::once(&self.planner_client)
-            .chain(std::iter::once(&self.executor.client))
+        let clients = [&self.planner_client, &self.executor.client]
+            .into_iter()
             .chain(self.executor.model_clients.values());
-        for client in clients {
-            for tier in client.fallback_chain() {
-                let meter = tier.meter();
-                let ptr = Arc::as_ptr(&meter);
-                if !seen.contains(&ptr) {
-                    seen.push(ptr);
-                    total.merge(&meter.snapshot());
-                }
-            }
-        }
-        total
+        MeterScope::open(clients).totals().0
     }
 
     /// Counters of the shared call cache (zeros when the cache is off).
@@ -798,30 +782,17 @@ impl LunaAnswer {
                 "out_{} [{}] {}\n  rows: {} -> {}  wall: {:.2} ms\n",
                 t.node_id, t.op_kind, t.description, t.rows_in, t.rows_out, t.wall_ms
             ));
-            if t.llm_calls > 0 {
+            if t.llm.calls > 0 {
                 out.push_str(&format!(
                     "  llm: {} calls  {} in / {} out tokens  {} retries  ${:.4}\n",
-                    t.llm_calls, t.input_tokens, t.output_tokens, t.retries, t.cost_usd
+                    t.llm.calls,
+                    t.llm.usage.input_tokens,
+                    t.llm.usage.output_tokens,
+                    t.llm.retries,
+                    t.llm.usage.cost_usd
                 ));
             }
-            if t.cache_hits > 0 {
-                out.push_str(&format!(
-                    "  cache: {} hits  ${:.4} saved\n",
-                    t.cache_hits, t.cost_saved_usd
-                ));
-            }
-            if t.batched_calls > 0 {
-                out.push_str(&format!(
-                    "  batch: {} packed calls  {} calls saved\n",
-                    t.batched_calls, t.calls_saved
-                ));
-            }
-            if t.fallback_calls + t.degraded_docs + t.breaker_trips > 0 {
-                out.push_str(&format!(
-                    "  degraded: {} fallback calls  {} degraded docs  {} breaker trips\n",
-                    t.fallback_calls, t.degraded_docs, t.breaker_trips
-                ));
-            }
+            push_savings(&mut out, "  ", &t.llm, &t.cache);
         }
         if let Some(p) = self.trace.spans_of_kind("planner").first() {
             out.push_str(&format!(
@@ -894,52 +865,52 @@ impl LunaAnswer {
                 out.push_str(&format!("  durability: {}\n", parts.join("  ")));
             }
         }
+        let (llm, cache) = (self.result.llm(), self.result.cache());
         out.push_str(&format!(
             "totals: {} llm calls  {} tokens  {} retries  ${:.4}  fingerprint {:016x}\n",
-            self.result.total_llm_calls(),
-            self.result.total_tokens(),
-            self.result.total_retries(),
-            self.result.total_cost(),
+            llm.calls,
+            llm.usage.tokens(),
+            llm.retries,
+            llm.usage.cost_usd,
             self.trace.fingerprint()
         ));
-        if self.result.total_cache_hits() > 0 {
-            out.push_str(&format!(
-                "cache: {} hits  ${:.4} saved\n",
-                self.result.total_cache_hits(),
-                self.result.total_cost_saved_usd()
-            ));
-        }
-        if self.result.total_batched_calls() > 0 {
-            out.push_str(&format!(
-                "batch: {} packed calls  {} calls saved\n",
-                self.result.total_batched_calls(),
-                self.result.total_calls_saved()
-            ));
-        }
-        let degraded = self.result.total_fallback_calls()
-            + self.result.total_degraded_docs()
-            + self.result.total_breaker_trips();
-        if degraded > 0 {
-            out.push_str(&format!(
-                "degraded: {} fallback calls  {} degraded docs  {} breaker trips\n",
-                self.result.total_fallback_calls(),
-                self.result.total_degraded_docs(),
-                self.result.total_breaker_trips()
-            ));
-        }
+        push_savings(&mut out, "", &llm, &cache);
         if let Some(cost) = &self.cost {
             out.push_str(&cost.render());
             out.push_str(&format!(
                 "predicted vs actual: calls {} actual {}  tokens {} actual {}  cost {} actual ${:.4}\n",
-                cost.llm_calls.render(),
-                self.result.total_llm_calls(),
-                cost.total_tokens().render(),
-                self.result.total_tokens(),
-                cost.cost_usd.render(),
-                self.result.total_cost(),
+                cost.llm.calls.render(),
+                llm.calls,
+                cost.llm.total_tokens().render(),
+                llm.usage.tokens(),
+                cost.llm.cost_usd.render(),
+                llm.usage.cost_usd,
             ));
         }
         out
+    }
+}
+
+/// The cache / batch / degraded lines of one accounting record — a node's or
+/// the whole answer's — each present only when something happened.
+fn push_savings(out: &mut String, indent: &str, llm: &UsageStats, cache: &CacheStats) {
+    if cache.hits > 0 {
+        out.push_str(&format!(
+            "{indent}cache: {} hits  ${:.4} saved\n",
+            cache.hits, cache.cost_saved_usd
+        ));
+    }
+    if llm.batched_calls > 0 {
+        out.push_str(&format!(
+            "{indent}batch: {} packed calls  {} calls saved\n",
+            llm.batched_calls, llm.calls_saved
+        ));
+    }
+    if llm.fallback_calls + llm.degraded_docs + llm.breaker_trips > 0 {
+        out.push_str(&format!(
+            "{indent}degraded: {} fallback calls  {} degraded docs  {} breaker trips\n",
+            llm.fallback_calls, llm.degraded_docs, llm.breaker_trips
+        ));
     }
 }
 

@@ -223,12 +223,12 @@ fn prune_dead(plan: &mut Plan, schemas: &[IndexSchema], cfg: &OptimizerCfg, note
     let after = crate::costmodel::estimate(plan, schemas, &knobs);
     notes.push(format!(
         "prune-dead-fields: predicted calls {} -> {}, tokens {} -> {}, cost {} -> {}",
-        before.llm_calls.render(),
-        after.llm_calls.render(),
-        before.total_tokens().render(),
-        after.total_tokens().render(),
-        before.cost_usd.render(),
-        after.cost_usd.render(),
+        before.llm.calls.render(),
+        after.llm.calls.render(),
+        before.llm.total_tokens().render(),
+        after.llm.total_tokens().render(),
+        before.llm.cost_usd.render(),
+        after.llm.cost_usd.render(),
     ));
 }
 

@@ -66,8 +66,8 @@ fn optimizer_pushdown_reduces_llm_calls() {
     let optimized = luna.optimize(&plan).unwrap();
     assert!(optimized.notes.iter().any(|n| n.contains("pushed down")), "{:?}", optimized.notes);
     let opt = luna.execute(&optimized.plan).unwrap();
-    assert!(opt.total_llm_calls() < unopt.total_llm_calls());
-    assert!(opt.total_cost() < unopt.total_cost());
+    assert!(opt.llm().calls < unopt.llm().calls);
+    assert!(opt.llm().usage.cost_usd < unopt.llm().usage.cost_usd);
     // The structured filter is also *more accurate*: the documents never
     // spell out "Alaska", so the semantic filter under-matches, while the
     // pushed-down filter reads the extracted property.
@@ -210,7 +210,7 @@ fn query_time_extraction_end_to_end() {
         .find(|t| t.op_kind == "llmExtract")
         .expect("extraction executed");
     assert_eq!(extract_trace.rows_in, 25);
-    assert!(extract_trace.llm_calls >= 25);
+    assert!(extract_trace.llm.calls >= 25);
 }
 
 #[test]
@@ -549,14 +549,14 @@ fn micro_batched_queries_answer_identically_and_save_calls() {
     let ans = build(8).ask(q).unwrap();
 
     assert_eq!(ans.answer(), base.answer(), "batching changed the answer");
-    assert_eq!(base.result.total_batched_calls(), 0);
-    assert!(ans.result.total_batched_calls() > 0, "llmFilter must have batched");
-    assert!(ans.result.total_calls_saved() > 0);
+    assert_eq!(base.result.llm().batched_calls, 0);
+    assert!(ans.result.llm().batched_calls > 0, "llmFilter must have batched");
+    assert!(ans.result.llm().calls_saved > 0);
     assert!(
-        ans.result.total_llm_calls() < base.result.total_llm_calls(),
+        ans.result.llm().calls < base.result.llm().calls,
         "batched run must issue fewer calls: {} vs {}",
-        ans.result.total_llm_calls(),
-        base.result.total_llm_calls()
+        ans.result.llm().calls,
+        base.result.llm().calls
     );
     let explained = ans.explain_analyze();
     assert!(explained.contains("batch:"), "{explained}");
@@ -612,9 +612,9 @@ fn reliability_chain_degrades_under_blackout_without_changing_the_answer() {
     let ans = luna.ask(q).unwrap();
 
     assert_eq!(ans.answer(), calm.answer(), "degradation changed the answer");
-    assert!(ans.result.total_fallback_calls() > 0, "ladder must have been walked");
-    assert!(ans.result.total_degraded_docs() > 0, "degraded docs must be flagged");
-    assert!(ans.result.total_breaker_trips() >= 1, "breaker must trip under blackout");
+    assert!(ans.result.llm().fallback_calls > 0, "ladder must have been walked");
+    assert!(ans.result.llm().degraded_docs > 0, "degraded docs must be flagged");
+    assert!(ans.result.llm().breaker_trips >= 1, "breaker must trip under blackout");
     // Degradation is visible end to end: node traces, explain_analyze, and
     // the optimizer's cost notes.
     let analyzed = ans.explain_analyze();
@@ -629,6 +629,6 @@ fn reliability_chain_degrades_under_blackout_without_changing_the_answer() {
     // bit-identical: the layer is inert without faults.
     let quiet = build(Some(policy), None).ask(q).unwrap();
     assert_eq!(quiet.answer(), calm.answer());
-    assert_eq!(quiet.result.total_degraded_docs(), 0);
-    assert_eq!(quiet.result.total_fallback_calls(), 0);
+    assert_eq!(quiet.result.llm().degraded_docs, 0);
+    assert_eq!(quiet.result.llm().fallback_calls, 0);
 }

@@ -1,6 +1,7 @@
 //! Static cost analysis over Sycamore pipelines — the engine-side half of
 //! the abstract interpreter (the plan-side half lives in `luna::costmodel`
-//! and reuses this module's [`Interval`] lattice).
+//! and reuses this module's [`Interval`] lattice, [`CostKnobs`] and LLM
+//! transfer function [`llm_bounds`]).
 //!
 //! Every operator gets a *transfer function* over interval abstractions:
 //! document cardinality `[lo, hi]`, LLM calls, prompt/completion tokens,
@@ -19,7 +20,7 @@ use crate::op::Op;
 use aryn_core::text::count_tokens;
 use aryn_llm::prompt::tasks;
 use aryn_llm::registry::{ModelSpec, GPT4_SIM};
-use aryn_llm::LlmClient;
+use aryn_llm::{LlmClient, ReliabilityPolicy};
 
 /// A closed interval `[lo, hi]` over a non-negative cost dimension.
 /// `hi = +∞` means the dimension is statically unbounded (e.g. cardinality
@@ -112,15 +113,15 @@ impl Interval {
     }
 }
 
-/// Knobs the engine-side estimator needs beyond the ops themselves. The
-/// retry fields mirror [`aryn_llm::RetryPolicy`]; the flags widen the bounds
-/// for execution modes where calls can legally vanish (cache, reliability
-/// skips) or multiply (chaos-driven retries walking a fallback ladder).
+/// Execution knobs the cost estimators read — this module's and
+/// `luna::costmodel`'s. The retry fields mirror [`aryn_llm::RetryPolicy`];
+/// `reliability`, `chaos` and `call_cache` widen the bounds for execution
+/// modes where calls can legally vanish (cache hits, breaker/deadline skips)
+/// or multiply (chaos-driven retries walking a fallback ladder).
 #[derive(Debug, Clone)]
-pub struct CostCfg {
-    /// Documents entering the pipeline.
-    pub input_docs: usize,
-    /// Pricing/window fallback for ops whose client cannot be inspected.
+pub struct CostKnobs {
+    /// Model for ops/nodes that pin none (or whose client cannot be
+    /// inspected).
     pub default_model: &'static ModelSpec,
     pub workers: usize,
     /// Micro-batch width (1 = off) and token budget, as in `ExecConfig`.
@@ -129,19 +130,19 @@ pub struct CostCfg {
     pub max_transient: u32,
     pub max_reask: u32,
     pub backoff_base_ms: f64,
-    /// A reliability policy is installed: breakers/deadline skips can answer
-    /// with zero calls, and degradation ladders multiply the call ceiling.
-    pub reliability: bool,
+    /// Active reliability policy: degradation ladders multiply the call
+    /// ceiling, breakers/skips allow zero calls, and Luna verifies the
+    /// deadline against it.
+    pub reliability: Option<ReliabilityPolicy>,
     /// A chaos schedule is installed (faults consume retry budget).
     pub chaos: bool,
     /// A call cache is attached somewhere (warm calls never meter).
-    pub cache: bool,
+    pub call_cache: bool,
 }
 
-impl Default for CostCfg {
+impl Default for CostKnobs {
     fn default() -> Self {
-        CostCfg {
-            input_docs: 0,
+        CostKnobs {
             default_model: &GPT4_SIM,
             workers: 1,
             batch_max_items: 1,
@@ -149,46 +150,155 @@ impl Default for CostCfg {
             max_transient: 4,
             max_reask: 2,
             backoff_base_ms: 100.0,
-            reliability: false,
+            reliability: None,
             chaos: false,
-            cache: false,
+            call_cache: false,
         }
     }
 }
 
-impl CostCfg {
-    /// Worst-case metered calls per logical item: the primary tier's full
-    /// attempt ladder, repeated by every degradation tier below it, doubled
-    /// when micro-batch bisection can re-submit items in shrinking packs.
-    fn call_ceiling(&self, ladder_tiers: usize, batchable: bool) -> f64 {
-        let attempts = 1.0 + self.max_transient as f64 + self.max_reask as f64;
-        let tiers = ladder_tiers.max(1) as f64;
-        let bisect = if batchable && self.batch_max_items > 1 { 2.0 } else { 1.0 };
-        attempts * tiers * bisect
-    }
-
+impl CostKnobs {
     /// Whether at least one metered call per item is guaranteed: nothing is
     /// installed that can answer from a cache, a breaker, or a skip.
-    fn calls_guaranteed(&self) -> bool {
-        !self.cache && !self.reliability && !self.chaos
+    pub fn calls_guaranteed(&self) -> bool {
+        !self.call_cache && self.reliability.is_none() && !self.chaos
     }
 
-    /// Physical calls needed for `n` guaranteed items: packs hold at most
-    /// `batch_max_items` (token budgets only shrink packs further).
-    fn min_calls(&self, items: f64, batchable: bool) -> f64 {
-        if !self.calls_guaranteed() || items <= 0.0 {
-            return 0.0;
+    /// Items one packed call can hold (token budgets only shrink packs).
+    pub fn pack(&self, batchable: bool) -> f64 {
+        if batchable { self.batch_max_items.max(1) as f64 } else { 1.0 }
+    }
+}
+
+/// Pricing/latency facts across the model tiers an operator's calls can
+/// reach (one tier, or a degradation ladder): the worst (priciest/slowest)
+/// and best tier bound each dimension.
+#[derive(Debug, Clone, Copy)]
+pub struct TierFacts {
+    pub tiers: usize,
+    pub window: f64,
+    pub usd_in_min: f64,
+    pub usd_in_max: f64,
+    pub usd_out_max: f64,
+    pub base_ms_min: f64,
+    pub base_ms_max: f64,
+    pub tps_min: f64,
+}
+
+impl TierFacts {
+    pub fn of(specs: &[&'static ModelSpec]) -> TierFacts {
+        let max = |f: fn(&ModelSpec) -> f64| specs.iter().map(|s| f(s)).fold(0.0, f64::max);
+        let min = |f: fn(&ModelSpec) -> f64| specs.iter().map(|s| f(s)).fold(f64::INFINITY, f64::min);
+        TierFacts {
+            tiers: specs.len(),
+            window: max(|s| s.context_window as f64),
+            usd_in_min: min(|s| s.usd_per_1k_input),
+            usd_in_max: max(|s| s.usd_per_1k_input),
+            usd_out_max: max(|s| s.usd_per_1k_output),
+            base_ms_min: min(|s| s.base_latency_ms),
+            base_ms_max: max(|s| s.base_latency_ms),
+            tps_min: min(|s| s.tokens_per_sec),
         }
-        let pack = if batchable { self.batch_max_items.max(1) as f64 } else { 1.0 };
-        (items / pack).ceil()
+    }
+}
+
+/// The five cost dimensions of LLM work, as sound intervals.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct LlmBounds {
+    pub calls: Interval,
+    pub input_tokens: Interval,
+    pub output_tokens: Interval,
+    pub cost_usd: Interval,
+    /// Total virtual-clock latency of the calls (the quantity a per-query
+    /// deadline budget observes — workers share one budget).
+    pub latency_ms: Interval,
+}
+
+impl std::ops::Add for LlmBounds {
+    type Output = LlmBounds;
+    fn add(self, o: LlmBounds) -> LlmBounds {
+        LlmBounds {
+            calls: self.calls + o.calls,
+            input_tokens: self.input_tokens + o.input_tokens,
+            output_tokens: self.output_tokens + o.output_tokens,
+            cost_usd: self.cost_usd + o.cost_usd,
+            latency_ms: self.latency_ms + o.latency_ms,
+        }
+    }
+}
+
+impl LlmBounds {
+    /// LLM work the analysis cannot bound above.
+    pub const UNBOUNDED: LlmBounds = {
+        let open = Interval { lo: 0.0, hi: f64::INFINITY };
+        LlmBounds {
+            calls: open,
+            input_tokens: open,
+            output_tokens: open,
+            cost_usd: open,
+            latency_ms: open,
+        }
+    };
+
+    pub fn total_tokens(&self) -> Interval {
+        self.input_tokens + self.output_tokens
     }
 
-    /// Worst-case retry backoff charged per item (exponential, ×1.5 jitter
-    /// headroom), summed over the attempt ladder.
-    fn backoff_ceiling(&self) -> f64 {
-        let attempts = self.max_transient + self.max_reask;
-        self.backoff_base_ms * 1.5 * ((1u64 << attempts.min(30)) as f64 - 1.0)
+    /// Makespan bound: per-doc work divides across workers at best, runs
+    /// sequentially at worst.
+    pub fn critical_path_ms(&self, workers: usize) -> Interval {
+        Interval::new(self.latency_ms.lo / workers.max(1) as f64, self.latency_ms.hi)
     }
+}
+
+/// The one transfer function for a per-item LLM operator, shared by this
+/// module and `luna::costmodel`: `items` logical prompts, each answered with
+/// at most `max_output` completion tokens and at least `envelope` prompt
+/// tokens (the rendered prompt with an empty context).
+pub fn llm_bounds(
+    items: Interval,
+    envelope: f64,
+    max_output: f64,
+    batchable: bool,
+    facts: &TierFacts,
+    knobs: &CostKnobs,
+) -> LlmBounds {
+    let pack = knobs.pack(batchable);
+    // Worst case per item: the primary tier's full attempt ladder (every
+    // transient retry and JSON re-ask meters as a call), repeated by every
+    // degradation tier below it, doubled when micro-batch bisection can
+    // re-submit items in shrinking packs.
+    let attempts = 1.0 + knobs.max_transient as f64 + knobs.max_reask as f64;
+    let bisect = if pack > 1.0 { 2.0 } else { 1.0 };
+    let calls = Interval::new(
+        if knobs.calls_guaranteed() { (items.lo / pack).ceil() } else { 0.0 },
+        items.hi * attempts * facts.tiers.max(1) as f64 * bisect,
+    );
+    // Minimum prompt: the envelope itself. Packed prompts use a different
+    // template, so only the pack count survives as a lower bound there.
+    let env_lo = if pack > 1.0 { 1.0 } else { envelope };
+    let input_tokens = Interval::new(calls.lo * env_lo, calls.hi * facts.window);
+    // Per item: `max_output` (+8 packed headroom); per call: +16 pack
+    // overhead. `calls.hi` dominates both counts, so it bounds the sum.
+    let output_tokens = Interval::new(0.0, calls.hi * (max_output + 24.0));
+    let cost_usd = Interval::new(
+        input_tokens.lo / 1000.0 * facts.usd_in_min,
+        input_tokens.hi / 1000.0 * facts.usd_in_max
+            + output_tokens.hi / 1000.0 * facts.usd_out_max,
+    );
+    // Worst-case retry backoff per item (exponential, ×1.5 jitter headroom),
+    // summed over the attempt ladder; charged to the deadline budget, never
+    // slept.
+    let retries = (knobs.max_transient + knobs.max_reask).min(30);
+    let backoff_ceiling = knobs.backoff_base_ms * 1.5 * ((1u64 << retries) as f64 - 1.0);
+    // Mock latency: base + (0.2·in + out)/tps · 1000, plus the backoff.
+    let latency_ms = Interval::new(
+        calls.lo * facts.base_ms_min,
+        calls.hi * facts.base_ms_max
+            + (input_tokens.hi * 0.2 + output_tokens.hi) / facts.tps_min * 1000.0
+            + items.hi * backoff_ceiling,
+    );
+    LlmBounds { calls, input_tokens, output_tokens, cost_usd, latency_ms }
 }
 
 /// Per-operator cost abstraction.
@@ -197,27 +307,7 @@ pub struct OpCost {
     pub name: String,
     /// Documents flowing *out* of this operator.
     pub docs: Interval,
-    pub llm_calls: Interval,
-    pub input_tokens: Interval,
-    pub output_tokens: Interval,
-    pub cost_usd: Interval,
-    /// Total virtual-clock latency of this operator's calls (the quantity a
-    /// per-query deadline budget observes — workers share one budget).
-    pub latency_ms: Interval,
-}
-
-impl OpCost {
-    fn pure(name: String, docs: Interval) -> OpCost {
-        OpCost {
-            name,
-            docs,
-            llm_calls: Interval::ZERO,
-            input_tokens: Interval::ZERO,
-            output_tokens: Interval::ZERO,
-            cost_usd: Interval::ZERO,
-            latency_ms: Interval::ZERO,
-        }
-    }
+    pub llm: LlmBounds,
 }
 
 /// The pipeline-level report: per-op rows plus totals and the workers-aware
@@ -226,13 +316,7 @@ impl OpCost {
 pub struct PipelineCost {
     pub ops: Vec<OpCost>,
     pub docs_out: Interval,
-    pub llm_calls: Interval,
-    pub input_tokens: Interval,
-    pub output_tokens: Interval,
-    pub cost_usd: Interval,
-    pub latency_ms: Interval,
-    /// Makespan bound: per-doc work divides across workers at best, runs
-    /// sequentially at worst.
+    pub llm: LlmBounds,
     pub critical_path_ms: Interval,
 }
 
@@ -244,205 +328,104 @@ impl PipelineCost {
                 "{:<17} {:<15} {:<15} {}\n",
                 o.name,
                 o.docs.render(),
-                o.llm_calls.render(),
-                o.cost_usd.render()
+                o.llm.calls.render(),
+                o.llm.cost_usd.render()
             ));
         }
         out.push_str(&format!(
             "totals: calls {}  tokens {}  cost {}  latency_ms {}\n",
-            self.llm_calls.render(),
-            (self.input_tokens + self.output_tokens).render(),
-            self.cost_usd.render(),
-            self.latency_ms.render()
+            self.llm.calls.render(),
+            self.llm.total_tokens().render(),
+            self.llm.cost_usd.render(),
+            self.llm.latency_ms.render()
         ));
         out
     }
 }
 
-/// Pricing/latency facts for one op's client, walking its degradation
-/// ladder: the worst (priciest/slowest) and best tier bound each dimension.
-struct ClientFacts {
-    tiers: usize,
-    window: f64,
-    usd_in_max: f64,
-    usd_out_max: f64,
-    base_ms_min: f64,
-    base_ms_max: f64,
-    tps_min: f64,
-}
-
-fn client_facts(client: &LlmClient, cfg: &CostCfg) -> ClientFacts {
+/// The tiers an op's client can reach: its degradation chain, or the
+/// default model when the client's models are not in the catalogue.
+fn client_facts(client: &LlmClient, knobs: &CostKnobs) -> TierFacts {
     let specs: Vec<&'static ModelSpec> = client
         .fallback_chain()
         .iter()
         .filter_map(|c| aryn_llm::registry::spec_by_name(c.model_name()))
         .collect();
-    let specs: Vec<&'static ModelSpec> =
-        if specs.is_empty() { vec![cfg.default_model] } else { specs };
-    ClientFacts {
-        tiers: specs.len(),
-        window: specs.iter().map(|s| s.context_window as f64).fold(0.0, f64::max),
-        usd_in_max: specs.iter().map(|s| s.usd_per_1k_input).fold(0.0, f64::max),
-        usd_out_max: specs.iter().map(|s| s.usd_per_1k_output).fold(0.0, f64::max),
-        base_ms_min: specs.iter().map(|s| s.base_latency_ms).fold(f64::INFINITY, f64::min),
-        base_ms_max: specs.iter().map(|s| s.base_latency_ms).fold(0.0, f64::max),
-        tps_min: specs.iter().map(|s| s.tokens_per_sec).fold(f64::INFINITY, f64::min),
+    if specs.is_empty() {
+        TierFacts::of(&[knobs.default_model])
+    } else {
+        TierFacts::of(&specs)
     }
 }
 
-/// Cost abstraction for one per-item LLM transform: `items` logical prompts,
-/// each answered with at most `max_output` completion tokens and at least
-/// `envelope` prompt tokens (the rendered prompt with an empty context).
-#[allow(clippy::too_many_arguments)]
-fn llm_cost(
-    name: String,
-    docs_out: Interval,
-    items: Interval,
-    envelope: f64,
-    max_output: f64,
-    batchable: bool,
-    facts: &ClientFacts,
-    cfg: &CostCfg,
-) -> OpCost {
-    let calls = Interval::new(
-        cfg.min_calls(items.lo, batchable),
-        items.hi * cfg.call_ceiling(facts.tiers, batchable),
-    );
-    // Minimum prompt: the envelope itself. Packed prompts use a different
-    // template, so only the pack count survives as a lower bound there.
-    let env_lo = if batchable && cfg.batch_max_items > 1 { 1.0 } else { envelope };
-    let input_tokens = Interval::new(calls.lo * env_lo, calls.hi * facts.window);
-    // Per item: `max_output` (+8 packed headroom); per call: +16 pack
-    // overhead. `calls.hi` dominates both counts, so it bounds the sum.
-    let output_tokens = Interval::new(0.0, calls.hi * (max_output + 24.0));
-    let cost_usd = Interval::new(
-        input_tokens.lo / 1000.0 * cfg.default_model.usd_per_1k_input.min(facts.usd_in_max),
-        input_tokens.hi / 1000.0 * facts.usd_in_max
-            + output_tokens.hi / 1000.0 * facts.usd_out_max,
-    );
-    // Mock latency: base + (0.2·in + out)/tps · 1000, plus retry backoff
-    // (charged to the deadline budget, never slept).
-    let latency_ms = Interval::new(
-        calls.lo * facts.base_ms_min,
-        calls.hi * facts.base_ms_max
-            + (input_tokens.hi * 0.2 + output_tokens.hi) / facts.tps_min * 1000.0
-            + items.hi * cfg.backoff_ceiling(),
-    );
-    OpCost {
-        name,
-        docs: docs_out,
-        llm_calls: calls,
-        input_tokens,
-        output_tokens,
-        cost_usd,
-        latency_ms,
-    }
-}
-
-/// Abstractly interprets a pipeline: one [`OpCost`] per operator, document
-/// cardinality threaded through the transfer functions.
-pub fn estimate(ops: &[Op], cfg: &CostCfg) -> PipelineCost {
-    let mut docs = Interval::exact(cfg.input_docs as f64);
+/// Abstractly interprets a pipeline fed `input_docs` documents: one
+/// [`OpCost`] per operator, document cardinality threaded through the
+/// transfer functions.
+pub fn estimate(ops: &[Op], input_docs: usize, knobs: &CostKnobs) -> PipelineCost {
+    let mut docs = Interval::exact(input_docs as f64);
     let mut rows = Vec::with_capacity(ops.len());
+    // Fan-out ops and per-section calls are statically unbounded above.
+    let open = |d: Interval| if d.hi == 0.0 { Interval::ZERO } else { Interval::at_least(0.0) };
+    let pure = |docs: Interval| (docs, LlmBounds::default());
+    let llm = |docs_out, items, envelope: usize, max_output, batchable, client| {
+        let facts = client_facts(client, knobs);
+        (docs_out, llm_bounds(items, envelope as f64, max_output, batchable, &facts, knobs))
+    };
     for op in ops {
-        let name = op.name();
-        let oc = match op {
-            Op::Map { .. } | Op::Embed | Op::SortBy { .. } | Op::Materialize { .. } => {
-                OpCost::pure(name, docs)
+        let (docs_out, bounds) = match op {
+            Op::Map { .. } | Op::Embed | Op::SortBy { .. } | Op::Materialize { .. } => pure(docs),
+            // Image summarization calls are element-count-shaped.
+            Op::Partition { cfg, .. } if cfg.summarize_images.is_some() => {
+                (docs, LlmBounds::UNBOUNDED)
             }
-            Op::Partition { cfg: pcfg, .. } => {
-                if pcfg.summarize_images.is_some() {
-                    // Image summarization calls are element-count-shaped;
-                    // statically unbounded.
-                    let mut oc = OpCost::pure(name, docs);
-                    oc.llm_calls = Interval::at_least(0.0);
-                    oc.input_tokens = Interval::at_least(0.0);
-                    oc.output_tokens = Interval::at_least(0.0);
-                    oc.cost_usd = Interval::at_least(0.0);
-                    oc.latency_ms = Interval::at_least(0.0);
-                    oc
-                } else {
-                    OpCost::pure(name, docs)
-                }
+            Op::Partition { .. } => pure(docs),
+            Op::Filter { .. } => pure(Interval::new(0.0, docs.hi)),
+            Op::FlatMap { .. } | Op::Explode => pure(open(docs)),
+            Op::ReduceByKey { .. } => {
+                pure(Interval::new(if docs.lo > 0.0 { 1.0 } else { 0.0 }, docs.hi))
             }
-            Op::Filter { .. } => OpCost::pure(name, Interval::new(0.0, docs.hi)),
-            Op::FlatMap { .. } | Op::Explode => {
-                OpCost::pure(name, if docs.hi == 0.0 { Interval::ZERO } else { Interval::at_least(0.0) })
-            }
-            Op::ReduceByKey { .. } => OpCost::pure(
-                name,
-                Interval::new(if docs.lo > 0.0 { 1.0 } else { 0.0 }, docs.hi),
-            ),
-            Op::Limit(n) => OpCost::pure(name, docs.cap(*n as f64)),
-            Op::LlmQuery { client, .. } => {
-                llm_cost(name, docs, docs, 1.0, 256.0, false, &client_facts(client, cfg), cfg)
-            }
+            Op::Limit(n) => pure(docs.cap(*n as f64)),
+            Op::LlmQuery { client, .. } => llm(docs, docs, 1, 256.0, false, client),
             Op::ExtractProperties { client, schema, .. } => {
-                let env = count_tokens(&tasks::extract(schema, "")) as f64;
-                llm_cost(name, docs, docs, env, 512.0, true, &client_facts(client, cfg), cfg)
+                let env = count_tokens(&tasks::extract(schema, ""));
+                llm(docs, docs, env, 512.0, true, client)
             }
             Op::LlmFilter { client, predicate, .. } => {
-                let env = count_tokens(&tasks::filter(predicate, "")) as f64;
-                let out = Interval::new(0.0, docs.hi);
-                llm_cost(name, out, docs, env, 64.0, true, &client_facts(client, cfg), cfg)
+                let env = count_tokens(&tasks::filter(predicate, ""));
+                llm(Interval::new(0.0, docs.hi), docs, env, 64.0, true, client)
             }
             Op::LlmClassify { client, question, labels, .. } => {
                 let refs: Vec<&str> = labels.iter().map(String::as_str).collect();
-                let env = count_tokens(&tasks::classify(question, &refs, "")) as f64;
-                llm_cost(name, docs, docs, env, 64.0, false, &client_facts(client, cfg), cfg)
+                let env = count_tokens(&tasks::classify(question, &refs, ""));
+                llm(docs, docs, env, 64.0, false, client)
             }
             Op::Summarize { client, instructions, .. } => {
-                let env = count_tokens(&tasks::summarize(instructions, "")) as f64;
-                llm_cost(name, docs, docs, env, 256.0, false, &client_facts(client, cfg), cfg)
+                let env = count_tokens(&tasks::summarize(instructions, ""));
+                llm(docs, docs, env, 256.0, false, client)
             }
-            Op::SummarizeSections { client } => {
-                // Calls per document = its section count: unbounded above.
-                let items = if docs.hi == 0.0 { Interval::ZERO } else { Interval::at_least(0.0) };
-                llm_cost(name, docs, items, 1.0, 128.0, false, &client_facts(client, cfg), cfg)
-            }
+            // Calls per document = its section count.
+            Op::SummarizeSections { client } => llm(docs, open(docs), 1, 128.0, false, client),
             Op::SummarizeAll { client, instructions } => {
                 // Hierarchical reduce: ≤ 2n+1 calls for n documents (leaf
                 // batches plus the reduction tree), at least one when any
                 // document flows in.
-                let env = count_tokens(&tasks::summarize(instructions, "")) as f64;
+                let env = count_tokens(&tasks::summarize(instructions, ""));
                 let items = Interval::new(
                     if docs.lo > 0.0 { 1.0 } else { 0.0 },
                     if docs.hi == 0.0 { 0.0 } else { 2.0 * docs.hi + 1.0 },
                 );
-                llm_cost(
-                    name,
-                    Interval::exact(1.0),
-                    items,
-                    env,
-                    256.0,
-                    false,
-                    &client_facts(client, cfg),
-                    cfg,
-                )
+                llm(Interval::exact(1.0), items, env, 256.0, false, client)
             }
         };
-        docs = oc.docs;
-        rows.push(oc);
+        docs = docs_out;
+        rows.push(OpCost { name: op.name(), docs, llm: bounds });
     }
-    let fold = |f: fn(&OpCost) -> Interval| {
-        rows.iter().map(f).fold(Interval::ZERO, |a, b| a + b)
-    };
-    let llm_calls = fold(|o| o.llm_calls);
-    let input_tokens = fold(|o| o.input_tokens);
-    let output_tokens = fold(|o| o.output_tokens);
-    let cost_usd = fold(|o| o.cost_usd);
-    let latency_ms = fold(|o| o.latency_ms);
-    let critical_path_ms =
-        Interval::new(latency_ms.lo / cfg.workers.max(1) as f64, latency_ms.hi);
+    let llm = rows.iter().fold(LlmBounds::default(), |a, o| a + o.llm);
     PipelineCost {
         ops: rows,
         docs_out: docs,
-        llm_calls,
-        input_tokens,
-        output_tokens,
-        cost_usd,
-        latency_ms,
-        critical_path_ms,
+        critical_path_ms: llm.critical_path_ms(knobs.workers),
+        llm,
     }
 }
 
@@ -477,11 +460,10 @@ mod tests {
             Op::Map { name: "id".into(), f: Arc::new(|d| d) },
             Op::Limit(3),
         ];
-        let cfg = CostCfg { input_docs: 10, ..CostCfg::default() };
-        let est = estimate(&ops, &cfg);
+        let est = estimate(&ops, 10, &CostKnobs::default());
         assert_eq!(est.docs_out, Interval::exact(3.0));
-        assert_eq!(est.llm_calls, Interval::ZERO);
-        assert_eq!(est.cost_usd, Interval::ZERO);
+        assert_eq!(est.llm.calls, Interval::ZERO);
+        assert_eq!(est.llm.cost_usd, Interval::ZERO);
     }
 
     #[test]
@@ -491,16 +473,15 @@ mod tests {
             predicate: "mentions fatal injuries".into(),
             selector: crate::ElementSelector::All,
         }];
-        let cfg = CostCfg { input_docs: 8, ..CostCfg::default() };
-        let est = estimate(&ops, &cfg);
+        let est = estimate(&ops, 8, &CostKnobs::default());
         // Guaranteed path: exactly one call per doc sits inside the bounds.
-        assert!(est.llm_calls.contains(8.0), "got {}", est.llm_calls.render());
-        assert_eq!(est.llm_calls.lo, 8.0);
-        assert!(est.llm_calls.hi >= 8.0);
+        assert!(est.llm.calls.contains(8.0), "got {}", est.llm.calls.render());
+        assert_eq!(est.llm.calls.lo, 8.0);
+        assert!(est.llm.calls.hi >= 8.0);
         assert!(est.docs_out.contains(0.0) && est.docs_out.contains(8.0));
         // Cache on: zero calls becomes legal.
-        let cached = estimate(&ops, &CostCfg { input_docs: 8, cache: true, ..CostCfg::default() });
-        assert_eq!(cached.llm_calls.lo, 0.0);
+        let cached = estimate(&ops, 8, &CostKnobs { call_cache: true, ..CostKnobs::default() });
+        assert_eq!(cached.llm.calls.lo, 0.0);
     }
 
     #[test]
@@ -510,13 +491,12 @@ mod tests {
             schema: aryn_core::obj! { "year" => "int" },
             selector: crate::ElementSelector::All,
         }];
-        let base = CostCfg { input_docs: 12, ..CostCfg::default() };
-        let batched = CostCfg { batch_max_items: 4, ..base.clone() };
-        let e1 = estimate(&ops, &base);
-        let e4 = estimate(&ops, &batched);
-        assert_eq!(e1.llm_calls.lo, 12.0);
-        assert_eq!(e4.llm_calls.lo, 3.0); // ceil(12/4)
-        assert!(e4.llm_calls.hi >= e1.llm_calls.hi); // bisection headroom
+        let batched = CostKnobs { batch_max_items: 4, ..CostKnobs::default() };
+        let e1 = estimate(&ops, 12, &CostKnobs::default());
+        let e4 = estimate(&ops, 12, &batched);
+        assert_eq!(e1.llm.calls.lo, 12.0);
+        assert_eq!(e4.llm.calls.lo, 3.0); // ceil(12/4)
+        assert!(e4.llm.calls.hi >= e1.llm.calls.hi); // bisection headroom
     }
 
     #[test]
@@ -529,10 +509,10 @@ mod tests {
                 selector: crate::ElementSelector::All,
             },
         ];
-        let est = estimate(&ops, &CostCfg { input_docs: 2, ..CostCfg::default() });
+        let est = estimate(&ops, 2, &CostKnobs::default());
         assert!(est.docs_out.is_unbounded());
-        assert!(est.llm_calls.is_unbounded());
-        assert!(est.cost_usd.is_unbounded());
+        assert!(est.llm.calls.is_unbounded());
+        assert!(est.llm.cost_usd.is_unbounded());
     }
 
     #[test]
@@ -543,8 +523,8 @@ mod tests {
             output_path: "a".into(),
             selector: crate::ElementSelector::All,
         }];
-        let est1 = estimate(&ops, &CostCfg { input_docs: 8, ..CostCfg::default() });
-        let est8 = estimate(&ops, &CostCfg { input_docs: 8, workers: 8, ..CostCfg::default() });
+        let est1 = estimate(&ops, 8, &CostKnobs::default());
+        let est8 = estimate(&ops, 8, &CostKnobs { workers: 8, ..CostKnobs::default() });
         assert!(est8.critical_path_ms.lo < est1.critical_path_ms.lo);
         assert_eq!(est8.critical_path_ms.hi, est1.critical_path_ms.hi);
     }

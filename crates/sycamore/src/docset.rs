@@ -73,20 +73,20 @@ impl DocSet {
     /// bounds match how the pipeline would actually execute.
     pub fn estimate_cost(&self, input_docs: usize) -> crate::cost::PipelineCost {
         let exec = self.ctx.exec_config();
-        let cfg = crate::cost::CostCfg {
-            input_docs,
+        let knobs = crate::cost::CostKnobs {
             workers: exec.threads,
             batch_max_items: exec.batch_max_items,
             batch_token_budget: exec.batch_token_budget,
-            reliability: self.ctx.reliability().is_some(),
+            reliability: self.ctx.reliability().map(|s| s.policy()),
             chaos: self.ctx.chaos().is_some(),
-            cache: self
+            call_cache: self
                 .ops
                 .iter()
-                .any(|op| op.clients().iter().any(|t| t.cache().is_some())),
-            ..crate::cost::CostCfg::default()
+                .filter_map(Op::client)
+                .any(|c| c.fallback_chain().iter().any(|t| t.cache().is_some())),
+            ..crate::cost::CostKnobs::default()
         };
-        crate::cost::estimate(&self.ops, &cfg)
+        crate::cost::estimate(&self.ops, input_docs, &knobs)
     }
 
     fn push(mut self, op: Op) -> DocSet {

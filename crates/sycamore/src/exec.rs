@@ -21,10 +21,10 @@
 use crate::context::{Context, StealPolicy};
 use crate::docset::Source;
 use crate::op::Op;
-use crate::stats::{ExecStats, StageStats, WorkerStats};
+use crate::stats::{write_llm_group, ExecStats, StageStats, WorkerStats};
 use crate::transforms;
 use aryn_core::{stable_hash, ArynError, Document, Result};
-use aryn_llm::{CacheStats, UsageStats};
+use aryn_llm::MeterScope;
 use aryn_telemetry::Telemetry;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -66,62 +66,18 @@ fn busy_clock_ns() -> u64 {
     START.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
-/// Combined meter snapshot of every LLM client held by `ops`, deduplicated
-/// by meter identity (a fused stage may share one meter across several ops).
-/// Taken before and after a stage, the difference attributes LLM calls,
-/// tokens, retries, and cost to that stage.
-fn llm_snapshot(ops: &[Op]) -> UsageStats {
-    let mut seen: Vec<*const aryn_llm::UsageMeter> = Vec::new();
-    let mut total = UsageStats::default();
-    for op in ops {
-        for client in op.clients() {
-            let meter = client.meter();
-            let ptr = Arc::as_ptr(&meter);
-            if !seen.contains(&ptr) {
-                seen.push(ptr);
-                total.merge(&meter.snapshot());
-            }
-        }
-    }
-    total
-}
-
-/// Combined call-cache snapshot of every client held by `ops`, deduplicated
-/// by cache identity (clients typically share one cache per Context/Luna).
-/// Taken before and after a stage, the difference attributes cache hits and
-/// saved cost to that stage.
-fn cache_snapshot(ops: &[Op]) -> CacheStats {
-    let mut seen: Vec<*const aryn_llm::LlmCallCache> = Vec::new();
-    let mut total = CacheStats::default();
-    for op in ops {
-        for client in op.clients() {
-            if let Some(cache) = client.cache() {
-                let ptr = Arc::as_ptr(&cache);
-                if !seen.contains(&ptr) {
-                    seen.push(ptr);
-                    total.merge(&cache.stats());
-                }
-            }
-        }
-    }
-    total
-}
-
-/// Records one executed stage into the context's trace. Deterministic facts
-/// (row counts, retries, LLM counters) go into span counters, which feed the
-/// trace fingerprint. Wall times, costs, and the scheduling-shaped values —
-/// morsel counts, steal counts, per-worker docs and busy fractions — go into
-/// gauges, which the fingerprint excludes: they are *exact* (each worker
-/// owns its shard and the shards merge once at finalize) but they legally
-/// vary with worker count and morsel size, so they must not leak into the
-/// seed-deterministic fingerprint.
-fn record_stage_span(tel: &Telemetry, stage: &StageStats, delta: &UsageStats) {
+/// Records one executed stage into the context's trace: row counts, worker
+/// retries and the stage's LLM group as counters, times and the
+/// scheduling-shaped values — morsel and steal counts, per-worker docs and
+/// busy fractions — as gauges (the rule is on [`write_llm_group`]). The
+/// gauges are *exact* (each worker owns its shard and the shards merge once
+/// at finalize) but they legally vary with worker count and morsel size.
+fn record_stage_span(tel: &Telemetry, stage: &StageStats) {
     if !tel.is_enabled() {
         return;
     }
     let mut span = tel.span(&stage.name, "stage");
-    // Tenant attribution: only noted when a serving-layer session tag is
-    // present, so single-tenant traces keep their historical fingerprints.
+    // Only serving-layer sessions carry a tag.
     if !stage.tenant.is_empty() {
         span.note(format!("tenant={}", stage.tenant));
     }
@@ -129,61 +85,21 @@ fn record_stage_span(tel: &Telemetry, stage: &StageStats, delta: &UsageStats) {
         .set("rows_out", stage.rows_out as u64)
         .set("retries", stage.retries as u64)
         .set("failed_docs", stage.failed_docs as u64)
-        .set("llm_calls", stage.llm_calls)
-        .set("llm_input_tokens", stage.llm_input_tokens)
-        .set("llm_output_tokens", stage.llm_output_tokens)
-        .set("llm_parse_repairs", delta.parse_repairs)
-        .set("llm_parse_failures", delta.parse_failures);
-    if stage.cache_hit {
-        span.set("cache_hit", 1);
-    }
-    // Hit totals are schedule-independent (hits = cacheable lookups − unique
-    // computes), so they may feed the fingerprint; only set when nonzero so
-    // cache-off traces keep their historical fingerprints.
-    if stage.llm_cache_hits > 0 {
-        span.set("llm_cache_hits", stage.llm_cache_hits);
-    }
-    // Micro-batching counters: packing is deterministic (in-order, fixed
-    // budgets), so these may feed the fingerprint too. Only set when the
-    // stage actually batched, so batching-off traces keep their historical
-    // fingerprints.
-    if stage.llm_calls_saved > 0 {
-        span.set("llm_calls_saved", stage.llm_calls_saved);
-    }
-    if !stage.batch_sizes.is_empty() {
-        span.set("llm_batched_calls", stage.batch_sizes.len() as u64);
-        for (size, count) in stage.batch_size_histogram() {
-            span.set(&format!("batch_size_{size}"), count as u64);
-        }
-    }
-    // Reliability counters: breaker trips, fallback answers, and degraded
-    // documents are deterministic under the virtual clock. Only set when
-    // nonzero, so calm runs keep their historical trace fingerprints.
-    if stage.breaker_trips > 0 {
-        span.set("breaker_trips", stage.breaker_trips);
-    }
-    if stage.fallback_calls > 0 {
-        span.set("fallback_calls", stage.fallback_calls);
-    }
-    if stage.degraded_docs > 0 {
-        span.set("degraded_docs", stage.degraded_docs);
+        .set("cache_hit", stage.cache_hit as u64);
+    write_llm_group(&mut span, &stage.llm, &stage.cache);
+    for (size, count) in stage.batch_size_histogram() {
+        span.set(&format!("batch_size_{size}"), count as u64);
     }
     span.gauge("wall_ms", stage.wall_ms)
-        .gauge("llm_cost_usd", stage.llm_cost_usd);
-    if stage.llm_cost_saved_usd > 0.0 {
-        span.gauge("llm_cost_saved_usd", stage.llm_cost_saved_usd);
-    }
-    if !stage.workers.is_empty() {
-        span.gauge("workers", stage.workers.len() as f64);
-        span.gauge("morsels", stage.morsels() as f64);
-        span.gauge("steals", stage.steals() as f64);
-        span.gauge("critical_path_ms", stage.critical_path_ms);
-        let fractions = stage.worker_busy_fractions();
-        for (w, shard) in stage.workers.iter().enumerate() {
-            span.gauge(&format!("worker_{w}_docs"), shard.docs as f64);
-            span.gauge(&format!("worker_{w}_busy_ms"), shard.busy_ms);
-            span.gauge(&format!("worker_{w}_busy_frac"), fractions[w]);
-        }
+        .gauge("workers", stage.workers.len() as f64)
+        .gauge("morsels", stage.morsels() as f64)
+        .gauge("steals", stage.steals() as f64)
+        .gauge("critical_path_ms", stage.critical_path_ms);
+    let fractions = stage.worker_busy_fractions();
+    for (w, shard) in stage.workers.iter().enumerate() {
+        span.gauge(&format!("worker_{w}_docs"), shard.docs as f64);
+        span.gauge(&format!("worker_{w}_busy_ms"), shard.busy_ms);
+        span.gauge(&format!("worker_{w}_busy_frac"), fractions[w]);
     }
     span.finish();
 }
@@ -218,126 +134,71 @@ pub fn execute(
             }
         }
     }
+    let tenant = ctx.session_tag().unwrap_or_default().to_string();
     let (mut docs, mut i) = match resume_at {
         Some((idx, cached)) => {
             let stage = StageStats {
                 name: format!("{} [cache hit]", ops[idx].name()),
-                tenant: ctx.session_tag().unwrap_or_default().to_string(),
+                tenant: tenant.clone(),
                 rows_in: cached.len(),
                 rows_out: cached.len(),
                 cache_hit: true,
                 ..StageStats::default()
             };
-            record_stage_span(&tel, &stage, &UsageStats::default());
+            record_stage_span(&tel, &stage);
             stats.stages.push(stage);
             (cached, idx + 1)
         }
         None => (resolve_source(ctx, source)?, 0),
     };
     while i < ops.len() {
-        if ops[i].is_barrier() {
-            let op_slice = std::slice::from_ref(&ops[i]);
-            let before = llm_snapshot(op_slice);
-            let cache_before = cache_snapshot(op_slice);
-            let start = Instant::now();
-            let rows_in = docs.len();
-            let fp = plan_fingerprint(source, &ops[..=i]);
-            let (new_docs, barrier_failed) = apply_barrier(ctx, &ops[i], docs, fp)?;
-            docs = new_docs;
-            let delta = llm_snapshot(op_slice).since(&before);
-            let cache_delta = cache_snapshot(op_slice).since(&cache_before);
-            let wall_ms = start.elapsed().as_secs_f64() * 1000.0;
-            let stage = StageStats {
-                name: ops[i].name(),
-                tenant: ctx.session_tag().unwrap_or_default().to_string(),
-                rows_in,
-                rows_out: docs.len(),
-                wall_ms,
-                // A barrier has no per-doc worker retries, but its inner LLM
-                // work (e.g. summarize_all's hierarchical batches) can retry;
-                // the meter delta is the real count.
-                retries: delta.retries as usize,
-                // Inner per-batch failures (summarize_all with skip_failures)
-                // surface here as dropped source documents.
-                failed_docs: barrier_failed,
-                llm_calls: delta.calls,
-                llm_input_tokens: delta.usage.input_tokens as u64,
-                llm_output_tokens: delta.usage.output_tokens as u64,
-                llm_cost_usd: delta.usage.cost_usd,
-                llm_cache_hits: cache_delta.hits,
-                llm_cost_saved_usd: cache_delta.cost_saved_usd,
-                llm_calls_saved: delta.calls_saved,
-                batch_sizes: Vec::new(),
-                breaker_trips: delta.breaker_trips,
-                fallback_calls: delta.fallback_calls,
-                degraded_docs: delta.degraded_docs,
-                cache_hit: false,
-                // A barrier runs on the coordinating thread: its critical
-                // path is its wall time and it has no worker shards.
-                workers: Vec::new(),
-                critical_path_ms: wall_ms,
-            };
-            record_stage_span(&tel, &stage, &delta);
-            stats.stages.push(stage);
-            i += 1;
+        // A stage is one barrier op, or the maximal fused run of per-doc ops.
+        let barrier = ops[i].is_barrier();
+        let j = if barrier {
+            i + 1
         } else {
-            // Fuse the maximal per-doc run.
-            let mut j = i;
-            while j < ops.len() && !ops[j].is_barrier() {
-                j += 1;
-            }
-            let segment = &ops[i..j];
-            let before = llm_snapshot(segment);
-            let cache_before = cache_snapshot(segment);
-            let start = Instant::now();
-            let rows_in = docs.len();
-            let outcome = run_segment(ctx, segment, docs)?;
-            docs = outcome.docs;
-            let delta = llm_snapshot(segment).since(&before);
-            let cache_delta = cache_snapshot(segment).since(&cache_before);
-            let wall_ms = start.elapsed().as_secs_f64() * 1000.0;
-            let stage = StageStats {
-                name: segment
-                    .iter()
-                    .map(Op::name)
-                    .collect::<Vec<_>>()
-                    .join(" → "),
-                tenant: ctx.session_tag().unwrap_or_default().to_string(),
-                rows_in,
-                rows_out: docs.len(),
-                wall_ms,
-                retries: outcome.retries,
-                failed_docs: outcome.failed,
-                llm_calls: delta.calls,
-                llm_input_tokens: delta.usage.input_tokens as u64,
-                llm_output_tokens: delta.usage.output_tokens as u64,
-                llm_cost_usd: delta.usage.cost_usd,
-                llm_cache_hits: cache_delta.hits,
-                llm_cost_saved_usd: cache_delta.cost_saved_usd,
-                llm_calls_saved: delta.calls_saved,
-                batch_sizes: outcome.batch_sizes,
-                breaker_trips: delta.breaker_trips,
-                fallback_calls: delta.fallback_calls,
-                degraded_docs: delta.degraded_docs,
-                cache_hit: false,
-                // Batched segments carry no per-worker shards (the
-                // coordinating thread issues the packed calls); their
-                // critical path is then simply the stage wall time.
-                critical_path_ms: if outcome.workers.is_empty() {
-                    wall_ms
-                } else {
-                    outcome
-                        .workers
-                        .iter()
-                        .map(|w| w.busy_ms)
-                        .fold(0.0, f64::max)
-                },
-                workers: outcome.workers,
-            };
-            record_stage_span(&tel, &stage, &delta);
-            stats.stages.push(stage);
-            i = j;
-        }
+            i + ops[i..].iter().take_while(|op| !op.is_barrier()).count()
+        };
+        let stage_ops = &ops[i..j];
+        let scope = MeterScope::open(stage_ops.iter().filter_map(Op::client));
+        let start = Instant::now();
+        let rows_in = docs.len();
+        let outcome = if barrier {
+            apply_barrier(ctx, &ops[i], docs, plan_fingerprint(source, &ops[..j]))?
+        } else {
+            run_segment(ctx, stage_ops, docs)?
+        };
+        let (llm, cache) = scope.finish();
+        let wall_ms = start.elapsed().as_secs_f64() * 1000.0;
+        let stage = StageStats {
+            name: stage_ops.iter().map(Op::name).collect::<Vec<_>>().join(" → "),
+            tenant: tenant.clone(),
+            rows_in,
+            rows_out: outcome.docs.len(),
+            wall_ms,
+            // A barrier has no per-doc worker retries, but its inner LLM
+            // work (e.g. summarize_all's hierarchical batches) can retry;
+            // the meter delta is the real count.
+            retries: if barrier { llm.retries as usize } else { outcome.retries },
+            failed_docs: outcome.failed,
+            llm,
+            cache,
+            batch_sizes: outcome.batch_sizes,
+            cache_hit: false,
+            // Barriers and batched segments run on the coordinating thread
+            // and carry no worker shards: their critical path is their wall
+            // time.
+            critical_path_ms: if outcome.workers.is_empty() {
+                wall_ms
+            } else {
+                outcome.workers.iter().map(|w| w.busy_ms).fold(0.0, f64::max)
+            },
+            workers: outcome.workers,
+        };
+        record_stage_span(&tel, &stage);
+        stats.stages.push(stage);
+        docs = outcome.docs;
+        i = j;
     }
     Ok((docs, stats))
 }
@@ -404,7 +265,8 @@ fn resolve_source(ctx: &Context, source: &Source) -> Result<Vec<Arc<Document>>> 
     }
 }
 
-/// What one fused per-doc stage produced.
+/// What one stage produced.
+#[derive(Default)]
 struct SegmentOutcome {
     docs: Vec<Arc<Document>>,
     retries: usize,
@@ -451,13 +313,7 @@ fn run_segment_batched(
         max_items: cfg.batch_max_items,
         token_budget: cfg.batch_token_budget,
     };
-    let mut acc = SegmentOutcome {
-        docs,
-        retries: 0,
-        failed: 0,
-        workers: Vec::new(),
-        batch_sizes: Vec::new(),
-    };
+    let mut acc = SegmentOutcome { docs, ..SegmentOutcome::default() };
     let mut i = 0;
     while i < segment.len() {
         if segment[i].is_batchable() {
@@ -774,40 +630,45 @@ fn run_segment_morsels(
     })
 }
 
-/// Applies one barrier op, returning the new collection plus the number of
-/// source documents dropped by inner failures (summarize_all batches).
-/// `fingerprint` identifies the op-prefix that produced `docs`; materialize
-/// stamps it on the checkpoint so resume can detect stale caches.
+/// Applies one barrier op; `failed` counts source documents dropped by inner
+/// failures (summarize_all batches). `fingerprint` identifies the op-prefix
+/// that produced `docs`; materialize stamps it on the checkpoint so resume
+/// can detect stale caches.
 fn apply_barrier(
     ctx: &Context,
     op: &Op,
     docs: Vec<Arc<Document>>,
     fingerprint: u64,
-) -> Result<(Vec<Arc<Document>>, usize)> {
-    match op {
-        Op::ReduceByKey { key, aggs } => Ok((transforms::reduce_by_key(&docs, key, aggs), 0)),
-        Op::SortBy { path, descending } => Ok((transforms::sort_by(&docs, path, *descending), 0)),
+) -> Result<SegmentOutcome> {
+    let mut failed = 0;
+    let docs = match op {
+        Op::ReduceByKey { key, aggs } => transforms::reduce_by_key(&docs, key, aggs),
+        Op::SortBy { path, descending } => transforms::sort_by(&docs, path, *descending),
         Op::Limit(n) => {
             let mut d = docs;
             d.truncate(*n);
-            Ok((d, 0))
+            d
         }
         Op::SummarizeAll {
             client,
             instructions,
         } => {
             let skip = ctx.exec_config().skip_failures;
-            let (doc, failed) =
+            let (doc, dropped) =
                 transforms::summarize_all_stats(client, instructions, &docs, skip)?;
-            Ok((vec![Arc::new(doc)], failed))
+            failed = dropped;
+            vec![Arc::new(doc)]
         }
         Op::Materialize { name, dir } => {
             transforms::materialize(ctx, name, fingerprint, dir.as_deref(), &docs)?;
-            Ok((docs, 0))
+            docs
         }
-        other => Err(ArynError::Exec(format!(
-            "{} is not a barrier op",
-            other.name()
-        ))),
-    }
+        other => {
+            return Err(ArynError::Exec(format!(
+                "{} is not a barrier op",
+                other.name()
+            )))
+        }
+    };
+    Ok(SegmentOutcome { docs, failed, ..SegmentOutcome::default() })
 }

@@ -31,7 +31,7 @@ pub mod stats;
 pub mod transforms;
 
 pub use context::{Context, ExecConfig, StealPolicy};
-pub use cost::{CostCfg, Interval, OpCost, PipelineCost};
+pub use cost::{CostKnobs, Interval, LlmBounds, OpCost, PipelineCost};
 pub use docset::{DocSet, Source};
 pub use ingest::{IngestConfig, IngestReport, IngestShared, Ingestor};
 pub use op::{Agg, ElementSelector, Op, PartitionCfg};

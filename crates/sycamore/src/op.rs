@@ -256,11 +256,9 @@ impl Op {
         }
     }
 
-    /// The LLM clients this op holds, if any — including every fallback
-    /// tier behind a degradation chain, so stage accounting sees calls a
-    /// cheaper tier answered. Stats collection snapshots their meters
-    /// around a stage to attribute calls/tokens/retries to it.
-    pub fn clients(&self) -> Vec<&LlmClient> {
+    /// The LLM client this op calls, if any. Stage accounting opens an
+    /// [`aryn_llm::MeterScope`] over these; the scope walks fallback chains.
+    pub fn client(&self) -> Option<&LlmClient> {
         match self {
             Op::LlmQuery { client, .. }
             | Op::ExtractProperties { client, .. }
@@ -268,13 +266,9 @@ impl Op {
             | Op::LlmClassify { client, .. }
             | Op::SummarizeSections { client }
             | Op::Summarize { client, .. }
-            | Op::SummarizeAll { client, .. } => client.fallback_chain(),
-            Op::Partition { cfg, .. } => cfg
-                .summarize_images
-                .iter()
-                .flat_map(LlmClient::fallback_chain)
-                .collect(),
-            _ => Vec::new(),
+            | Op::SummarizeAll { client, .. } => Some(client),
+            Op::Partition { cfg, .. } => cfg.summarize_images.as_ref(),
+            _ => None,
         }
     }
 

@@ -1,10 +1,13 @@
 //! Execution statistics: per-stage row counts, retries, LLM usage, wall time.
 //!
 //! Stats back Luna's traceability story: every executed plan can report
-//! "how the dataset was transformed during each operation" (§6). The LLM
-//! fields are filled from per-stage [`aryn_llm::UsageMeter`] snapshots, so a
-//! stage's calls/tokens/cost are attributed to it even when several stages
-//! share a client.
+//! "how the dataset was transformed during each operation" (§6). A stage's
+//! LLM usage is the [`aryn_llm::MeterScope`] delta over the stage's clients,
+//! carried whole, so calls/tokens/cost are attributed to the stage even when
+//! several stages share a client.
+
+use aryn_llm::{CacheStats, UsageStats};
+use aryn_telemetry::SpanBuilder;
 
 /// One worker's statistics shard for one fused per-doc stage. Each morsel
 /// worker owns exactly one shard (`&mut`, no locks) while the stage runs;
@@ -47,35 +50,15 @@ pub struct StageStats {
     pub retries: usize,
     /// Documents dropped because an op failed permanently on them.
     pub failed_docs: usize,
-    /// LLM completions issued while this stage ran.
-    pub llm_calls: u64,
-    /// Prompt tokens across those completions.
-    pub llm_input_tokens: u64,
-    /// Completion tokens across those completions.
-    pub llm_output_tokens: u64,
-    /// Simulated dollar cost of those completions.
-    pub llm_cost_usd: f64,
-    /// Call-cache hits (lookups served without a model call, including
-    /// single-flight joins) while this stage ran. Zero when no call cache is
-    /// attached to the stage's clients.
-    pub llm_cache_hits: u64,
-    /// Simulated dollars those cache hits would have cost.
-    pub llm_cost_saved_usd: f64,
-    /// LLM calls avoided by cross-document micro-batching while this stage
-    /// ran: for every packed call, the accepted items beyond the first.
-    pub llm_calls_saved: u64,
+    /// Model calls, tokens, dollars, LLM retries, batching and reliability
+    /// counters metered while this stage ran.
+    pub llm: UsageStats,
+    /// Call-cache activity while this stage ran (zeros when no call cache
+    /// is attached to the stage's clients).
+    pub cache: CacheStats,
     /// Documents per packed micro-batch call issued by this stage, in issue
     /// order. Empty when batching is off (the default).
     pub batch_sizes: Vec<usize>,
-    /// Circuit-breaker trips (closed → open transitions) observed while
-    /// this stage ran. Zero unless a reliability policy is installed.
-    pub breaker_trips: u64,
-    /// Logical calls answered by a fallback model tier instead of the
-    /// stage's primary model.
-    pub fallback_calls: u64,
-    /// Documents whose result came from a degraded path (fallback model or
-    /// the string-match tier) and were flagged in their properties.
-    pub degraded_docs: u64,
     /// True if this stage was served from a materialize cache instead of
     /// being recomputed.
     pub cache_hit: bool,
@@ -144,48 +127,18 @@ impl ExecStats {
         self.stages.iter().map(|s| s.wall_ms).sum()
     }
 
-    pub fn total_llm_calls(&self) -> u64 {
-        self.stages.iter().map(|s| s.llm_calls).sum()
+    /// LLM usage merged over all stages.
+    pub fn llm(&self) -> UsageStats {
+        let mut total = UsageStats::default();
+        self.stages.iter().for_each(|s| total.merge(&s.llm));
+        total
     }
 
-    pub fn total_llm_tokens(&self) -> u64 {
-        self.stages
-            .iter()
-            .map(|s| s.llm_input_tokens + s.llm_output_tokens)
-            .sum()
-    }
-
-    pub fn total_llm_cost_usd(&self) -> f64 {
-        self.stages.iter().map(|s| s.llm_cost_usd).sum()
-    }
-
-    pub fn total_llm_cache_hits(&self) -> u64 {
-        self.stages.iter().map(|s| s.llm_cache_hits).sum()
-    }
-
-    pub fn total_llm_cost_saved_usd(&self) -> f64 {
-        self.stages.iter().map(|s| s.llm_cost_saved_usd).sum()
-    }
-
-    pub fn total_llm_calls_saved(&self) -> u64 {
-        self.stages.iter().map(|s| s.llm_calls_saved).sum()
-    }
-
-    /// Packed micro-batch calls issued across all stages.
-    pub fn total_batched_calls(&self) -> u64 {
-        self.stages.iter().map(|s| s.batch_sizes.len() as u64).sum()
-    }
-
-    pub fn total_breaker_trips(&self) -> u64 {
-        self.stages.iter().map(|s| s.breaker_trips).sum()
-    }
-
-    pub fn total_fallback_calls(&self) -> u64 {
-        self.stages.iter().map(|s| s.fallback_calls).sum()
-    }
-
-    pub fn total_degraded_docs(&self) -> u64 {
-        self.stages.iter().map(|s| s.degraded_docs).sum()
+    /// Call-cache activity merged over all stages.
+    pub fn cache(&self) -> CacheStats {
+        let mut total = CacheStats::default();
+        self.stages.iter().for_each(|s| total.merge(&s.cache));
+        total
     }
 
     /// Morsels executed across all stages.
@@ -232,13 +185,36 @@ impl ExecStats {
                 s.rows_out,
                 s.retries,
                 s.failed_docs,
-                s.llm_calls,
-                s.llm_input_tokens + s.llm_output_tokens,
-                s.llm_cache_hits
+                s.llm.calls,
+                s.llm.usage.tokens(),
+                s.cache.hits
             ));
         }
         out
     }
+}
+
+/// Writes one accounting record's LLM/cache group onto a span — the single
+/// writer behind engine stage spans and Luna's operator and planner spans.
+/// The rule for every span: an integer that is a function of (seed, inputs)
+/// is a counter and feeds the trace fingerprint; dollars, times and anything
+/// scheduling can shape are gauges, which the fingerprint ignores. The whole
+/// group is written every time, zeros included, so a span's shape does not
+/// depend on what happened to run.
+pub fn write_llm_group(span: &mut SpanBuilder, llm: &UsageStats, cache: &CacheStats) {
+    span.set("llm_calls", llm.calls)
+        .set("llm_input_tokens", llm.usage.input_tokens as u64)
+        .set("llm_output_tokens", llm.usage.output_tokens as u64)
+        .set("llm_parse_repairs", llm.parse_repairs)
+        .set("llm_parse_failures", llm.parse_failures)
+        .set("llm_batched_calls", llm.batched_calls)
+        .set("llm_calls_saved", llm.calls_saved)
+        .set("breaker_trips", llm.breaker_trips)
+        .set("fallback_calls", llm.fallback_calls)
+        .set("degraded_docs", llm.degraded_docs)
+        .set("llm_cache_hits", cache.hits)
+        .gauge("llm_cost_usd", llm.usage.cost_usd)
+        .gauge("llm_cost_saved_usd", cache.cost_saved_usd);
 }
 
 #[cfg(test)]
@@ -257,17 +233,23 @@ mod tests {
                     wall_ms: 1.5,
                     retries: 2,
                     failed_docs: 1,
-                    llm_calls: 10,
-                    llm_input_tokens: 500,
-                    llm_output_tokens: 50,
-                    llm_cost_usd: 0.02,
-                    llm_cache_hits: 3,
-                    llm_cost_saved_usd: 0.005,
-                    llm_calls_saved: 6,
+                    llm: UsageStats {
+                        calls: 10,
+                        batched_calls: 4,
+                        calls_saved: 6,
+                        breaker_trips: 1,
+                        fallback_calls: 2,
+                        degraded_docs: 3,
+                        usage: aryn_llm::Usage {
+                            input_tokens: 500,
+                            output_tokens: 50,
+                            cost_usd: 0.02,
+                            latency_ms: 0.0,
+                        },
+                        ..UsageStats::default()
+                    },
+                    cache: CacheStats { hits: 3, cost_saved_usd: 0.005, ..CacheStats::default() },
                     batch_sizes: vec![4, 4, 2, 4],
-                    breaker_trips: 1,
-                    fallback_calls: 2,
-                    degraded_docs: 3,
                     cache_hit: false,
                     workers: vec![
                         WorkerStats {
@@ -301,17 +283,14 @@ mod tests {
         assert_eq!(stats.total_retries(), 2);
         assert_eq!(stats.total_failed_docs(), 1);
         assert!((stats.total_wall_ms() - 2.0).abs() < 1e-9);
-        assert_eq!(stats.total_llm_calls(), 10);
-        assert_eq!(stats.total_llm_tokens(), 550);
-        assert!((stats.total_llm_cost_usd() - 0.02).abs() < 1e-12);
-        assert_eq!(stats.total_llm_cache_hits(), 3);
-        assert!((stats.total_llm_cost_saved_usd() - 0.005).abs() < 1e-12);
-        assert_eq!(stats.total_llm_calls_saved(), 6);
-        assert_eq!(stats.total_batched_calls(), 4);
+        let llm = stats.llm();
+        assert_eq!((llm.calls, llm.usage.tokens()), (10, 550));
+        assert!((llm.usage.cost_usd - 0.02).abs() < 1e-12);
+        assert_eq!((llm.batched_calls, llm.calls_saved), (4, 6));
+        assert_eq!((llm.breaker_trips, llm.fallback_calls, llm.degraded_docs), (1, 2, 3));
+        assert_eq!(stats.cache().hits, 3);
+        assert!((stats.cache().cost_saved_usd - 0.005).abs() < 1e-12);
         assert_eq!(stats.batch_size_histogram(), vec![(2, 1), (4, 3)]);
-        assert_eq!(stats.total_breaker_trips(), 1);
-        assert_eq!(stats.total_fallback_calls(), 2);
-        assert_eq!(stats.total_degraded_docs(), 3);
         assert_eq!(stats.total_morsels(), 3);
         assert_eq!(stats.total_steals(), 1);
         assert!((stats.total_critical_path_ms() - 1.2).abs() < 1e-9);

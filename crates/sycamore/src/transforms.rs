@@ -765,23 +765,11 @@ pub fn load_materialized(path: &std::path::Path) -> Result<Vec<Document>> {
     load_materialized_on(&StdFs, path)
 }
 
-/// [`load_materialized`] against an explicit [`Vfs`]. Accepts both the
-/// checksummed record format and the legacy plain-JSONL spill; any checksum
-/// or footer mismatch is an error — a torn checkpoint is discarded by the
+/// [`load_materialized`] against an explicit [`Vfs`]. Any checksum or
+/// footer mismatch is an error — a torn checkpoint is discarded by the
 /// caller and recomputed, never half-loaded.
 pub fn load_materialized_on(fs: &dyn Vfs, path: &std::path::Path) -> Result<Vec<Document>> {
     let text = vfs::read_to_string(fs, path)?;
-    let legacy = text
-        .lines()
-        .find(|l| !l.trim().is_empty())
-        .is_some_and(|l| l.trim_start().starts_with('{'));
-    if legacy {
-        return text
-            .lines()
-            .filter(|l| !l.trim().is_empty())
-            .map(|l| aryn_core::serialize::document_from_value(&json::parse(l)?))
-            .collect();
-    }
     let records = vfs::decode_tagged_file(&text)?;
     records
         .iter()

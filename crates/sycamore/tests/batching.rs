@@ -83,12 +83,12 @@ fn batched_llm_filter_is_byte_identical_and_saves_calls() {
     assert_eq!(calls, ceil, "generous token budget must pack to max_items");
 
     // Executor accounting: packed calls and calls saved surface in stats.
-    assert_eq!(stats.total_batched_calls(), calls);
-    assert_eq!(stats.total_llm_calls(), calls);
-    assert_eq!(stats.total_llm_calls_saved(), (n as u64) - calls);
+    assert_eq!(stats.llm().batched_calls, calls);
+    assert_eq!(stats.llm().calls, calls);
+    assert_eq!(stats.llm().calls_saved, (n as u64) - calls);
     assert_eq!(stats.batch_size_histogram(), vec![(max_items, ceil as usize)]);
-    assert_eq!(base_stats.total_llm_calls_saved(), 0);
-    assert_eq!(base_stats.total_batched_calls(), 0);
+    assert_eq!(base_stats.llm().calls_saved, 0);
+    assert_eq!(base_stats.llm().batched_calls, 0);
 }
 
 /// Same equivalence bar for `extract_properties`, over a real corpus run
@@ -118,9 +118,9 @@ fn batched_extract_properties_is_byte_identical() {
 
     assert_eq!(docs, base_docs, "batched extraction must be byte-identical");
     assert!(c2.stats().calls < base_calls, "batching must reduce calls");
-    assert!(stats.total_llm_calls_saved() > 0);
+    assert!(stats.llm().calls_saved > 0);
     assert_eq!(
-        stats.total_llm_calls_saved() + c2.stats().calls,
+        stats.llm().calls_saved + c2.stats().calls,
         base_calls,
         "every saved call is accounted for"
     );
@@ -145,7 +145,7 @@ fn batching_composes_with_call_cache() {
         .collect_stats()
         .unwrap();
     assert_eq!(c1.stats().calls, 3, "12 docs / 4 per pack");
-    assert_eq!(s1.total_batched_calls(), 3);
+    assert_eq!(s1.llm().batched_calls, 3);
     assert_eq!(cache.len(), n, "every item memoized individually");
 
     // Warm unbatched run: zero model calls, identical output.
@@ -167,7 +167,7 @@ fn batching_composes_with_call_cache() {
         .collect_stats()
         .unwrap();
     assert_eq!(c3.stats().calls, 0, "warm items are never re-packed");
-    assert_eq!(s3.total_batched_calls(), 0);
+    assert_eq!(s3.llm().batched_calls, 0);
     assert_eq!(warm_docs, batched_docs);
 }
 
@@ -185,8 +185,8 @@ fn set_batch_enables_packing_on_live_context() {
         .unwrap();
     assert!(!docs.is_empty());
     assert_eq!(c.stats().calls, 3);
-    assert_eq!(stats.total_batched_calls(), 3);
-    assert_eq!(stats.total_llm_calls_saved(), 15);
+    assert_eq!(stats.llm().batched_calls, 3);
+    assert_eq!(stats.llm().calls_saved, 15);
 }
 
 proptest! {

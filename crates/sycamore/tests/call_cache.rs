@@ -50,8 +50,8 @@ fn single_flight_under_parallel_executor() {
     assert_eq!(cs.hits, (n - 1) as u64);
     assert_eq!(cache.len(), 1);
     // The savings surface in per-stage executor stats.
-    assert_eq!(stats.total_llm_cache_hits(), (n - 1) as u64, "{}", stats.render());
-    assert!(stats.total_llm_cost_saved_usd() > 0.0);
+    assert_eq!(stats.cache().hits, (n - 1) as u64, "{}", stats.render());
+    assert!(stats.cache().cost_saved_usd > 0.0);
 }
 
 /// The disk tier persists completed calls; a brand-new Context + client over

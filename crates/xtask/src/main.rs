@@ -461,9 +461,9 @@ fn plan_lint() -> Result<(), String> {
                 match fixture.luna.estimate_cost(&plan) {
                     Some(report) => println!(
                         "xtask lint --plans: {verdict:<10} calls {} tokens {} cost {}  {}",
-                        report.llm_calls.render(),
-                        report.total_tokens().render(),
-                        report.cost_usd.render(),
+                        report.llm.calls.render(),
+                        report.llm.total_tokens().render(),
+                        report.llm.cost_usd.render(),
                         q.question
                     ),
                     None => println!("xtask lint --plans: {verdict:<10} (no cost report)  {}", q.question),

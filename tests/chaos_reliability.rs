@@ -109,7 +109,7 @@ fn absorbable_faults_are_bit_identical_to_calm() {
     assert!(s.transient_failures >= 2, "{s:?}");
     assert!(s.parse_repairs + s.parse_failures >= 2, "malformed window fired: {s:?}");
     assert_eq!(s.degraded_docs, 0);
-    assert_eq!(stats.total_degraded_docs(), 0);
+    assert_eq!(stats.llm().degraded_docs, 0);
 }
 
 #[test]
@@ -137,9 +137,9 @@ fn blackout_trips_the_breaker_and_degrades_with_flags() {
     assert_eq!(s.degraded_docs, 8);
     assert_eq!(s.fallback_calls, 8);
     // Stage accounting sees the same story.
-    assert!(stats.total_breaker_trips() >= 1);
-    assert_eq!(stats.total_degraded_docs(), 8);
-    assert_eq!(stats.total_fallback_calls(), 8);
+    assert!(stats.llm().breaker_trips >= 1);
+    assert_eq!(stats.llm().degraded_docs, 8);
+    assert_eq!(stats.llm().fallback_calls, 8);
     // The fallback tier did the work and its meter shows it.
     let tiers = client.fallback_chain();
     assert_eq!(tiers.len(), 2);
@@ -175,7 +175,7 @@ fn deadline_exhaustion_degrades_filter_to_string_match() {
     let calm_ids: Vec<&str> = calm.iter().map(|d| d.id.as_str()).collect();
     assert_eq!(ids, calm_ids, "string-match tier agrees with the calm run");
     assert!(
-        stats.total_degraded_docs() > 0,
+        stats.llm().degraded_docs > 0,
         "budget exhaustion must flag degraded documents: {stats:?}"
     );
     assert!(docs
@@ -226,7 +226,7 @@ fn chaos_invariant(seed: u64) {
             }
             assert_eq!(
                 flagged,
-                stats.total_degraded_docs(),
+                stats.llm().degraded_docs,
                 "flags and counters agree (seed {seed})"
             );
         }

@@ -171,51 +171,51 @@ fn assert_envelope(luna: &Luna, plan: &Plan, label: &str, may_fail: bool) {
             nc.rows.render()
         );
         assert!(
-            nc.llm_calls.contains(t.llm_calls as f64),
+            nc.llm.calls.contains(t.llm.calls as f64),
             "{label}: out_{} calls {} outside {}",
             t.node_id,
-            t.llm_calls,
-            nc.llm_calls.render()
+            t.llm.calls,
+            nc.llm.calls.render()
         );
         assert!(
-            nc.input_tokens.contains(t.input_tokens as f64),
+            nc.llm.input_tokens.contains(t.llm.usage.input_tokens as f64),
             "{label}: out_{} input tokens {} outside {}",
             t.node_id,
-            t.input_tokens,
-            nc.input_tokens.render()
+            t.llm.usage.input_tokens,
+            nc.llm.input_tokens.render()
         );
         assert!(
-            nc.output_tokens.contains(t.output_tokens as f64),
+            nc.llm.output_tokens.contains(t.llm.usage.output_tokens as f64),
             "{label}: out_{} output tokens {} outside {}",
             t.node_id,
-            t.output_tokens,
-            nc.output_tokens.render()
+            t.llm.usage.output_tokens,
+            nc.llm.output_tokens.render()
         );
         assert!(
-            nc.cost_usd.contains(t.cost_usd),
+            nc.llm.cost_usd.contains(t.llm.usage.cost_usd),
             "{label}: out_{} cost {} outside {}",
             t.node_id,
-            t.cost_usd,
-            nc.cost_usd.render()
+            t.llm.usage.cost_usd,
+            nc.llm.cost_usd.render()
         );
     }
     assert!(
-        report.llm_calls.contains(result.total_llm_calls() as f64),
+        report.llm.calls.contains(result.llm().calls as f64),
         "{label}: total calls {} outside {}",
-        result.total_llm_calls(),
-        report.llm_calls.render()
+        result.llm().calls,
+        report.llm.calls.render()
     );
     assert!(
-        report.total_tokens().contains(result.total_tokens() as f64),
+        report.llm.total_tokens().contains(result.llm().usage.tokens() as f64),
         "{label}: total tokens {} outside {}",
-        result.total_tokens(),
-        report.total_tokens().render()
+        result.llm().usage.tokens(),
+        report.llm.total_tokens().render()
     );
     assert!(
-        report.cost_usd.contains(result.total_cost()),
+        report.llm.cost_usd.contains(result.llm().usage.cost_usd),
         "{label}: total cost {} outside {}",
-        result.total_cost(),
-        report.cost_usd.render()
+        result.llm().usage.cost_usd,
+        report.llm.cost_usd.render()
     );
 }
 
@@ -291,29 +291,29 @@ fn sycamore_pipeline_totals_stay_inside_the_mirror_estimate() {
             docs.len(),
             est.docs_out.render()
         );
-        let calls: u64 = stats.stages.iter().map(|s| s.llm_calls).sum();
-        let in_tok: u64 = stats.stages.iter().map(|s| s.llm_input_tokens).sum();
-        let out_tok: u64 = stats.stages.iter().map(|s| s.llm_output_tokens).sum();
-        let cost: f64 = stats.stages.iter().map(|s| s.llm_cost_usd).sum();
+        let calls: u64 = stats.stages.iter().map(|s| s.llm.calls).sum();
+        let in_tok: usize = stats.stages.iter().map(|s| s.llm.usage.input_tokens).sum();
+        let out_tok: usize = stats.stages.iter().map(|s| s.llm.usage.output_tokens).sum();
+        let cost: f64 = stats.stages.iter().map(|s| s.llm.usage.cost_usd).sum();
         assert!(
-            est.llm_calls.contains(calls as f64),
+            est.llm.calls.contains(calls as f64),
             "{label}: calls {calls} outside {}",
-            est.llm_calls.render()
+            est.llm.calls.render()
         );
         assert!(
-            est.input_tokens.contains(in_tok as f64),
+            est.llm.input_tokens.contains(in_tok as f64),
             "{label}: input tokens {in_tok} outside {}",
-            est.input_tokens.render()
+            est.llm.input_tokens.render()
         );
         assert!(
-            est.output_tokens.contains(out_tok as f64),
+            est.llm.output_tokens.contains(out_tok as f64),
             "{label}: output tokens {out_tok} outside {}",
-            est.output_tokens.render()
+            est.llm.output_tokens.render()
         );
         assert!(
-            est.cost_usd.contains(cost),
+            est.llm.cost_usd.contains(cost),
             "{label}: cost {cost} outside {}",
-            est.cost_usd.render()
+            est.llm.cost_usd.render()
         );
     }
 }

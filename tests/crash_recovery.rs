@@ -14,7 +14,7 @@
 //! WAL/fsync charges on the virtual clock, and torn materialize
 //! checkpoints being discarded rather than half-loaded.
 
-use aryn_core::vfs::{self, ChaosFs, MemFs, StorageFault, StorageSchedule, Vfs};
+use aryn_core::vfs::{ChaosFs, MemFs, StorageFault, StorageSchedule, Vfs};
 use aryn_core::{obj, Document};
 use aryn_index::{DocStore, StoreConfig, WalConfig};
 use std::collections::BTreeMap;
@@ -466,41 +466,4 @@ fn torn_materialize_checkpoint_is_discarded() {
     sycamore::transforms::materialize(&ctx, "ckpt", 42, Some(dir), &docs).unwrap();
     let again = sycamore::load_materialized_on(&(mem as Arc<dyn Vfs>), &path).unwrap();
     assert_eq!(again.len(), 6);
-}
-
-/// Crash mid-save leaves the previous whole-store export intact
-/// (atomic temp → sync → rename), and the export round-trips.
-#[test]
-fn save_is_atomic_under_crash() {
-    let mem: Arc<MemFs> = Arc::new(MemFs::new());
-    let mut store = DocStore::with_config(store_cfg());
-    for i in 0..8 {
-        store.put(doc(i));
-    }
-    let path = Path::new("/export/store.dump");
-    store.save_on(&(mem.clone() as Arc<dyn Vfs>), path).unwrap();
-    let baseline = DocStore::load_on(&(mem.clone() as Arc<dyn Vfs>), path).unwrap();
-    assert_eq!(baseline.len(), 8);
-    // Grow the store, then crash at every op of the re-save.
-    for i in 8..12 {
-        store.put(doc(i));
-    }
-    for crash_at in 0..6u64 {
-        let schedule = StorageSchedule::calm().with_seed(3).with_crash_at(crash_at);
-        let chaos = ChaosFs::wrap(mem.clone() as Arc<dyn Vfs>, schedule);
-        let result = store.save_on(&chaos, path);
-        let after = DocStore::load_on(&(mem.clone() as Arc<dyn Vfs>), path).unwrap();
-        // Old complete file or new complete file — never torn.
-        assert!(
-            after.len() == 8 || after.len() == 12,
-            "crash@{crash_at}: torn save visible ({} docs)",
-            after.len()
-        );
-        if result.is_ok() && !chaos.crashed() {
-            assert_eq!(after.len(), 12);
-        }
-        // Sweep the staged temp so the next iteration starts clean.
-        let _ = vfs::tmp_path(path);
-        let _ = mem.remove(&vfs::tmp_path(path));
-    }
 }

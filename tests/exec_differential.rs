@@ -89,7 +89,7 @@ fn serial_and_parallel_agree_under_injected_failures() {
         assert_eq!((a.rows_in, a.rows_out), (b.rows_in, b.rows_out), "{}", a.name);
         assert_eq!(a.retries, b.retries, "{}", a.name);
         assert_eq!(a.failed_docs, b.failed_docs, "{}", a.name);
-        assert_eq!(a.llm_calls, b.llm_calls, "{}", a.name);
+        assert_eq!(a.llm.calls, b.llm.calls, "{}", a.name);
     }
 }
 
@@ -199,7 +199,7 @@ fn morsel_size_and_steal_policy_never_change_results() {
                 "morsel_size={morsel_size} steal={steal:?}: retries"
             );
             assert_eq!(baseline_stats.total_failed_docs(), stats.total_failed_docs());
-            assert_eq!(baseline_stats.total_llm_calls(), stats.total_llm_calls());
+            assert_eq!(baseline_stats.llm().calls, stats.llm().calls);
         }
     }
 }
@@ -244,5 +244,5 @@ fn repeated_runs_are_bit_identical_per_seed() {
     let (b, sb) = run_pipeline(8, 0.25, true);
     assert_identical(&a, &b, "run 1 vs run 2, threads=8");
     assert_eq!(sa.total_retries(), sb.total_retries());
-    assert_eq!(sa.total_llm_calls(), sb.total_llm_calls());
+    assert_eq!(sa.llm().calls, sb.llm().calls);
 }

@@ -110,7 +110,7 @@ fn luna_traces_account_for_all_rows_and_costs() {
     let scalars = traces.iter().filter(|t| t.scalar.is_some()).count();
     assert!(scalars >= 3, "{scalars}");
     // Costs are non-negative and total to the result's accounting.
-    assert!(traces.iter().all(|t| t.cost_usd >= 0.0));
+    assert!(traces.iter().all(|t| t.llm.usage.cost_usd >= 0.0));
 }
 
 #[test]

@@ -120,7 +120,7 @@ fn differential(cfg: RunCfg) {
         sn.total_failed_docs(),
         "{what}: failed docs"
     );
-    assert_eq!(s1.total_llm_calls(), sn.total_llm_calls(), "{what}: llm calls");
+    assert_eq!(s1.llm().calls, sn.llm().calls, "{what}: llm calls");
 }
 
 #[test]

@@ -80,15 +80,15 @@ fn llm_usage_is_attributed_to_the_stage_that_spent_it() {
         .iter()
         .find(|s| s.name.contains("extract_properties"))
         .expect("extract stage present");
-    assert!(extract.llm_calls >= 12, "one call per doc: {}", extract.llm_calls);
-    assert!(extract.llm_input_tokens > 0);
-    assert!(extract.llm_output_tokens > 0);
-    assert!(extract.llm_cost_usd > 0.0);
+    assert!(extract.llm.calls >= 12, "one call per doc: {}", extract.llm.calls);
+    assert!(extract.llm.usage.input_tokens > 0);
+    assert!(extract.llm.usage.output_tokens > 0);
+    assert!(extract.llm.usage.cost_usd > 0.0);
     // Stages with no LLM op spend nothing.
     for s in stats.stages.iter().filter(|s| !s.name.contains("extract")) {
-        assert_eq!(s.llm_calls, 0, "stage {} attributed stray LLM calls", s.name);
+        assert_eq!(s.llm.calls, 0, "stage {} attributed stray LLM calls", s.name);
     }
-    assert_eq!(stats.total_llm_calls(), extract.llm_calls);
+    assert_eq!(stats.llm().calls, extract.llm.calls);
 }
 
 #[test]
@@ -102,11 +102,11 @@ fn telemetry_mirrors_exec_stats() {
         stats.stages.iter().map(|s| s.rows_out).sum::<usize>());
     assert_eq!(trace.total_for_kind("stage", "retries") as usize, stats.total_retries());
     assert_eq!(trace.total_for_kind("stage", "failed_docs") as usize, stats.total_failed_docs());
-    assert_eq!(trace.total_for_kind("stage", "llm_calls"), stats.total_llm_calls());
+    assert_eq!(trace.total_for_kind("stage", "llm_calls"), stats.llm().calls);
     assert_eq!(
         trace.total_for_kind("stage", "llm_input_tokens")
             + trace.total_for_kind("stage", "llm_output_tokens"),
-        stats.total_llm_tokens()
+        stats.llm().usage.tokens()
     );
     // The partitioner contributed its own spans under the same collector.
     assert!(!trace.spans_of_kind("partitioner").is_empty());
@@ -220,20 +220,20 @@ fn client_meter_and_call_cache_agree_with_stage_attribution() {
     };
     let (_docs1, stats1) = run();
     assert_eq!(
-        stats1.total_llm_calls(),
+        stats1.llm().calls,
         client.stats().calls,
         "stage-attributed calls must equal the client meter"
     );
-    assert_eq!(stats1.total_llm_cache_hits(), cache.stats().hits);
+    assert_eq!(stats1.cache().hits, cache.stats().hits);
     // A second identical run is answered entirely from the call cache: the
     // stage attribution must report the hits and the meter must not move.
     let calls_before = client.stats().calls;
     let (_docs2, stats2) = run();
     assert_eq!(client.stats().calls, calls_before, "second run must be all cache hits");
-    assert_eq!(stats2.total_llm_calls(), 0);
-    assert!(stats2.total_llm_cache_hits() > 0);
+    assert_eq!(stats2.llm().calls, 0);
+    assert!(stats2.cache().hits > 0);
     assert_eq!(
-        stats1.total_llm_cache_hits() + stats2.total_llm_cache_hits(),
+        stats1.cache().hits + stats2.cache().hits,
         cache.stats().hits,
         "per-stage cache-hit attribution must sum to the cache's own meter"
     );
@@ -253,4 +253,32 @@ fn telemetry_totals_are_seed_deterministic() {
     let c = fp(1);
     assert_eq!(a, b, "same-seed runs must produce identical telemetry totals");
     assert_eq!(a, c, "thread count must not leak into fingerprinted counters");
+}
+
+/// One accounting record, three views: on every bench18 question the node
+/// records, the operator spans and the client meters tell the same story.
+#[test]
+fn node_records_operator_spans_and_meters_agree_on_bench18() {
+    use luna::bench18::{Bench18, Bench18Cfg};
+    let bench = Bench18::build(Bench18Cfg { n_ntsb: 30, n_earnings: 24, ..Bench18Cfg::default() })
+        .unwrap();
+    let mut answered = 0;
+    for q in &bench.questions {
+        let before = bench.luna.usage_stats();
+        let Ok(ans) = bench.luna.ask(&q.question) else { continue };
+        answered += 1;
+        let spent = bench.luna.usage_stats().since(&before);
+        let nodes = ans.result.llm();
+        for (counter, in_nodes) in [
+            ("llm_calls", nodes.calls),
+            ("llm_input_tokens", nodes.usage.input_tokens as u64),
+            ("llm_output_tokens", nodes.usage.output_tokens as u64),
+        ] {
+            let in_spans = ans.trace.total_for_kind("operator", counter);
+            assert_eq!(in_spans, in_nodes, "{}: {counter}", q.question);
+        }
+        let planner = ans.trace.total_for_kind("planner", "llm_calls");
+        assert_eq!(spent.calls - planner, nodes.calls, "{}", q.question);
+    }
+    assert!(answered >= 15, "only {answered} of 18 questions answered");
 }

@@ -46,21 +46,21 @@ fn every_answer_carries_a_consistent_trace() {
     // Span counters must agree with the executor's own NodeTrace bookkeeping.
     assert_eq!(
         trace.total_for_kind("operator", "llm_calls"),
-        ans.result.total_llm_calls()
+        ans.result.llm().calls
     );
     assert_eq!(
         trace.total_for_kind("operator", "llm_input_tokens")
             + trace.total_for_kind("operator", "llm_output_tokens"),
-        ans.result.total_tokens()
+        ans.result.llm().usage.tokens()
     );
     assert_eq!(
         trace.total_for_kind("operator", "retries"),
-        ans.result.total_retries()
+        ans.result.llm().retries
     );
     for (span, nt) in operators.iter().zip(&ans.result.traces) {
         assert_eq!(span.counter("rows_in"), nt.rows_in as u64);
         assert_eq!(span.counter("rows_out"), nt.rows_out as u64);
-        assert_eq!(span.counter("llm_calls"), nt.llm_calls);
+        assert_eq!(span.counter("llm_calls"), nt.llm.calls);
     }
 }
 

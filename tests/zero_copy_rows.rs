@@ -264,7 +264,7 @@ fn render_bench18() -> String {
         for t in &a.result.traces {
             out.push_str(&format!(
                 "  out_{} {} rows_in={} rows_out={} llm_calls={} input_tokens={} output_tokens={}\n",
-                t.node_id, t.op_kind, t.rows_in, t.rows_out, t.llm_calls, t.input_tokens, t.output_tokens
+                t.node_id, t.op_kind, t.rows_in, t.rows_out, t.llm.calls, t.llm.usage.input_tokens, t.llm.usage.output_tokens
             ));
         }
     }
