@@ -5,18 +5,18 @@
 /// Splits text into lowercase word tokens (alphanumeric runs; numbers kept).
 pub fn tokenize(text: &str) -> Vec<String> {
     let mut out = Vec::new();
+    // One growing buffer; each finished token is copied out at its exact size.
     let mut cur = String::new();
     for c in text.chars() {
-        if c.is_alphanumeric() {
-            for lc in c.to_lowercase() {
-                // Some lowercasings expand to combining marks; keep only
-                // alphanumeric output so tokens stay clean.
-                if lc.is_alphanumeric() {
-                    cur.push(lc);
-                }
-            }
+        if c.is_ascii_alphanumeric() {
+            cur.push(c.to_ascii_lowercase());
+        } else if !c.is_ascii() && c.is_alphanumeric() {
+            // Some lowercasings expand to combining marks; keep only
+            // alphanumeric output so tokens stay clean.
+            cur.extend(c.to_lowercase().filter(|lc| lc.is_alphanumeric()));
         } else if !cur.is_empty() {
-            out.push(std::mem::take(&mut cur));
+            out.push(cur.as_str().to_string());
+            cur.clear();
         }
     }
     if !cur.is_empty() {
@@ -28,11 +28,15 @@ pub fn tokenize(text: &str) -> Vec<String> {
 /// Tokenizes, removes stopwords, and stems — the normalization used for
 /// indexing and bag-of-words embeddings.
 pub fn analyze(text: &str) -> Vec<String> {
-    tokenize(text)
-        .into_iter()
-        .filter(|t| !is_stopword(t))
-        .map(|t| stem(&t))
-        .collect()
+    let mut tokens = tokenize(text);
+    tokens.retain_mut(|t| {
+        let keep = !is_stopword(t);
+        if keep {
+            stem_in_place(t);
+        }
+        keep
+    });
+    tokens
 }
 
 const STOPWORDS: &[&str] = &[
@@ -47,41 +51,53 @@ pub fn is_stopword(token: &str) -> bool {
     STOPWORDS.binary_search(&token).is_ok()
 }
 
+/// Suffix rules of [`stem`], first match wins.
+const STEM_RULES: &[(&str, &str)] = &[
+    ("ational", "ate"),
+    ("ization", "ize"),
+    ("fulness", "ful"),
+    ("ousness", "ous"),
+    ("iveness", "ive"),
+    ("ement", "e"),
+    ("ments", "ment"),
+    ("ingly", ""),
+    ("edly", ""),
+    ("tion", "t"),
+    ("sion", "s"),
+    ("ness", ""),
+    ("ing", ""),
+    ("ies", "y"),
+    ("ied", "y"),
+    ("est", ""),
+    ("ers", "er"),
+    ("ed", ""),
+    ("ly", ""),
+    ("es", ""),
+    ("s", ""),
+];
+
 /// A light suffix-stripping stemmer (a small subset of Porter's rules):
 /// enough to conflate `reported/reports/reporting` without a full Porter
 /// implementation. Never shrinks a word below three characters.
 pub fn stem(token: &str) -> String {
-    let t = token;
-    for (suffix, replace) in [
-        ("ational", "ate"),
-        ("ization", "ize"),
-        ("fulness", "ful"),
-        ("ousness", "ous"),
-        ("iveness", "ive"),
-        ("ement", "e"),
-        ("ments", "ment"),
-        ("ingly", ""),
-        ("edly", ""),
-        ("tion", "t"),
-        ("sion", "s"),
-        ("ness", ""),
-        ("ing", ""),
-        ("ies", "y"),
-        ("ied", "y"),
-        ("est", ""),
-        ("ers", "er"),
-        ("ed", ""),
-        ("ly", ""),
-        ("es", ""),
-        ("s", ""),
-    ] {
-        if let Some(stripped) = t.strip_suffix(suffix) {
-            if stripped.len() + replace.len() >= 3 && stripped.len() >= 2 {
-                return format!("{stripped}{replace}");
+    let mut t = token.to_string();
+    stem_in_place(&mut t);
+    t
+}
+
+/// [`stem`] on an owned token: truncates and appends, never reallocates
+/// (no replacement is longer than its suffix).
+fn stem_in_place(token: &mut String) {
+    for (suffix, replace) in STEM_RULES {
+        if token.ends_with(suffix) {
+            let stripped = token.len() - suffix.len();
+            if stripped + replace.len() >= 3 && stripped >= 2 {
+                token.truncate(stripped);
+                token.push_str(replace);
+                return;
             }
         }
     }
-    t.to_string()
 }
 
 /// Splits text into sentences on `.`, `!`, `?` followed by whitespace,

@@ -72,18 +72,22 @@ impl KeywordIndex {
         if self.by_key.contains_key(&key) {
             self.remove(&key);
         }
-        let tokens = analyze(text);
-        let ord = self.docs.len() as u32;
-        let mut tf: BTreeMap<String, u32> = BTreeMap::new();
-        for t in &tokens {
-            *tf.entry(t.clone()).or_insert(0) += 1;
+        let mut tokens = analyze(text);
+        let (ord, len) = (self.docs.len() as u32, tokens.len() as u32);
+        // Term frequencies are the run lengths of the sorted tokens; each
+        // distinct term moves into `postings` without a copy.
+        tokens.sort_unstable();
+        let mut tokens = tokens.into_iter().peekable();
+        while let Some(term) = tokens.next() {
+            let mut tf = 1;
+            while tokens.next_if_eq(&term).is_some() {
+                tf += 1;
+            }
+            self.postings.entry(term).or_default().push((ord, tf));
         }
-        for (term, n) in tf {
-            self.postings.entry(term).or_default().push((ord, n));
-        }
-        self.total_len += tokens.len() as u64;
+        self.total_len += u64::from(len);
         self.by_key.insert(key.clone(), ord);
-        self.docs.push((key, tokens.len() as u32));
+        self.docs.push((key, len));
     }
 
     /// Removes a document (tombstone: postings entries are filtered lazily).
@@ -372,13 +376,14 @@ impl ShardedKeywordIndex {
     }
 
     /// Freezes the active shard into a sealed one (no-op when empty).
+    /// Relabels only the shard's own live keys: O(shard), not O(corpus).
     pub fn seal_active(&mut self) {
         if self.active.doc_count() == 0 {
             return;
         }
         let idx = self.sealed.len();
-        for loc in self.owner.values_mut() {
-            if *loc == ACTIVE_SHARD {
+        for key in self.active.by_key.keys() {
+            if let Some(loc) = self.owner.get_mut(key) {
                 *loc = idx;
             }
         }
@@ -699,6 +704,40 @@ mod sharded_tests {
             assert_same_hits(&sharded.search(q, 10), &mono.search(q, 10), q);
         }
         assert_eq!(sharded.len(), mono.doc_count());
+    }
+
+    /// Seals as `seal_active` did before it relabelled only its own keys.
+    fn seal_walking_every_owner(ix: &mut ShardedKeywordIndex) {
+        let idx = ix.sealed.len();
+        ix.owner.values_mut().filter(|loc| **loc == ACTIVE_SHARD).for_each(|loc| *loc = idx);
+        let frozen = std::mem::replace(&mut ix.active, KeywordIndex::with_params(ix.params));
+        ix.sealed.push(Arc::new(frozen));
+    }
+
+    #[test]
+    fn seals_relabel_exactly_like_a_full_owner_walk() {
+        let cap = 8;
+        let (mut fast, mut walked) = (ShardedKeywordIndex::new(cap), ShardedKeywordIndex::new(0));
+        for (i, (key, text)) in corpus(5 * cap).into_iter().enumerate() {
+            // Every fifth add overwrites an older, mostly sealed key; every
+            // seventh step tombstones one.
+            let key = if i % 5 == 4 { format!("d{:03}", i / 2) } else { key };
+            for ix in [&mut fast, &mut walked] {
+                ix.add(key.clone(), &text);
+                if i % 7 == 6 {
+                    ix.remove(&format!("d{:03}", i / 3));
+                }
+            }
+            if walked.active.doc_count() >= cap {
+                seal_walking_every_owner(&mut walked);
+            }
+        }
+        assert!(fast.sealed_count() >= 4 && fast.dead() > 0);
+        assert_eq!((fast.sealed_count(), fast.dead()), (walked.sealed_count(), walked.dead()));
+        assert_eq!(fast.owner, walked.owner);
+        for q in ["wind approach", "engine failure", "revenue growth", "fog", "incident number"] {
+            assert_same_hits(&fast.search(q, 10), &walked.search(q, 10), q);
+        }
     }
 
     #[test]

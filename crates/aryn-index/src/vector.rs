@@ -8,6 +8,7 @@
 use aryn_core::{stable_hash, ArynError, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 
@@ -22,7 +23,12 @@ pub struct Neighbor {
 /// Common interface for vector indexes.
 pub trait VectorIndex: Send + Sync {
     /// Adds a vector under `key`. Errors on dimension mismatch.
-    fn add(&mut self, key: &str, vector: Vec<f32>) -> Result<()>;
+    fn add(&mut self, key: &str, vector: Vec<f32>) -> Result<()> {
+        self.add_slice(key, &vector)
+    }
+    /// [`VectorIndex::add`] from a borrowed vector: the index copies it into
+    /// its own storage, so callers holding an embedding need not clone it.
+    fn add_slice(&mut self, key: &str, vector: &[f32]) -> Result<()>;
     /// Returns up to `k` nearest neighbours by cosine similarity.
     fn search(&self, query: &[f32], k: usize) -> Result<Vec<Neighbor>>;
     fn len(&self) -> usize;
@@ -32,87 +38,114 @@ pub trait VectorIndex: Send + Sync {
     fn dims(&self) -> usize;
 }
 
-fn dot(a: &[f32], b: &[f32]) -> f32 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
+/// Dot product over the common prefix. Eight independent lanes summed in a
+/// fixed tree, then the tail: the order is part of the contract, so the loop
+/// vectorises and every machine produces the same bits (and so the same
+/// graphs and rankings) whatever its SIMD width.
+pub fn dot(a: &[f32], b: &[f32]) -> f32 {
+    let n = a.len().min(b.len());
+    let (a, b) = (a[..n].chunks_exact(8), b[..n].chunks_exact(8));
+    let tail: f32 = a.remainder().iter().zip(b.remainder()).map(|(x, y)| x * y).sum();
+    let mut lanes = [0.0f32; 8];
+    for (x, y) in a.zip(b) {
+        for i in 0..8 {
+            lanes[i] += x[i] * y[i];
+        }
+    }
+    ((lanes[0] + lanes[4]) + (lanes[1] + lanes[5])) + ((lanes[2] + lanes[6]) + (lanes[3] + lanes[7])) + tail
 }
 
 fn norm(v: &[f32]) -> f32 {
     dot(v, v).sqrt()
 }
 
-/// Cosine similarity assuming nothing about normalization.
-fn cos(a: &[f32], b: &[f32]) -> f32 {
-    let na = norm(a);
-    let nb = norm(b);
-    if na == 0.0 || nb == 0.0 {
-        return 0.0;
+/// Keys and vectors in insertion order: one flat arena of stride `dims`
+/// plus each vector's norm, computed once at insert so a comparison is one
+/// `dot` instead of three.
+#[derive(Debug)]
+struct Arena {
+    dims: usize,
+    keys: Vec<String>,
+    data: Vec<f32>,
+    norms: Vec<f32>,
+}
+
+impl Arena {
+    fn new(dims: usize) -> Arena {
+        Arena { dims, keys: Vec::new(), data: Vec::new(), norms: Vec::new() }
     }
-    dot(a, b) / (na * nb)
+
+    fn check(&self, len: usize, what: &str) -> Result<()> {
+        if len == self.dims {
+            return Ok(());
+        }
+        Err(ArynError::Index(format!("dimension mismatch: index {} vs {what} {len}", self.dims)))
+    }
+
+    /// Appends a vector and returns its id.
+    fn push(&mut self, key: &str, vector: &[f32]) -> Result<u32> {
+        self.check(vector.len(), "vector")?;
+        self.keys.push(key.to_string());
+        self.data.extend_from_slice(vector);
+        self.norms.push(norm(vector));
+        Ok(self.keys.len() as u32 - 1)
+    }
+
+    fn vector(&self, id: u32) -> &[f32] {
+        &self.data[id as usize * self.dims..(id as usize + 1) * self.dims]
+    }
+
+    /// Cosine similarity of a query (with its norm) to a stored vector,
+    /// assuming nothing about normalization.
+    fn sim(&self, query: &[f32], query_norm: f32, id: u32) -> f32 {
+        let n = self.norms[id as usize];
+        if query_norm == 0.0 || n == 0.0 {
+            return 0.0;
+        }
+        dot(query, self.vector(id)) / (query_norm * n)
+    }
+
+    fn entries(&self) -> impl Iterator<Item = (&str, &[f32])> {
+        (0..self.keys.len() as u32).map(|id| (self.keys[id as usize].as_str(), self.vector(id)))
+    }
+
+    fn neighbor(&self, score: f32, id: u32) -> Neighbor {
+        Neighbor { key: self.keys[id as usize].clone(), score }
+    }
 }
 
 /// Exact nearest-neighbour search by linear scan.
 #[derive(Debug)]
 pub struct FlatIndex {
-    dims: usize,
-    keys: Vec<String>,
-    vectors: Vec<Vec<f32>>,
+    arena: Arena,
 }
 
 impl FlatIndex {
     pub fn new(dims: usize) -> FlatIndex {
-        FlatIndex {
-            dims,
-            keys: Vec::new(),
-            vectors: Vec::new(),
-        }
+        FlatIndex { arena: Arena::new(dims) }
     }
 }
 
 impl VectorIndex for FlatIndex {
-    fn add(&mut self, key: &str, vector: Vec<f32>) -> Result<()> {
-        if vector.len() != self.dims {
-            return Err(ArynError::Index(format!(
-                "dimension mismatch: index {} vs vector {}",
-                self.dims,
-                vector.len()
-            )));
-        }
-        self.keys.push(key.to_string());
-        self.vectors.push(vector);
-        Ok(())
+    fn add_slice(&mut self, key: &str, vector: &[f32]) -> Result<()> {
+        self.arena.push(key, vector).map(|_| ())
     }
 
     fn search(&self, query: &[f32], k: usize) -> Result<Vec<Neighbor>> {
-        if query.len() != self.dims {
-            return Err(ArynError::Index(format!(
-                "dimension mismatch: index {} vs query {}",
-                self.dims,
-                query.len()
-            )));
-        }
-        let mut scored: Vec<(f32, usize)> = self
-            .vectors
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (cos(query, v), i))
-            .collect();
+        self.arena.check(query.len(), "query")?;
+        let qn = norm(query);
+        let mut scored: Vec<(f32, u32)> =
+            (0..self.arena.keys.len() as u32).map(|id| (self.arena.sim(query, qn, id), id)).collect();
         scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(Ordering::Equal));
-        Ok(scored
-            .into_iter()
-            .take(k)
-            .map(|(score, i)| Neighbor {
-                key: self.keys[i].clone(),
-                score,
-            })
-            .collect())
+        Ok(scored.into_iter().take(k).map(|(score, id)| self.arena.neighbor(score, id)).collect())
     }
 
     fn len(&self) -> usize {
-        self.keys.len()
+        self.arena.keys.len()
     }
 
     fn dims(&self) -> usize {
-        self.dims
+        self.arena.dims
     }
 }
 
@@ -141,10 +174,8 @@ impl Default for HnswParams {
 
 /// Hierarchical navigable small-world index.
 pub struct HnswIndex {
-    dims: usize,
     params: HnswParams,
-    keys: Vec<String>,
-    vectors: Vec<Vec<f32>>,
+    arena: Arena,
     /// layers[l][node] = neighbour ids; nodes absent from a layer have no entry.
     layers: Vec<Vec<Vec<u32>>>,
     /// Highest layer of each node.
@@ -167,13 +198,53 @@ impl Ord for Cand {
     }
 }
 
+/// Working memory of one layer search, reused across searches, layers and
+/// indexes. `stamp[node] == generation` marks a node visited, so starting a
+/// search is a counter bump, never an O(index) clear.
+#[derive(Default)]
+struct Scratch {
+    stamp: Vec<u32>,
+    generation: u32,
+    candidates: BinaryHeap<Cand>,
+    /// The layer search's answer, best first.
+    results: Vec<(f32, u32)>,
+    /// `(similarity, position, node)` of a link list being pruned.
+    prune: Vec<(f32, u32, u32)>,
+}
+
+thread_local! {
+    /// One scratch per thread: `add` and the `&self` query path share it, so
+    /// concurrent queries on a shared index never contend or allocate.
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+impl Scratch {
+    fn begin(&mut self, nodes: usize) {
+        self.candidates.clear();
+        self.results.clear();
+        if self.stamp.len() < nodes {
+            self.stamp.resize(nodes, 0);
+        }
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // Wrapped: stamps from 2^32 searches ago would read as visited.
+            self.stamp.fill(0);
+            self.generation = 1;
+        }
+    }
+
+    /// Marks `node` visited; false when it already was.
+    fn visit(&mut self, node: u32) -> bool {
+        let seen = std::mem::replace(&mut self.stamp[node as usize], self.generation);
+        seen != self.generation
+    }
+}
+
 impl HnswIndex {
     pub fn new(dims: usize, params: HnswParams) -> HnswIndex {
         HnswIndex {
-            dims,
             params,
-            keys: Vec::new(),
-            vectors: Vec::new(),
+            arena: Arena::new(dims),
             layers: Vec::new(),
             node_level: Vec::new(),
             entry: None,
@@ -195,95 +266,115 @@ impl HnswIndex {
         level
     }
 
-    /// Greedy search on one layer returning up to `ef` best candidates.
-    fn search_layer(&self, query: &[f32], entry: u32, ef: usize, layer: usize) -> Vec<(f32, u32)> {
-        let mut visited: HashSet<u32> = HashSet::new();
-        let mut candidates = BinaryHeap::new(); // max-heap by similarity
-        let mut results: Vec<(f32, u32)> = Vec::new(); // kept sorted descending
-        let e_sim = cos(query, &self.vectors[entry as usize]);
-        visited.insert(entry);
-        candidates.push(Cand(e_sim, entry));
-        results.push((e_sim, entry));
-        while let Some(Cand(sim, node)) = candidates.pop() {
+    /// Greedy search on one layer leaving up to `ef` best candidates in
+    /// `s.results` (sorted descending); returns the best node.
+    fn search_layer(&self, s: &mut Scratch, query: &[f32], qn: f32, entry: u32, ef: usize, layer: usize) -> u32 {
+        s.begin(self.arena.keys.len());
+        let e_sim = self.arena.sim(query, qn, entry);
+        s.visit(entry);
+        s.candidates.push(Cand(e_sim, entry));
+        s.results.push((e_sim, entry));
+        while let Some(Cand(sim, node)) = s.candidates.pop() {
             // Stop when the best remaining candidate is worse than the worst kept.
-            let worst = results.last().map(|(s, _)| *s).unwrap_or(f32::MIN);
-            if results.len() >= ef && sim < worst {
+            let worst = s.results.last().map(|(w, _)| *w).unwrap_or(f32::MIN);
+            if s.results.len() >= ef && sim < worst {
                 break;
             }
             for &nb in &self.layers[layer][node as usize] {
-                if !visited.insert(nb) {
+                if !s.visit(nb) {
                     continue;
                 }
-                let s = cos(query, &self.vectors[nb as usize]);
-                let worst = results.last().map(|(w, _)| *w).unwrap_or(f32::MIN);
-                if results.len() < ef || s > worst {
-                    candidates.push(Cand(s, nb));
-                    let pos = results
-                        .binary_search_by(|(r, _)| {
-                            s.partial_cmp(r).unwrap_or(Ordering::Equal)
-                        })
+                let sim = self.arena.sim(query, qn, nb);
+                let worst = s.results.last().map(|(w, _)| *w).unwrap_or(f32::MIN);
+                if s.results.len() < ef || sim > worst {
+                    s.candidates.push(Cand(sim, nb));
+                    let pos = s
+                        .results
+                        .binary_search_by(|(r, _)| sim.partial_cmp(r).unwrap_or(Ordering::Equal))
                         .unwrap_or_else(|p| p);
-                    results.insert(pos, (s, nb));
-                    if results.len() > ef {
-                        results.pop();
+                    s.results.insert(pos, (sim, nb));
+                    if s.results.len() > ef {
+                        s.results.pop();
                     }
                 }
             }
         }
-        results
+        s.results.first().map_or(entry, |(_, best)| *best)
     }
 
     /// Key/vector pairs in insertion order — used by sharded wrappers to
     /// rebuild or compact shards without re-embedding.
     pub fn entries(&self) -> impl Iterator<Item = (&str, &[f32])> {
-        self.keys
-            .iter()
-            .map(String::as_str)
-            .zip(self.vectors.iter().map(Vec::as_slice))
+        self.arena.entries()
     }
 
-    fn link(&mut self, layer: usize, a: u32, b: u32) {
+    fn max_links(&self, layer: usize) -> usize {
+        if layer == 0 {
+            self.params.m * 2
+        } else {
+            self.params.m
+        }
+    }
+
+    fn link(&mut self, s: &mut Scratch, layer: usize, a: u32, b: u32) {
         if a == b {
             return;
         }
-        let max_links = if layer == 0 { self.params.m * 2 } else { self.params.m };
+        let max_links = self.max_links(layer);
         for (x, y) in [(a, b), (b, a)] {
             let links = &mut self.layers[layer][x as usize];
             if !links.contains(&y) {
                 links.push(y);
             }
             if links.len() > max_links {
-                // Prune: keep the most similar neighbours.
-                let base = self.vectors[x as usize].clone();
-                let mut scored: Vec<(f32, u32)> = self.layers[layer][x as usize]
-                    .iter()
-                    .map(|&n| (cos(&base, &self.vectors[n as usize]), n))
-                    .collect();
-                scored.sort_by(|p, q| q.0.partial_cmp(&p.0).unwrap_or(Ordering::Equal));
-                self.layers[layer][x as usize] =
-                    scored.into_iter().take(max_links).map(|(_, n)| n).collect();
+                // Prune: keep the most similar neighbours, earlier links
+                // first among equals (a stable sort without its buffer).
+                let (base, bn) = (self.arena.vector(x), self.arena.norms[x as usize]);
+                s.prune.clear();
+                s.prune.extend(links.iter().zip(0u32..).map(|(&n, pos)| (self.arena.sim(base, bn, n), pos, n)));
+                s.prune.sort_unstable_by(|p, q| q.0.partial_cmp(&p.0).unwrap_or(Ordering::Equal).then(p.1.cmp(&q.1)));
+                links.clear();
+                links.extend(s.prune.iter().take(max_links).map(|&(_, _, n)| n));
             }
         }
+    }
+
+    /// Links node `id` (already in the arena and layer tables) into the graph.
+    fn insert(&mut self, s: &mut Scratch, id: u32, level: usize, entry: u32, query: &[f32]) {
+        let qn = self.arena.norms[id as usize];
+        let top = self.layers.len() - 1;
+        let mut cur = entry;
+        // Descend from the top to level+1 greedily.
+        for layer in (level + 1..=top).rev() {
+            cur = self.search_layer(s, query, qn, cur, 1, layer);
+        }
+        // Insert with links from level down to 0.
+        for layer in (0..=level.min(top)).rev() {
+            cur = self.search_layer(s, query, qn, cur, self.params.ef_construction, layer);
+            // `link` prunes through its own buffer, so `results` stays put.
+            for i in 0..s.results.len().min(self.max_links(layer)) {
+                let nb = s.results[i].1;
+                self.link(s, layer, id, nb);
+            }
+        }
+    }
+
+    /// Releases growth slack once the index stops taking inserts.
+    fn shrink_to_fit(&mut self) {
+        self.arena.keys.shrink_to_fit();
+        self.arena.data.shrink_to_fit();
+        self.arena.norms.shrink_to_fit();
     }
 }
 
 impl VectorIndex for HnswIndex {
-    fn add(&mut self, key: &str, vector: Vec<f32>) -> Result<()> {
-        if vector.len() != self.dims {
-            return Err(ArynError::Index(format!(
-                "dimension mismatch: index {} vs vector {}",
-                self.dims,
-                vector.len()
-            )));
-        }
-        let id = self.keys.len() as u32;
+    fn add_slice(&mut self, key: &str, vector: &[f32]) -> Result<()> {
+        let id = self.arena.push(key, vector)?;
         let level = self.random_level(id as usize);
-        self.keys.push(key.to_string());
-        self.vectors.push(vector);
         self.node_level.push(level);
         while self.layers.len() <= level {
             // New top layer: every existing node slot exists but unlinked.
-            self.layers.push(vec![Vec::new(); self.keys.len().saturating_sub(1)]);
+            self.layers.push(vec![Vec::new(); id as usize]);
         }
         for layer in &mut self.layers {
             layer.push(Vec::new());
@@ -292,30 +383,7 @@ impl VectorIndex for HnswIndex {
             self.entry = Some(id);
             return Ok(());
         };
-        let top = self.layers.len() - 1;
-        let mut cur = entry;
-        let query = self.vectors[id as usize].clone();
-        // Descend from the top to level+1 greedily.
-        for layer in (level + 1..=top).rev() {
-            if layer >= self.layers.len() {
-                continue;
-            }
-            let found = self.search_layer(&query, cur, 1, layer);
-            if let Some((_, best)) = found.first() {
-                cur = *best;
-            }
-        }
-        // Insert with links from level down to 0.
-        for layer in (0..=level.min(top)).rev() {
-            let found = self.search_layer(&query, cur, self.params.ef_construction, layer);
-            if let Some((_, best)) = found.first() {
-                cur = *best;
-            }
-            let m = if layer == 0 { self.params.m * 2 } else { self.params.m };
-            for (_, nb) in found.into_iter().take(m) {
-                self.link(layer, id, nb);
-            }
-        }
+        SCRATCH.with(|s| self.insert(&mut s.borrow_mut(), id, level, entry, vector));
         // Track the entry point at the highest level (`entry` is the
         // pre-insert entry point bound above).
         if level >= self.node_level[entry as usize] {
@@ -325,49 +393,33 @@ impl VectorIndex for HnswIndex {
     }
 
     fn search(&self, query: &[f32], k: usize) -> Result<Vec<Neighbor>> {
-        if query.len() != self.dims {
-            return Err(ArynError::Index(format!(
-                "dimension mismatch: index {} vs query {}",
-                self.dims,
-                query.len()
-            )));
-        }
+        self.arena.check(query.len(), "query")?;
         let Some(entry) = self.entry else {
             return Ok(Vec::new());
         };
-        let mut cur = entry;
-        for layer in (1..self.layers.len()).rev() {
-            let found = self.search_layer(query, cur, 1, layer);
-            if let Some((_, best)) = found.first() {
-                cur = *best;
+        let qn = norm(query);
+        SCRATCH.with(|s| {
+            let s = &mut *s.borrow_mut();
+            let mut cur = entry;
+            for layer in (1..self.layers.len()).rev() {
+                cur = self.search_layer(s, query, qn, cur, 1, layer);
             }
-        }
-        let ef = self.params.ef_search.max(k);
-        let found = self.search_layer(query, cur, ef, 0);
-        Ok(found
-            .into_iter()
-            .take(k)
-            .map(|(score, id)| Neighbor {
-                key: self.keys[id as usize].clone(),
-                score,
-            })
-            .collect())
+            self.search_layer(s, query, qn, cur, self.params.ef_search.max(k), 0);
+            Ok(s.results.iter().take(k).map(|&(score, id)| self.arena.neighbor(score, id)).collect())
+        })
     }
 
     fn len(&self) -> usize {
-        self.keys.len()
+        self.arena.keys.len()
     }
 
     fn dims(&self) -> usize {
-        self.dims
+        self.arena.dims
     }
 }
 
 /// Sentinel shard location for keys owned by the active (unsealed) shard.
 const ACTIVE_SHARD: usize = usize::MAX;
-
-/// Live `(key, vector)` pairs extracted from one shard during compaction.
-type LiveEntries = Vec<(String, Vec<f32>)>;
 
 /// An incrementally-maintained ANN index: immutable sealed [`HnswIndex`]
 /// shards plus one bounded active shard (DESIGN.md §5j). Inserts are O(doc)
@@ -426,15 +478,9 @@ impl ShardedHnsw {
     /// Rebuilds the active shard without `key` (HNSW graphs do not support
     /// in-place deletion; the active shard is bounded so this is O(cap)).
     fn rebuild_active_without(&mut self, key: &str) {
-        let entries: Vec<(String, Vec<f32>)> = self
-            .active
-            .entries()
-            .filter(|(k, _)| *k != key)
-            .map(|(k, v)| (k.to_string(), v.to_vec()))
-            .collect();
-        self.active = HnswIndex::new(self.dims, self.params);
-        for (k, v) in entries {
-            let _ = self.active.add(&k, v);
+        let old = std::mem::replace(&mut self.active, HnswIndex::new(self.dims, self.params));
+        for (k, v) in old.entries().filter(|(k, _)| *k != key) {
+            let _ = self.active.add_slice(k, v);
         }
     }
 
@@ -454,18 +500,20 @@ impl ShardedHnsw {
         }
     }
 
-    /// Freezes the active shard (no-op when empty).
+    /// Freezes the active shard (no-op when empty). Relabels only the keys
+    /// the shard holds, so a seal costs O(shard), not O(corpus).
     pub fn seal_active(&mut self) {
         if self.active.is_empty() {
             return;
         }
         let idx = self.sealed.len();
-        for loc in self.owner.values_mut() {
-            if *loc == ACTIVE_SHARD {
+        let mut frozen = std::mem::replace(&mut self.active, HnswIndex::new(self.dims, self.params));
+        for (key, _) in frozen.entries() {
+            if let Some(loc) = self.owner.get_mut(key) {
                 *loc = idx;
             }
         }
-        let frozen = std::mem::replace(&mut self.active, HnswIndex::new(self.dims, self.params));
+        frozen.shrink_to_fit();
         self.sealed.push(std::sync::Arc::new(frozen));
     }
 
@@ -476,8 +524,8 @@ impl ShardedHnsw {
     /// rebuild, so compaction work stays proportional to the *recently
     /// ingested* tail rather than the whole corpus — and per-shard graphs
     /// stay small enough that fan-out search keeps near-exact recall.
-    /// Deterministic: shards are replayed in order, so the rebuilt graphs
-    /// are reproducible.
+    /// Deterministic: shards are replayed in order, straight from their
+    /// arenas, so the rebuilt graphs are reproducible.
     pub fn compact(&mut self) {
         self.seal_active();
         let tier_cap = if self.shard_cap == 0 {
@@ -485,55 +533,41 @@ impl ShardedHnsw {
         } else {
             self.shard_cap.saturating_mul(4)
         };
-        fn flush(
-            pending: &mut Vec<(usize, LiveEntries)>,
-            pending_len: &mut usize,
-            new_sealed: &mut Vec<std::sync::Arc<HnswIndex>>,
-            remap: &mut [usize],
-            dims: usize,
-            params: HnswParams,
-        ) {
-            if pending.is_empty() {
-                return;
-            }
-            let pos = new_sealed.len();
-            let mut merged = HnswIndex::new(dims, params);
-            for (i, entries) in pending.drain(..) {
-                remap[i] = pos;
-                for (k, v) in entries {
-                    let _ = merged.add(&k, v);
-                }
-            }
-            *pending_len = 0;
-            if !merged.is_empty() {
-                new_sealed.push(std::sync::Arc::new(merged));
-            }
-        }
         let old = std::mem::take(&mut self.sealed);
+        let owner = &self.owner;
+        let live = |i: usize| old[i].entries().filter(move |(k, _)| owner.get(*k) == Some(&i));
         let mut new_sealed: Vec<std::sync::Arc<HnswIndex>> = Vec::new();
         let mut remap: Vec<usize> = vec![0; old.len()];
-        let mut pending: Vec<(usize, LiveEntries)> = Vec::new();
-        let mut pending_len = 0usize;
+        // Shards awaiting a merge, with their live entry counts.
+        let mut pending: Vec<(usize, usize)> = Vec::new();
+        let flush = |pending: &mut Vec<(usize, usize)>, new_sealed: &mut Vec<std::sync::Arc<HnswIndex>>, remap: &mut [usize]| {
+            let mut merged = HnswIndex::new(self.dims, self.params);
+            for (i, _) in pending.drain(..) {
+                remap[i] = new_sealed.len();
+                for (k, v) in live(i) {
+                    let _ = merged.add_slice(k, v);
+                }
+            }
+            if !merged.is_empty() {
+                merged.shrink_to_fit();
+                new_sealed.push(std::sync::Arc::new(merged));
+            }
+        };
         for (i, shard) in old.iter().enumerate() {
-            let live: LiveEntries = shard
-                .entries()
-                .filter(|(k, _)| self.owner.get(*k) == Some(&i))
-                .map(|(k, v)| (k.to_string(), v.to_vec()))
-                .collect();
-            if live.len() == shard.len() && live.len() >= tier_cap {
+            let n = live(i).count();
+            let settled = n == shard.len() && n >= tier_cap;
+            if settled || pending.iter().map(|p| p.1).sum::<usize>() + n > tier_cap {
+                flush(&mut pending, &mut new_sealed, &mut remap);
+            }
+            if settled {
                 // Settled and clean: keep the built graph, zero work.
-                flush(&mut pending, &mut pending_len, &mut new_sealed, &mut remap, self.dims, self.params);
                 remap[i] = new_sealed.len();
                 new_sealed.push(std::sync::Arc::clone(shard));
-                continue;
+            } else {
+                pending.push((i, n));
             }
-            if pending_len + live.len() > tier_cap {
-                flush(&mut pending, &mut pending_len, &mut new_sealed, &mut remap, self.dims, self.params);
-            }
-            pending_len += live.len();
-            pending.push((i, live));
         }
-        flush(&mut pending, &mut pending_len, &mut new_sealed, &mut remap, self.dims, self.params);
+        flush(&mut pending, &mut new_sealed, &mut remap);
         self.sealed = new_sealed;
         for loc in self.owner.values_mut() {
             *loc = remap[*loc];
@@ -545,20 +579,14 @@ impl ShardedHnsw {
 impl VectorIndex for ShardedHnsw {
     /// Adds (or replaces) a vector — O(doc) work against the bounded active
     /// shard regardless of total corpus size.
-    fn add(&mut self, key: &str, vector: Vec<f32>) -> Result<()> {
-        if vector.len() != self.dims {
-            return Err(ArynError::Index(format!(
-                "dimension mismatch: index {} vs vector {}",
-                self.dims,
-                vector.len()
-            )));
-        }
+    fn add_slice(&mut self, key: &str, vector: &[f32]) -> Result<()> {
+        self.active.arena.check(vector.len(), "vector")?;
         match self.owner.get(key) {
             Some(&ACTIVE_SHARD) => self.rebuild_active_without(key),
             Some(_) => self.dead += 1,
             None => {}
         }
-        self.active.add(key, vector)?;
+        self.active.add_slice(key, vector)?;
         self.owner.insert(key.to_string(), ACTIVE_SHARD);
         if self.shard_cap > 0 && self.active.len() >= self.shard_cap {
             self.seal_active();
@@ -567,13 +595,7 @@ impl VectorIndex for ShardedHnsw {
     }
 
     fn search(&self, query: &[f32], k: usize) -> Result<Vec<Neighbor>> {
-        if query.len() != self.dims {
-            return Err(ArynError::Index(format!(
-                "dimension mismatch: index {} vs query {}",
-                self.dims,
-                query.len()
-            )));
-        }
+        self.active.arena.check(query.len(), "query")?;
         // Over-fetch per shard by the stale-copy count so tombstone
         // filtering cannot starve the merged top-k.
         let fetch = k.saturating_add(self.dead);
@@ -788,6 +810,58 @@ mod tests {
         // Deterministic across identical rebuilds.
         let out2 = sharded.search(&[1.0, 0.05, 0.0, 0.0], 3).unwrap();
         assert_eq!(out, out2);
+    }
+
+    /// Seals as `seal_active` did before it relabelled only its own keys.
+    fn seal_walking_every_owner(ix: &mut ShardedHnsw) {
+        let idx = ix.sealed.len();
+        ix.owner.values_mut().filter(|loc| **loc == ACTIVE_SHARD).for_each(|loc| *loc = idx);
+        let frozen = std::mem::replace(&mut ix.active, HnswIndex::new(ix.dims, ix.params));
+        ix.sealed.push(std::sync::Arc::new(frozen));
+    }
+
+    #[test]
+    fn seals_relabel_exactly_like_a_full_owner_walk() {
+        let cap = 16;
+        let (mut fast, mut walked) = (ShardedHnsw::new(8, cap), ShardedHnsw::new(8, 0));
+        for (i, v) in random_vectors(5 * cap, 8, 17).iter().enumerate() {
+            // Every fifth add overwrites an older, mostly sealed key; every
+            // seventh step tombstones one.
+            let key = if i % 5 == 4 { format!("v{}", i / 2) } else { format!("v{i}") };
+            for ix in [&mut fast, &mut walked] {
+                ix.add_slice(&key, v).unwrap();
+                if i % 7 == 6 {
+                    ix.remove(&format!("v{}", i / 3));
+                }
+            }
+            if walked.active.len() >= cap {
+                seal_walking_every_owner(&mut walked);
+            }
+        }
+        assert!(fast.sealed_count() >= 4 && fast.dead() > 0);
+        assert_eq!((fast.sealed_count(), fast.dead()), (walked.sealed_count(), walked.dead()));
+        assert_eq!(fast.owner, walked.owner);
+        for q in random_vectors(10, 8, 19) {
+            assert_eq!(fast.search(&q, 10).unwrap(), walked.search(&q, 10).unwrap());
+        }
+    }
+
+    #[test]
+    fn generation_wrap_keeps_results_identical() {
+        let vecs = random_vectors(300, 16, 31);
+        let build = || {
+            let mut h = HnswIndex::with_dims(16);
+            vecs.iter().enumerate().for_each(|(i, v)| h.add_slice(&format!("v{i}"), v).unwrap());
+            h
+        };
+        let queries = random_vectors(10, 16, 33);
+        let want: Vec<_> = queries.iter().map(|q| build().search(q, 10).unwrap()).collect();
+        // Wrap in the middle of construction: stale stamps must not read as visited.
+        SCRATCH.with(|s| s.borrow_mut().generation = u32::MAX - 200);
+        let wrapped = build();
+        assert!(SCRATCH.with(|s| s.borrow().generation) < u32::MAX / 2, "the counter wrapped");
+        let got: Vec<_> = queries.iter().map(|q| wrapped.search(q, 10).unwrap()).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -361,7 +361,7 @@ impl DocSet {
         let mut kw = self.ctx.inner.keyword.write();
         let ix = kw.entry(name.to_string()).or_default();
         for d in &docs {
-            ix.add(d.id.0.clone(), &d.full_text());
+            ix.add(d.id.as_str(), &d.full_text());
         }
         Ok(docs.len())
     }
@@ -383,11 +383,10 @@ impl DocSet {
             .get_mut(name)
             .ok_or_else(|| ArynError::Index(format!("vector index {name:?} vanished mid-write")))?;
         for d in &docs {
-            let v = match &d.embedding {
-                Some(v) => v.clone(),
-                None => embedder.embed(&d.full_text()),
-            };
-            ix.add(d.id.as_str(), v)?;
+            match &d.embedding {
+                Some(v) => ix.add_slice(d.id.as_str(), v)?,
+                None => ix.add(d.id.as_str(), embedder.embed(&d.full_text()))?,
+            }
         }
         Ok(docs.len())
     }

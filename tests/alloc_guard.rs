@@ -1,12 +1,12 @@
-//! Allocation guard for the row plane (DESIGN.md "Data plane"): what a
-//! structured question and a semantic filter allocate, counted — nothing is
-//! timed. The binary installs a counting global allocator whose counters are
+//! Allocation guard for the row plane (DESIGN.md "Data plane") and the
+//! sidecar index adds (§5j): what a structured question, a semantic filter,
+//! one HNSW insert and one BM25 insert allocate, counted — nothing is timed. The binary installs a counting global allocator whose counters are
 //! per thread, and both checks run single-threaded (`exec` workers = 1), so
 //! the numbers repeat exactly and other tests' threads cannot disturb them.
 
 use aryn::prelude::*;
 use aryn_docgen::stream::extracted_document;
-use aryn_index::DocStore;
+use aryn_index::{DocStore, HnswIndex, KeywordIndex, VectorIndex};
 use luna::{Plan, PlanNode, PlanOp};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -17,6 +17,8 @@ thread_local! {
     static BYTES: Cell<u64> = const { Cell::new(0) };
     /// Blocks this thread allocated with exactly [`row_block`]'s layout.
     static ROW_BLOCKS: Cell<u64> = const { Cell::new(0) };
+    /// Blocks this thread allocated or regrew (`alloc` + `realloc` calls).
+    static BLOCKS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// The heap cell of an `Arc<Document>`: two reference counts, then the
@@ -36,6 +38,7 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         BYTES.with(|b| b.set(b.get() + layout.size() as u64));
+        BLOCKS.with(|n| n.set(n.get() + 1));
         if layout == row_block() {
             ROW_BLOCKS.with(|n| n.set(n.get() + 1));
         }
@@ -50,6 +53,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         BYTES.with(|b| b.set(b.get() + new_size.saturating_sub(layout.size()) as u64));
+        BLOCKS.with(|n| n.set(n.get() + 1));
         // SAFETY: `ptr` came from `System` with this layout.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -63,6 +67,13 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
     let (b0, r0) = (BYTES.with(Cell::get), ROW_BLOCKS.with(Cell::get));
     let out = f();
     (out, BYTES.with(Cell::get) - b0, ROW_BLOCKS.with(Cell::get) - r0)
+}
+
+/// Blocks this thread allocated or regrew while `f` ran.
+fn blocks(f: impl FnOnce()) -> u64 {
+    let before = BLOCKS.with(Cell::get);
+    f();
+    BLOCKS.with(Cell::get) - before
 }
 
 fn ntsb_context(n: usize) -> Context {
@@ -127,4 +138,51 @@ fn llm_filter_copies_kept_rows_only() {
     // A kept row gets a lineage record, so it is copied once; a rejected row
     // is read through the snapshot's pointer and dropped.
     assert_eq!(row_blocks, kept.len() as u64, "document copies != kept rows");
+}
+
+#[test]
+fn one_hnsw_add_allocates_a_handful_of_blocks() {
+    let ctx = Context::new();
+    let vectors: Vec<Vec<f32>> =
+        Corpus::ntsb(11, 520).docs.iter().map(|d| ctx.embedder().embed(&extracted_document(d).full_text())).collect();
+    assert_eq!(vectors[0].len(), 256);
+    let mut index = HnswIndex::with_dims(256);
+    for (i, v) in vectors.iter().enumerate().take(500) {
+        index.add_slice(&format!("doc-{i}"), v).unwrap();
+    }
+    // Measured: 6 to 13 blocks per add (99 to 142 at the parent commit): the
+    // key, the level hash's label, the new node's link lists doubling up to
+    // 24 entries, now and then a neighbour's list or the arena growing. No
+    // search state: visited stamps, candidate heap, result list and prune
+    // buffer are the thread's scratch, warm by now. (The parent allocated a
+    // hash set's growth chain and a result vector per layer search, and two
+    // vector copies and a sort buffer per prune.)
+    for (i, v) in vectors.iter().enumerate().skip(500) {
+        let key = format!("doc-{i}");
+        let n = blocks(|| index.add_slice(&key, v).unwrap());
+        assert!(n <= 16, "add #{i} allocated {n} blocks");
+    }
+}
+
+#[test]
+fn one_keyword_add_allocates_no_more_than_its_tokens_and_terms() {
+    let docs = Corpus::ntsb(11, 40).docs;
+    let mut index = KeywordIndex::new();
+    for d in &docs {
+        let text: String = extracted_document(d).full_text().split_whitespace().take(200).collect::<Vec<_>>().join(" ");
+        let tokens = aryn_core::text::tokenize(&text);
+        let mut terms = aryn_core::text::analyze(&text);
+        terms.sort_unstable();
+        terms.dedup();
+        assert!(tokens.len() >= 150, "{} tokens", tokens.len());
+        let n = blocks(|| index.add(d.id.as_str(), &text));
+        // One block per token (stopwords too: the tokenizer makes them before
+        // the analyzer drops them), at most a new postings list per distinct
+        // term, and a constant for map nodes, the key's two copies and the
+        // growth of the token vector and buffer. Measured: 298 into the empty
+        // index (179 tokens, 91 terms), then 196 to 272; the parent's
+        // per-token clone into a frequency map made it 506 to 606.
+        let bound = (tokens.len() + terms.len() + 32) as u64;
+        assert!(n <= bound, "{n} blocks for {} tokens and {} distinct terms", tokens.len(), terms.len());
+    }
 }
