@@ -16,15 +16,16 @@
 //! fraction of the in-flight bytes — exactly the torn-tail shapes a real
 //! power cut produces — and the handle is poisoned so later ops fail.
 //!
-//! [`crc32`] plus the tagged-record helpers ([`encode_record`] /
-//! [`decode_record`] / [`encode_tagged_file`] / [`decode_tagged_file`])
-//! define the one on-disk framing all components share: one record per
-//! line, `"<tag> <crc32:08x> <payload>"`, with a count-bearing `e` footer
-//! for whole-file formats so truncation is always detectable.
+//! [`crc32`] checksums every persisted record. Binary data (WAL records,
+//! sealed segments, materialize checkpoints) travels in frames,
+//! `[tag u8][len u32 LE][crc32 u32 LE][payload]`, the CRC covering tag,
+//! length and payload ([`encode_frame_with`] / [`decode_frame`]); whole-file
+//! formats end in a count-bearing `e` footer frame ([`finish_frame_file`] /
+//! [`decode_frame_file`]) so truncation is always detectable. Text lines (the store manifest, LLM cache lines) use
+//! [`encode_record`] / [`decode_record`]: `"<tag> <crc32:08x> <payload>"`.
 
 use crate::{ArynError, Result};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -106,29 +107,118 @@ pub fn tmp_path(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
+/// Slice-by-8 tables: `T[0]` is the byte-wise CRC table, `T[k][i]` is
+/// `i`'s CRC advanced by `k` further zero bytes.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    /// One byte through the register, bit by bit.
+    const fn byte(mut c: u32) -> u32 {
         let mut k = 0;
         while k < 8 {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        c
+    }
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let (mut c, mut k) = (byte(i as u32), 0);
+        while k < 8 {
+            t[k][i] = c;
+            c = (c >> 8) ^ byte(c & 0xFF);
+            k += 1;
+        }
         i += 1;
     }
-    table
+    t
 };
 
-/// CRC-32 (IEEE), the per-record checksum of every persisted line.
+/// CRC-32 (IEEE), the checksum of every persisted record.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    !crc32_update(!0, bytes)
+}
+
+/// Advances a (pre-inverted) CRC register over `bytes`: eight bytes per
+/// step through the slice-by-8 tables, the tail byte by byte.
+fn crc32_update(mut c: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let (chunks, tail) = bytes.as_chunks::<8>();
+    for chunk in chunks {
+        let x = u64::from_le_bytes(*chunk) ^ u64::from(c);
+        c = (0..8).fold(0, |acc, k| acc ^ t[7 - k][(x >> (8 * k)) as usize & 0xFF]);
     }
-    c ^ 0xFFFF_FFFF
+    for &b in tail {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c
+}
+
+/// Bytes before a frame's payload: tag, length, CRC.
+const FRAME_HEADER: usize = 9;
+
+/// A frame's checksum: the CRC-32 of its tag, length and payload.
+fn frame_crc(tag_len: &[u8], payload: &[u8]) -> u32 {
+    !crc32_update(crc32_update(!0, tag_len), payload)
+}
+
+/// Appends one frame whose payload `fill` writes straight into `out`; the
+/// header is patched in afterwards, so nothing is staged. On `Err` (from
+/// `fill`, or a payload over `u32::MAX` bytes) `out` is left as it was.
+pub fn encode_frame_with(out: &mut Vec<u8>, tag: u8, fill: impl FnOnce(&mut Vec<u8>) -> Result<()>) -> Result<()> {
+    let start = out.len();
+    out.extend_from_slice(&[tag, 0, 0, 0, 0, 0, 0, 0, 0]);
+    let len = fill(out).and_then(|()| {
+        u32::try_from(out.len() - start - FRAME_HEADER).map_err(|_| ArynError::Io("frame payload over 4 GiB".into()))
+    });
+    let len = len.inspect_err(|_| out.truncate(start))?;
+    out[start + 1..start + 5].copy_from_slice(&len.to_le_bytes());
+    let crc = frame_crc(&out[start..start + 5], &out[start + FRAME_HEADER..]);
+    out[start + 5..start + FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
+    Ok(())
+}
+
+/// Appends one frame carrying `payload`.
+pub fn encode_frame(out: &mut Vec<u8>, tag: u8, payload: &[u8]) -> Result<()> {
+    encode_frame_with(out, tag, |o| {
+        o.extend_from_slice(payload);
+        Ok(())
+    })
+}
+
+/// Splits the frame at the head of `bytes` into `(tag, payload, rest)`;
+/// `None` when the head is torn (short header or payload) or corrupt (CRC
+/// mismatch anywhere in tag, length or payload).
+pub fn decode_frame(bytes: &[u8]) -> Option<(u8, &[u8], &[u8])> {
+    let (header, body) = bytes.split_at_checked(FRAME_HEADER)?;
+    let len = u32::from_le_bytes([header[1], header[2], header[3], header[4]]);
+    let crc = u32::from_le_bytes([header[5], header[6], header[7], header[8]]);
+    let (payload, rest) = body.split_at_checked(usize::try_from(len).ok()?)?;
+    (frame_crc(&header[..5], payload) == crc).then_some((header[0], payload, rest))
+}
+
+/// Closes a frame file holding `count` record frames with the `e` footer
+/// frame (payload: the count, u64 LE).
+pub fn finish_frame_file(out: &mut Vec<u8>, count: usize) -> Result<()> {
+    encode_frame(out, b'e', &(count as u64).to_le_bytes())
+}
+
+/// Decodes a frame file into its `(tag, payload)` records, verifying every
+/// CRC and the footer count. Any tear, bit-flip, missing footer or byte
+/// after the footer is `Err`.
+pub fn decode_frame_file(mut bytes: &[u8]) -> Result<Vec<(u8, &[u8])>> {
+    let mut records = Vec::new();
+    while let Some((tag, payload, rest)) = decode_frame(bytes) {
+        bytes = rest;
+        if tag == b'e' {
+            let count = <[u8; 8]>::try_from(payload).ok().map(u64::from_le_bytes);
+            if bytes.is_empty() && count == Some(records.len() as u64) {
+                return Ok(records);
+            }
+            break;
+        }
+        records.push((tag, payload));
+    }
+    Err(ArynError::Io("frame file: torn, corrupt, or footer mismatch".into()))
 }
 
 /// Frames one record line: `"<tag> <crc32:08x> <payload>"` (no newline).
@@ -159,50 +249,6 @@ fn truncate_for_err(line: &str) -> &str {
         .map(|(i, _)| i)
         .unwrap_or(line.len());
     &line[..cut]
-}
-
-/// Serializes tagged records as checksummed lines plus an `e` footer
-/// carrying the record count, so a truncated file never decodes cleanly.
-pub fn encode_tagged_file(records: &[(char, String)]) -> String {
-    let mut out = String::new();
-    for (tag, payload) in records {
-        let _ = writeln!(out, "{}", encode_record(*tag, payload));
-    }
-    let _ = writeln!(out, "{}", encode_record('e', &records.len().to_string()));
-    out
-}
-
-/// Decodes a file written by [`encode_tagged_file`], verifying every line
-/// CRC and the footer count. Any tear, bit-flip, or missing footer is `Err`.
-pub fn decode_tagged_file(text: &str) -> Result<Vec<(char, String)>> {
-    let mut records = Vec::new();
-    let mut footer: Option<usize> = None;
-    for line in text.lines() {
-        if line.is_empty() {
-            continue;
-        }
-        if footer.is_some() {
-            return Err(ArynError::Io("data after footer".into()));
-        }
-        let (tag, payload) = decode_record(line)?;
-        if tag == 'e' {
-            footer = Some(
-                payload
-                    .parse::<usize>()
-                    .map_err(|_| ArynError::Io(format!("bad footer count {payload:?}")))?,
-            );
-        } else {
-            records.push((tag, payload.to_string()));
-        }
-    }
-    match footer {
-        Some(n) if n == records.len() => Ok(records),
-        Some(n) => Err(ArynError::Io(format!(
-            "footer count {n} != {} records",
-            records.len()
-        ))),
-        None => Err(ArynError::Io("missing footer (truncated file)".into())),
-    }
 }
 
 fn io_err(path: &Path, e: std::io::Error) -> ArynError {
@@ -800,21 +846,56 @@ mod tests {
     }
 
     #[test]
-    fn tagged_file_detects_truncation_and_counts() {
-        let recs = vec![('s', "{\"a\":1}".to_string()), ('t', "\"b\"".to_string())];
-        let text = encode_tagged_file(&recs);
-        assert_eq!(decode_tagged_file(&text).unwrap(), recs);
-        // Drop the footer: truncated.
-        let torn: String = text.lines().take(2).map(|l| format!("{l}\n")).collect();
-        assert!(decode_tagged_file(&torn).is_err());
-        // Drop a record but keep the footer: count mismatch.
-        let missing: String = text
-            .lines()
-            .enumerate()
-            .filter(|(i, _)| *i != 1)
-            .map(|(_, l)| format!("{l}\n"))
-            .collect();
-        assert!(decode_tagged_file(&missing).is_err());
+    fn frame_roundtrip_and_torn_detection() {
+        let mut buf = Vec::new();
+        encode_frame(&mut buf, b'p', b"payload").unwrap();
+        encode_frame(&mut buf, b'd', b"").unwrap();
+        let (tag, payload, rest) = decode_frame(&buf).unwrap();
+        assert_eq!((tag, payload), (b'p', &b"payload"[..]));
+        assert_eq!(decode_frame(rest), Some((b'd', &b""[..], &b""[..])));
+        // Every strict prefix of the first frame is torn; a flipped payload
+        // bit fails the CRC.
+        for cut in 0..FRAME_HEADER + 7 {
+            assert_eq!(decode_frame(&buf[..cut]), None, "cut at {cut}");
+        }
+        // The CRC covers tag, length and payload: any flipped byte fails.
+        for at in 0..FRAME_HEADER + 7 {
+            let mut bad = buf.clone();
+            bad[at] ^= 1;
+            assert_eq!(decode_frame(&bad), None, "flip at {at}");
+        }
+        // A failing fill leaves the buffer untouched.
+        let mut out = b"keep".to_vec();
+        let err = encode_frame_with(&mut out, b'p', |o| {
+            o.extend_from_slice(b"half");
+            Err(ArynError::Io("no".into()))
+        });
+        assert!(err.is_err());
+        assert_eq!(out, b"keep");
+    }
+
+    #[test]
+    fn frame_file_detects_truncation_and_counts() {
+        let mut file = Vec::new();
+        encode_frame(&mut file, b's', b"one").unwrap();
+        let first = file.len();
+        encode_frame(&mut file, b't', b"two").unwrap();
+        let records = file.len();
+        finish_frame_file(&mut file, 2).unwrap();
+        let want: Vec<(u8, &[u8])> = vec![(b's', b"one"), (b't', b"two")];
+        assert_eq!(decode_frame_file(&file).unwrap(), want);
+        // Any truncation, the footer's included, is an error.
+        for cut in 0..file.len() {
+            assert!(decode_frame_file(&file[..cut]).is_err(), "cut at {cut}");
+        }
+        // A dropped record under an intact footer: count mismatch.
+        let mut missing = file[..first].to_vec();
+        missing.extend_from_slice(&file[records..]);
+        assert!(decode_frame_file(&missing).is_err());
+        // Trailing bytes after the footer.
+        let mut trailing = file.clone();
+        trailing.push(0);
+        assert!(decode_frame_file(&trailing).is_err());
     }
 
     #[test]

@@ -4,7 +4,8 @@ use aryn_core::bbox::BBox;
 use aryn_core::ids::stable_hash;
 use aryn_core::json;
 use aryn_core::text;
-use aryn_core::Value;
+use aryn_core::{serialize, vfs};
+use aryn_core::{Cell, DocContent, Document, Element, ElementType, ImageInfo, LineageRecord, Table, Value};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -97,6 +98,168 @@ mod reference {
         }
         t.to_string()
     }
+}
+
+/// Floats by raw bits: NaNs with payloads, infinities, `-0.0`, subnormals.
+fn f64_bits() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        any::<u64>().prop_map(f64::from_bits),
+        Just(-0.0),
+        Just(f64::NAN),
+        prop::num::f64::NORMAL,
+    ]
+}
+
+fn f32_bits() -> impl Strategy<Value = f32> {
+    prop_oneof![any::<u32>().prop_map(f32::from_bits), Just(-0.0f32), Just(0.5f32)]
+}
+
+/// Unicode and empty strings.
+const TEXT: &str = "[a-zA-Z0-9 _\\-\"\n\t\u{00e9}\u{4e16}\u{2014}]{0,12}";
+
+/// Values of every kind, floats by bits (so NaN and `-0.0` too), an `Int`
+/// and the `Float` of the same number both reachable.
+fn any_value() -> impl Strategy<Value = Value> {
+    let leaf = prop_oneof![
+        Just(Value::Null),
+        any::<bool>().prop_map(Value::Bool),
+        any::<i64>().prop_map(Value::Int),
+        (-3i64..3).prop_map(|i| Value::Float(i as f64)),
+        f64_bits().prop_map(Value::Float),
+        TEXT.prop_map(Value::Str),
+    ];
+    leaf.prop_recursive(3, 32, 4, |inner| {
+        prop_oneof![
+            prop::collection::vec(inner.clone(), 0..4).prop_map(Value::Array),
+            prop::collection::btree_map(TEXT, inner, 0..4).prop_map(Value::Object),
+        ]
+    })
+}
+
+fn any_bbox() -> impl Strategy<Value = Option<BBox>> {
+    prop::option::of((f32_bits(), f32_bits(), f32_bits(), f32_bits()))
+        .prop_map(|b| b.map(|(x0, y0, x1, y1)| BBox { x0, y0, x1, y1 }))
+}
+
+fn any_element() -> impl Strategy<Value = Element> {
+    let cell = (any::<usize>(), any::<usize>(), TEXT, any_bbox(), any::<bool>())
+        .prop_map(|(row, col, text, bbox, is_header)| Cell { row, col, text, bbox, is_header });
+    let table = (any::<usize>(), any::<usize>(), any::<usize>(), prop::option::of(TEXT), prop::collection::vec(cell, 0..3))
+        .prop_map(|(rows, cols, header_rows, caption, cells)| Table { rows, cols, header_rows, caption, cells });
+    let image = (TEXT, any::<u32>(), any::<u32>(), prop::option::of(TEXT), prop::option::of(TEXT)).prop_map(
+        |(format, width_px, height_px, summary, ocr_text)| ImageInfo { format, width_px, height_px, summary, ocr_text },
+    );
+    let parts = (TEXT, any::<usize>(), any_bbox(), f32_bits(), prop::option::of(table), prop::option::of(image));
+    (0usize..ElementType::ALL.len(), parts, any_value()).prop_map(
+        |(t, (text, page, bbox, confidence, table, image), properties)| Element {
+            etype: ElementType::ALL[t],
+            text,
+            page,
+            bbox,
+            confidence,
+            table,
+            image,
+            properties,
+        },
+    )
+}
+
+fn any_document() -> impl Strategy<Value = Document> {
+    let lineage = (TEXT, TEXT, prop::collection::vec(TEXT, 0..3), any::<u32>(), f64_bits()).prop_map(
+        |(transform, detail, sources, llm_calls, cost_usd)| LineageRecord { transform, detail, sources, llm_calls, cost_usd },
+    );
+    let content = prop_oneof![
+        Just(DocContent::None),
+        TEXT.prop_map(DocContent::Text),
+        prop::collection::vec(any::<u8>(), 0..16).prop_map(DocContent::Binary),
+    ];
+    (
+        TEXT,
+        any_value(),
+        content,
+        prop::collection::vec(any_element(), 0..3),
+        prop::collection::vec(lineage, 0..3),
+        prop::option::of(prop::collection::vec(f32_bits(), 0..6)),
+    )
+        .prop_map(|(id, properties, content, elements, lineage, embedding)| Document {
+            id: id.into(),
+            properties,
+            content,
+            elements,
+            lineage,
+            embedding,
+        })
+}
+
+fn encode(d: &Document) -> Vec<u8> {
+    let mut out = Vec::new();
+    serialize::encode_document(d, &mut out).expect("encodable");
+    out
+}
+
+/// CRC-32 bit by bit, the reference for the slice-by-8 tables.
+fn crc32_bytewise(bytes: &[u8]) -> u32 {
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        c ^= u32::from(b);
+        for _ in 0..8 {
+            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+        }
+    }
+    !c
+}
+
+/// `n` arrays nested around a `Null`.
+fn nested(n: usize) -> Value {
+    (0..n).fold(Value::Null, |v, _| Value::Array(vec![v]))
+}
+
+#[test]
+fn crc32_slice_by_8_equals_the_bytewise_loop_on_every_short_length() {
+    let data: Vec<u8> = (0..200u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+    for len in 0..=64 {
+        for start in [0, 1, 3, 7] {
+            let s = &data[start..start + len];
+            assert_eq!(vfs::crc32(s), crc32_bytewise(s), "len {len} at offset {start}");
+        }
+    }
+    assert_eq!(vfs::crc32(b"123456789"), 0xCBF4_3926);
+}
+
+#[test]
+fn forged_lengths_are_errors_not_allocations() {
+    // A document of id "x", null properties and no content, then a field
+    // whose length claims four billion items: decoding must refuse before
+    // reserving room for them (a `Vec` of u32::MAX elements would abort).
+    let head = |tail: &[u8]| {
+        let mut b = vec![1, 0, 0, 0, b'x', 0, 0];
+        b.extend_from_slice(tail);
+        b
+    };
+    let forged = u32::MAX.to_le_bytes();
+    let mut cases = vec![forged.to_vec()];
+    cases.push(head(&forged)); // element count
+    cases.push(head(&[0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF])); // lineage count
+    cases.push(head(&[0, 0, 0, 0, 0, 0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0x7F])); // embedding length
+    cases.push(vec![1, 0, 0, 0, b'x', 5, 0xFF, 0xFF, 0xFF, 0xFF]); // array length
+    cases.push(vec![1, 0, 0, 0, b'x', 0, 2, 0xFF, 0xFF, 0xFF, 0xFF]); // binary content
+    for bytes in &cases {
+        assert!(serialize::decode_document(bytes).is_err(), "{bytes:?}");
+    }
+}
+
+#[test]
+fn nesting_past_the_depth_limit_is_an_error() {
+    let at_limit = Document { properties: nested(serialize::MAX_DEPTH), ..Document::new("deep") };
+    let bytes = encode(&at_limit);
+    assert_eq!(serialize::decode_document(&bytes).expect("at the limit"), at_limit);
+    let too_deep = Document { properties: nested(serialize::MAX_DEPTH + 1), ..Document::new("deep") };
+    assert!(serialize::encode_document(&too_deep, &mut Vec::new()).is_err());
+    // The same bytes forged by hand: one more array header in front.
+    let mut forged = bytes[..8].to_vec();
+    forged.extend_from_slice(&[5, 1, 0, 0, 0]);
+    forged.extend_from_slice(&bytes[8..]);
+    assert!(serialize::decode_document(&forged).is_err());
 }
 
 fn assert_analysis_frozen(s: &str) {
@@ -276,6 +439,66 @@ proptest! {
         prop_assert_eq!(stable_hash(seed, &[&a, &b]), stable_hash(seed, &[&a, &b]));
     }
 
+    #[test]
+    fn crc32_slice_by_8_equals_the_bytewise_loop(bytes in prop::collection::vec(any::<u8>(), 0..600), skip in 0usize..9) {
+        let s = &bytes[skip.min(bytes.len())..];
+        prop_assert_eq!(vfs::crc32(s), crc32_bytewise(s));
+    }
+
+    #[test]
+    fn documents_roundtrip_exactly(d in any_document()) {
+        let bytes = encode(&d);
+        let back = serialize::decode_document(&bytes).expect("decodes");
+        // Floats travel as bits, so the re-encoding is byte-identical even
+        // where NaN makes `==` false.
+        prop_assert_eq!(encode(&back), bytes);
+        if d == d {
+            prop_assert_eq!(back, d);
+        }
+    }
+
+    #[test]
+    fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..200)) {
+        if let Ok(d) = serialize::decode_document(&bytes) {
+            prop_assert_eq!(serialize::decode_document(&encode(&d)).map(|b| encode(&b)), Ok(encode(&d)));
+        }
+        prop_assert!(vfs::decode_frame_file(&bytes).is_err());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn truncated_and_mutated_encodings_never_panic(d in any_document(), flip in 1u8..=255) {
+        let bytes = encode(&d);
+        let mut frame = Vec::new();
+        vfs::encode_frame(&mut frame, b'p', &bytes).expect("framed");
+        for cut in 0..bytes.len() {
+            prop_assert!(serialize::decode_document(&bytes[..cut]).is_err(), "cut at {}", cut);
+        }
+        for cut in 0..frame.len() {
+            prop_assert!(vfs::decode_frame(&frame[..cut]).is_none(), "frame cut at {}", cut);
+        }
+        for at in 0..bytes.len() {
+            let mut bad = bytes.clone();
+            bad[at] ^= flip;
+            // A flipped text byte can still be a valid document; whatever
+            // decodes is one the codec round-trips.
+            if let Ok(m) = serialize::decode_document(&bad) {
+                prop_assert_eq!(serialize::decode_document(&encode(&m)).map(|b| encode(&b)), Ok(encode(&m)));
+            }
+        }
+        for at in 0..frame.len() {
+            // Framed, every single-byte mutation is caught by the CRC.
+            let mut bad = frame.clone();
+            bad[at] ^= flip;
+            prop_assert!(vfs::decode_frame(&bad).is_none(), "frame flip at {}", at);
+        }
+    }
+}
+
+proptest! {
     #[test]
     fn sentences_preserve_nonspace_content(s in "[a-zA-Z .!?]{0,200}") {
         let joined: String = text::sentences(&s).join(" ");

@@ -297,6 +297,11 @@ type Layer = BTreeMap<String, Option<Arc<Document>>>;
 /// current WAL, checksummed per-record.
 const MANIFEST: &str = "MANIFEST";
 
+/// The on-disk format the manifest declares: binary frames of
+/// [`aryn_core::serialize::encode_document`] records. A manifest without
+/// it (the JSON-line stores) or with another value is refused at open.
+const FORMAT: i64 = 2;
+
 fn seg_name(id: u64) -> String {
     format!("seg-{id:06}.seg")
 }
@@ -314,16 +319,16 @@ struct Durable {
     fsync: bool,
     /// Rotates on every seal; the manifest names the live sequence.
     wal_seq: u64,
+    /// The live WAL's path (`wal_seq`'s file).
+    wal: PathBuf,
     /// Set when an append failed and the WAL tail may be torn; the log is
     /// atomically rewritten from the memtable before the next append.
     wal_dirty: bool,
+    /// The record being appended, reused so a put stages nothing.
+    frame: Vec<u8>,
 }
 
 impl Durable {
-    fn wal_path(&self) -> PathBuf {
-        self.dir.join(wal_name(self.wal_seq))
-    }
-
     fn seg_path(&self, id: u64) -> PathBuf {
         self.dir.join(seg_name(id))
     }
@@ -343,75 +348,54 @@ fn write_manifest(
         ),
         ("wal".to_string(), Value::Int(wal_seq as i64)),
         ("next_segment".to_string(), Value::Int(next_segment as i64)),
+        ("format".to_string(), Value::Int(FORMAT)),
     ])));
     let line = format!("{}\n", vfs::encode_record('m', &payload));
     vfs::atomic_write(fs, &dir.join(MANIFEST), line.as_bytes())
 }
 
-/// Serializes a layer as tagged records: `s` per document, `t` per
-/// tombstone (payload = the shadowed id as a JSON string).
-fn layer_records(layer: &Layer) -> Vec<(char, String)> {
-    layer
-        .iter()
-        .map(|(id, entry)| match entry {
-            Some(doc) => (
-                's',
-                aryn_core::json::to_string(&aryn_core::serialize::document_to_value(doc)),
-            ),
-            None => ('t', aryn_core::json::to_string(&Value::from(id.as_str()))),
-        })
-        .collect()
+/// A memtable's state as WAL records: `p` + the encoded document per entry,
+/// `d` + the id's bytes per tombstone. Repairs a possibly-torn WAL tail, and
+/// with the count footer it is a sealed segment file.
+fn wal_bytes_for(layer: &Layer) -> Result<Vec<u8>> {
+    let mut out = Vec::new();
+    for (id, entry) in layer {
+        match entry {
+            Some(doc) => vfs::encode_frame_with(&mut out, b'p', |o| aryn_core::serialize::encode_document(doc, o))?,
+            None => vfs::encode_frame(&mut out, b'd', id.as_bytes())?,
+        }
+    }
+    Ok(out)
 }
 
-/// WAL text equivalent to a memtable's state: `p` records for documents,
-/// `d` records for tombstones. Used to repair a possibly-torn tail.
-fn wal_text_for(layer: &Layer) -> String {
-    let mut out = String::new();
-    for (id, entry) in layer {
-        let line = match entry {
-            Some(doc) => vfs::encode_record(
-                'p',
-                &aryn_core::json::to_string(&aryn_core::serialize::document_to_value(doc)),
-            ),
-            None => vfs::encode_record(
-                'd',
-                &aryn_core::json::to_string(&Value::from(id.as_str())),
-            ),
-        };
-        out.push_str(&line);
-        out.push('\n');
-    }
-    out
+fn segment_bytes(layer: &Layer) -> Result<Vec<u8>> {
+    let mut out = wal_bytes_for(layer)?;
+    vfs::finish_frame_file(&mut out, layer.len())?;
+    Ok(out)
+}
+
+fn id_from(payload: &[u8]) -> Result<&str> {
+    std::str::from_utf8(payload).map_err(|_| ArynError::Io("record id is not utf-8".into()))
 }
 
 fn load_segment(fs: &dyn Vfs, dir: &Path, id: u64) -> Result<Layer> {
     let path = dir.join(seg_name(id));
-    let text = vfs::read_to_string(fs, &path)?;
-    let mut docs: Layer = BTreeMap::new();
-    for (tag, payload) in vfs::decode_tagged_file(&text)? {
-        match tag {
-            's' => {
-                let d = aryn_core::serialize::document_from_value(&aryn_core::json::parse(
-                    &payload,
-                )?)?;
-                docs.insert(d.id.0.clone(), Some(Arc::new(d)));
+    let bytes = fs.read(&path)?;
+    vfs::decode_frame_file(&bytes)?
+        .into_iter()
+        .map(|(tag, payload)| match tag {
+            b'p' => {
+                let d = aryn_core::serialize::decode_document(payload)?;
+                Ok((d.id.0.clone(), Some(Arc::new(d))))
             }
-            't' => {
-                let id = aryn_core::json::parse(&payload)?;
-                let id = id
-                    .as_str()
-                    .ok_or_else(|| ArynError::Io(format!("bad tombstone {payload:?}")))?;
-                docs.insert(id.to_string(), None);
-            }
-            other => {
-                return Err(ArynError::Io(format!(
-                    "{}: unexpected record tag {other:?}",
-                    path.display()
-                )))
-            }
-        }
-    }
-    Ok(docs)
+            b'd' => Ok((id_from(payload)?.to_string(), None)),
+            other => Err(ArynError::Io(format!(
+                "{}: unexpected record tag {:?}",
+                path.display(),
+                char::from(other)
+            ))),
+        })
+        .collect()
 }
 
 /// A named collection of documents (LSM-segmented; see module docs).
@@ -515,13 +499,9 @@ impl DocStore {
     /// [`WalConfig`]) *before* memory mutates, so `Ok` means the write
     /// survives a crash; `Err` means it was never applied.
     pub fn try_put(&mut self, doc: Document) -> Result<()> {
-        if self.durable.is_some() {
-            let payload =
-                aryn_core::json::to_string(&aryn_core::serialize::document_to_value(&doc));
-            if let Err(e) = self.wal_append('p', &payload) {
-                self.stats.io_errors += 1;
-                return Err(e);
-            }
+        if let Err(e) = self.wal_append(b'p', |o| aryn_core::serialize::encode_document(&doc, o)) {
+            self.stats.io_errors += 1;
+            return Err(e);
         }
         self.apply_put(doc);
         if self.config.seal_threshold > 0 && self.mem.len() >= self.config.seal_threshold {
@@ -548,28 +528,28 @@ impl DocStore {
         self.seq += 1;
     }
 
-    /// Appends one checksummed record to the WAL, repairing a torn tail
-    /// first if a previous append failed mid-write.
-    fn wal_append(&mut self, tag: char, payload: &str) -> Result<()> {
+    /// Appends one checksummed frame, whose payload `fill` writes, to the
+    /// WAL (no-op on in-memory stores), repairing a torn tail first if a
+    /// previous append failed mid-write.
+    fn wal_append(&mut self, tag: u8, fill: impl FnOnce(&mut Vec<u8>) -> Result<()>) -> Result<()> {
         let Some(d) = self.durable.as_mut() else {
             return Ok(());
         };
         if d.wal_dirty {
             // State-equivalent rewrite: the memtable already reflects every
             // acked record, so an atomic dump of it repairs the tail.
-            vfs::atomic_write(&d.vfs, &d.wal_path(), wal_text_for(&self.mem).as_bytes())?;
+            vfs::atomic_write(&d.vfs, &d.wal, &wal_bytes_for(&self.mem)?)?;
             d.wal_dirty = false;
         }
-        let line = format!("{}\n", vfs::encode_record(tag, payload));
-        if let Err(e) = d.vfs.append(&d.wal_path(), line.as_bytes()) {
-            d.wal_dirty = true;
-            return Err(e);
+        d.frame.clear();
+        vfs::encode_frame_with(&mut d.frame, tag, fill)?;
+        let mut io = d.vfs.append(&d.wal, &d.frame);
+        if io.is_ok() && d.fsync {
+            io = d.vfs.sync(&d.wal);
         }
-        if d.fsync {
-            if let Err(e) = d.vfs.sync(&d.wal_path()) {
-                d.wal_dirty = true;
-                return Err(e);
-            }
+        if io.is_err() {
+            d.wal_dirty = true;
+            return io;
         }
         self.stats.wal_appends += 1;
         Ok(())
@@ -591,12 +571,13 @@ impl DocStore {
         if layered_lookup(&self.mem, &self.segments, id).is_none() {
             return Ok(false);
         }
-        if self.durable.is_some() {
-            let payload = aryn_core::json::to_string(&Value::from(id));
-            if let Err(e) = self.wal_append('d', &payload) {
-                self.stats.io_errors += 1;
-                return Err(e);
-            }
+        let appended = self.wal_append(b'd', |o| {
+            o.extend_from_slice(id.as_bytes());
+            Ok(())
+        });
+        if let Err(e) = appended {
+            self.stats.io_errors += 1;
+            return Err(e);
         }
         self.apply_delete(id);
         Ok(true)
@@ -640,18 +621,14 @@ impl DocStore {
         }
         if let Some(d) = self.durable.as_mut() {
             let seg_id = self.next_segment;
-            vfs::atomic_write(
-                &d.vfs,
-                &d.seg_path(seg_id),
-                vfs::encode_tagged_file(&layer_records(&self.mem)).as_bytes(),
-            )?;
+            vfs::atomic_write(&d.vfs, &d.seg_path(seg_id), &segment_bytes(&self.mem)?)?;
             let mut ids: Vec<u64> = self.segments.iter().map(|s| s.id).collect();
             ids.push(seg_id);
             let new_wal = d.wal_seq + 1;
             write_manifest(&d.vfs, &d.dir, &ids, new_wal, seg_id + 1)?;
             // The seal is durable; the superseded WAL is garbage (recovery
             // sweeps it if this remove never runs).
-            let old = d.wal_path();
+            let old = std::mem::replace(&mut d.wal, d.dir.join(wal_name(new_wal)));
             d.wal_seq = new_wal;
             d.wal_dirty = false;
             let _ = d.vfs.remove(&old);
@@ -710,11 +687,7 @@ impl DocStore {
             if merged.is_empty() {
                 write_manifest(&d.vfs, &d.dir, &[], d.wal_seq, new_id)?;
             } else {
-                vfs::atomic_write(
-                    &d.vfs,
-                    &d.seg_path(new_id),
-                    vfs::encode_tagged_file(&layer_records(&merged)).as_bytes(),
-                )?;
+                vfs::atomic_write(&d.vfs, &d.seg_path(new_id), &segment_bytes(&merged)?)?;
                 write_manifest(&d.vfs, &d.dir, &[new_id], d.wal_seq, new_id + 1)?;
             }
             for seg in &self.segments {
@@ -1043,6 +1016,15 @@ impl DocStore {
                 )));
             }
             let v = aryn_core::json::parse(payload)?;
+            // Refuse a foreign format before touching anything: replaying
+            // it would read every record as a torn tail and truncate it.
+            let format = v.get("format").and_then(Value::as_int);
+            if format != Some(FORMAT) {
+                return Err(ArynError::Io(format!(
+                    "{}: store format {format:?}, this build reads {FORMAT}",
+                    manifest_path.display()
+                )));
+            }
             let seg_ids: Vec<u64> = v
                 .get("segments")
                 .and_then(Value::as_array)
@@ -1086,10 +1068,12 @@ impl DocStore {
         }
         store.durable = Some(Durable {
             vfs: fs,
+            wal: dir.join(keep_wal),
             dir,
             fsync: wal.fsync,
             wal_seq,
             wal_dirty: false,
+            frame: Vec::new(),
         });
         // The replayed memtable may already exceed the seal threshold.
         if store.config.seal_threshold > 0
@@ -1108,46 +1092,27 @@ impl DocStore {
             return Ok(());
         }
         let data = fs.read(wal_path)?;
-        let text = String::from_utf8_lossy(&data);
-        let mut good = String::new();
-        let mut records: Vec<(char, String)> = Vec::new();
-        let mut dropped = 0usize;
-        for chunk in text.split_inclusive('\n') {
-            let parsed = chunk
-                .strip_suffix('\n')
-                .and_then(|line| vfs::decode_record(line).ok())
-                .filter(|(tag, _)| matches!(tag, 'p' | 'd'));
-            match parsed {
-                Some((tag, payload)) => {
-                    records.push((tag, payload.to_string()));
-                    good.push_str(chunk);
-                }
-                None => {
-                    // First bad chunk: everything from here is the torn
-                    // tail (appends are strictly ordered).
-                    dropped = 1;
-                    break;
-                }
-            }
+        let mut rest = &data[..];
+        let mut records: Vec<(u8, &[u8])> = Vec::new();
+        // The first bad frame ends the valid prefix: everything from there
+        // is the torn tail (appends are strictly ordered).
+        while let Some((tag, payload, tail)) =
+            vfs::decode_frame(rest).filter(|(tag, ..)| matches!(tag, b'p' | b'd'))
+        {
+            records.push((tag, payload));
+            rest = tail;
         }
-        if dropped > 0 {
-            vfs::atomic_write(fs, wal_path, good.as_bytes())?;
-            self.stats.torn_tail_truncated += dropped;
+        if !rest.is_empty() {
+            vfs::atomic_write(fs, wal_path, &data[..data.len() - rest.len()])?;
+            self.stats.torn_tail_truncated += 1;
         }
         for (tag, payload) in records {
-            match tag {
-                'p' => {
-                    let v = aryn_core::json::parse(&payload)?;
-                    self.apply_put(aryn_core::serialize::document_from_value(&v)?);
-                }
-                _ => {
-                    let v = aryn_core::json::parse(&payload)?;
-                    let id = v
-                        .as_str()
-                        .ok_or_else(|| ArynError::Io(format!("bad delete record {payload:?}")))?;
-                    if layered_lookup(&self.mem, &self.segments, id).is_some() {
-                        self.apply_delete(id);
-                    }
+            if tag == b'p' {
+                self.apply_put(aryn_core::serialize::decode_document(payload)?);
+            } else {
+                let id = id_from(payload)?;
+                if layered_lookup(&self.mem, &self.segments, id).is_some() {
+                    self.apply_delete(id);
                 }
             }
             self.stats.wal_replayed += 1;
@@ -1601,6 +1566,62 @@ mod durability_tests {
         let r2 = DocStore::open(dir, mem).unwrap();
         assert_eq!(r2.stats().torn_tail_truncated, 0);
         assert_eq!(r2.len(), 1);
+    }
+
+    /// Every file on `fs`, bytes included.
+    fn disk_image(fs: &MemFs) -> Vec<(String, Vec<u8>)> {
+        fs.file_names().into_iter().map(|p| (p.clone(), fs.read(Path::new(&p)).unwrap())).collect()
+    }
+
+    #[test]
+    fn wal_torn_at_every_offset_of_its_last_frame_keeps_the_whole_frames() {
+        let manual = StoreConfig {
+            seal_threshold: 0,
+            compact_fanout: 0,
+        };
+        let dir = Path::new("/store");
+        let mem = Arc::new(MemFs::new());
+        let mut s = DocStore::open_with(dir, mem.clone(), manual, WalConfig::default()).unwrap();
+        for i in 0..3 {
+            s.try_put(doc(&format!("d{i}"), i)).unwrap();
+        }
+        s.try_delete("d0").unwrap();
+        drop(s);
+        let wal = dir.join(wal_name(0));
+        let full = mem.read(&wal).unwrap();
+        let last = 9 + "d0".len();
+        for cut in full.len() - last..full.len() {
+            let img = Arc::new(MemFs::new());
+            img.write(&dir.join(MANIFEST), &mem.read(&dir.join(MANIFEST)).unwrap()).unwrap();
+            img.write(&wal, &full[..cut]).unwrap();
+            let r = DocStore::open_with(dir, img.clone(), manual, WalConfig::default()).unwrap();
+            assert_eq!(r.stats().wal_replayed, 3, "cut at {cut}");
+            assert_eq!(r.stats().torn_tail_truncated, usize::from(cut > full.len() - last));
+            assert!(r.get("d0").is_some(), "the torn delete never applied");
+            assert_eq!(img.read(&wal).unwrap(), &full[..full.len() - last], "tail physically cut");
+            drop(r);
+            let again = DocStore::open_with(dir, img, manual, WalConfig::default()).unwrap();
+            assert_eq!((again.stats().wal_replayed, again.stats().torn_tail_truncated), (3, 0));
+        }
+    }
+
+    #[test]
+    fn a_foreign_store_is_an_error_never_a_truncation() {
+        // A store as the JSON-line format wrote it: a manifest without a
+        // format version and a WAL of text records.
+        let mem = Arc::new(MemFs::new());
+        let dir = Path::new("/store");
+        let manifest = r#"{"next_segment":0,"segments":[],"wal":0}"#;
+        mem.write(&dir.join(MANIFEST), format!("{}\n", vfs::encode_record('m', manifest)).as_bytes())
+            .unwrap();
+        let record = r#"{"elements":[],"id":"a","lineage":[],"properties":{"n":1}}"#;
+        mem.write(&dir.join(wal_name(0)), format!("{}\n", vfs::encode_record('p', record)).as_bytes())
+            .unwrap();
+        mem.write(&dir.join("seg-000007.seg.tmp"), b"orphan").unwrap();
+        let before = disk_image(&mem);
+        let err = DocStore::open(dir, mem.clone()).unwrap_err();
+        assert!(matches!(&err, ArynError::Io(m) if m.contains("format")), "{err:?}");
+        assert_eq!(disk_image(&mem), before, "no sweep, no WAL rewrite");
     }
 
     #[test]

@@ -217,6 +217,48 @@ impl KeywordIndex {
     }
 }
 
+/// One shard holding the live documents of `old[i]` for each `i` in
+/// `pending`, in shard then ordinal order: the compaction merge. Postings
+/// move over by index through a per-shard old → new ordinal table, never
+/// re-analyzed and never looked up by key.
+fn merge_live(params: Bm25Params, old: &[Arc<KeywordIndex>], owner: &BTreeMap<String, usize>, pending: &[usize]) -> KeywordIndex {
+    const DROPPED: u32 = u32::MAX;
+    let mut merged = KeywordIndex::with_params(params);
+    let mut ords: Vec<u32> = Vec::new();
+    for &i in pending {
+        ords.clear();
+        for (key, dl) in &old[i].docs {
+            if key.is_empty() || owner.get(key) != Some(&i) {
+                ords.push(DROPPED); // tombstone or stale copy
+                continue;
+            }
+            let ord = merged.docs.len() as u32;
+            ords.push(ord);
+            merged.docs.push((key.clone(), *dl));
+            merged.by_key.insert(key.clone(), ord);
+            merged.total_len += u64::from(*dl);
+        }
+        // Old postings are ordinal-sorted and this shard's new ordinals
+        // exceed every earlier shard's, so each list stays sorted as it grows.
+        for (term, plist) in &old[i].postings {
+            let live = plist.iter().filter_map(|&(ord, tf)| {
+                let new = ords[ord as usize];
+                (new != DROPPED).then_some((new, tf))
+            });
+            match merged.postings.get_mut(term) {
+                Some(into) => into.extend(live),
+                None => {
+                    let fresh: Vec<(u32, u32)> = live.collect();
+                    if !fresh.is_empty() {
+                        merged.postings.insert(term.clone(), fresh);
+                    }
+                }
+            }
+        }
+    }
+    merged
+}
+
 /// Query-constant pieces of the BM25 score, computed once per query.
 #[derive(Clone, Copy)]
 struct Bm25Consts {
@@ -420,35 +462,10 @@ impl ShardedKeywordIndex {
             if pending.is_empty() {
                 return;
             }
-            let pos = new_sealed.len();
-            let mut merged = KeywordIndex::with_params(params);
             for &i in pending.iter() {
-                remap[i] = pos;
-                for (key, dl) in &old[i].docs {
-                    if key.is_empty() || owner.get(key) != Some(&i) {
-                        continue;
-                    }
-                    let ord = merged.docs.len() as u32;
-                    merged.docs.push((key.clone(), *dl));
-                    merged.by_key.insert(key.clone(), ord);
-                    merged.total_len += u64::from(*dl);
-                }
+                remap[i] = new_sealed.len();
             }
-            for &i in pending.iter() {
-                for (term, plist) in &old[i].postings {
-                    for (ord, tf) in plist {
-                        let (key, _) = &old[i].docs[*ord as usize];
-                        if key.is_empty() || owner.get(key) != Some(&i) {
-                            continue;
-                        }
-                        let new_ord = merged.by_key[key];
-                        merged.postings.entry(term.clone()).or_default().push((new_ord, *tf));
-                    }
-                }
-            }
-            for plist in merged.postings.values_mut() {
-                plist.sort_unstable();
-            }
+            let merged = merge_live(params, old, owner, pending);
             pending.clear();
             *pending_docs = 0;
             if merged.doc_count() > 0 {
@@ -737,6 +754,69 @@ mod sharded_tests {
         assert_eq!(fast.owner, walked.owner);
         for q in ["wind approach", "engine failure", "revenue growth", "fog", "incident number"] {
             assert_same_hits(&fast.search(q, 10), &walked.search(q, 10), q);
+        }
+    }
+
+    /// The compaction merge as it stood before ordinal remapping: two key
+    /// lookups per posting and a term copy per term per shard, then a sort.
+    fn merge_by_key_lookup(
+        params: Bm25Params,
+        old: &[Arc<KeywordIndex>],
+        owner: &BTreeMap<String, usize>,
+        pending: &[usize],
+    ) -> KeywordIndex {
+        let mut merged = KeywordIndex::with_params(params);
+        for &i in pending {
+            for (key, dl) in &old[i].docs {
+                if key.is_empty() || owner.get(key) != Some(&i) {
+                    continue;
+                }
+                let ord = merged.docs.len() as u32;
+                merged.docs.push((key.clone(), *dl));
+                merged.by_key.insert(key.clone(), ord);
+                merged.total_len += u64::from(*dl);
+            }
+        }
+        for &i in pending {
+            for (term, plist) in &old[i].postings {
+                for (ord, tf) in plist {
+                    let (key, _) = &old[i].docs[*ord as usize];
+                    if key.is_empty() || owner.get(key) != Some(&i) {
+                        continue;
+                    }
+                    let new_ord = merged.by_key[key];
+                    merged.postings.entry(term.clone()).or_default().push((new_ord, *tf));
+                }
+            }
+        }
+        for plist in merged.postings.values_mut() {
+            plist.sort_unstable();
+        }
+        merged
+    }
+
+    #[test]
+    fn remapped_merge_equals_the_key_lookup_merge() {
+        let mut ix = ShardedKeywordIndex::new(6);
+        for (i, (key, text)) in corpus(60).into_iter().enumerate() {
+            // Overwrites and deletes leave stale copies in sealed shards and
+            // tombstones in the active one.
+            let key = if i % 4 == 3 { format!("d{:03}", i / 3) } else { key };
+            ix.add(key, &text);
+            if i % 5 == 4 {
+                ix.remove(&format!("d{:03}", i / 2));
+            }
+        }
+        ix.seal_active();
+        assert!(ix.sealed_count() >= 8 && ix.dead() > 0);
+        let all: Vec<usize> = (0..ix.sealed_count()).collect();
+        for pending in [&all[..], &all[..1], &all[2..5], &all[all.len() - 3..]] {
+            let got = merge_live(ix.params, &ix.sealed, &ix.owner, pending);
+            let want = merge_by_key_lookup(ix.params, &ix.sealed, &ix.owner, pending);
+            assert_eq!(got.postings, want.postings, "{pending:?}");
+            assert_eq!(got.docs, want.docs, "{pending:?}");
+            assert_eq!(got.by_key, want.by_key, "{pending:?}");
+            assert_eq!(got.total_len, want.total_len, "{pending:?}");
         }
     }
 

@@ -11,6 +11,7 @@ use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
+use std::sync::Arc;
 
 /// A scored neighbour.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,7 +63,7 @@ fn norm(v: &[f32]) -> f32 {
 /// Keys and vectors in insertion order: one flat arena of stride `dims`
 /// plus each vector's norm, computed once at insert so a comparison is one
 /// `dot` instead of three.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Arena {
     dims: usize,
     keys: Vec<String>,
@@ -173,6 +174,7 @@ impl Default for HnswParams {
 }
 
 /// Hierarchical navigable small-world index.
+#[derive(Clone)]
 pub struct HnswIndex {
     params: HnswParams,
     arena: Arena,
@@ -433,7 +435,7 @@ pub struct ShardedHnsw {
     params: HnswParams,
     /// Active-shard size that triggers an automatic seal; `0` = never.
     shard_cap: usize,
-    sealed: Vec<std::sync::Arc<HnswIndex>>,
+    sealed: Vec<Arc<HnswIndex>>,
     active: HnswIndex,
     /// key -> owning shard (sealed position or [`ACTIVE_SHARD`]).
     owner: std::collections::BTreeMap<String, usize>,
@@ -514,7 +516,7 @@ impl ShardedHnsw {
             }
         }
         frozen.shrink_to_fit();
-        self.sealed.push(std::sync::Arc::new(frozen));
+        self.sealed.push(Arc::new(frozen));
     }
 
     /// Tiered compaction: seals the active shard, drops every stale copy,
@@ -525,7 +527,10 @@ impl ShardedHnsw {
     /// ingested* tail rather than the whole corpus — and per-shard graphs
     /// stay small enough that fan-out search keeps near-exact recall.
     /// Deterministic: shards are replayed in order, straight from their
-    /// arenas, so the rebuilt graphs are reproducible.
+    /// arenas, so the rebuilt graphs are reproducible. A graph is a pure
+    /// function of its entry sequence (levels are seeded by node position),
+    /// so a merge whose first shard has no stale copies starts from that
+    /// shard's graph instead of replaying it: the same graph, built once.
     pub fn compact(&mut self) {
         self.seal_active();
         let tier_cap = if self.shard_cap == 0 {
@@ -533,41 +538,47 @@ impl ShardedHnsw {
         } else {
             self.shard_cap.saturating_mul(4)
         };
-        let old = std::mem::take(&mut self.sealed);
-        let owner = &self.owner;
-        let live = |i: usize| old[i].entries().filter(move |(k, _)| owner.get(*k) == Some(&i));
-        let mut new_sealed: Vec<std::sync::Arc<HnswIndex>> = Vec::new();
+        let mut old = std::mem::take(&mut self.sealed);
+        let mut new_sealed: Vec<Arc<HnswIndex>> = Vec::new();
         let mut remap: Vec<usize> = vec![0; old.len()];
         // Shards awaiting a merge, with their live entry counts.
         let mut pending: Vec<(usize, usize)> = Vec::new();
-        let flush = |pending: &mut Vec<(usize, usize)>, new_sealed: &mut Vec<std::sync::Arc<HnswIndex>>, remap: &mut [usize]| {
-            let mut merged = HnswIndex::new(self.dims, self.params);
-            for (i, _) in pending.drain(..) {
-                remap[i] = new_sealed.len();
-                for (k, v) in live(i) {
+        let mut flush = |old: &mut [Arc<HnswIndex>], pending: &mut Vec<(usize, usize)>| {
+            let Some(&(first, n)) = pending.first() else { return };
+            let mut replay = &pending[..];
+            let mut merged = if n == old[first].len() {
+                replay = &pending[1..];
+                let placeholder = Arc::new(HnswIndex::new(self.dims, self.params));
+                Arc::unwrap_or_clone(std::mem::replace(&mut old[first], placeholder))
+            } else {
+                HnswIndex::new(self.dims, self.params)
+            };
+            for &(i, _) in replay {
+                for (k, v) in old[i].entries().filter(|(k, _)| self.owner.get(*k) == Some(&i)) {
                     let _ = merged.add_slice(k, v);
                 }
             }
+            for (i, _) in pending.drain(..) {
+                remap[i] = new_sealed.len();
+            }
             if !merged.is_empty() {
                 merged.shrink_to_fit();
-                new_sealed.push(std::sync::Arc::new(merged));
+                new_sealed.push(Arc::new(merged));
             }
         };
-        for (i, shard) in old.iter().enumerate() {
-            let n = live(i).count();
-            let settled = n == shard.len() && n >= tier_cap;
+        for i in 0..old.len() {
+            let n = old[i].entries().filter(|(k, _)| self.owner.get(*k) == Some(&i)).count();
+            let settled = n == old[i].len() && n >= tier_cap;
             if settled || pending.iter().map(|p| p.1).sum::<usize>() + n > tier_cap {
-                flush(&mut pending, &mut new_sealed, &mut remap);
+                flush(&mut old, &mut pending);
             }
+            pending.push((i, n));
             if settled {
-                // Settled and clean: keep the built graph, zero work.
-                remap[i] = new_sealed.len();
-                new_sealed.push(std::sync::Arc::clone(shard));
-            } else {
-                pending.push((i, n));
+                // Settled and clean: kept as it is, zero work.
+                flush(&mut old, &mut pending);
             }
         }
-        flush(&mut pending, &mut new_sealed, &mut remap);
+        flush(&mut old, &mut pending);
         self.sealed = new_sealed;
         for loc in self.owner.values_mut() {
             *loc = remap[*loc];
@@ -817,7 +828,7 @@ mod tests {
         let idx = ix.sealed.len();
         ix.owner.values_mut().filter(|loc| **loc == ACTIVE_SHARD).for_each(|loc| *loc = idx);
         let frozen = std::mem::replace(&mut ix.active, HnswIndex::new(ix.dims, ix.params));
-        ix.sealed.push(std::sync::Arc::new(frozen));
+        ix.sealed.push(Arc::new(frozen));
     }
 
     #[test]
@@ -843,6 +854,89 @@ mod tests {
         assert_eq!(fast.owner, walked.owner);
         for q in random_vectors(10, 8, 19) {
             assert_eq!(fast.search(&q, 10).unwrap(), walked.search(&q, 10).unwrap());
+        }
+    }
+
+    /// Compaction as it stood before reusing a clean first shard: every
+    /// merged shard is a fresh graph fed its live entries in shard order.
+    fn compact_by_replay(ix: &mut ShardedHnsw) {
+        ix.seal_active();
+        let tier_cap = if ix.shard_cap == 0 { usize::MAX } else { ix.shard_cap * 4 };
+        let (old, owner, dims, params) = (std::mem::take(&mut ix.sealed), &ix.owner, ix.dims, ix.params);
+        let live = |i: usize| old[i].entries().filter(move |(k, _)| owner.get(*k) == Some(&i)).collect::<Vec<_>>();
+        let (mut new_sealed, mut remap, mut pending) = (Vec::new(), vec![0; old.len()], Vec::<(usize, usize)>::new());
+        let flush = |pending: &mut Vec<(usize, usize)>, new_sealed: &mut Vec<Arc<HnswIndex>>, remap: &mut [usize]| {
+            let mut merged = HnswIndex::new(dims, params);
+            for (i, _) in pending.drain(..) {
+                remap[i] = new_sealed.len();
+                live(i).into_iter().for_each(|(k, v)| merged.add_slice(k, v).unwrap());
+            }
+            if !merged.is_empty() {
+                new_sealed.push(Arc::new(merged));
+            }
+        };
+        for (i, shard) in old.iter().enumerate() {
+            let n = live(i).len();
+            let settled = n == shard.len() && n >= tier_cap;
+            if settled || pending.iter().map(|p| p.1).sum::<usize>() + n > tier_cap {
+                flush(&mut pending, &mut new_sealed, &mut remap);
+            }
+            if settled {
+                remap[i] = new_sealed.len();
+                new_sealed.push(Arc::clone(shard));
+            } else {
+                pending.push((i, n));
+            }
+        }
+        flush(&mut pending, &mut new_sealed, &mut remap);
+        ix.sealed = new_sealed;
+        ix.owner.values_mut().for_each(|loc| *loc = remap[*loc]);
+        ix.dead = 0;
+    }
+
+    fn same_graph(a: &HnswIndex, b: &HnswIndex) -> bool {
+        (&a.arena.keys, &a.arena.data, &a.arena.norms) == (&b.arena.keys, &b.arena.data, &b.arena.norms)
+            && (&a.layers, &a.node_level, a.entry) == (&b.layers, &b.node_level, b.entry)
+    }
+
+    #[test]
+    fn compaction_equals_a_rebuild_from_the_same_entries() {
+        let vecs = random_vectors(90, 16, 41);
+        let queries = random_vectors(12, 16, 43);
+        // `stale` removes keys from the first sealed shard, so its merge
+        // must fall back to a full replay; otherwise that shard is reused.
+        for stale in [false, true] {
+            let build = || {
+                let mut ix = ShardedHnsw::new(16, 10);
+                for (i, v) in vecs.iter().enumerate() {
+                    ix.add_slice(&format!("v{i}"), v).unwrap();
+                    if i % 9 == 8 {
+                        // Tombstone a key in a later shard, or in the first.
+                        let victim = if stale { i / 9 } else { i.saturating_sub(4) };
+                        ix.remove(&format!("v{victim}"));
+                    }
+                }
+                ix
+            };
+            let (mut fast, mut slow) = (build(), build());
+            assert_eq!(fast.sealed[0].len() == fast.sealed[0].entries().filter(|(k, _)| fast.owner.get(*k) == Some(&0)).count(), !stale);
+            fast.compact();
+            compact_by_replay(&mut slow);
+            assert_eq!(fast.sealed.len(), slow.sealed.len(), "stale={stale}");
+            assert!(fast.sealed.iter().zip(&slow.sealed).all(|(a, b)| same_graph(a, b)), "stale={stale}");
+            assert_eq!(fast.owner, slow.owner);
+            for q in &queries {
+                assert_eq!(fast.search(q, 10).unwrap(), slow.search(q, 10).unwrap(), "stale={stale}");
+            }
+            // A second compaction over a settled-size tail agrees as well.
+            for (i, v) in vecs.iter().enumerate().take(25) {
+                for ix in [&mut fast, &mut slow] {
+                    ix.add_slice(&format!("w{i}"), v).unwrap();
+                }
+            }
+            fast.compact();
+            compact_by_replay(&mut slow);
+            assert!(fast.sealed.iter().zip(&slow.sealed).all(|(a, b)| same_graph(a, b)), "stale={stale}");
         }
     }
 

@@ -301,7 +301,7 @@ impl DocSet {
         })
     }
 
-    /// Cache the stream here and spill to `{dir}/{name}.jsonl`.
+    /// Cache the stream here and spill to `{dir}/{name}.docs`.
     pub fn materialize_to(self, name: &str, dir: PathBuf) -> DocSet {
         self.push(Op::Materialize {
             name: name.to_string(),

@@ -318,8 +318,8 @@ impl Ingestor {
         sp.gauge("index_lag_p50_ms", report.p50_lag_ms);
         sp.gauge("index_lag_p99_ms", report.p99_lag_ms);
         sp.gauge("index_lag_ms", report.max_lag_ms);
-        // Durability counters ride along nonzero-only so in-memory streams
-        // keep their span fingerprints.
+        // Durability counters: a counter group is written whole, zeros
+        // included (all zero for in-memory stores).
         if let Ok(stats) = self.ctx.with_store(&self.store, |s| s.stats()) {
             for (key, n) in [
                 ("wal_appends", stats.wal_appends),
@@ -329,9 +329,7 @@ impl Ingestor {
                 ("orphans_removed", stats.orphans_removed),
                 ("storage_io_errors", stats.io_errors),
             ] {
-                if n > 0 {
-                    sp.set(key, n as u64);
-                }
+                sp.set(key, n as u64);
             }
         }
         sp.finish();

@@ -727,10 +727,10 @@ pub fn summarize_all_stats(
 /// Materializes documents: cached in memory under `name` — stamped with the
 /// fingerprint of the op-prefix that produced them, so resume only reuses
 /// the checkpoint for an identical upstream plan — optionally spilled to
-/// `{dir}/{name}.jsonl`. The spill goes through the context's [`Vfs`] as a
-/// checksummed record file written atomically (temp → sync → rename), so a
-/// crash mid-checkpoint leaves either the previous checkpoint or a complete
-/// new one — never a torn file that resume would half-trust.
+/// `{dir}/{name}.docs`. The spill goes through the context's [`Vfs`] as a
+/// frame file of binary documents written atomically (temp → sync →
+/// rename), so a crash mid-checkpoint leaves either the previous checkpoint
+/// or a complete new one — never a torn file that resume would half-trust.
 pub fn materialize(
     ctx: &Context,
     name: &str,
@@ -745,17 +745,12 @@ pub fn materialize(
     if let Some(dir) = dir {
         let fs = ctx.vfs();
         fs.create_dir_all(dir)?;
-        let path = dir.join(format!("{name}.jsonl"));
-        let records: Vec<(char, String)> = docs
-            .iter()
-            .map(|d| {
-                (
-                    's',
-                    json::to_string(&aryn_core::serialize::document_to_value(d)),
-                )
-            })
-            .collect();
-        vfs::atomic_write(&fs, &path, vfs::encode_tagged_file(&records).as_bytes())?;
+        let mut file = Vec::new();
+        for d in docs {
+            vfs::encode_frame_with(&mut file, b'p', |o| aryn_core::serialize::encode_document(d, o))?;
+        }
+        vfs::finish_frame_file(&mut file, docs.len())?;
+        vfs::atomic_write(&fs, &dir.join(format!("{name}.docs")), &file)?;
     }
     Ok(())
 }
@@ -769,18 +764,18 @@ pub fn load_materialized(path: &std::path::Path) -> Result<Vec<Document>> {
 /// footer mismatch is an error — a torn checkpoint is discarded by the
 /// caller and recomputed, never half-loaded.
 pub fn load_materialized_on(fs: &dyn Vfs, path: &std::path::Path) -> Result<Vec<Document>> {
-    let text = vfs::read_to_string(fs, path)?;
-    let records = vfs::decode_tagged_file(&text)?;
-    records
-        .iter()
+    let bytes = fs.read(path)?;
+    vfs::decode_frame_file(&bytes)?
+        .into_iter()
         .map(|(tag, payload)| {
-            if *tag != 's' {
+            if tag != b'p' {
                 return Err(ArynError::Io(format!(
-                    "materialized file {}: unexpected record tag {tag:?}",
-                    path.display()
+                    "materialized file {}: unexpected record tag {:?}",
+                    path.display(),
+                    char::from(tag)
                 )));
             }
-            aryn_core::serialize::document_from_value(&json::parse(payload)?)
+            aryn_core::serialize::decode_document(payload)
         })
         .collect()
 }

@@ -453,7 +453,7 @@ fn torn_materialize_checkpoint_is_discarded() {
     let docs: Vec<Arc<Document>> = (0..6).map(doc).map(Arc::new).collect();
     let dir = Path::new("/mat");
     sycamore::transforms::materialize(&ctx, "ckpt", 42, Some(dir), &docs).unwrap();
-    let path = dir.join("ckpt.jsonl");
+    let path = dir.join("ckpt.docs");
     let full = sycamore::load_materialized_on(&(mem.clone() as Arc<dyn Vfs>), &path).unwrap();
     assert_eq!(full.len(), 6);
     // Tear the checkpoint: drop the footer and half the last record.
