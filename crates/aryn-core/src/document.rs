@@ -127,33 +127,44 @@ impl Element {
     /// The element's content rendered as plain text, including table
     /// linearization and image summaries — what gets embedded or prompted.
     pub fn content_text(&self) -> String {
+        let mut s = String::new();
+        self.push_content_text(&mut s);
+        s
+    }
+
+    /// Appends [`Element::content_text`] to `out` without building it
+    /// first.
+    pub fn push_content_text(&self, out: &mut String) {
         match (&self.table, &self.image) {
             (Some(t), _) => {
-                let mut s = String::new();
                 if let Some(c) = &t.caption {
-                    s.push_str(c);
-                    s.push('\n');
+                    out.push_str(c);
+                    out.push('\n');
                 }
-                s.push_str(&t.to_text());
-                s
+                t.push_text(out);
             }
             (_, Some(img)) => {
-                let mut s = self.text.clone();
-                if let Some(sum) = &img.summary {
-                    if !s.is_empty() {
-                        s.push('\n');
+                let start = out.len();
+                out.push_str(&self.text);
+                for part in [&img.summary, &img.ocr_text].into_iter().flatten() {
+                    if out.len() > start {
+                        out.push('\n');
                     }
-                    s.push_str(sum);
+                    out.push_str(part);
                 }
-                if let Some(ocr) = &img.ocr_text {
-                    if !s.is_empty() {
-                        s.push('\n');
-                    }
-                    s.push_str(ocr);
-                }
-                s
             }
-            _ => self.text.clone(),
+            _ => out.push_str(&self.text),
+        }
+    }
+
+    /// Appends the element's content and a newline to `out`; nothing when
+    /// the content is empty. The one rendering every prompt and
+    /// [`Document::full_text`] joins elements with.
+    pub fn push_line(&self, out: &mut String) {
+        let start = out.len();
+        self.push_content_text(out);
+        if out.len() > start {
+            out.push('\n');
         }
     }
 }
@@ -237,11 +248,7 @@ impl Document {
         }
         let mut out = String::new();
         for e in &self.elements {
-            let t = e.content_text();
-            if !t.is_empty() {
-                out.push_str(&t);
-                out.push('\n');
-            }
+            e.push_line(&mut out);
         }
         if out.is_empty() {
             if let DocContent::Text(t) = &self.content {

@@ -162,12 +162,21 @@ impl Table {
     /// Flat text rendering used when a table is stuffed into an LLM prompt.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
+        self.push_text(&mut out);
+        out
+    }
+
+    /// Appends [`Table::to_text`] to `out`, cell by cell.
+    pub fn push_text(&self, out: &mut String) {
         for r in 0..self.rows {
-            let row: Vec<&str> = (0..self.cols).map(|c| self.text_at(r, c)).collect();
-            out.push_str(&row.join(" | "));
+            for c in 0..self.cols {
+                if c > 0 {
+                    out.push_str(" | ");
+                }
+                out.push_str(self.text_at(r, c));
+            }
             out.push('\n');
         }
-        out
     }
 
     /// Appends another table's body below this one. Used for cross-page

@@ -2,11 +2,15 @@
 //! simulated LLM's semantic engine: tokenization, stopwords, a light
 //! suffix-stripping stemmer, sentence splitting, and token counting.
 
-/// Splits text into lowercase word tokens (alphanumeric runs; numbers kept).
-pub fn tokenize(text: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    // One growing buffer; each finished token is copied out at its exact size.
-    let mut cur = String::new();
+/// The tokenizer itself: builds each token of `text` in the one buffer `cur`
+/// and hands it to `on_token` (which may rewrite it in place), stopping at
+/// the first `true`. Returns whether some call returned `true`.
+fn scan_tokens(
+    text: &str,
+    cur: &mut String,
+    mut on_token: impl FnMut(&mut String) -> bool,
+) -> bool {
+    cur.clear();
     for c in text.chars() {
         if c.is_ascii_alphanumeric() {
             cur.push(c.to_ascii_lowercase());
@@ -15,14 +19,32 @@ pub fn tokenize(text: &str) -> Vec<String> {
             // alphanumeric output so tokens stay clean.
             cur.extend(c.to_lowercase().filter(|lc| lc.is_alphanumeric()));
         } else if !cur.is_empty() {
-            out.push(cur.as_str().to_string());
+            if on_token(cur) {
+                return true;
+            }
             cur.clear();
         }
     }
-    if !cur.is_empty() {
-        out.push(cur);
-    }
+    !cur.is_empty() && on_token(cur)
+}
+
+/// Splits text into lowercase word tokens (alphanumeric runs; numbers kept).
+pub fn tokenize(text: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    // Each finished token is copied out of the buffer at its exact size.
+    scan_tokens(text, &mut String::new(), |t| {
+        out.push(t.as_str().to_string());
+        false
+    });
     out
+}
+
+/// Streams the tokens [`tokenize`] would return, in order, through `f`
+/// without collecting them: one buffer for the whole text, and the scan
+/// stops at the first token for which `f` returns `true`. Returns whether
+/// one did.
+pub fn any_token(text: &str, mut f: impl FnMut(&str) -> bool) -> bool {
+    scan_tokens(text, &mut String::new(), |t| f(t))
 }
 
 /// Tokenizes, removes stopwords, and stems — the normalization used for
@@ -39,6 +61,18 @@ pub fn analyze(text: &str) -> Vec<String> {
     tokens
 }
 
+/// [`any_token`] over the terms [`analyze`] would return: stopwords
+/// skipped, each token stemmed in the shared buffer before `f` sees it.
+pub fn any_analyzed(text: &str, mut f: impl FnMut(&str) -> bool) -> bool {
+    scan_tokens(text, &mut String::new(), |t| {
+        if is_stopword(t) {
+            return false;
+        }
+        stem_in_place(t);
+        f(t)
+    })
+}
+
 const STOPWORDS: &[&str] = &[
     "a", "an", "and", "are", "as", "at", "be", "but", "by", "for", "from", "had", "has", "have",
     "he", "her", "his", "if", "in", "into", "is", "it", "its", "of", "on", "or", "s", "she",
@@ -48,8 +82,34 @@ const STOPWORDS: &[&str] = &[
 
 /// True for common English function words that carry no retrieval signal.
 pub fn is_stopword(token: &str) -> bool {
-    STOPWORDS.binary_search(&token).is_ok()
+    // No stopword is longer than seven bytes, so each compares as one
+    // integer instead of a string.
+    token.len() <= 7 && STOPWORD_KEYS.binary_search(&word_key(token.as_bytes())).is_ok()
 }
+
+/// A word of at most seven bytes as one integer: its bytes zero-padded to
+/// seven and read big-endian, then its length. Distinct words get distinct
+/// keys, and words without a zero byte order like their keys.
+const fn word_key(word: &[u8]) -> u64 {
+    let mut key = 0;
+    let mut i = 0;
+    while i < 7 {
+        key = key << 8 | if i < word.len() { word[i] as u64 } else { 0 };
+        i += 1;
+    }
+    key << 8 | word.len() as u64
+}
+
+/// [`STOPWORDS`] as [`word_key`]s, in the same (sorted) order.
+const STOPWORD_KEYS: [u64; STOPWORDS.len()] = {
+    let mut keys = [0; STOPWORDS.len()];
+    let mut i = 0;
+    while i < keys.len() {
+        keys[i] = word_key(STOPWORDS[i].as_bytes());
+        i += 1;
+    }
+    keys
+};
 
 /// Suffix rules of [`stem`], first match wins.
 const STEM_RULES: &[(&str, &str)] = &[
@@ -88,8 +148,10 @@ pub fn stem(token: &str) -> String {
 /// [`stem`] on an owned token: truncates and appends, never reallocates
 /// (no replacement is longer than its suffix).
 fn stem_in_place(token: &mut String) {
+    let last = token.as_bytes().last().copied();
     for (suffix, replace) in STEM_RULES {
-        if token.ends_with(suffix) {
+        // The last byte first: most rules are out after one comparison.
+        if suffix.as_bytes().last().copied() == last && token.ends_with(suffix) {
             let stripped = token.len() - suffix.len();
             if stripped + replace.len() >= 3 && stripped >= 2 {
                 token.truncate(stripped);
@@ -103,48 +165,72 @@ fn stem_in_place(token: &mut String) {
 /// Splits text into sentences on `.`, `!`, `?` followed by whitespace,
 /// keeping abbreviation-like short tokens ("U.S.", "No. 4") attached.
 pub fn sentences(text: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut cur = String::new();
-    let chars: Vec<char> = text.chars().collect();
-    let mut i = 0;
-    while i < chars.len() {
-        let c = chars[i];
-        cur.push(c);
-        if matches!(c, '.' | '!' | '?') {
-            let next_ws = chars.get(i + 1).is_none_or(|n| n.is_whitespace());
+    sentence_spans(text).map(str::to_string).collect()
+}
+
+/// The sentences of [`sentences`] as trimmed slices of `text`, found lazily:
+/// nothing is copied.
+pub fn sentence_spans(text: &str) -> impl Iterator<Item = &str> {
+    // `start` opens the current sentence; `end` is one past the last
+    // terminator looked at. Terminators are ASCII, so a byte scan finds
+    // them and every `end` is a char boundary.
+    let (mut start, mut end) = (0, 0);
+    std::iter::from_fn(move || {
+        let terminator = |b: &u8| matches!(b, b'.' | b'!' | b'?');
+        while let Some(k) = text.as_bytes()[end..].iter().position(terminator) {
+            end += k + 1;
+            let next_ws = text[end..].chars().next().is_none_or(char::is_whitespace);
             // Don't split after single-letter abbreviations like "U." or digits "No. 4".
-            let prev_word = cur
+            let prev_word = text[start..end]
                 .trim_end_matches(['.', '!', '?'])
-                .rsplit(|ch: char| ch.is_whitespace())
+                .rsplit(char::is_whitespace)
                 .next()
                 .unwrap_or("");
             // Words with internal dots ("U.S") or very short ones ("No") are
             // abbreviation-like; keep the sentence going.
             let abbrev = prev_word.len() <= 2 || prev_word.contains('.');
             if next_ws && !abbrev {
-                let s = cur.trim().to_string();
+                let s = text[start..end].trim();
+                start = end;
                 if !s.is_empty() {
-                    out.push(s);
+                    return Some(s);
                 }
-                cur.clear();
             }
         }
-        i += 1;
-    }
-    let s = cur.trim().to_string();
-    if !s.is_empty() {
-        out.push(s);
-    }
-    out
+        let s = text[start..].trim();
+        start = text.len();
+        (!s.is_empty()).then_some(s)
+    })
 }
 
 /// Approximates an LLM token count: roughly one token per 4 characters, with
 /// a floor of one token per whitespace-separated word. This is the unit used
 /// by context-window accounting and the cost meter.
 pub fn count_tokens(text: &str) -> usize {
-    let chars = text.chars().count();
-    let words = text.split_whitespace().count();
-    (chars / 4).max(words)
+    (text.chars().count() / 4).max(count_words(text))
+}
+
+/// `text.split_whitespace().count()`, reading ASCII runs as bytes (where
+/// `char::is_whitespace` is exactly space and `\t`..=`\r`) and decoding only
+/// the characters in between.
+fn count_words(text: &str) -> usize {
+    // A word starts at every non-whitespace character after whitespace.
+    let (mut words, mut prev_ws) = (0, true);
+    let mut step = |ws: bool| {
+        words += usize::from(prev_ws && !ws);
+        prev_ws = ws;
+    };
+    let mut rest = text;
+    while !rest.is_empty() {
+        let ascii = rest.bytes().position(|b| !b.is_ascii()).unwrap_or(rest.len());
+        rest[..ascii].bytes().for_each(|b| step(matches!(b, b' ' | b'\t'..=b'\r')));
+        rest = &rest[ascii..];
+        if let Some(c) = rest.chars().next() {
+            step(c.is_whitespace());
+            rest = &rest[c.len_utf8()..];
+        }
+    }
+    words
 }
 
 /// Truncates text to approximately `max_tokens` (see [`count_tokens`]),
@@ -185,11 +271,29 @@ pub fn contains_term(haystack: &str, term: &str) -> bool {
 /// [`contains_term`] against a pre-tokenized needle. Predicates evaluated
 /// across a whole corpus tokenize the needle once up front and call this per
 /// document instead of re-tokenizing the search term on every comparison.
+///
+/// The haystack is streamed, never collected: bit `k` of `run` says the
+/// last `k + 1` tokens equal `needle[..=k]` (shift-and), so the scan holds
+/// one token at a time and stops at the first whole match.
 pub fn contains_tokens(haystack: &str, needle: &[String]) -> bool {
-    if needle.is_empty() {
+    let n = needle.len();
+    if n == 0 {
         return false;
     }
-    tokenize(haystack).windows(needle.len()).any(|w| w == needle)
+    if n > 64 {
+        return tokenize(haystack).windows(n).any(|w| w == needle);
+    }
+    let mut run = 0u64;
+    any_token(haystack, |t| {
+        let mut hits = 0u64;
+        for (k, w) in needle.iter().enumerate() {
+            if w == t {
+                hits |= 1 << k;
+            }
+        }
+        run = ((run << 1) | 1) & hits;
+        run & (1 << (n - 1)) != 0
+    })
 }
 
 /// Jaccard similarity of analyzed token sets — the cheap "string matching"
@@ -225,8 +329,20 @@ mod tests {
         let mut sorted = STOPWORDS.to_vec();
         sorted.sort_unstable();
         assert_eq!(sorted, STOPWORDS, "STOPWORDS must stay sorted");
+        assert!(STOPWORD_KEYS.windows(2).all(|w| w[0] < w[1]), "keys sort like the words");
+        assert!(STOPWORDS.iter().all(|w| w.len() <= 7 && is_stopword(w)));
         assert!(is_stopword("the"));
-        assert!(!is_stopword("wind"));
+        // The integer keys answer exactly what the word list does, on every
+        // prefix and one-byte extension of every stopword.
+        for w in STOPWORDS {
+            for cut in 0..=w.len() {
+                for ext in ["", "s", "e", "\u{0}", "\u{e9}"] {
+                    let probe = format!("{}{ext}", &w[..cut]);
+                    assert_eq!(is_stopword(&probe), STOPWORDS.contains(&probe.as_str()), "{probe:?}");
+                }
+            }
+        }
+        assert!(!is_stopword("whichever") && !is_stopword("wind"));
     }
 
     #[test]

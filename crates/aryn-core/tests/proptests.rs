@@ -98,6 +98,52 @@ mod reference {
         }
         t.to_string()
     }
+
+    /// Sentence splitting over a collected `Vec<char>`, as it stood before
+    /// `sentence_spans`.
+    pub fn sentences(text: &str) -> Vec<String> {
+        let mut out = Vec::new();
+        let mut cur = String::new();
+        let chars: Vec<char> = text.chars().collect();
+        let mut i = 0;
+        while i < chars.len() {
+            let c = chars[i];
+            cur.push(c);
+            if matches!(c, '.' | '!' | '?') {
+                let next_ws = chars.get(i + 1).is_none_or(|n| n.is_whitespace());
+                let prev_word = cur
+                    .trim_end_matches(['.', '!', '?'])
+                    .rsplit(|ch: char| ch.is_whitespace())
+                    .next()
+                    .unwrap_or("");
+                let abbrev = prev_word.len() <= 2 || prev_word.contains('.');
+                if next_ws && !abbrev {
+                    let s = cur.trim().to_string();
+                    if !s.is_empty() {
+                        out.push(s);
+                    }
+                    cur.clear();
+                }
+            }
+            i += 1;
+        }
+        let s = cur.trim().to_string();
+        if !s.is_empty() {
+            out.push(s);
+        }
+        out
+    }
+
+    /// Token counting as two passes, as it stood before the one-pass count.
+    pub fn count_tokens(text: &str) -> usize {
+        (text.chars().count() / 4).max(text.split_whitespace().count())
+    }
+
+    /// Needle search over the collected token vector, as it stood before
+    /// `contains_tokens` streamed.
+    pub fn contains_tokens(haystack: &str, needle: &[String]) -> bool {
+        !needle.is_empty() && aryn_core::text::tokenize(haystack).windows(needle.len()).any(|w| w == needle)
+    }
 }
 
 /// Floats by raw bits: NaNs with payloads, infinities, `-0.0`, subnormals.
@@ -498,11 +544,107 @@ proptest! {
     }
 }
 
+/// Every term `any_analyzed` streams, collected.
+fn streamed_terms(s: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    text::any_analyzed(s, |t| {
+        out.push(t.to_string());
+        false
+    });
+    out
+}
+
+/// The streaming text path against the collecting one it replaced.
+fn assert_streaming_matches(s: &str) {
+    let spans: Vec<&str> = text::sentence_spans(s).collect();
+    assert_eq!(spans, reference::sentences(s), "sentence_spans({s:?})");
+    assert_eq!(text::sentences(s), reference::sentences(s), "sentences({s:?})");
+    assert_eq!(streamed_terms(s), text::analyze(s), "any_analyzed({s:?})");
+    assert_eq!(text::count_tokens(s), reference::count_tokens(s), "count_tokens({s:?})");
+    let tokens = text::tokenize(s);
+    let mut seen = Vec::new();
+    text::any_token(s, |t| {
+        seen.push(t.to_string());
+        false
+    });
+    assert_eq!(seen, tokens, "any_token({s:?})");
+    // Stopping early stops at exactly that token.
+    if let Some(last) = tokens.last() {
+        let mut n = 0;
+        assert!(text::any_token(s, |t| {
+            n += 1;
+            t == last
+        }));
+        assert_eq!(tokens[n - 1], *last);
+        assert!(!tokens[..n - 1].contains(last));
+    }
+}
+
+#[test]
+fn streaming_text_path_matches_on_edge_cases() {
+    for s in [
+        "", ".", "...", "a. b. c.", "U.S. mainland. It landed.", "No. 4 went! Then? Yes.", "Hi!Hi! x", " . ! ? ",
+        "Probable cause: wind.\nThe end", "\u{130}. \u{3a3}\u{3a3}. \u{2026} done.",
+        "a\tb\nc\x0bd\x0ce\rf\x1cg\x1fh", "\u{85}x\u{a0}y\u{2003}z\u{3000}w\u{200b}v", "   ", "\u{a0}",
+    ] {
+        assert_streaming_matches(s);
+    }
+    let needle = |s: &str| text::tokenize(s);
+    for (h, n) in [("a a b", "a b"), ("wind wind shear", "wind shear"), ("x y", "x y z"), ("Wind-Shear!", "wind shear")] {
+        assert_eq!(text::contains_tokens(h, &needle(n)), reference::contains_tokens(h, &needle(n)), "{h:?} ⊇ {n:?}");
+    }
+}
+
 proptest! {
     #[test]
     fn sentences_preserve_nonspace_content(s in "[a-zA-Z .!?]{0,200}") {
         let joined: String = text::sentences(&s).join(" ");
         let strip = |x: &str| x.chars().filter(|c| !c.is_whitespace()).collect::<String>();
         prop_assert_eq!(strip(&joined), strip(&s));
+    }
+
+    #[test]
+    fn streaming_text_path_matches_on_unicode(cs in prop::collection::vec(unicode_char(), 0..120)) {
+        assert_streaming_matches(&cs.into_iter().collect::<String>());
+    }
+
+    #[test]
+    fn streaming_text_path_matches_on_sentence_like_text(
+        parts in prop::collection::vec(("[a-zA-Z0-9]{0,7}", "[ .!?\n]{1,3}"), 0..40),
+    ) {
+        let s: String = parts.iter().flat_map(|(w, sep)| [w.as_str(), sep.as_str()]).collect();
+        assert_streaming_matches(&s);
+    }
+
+    /// Words from a five-word vocabulary, so needles of one to three tokens
+    /// hit, overlap themselves ("a a b" ⊇ "a b") and miss in every way.
+    #[test]
+    fn contains_tokens_matches_the_collected_windows(
+        hay in prop::collection::vec((0usize..5, "[ ,.;-]{1,2}"), 0..40),
+        needle in prop::collection::vec(0usize..5, 1..=3),
+    ) {
+        const VOCAB: &[&str] = &["wind", "Shear", "gust", "w\u{ed}nd", "9"];
+        let h: String = hay.iter().flat_map(|(w, sep)| [VOCAB[*w], sep.as_str()]).collect();
+        let n: Vec<String> = needle.iter().flat_map(|w| text::tokenize(VOCAB[*w])).collect();
+        prop_assert_eq!(text::contains_tokens(&h, &n), reference::contains_tokens(&h, &n), "{:?} in {:?}", n, h);
+    }
+
+    #[test]
+    fn contains_tokens_matches_on_unicode(
+        cs in prop::collection::vec(unicode_char(), 0..80),
+        from in 0usize..40,
+        len in 1usize..=3,
+    ) {
+        let h: String = cs.into_iter().collect();
+        let tokens = text::tokenize(&h);
+        // A needle cut from the haystack's own tokens (a hit), then the same
+        // needle with its last token changed (usually a miss).
+        let start = from.min(tokens.len());
+        let mut n: Vec<String> = tokens[start..(start + len).min(tokens.len())].to_vec();
+        prop_assert_eq!(text::contains_tokens(&h, &n), reference::contains_tokens(&h, &n));
+        if let Some(last) = n.last_mut() {
+            last.push('x');
+        }
+        prop_assert_eq!(text::contains_tokens(&h, &n), reference::contains_tokens(&h, &n));
     }
 }

@@ -65,9 +65,9 @@ impl FaultWindow {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ChaosKeying {
     /// Windows cover the op's global call sequence in arrival order (the
-    /// default). Exact for sequential execution; under a parallel executor
-    /// the document→index mapping follows scheduling, so *which* document a
-    /// window hits can vary with the worker count.
+    /// default). Which document a window hits is fixed by call order, so
+    /// the executor runs a stage over such a client on one worker
+    /// ([`LanguageModel::order_dependent`]).
     #[default]
     CallIndex,
     /// Windows cover a virtual index derived from the request itself:
@@ -211,6 +211,14 @@ impl LanguageModel for ChaosModel {
 
     fn context_window(&self) -> usize {
         self.inner.context_window()
+    }
+
+    /// Windows over arrival indices make which call meets a fault depend on
+    /// call order; request-keyed windows place every fault by the request.
+    fn order_dependent(&self) -> bool {
+        let by_arrival =
+            self.schedule.keying == ChaosKeying::CallIndex && !self.schedule.windows.is_empty();
+        by_arrival || self.inner.order_dependent()
     }
 
     fn generate(&self, req: &LlmRequest) -> Result<LlmResponse> {

@@ -350,6 +350,22 @@ impl LlmClient {
         chain
     }
 
+    /// True when a call's outcome depends on the calls issued before it,
+    /// through this client or any tier of its fallback chain: an
+    /// arrival-order chaos schedule ([`LanguageModel::order_dependent`]) or
+    /// a reliability policy whose budgets or breakers keep one running
+    /// account ([`ReliabilityPolicy::order_dependent`]). The executor runs a
+    /// stage over such a client on one worker, so the worker count never
+    /// decides which document meets fault #k or the deadline.
+    ///
+    /// [`ReliabilityPolicy::order_dependent`]: crate::ReliabilityPolicy::order_dependent
+    pub fn order_dependent(&self) -> bool {
+        self.fallback_chain().iter().any(|c| {
+            c.model.order_dependent()
+                || c.reliability().is_some_and(|r| r.policy().order_dependent())
+        })
+    }
+
     /// Flags `n` documents as degraded in the meter (called by transforms
     /// when a document's result came from a fallback tier or string-match).
     pub fn note_degraded_docs(&self, n: u64) {

@@ -470,10 +470,11 @@ impl LanguageModel for MockLlm {
         } else {
             0
         };
+        let prompt_hash = aryn_core::fnv1a(req.prompt.as_bytes());
         let ctx = EngineCtx {
             spec: self.spec,
             seed: self.cfg.seed,
-            prompt_hash: aryn_core::fnv1a(req.prompt.as_bytes()),
+            prompt_hash,
             salt,
         };
         // Transient failures are infrastructure-level: they resample on
@@ -481,7 +482,7 @@ impl LanguageModel for MockLlm {
         let transient_ctx = EngineCtx {
             spec: self.spec,
             seed: self.cfg.seed,
-            prompt_hash: aryn_core::fnv1a(req.prompt.as_bytes()),
+            prompt_hash,
             salt: 0x7000_0000 ^ req.attempt as u64,
         };
         let p_fail = (self.spec.transient_fail_rate * self.cfg.transient_scale).clamp(0.0, 1.0);

@@ -96,6 +96,14 @@ pub trait LanguageModel: Send + Sync {
     /// Runs one completion. Implementations may fail transiently (rate
     /// limits) or with [`aryn_core::ArynError::ContextOverflow`].
     fn generate(&self, req: &LlmRequest) -> Result<LlmResponse>;
+
+    /// True when a response depends on how many calls came before it (a
+    /// fault schedule over arrival order), so calls must be issued in input
+    /// order for a run to replay. A model that answers from the request
+    /// alone — the default — may be called from any number of workers.
+    fn order_dependent(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

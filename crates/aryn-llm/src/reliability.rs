@@ -115,6 +115,17 @@ impl ReliabilityPolicy {
             || self.max_cost_usd > 0.0
     }
 
+    /// True when a call's outcome depends on the calls charged before it: a
+    /// deadline, token or dollar budget (every call draws down one clock) or
+    /// circuit breakers (every outcome moves one window). A per-call timeout
+    /// alone judges each call by itself.
+    pub fn order_dependent(&self) -> bool {
+        self.deadline_ms > 0.0
+            || self.max_tokens > 0
+            || self.max_cost_usd > 0.0
+            || self.breaker_window > 0
+    }
+
     /// Exponential backoff with seeded jitter for a retry `attempt` (1-based)
     /// against `model`, in simulated ms. Deterministic for a given policy.
     pub fn backoff_ms(&self, base_ms: f64, model: &str, attempt: u32) -> f64 {

@@ -7,8 +7,12 @@
 //! corrupt an honest result; this module is deterministic and RNG-free.
 
 use aryn_core::lexicon;
-use aryn_core::text::{analyze, contains_term, sentences, tokenize};
+use aryn_core::text::{
+    analyze, any_analyzed, any_token, contains_term, sentence_spans, sentences, stem, tokenize,
+};
 use aryn_core::Value;
+use std::borrow::Cow;
+use std::sync::OnceLock;
 
 /// Extracts one schema field from context text, dispatching on the field
 /// name the way an instruction-following model keys off the schema.
@@ -172,13 +176,42 @@ pub fn eval_predicate(predicate: &str, context: &str) -> bool {
     if terms.is_empty() {
         return false;
     }
-    let ctx_tokens = analyze(context);
-    let hits = terms.iter().filter(|t| ctx_tokens.contains(t)).count();
-    let frac = hits as f64 / terms.len() as f64;
+    let frac = terms_present(&terms, context) as f64 / terms.len() as f64;
     if frac < 0.6 {
         return false;
     }
     !negated(&terms, context)
+}
+
+/// Which of `terms` occur among `text`'s analyzed terms, one bit each (bit
+/// `k` for `terms[k]`): `analyze(text).contains(&terms[k])` for every `k`,
+/// with the text streamed instead of collected and the scan stopped once
+/// every term has been seen. At most 64 terms.
+fn analyzed_hits(terms: &[String], text: &str) -> u64 {
+    debug_assert!(terms.len() <= 64);
+    let all = match terms.len() {
+        64 => u64::MAX,
+        n => (1u64 << n) - 1,
+    };
+    let mut seen = 0u64;
+    any_analyzed(text, |t| {
+        for (k, term) in terms.iter().enumerate() {
+            if term == t {
+                seen |= 1 << k;
+            }
+        }
+        seen == all
+    });
+    seen
+}
+
+/// How many entries of `terms` occur among `text`'s analyzed terms.
+fn terms_present(terms: &[String], text: &str) -> usize {
+    if terms.len() <= 64 {
+        return analyzed_hits(terms, text).count_ones() as usize;
+    }
+    let tokens = analyze(text);
+    terms.iter().filter(|t| tokens.contains(t)).count()
 }
 
 /// True when the cause description in `context` matches `target`, which may
@@ -199,31 +232,36 @@ pub fn cause_matches(target: &str, context: &str) -> bool {
     if terms.is_empty() {
         return false;
     }
-    let region_tokens = analyze(&causal);
-    let hits = terms.iter().filter(|x| region_tokens.contains(x)).count();
-    hits * 2 >= terms.len().max(1)
+    terms_present(&terms, &causal) * 2 >= terms.len().max(1)
 }
 
-/// The sentences around causal markers — where a report states its cause.
-fn causal_region(context: &str) -> String {
+/// Sentence markers of a report's causal statement.
+const CAUSAL_MARKERS: &[&str] =
+    &["probable cause", "caused by", "due to", "result of", "resulted in", "failure to"];
+
+/// The sentences around causal markers — where a report states its cause —
+/// or the whole context when none has a marker. Each sentence is lowercased
+/// into one reused buffer for the marker test.
+fn causal_region(context: &str) -> Cow<'_, str> {
     let mut out = String::new();
-    for s in sentences(context) {
-        let l = s.to_lowercase();
-        if l.contains("probable cause")
-            || l.contains("caused by")
-            || l.contains("due to")
-            || l.contains("result of")
-            || l.contains("resulted in")
-            || l.contains("failure to")
-        {
-            out.push_str(&s);
+    let mut lower = String::new();
+    for s in sentence_spans(context) {
+        lower.clear();
+        if s.is_ascii() {
+            lower.push_str(s);
+            lower.make_ascii_lowercase();
+        } else {
+            lower.extend(s.chars().flat_map(char::to_lowercase));
+        }
+        if CAUSAL_MARKERS.iter().any(|m| lower.contains(m)) {
+            out.push_str(s);
             out.push(' ');
         }
     }
     if out.is_empty() {
-        context.to_string()
+        Cow::Borrowed(context)
     } else {
-        out
+        Cow::Owned(out)
     }
 }
 
@@ -839,7 +877,7 @@ pub fn find_ticker(context: &str) -> Option<String> {
 
 /// Dollar amount in millions near one of `anchors` (empty anchors = any).
 pub fn find_money(context: &str, anchors: &[&str]) -> Option<f64> {
-    for s in sentences(context) {
+    for s in sentence_spans(context) {
         let ls = s.to_lowercase();
         let anchor_pos = if anchors.is_empty() {
             Some(0)
@@ -882,7 +920,7 @@ pub fn find_money(context: &str, anchors: &[&str]) -> Option<f64> {
 
 /// Percentage near one of `anchors`; negative when a decline verb anchors it.
 pub fn find_percent(context: &str, anchors: &[&str]) -> Option<f64> {
-    for s in sentences(context) {
+    for s in sentence_spans(context) {
         let ls = s.to_lowercase();
         if !anchors.is_empty() && !anchors.iter().any(|a| ls.contains(a)) {
             continue;
@@ -922,10 +960,10 @@ pub fn ceo_changed(context: &str) -> bool {
 
 /// CEO name: "FIRST LAST" lexicon bigram near a CEO mention.
 pub fn find_ceo(context: &str) -> Option<String> {
-    for s in sentences(context) {
+    for s in sentence_spans(context) {
         let l = s.to_lowercase();
         if l.contains("ceo") || l.contains("chief executive") {
-            if let Some(n) = find_person(&s) {
+            if let Some(n) = find_person(s) {
                 return Some(n);
             }
         }
@@ -1010,16 +1048,14 @@ pub fn find_quarter(context: &str) -> Option<String> {
 
 /// `(positive_cues, negative_cues)` counts.
 fn pos_neg(context: &str) -> (usize, usize) {
-    let toks = analyze(context);
-    let pos = lexicon::POSITIVE_CUES
-        .iter()
-        .filter(|c| toks.contains(&aryn_core::text::stem(c)))
-        .count();
-    let neg = lexicon::NEGATIVE_CUES
-        .iter()
-        .filter(|c| toks.contains(&aryn_core::text::stem(c)))
-        .count();
-    (pos, neg)
+    // The cue stems, positive first, built once.
+    static CUE_STEMS: OnceLock<Vec<String>> = OnceLock::new();
+    let stems = CUE_STEMS.get_or_init(|| {
+        lexicon::POSITIVE_CUES.iter().chain(lexicon::NEGATIVE_CUES).map(|c| stem(c)).collect()
+    });
+    let hits = analyzed_hits(stems, context);
+    let pos_mask = (1u64 << lexicon::POSITIVE_CUES.len()) - 1;
+    ((hits & pos_mask).count_ones() as usize, (hits & !pos_mask).count_ones() as usize)
 }
 
 /// Three-way sentiment from cue counts.
@@ -1083,7 +1119,7 @@ pub fn count_near(context: &str, anchors: &[&str]) -> Option<i64> {
         ("zero", 0), ("one", 1), ("two", 2), ("three", 3), ("four", 4), ("five", 5), ("six", 6),
         ("seven", 7), ("eight", 8), ("nine", 9), ("ten", 10), ("eleven", 11), ("twelve", 12),
     ];
-    for s in sentences(context) {
+    for s in sentence_spans(context) {
         let l = s.to_lowercase();
         if !anchors.iter().any(|a| l.contains(a)) {
             continue;
@@ -1091,7 +1127,7 @@ pub fn count_near(context: &str, anchors: &[&str]) -> Option<i64> {
         if l.contains("no injur") || l.contains("not injured") || l.contains("uninjured") {
             return Some(0);
         }
-        if let Some(n) = first_number(&s) {
+        if let Some(n) = first_number(s) {
             return Some(n as i64);
         }
         let toks = tokenize(&l);
@@ -1133,32 +1169,28 @@ pub fn first_number(text: &str) -> Option<f64> {
 pub fn best_sentence(terms: &str, context: &str) -> Option<String> {
     let want = analyze(terms);
     let mut best: Option<(String, usize)> = None;
-    for s in sentences(context) {
-        let toks = analyze(&s);
+    for s in sentence_spans(context) {
+        let toks = analyze(s);
         let hits = want.iter().filter(|t| toks.contains(t)).count();
         if hits > 0 && best.as_ref().is_none_or(|(_, h)| hits > *h) {
-            best = Some((s, hits));
+            best = Some((s.to_string(), hits));
         }
     }
     best.map(|(s, _)| s)
 }
 
-/// Crude negation check: any matched term preceded by no/not/without nearby.
+/// Crude negation check: any matched term preceded by no/not/without nearby
+/// (within the three tokens before it).
 fn negated(terms: &[String], context: &str) -> bool {
-    let toks = tokenize(context);
-    for (i, t) in toks.iter().enumerate() {
-        let stemmed = aryn_core::text::stem(t);
-        if terms.contains(&stemmed) {
-            let lo = i.saturating_sub(3);
-            if toks[lo..i]
-                .iter()
-                .any(|w| matches!(w.as_str(), "no" | "not" | "without" | "never"))
-            {
-                return true;
-            }
-        }
-    }
-    false
+    // Which of the last three tokens were negation cues, newest in bit 0. A
+    // token is stemmed only when one was.
+    let mut recent = 0u8;
+    any_token(context, |t| {
+        let hit = recent != 0 && terms.contains(&stem(t));
+        let cue = matches!(t, "no" | "not" | "without" | "never");
+        recent = ((recent << 1) | u8::from(cue)) & 0b111;
+        hit
+    })
 }
 
 #[cfg(test)]
@@ -1235,6 +1267,9 @@ mod tests {
             "passengers were injured",
             "There were no injured passengers aboard."
         ));
+        // A negation cue reaches exactly three tokens ahead.
+        assert!(!eval_predicate("passengers were injured", "Not all four passengers were injured."));
+        assert!(eval_predicate("passengers were injured", "Not even all four passengers were injured."));
     }
 
     #[test]

@@ -92,9 +92,14 @@ pub struct LunaConfig {
     /// malformed-JSON streaks, endpoint blackouts. `None` = calm.
     pub chaos: Option<aryn_llm::ChaosSchedule>,
     /// Worker threads for the engine's morsel-driven per-document stages.
-    /// 1 (the default) runs sequentially; higher counts split every fused
-    /// per-doc segment into work-stealing morsels. Never changes results —
-    /// only wall time and the per-worker telemetry gauges.
+    /// Defaults to the host's available parallelism; 1 runs sequentially,
+    /// higher counts split every fused per-doc segment into work-stealing
+    /// morsels. Never changes results — only wall time and the per-worker
+    /// telemetry gauges: a stage whose LLM client keeps call-order state
+    /// (an arrival-order `chaos` schedule, a `reliability` budget or
+    /// breaker) runs on one worker whatever this says. Applied to the
+    /// context by `Luna::new`, except in session mode, where the service
+    /// applies it once when it is built.
     pub exec_workers: usize,
     /// Documents per executor work morsel (upper bound; small inputs split
     /// finer automatically).
@@ -118,7 +123,8 @@ pub struct LunaConfig {
     pub prune_dead_fields: bool,
     /// Serving-mode wiring ([`SessionWiring`]): shared infrastructure
     /// injected by the multi-tenant service. When set, Luna never mutates
-    /// context-global knobs (`set_reliability`, `set_chaos`) and skips
+    /// context-global knobs (`set_reliability`, `set_chaos`,
+    /// `set_parallelism`) and skips
     /// schema discovery / KG construction where prebuilt artifacts are
     /// provided. `None` (the default) is the classic single-session path.
     pub session: Option<SessionWiring>,
@@ -140,13 +146,24 @@ impl Default for LunaConfig {
             batch_token_budget: 2048,
             reliability: None,
             chaos: None,
-            exec_workers: 1,
+            exec_workers: std::thread::available_parallelism()
+                .map_or(1, std::num::NonZeroUsize::get),
             exec_morsel_size: 32,
             exec_steal: sycamore::StealPolicy::Ring,
             analyze_cost: false,
             enforce_budget: false,
             prune_dead_fields: false,
             session: None,
+        }
+    }
+}
+
+impl LunaConfig {
+    /// Sets the executor's worker knobs on a live context, unless they are
+    /// the context's own defaults (one worker, 32-document morsels).
+    pub(crate) fn apply_parallelism(&self, ctx: &sycamore::Context) {
+        if self.exec_workers > 1 || self.exec_morsel_size != 32 {
+            ctx.set_parallelism(self.exec_workers, self.exec_morsel_size, self.exec_steal);
         }
     }
 }
@@ -200,9 +217,11 @@ impl Luna {
         // Parallelism rides the same channel as batching: a live mutation of
         // the execution config, so the already-ingested sinks survive. Every
         // semantic operator Luna's plan nodes build routes through the
-        // context's morsel executor and inherits these knobs.
-        if cfg.exec_workers > 1 || cfg.exec_morsel_size != 32 {
-            ctx.set_parallelism(cfg.exec_workers, cfg.exec_morsel_size, cfg.exec_steal);
+        // context's morsel executor and inherits these knobs. A session
+        // shares its context with every other session, so the service
+        // applies them once instead.
+        if wiring.is_none() {
+            cfg.apply_parallelism(&ctx);
         }
         // Reliability. Classic mode: one shared state (clock, budget,
         // per-model breakers) installed on the context, so every

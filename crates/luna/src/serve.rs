@@ -263,7 +263,10 @@ impl QueryService {
     /// Builds the service over a context whose catalog already holds the
     /// ingested stores named in `indexes`: schemas are discovered and the
     /// knowledge graph is built exactly once, then shared by every session.
+    /// The default worker count ([`LunaConfig::exec_workers`]) is applied
+    /// to the context here, once; opening a session changes no knob.
     pub fn new(ctx: sycamore::Context, indexes: &[&str], cfg: ServeConfig) -> Result<QueryService> {
+        LunaConfig::default().apply_parallelism(&ctx);
         let mut schemas = Vec::new();
         for name in indexes {
             schemas.push(ctx.with_store(name, |s| IndexSchema::discover(name, s.len(), s.schema()))?);

@@ -228,7 +228,9 @@ impl Context {
     /// live context without discarding index sinks — parallelism is a
     /// query-time concern (Luna applies its configured worker count to an
     /// already-ingested context). Results never depend on these knobs, only
-    /// wall time does.
+    /// wall time does: a stage whose LLM client keeps call-order state (an
+    /// arrival-order chaos schedule, a reliability budget or breaker) runs
+    /// on one worker whatever `threads` says.
     pub fn set_parallelism(&self, threads: usize, morsel_size: usize, steal: StealPolicy) {
         let mut exec = self.inner.exec.write();
         exec.threads = threads.max(1);

@@ -286,10 +286,24 @@ struct SegmentOutcome {
 /// Applies a fused run of per-doc ops over all documents — morsel-parallel
 /// when configured, with cross-document micro-batching when enabled.
 fn run_segment(ctx: &Context, segment: &[Op], docs: Vec<Arc<Document>>) -> Result<SegmentOutcome> {
-    let cfg = ctx.exec_config();
-    if cfg.batch_max_items > 1 && segment.iter().any(Op::is_batchable) {
+    if ctx.exec_config().batch_max_items > 1 && segment.iter().any(Op::is_batchable) {
         run_segment_batched(ctx, segment, docs)
-    } else if cfg.threads <= 1 || docs.len() <= 1 {
+    } else {
+        run_per_doc(ctx, segment, docs)
+    }
+}
+
+/// Runs per-doc ops document by document: on the morsel workers, or on the
+/// calling thread when one worker is configured, there is at most one
+/// document, or some op's client keeps state that depends on call order
+/// ([`aryn_llm::LlmClient::order_dependent`]: an arrival-order chaos
+/// schedule, a budget or breaker clock). Such a stage runs in input order
+/// at every worker count, so the worker count never changes its results.
+fn run_per_doc(ctx: &Context, segment: &[Op], docs: Vec<Arc<Document>>) -> Result<SegmentOutcome> {
+    if ctx.exec_config().threads <= 1
+        || docs.len() <= 1
+        || segment.iter().filter_map(Op::client).any(aryn_llm::LlmClient::order_dependent)
+    {
         run_segment_sequential(ctx, segment, docs)
     } else {
         run_segment_morsels(ctx, segment, docs)
@@ -328,12 +342,7 @@ fn run_segment_batched(
             while j < segment.len() && !segment[j].is_batchable() {
                 j += 1;
             }
-            let sub_docs = std::mem::take(&mut acc.docs);
-            let sub = if cfg.threads <= 1 || sub_docs.len() <= 1 {
-                run_segment_sequential(ctx, &segment[i..j], sub_docs)?
-            } else {
-                run_segment_morsels(ctx, &segment[i..j], sub_docs)?
-            };
+            let sub = run_per_doc(ctx, &segment[i..j], std::mem::take(&mut acc.docs))?;
             acc.docs = sub.docs;
             acc.retries += sub.retries;
             acc.failed += sub.failed;

@@ -39,28 +39,16 @@ impl ElementSelector {
             return doc.full_text();
         }
         let mut out = String::new();
-        let push = |e: &aryn_core::Element, out: &mut String| {
-            let t = e.content_text();
-            if !t.is_empty() {
-                out.push_str(&t);
-                out.push('\n');
-            }
-        };
+        let push = |e: &aryn_core::Element| e.push_line(&mut out);
         match self {
-            ElementSelector::All => doc.elements.iter().for_each(|e| push(e, &mut out)),
-            ElementSelector::First(n) => {
-                doc.elements.iter().take(*n).for_each(|e| push(e, &mut out))
+            ElementSelector::All => doc.elements.iter().for_each(push),
+            ElementSelector::First(n) => doc.elements.iter().take(*n).for_each(push),
+            ElementSelector::Types(ts) => {
+                doc.elements.iter().filter(|e| ts.contains(&e.etype)).for_each(push)
             }
-            ElementSelector::Types(ts) => doc
-                .elements
-                .iter()
-                .filter(|e| ts.contains(&e.etype))
-                .for_each(|e| push(e, &mut out)),
-            ElementSelector::Pages(n) => doc
-                .elements
-                .iter()
-                .filter(|e| e.page < *n)
-                .for_each(|e| push(e, &mut out)),
+            ElementSelector::Pages(n) => {
+                doc.elements.iter().filter(|e| e.page < *n).for_each(push)
+            }
         }
         out
     }

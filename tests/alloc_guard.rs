@@ -1,8 +1,11 @@
-//! Allocation guard for the row plane (DESIGN.md "Data plane") and the
-//! sidecar index adds (§5j): what a structured question, a semantic filter,
-//! one HNSW insert, one BM25 insert and one durable put allocate, counted —
-//! nothing is timed. The binary installs a counting global allocator whose counters are
-//! per thread, and both checks run single-threaded (`exec` workers = 1), so
+//! Allocation guard for the row plane (DESIGN.md "Data plane"), the
+//! semantic operators' per-call path and the sidecar index adds (§5j): what
+//! a structured question, a semantic filter, one HNSW insert, one BM25
+//! insert and one durable put allocate, counted — nothing is timed. The
+//! binary installs a counting global allocator whose counters are per
+//! thread. The pipelines run on a `Context::new()`, which executes on the
+//! calling thread (`LunaConfig::default()` would ask for the host's worker
+//! count), and the structured count's plan has no per-document stage, so
 //! the numbers repeat exactly and other tests' threads cannot disturb them.
 
 use aryn::prelude::*;
@@ -139,6 +142,40 @@ fn llm_filter_copies_kept_rows_only() {
     // A kept row gets a lineage record, so it is copied once; a rejected row
     // is read through the snapshot's pointer and dropped.
     assert_eq!(row_blocks, kept.len() as u64, "document copies != kept rows");
+}
+
+/// An `llm_filter` pass over a store of `n` documents, pinned to one worker:
+/// blocks allocated per document.
+fn llm_filter_blocks_per_doc(store: DocStore, predicate: &str) -> u64 {
+    let n = store.len() as u64;
+    let ctx = Context::new().with_exec(ExecConfig { threads: 1, ..ExecConfig::default() });
+    ctx.put_store("s", store);
+    let client = LlmClient::new(Arc::new(MockLlm::new(&GPT4_SIM, SimConfig::perfect(11))));
+    let pipeline = ctx.read_store("s").unwrap().llm_filter(&client, predicate);
+    pipeline.collect_shared().unwrap();
+    let mut kept = 0;
+    let total = blocks(|| kept = pipeline.collect_shared().unwrap().len());
+    assert!(kept > 0 && (kept as u64) < n, "{predicate:?} kept {kept} of {n}");
+    total / n
+}
+
+#[test]
+fn an_llm_filter_call_allocates_under_100_blocks_per_document() {
+    // Per document: the selected text, the fitted prompt, the simulated
+    // model's prompt parse, verdict and JSON reply, the metering — and no
+    // longer one block per token of the context, which the semantic engine
+    // now streams. Measured: 61 on both stores (a causal predicate over NTSB,
+    // a sector predicate over earnings); collecting token vectors made it
+    // 199 and 241.
+    let ntsb: DocStore = Corpus::ntsb(11, 120).docs.iter().map(extracted_document).collect();
+    let earnings: DocStore = Corpus::earnings(11, 120).docs.iter().map(extracted_document).collect();
+    for (what, store, predicate) in [
+        ("ntsb", ntsb, "the incident was caused by wind"),
+        ("earnings", earnings, "the company is in the AI sector"),
+    ] {
+        let per_doc = llm_filter_blocks_per_doc(store, predicate);
+        assert!(per_doc <= 100, "{what}: {per_doc} blocks per document");
+    }
 }
 
 #[test]

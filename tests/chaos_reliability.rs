@@ -10,14 +10,19 @@
 //!
 //! The chaos schedules come from [`aryn_llm::chaos`]; the invariant proptest
 //! also runs under three pinned seeds (`seed_3` / `seed_17` / `seed_42`) so
-//! CI's chaos matrix exercises known-interesting schedules cheaply.
+//! CI's chaos matrix exercises known-interesting schedules cheaply, and so
+//! does the check that a Luna session at four workers replays its
+//! one-worker run exactly (`workers_match_sequential_seed_*`).
 
 use aryn_core::{obj, ArynError, Document, Value};
+use aryn_docgen::stream::extracted_document;
 use aryn_docgen::Corpus;
+use aryn_index::DocStore;
 use aryn_llm::{
-    ChaosSchedule, FaultKind, LlmClient, MockLlm, ReliabilityPolicy, SimConfig, GPT4_SIM,
+    ChaosSchedule, FaultKind, LlmClient, MockLlm, ReliabilityPolicy, SimConfig, UsageStats, GPT4_SIM,
     LLAMA7B_SIM,
 };
+use luna::{Luna, LunaConfig, Plan, PlanNode, PlanOp};
 use proptest::prelude::*;
 use std::sync::Arc;
 use sycamore::{Context, ExecStats};
@@ -270,6 +275,94 @@ fn chaos_invariant_seed_17() {
 #[test]
 fn chaos_invariant_seed_42() {
     chaos_invariant(42);
+}
+
+/// What one Luna run leaves behind, down to everything scheduling could
+/// move: the answer, each node's LLM counters and every kept row's
+/// `_degraded` flag.
+type LunaRun = (String, Vec<UsageStats>, Vec<(String, Option<String>)>);
+
+/// An llmFilter plan through a fresh Luna session over an NTSB store
+/// without its cause fields, under `seed`'s arrival-order chaos schedule and
+/// a deadline that runs out part-way through the filter.
+fn luna_run(seed: u64, workers: usize) -> LunaRun {
+    let ctx = Context::new();
+    let store: DocStore = Corpus::ntsb(7, 24)
+        .docs
+        .iter()
+        .map(|d| {
+            let mut doc = extracted_document(d);
+            if let Some(props) = doc.properties.as_object_mut() {
+                props.remove("cause_detail");
+                props.remove("cause_category");
+            }
+            doc
+        })
+        .collect();
+    ctx.put_store("ntsb", store);
+    let cfg = LunaConfig {
+        sim: SimConfig::perfect(1),
+        chaos: Some(ChaosSchedule::from_seed(seed, 80, 0.7)),
+        reliability: Some(ReliabilityPolicy {
+            call_timeout_ms: 10_000.0,
+            deadline_ms: 40_000.0,
+            degrade_below_ms: 2_000.0,
+            ..ReliabilityPolicy::default()
+        }),
+        exec_workers: workers,
+        exec_morsel_size: 2,
+        ..LunaConfig::default()
+    };
+    let luna = Luna::new(ctx, &["ntsb"], cfg).unwrap();
+    let predicate = "the incident was caused by environmental factors".to_string();
+    let node = |id, op, inputs| PlanNode { id, op, inputs, description: String::new() };
+    let plan = Plan {
+        nodes: vec![
+            node(0, PlanOp::QueryDatabase { index: "ntsb".into(), prefilter: vec![] }, vec![]),
+            node(1, PlanOp::LlmFilter { predicate, model: String::new() }, vec![0]),
+        ],
+        result: 1,
+    };
+    let result = luna.execute(&plan).unwrap();
+    let rows = result.output.rows().unwrap_or_default();
+    (
+        result.answer.clone(),
+        result.traces.iter().map(|t| t.llm).collect(),
+        rows.iter().map(|d| (d.id.to_string(), degraded(d).map(str::to_string))).collect(),
+    )
+}
+
+/// `exec_workers` is a speed knob only: under arrival-order chaos and a
+/// deadline, every stage over those clients runs in input order, so four
+/// workers reproduce one worker's run — answer, per-node counters (compared
+/// as printed, so floats by their shortest exact rendering) and degradation
+/// flags — byte for byte, every time.
+fn workers_match_sequential(seed: u64) {
+    let sequential = luna_run(seed, 1);
+    let degraded_docs: u64 = sequential.1.iter().map(|s| s.degraded_docs).sum();
+    assert!(
+        degraded_docs > 0 && degraded_docs < 24,
+        "seed {seed}: the deadline must cut the filter part-way ({degraded_docs} of 24 documents degraded)"
+    );
+    let want = format!("{sequential:?}");
+    for repeat in 0..5 {
+        assert_eq!(format!("{:?}", luna_run(seed, 4)), want, "seed {seed}, repeat {repeat}");
+    }
+}
+
+#[test]
+fn workers_match_sequential_seed_3() {
+    workers_match_sequential(3);
+}
+
+#[test]
+fn workers_match_sequential_seed_17() {
+    workers_match_sequential(17);
+}
+
+#[test]
+fn workers_match_sequential_seed_42() {
+    workers_match_sequential(42);
 }
 
 proptest! {

@@ -99,6 +99,27 @@ fn concurrent_budget_accounting_matches_solo_bit_for_bit() {
     assert_eq!(stats.tenants["acme"].questions, 0, "direct sessions bypass submit counters");
 }
 
+/// Sessions never touch the shared context's knobs: the service applies the
+/// default worker count once, when it is built, and opening sessions and
+/// asking through them leaves the execution config as it was — here a
+/// non-default one set after the service was built.
+#[test]
+fn opening_sessions_leaves_the_exec_config_unchanged() {
+    let ctx = serving_ctx(5, 12);
+    let svc = service(ctx.clone(), two_tenant_cfg(CacheKeyPolicy::Shared));
+    assert_eq!(ctx.exec_config().threads, LunaConfig::default().exec_workers);
+    ctx.set_parallelism(3, 7, StealPolicy::Disabled);
+    let pinned = ctx.exec_config();
+    for tenant in ["acme", "globex", "acme"] {
+        let session = svc.session(tenant).unwrap();
+        assert_eq!(ctx.exec_config(), pinned, "opening a {tenant} session");
+        session.ask(QUESTIONS[1]).unwrap();
+        assert_eq!(ctx.exec_config(), pinned, "asking through a {tenant} session");
+    }
+    svc.submit("globex", QUESTIONS[0]).unwrap();
+    assert_eq!(ctx.exec_config(), pinned, "submitting");
+}
+
 /// Cache-key policy: `Shared` lets tenant B reuse tenant A's identical
 /// temperature-0 completions; `PerTenant` folds the tenant into the key so
 /// the same question misses again. Answers are identical either way.
