@@ -16,13 +16,14 @@
 //! fraction of the in-flight bytes — exactly the torn-tail shapes a real
 //! power cut produces — and the handle is poisoned so later ops fail.
 //!
-//! [`crc32`] checksums every persisted record. Binary data (WAL records,
-//! sealed segments, materialize checkpoints) travels in frames,
-//! `[tag u8][len u32 LE][crc32 u32 LE][payload]`, the CRC covering tag,
-//! length and payload ([`encode_frame_with`] / [`decode_frame`]); whole-file
-//! formats end in a count-bearing `e` footer frame ([`finish_frame_file`] /
-//! [`decode_frame_file`]) so truncation is always detectable. Text lines (the store manifest, LLM cache lines) use
-//! [`encode_record`] / [`decode_record`]: `"<tag> <crc32:08x> <payload>"`.
+//! Every persisted record travels in one frame format,
+//! `[tag u8][len u32 LE][crc32 u32 LE][payload]`, the [`crc32`] covering
+//! tag, length and payload ([`encode_frame_with`] / [`decode_frame`]).
+//! Whole files (sealed segments, the store manifest, materialize
+//! checkpoints) end in a count-bearing `e` footer frame
+//! ([`finish_frame_file`] / [`decode_frame_file`]), so truncation is always
+//! detectable; append-only logs (the WAL, the LLM cache log) recover by one
+//! torn-tail rule, [`replay_frame_log`].
 
 use crate::{ArynError, Result};
 use std::collections::BTreeMap;
@@ -81,13 +82,6 @@ impl<T: Vfs + ?Sized> Vfs for Arc<T> {
     fn exists(&self, path: &Path) -> bool {
         (**self).exists(path)
     }
-}
-
-/// Reads a file as UTF-8 text.
-pub fn read_to_string(vfs: &dyn Vfs, path: &Path) -> Result<String> {
-    let bytes = vfs.read(path)?;
-    String::from_utf8(bytes)
-        .map_err(|_| ArynError::Io(format!("{}: invalid utf-8", path.display())))
 }
 
 /// Writes `data` atomically: temp file → sync → rename. A crash at any
@@ -221,34 +215,34 @@ pub fn decode_frame_file(mut bytes: &[u8]) -> Result<Vec<(u8, &[u8])>> {
     Err(ArynError::Io("frame file: torn, corrupt, or footer mismatch".into()))
 }
 
-/// Frames one record line: `"<tag> <crc32:08x> <payload>"` (no newline).
-pub fn encode_record(tag: char, payload: &str) -> String {
-    format!("{tag} {:08x} {payload}", crc32(payload.as_bytes()))
-}
-
-/// Parses and verifies a record line; `Err` means torn or corrupt.
-pub fn decode_record(line: &str) -> Result<(char, &str)> {
-    let bytes = line.as_bytes();
-    let bad = || ArynError::Io(format!("corrupt record: {:?}", truncate_for_err(line)));
-    if bytes.len() < 11 || bytes[1] != b' ' || bytes[10] != b' ' || !bytes[0].is_ascii() {
-        return Err(bad());
+/// The one torn-tail rule for append-only frame logs (the store's WAL, the
+/// LLM cache log): hands `apply` each frame of the log's valid prefix, in
+/// order — the frames before the first torn, corrupt, or unexpected-tag
+/// one. Appends are strictly ordered, so everything from that frame on is
+/// what an interrupted append left behind; once the prefix is applied, that
+/// tail is cut with [`atomic_write`] so the next append starts on a frame
+/// boundary. A missing file is an empty log. Returns whether a tail was
+/// cut; an `Err` from `apply` stops the replay before anything is written.
+pub fn replay_frame_log(
+    fs: &dyn Vfs,
+    path: &Path,
+    tags: &[u8],
+    mut apply: impl FnMut(u8, &[u8]) -> Result<()>,
+) -> Result<bool> {
+    if !fs.exists(path) {
+        return Ok(false);
     }
-    let tag = bytes[0] as char;
-    let want = u32::from_str_radix(&line[2..10], 16).map_err(|_| bad())?;
-    let payload = &line[11..];
-    if crc32(payload.as_bytes()) != want {
-        return Err(bad());
+    let data = fs.read(path)?;
+    let mut rest = &data[..];
+    while let Some((tag, payload, tail)) = decode_frame(rest).filter(|(tag, ..)| tags.contains(tag)) {
+        apply(tag, payload)?;
+        rest = tail;
     }
-    Ok((tag, payload))
-}
-
-fn truncate_for_err(line: &str) -> &str {
-    let cut = line
-        .char_indices()
-        .nth(40)
-        .map(|(i, _)| i)
-        .unwrap_or(line.len());
-    &line[..cut]
+    if rest.is_empty() {
+        return Ok(false);
+    }
+    atomic_write(fs, path, &data[..data.len() - rest.len()])?;
+    Ok(true)
 }
 
 fn io_err(path: &Path, e: std::io::Error) -> ArynError {
@@ -829,20 +823,35 @@ mod tests {
     }
 
     #[test]
-    fn record_roundtrip_and_corruption_detection() {
-        let line = encode_record('p', r#"{"id":"d1"}"#);
-        let (tag, payload) = decode_record(&line).unwrap();
-        assert_eq!(tag, 'p');
-        assert_eq!(payload, r#"{"id":"d1"}"#);
-        // Flip a payload byte: crc mismatch.
-        let corrupt = line.replace("d1", "d2");
-        assert!(decode_record(&corrupt).is_err());
-        // Torn prefix: framing fails.
-        assert!(decode_record(&line[..line.len() - 3]).is_err());
-        assert!(decode_record("").is_err());
-        // Empty payload is legal.
-        let empty = encode_record('e', "");
-        assert_eq!(decode_record(&empty).unwrap(), ('e', ""));
+    fn frame_log_replays_its_valid_prefix_and_cuts_the_rest() {
+        let fs = MemFs::new();
+        let p = Path::new("/log");
+        let replay = |tags: &[u8]| {
+            let mut seen = Vec::new();
+            let cut = replay_frame_log(&fs, p, tags, |tag, payload| {
+                seen.push((tag, payload.to_vec()));
+                Ok(())
+            });
+            (cut.unwrap(), seen)
+        };
+        assert_eq!(replay(b"a"), (false, vec![]), "a missing log is empty");
+        let mut log = Vec::new();
+        encode_frame(&mut log, b'a', b"one").unwrap();
+        encode_frame(&mut log, b'a', b"two").unwrap();
+        let whole = log.len();
+        encode_frame(&mut log, b'b', b"foreign").unwrap();
+        encode_frame(&mut log, b'a', b"after").unwrap();
+        fs.write(p, &log).unwrap();
+        // An unexpected tag ends the prefix like a torn frame: the frame
+        // after it is gone too, and the cut is physical.
+        let want = vec![(b'a', b"one".to_vec()), (b'a', b"two".to_vec())];
+        assert_eq!(replay(b"a"), (true, want.clone()));
+        assert_eq!(fs.read(p).unwrap(), &log[..whole]);
+        assert_eq!(replay(b"a"), (false, want));
+        // A failing `apply` stops the replay and writes nothing.
+        fs.write(p, &log).unwrap();
+        assert!(replay_frame_log(&fs, p, b"a", |_, _| Err(ArynError::Io("no".into()))).is_err());
+        assert_eq!(fs.read(p).unwrap(), log);
     }
 
     #[test]

@@ -263,8 +263,10 @@ pub struct StoreStats {
     pub segments_recovered: usize,
     /// Stale files (orphaned temps, retired WALs/segments) swept by `open`.
     pub orphans_removed: usize,
-    /// IO failures swallowed by the infallible mutation API (`put`, `seal`,
-    /// ...); the durable image stays consistent, the write was not acked.
+    /// Failed durable writes, counted once by the method whose IO failed
+    /// (`try_put`, `try_delete`, `try_seal`, `try_compact`) — including a
+    /// threshold seal or fanout compaction another call triggered. The
+    /// durable image stays consistent; the write was not applied.
     pub io_errors: usize,
 }
 
@@ -294,13 +296,13 @@ impl Segment {
 type Layer = BTreeMap<String, Option<Arc<Document>>>;
 
 /// On-disk layout (DESIGN.md §5k): a manifest naming live segments and the
-/// current WAL, checksummed per-record.
+/// current WAL, a frame file of one `m` frame.
 const MANIFEST: &str = "MANIFEST";
 
-/// The on-disk format the manifest declares: binary frames of
-/// [`aryn_core::serialize::encode_document`] records. A manifest without
-/// it (the JSON-line stores) or with another value is refused at open.
-const FORMAT: i64 = 2;
+/// The on-disk format the manifest declares: every file is frames, records
+/// are [`aryn_core::serialize::encode_document`] bytes. A manifest of an
+/// older format (text lines) or with another value is refused at open.
+const FORMAT: i64 = 3;
 
 fn seg_name(id: u64) -> String {
     format!("seg-{id:06}.seg")
@@ -350,8 +352,31 @@ fn write_manifest(
         ("next_segment".to_string(), Value::Int(next_segment as i64)),
         ("format".to_string(), Value::Int(FORMAT)),
     ])));
-    let line = format!("{}\n", vfs::encode_record('m', &payload));
-    vfs::atomic_write(fs, &dir.join(MANIFEST), line.as_bytes())
+    let mut file = Vec::new();
+    vfs::encode_frame(&mut file, b'm', payload.as_bytes())?;
+    vfs::finish_frame_file(&mut file, 1)?;
+    vfs::atomic_write(fs, &dir.join(MANIFEST), &file)
+}
+
+/// Parses the manifest at `path`. Anything but one `m` frame under its
+/// footer — a torn file, a flipped byte, an older text-line manifest — is
+/// not this format and is refused, as is a payload declaring another one.
+fn read_manifest(fs: &dyn Vfs, path: &Path) -> Result<Value> {
+    let bytes = fs.read(path)?;
+    let not_ours = |why: &str| ArynError::Io(format!("{}: not a format-{FORMAT} manifest ({why})", path.display()));
+    let payload = match vfs::decode_frame_file(&bytes).map_err(|e| not_ours(&e.to_string()))?[..] {
+        [(b'm', payload)] => payload,
+        _ => return Err(not_ours("expected one `m` frame")),
+    };
+    let v = aryn_core::json::parse(std::str::from_utf8(payload).map_err(|_| not_ours("payload is not utf-8"))?)?;
+    let format = v.get("format").and_then(Value::as_int);
+    if format != Some(FORMAT) {
+        return Err(ArynError::Io(format!(
+            "{}: store format {format:?}, this build reads {FORMAT}",
+            path.display()
+        )));
+    }
+    Ok(v)
 }
 
 /// A memtable's state as WAL records: `p` + the encoded document per entry,
@@ -486,30 +511,21 @@ impl DocStore {
         self.durable.as_ref().map(|d| d.dir.as_path())
     }
 
-    /// Inserts or replaces a document. O(doc): the memtable insert plus a
-    /// schema delta for the old and new property trees. On a durable store
-    /// an IO failure leaves memory unchanged and bumps `io_errors`; use
-    /// [`DocStore::try_put`] when the ack matters.
-    pub fn put(&mut self, doc: Document) {
-        let _ = self.try_put(doc);
-    }
-
-    /// Inserts or replaces a document; `Ok` is the durability ack. On a
-    /// durable store the WAL record is appended (and fsynced, per
-    /// [`WalConfig`]) *before* memory mutates, so `Ok` means the write
-    /// survives a crash; `Err` means it was never applied.
+    /// Inserts or replaces a document; `Ok` is the durability ack. O(doc):
+    /// the memtable insert plus a schema delta for the old and new property
+    /// trees. On a durable store the WAL record is appended (and fsynced,
+    /// per [`WalConfig`]) *before* memory mutates, so `Ok` means the write
+    /// survives a crash; `Err` means it was never applied. In-memory
+    /// stores never fail.
     pub fn try_put(&mut self, doc: Document) -> Result<()> {
-        if let Err(e) = self.wal_append(b'p', |o| aryn_core::serialize::encode_document(&doc, o)) {
-            self.stats.io_errors += 1;
-            return Err(e);
-        }
+        self.wal_append(b'p', |o| aryn_core::serialize::encode_document(&doc, o))
+            .inspect_err(|_| self.stats.io_errors += 1)?;
         self.apply_put(doc);
         if self.config.seal_threshold > 0 && self.mem.len() >= self.config.seal_threshold {
-            // A failed seal doesn't unack the put: the record is in the WAL
-            // and the memtable simply stays large until a seal succeeds.
-            if self.try_seal().is_err() {
-                self.stats.io_errors += 1;
-            }
+            // A failed seal (counted by `try_seal`) doesn't unack the put:
+            // the record is in the WAL and the memtable simply stays large
+            // until a seal succeeds.
+            let _ = self.try_seal();
         }
         Ok(())
     }
@@ -559,26 +575,19 @@ impl DocStore {
         layered_lookup(&self.mem, &self.segments, id).map(Arc::as_ref)
     }
 
-    /// Deletes a document. If a sealed segment still holds the id, a
-    /// tombstone shadows it until compaction; otherwise the memtable entry
-    /// is simply dropped. IO failures bump `io_errors` and report `false`.
-    pub fn delete(&mut self, id: &str) -> bool {
-        self.try_delete(id).unwrap_or(false)
-    }
-
-    /// Deletes with a durability ack (see [`DocStore::try_put`]).
+    /// Deletes a document with a durability ack (see [`DocStore::try_put`]);
+    /// `Ok(false)` when the id was not live. If a sealed segment still holds
+    /// the id, a tombstone shadows it until compaction; otherwise the
+    /// memtable entry is simply dropped.
     pub fn try_delete(&mut self, id: &str) -> Result<bool> {
         if layered_lookup(&self.mem, &self.segments, id).is_none() {
             return Ok(false);
         }
-        let appended = self.wal_append(b'd', |o| {
+        self.wal_append(b'd', |o| {
             o.extend_from_slice(id.as_bytes());
             Ok(())
-        });
-        if let Err(e) = appended {
-            self.stats.io_errors += 1;
-            return Err(e);
-        }
+        })
+        .inspect_err(|_| self.stats.io_errors += 1)?;
         self.apply_delete(id);
         Ok(true)
     }
@@ -602,30 +611,26 @@ impl DocStore {
     /// Seals the memtable into an immutable segment (no-op when empty), then
     /// compacts if the sealed-segment count reached `compact_fanout`.
     /// Deterministic inline "background" maintenance: there are no threads,
-    /// so runs are bit-reproducible. IO failures bump `io_errors` and leave
-    /// the memtable in place (retried at the next threshold crossing).
-    pub fn seal(&mut self) {
-        if self.try_seal().is_err() {
-            self.stats.io_errors += 1;
-        }
-    }
-
-    /// Fallible seal. On a durable store the order is crash-safe: segment
-    /// file (atomic temp→sync→rename), then the manifest naming it and
-    /// rotating the WAL (atomic), then memory. A crash between any two
-    /// steps recovers to either the pre-seal state (WAL replay) or the
-    /// post-seal state (manifest) — never a mix.
+    /// so runs are bit-reproducible. On a durable store the order is
+    /// crash-safe: segment file (atomic temp→sync→rename), then the manifest
+    /// naming it and rotating the WAL (atomic), then memory. A crash between
+    /// any two steps recovers to either the pre-seal state (WAL replay) or
+    /// the post-seal state (manifest) — never a mix. An IO failure bumps
+    /// `io_errors` and leaves the memtable in place (retried at the next
+    /// threshold crossing).
     pub fn try_seal(&mut self) -> Result<()> {
         if self.mem.is_empty() {
             return Ok(());
         }
         if let Some(d) = self.durable.as_mut() {
             let seg_id = self.next_segment;
-            vfs::atomic_write(&d.vfs, &d.seg_path(seg_id), &segment_bytes(&self.mem)?)?;
             let mut ids: Vec<u64> = self.segments.iter().map(|s| s.id).collect();
             ids.push(seg_id);
             let new_wal = d.wal_seq + 1;
-            write_manifest(&d.vfs, &d.dir, &ids, new_wal, seg_id + 1)?;
+            segment_bytes(&self.mem)
+                .and_then(|seg| vfs::atomic_write(&d.vfs, &d.seg_path(seg_id), &seg))
+                .and_then(|()| write_manifest(&d.vfs, &d.dir, &ids, new_wal, seg_id + 1))
+                .inspect_err(|_| self.stats.io_errors += 1)?;
             // The seal is durable; the superseded WAL is garbage (recovery
             // sweeps it if this remove never runs).
             let old = std::mem::replace(&mut d.wal, d.dir.join(wal_name(new_wal)));
@@ -642,11 +647,9 @@ impl DocStore {
         self.stats.seals += 1;
         self.seq += 1;
         if self.config.compact_fanout > 0 && self.segments.len() >= self.config.compact_fanout {
-            // The seal stands even if compaction fails; fanout stays high
-            // and the next seal retries it.
-            if self.try_compact().is_err() {
-                self.stats.io_errors += 1;
-            }
+            // The seal stands even if compaction fails (counted by
+            // `try_compact`); fanout stays high and the next seal retries it.
+            let _ = self.try_compact();
         }
         Ok(())
     }
@@ -654,15 +657,9 @@ impl DocStore {
     /// Merges all sealed segments into one, resolving shadowed entries and
     /// dropping tombstones (nothing older remains for them to shadow).
     /// Existing snapshots keep their `Arc`s to the pre-compaction segments.
-    /// IO failures bump `io_errors` and change nothing.
-    pub fn compact(&mut self) {
-        if self.try_compact().is_err() {
-            self.stats.io_errors += 1;
-        }
-    }
-
-    /// Fallible compaction: merged segment file first, then the manifest
-    /// swap (atomic), then memory — crash-safe like [`DocStore::try_seal`].
+    /// On a durable store: merged segment file first, then the manifest swap
+    /// (atomic), then memory — crash-safe like [`DocStore::try_seal`]. An IO
+    /// failure bumps `io_errors` and changes nothing.
     pub fn try_compact(&mut self) -> Result<()> {
         if self.segments.is_empty() {
             return Ok(());
@@ -684,12 +681,14 @@ impl DocStore {
         }
         if let Some(d) = self.durable.as_mut() {
             let new_id = self.next_segment;
-            if merged.is_empty() {
-                write_manifest(&d.vfs, &d.dir, &[], d.wal_seq, new_id)?;
+            let persisted = if merged.is_empty() {
+                write_manifest(&d.vfs, &d.dir, &[], d.wal_seq, new_id)
             } else {
-                vfs::atomic_write(&d.vfs, &d.seg_path(new_id), &segment_bytes(&merged)?)?;
-                write_manifest(&d.vfs, &d.dir, &[new_id], d.wal_seq, new_id + 1)?;
-            }
+                segment_bytes(&merged)
+                    .and_then(|seg| vfs::atomic_write(&d.vfs, &d.seg_path(new_id), &seg))
+                    .and_then(|()| write_manifest(&d.vfs, &d.dir, &[new_id], d.wal_seq, new_id + 1))
+            };
+            persisted.inspect_err(|_| self.stats.io_errors += 1)?;
             for seg in &self.segments {
                 let _ = d.vfs.remove(&d.seg_path(seg.id));
             }
@@ -1003,28 +1002,9 @@ impl DocStore {
         let manifest_path = dir.join(MANIFEST);
         let mut wal_seq = 0u64;
         if fs.exists(&manifest_path) {
-            let text = vfs::read_to_string(&fs, &manifest_path)?;
-            let line = text
-                .lines()
-                .find(|l| !l.trim().is_empty())
-                .ok_or_else(|| ArynError::Io(format!("{}: empty", manifest_path.display())))?;
-            let (tag, payload) = vfs::decode_record(line)?;
-            if tag != 'm' {
-                return Err(ArynError::Io(format!(
-                    "{}: not a manifest (tag {tag:?})",
-                    manifest_path.display()
-                )));
-            }
-            let v = aryn_core::json::parse(payload)?;
             // Refuse a foreign format before touching anything: replaying
             // it would read every record as a torn tail and truncate it.
-            let format = v.get("format").and_then(Value::as_int);
-            if format != Some(FORMAT) {
-                return Err(ArynError::Io(format!(
-                    "{}: store format {format:?}, this build reads {FORMAT}",
-                    manifest_path.display()
-                )));
-            }
+            let v = read_manifest(&fs, &manifest_path)?;
             let seg_ids: Vec<u64> = v
                 .get("segments")
                 .and_then(Value::as_array)
@@ -1075,38 +1055,18 @@ impl DocStore {
             wal_dirty: false,
             frame: Vec::new(),
         });
-        // The replayed memtable may already exceed the seal threshold.
-        if store.config.seal_threshold > 0
-            && store.mem.len() >= store.config.seal_threshold
-            && store.try_seal().is_err()
-        {
-            store.stats.io_errors += 1;
+        // The replayed memtable may already exceed the seal threshold; a
+        // failed seal (counted by `try_seal`) leaves it in the memtable.
+        if store.config.seal_threshold > 0 && store.mem.len() >= store.config.seal_threshold {
+            let _ = store.try_seal();
         }
         Ok(store)
     }
 
-    /// Replays the WAL's valid record prefix; a torn or corrupt tail is
-    /// truncated away with an atomic rewrite (the tail was never acked).
-    fn replay_wal(&mut self, fs: &Arc<dyn Vfs>, wal_path: &Path) -> Result<()> {
-        if !fs.exists(wal_path) {
-            return Ok(());
-        }
-        let data = fs.read(wal_path)?;
-        let mut rest = &data[..];
-        let mut records: Vec<(u8, &[u8])> = Vec::new();
-        // The first bad frame ends the valid prefix: everything from there
-        // is the torn tail (appends are strictly ordered).
-        while let Some((tag, payload, tail)) =
-            vfs::decode_frame(rest).filter(|(tag, ..)| matches!(tag, b'p' | b'd'))
-        {
-            records.push((tag, payload));
-            rest = tail;
-        }
-        if !rest.is_empty() {
-            vfs::atomic_write(fs, wal_path, &data[..data.len() - rest.len()])?;
-            self.stats.torn_tail_truncated += 1;
-        }
-        for (tag, payload) in records {
+    /// Replays the WAL's valid record prefix by [`vfs::replay_frame_log`]'s
+    /// torn-tail rule: the tail it cuts was never acked.
+    fn replay_wal(&mut self, fs: &dyn Vfs, wal_path: &Path) -> Result<()> {
+        let cut = vfs::replay_frame_log(fs, wal_path, b"pd", |tag, payload| {
             if tag == b'p' {
                 self.apply_put(aryn_core::serialize::decode_document(payload)?);
             } else {
@@ -1116,17 +1076,20 @@ impl DocStore {
                 }
             }
             self.stats.wal_replayed += 1;
-        }
+            Ok(())
+        })?;
+        self.stats.torn_tail_truncated += usize::from(cut);
         Ok(())
     }
 }
 
-/// Materializes a store from documents.
+/// Materializes an in-memory store from documents.
 impl FromIterator<Document> for DocStore {
     fn from_iter<I: IntoIterator<Item = Document>>(iter: I) -> DocStore {
         let mut s = DocStore::new();
         for d in iter {
-            s.put(d);
+            // In-memory: no WAL, so `try_put` cannot fail.
+            let _ = s.try_put(d);
         }
         s
     }
@@ -1306,23 +1269,23 @@ mod tests {
         assert_eq!(first["state"].1, 4);
         assert_eq!(s.schema(), first);
         // put folds the new document's fields in...
-        s.put(doc("e", obj! { "state" => "HI", "island" => "Maui" }));
+        s.try_put(doc("e", obj! { "state" => "HI", "island" => "Maui" })).unwrap();
         let with_island = s.schema();
         assert_eq!(with_island["island"].0, "string");
         assert_eq!(with_island["state"].1, 5);
         // ...delete folds them back out...
-        s.delete("e");
+        s.try_delete("e").unwrap();
         assert!(!s.schema().contains_key("island"));
-        s.delete("ghost");
+        s.try_delete("ghost").unwrap();
         assert_eq!(s.schema(), first);
         // ...replacement swaps old fields for new...
-        s.put(doc("a", obj! { "state" => "AK", "narrative_len" => 12i64 }));
+        s.try_put(doc("a", obj! { "state" => "AK", "narrative_len" => 12i64 })).unwrap();
         let replaced = s.schema();
         assert_eq!(replaced["narrative_len"].0, "int");
         assert!(!replaced.contains_key("year") || replaced["year"].1 == 3);
         // ...and seals/compactions never trigger a rescan.
-        s.seal();
-        s.compact();
+        s.try_seal().unwrap();
+        s.try_compact().unwrap();
         assert_eq!(s.schema(), replaced);
         assert_eq!(s.schema_scan_count(), 0);
     }
@@ -1330,10 +1293,10 @@ mod tests {
     #[test]
     fn put_replaces_and_delete_removes() {
         let mut s = store();
-        s.put(doc("a", obj! { "state" => "OR" }));
+        s.try_put(doc("a", obj! { "state" => "OR" })).unwrap();
         assert_eq!(s.get("a").unwrap().prop("state").unwrap().as_str(), Some("OR"));
-        assert!(s.delete("a"));
-        assert!(!s.delete("a"));
+        assert!(s.try_delete("a").unwrap());
+        assert!(!s.try_delete("a").unwrap());
         assert_eq!(s.len(), 3);
     }
 
@@ -1371,12 +1334,12 @@ mod lsm_tests {
         let mut model: BTreeMap<String, i64> = BTreeMap::new();
         for i in 0..40i64 {
             let id = format!("d{:02}", i % 20); // overwrite half the ids
-            s.put(doc(&id, i));
+            s.try_put(doc(&id, i)).unwrap();
             model.insert(id, i);
             if i % 7 == 0 {
                 let victim = format!("d{:02}", (i + 3) % 20);
                 let in_model = model.remove(&victim).is_some();
-                assert_eq!(s.delete(&victim), in_model);
+                assert_eq!(s.try_delete(&victim).unwrap(), in_model);
             }
         }
         assert_eq!(s.len(), model.len());
@@ -1400,24 +1363,24 @@ mod lsm_tests {
             seal_threshold: 0, // manual control
             compact_fanout: 0,
         });
-        s.put(doc("a", 1));
-        s.put(doc("b", 2));
-        s.seal();
+        s.try_put(doc("a", 1)).unwrap();
+        s.try_put(doc("b", 2)).unwrap();
+        s.try_seal().unwrap();
         assert_eq!(s.segment_count(), 1);
-        assert!(s.delete("a"));
+        assert!(s.try_delete("a").unwrap());
         assert!(s.get("a").is_none(), "memtable tombstone shadows the segment");
         assert_eq!(s.scan().count(), 1);
         assert_eq!(s.len(), 1);
         // Seal the tombstone, then compact: it resolves and disappears.
-        s.seal();
-        s.compact();
+        s.try_seal().unwrap();
+        s.try_compact().unwrap();
         assert_eq!(s.segment_count(), 1);
         assert_eq!(s.stats().tombstones_dropped, 1);
         assert!(s.get("a").is_none());
         assert_eq!(s.len(), 1);
         // Deleting a memtable-only doc needs no tombstone.
-        s.put(doc("c", 3));
-        assert!(s.delete("c"));
+        s.try_put(doc("c", 3)).unwrap();
+        assert!(s.try_delete("c").unwrap());
         assert_eq!(s.memtable_len(), 0);
     }
 
@@ -1425,7 +1388,7 @@ mod lsm_tests {
     fn snapshot_is_frozen_under_ingestion_and_compaction() {
         let mut s = small_store();
         for i in 0..10i64 {
-            s.put(doc(&format!("d{i}"), i));
+            s.try_put(doc(&format!("d{i}"), i)).unwrap();
         }
         let snap = s.snapshot();
         let seq = snap.seq();
@@ -1433,11 +1396,11 @@ mod lsm_tests {
         let schema_before = snap.schema();
         // Mutate heavily underneath: overwrites, deletes, seals, compactions.
         for i in 10..60i64 {
-            s.put(doc(&format!("d{}", i % 30), i));
+            s.try_put(doc(&format!("d{}", i % 30), i)).unwrap();
         }
-        s.delete("d3");
-        s.seal();
-        s.compact();
+        s.try_delete("d3").unwrap();
+        s.try_seal().unwrap();
+        s.try_compact().unwrap();
         assert!(s.seq() > seq);
         let after: Vec<String> = snap.scan().map(|d| d.id.0.clone()).collect();
         assert_eq!(before, after, "snapshot scan is bit-stable");
@@ -1464,19 +1427,19 @@ mod lsm_tests {
             seal_threshold: 0,
             compact_fanout: 0,
         });
-        s.put(doc("x", 1));
-        s.seal();
-        s.put(doc("x", 2));
-        s.seal();
-        s.put(doc("x", 3));
+        s.try_put(doc("x", 1)).unwrap();
+        s.try_seal().unwrap();
+        s.try_put(doc("x", 2)).unwrap();
+        s.try_seal().unwrap();
+        s.try_put(doc("x", 3)).unwrap();
         assert_eq!(s.len(), 1);
         assert_eq!(s.get("x").unwrap().prop("n").unwrap().as_int(), Some(3));
         assert_eq!(s.scan().count(), 1);
-        s.compact();
+        s.try_compact().unwrap();
         // Memtable still shadows the merged segment.
         assert_eq!(s.get("x").unwrap().prop("n").unwrap().as_int(), Some(3));
-        s.seal();
-        s.compact();
+        s.try_seal().unwrap();
+        s.try_compact().unwrap();
         assert_eq!(s.get("x").unwrap().prop("n").unwrap().as_int(), Some(3));
         assert_eq!(s.len(), 1);
     }
@@ -1605,23 +1568,99 @@ mod durability_tests {
         }
     }
 
+    /// A text-line record as formats 1 and 2 wrote them:
+    /// `"<tag> <crc32:08x> <payload>\n"`.
+    fn text_record(tag: char, payload: &str) -> String {
+        format!("{tag} {:08x} {payload}\n", vfs::crc32(payload.as_bytes()))
+    }
+
     #[test]
     fn a_foreign_store_is_an_error_never_a_truncation() {
-        // A store as the JSON-line format wrote it: a manifest without a
-        // format version and a WAL of text records.
+        // Format 1 (JSON lines): a manifest without a format version and a
+        // WAL of text records. Format 2: a text-line manifest declaring
+        // format 2 beside a WAL of binary frames.
+        let record = r#"{"elements":[],"id":"a","lineage":[],"properties":{"n":1}}"#;
+        let mut frames = Vec::new();
+        vfs::encode_frame_with(&mut frames, b'p', |o| aryn_core::serialize::encode_document(&doc("a", 1), o)).unwrap();
+        let fixtures = [
+            (r#"{"next_segment":0,"segments":[],"wal":0}"#, text_record('p', record).into_bytes()),
+            (r#"{"format":2,"next_segment":0,"segments":[],"wal":0}"#, frames),
+        ];
+        for (manifest, wal) in fixtures {
+            let mem = Arc::new(MemFs::new());
+            let dir = Path::new("/store");
+            mem.write(&dir.join(MANIFEST), text_record('m', manifest).as_bytes()).unwrap();
+            mem.write(&dir.join(wal_name(0)), &wal).unwrap();
+            mem.write(&dir.join("seg-000007.seg.tmp"), b"orphan").unwrap();
+            let before = disk_image(&mem);
+            let err = DocStore::open(dir, mem.clone()).unwrap_err();
+            assert!(matches!(&err, ArynError::Io(m) if m.contains("format")), "{err:?}");
+            assert_eq!(disk_image(&mem), before, "no sweep, no WAL rewrite");
+        }
+    }
+
+    #[test]
+    fn a_torn_or_mutated_manifest_is_an_error_and_touches_nothing() {
         let mem = Arc::new(MemFs::new());
         let dir = Path::new("/store");
-        let manifest = r#"{"next_segment":0,"segments":[],"wal":0}"#;
-        mem.write(&dir.join(MANIFEST), format!("{}\n", vfs::encode_record('m', manifest)).as_bytes())
-            .unwrap();
-        let record = r#"{"elements":[],"id":"a","lineage":[],"properties":{"n":1}}"#;
-        mem.write(&dir.join(wal_name(0)), format!("{}\n", vfs::encode_record('p', record)).as_bytes())
-            .unwrap();
-        mem.write(&dir.join("seg-000007.seg.tmp"), b"orphan").unwrap();
-        let before = disk_image(&mem);
-        let err = DocStore::open(dir, mem.clone()).unwrap_err();
-        assert!(matches!(&err, ArynError::Io(m) if m.contains("format")), "{err:?}");
-        assert_eq!(disk_image(&mem), before, "no sweep, no WAL rewrite");
+        let mut s = DocStore::open_with(dir, mem.clone(), cfg(), WalConfig::default()).unwrap();
+        for i in 0..6 {
+            s.try_put(doc(&format!("d{i}"), i)).unwrap();
+        }
+        drop(s);
+        let path = dir.join(MANIFEST);
+        let manifest = mem.read(&path).unwrap();
+        let mut damaged: Vec<Vec<u8>> = (0..manifest.len()).map(|cut| manifest[..cut].to_vec()).collect();
+        for at in 0..manifest.len() {
+            let mut bad = manifest.clone();
+            bad[at] ^= 0x20;
+            damaged.push(bad);
+        }
+        for bytes in damaged {
+            mem.write(&path, &bytes).unwrap();
+            let before = disk_image(&mem);
+            assert!(DocStore::open(dir, mem.clone()).is_err(), "{bytes:?}");
+            assert_eq!(disk_image(&mem), before, "{bytes:?}");
+        }
+        mem.write(&path, &manifest).unwrap();
+        assert_eq!(DocStore::open(dir, mem).unwrap().len(), 6);
+    }
+
+    #[test]
+    fn a_failed_seal_or_compaction_counts_one_io_error_and_changes_nothing() {
+        // Ops 0..=4 are open (mkdir, the fresh manifest's write + sync +
+        // rename, the sweep's list); a put is one append (fsync off); a
+        // seal is seven ops (segment and manifest write + sync + rename,
+        // the old WAL's remove). Op 7 is the first seal's segment write,
+        // op 23 the compaction's.
+        let mem = Arc::new(MemFs::new());
+        let schedule = StorageSchedule::calm()
+            .with_window(StorageFault::Enospc, 7, 1)
+            .with_window(StorageFault::Enospc, 23, 1);
+        let chaos: Arc<dyn Vfs> = Arc::new(ChaosFs::wrap(mem.clone(), schedule));
+        let manual = StoreConfig {
+            seal_threshold: 0,
+            compact_fanout: 0,
+        };
+        let dir = Path::new("/store");
+        let mut s = DocStore::open_with(dir, chaos, manual, WalConfig { fsync: false }).unwrap();
+        s.try_put(doc("a", 1)).unwrap();
+        s.try_put(doc("b", 2)).unwrap();
+        let (memtable, seq) = (s.memtable_len(), s.seq());
+        assert!(s.try_seal().is_err());
+        assert_eq!(s.stats().io_errors, 1);
+        assert_eq!((s.memtable_len(), s.seq(), s.segment_count()), (memtable, seq, 0));
+        s.try_seal().unwrap();
+        s.try_put(doc("c", 3)).unwrap();
+        s.try_seal().unwrap();
+        let seq = s.seq();
+        assert!(s.try_compact().is_err());
+        assert_eq!(s.stats().io_errors, 2);
+        assert_eq!((s.segment_count(), s.seq(), s.stats().compactions), (2, seq, 0));
+        s.try_compact().unwrap();
+        assert_eq!((s.segment_count(), s.stats().compactions, s.stats().io_errors), (1, 1, 2));
+        drop(s);
+        assert_eq!(DocStore::open(dir, mem).unwrap().len(), 3);
     }
 
     #[test]

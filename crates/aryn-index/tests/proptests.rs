@@ -97,7 +97,7 @@ proptest! {
         for i in 0..20 {
             let mut d = Document::new(format!("d{i}"));
             d.properties = obj! { "year" => year + (i % 7) };
-            store.put(d);
+            store.try_put(d).unwrap();
         }
         let p = Predicate::Range {
             path: "year".into(),
@@ -115,7 +115,7 @@ proptest! {
         for i in 0..25i64 {
             let mut d = Document::new(format!("d{i}"));
             d.properties = obj! { "x" => i % 5, "y" => (i / 5) % 5 };
-            store.put(d);
+            store.try_put(d).unwrap();
         }
         let px = Predicate::Eq("x".into(), Value::Int(a));
         let py = Predicate::Eq("y".into(), Value::Int(b));
@@ -144,7 +144,7 @@ proptest! {
             if i % 3 != 0 {
                 d.set_prop("state", ["AK", "TX", "WA"][i % 3]);
             }
-            store.put(d);
+            store.try_put(d).unwrap();
         }
         let total: usize = store.facet("state").iter().map(|(_, c)| *c).sum();
         let with_field = store

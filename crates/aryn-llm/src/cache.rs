@@ -10,9 +10,10 @@
 //! Two tiers:
 //!
 //! 1. a bounded in-memory LRU ([`LlmCallCache::with_capacity`]);
-//! 2. an optional append-only JSONL disk tier ([`LlmCallCache::with_disk`]),
-//!    following the `materialize(..., to: dir)` spill conventions — one JSON
-//!    object per line, loadable into a fresh process or `Context`.
+//! 2. an optional append-only disk tier ([`LlmCallCache::with_disk`]),
+//!    following the `materialize(..., to: dir)` spill conventions — one
+//!    checksummed frame per entry in `llm_cache.log`, loadable into a fresh
+//!    process or `Context`.
 //!
 //! **Single-flight:** concurrent workers issuing the *identical* call (the
 //! common case in `run_segment_parallel`, where a fused stage maps one prompt
@@ -27,11 +28,15 @@
 //! must not be memoized.
 
 use crate::model::Usage;
-use aryn_core::vfs::{self, StdFs, Vfs};
+use aryn_core::vfs::{self, Vfs};
 use aryn_core::{json, obj, stable_hash, Result, Value};
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+
+/// The disk tier's file under the directory given to
+/// [`LlmCallCache::with_disk`].
+const LOG: &str = "llm_cache.log";
 
 /// Stable fingerprint of one logical completion call.
 ///
@@ -100,9 +105,11 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Subset of `hits` that waited on an in-flight leader.
     pub dedup_joins: u64,
-    /// Truncated or corrupt lines skipped while loading the disk tier
-    /// (crash-mid-append leaves a partial trailing line; it must not poison
-    /// the rest of the file).
+    /// Tails cut while loading the disk tier, one per cut: a torn, corrupt
+    /// or foreign frame ends the log's valid prefix and is dropped with
+    /// everything after it. A checksummed entry that does not parse is
+    /// skipped and counted too. A lost entry is recomputed, never served
+    /// wrong.
     pub corrupt_entries: u64,
     /// Simulated dollars the hits would have cost.
     pub cost_saved_usd: f64,
@@ -185,12 +192,12 @@ pub struct LlmCallCache {
     flights: Condvar,
     capacity: usize,
     /// Disk tier, serialized by its own lock so concurrent inserts do not
-    /// interleave lines.
+    /// interleave frames.
     disk: Option<Mutex<DiskTier>>,
 }
 
-/// The JSONL disk tier: an append path plus the VFS it goes through, so
-/// storage chaos (torn appends, ENOSPC, crash points) covers the cache too.
+/// The disk tier: an append path plus the VFS it goes through, so storage
+/// chaos (torn appends, ENOSPC, crash points) covers the cache too.
 struct DiskTier {
     path: PathBuf,
     vfs: Arc<dyn Vfs>,
@@ -237,99 +244,43 @@ impl LlmCallCache {
         }
     }
 
-    /// Attaches a JSONL disk tier under `dir` (conventionally the lake /
-    /// materialize spill directory): existing entries in
-    /// `{dir}/llm_cache.jsonl` are loaded into the LRU, and every new insert
-    /// is appended, so a later process (or a second `Context`) warm-starts
-    /// from the same file.
-    pub fn with_disk(self, dir: impl Into<PathBuf>) -> Result<LlmCallCache> {
-        self.with_disk_on(Arc::new(StdFs), dir)
-    }
-
-    /// [`with_disk`](Self::with_disk) through an explicit VFS, so storage
-    /// chaos covers cache IO. New entries append as checksummed records
-    /// (`c <crc32> <json>`); loading verifies each line, skips-and-counts
-    /// corrupt ones mid-file, physically truncates a corrupt *tail* (the
-    /// crash-mid-append shape) with an atomic rewrite.
-    pub fn with_disk_on(
-        mut self,
-        fs: Arc<dyn Vfs>,
-        dir: impl Into<PathBuf>,
-    ) -> Result<LlmCallCache> {
+    /// Attaches a disk tier under `dir` (conventionally the lake /
+    /// materialize spill directory) through `fs`, so storage chaos covers
+    /// cache IO: the entries in `{dir}/llm_cache.log` are loaded into the
+    /// LRU, and every new insert is appended as one `c` frame, so a later
+    /// process (or a second `Context`) warm-starts from the same file.
+    /// Loading follows the WAL's torn-tail rule ([`vfs::replay_frame_log`]):
+    /// the first torn, corrupt or foreign frame ends the valid prefix and
+    /// is cut with everything after it. A corrupt frame mid-file therefore
+    /// costs the entries behind it too; they are recomputed, never served
+    /// wrong.
+    pub fn with_disk(mut self, fs: Arc<dyn Vfs>, dir: impl Into<PathBuf>) -> Result<LlmCallCache> {
         let dir = dir.into();
         fs.create_dir_all(&dir)?;
-        let path = dir.join("llm_cache.jsonl");
-        if fs.exists(&path) {
-            let text = vfs::read_to_string(&fs, &path)?;
-            let mut g = lock(&self.inner);
-            // Bytes of the prefix ending at the last good line: anything
-            // after it is the corrupt tail a crashed append left behind.
-            let mut good_end = 0usize;
-            let mut offset = 0usize;
-            for chunk in text.split_inclusive('\n') {
-                let start = offset;
-                offset += chunk.len();
-                let line = chunk.strip_suffix('\n').unwrap_or(chunk);
-                if line.trim().is_empty() {
-                    continue;
+        let path = dir.join(LOG);
+        let mut g = lock(&self.inner);
+        let cut = vfs::replay_frame_log(&fs, &path, b"c", |_, payload| {
+            match decode_entry(payload) {
+                Some((key, mut entry)) => {
+                    g.tick += 1;
+                    entry.last_used = g.tick;
+                    g.entries.insert(key, entry);
+                    evict_over_capacity(&mut g, self.capacity);
                 }
-                let parsed = match vfs::decode_record(line) {
-                    Ok(('c', payload)) => json::parse(payload).ok(),
-                    _ => None,
-                };
-                let Some(v) = parsed else {
-                    g.stats.corrupt_entries += 1;
-                    continue;
-                };
-                let Some(key) = v
-                    .get("key")
-                    .and_then(Value::as_str)
-                    .and_then(|s| u64::from_str_radix(s, 16).ok())
-                else {
-                    g.stats.corrupt_entries += 1;
-                    continue;
-                };
-                good_end = start + chunk.len();
-                let entry = CachedCall {
-                    text: v
-                        .get("text")
-                        .and_then(Value::as_str)
-                        .unwrap_or_default()
-                        .to_string(),
-                    usage: Usage {
-                        input_tokens: v
-                            .get("input_tokens")
-                            .and_then(Value::as_int)
-                            .unwrap_or(0) as usize,
-                        output_tokens: v
-                            .get("output_tokens")
-                            .and_then(Value::as_int)
-                            .unwrap_or(0) as usize,
-                        cost_usd: v.get("cost_usd").and_then(Value::as_float).unwrap_or(0.0),
-                        latency_ms: v.get("latency_ms").and_then(Value::as_float).unwrap_or(0.0),
-                    },
-                    last_used: 0,
-                };
-                g.tick += 1;
-                let tick = g.tick;
-                g.entries.insert(key, CachedCall { last_used: tick, ..entry });
-                evict_over_capacity(&mut g, self.capacity);
+                None => g.stats.corrupt_entries += 1,
             }
-            if good_end < text.len() {
-                // Truncate the corrupt tail so the next append starts on a
-                // clean line boundary instead of concatenating onto junk.
-                let _ = vfs::atomic_write(&fs, &path, &text.as_bytes()[..good_end]);
-            }
-            drop(g);
-        }
+            Ok(())
+        })?;
+        g.stats.corrupt_entries += u64::from(cut);
+        drop(g);
         self.disk = Some(Mutex::new(DiskTier { path, vfs: fs }));
         Ok(self)
     }
 
     /// Rewrites the disk tier to exactly the live in-memory entries (atomic
-    /// temp→sync→rename): drops corrupt mid-file lines, superseded
-    /// duplicates, and evicted entries. Returns the number of entries
-    /// written; no-op `Ok(0)` without a disk tier.
+    /// temp→sync→rename): drops superseded duplicates and evicted entries.
+    /// Returns the number of entries written; no-op `Ok(0)` without a disk
+    /// tier.
     pub fn compact_disk(&self) -> Result<usize> {
         let Some(disk) = &self.disk else {
             return Ok(0);
@@ -338,16 +289,15 @@ impl LlmCallCache {
         let g = lock(&self.inner);
         let mut keys: Vec<u64> = g.entries.keys().copied().collect();
         keys.sort_unstable();
-        let mut out = String::new();
+        let mut out = Vec::new();
         for key in &keys {
             if let Some(entry) = g.entries.get(key) {
-                out.push_str(&encode_disk_line(*key, &entry.text, entry.usage));
+                encode_entry(&mut out, *key, &entry.text, entry.usage)?;
             }
         }
-        let n = keys.len();
         drop(g);
-        vfs::atomic_write(&tier.vfs, &tier.path, out.as_bytes())?;
-        Ok(n)
+        vfs::atomic_write(&tier.vfs, &tier.path, &out)?;
+        Ok(keys.len())
     }
 
     pub fn capacity(&self) -> usize {
@@ -521,18 +471,20 @@ impl LlmCallCache {
 
     /// Appends one entry to the disk tier. Disk trouble degrades the cache
     /// to memory-only rather than failing the call that produced the result
-    /// (a torn append leaves a corrupt tail the next load truncates away).
+    /// (a torn append leaves a corrupt tail the next load cuts away).
     fn append_disk(&self, disk: &Mutex<DiskTier>, key: CacheKey, out: &CacheOutcome) {
         let tier = lock(disk);
-        let line = encode_disk_line(key.0, &out.text, out.usage);
-        if let Err(e) = tier.vfs.append(&tier.path, line.as_bytes()) {
+        let mut frame = Vec::new();
+        let appended = encode_entry(&mut frame, key.0, &out.text, out.usage)
+            .and_then(|()| tier.vfs.append(&tier.path, &frame));
+        if let Err(e) = appended {
             eprintln!("llm cache: disk tier append failed ({e}); continuing in-memory");
         }
     }
 }
 
-/// One checksummed disk-tier line (newline-terminated).
-fn encode_disk_line(key: u64, text: &str, usage: Usage) -> String {
+/// Appends one disk-tier entry to `out`: a `c` frame around its JSON.
+fn encode_entry(out: &mut Vec<u8>, key: u64, text: &str, usage: Usage) -> Result<()> {
     let payload = json::to_string(&obj! {
         "key" => format!("{key:016x}"),
         "text" => text,
@@ -541,7 +493,24 @@ fn encode_disk_line(key: u64, text: &str, usage: Usage) -> String {
         "cost_usd" => usage.cost_usd,
         "latency_ms" => usage.latency_ms
     });
-    format!("{}\n", vfs::encode_record('c', &payload))
+    vfs::encode_frame(out, b'c', payload.as_bytes())
+}
+
+/// One disk-tier entry from its frame payload; `None` when the JSON does
+/// not parse or carries no key.
+fn decode_entry(payload: &[u8]) -> Option<(u64, CachedCall)> {
+    let v = json::parse(std::str::from_utf8(payload).ok()?).ok()?;
+    let key = u64::from_str_radix(v.get("key")?.as_str()?, 16).ok()?;
+    let count = |k: &str| v.get(k).and_then(Value::as_int).unwrap_or(0) as usize;
+    let amount = |k: &str| v.get(k).and_then(Value::as_float).unwrap_or(0.0);
+    let usage = Usage {
+        input_tokens: count("input_tokens"),
+        output_tokens: count("output_tokens"),
+        cost_usd: amount("cost_usd"),
+        latency_ms: amount("latency_ms"),
+    };
+    let text = v.get("text").and_then(Value::as_str).unwrap_or_default().to_string();
+    Some((key, CachedCall { text, usage, last_used: 0 }))
 }
 
 /// Evicts least-recently-used entries until the store fits `capacity`.
@@ -565,7 +534,9 @@ fn evict_over_capacity(g: &mut CacheInner, capacity: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aryn_core::vfs::{MemFs, StdFs};
     use aryn_core::ArynError;
+    use std::path::Path;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -724,6 +695,44 @@ mod tests {
             .hit);
     }
 
+    /// The disk-tier directory the MemFs tests use, and its log.
+    const DIR: &str = "/cache";
+
+    fn log_path() -> PathBuf {
+        Path::new(DIR).join(LOG)
+    }
+
+    /// A fresh cache loading `fs`'s disk tier.
+    fn reload(fs: &Arc<MemFs>, capacity: usize) -> LlmCallCache {
+        LlmCallCache::with_capacity(capacity).with_disk(fs.clone(), DIR).unwrap()
+    }
+
+    /// Byte offsets where each whole frame of `log` ends.
+    fn frame_ends(log: &[u8]) -> Vec<usize> {
+        let (mut rest, mut ends) = (log, Vec::new());
+        while let Some((_, _, tail)) = vfs::decode_frame(rest) {
+            rest = tail;
+            ends.push(log.len() - rest.len());
+        }
+        ends
+    }
+
+    /// `n` entries computed through a disk tier on a fresh MemFs; returns
+    /// the MemFs and the log's bytes.
+    fn log_of(n: usize) -> (Arc<MemFs>, Vec<u8>) {
+        let fs = Arc::new(MemFs::new());
+        let cache = reload(&fs, 8);
+        for i in 0..n {
+            cache.get_or_compute(entry_key(i), || Ok((format!("v{i}"), usage(0.1)))).unwrap();
+        }
+        let log = fs.read(&log_path()).unwrap();
+        (fs, log)
+    }
+
+    fn entry_key(i: usize) -> CacheKey {
+        CacheKey::for_call("m", &format!("p{i}"), 64, 0.0)
+    }
+
     #[test]
     fn disk_tier_round_trips() {
         let dir = std::env::temp_dir().join(format!(
@@ -732,13 +741,13 @@ mod tests {
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let cache = LlmCallCache::with_capacity(8).with_disk(&dir).unwrap();
+        let cache = LlmCallCache::with_capacity(8).with_disk(Arc::new(StdFs), &dir).unwrap();
         let key = CacheKey::for_call("m", "durable prompt", 64, 0.0);
         cache
             .get_or_compute(key, || Ok(("persisted".into(), usage(0.125))))
             .unwrap();
         drop(cache);
-        let warm = LlmCallCache::with_capacity(8).with_disk(&dir).unwrap();
+        let warm = LlmCallCache::with_capacity(8).with_disk(Arc::new(StdFs), &dir).unwrap();
         assert_eq!(warm.len(), 1);
         let out = warm
             .get_or_compute(key, || panic!("disk tier should have served this"))
@@ -751,128 +760,128 @@ mod tests {
 
     #[test]
     fn corrupt_disk_lines_are_skipped_and_counted() {
-        let dir = std::env::temp_dir().join(format!(
-            "aryn-llm-cache-corrupt-test-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = LlmCallCache::with_capacity(8).with_disk(&dir).unwrap();
-        let k1 = CacheKey::for_call("m", "good one", 64, 0.0);
-        let k2 = CacheKey::for_call("m", "good two", 64, 0.0);
-        cache.get_or_compute(k1, || Ok(("v1".into(), usage(0.1)))).unwrap();
-        cache.get_or_compute(k2, || Ok(("v2".into(), usage(0.1)))).unwrap();
-        drop(cache);
-        // Simulate a crash mid-append (truncated trailing line) plus a
-        // well-formed entry without a checksum in the middle of the file:
-        // no writer produces that, so it is corruption, not an entry.
-        let path = dir.join("llm_cache.jsonl");
-        let mut lines: Vec<String> =
-            std::fs::read_to_string(&path).unwrap().lines().map(String::from).collect();
-        lines.insert(1, "{\"key\": \"00000000000000ff\", \"text\": \"zzz\"}".to_string());
-        let mut text = lines.join("\n");
-        text.push_str("\n{\"key\": \"0000000000000001\", \"te");
-        std::fs::write(&path, text).unwrap();
-        let warm = LlmCallCache::with_capacity(8).with_disk(&dir).unwrap();
-        assert_eq!(warm.len(), 2, "both intact entries survive the corruption");
-        assert_eq!(warm.stats().corrupt_entries, 2);
+        // Rewritten for the frame log, whose rule is the WAL's: corruption
+        // is no longer skipped entry by entry. The first bad frame ends the
+        // valid prefix, so an unchecksummed entry spliced in after the first
+        // one plus a torn trailing append cost everything from the splice
+        // on, in one cut counted once; the entries behind it are recomputed.
+        let (fs, log) = log_of(3);
+        let first = frame_ends(&log)[0];
+        let mut spliced = log[..first].to_vec();
+        spliced.extend_from_slice(br#"{"key": "00000000000000ff", "text": "zzz"}"#);
+        spliced.extend_from_slice(&log[first..]);
+        spliced.extend_from_slice(b"c\x40\x00");
+        fs.write(&log_path(), &spliced).unwrap();
+        let warm = reload(&fs, 8);
+        assert_eq!(warm.len(), 1, "only the entry before the splice survives");
+        assert_eq!(warm.stats().corrupt_entries, 1);
+        assert_eq!(fs.read(&log_path()).unwrap(), &log[..first]);
         assert!(warm
-            .get_or_compute(k1, || panic!("should be served from disk"))
+            .get_or_compute(entry_key(0), || panic!("should be served from disk"))
             .unwrap()
             .hit);
-        assert!(warm
-            .get_or_compute(k2, || panic!("should be served from disk"))
+        assert!(!warm
+            .get_or_compute(entry_key(1), || Ok(("v1".into(), usage(0.1))))
             .unwrap()
             .hit);
-        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_flipped_byte_mid_log_keeps_only_the_entries_before_it() {
+        let (fs, log) = log_of(4);
+        let ends = frame_ends(&log);
+        let mut bad = log.clone();
+        bad[ends[1] + 12] ^= 0x01; // a payload byte of the third entry
+        fs.write(&log_path(), &bad).unwrap();
+        let warm = reload(&fs, 8);
+        assert_eq!((warm.len(), warm.stats().corrupt_entries), (2, 1));
+        assert_eq!(fs.read(&log_path()).unwrap(), &log[..ends[1]]);
+        for i in 0..4 {
+            let hit = warm.get_or_compute(entry_key(i), || Ok(("again".into(), usage(0.1)))).unwrap().hit;
+            assert_eq!(hit, i < 2, "entry {i}");
+        }
     }
 
     #[test]
     fn corrupt_tail_is_physically_truncated_on_load() {
-        use aryn_core::vfs::MemFs;
-        use std::path::Path;
-        let fs = Arc::new(MemFs::new());
-        let dir = Path::new("/cache");
-        let cache = LlmCallCache::with_capacity(8)
-            .with_disk_on(fs.clone(), dir)
-            .unwrap();
-        let k1 = CacheKey::for_call("m", "p", 64, 0.0);
-        cache.get_or_compute(k1, || Ok(("v".into(), usage(0.1)))).unwrap();
-        drop(cache);
-        let path = dir.join("llm_cache.jsonl");
-        let clean_len = fs.read(&path).unwrap().len();
-        // A crash mid-append leaves a partial record with no newline.
-        fs.append(&path, b"c 1a2b3c4d {\"key\": \"00").unwrap();
-        let warm = LlmCallCache::with_capacity(8)
-            .with_disk_on(fs.clone(), dir)
-            .unwrap();
+        let (fs, log) = log_of(1);
+        // A crash mid-append leaves a partial frame.
+        let mut torn = Vec::new();
+        encode_entry(&mut torn, 0xff, "lost", usage(0.1)).unwrap();
+        fs.append(&log_path(), &torn[..15]).unwrap();
+        let warm = reload(&fs, 8);
         assert_eq!(warm.len(), 1);
         assert_eq!(warm.stats().corrupt_entries, 1);
         assert_eq!(
-            fs.read(&path).unwrap().len(),
-            clean_len,
+            fs.read(&log_path()).unwrap().len(),
+            log.len(),
             "the torn tail is truncated away, not just skipped"
         );
-        // Post-truncation appends land on a clean line boundary.
+        // Post-truncation appends land on a frame boundary.
         warm.insert(CacheKey::for_call("m", "q", 64, 0.0), "w".into(), usage(0.1));
         drop(warm);
-        let again = LlmCallCache::with_capacity(8).with_disk_on(fs, dir).unwrap();
+        let again = reload(&fs, 8);
         assert_eq!(again.len(), 2);
         assert_eq!(again.stats().corrupt_entries, 0, "truncation was physical");
     }
 
     #[test]
+    fn the_log_torn_at_every_offset_of_its_last_frame_keeps_the_whole_frames() {
+        let (_, log) = log_of(3);
+        let whole = frame_ends(&log)[1];
+        for cut in whole..log.len() {
+            let fs = Arc::new(MemFs::new());
+            fs.write(&log_path(), &log[..cut]).unwrap();
+            let warm = reload(&fs, 8);
+            assert_eq!(warm.len(), 2, "cut at {cut}");
+            assert_eq!(warm.stats().corrupt_entries, u64::from(cut > whole), "cut at {cut}");
+            assert_eq!(fs.read(&log_path()).unwrap(), &log[..whole], "cut at {cut}");
+            warm.insert(entry_key(9), "later".into(), usage(0.1));
+            drop(warm);
+            let again = reload(&fs, 8);
+            assert_eq!((again.len(), again.stats().corrupt_entries), (3, 0), "cut at {cut}");
+        }
+    }
+
+    #[test]
     fn compact_disk_drops_dead_lines_atomically() {
-        use aryn_core::vfs::{MemFs, Vfs};
-        use std::path::Path;
         let fs = Arc::new(MemFs::new());
-        let dir = Path::new("/cache");
-        let cache = LlmCallCache::with_capacity(2)
-            .with_disk_on(fs.clone(), dir)
-            .unwrap();
-        let k = |i: usize| CacheKey::for_call("m", &format!("p{i}"), 64, 0.0);
+        let cache = reload(&fs, 2);
         for i in 0..3 {
             cache
-                .get_or_compute(k(i), || Ok((format!("v{i}"), usage(0.1))))
+                .get_or_compute(entry_key(i), || Ok((format!("v{i}"), usage(0.1))))
                 .unwrap();
         }
-        let path = dir.join("llm_cache.jsonl");
-        // Append-only tier holds all 3 lines; memory holds the live 2.
-        let lines = |b: Vec<u8>| String::from_utf8(b).unwrap().lines().count();
-        assert_eq!(lines(fs.read(&path).unwrap()), 3);
+        // Append-only tier holds all 3 entries; memory holds the live 2.
+        let entries = |b: Vec<u8>| frame_ends(&b).len();
+        assert_eq!(entries(fs.read(&log_path()).unwrap()), 3);
         assert_eq!(cache.compact_disk().unwrap(), 2);
-        assert_eq!(lines(fs.read(&path).unwrap()), 2);
+        assert_eq!(entries(fs.read(&log_path()).unwrap()), 2);
         drop(cache);
-        let warm = LlmCallCache::with_capacity(8).with_disk_on(fs, dir).unwrap();
+        let warm = reload(&fs, 8);
         assert_eq!(warm.len(), 2);
         assert_eq!(warm.stats().corrupt_entries, 0);
         assert!(warm
-            .get_or_compute(k(2), || panic!("compacted entry must survive"))
+            .get_or_compute(entry_key(2), || panic!("compacted entry must survive"))
             .unwrap()
             .hit);
     }
 
     #[test]
     fn checksummed_lines_detect_bitflips() {
-        use aryn_core::vfs::MemFs;
-        use std::path::Path;
         let fs = Arc::new(MemFs::new());
-        let dir = Path::new("/cache");
-        let cache = LlmCallCache::with_capacity(8)
-            .with_disk_on(fs.clone(), dir)
-            .unwrap();
+        let cache = reload(&fs, 8);
         let k = CacheKey::for_call("m", "p", 64, 0.0);
         cache
             .get_or_compute(k, || Ok(("honest value".into(), usage(0.1))))
             .unwrap();
         drop(cache);
-        let path = dir.join("llm_cache.jsonl");
-        let mut bytes = fs.read(&path).unwrap();
+        let mut bytes = fs.read(&log_path()).unwrap();
         // Flip one payload byte: the CRC rejects the mangled text.
         let pos = bytes.len() - 20;
         bytes[pos] ^= 0x02;
-        fs.write(&path, &bytes).unwrap();
-        let warm = LlmCallCache::with_capacity(8).with_disk_on(fs, dir).unwrap();
+        fs.write(&log_path(), &bytes).unwrap();
+        let warm = reload(&fs, 8);
         assert_eq!(warm.len(), 0);
         assert_eq!(warm.stats().corrupt_entries, 1);
     }

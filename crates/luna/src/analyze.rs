@@ -1293,7 +1293,7 @@ mod tests {
             "us_state_abbrev" => "AK", "year" => 2019i64, "cause_category" => "environmental",
             "cause_detail" => "wind", "fatal" => 0i64, "weather_related" => true,
         };
-        ntsb.put(d);
+        ntsb.try_put(d).unwrap();
         vec![IndexSchema::discover("ntsb", ntsb.len(), ntsb.schema())]
     }
 
@@ -1591,11 +1591,11 @@ mod tests {
         let mut left = DocStore::new();
         let mut d = aryn_core::Document::new("l1");
         d.properties = obj! { "company" => "Apex", "year" => 2024i64 };
-        left.put(d);
+        left.try_put(d).unwrap();
         let mut right = DocStore::new();
         let mut d = aryn_core::Document::new("r1");
         d.properties = obj! { "company" => 7i64 };
-        right.put(d);
+        right.try_put(d).unwrap();
         let schemas = vec![
             IndexSchema::discover("left", left.len(), left.schema()),
             IndexSchema::discover("right", right.len(), right.schema()),

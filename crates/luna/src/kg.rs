@@ -146,7 +146,7 @@ mod tests {
             d.set_prop("company", company);
             d.set_prop("sector", sector);
             d.set_prop("ceo", "Maria Chen");
-            s.put(d);
+            s.try_put(d).unwrap();
         }
         s
     }
@@ -177,7 +177,7 @@ mod tests {
         let mut d = Document::new("e4");
         d.set_prop("company", "Vertex Robotics");
         d.set_prop("sector", "AI");
-        store.put(d);
+        store.try_put(d).unwrap();
         build_earnings_graph(&store, &mut g).unwrap();
         assert_eq!(g.nodes_with_label("company").len(), 4);
         assert_eq!(competitors_of(&g, "Apex Systems").len(), 2);
@@ -214,7 +214,7 @@ mod tests {
         let mut d = Document::new("ntsb-1");
         d.set_prop("us_state_abbrev", "AK");
         d.set_prop("aircraft_model", "Cessna 172");
-        s.put(d);
+        s.try_put(d).unwrap();
         let mut g = GraphStore::new();
         let edges = build_ntsb_graph(&s, &mut g).unwrap();
         assert_eq!(edges, 2);

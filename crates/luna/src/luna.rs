@@ -71,8 +71,8 @@ pub struct LunaConfig {
     pub call_cache: bool,
     /// In-memory entry bound for the call cache (LRU beyond this).
     pub call_cache_capacity: usize,
-    /// Optional JSONL disk tier directory (conventionally the lake dir):
-    /// entries persist across Luna instances and processes.
+    /// Optional disk tier directory (conventionally the lake dir), written
+    /// through the context's VFS: entries persist across sessions and processes.
     pub call_cache_dir: Option<std::path::PathBuf>,
     /// Cross-document micro-batching width for batchable semantic operators
     /// (`llmFilter`, `llmExtract`): up to this many documents share one
@@ -277,7 +277,7 @@ impl Luna {
             None if cfg.call_cache => {
                 let cache = LlmCallCache::with_capacity(cfg.call_cache_capacity);
                 let cache = match &cfg.call_cache_dir {
-                    Some(dir) => cache.with_disk(dir)?,
+                    Some(dir) => cache.with_disk(ctx.vfs(), dir)?,
                     None => cache,
                 };
                 Some(Arc::new(cache))

@@ -529,14 +529,14 @@ mod tests {
             "us_state_abbrev" => "AK", "year" => 2019i64, "weather_related" => true,
             "cause_detail" => "wind",
         };
-        ntsb.put(d);
+        ntsb.try_put(d).unwrap();
         let mut earn = DocStore::new();
         let mut d = aryn_core::Document::new("e1");
         d.properties = obj! {
             "company" => "Apex", "sector" => "AI", "guidance" => "lowered",
             "ceo_changed" => true, "sentiment" => "negative", "growth_pct" => 1.0,
         };
-        earn.put(d);
+        earn.try_put(d).unwrap();
         vec![
             IndexSchema::discover("ntsb", ntsb.len(), ntsb.schema()),
             IndexSchema::discover("earnings", earn.len(), earn.schema()),
@@ -931,7 +931,7 @@ mod batch_tests {
         for i in 0..10 {
             let mut d = aryn_core::Document::new(format!("n{i}"));
             d.properties = aryn_core::obj! { "us_state_abbrev" => "AK" };
-            store.put(d);
+            store.try_put(d).unwrap();
         }
         let schemas = vec![crate::schema::IndexSchema::discover("ntsb", store.len(), store.schema())];
         let cfg = OptimizerCfg {

@@ -749,7 +749,7 @@ mod tests {
             "us_state_abbrev" => "AK", "year" => 2019i64, "cause_category" => "environmental",
             "cause_detail" => "wind", "fatal" => 0i64, "weather_related" => true,
         };
-        ntsb.put(d);
+        ntsb.try_put(d).unwrap();
         let mut earn = DocStore::new();
         let mut d = aryn_core::Document::new("e1");
         d.properties = obj! {
@@ -757,7 +757,7 @@ mod tests {
             "revenue_musd" => 100.0, "ceo_changed" => true, "guidance" => "raised",
             "sentiment" => "positive", "year" => 2024i64,
         };
-        earn.put(d);
+        earn.try_put(d).unwrap();
         vec![
             IndexSchema::discover("ntsb", ntsb.len(), ntsb.schema()),
             IndexSchema::discover("earnings", earn.len(), earn.schema()),
@@ -946,7 +946,7 @@ mod query_time_extract_tests {
         d.properties = obj! {
             "us_state_abbrev" => "AK", "year" => 2019i64, "cause_category" => "environmental",
         };
-        ntsb.put(d);
+        ntsb.try_put(d).unwrap();
         vec![IndexSchema::discover("ntsb", ntsb.len(), ntsb.schema())]
     }
 
@@ -1001,7 +1001,7 @@ mod year_range_tests {
         let mut ntsb = DocStore::new();
         let mut d = aryn_core::Document::new("n1");
         d.properties = obj! { "year" => 2019i64, "cause_detail" => "wind" };
-        ntsb.put(d);
+        ntsb.try_put(d).unwrap();
         vec![IndexSchema::discover("ntsb", ntsb.len(), ntsb.schema())]
     }
 

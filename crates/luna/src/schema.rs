@@ -104,7 +104,7 @@ mod tests {
                 "growth_pct" => *growth,
                 "revenue_musd" => 100.0 + i as f64,
             };
-            s.put(d);
+            s.try_put(d).unwrap();
         }
         s
     }

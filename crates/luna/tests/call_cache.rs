@@ -3,7 +3,14 @@
 //! second time, while answering byte-for-byte identically — with the cache
 //! on or off.
 
+use aryn_core::vfs::{MemFs, Vfs};
+use aryn_docgen::Corpus;
+use aryn_llm::{LlmClient, MockLlm, SimConfig};
 use luna::bench18::{tally, Bench18, Bench18Cfg};
+use luna::{ingest_lake, ntsb_schema, Luna, LunaConfig};
+use std::path::Path;
+use std::sync::Arc;
+use sycamore::Context;
 
 fn small_cfg(call_cache: bool) -> Bench18Cfg {
     Bench18Cfg {
@@ -66,4 +73,27 @@ fn repeated_suite_reuses_cached_calls_and_answers_identically() {
         );
     }
     assert_eq!(tally(&rows1), tally(&rows_off));
+}
+
+/// The disk tier writes through the session context's VFS: over a `MemFs`
+/// the log lands in the `MemFs`, and nothing reaches the host path.
+#[test]
+fn the_disk_tier_goes_through_the_context_vfs() {
+    let dir = Path::new("/aryn-cache-test");
+    let mem = Arc::new(MemFs::new());
+    let ctx = Context::new();
+    ctx.set_vfs(mem.clone());
+    ctx.register_corpus("ntsb", &Corpus::ntsb(7, 6));
+    let client = LlmClient::new(Arc::new(MockLlm::new(&aryn_llm::GPT4_SIM, SimConfig::perfect(7))));
+    ingest_lake(&ctx, "ntsb", "ntsb", &client, ntsb_schema(), aryn_partitioner::Detector::DetrSim).unwrap();
+    let cfg = LunaConfig {
+        sim: SimConfig::perfect(7),
+        call_cache: true,
+        call_cache_dir: Some(dir.into()),
+        ..LunaConfig::default()
+    };
+    let luna = Luna::new(ctx, &["ntsb"], cfg).unwrap();
+    luna.ask("How many incidents were caused by wind?").unwrap();
+    assert!(mem.read(&dir.join("llm_cache.log")).is_ok_and(|log| !log.is_empty()));
+    assert!(!dir.exists(), "the cache wrote to the host filesystem");
 }

@@ -14,7 +14,7 @@ fn store(name: &str, rows: Vec<Value>) -> Context {
     for (i, props) in rows.into_iter().enumerate() {
         let mut d = Document::new(format!("{name}{i}"));
         d.properties = props;
-        s.put(d);
+        s.try_put(d).unwrap();
     }
     ctx.put_store(name, s);
     ctx
@@ -55,7 +55,7 @@ fn join_merges_matching_rows() {
     {
         let mut d = Document::new(format!("r{i}"));
         d.properties = props;
-        right.put(d);
+        right.try_put(d).unwrap();
     }
     ctx.put_store("right", right);
     let plan = Plan {

@@ -36,4 +36,4 @@ pub use docset::{DocSet, Source};
 pub use ingest::{IngestConfig, IngestReport, IngestShared, Ingestor};
 pub use op::{Agg, ElementSelector, Op, PartitionCfg};
 pub use stats::{ExecStats, StageStats, WorkerStats};
-pub use transforms::{load_materialized, load_materialized_on};
+pub use transforms::load_materialized;

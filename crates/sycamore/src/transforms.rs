@@ -15,7 +15,7 @@
 use crate::context::Context;
 use crate::op::{Agg, ElementSelector, Op, PartitionCfg};
 use aryn_core::json;
-use aryn_core::vfs::{self, StdFs, Vfs};
+use aryn_core::vfs::{self, Vfs};
 use aryn_core::{obj, ArynError, Document, LineageRecord, Result, Value};
 use aryn_llm::prompt::tasks;
 use aryn_llm::semantics;
@@ -755,15 +755,11 @@ pub fn materialize(
     Ok(())
 }
 
-/// Loads a disk materialization written by [`materialize`].
-pub fn load_materialized(path: &std::path::Path) -> Result<Vec<Document>> {
-    load_materialized_on(&StdFs, path)
-}
-
-/// [`load_materialized`] against an explicit [`Vfs`]. Any checksum or
-/// footer mismatch is an error — a torn checkpoint is discarded by the
-/// caller and recomputed, never half-loaded.
-pub fn load_materialized_on(fs: &dyn Vfs, path: &std::path::Path) -> Result<Vec<Document>> {
+/// Loads a disk materialization written by [`materialize`] through `fs`
+/// (the context's [`Vfs`]). Any checksum or footer mismatch is an error — a
+/// torn checkpoint is discarded by the caller and recomputed, never
+/// half-loaded.
+pub fn load_materialized(fs: &dyn Vfs, path: &std::path::Path) -> Result<Vec<Document>> {
     let bytes = fs.read(path)?;
     vfs::decode_frame_file(&bytes)?
         .into_iter()

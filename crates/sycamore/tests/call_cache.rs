@@ -64,9 +64,9 @@ fn disk_tier_round_trips_across_contexts() {
     let schema = obj! { "us_state_abbrev" => "string" };
 
     let run = |expect_calls: u64| {
-        let cache = Arc::new(LlmCallCache::with_capacity(64).with_disk(&dir).unwrap());
-        let client = cached_client(&cache);
         let ctx = Context::new();
+        let cache = Arc::new(LlmCallCache::with_capacity(64).with_disk(ctx.vfs(), &dir).unwrap());
+        let client = cached_client(&cache);
         ctx.register_corpus("ntsb", &corpus);
         let docs = ctx
             .read_lake("ntsb")
@@ -79,7 +79,7 @@ fn disk_tier_round_trips_across_contexts() {
     };
 
     let first = run(4); // cold: every document hits the model
-    let second = run(0); // warm: everything replayed from llm_cache.jsonl
+    let second = run(0); // warm: everything replayed from llm_cache.log
     assert_eq!(first, second, "disk-tier answers must be byte-identical");
     let _ = std::fs::remove_dir_all(&dir);
 }

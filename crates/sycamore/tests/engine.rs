@@ -307,7 +307,7 @@ fn materialize_caches_and_reloads() {
     assert_eq!(again.len(), 3);
     assert!(!again[0].elements.is_empty());
     // And from disk.
-    let from_disk = sycamore::load_materialized(&dir.join("partitioned.docs")).unwrap();
+    let from_disk = sycamore::load_materialized(&*ctx.vfs(), &dir.join("partitioned.docs")).unwrap();
     assert_eq!(from_disk.len(), 3);
     assert_eq!(from_disk[0], again[0]);
     let _ = std::fs::remove_dir_all(&dir);

@@ -104,7 +104,7 @@ fn main() -> aryn_core::Result<()> {
         let mut d = Document::new(format!("ref-{sector}"));
         d.set_prop("sector", sector);
         d.set_prop("market_busd", market_busd);
-        warehouse.put(d);
+        warehouse.try_put(d).unwrap();
     }
     luna.context().put_store("sector_reference", warehouse);
     let join_plan = luna::Plan {

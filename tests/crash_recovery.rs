@@ -454,16 +454,16 @@ fn torn_materialize_checkpoint_is_discarded() {
     let dir = Path::new("/mat");
     sycamore::transforms::materialize(&ctx, "ckpt", 42, Some(dir), &docs).unwrap();
     let path = dir.join("ckpt.docs");
-    let full = sycamore::load_materialized_on(&(mem.clone() as Arc<dyn Vfs>), &path).unwrap();
+    let full = sycamore::load_materialized(&*mem, &path).unwrap();
     assert_eq!(full.len(), 6);
     // Tear the checkpoint: drop the footer and half the last record.
     let bytes = mem.read(&path).unwrap();
     let torn_len = bytes.len() * 2 / 3;
     mem.write(&path, &bytes[..torn_len]).unwrap();
-    let err = sycamore::load_materialized_on(&(mem.clone() as Arc<dyn Vfs>), &path);
+    let err = sycamore::load_materialized(&*mem, &path);
     assert!(err.is_err(), "torn checkpoint must not half-load");
     // Recompute: materialize again (the checkpoint is rebuilt atomically).
     sycamore::transforms::materialize(&ctx, "ckpt", 42, Some(dir), &docs).unwrap();
-    let again = sycamore::load_materialized_on(&(mem as Arc<dyn Vfs>), &path).unwrap();
+    let again = sycamore::load_materialized(&*mem, &path).unwrap();
     assert_eq!(again.len(), 6);
 }

@@ -71,7 +71,7 @@ fn lineage_survives_disk_materialization() {
         .materialize_to("p", dir.clone())
         .count()
         .unwrap();
-    let loaded = sycamore::load_materialized(&dir.join("p.docs")).unwrap();
+    let loaded = sycamore::load_materialized(&*ctx.vfs(), &dir.join("p.docs")).unwrap();
     assert_eq!(loaded[0].lineage[0].transform, "partition");
     let _ = std::fs::remove_dir_all(&dir);
 }

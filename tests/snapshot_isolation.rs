@@ -72,8 +72,8 @@ proptest! {
         feed(&mut ing, &mut stream, extra);
         // Force the rest of the segment lifecycle under the pin too.
         ctx.with_store_mut("ntsb", |s| {
-            s.seal();
-            s.compact();
+            s.try_seal().unwrap();
+            s.try_compact().unwrap();
         })
         .unwrap();
         let after = luna.ask(q).unwrap();

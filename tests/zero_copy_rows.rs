@@ -32,9 +32,9 @@ fn store() -> DocStore {
             "company" => COMPANIES[i % COMPANIES.len()],
             "bumps" => 0i64,
         };
-        s.put(d);
+        s.try_put(d).unwrap();
         if i == 14 || i == 29 {
-            s.seal();
+            s.try_seal().unwrap();
         }
     }
     s
@@ -196,7 +196,7 @@ fn luna_row_writers_copy_on_write() {
             .with_store_mut("u", |u| {
                 let mut d = Document::new("extra");
                 d.properties = obj! { "company" => "Apex", "hq" => "Denver" };
-                u.put(d);
+                u.try_put(d).unwrap();
             })
             .unwrap();
         let join = Plan {
