@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{BTreeMap, BinaryHeap, HashSet};
 use std::sync::Arc;
 
 /// A scored neighbour.
@@ -173,13 +173,25 @@ impl Default for HnswParams {
     }
 }
 
+/// One edge of the graph: the neighbour and its similarity to the list's
+/// owner, computed once when the edge is made. [`dot`] multiplies pairwise
+/// and sums in a fixed order, so cosine is symmetric bit for bit: both ends
+/// of an edge hold the same value, and a prune reads exactly what
+/// recomputing it would give.
+#[derive(Clone, Copy, PartialEq)]
+struct Link {
+    sim: f32,
+    id: u32,
+}
+
 /// Hierarchical navigable small-world index.
 #[derive(Clone)]
 pub struct HnswIndex {
     params: HnswParams,
     arena: Arena,
-    /// layers[l][node] = neighbour ids; nodes absent from a layer have no entry.
-    layers: Vec<Vec<Vec<u32>>>,
+    /// layers[l][node] = the node's links; nodes absent from a layer have no
+    /// entry.
+    layers: Vec<Vec<Vec<Link>>>,
     /// Highest layer of each node.
     node_level: Vec<usize>,
     entry: Option<u32>,
@@ -282,7 +294,7 @@ impl HnswIndex {
             if s.results.len() >= ef && sim < worst {
                 break;
             }
-            for &nb in &self.layers[layer][node as usize] {
+            for &Link { id: nb, .. } in &self.layers[layer][node as usize] {
                 if !s.visit(nb) {
                     continue;
                 }
@@ -304,8 +316,20 @@ impl HnswIndex {
         s.results.first().map_or(entry, |(_, best)| *best)
     }
 
-    /// Key/vector pairs in insertion order — used by sharded wrappers to
-    /// rebuild or compact shards without re-embedding.
+    /// Leaves the best `max(ef_search, k)` nodes for `query` (of norm `qn`)
+    /// in `s.results`, best first; none when the index is empty.
+    fn search_nodes(&self, s: &mut Scratch, query: &[f32], qn: f32, k: usize) {
+        s.results.clear();
+        let Some(entry) = self.entry else { return };
+        let mut cur = entry;
+        for layer in (1..self.layers.len()).rev() {
+            cur = self.search_layer(s, query, qn, cur, 1, layer);
+        }
+        self.search_layer(s, query, qn, cur, self.params.ef_search.max(k), 0);
+    }
+
+    /// Key/vector pairs in insertion (node id) order — what a sharded
+    /// wrapper replays to rebuild a shard without re-embedding.
     pub fn entries(&self) -> impl Iterator<Item = (&str, &[f32])> {
         self.arena.entries()
     }
@@ -318,31 +342,33 @@ impl HnswIndex {
         }
     }
 
-    fn link(&mut self, s: &mut Scratch, layer: usize, a: u32, b: u32) {
+    /// Links `a` and `b` both ways (`sim` is their similarity), pruning a
+    /// list that overflows.
+    fn link(&mut self, s: &mut Scratch, layer: usize, a: u32, b: u32, sim: f32) {
         if a == b {
             return;
         }
         let max_links = self.max_links(layer);
         for (x, y) in [(a, b), (b, a)] {
             let links = &mut self.layers[layer][x as usize];
-            if !links.contains(&y) {
-                links.push(y);
+            if links.iter().any(|l| l.id == y) {
+                continue;
             }
+            links.push(Link { sim, id: y });
             if links.len() > max_links {
                 // Prune: keep the most similar neighbours, earlier links
                 // first among equals (a stable sort without its buffer).
-                let (base, bn) = (self.arena.vector(x), self.arena.norms[x as usize]);
                 s.prune.clear();
-                s.prune.extend(links.iter().zip(0u32..).map(|(&n, pos)| (self.arena.sim(base, bn, n), pos, n)));
+                s.prune.extend(links.iter().zip(0u32..).map(|(l, pos)| (l.sim, pos, l.id)));
                 s.prune.sort_unstable_by(|p, q| q.0.partial_cmp(&p.0).unwrap_or(Ordering::Equal).then(p.1.cmp(&q.1)));
                 links.clear();
-                links.extend(s.prune.iter().take(max_links).map(|&(_, _, n)| n));
+                links.extend(s.prune.iter().take(max_links).map(|&(sim, _, id)| Link { sim, id }));
             }
         }
     }
 
     /// Links node `id` (already in the arena and layer tables) into the graph.
-    fn insert(&mut self, s: &mut Scratch, id: u32, level: usize, entry: u32, query: &[f32]) {
+    fn connect(&mut self, s: &mut Scratch, id: u32, level: usize, entry: u32, query: &[f32]) {
         let qn = self.arena.norms[id as usize];
         let top = self.layers.len() - 1;
         let mut cur = entry;
@@ -355,22 +381,14 @@ impl HnswIndex {
             cur = self.search_layer(s, query, qn, cur, self.params.ef_construction, layer);
             // `link` prunes through its own buffer, so `results` stays put.
             for i in 0..s.results.len().min(self.max_links(layer)) {
-                let nb = s.results[i].1;
-                self.link(s, layer, id, nb);
+                let (sim, nb) = s.results[i];
+                self.link(s, layer, id, nb, sim);
             }
         }
     }
 
-    /// Releases growth slack once the index stops taking inserts.
-    fn shrink_to_fit(&mut self) {
-        self.arena.keys.shrink_to_fit();
-        self.arena.data.shrink_to_fit();
-        self.arena.norms.shrink_to_fit();
-    }
-}
-
-impl VectorIndex for HnswIndex {
-    fn add_slice(&mut self, key: &str, vector: &[f32]) -> Result<()> {
+    /// Adds a vector and links it into the graph; returns its node id.
+    fn add_node(&mut self, key: &str, vector: &[f32]) -> Result<u32> {
         let id = self.arena.push(key, vector)?;
         let level = self.random_level(id as usize);
         self.node_level.push(level);
@@ -383,30 +401,36 @@ impl VectorIndex for HnswIndex {
         }
         let Some(entry) = self.entry else {
             self.entry = Some(id);
-            return Ok(());
+            return Ok(id);
         };
-        SCRATCH.with(|s| self.insert(&mut s.borrow_mut(), id, level, entry, vector));
+        SCRATCH.with(|s| self.connect(&mut s.borrow_mut(), id, level, entry, vector));
         // Track the entry point at the highest level (`entry` is the
         // pre-insert entry point bound above).
         if level >= self.node_level[entry as usize] {
             self.entry = Some(id);
         }
-        Ok(())
+        Ok(id)
+    }
+
+    /// Releases growth slack once the index stops taking inserts.
+    fn shrink_to_fit(&mut self) {
+        self.arena.keys.shrink_to_fit();
+        self.arena.data.shrink_to_fit();
+        self.arena.norms.shrink_to_fit();
+    }
+}
+
+impl VectorIndex for HnswIndex {
+    fn add_slice(&mut self, key: &str, vector: &[f32]) -> Result<()> {
+        self.add_node(key, vector).map(|_| ())
     }
 
     fn search(&self, query: &[f32], k: usize) -> Result<Vec<Neighbor>> {
         self.arena.check(query.len(), "query")?;
-        let Some(entry) = self.entry else {
-            return Ok(Vec::new());
-        };
         let qn = norm(query);
         SCRATCH.with(|s| {
             let s = &mut *s.borrow_mut();
-            let mut cur = entry;
-            for layer in (1..self.layers.len()).rev() {
-                cur = self.search_layer(s, query, qn, cur, 1, layer);
-            }
-            self.search_layer(s, query, qn, cur, self.params.ef_search.max(k), 0);
+            self.search_nodes(s, query, qn, k);
             Ok(s.results.iter().take(k).map(|&(score, id)| self.arena.neighbor(score, id)).collect())
         })
     }
@@ -423,27 +447,40 @@ impl VectorIndex for HnswIndex {
 /// Sentinel shard location for keys owned by the active (unsealed) shard.
 const ACTIVE_SHARD: usize = usize::MAX;
 
+/// Where a key's live copy sits: its shard (a sealed position or
+/// [`ACTIVE_SHARD`]) and its node in that shard's graph. Every other copy
+/// of the key is stale.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Slot {
+    shard: usize,
+    node: u32,
+}
+
 /// An incrementally-maintained ANN index: immutable sealed [`HnswIndex`]
-/// shards plus one bounded active shard (DESIGN.md §5j). Inserts are O(doc)
-/// against the small active shard; deletes and overwrites of sealed keys are
-/// tombstones (ownership moves; stale copies are filtered out of results at
-/// query time and physically dropped by [`ShardedHnsw::compact`]). Searches
-/// fan out over all shards, over-fetching by the live tombstone count, and
-/// merge by score with deterministic key tie-breaks.
+/// shards plus one active shard (DESIGN.md §5j). Each vector is inserted
+/// into a graph once: the active shard takes every add until it holds its
+/// tier, `4 × shard_cap` vectors, and is then sealed as built. Deletes and
+/// overwrites leave stale copies behind — the owner map names each key's
+/// live node, other copies are filtered out of results at query time and
+/// dropped by [`ShardedHnsw::compact`]. Searches fan out over all shards,
+/// over-fetching by the stale-copy count, and merge by score with
+/// deterministic key tie-breaks.
 pub struct ShardedHnsw {
     dims: usize,
     params: HnswParams,
-    /// Active-shard size that triggers an automatic seal; `0` = never.
-    shard_cap: usize,
+    /// Vectors per shard: the active shard seals when it holds this many,
+    /// and compaction refills into shards of at most this many.
+    tier_cap: usize,
     sealed: Vec<Arc<HnswIndex>>,
     active: HnswIndex,
-    /// key -> owning shard (sealed position or [`ACTIVE_SHARD`]).
-    owner: std::collections::BTreeMap<String, usize>,
-    /// Stale copies lingering in sealed shards.
+    owner: BTreeMap<String, Slot>,
+    /// Stale copies lingering in any shard.
     dead: usize,
 }
 
 impl ShardedHnsw {
+    /// `shard_cap` is the store's segment size (`0` = unbounded): shards
+    /// grow to a tier of `4 × shard_cap` vectors.
     pub fn new(dims: usize, shard_cap: usize) -> ShardedHnsw {
         ShardedHnsw::with_params(dims, HnswParams::default(), shard_cap)
     }
@@ -452,10 +489,10 @@ impl ShardedHnsw {
         ShardedHnsw {
             dims,
             params,
-            shard_cap,
+            tier_cap: if shard_cap == 0 { usize::MAX } else { shard_cap.saturating_mul(4) },
             sealed: Vec::new(),
             active: HnswIndex::new(dims, params),
-            owner: std::collections::BTreeMap::new(),
+            owner: BTreeMap::new(),
             dead: 0,
         }
     }
@@ -477,129 +514,127 @@ impl ShardedHnsw {
             .chain(std::iter::once((ACTIVE_SHARD, &self.active)))
     }
 
-    /// Rebuilds the active shard without `key` (HNSW graphs do not support
-    /// in-place deletion; the active shard is bounded so this is O(cap)).
-    fn rebuild_active_without(&mut self, key: &str) {
-        let old = std::mem::replace(&mut self.active, HnswIndex::new(self.dims, self.params));
-        for (k, v) in old.entries().filter(|(k, _)| *k != key) {
-            let _ = self.active.add_slice(k, v);
-        }
+    /// Whether `node` of the shard at `loc` is its key's live copy.
+    fn is_live(&self, loc: usize, shard: &HnswIndex, node: u32) -> bool {
+        self.owner.get(&shard.arena.keys[node as usize]) == Some(&Slot { shard: loc, node })
     }
 
-    /// Removes a key. Sealed copies become tombstones filtered at query
-    /// time until the next compaction.
+    /// Removes a key. Its copy goes stale: filtered at query time until the
+    /// next compaction.
     pub fn remove(&mut self, key: &str) -> bool {
-        match self.owner.remove(key) {
-            Some(ACTIVE_SHARD) => {
-                self.rebuild_active_without(key);
-                true
-            }
-            Some(_) => {
-                self.dead += 1;
-                true
-            }
-            None => false,
-        }
+        let removed = self.owner.remove(key).is_some();
+        self.dead += usize::from(removed);
+        removed
     }
 
-    /// Freezes the active shard (no-op when empty). Relabels only the keys
-    /// the shard holds, so a seal costs O(shard), not O(corpus).
-    pub fn seal_active(&mut self) {
+    /// Freezes the active shard as built (no-op when empty). Relabels only
+    /// the keys the shard holds, so a seal costs O(shard), not O(corpus).
+    fn seal_active(&mut self) {
         if self.active.is_empty() {
             return;
         }
         let idx = self.sealed.len();
         let mut frozen = std::mem::replace(&mut self.active, HnswIndex::new(self.dims, self.params));
         for (key, _) in frozen.entries() {
-            if let Some(loc) = self.owner.get_mut(key) {
-                *loc = idx;
+            if let Some(slot) = self.owner.get_mut(key).filter(|slot| slot.shard == ACTIVE_SHARD) {
+                slot.shard = idx;
             }
         }
         frozen.shrink_to_fit();
         self.sealed.push(Arc::new(frozen));
     }
 
-    /// Tiered compaction: seals the active shard, drops every stale copy,
-    /// and merges small sealed shards into settled shards of at most
-    /// `4 * shard_cap` vectors (unbounded when `shard_cap == 0`). A settled
-    /// shard with no stale copies is carried over by `Arc` without any
-    /// rebuild, so compaction work stays proportional to the *recently
-    /// ingested* tail rather than the whole corpus — and per-shard graphs
-    /// stay small enough that fan-out search keeps near-exact recall.
-    /// Deterministic: shards are replayed in order, straight from their
-    /// arenas, so the rebuilt graphs are reproducible. A graph is a pure
-    /// function of its entry sequence (levels are seeded by node position),
-    /// so a merge whose first shard has no stale copies starts from that
-    /// shard's graph instead of replaying it: the same graph, built once.
-    pub fn compact(&mut self) {
-        self.seal_active();
-        let tier_cap = if self.shard_cap == 0 {
-            usize::MAX
-        } else {
-            self.shard_cap.saturating_mul(4)
-        };
-        let mut old = std::mem::take(&mut self.sealed);
-        let mut new_sealed: Vec<Arc<HnswIndex>> = Vec::new();
-        let mut remap: Vec<usize> = vec![0; old.len()];
-        // Shards awaiting a merge, with their live entry counts.
-        let mut pending: Vec<(usize, usize)> = Vec::new();
-        let mut flush = |old: &mut [Arc<HnswIndex>], pending: &mut Vec<(usize, usize)>| {
-            let Some(&(first, n)) = pending.first() else { return };
-            let mut replay = &pending[..];
-            let mut merged = if n == old[first].len() {
-                replay = &pending[1..];
-                let placeholder = Arc::new(HnswIndex::new(self.dims, self.params));
-                Arc::unwrap_or_clone(std::mem::replace(&mut old[first], placeholder))
-            } else {
-                HnswIndex::new(self.dims, self.params)
-            };
-            for &(i, _) in replay {
-                for (k, v) in old[i].entries().filter(|(k, _)| self.owner.get(*k) == Some(&i)) {
-                    let _ = merged.add_slice(k, v);
-                }
-            }
-            for (i, _) in pending.drain(..) {
-                remap[i] = new_sealed.len();
-            }
-            if !merged.is_empty() {
-                merged.shrink_to_fit();
-                new_sealed.push(Arc::new(merged));
-            }
-        };
-        for i in 0..old.len() {
-            let n = old[i].entries().filter(|(k, _)| self.owner.get(*k) == Some(&i)).count();
-            let settled = n == old[i].len() && n >= tier_cap;
-            if settled || pending.iter().map(|p| p.1).sum::<usize>() + n > tier_cap {
-                flush(&mut old, &mut pending);
-            }
-            pending.push((i, n));
-            if settled {
-                // Settled and clean: kept as it is, zero work.
-                flush(&mut old, &mut pending);
+    /// The live entries of the shard at `loc`, in node order.
+    fn live_entries<'a>(
+        &'a self,
+        loc: usize,
+        shard: &'a HnswIndex,
+    ) -> impl Iterator<Item = (&'a str, &'a [f32])> {
+        (0u32..)
+            .zip(shard.entries())
+            .filter(move |&(node, _)| self.is_live(loc, shard, node))
+            .map(|(_, entry)| entry)
+    }
+
+    /// A fresh graph over `entries`, inserted in order.
+    fn build<'a>(&self, entries: impl Iterator<Item = (&'a str, &'a [f32])>) -> HnswIndex {
+        let mut shard = HnswIndex::new(self.dims, self.params);
+        for (key, vector) in entries {
+            let _ = shard.add_slice(key, vector);
+        }
+        shard
+    }
+
+    /// Points every key of `shard` (all live) at its node there.
+    fn claim(&mut self, loc: usize, shard: &HnswIndex) {
+        for (node, (key, _)) in (0u32..).zip(shard.entries()) {
+            if let Some(slot) = self.owner.get_mut(key) {
+                *slot = Slot { shard: loc, node };
             }
         }
-        flush(&mut old, &mut pending);
-        self.sealed = new_sealed;
-        for loc in self.owner.values_mut() {
-            *loc = remap[*loc];
+    }
+
+    /// Drops every stale copy, and builds a graph only where one sat: a
+    /// full shard without stale copies — and a clean growing active shard —
+    /// is kept exactly as built, so a stream without deletes or overwrites
+    /// compacts with zero graph work. The live entries of every other
+    /// sealed shard are replayed, in shard order, into as few fresh shards
+    /// of at most the tier as they fill, so at most one sealed shard is
+    /// partial; an active shard that held stale copies is replayed in place
+    /// and keeps growing. Deterministic: a graph is a pure function of its
+    /// entry sequence (levels are seeded by node position).
+    pub fn compact(&mut self) {
+        if self.dead == 0 {
+            return;
+        }
+        let tier = self.tier_cap;
+        if self.live_entries(ACTIVE_SHARD, &self.active).count() < self.active.len() {
+            let fresh = self.build(self.live_entries(ACTIVE_SHARD, &self.active));
+            self.claim(ACTIVE_SHARD, &fresh);
+            self.active = fresh;
+        }
+        let (keep, replay): (Vec<_>, Vec<_>) = std::mem::take(&mut self.sealed)
+            .into_iter()
+            .enumerate()
+            .partition(|(i, shard)| shard.len() >= tier && self.live_entries(*i, shard).count() == shard.len());
+        let mut refilled = Vec::new();
+        {
+            let mut live = replay.iter().flat_map(|(i, shard)| self.live_entries(*i, shard)).peekable();
+            while live.peek().is_some() {
+                let mut shard = self.build(live.by_ref().take(tier));
+                shard.shrink_to_fit();
+                refilled.push(shard);
+            }
+        }
+        // Kept shards only move: renumber their slots by position. The
+        // replayed keys are claimed by their new shards below.
+        let mut moved = vec![None; keep.len() + replay.len()];
+        for (new, (old, _)) in keep.iter().enumerate() {
+            moved[*old] = Some(new);
+        }
+        for slot in self.owner.values_mut() {
+            if let Some(&Some(new)) = moved.get(slot.shard) {
+                slot.shard = new;
+            }
+        }
+        self.sealed = keep.into_iter().map(|(_, shard)| shard).collect();
+        for shard in refilled {
+            self.claim(self.sealed.len(), &shard);
+            self.sealed.push(Arc::new(shard));
         }
         self.dead = 0;
     }
 }
 
 impl VectorIndex for ShardedHnsw {
-    /// Adds (or replaces) a vector — O(doc) work against the bounded active
-    /// shard regardless of total corpus size.
+    /// Adds (or replaces) a vector: one insert into the active shard's graph.
+    /// A replaced copy goes stale where it is.
     fn add_slice(&mut self, key: &str, vector: &[f32]) -> Result<()> {
-        self.active.arena.check(vector.len(), "vector")?;
-        match self.owner.get(key) {
-            Some(&ACTIVE_SHARD) => self.rebuild_active_without(key),
-            Some(_) => self.dead += 1,
-            None => {}
+        let node = self.active.add_node(key, vector)?;
+        if self.owner.insert(key.to_string(), Slot { shard: ACTIVE_SHARD, node }).is_some() {
+            self.dead += 1;
         }
-        self.active.add_slice(key, vector)?;
-        self.owner.insert(key.to_string(), ACTIVE_SHARD);
-        if self.shard_cap > 0 && self.active.len() >= self.shard_cap {
+        if self.active.len() >= self.tier_cap {
             self.seal_active();
         }
         Ok(())
@@ -607,17 +642,22 @@ impl VectorIndex for ShardedHnsw {
 
     fn search(&self, query: &[f32], k: usize) -> Result<Vec<Neighbor>> {
         self.active.arena.check(query.len(), "query")?;
-        // Over-fetch per shard by the stale-copy count so tombstone
-        // filtering cannot starve the merged top-k.
+        // Over-fetch per shard by the stale-copy count so filtering them out
+        // cannot starve the merged top-k.
         let fetch = k.saturating_add(self.dead);
+        let qn = norm(query);
         let mut merged: Vec<Neighbor> = Vec::new();
-        for (loc, shard) in self.layers() {
-            for n in shard.search(query, fetch)? {
-                if self.owner.get(&n.key) == Some(&loc) {
-                    merged.push(n);
+        SCRATCH.with(|s| {
+            let s = &mut *s.borrow_mut();
+            for (loc, shard) in self.layers() {
+                shard.search_nodes(s, query, qn, fetch);
+                for &(score, node) in s.results.iter().take(fetch) {
+                    if self.is_live(loc, shard, node) {
+                        merged.push(shard.arena.neighbor(score, node));
+                    }
                 }
             }
-        }
+        });
         merged.sort_by(|a, b| {
             b.score
                 .partial_cmp(&a.score)
@@ -762,15 +802,48 @@ mod tests {
         assert_eq!(h.search(q, 5).unwrap(), h.search(q, 5).unwrap());
     }
 
+    /// Every stored link similarity is, bit for bit, the one a prune used to
+    /// recompute from the two vectors — so pruning from the stored values
+    /// keeps the same neighbours in the same order and builds the same
+    /// graphs. Duplicate vectors (exact ties) and a zero vector included.
+    #[test]
+    fn stored_link_similarities_equal_recomputed_ones() {
+        let mut vecs = random_vectors(400, 24, 51);
+        vecs[7] = vecs[3].clone();
+        vecs[8] = vecs[3].clone();
+        vecs[9] = vec![0.0; 24];
+        let mut h = HnswIndex::with_dims(24);
+        for (i, v) in vecs.iter().enumerate() {
+            h.add_slice(&format!("v{i}"), v).unwrap();
+        }
+        let mut links = 0usize;
+        for (layer, lists) in h.layers.iter().enumerate() {
+            for (x, list) in lists.iter().enumerate() {
+                let x = x as u32;
+                assert!(list.len() <= h.max_links(layer));
+                for l in list {
+                    let recomputed = h.arena.sim(h.arena.vector(x), h.arena.norms[x as usize], l.id);
+                    assert_eq!(l.sim.to_bits(), recomputed.to_bits(), "layer {layer}: {x} -> {}", l.id);
+                    links += 1;
+                }
+            }
+        }
+        assert!(links > 400 * 8, "{links} links checked");
+    }
+
+    fn stored(ix: &ShardedHnsw) -> usize {
+        ix.layers().map(|(_, shard)| shard.len()).sum()
+    }
+
     #[test]
     fn sharded_hnsw_recall_with_seals_and_tombstones() {
         let vecs = random_vectors(600, 32, 21);
         let mut flat = FlatIndex::new(32);
-        let mut sharded = ShardedHnsw::new(32, 128); // several seals
+        let mut sharded = ShardedHnsw::new(32, 32); // shards grow to 128: several seals
         for (i, v) in vecs.iter().enumerate() {
             sharded.add(&format!("v{i}"), v.clone()).unwrap();
         }
-        assert!(sharded.sealed_count() >= 3);
+        assert_eq!(sharded.sealed_count(), 4, "600 / 128");
         // Delete a slice (some sealed, some active), then build the exact
         // baseline over the surviving set only.
         for i in (0..600).step_by(10) {
@@ -793,49 +866,64 @@ mod tests {
                 assert_ne!(i % 10, 0, "tombstoned {} returned", n.key);
             }
         }
-        // Compaction drops the stale copies without changing results much.
-        // Tiered merge (cap 128 -> 512-vector tiers) leaves a couple of
-        // settled shards instead of one monolith.
-        let before = sharded.sealed_count();
+        // Compaction drops the stale copies without changing results much:
+        // the four sealed shards' 460 live entries refill four tier-sized
+        // shards, and the active shard is replayed in place.
         sharded.compact();
         assert_eq!(sharded.dead(), 0);
-        assert!(sharded.sealed_count() <= before.min(2), "540 live / 512-tier");
+        assert_eq!(stored(&sharded), sharded.len(), "no stale copy is left");
+        assert_eq!(sharded.sealed_count(), 4);
         let r2 = recall_at_k(&flat, &sharded, &queries, 10).unwrap();
         assert!(r2 >= 0.9, "post-compaction recall@10 = {r2}");
     }
 
     #[test]
     fn sharded_hnsw_replace_updates_vector() {
-        let mut sharded = ShardedHnsw::new(4, 3);
-        sharded.add("a", vec![1.0, 0.0, 0.0, 0.0]).unwrap();
-        sharded.add("b", vec![0.0, 1.0, 0.0, 0.0]).unwrap();
-        sharded.add("c", vec![0.0, 0.0, 1.0, 0.0]).unwrap();
-        assert_eq!(sharded.sealed_count(), 1, "cap 3 seals");
-        // Replace a sealed key: the stale copy must be shadowed.
+        let mut sharded = ShardedHnsw::new(4, 1); // shards grow to 4 vectors
+        for (key, v) in [
+            ("a", [1.0, 0.0, 0.0, 0.0]),
+            ("b", [0.0, 1.0, 0.0, 0.0]),
+            ("c", [0.0, 0.0, 1.0, 0.0]),
+            ("d", [0.0, 0.0, 1.0, 1.0]),
+        ] {
+            sharded.add_slice(key, &v).unwrap();
+        }
+        assert_eq!(sharded.sealed_count(), 1, "the tier of 4 seals");
+        // Replace a sealed key, then a key of the active shard: both old
+        // copies must be shadowed.
         sharded.add("a", vec![0.0, 0.0, 0.0, 1.0]).unwrap();
-        assert_eq!(sharded.len(), 3);
+        sharded.add("e", vec![0.0, 1.0, 1.0, 0.0]).unwrap();
+        sharded.add("e", vec![1.0, 0.0, 0.0, 1.0]).unwrap();
+        assert_eq!((sharded.len(), sharded.dead()), (5, 2));
         let out = sharded.search(&[0.0, 0.0, 0.0, 1.0], 1).unwrap();
         assert_eq!(out[0].key, "a");
         let out = sharded.search(&[1.0, 0.05, 0.0, 0.0], 3).unwrap();
         assert_ne!(out[0].key, "a", "old vector for `a` is dead");
-        // Deterministic across identical rebuilds.
-        let out2 = sharded.search(&[1.0, 0.05, 0.0, 0.0], 3).unwrap();
-        assert_eq!(out, out2);
+        let out = sharded.search(&[0.0, 1.0, 1.0, 0.0], 5).unwrap();
+        assert!(out.iter().all(|n| n.score < 0.99), "old vector for `e` is dead: {out:?}");
+        // Deterministic across identical searches, and compaction, which
+        // drops both old copies, changes no answer.
+        let queries = [[0.0, 0.0, 0.0, 1.0], [1.0, 0.05, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0]];
+        let before: Vec<_> = queries.iter().map(|q| sharded.search(q, 5).unwrap()).collect();
+        assert_eq!(before, queries.iter().map(|q| sharded.search(q, 5).unwrap()).collect::<Vec<_>>());
+        sharded.compact();
+        assert_eq!((sharded.len(), sharded.dead(), stored(&sharded)), (5, 0, 5));
+        assert_eq!(before, queries.iter().map(|q| sharded.search(q, 5).unwrap()).collect::<Vec<_>>());
     }
 
     /// Seals as `seal_active` did before it relabelled only its own keys.
     fn seal_walking_every_owner(ix: &mut ShardedHnsw) {
         let idx = ix.sealed.len();
-        ix.owner.values_mut().filter(|loc| **loc == ACTIVE_SHARD).for_each(|loc| *loc = idx);
+        ix.owner.values_mut().filter(|slot| slot.shard == ACTIVE_SHARD).for_each(|slot| slot.shard = idx);
         let frozen = std::mem::replace(&mut ix.active, HnswIndex::new(ix.dims, ix.params));
         ix.sealed.push(Arc::new(frozen));
     }
 
     #[test]
     fn seals_relabel_exactly_like_a_full_owner_walk() {
-        let cap = 16;
+        let cap = 4; // shards grow to 16
         let (mut fast, mut walked) = (ShardedHnsw::new(8, cap), ShardedHnsw::new(8, 0));
-        for (i, v) in random_vectors(5 * cap, 8, 17).iter().enumerate() {
+        for (i, v) in random_vectors(20 * cap, 8, 17).iter().enumerate() {
             // Every fifth add overwrites an older, mostly sealed key; every
             // seventh step tombstones one.
             let key = if i % 5 == 4 { format!("v{}", i / 2) } else { format!("v{i}") };
@@ -845,7 +933,7 @@ mod tests {
                     ix.remove(&format!("v{}", i / 3));
                 }
             }
-            if walked.active.len() >= cap {
+            if walked.active.len() >= fast.tier_cap {
                 seal_walking_every_owner(&mut walked);
             }
         }
@@ -857,87 +945,103 @@ mod tests {
         }
     }
 
-    /// Compaction as it stood before reusing a clean first shard: every
-    /// merged shard is a fresh graph fed its live entries in shard order.
-    fn compact_by_replay(ix: &mut ShardedHnsw) {
-        ix.seal_active();
-        let tier_cap = if ix.shard_cap == 0 { usize::MAX } else { ix.shard_cap * 4 };
-        let (old, owner, dims, params) = (std::mem::take(&mut ix.sealed), &ix.owner, ix.dims, ix.params);
-        let live = |i: usize| old[i].entries().filter(move |(k, _)| owner.get(*k) == Some(&i)).collect::<Vec<_>>();
-        let (mut new_sealed, mut remap, mut pending) = (Vec::new(), vec![0; old.len()], Vec::<(usize, usize)>::new());
-        let flush = |pending: &mut Vec<(usize, usize)>, new_sealed: &mut Vec<Arc<HnswIndex>>, remap: &mut [usize]| {
-            let mut merged = HnswIndex::new(dims, params);
-            for (i, _) in pending.drain(..) {
-                remap[i] = new_sealed.len();
-                live(i).into_iter().for_each(|(k, v)| merged.add_slice(k, v).unwrap());
-            }
-            if !merged.is_empty() {
-                new_sealed.push(Arc::new(merged));
-            }
-        };
-        for (i, shard) in old.iter().enumerate() {
-            let n = live(i).len();
-            let settled = n == shard.len() && n >= tier_cap;
-            if settled || pending.iter().map(|p| p.1).sum::<usize>() + n > tier_cap {
-                flush(&mut pending, &mut new_sealed, &mut remap);
-            }
-            if settled {
-                remap[i] = new_sealed.len();
-                new_sealed.push(Arc::clone(shard));
-            } else {
-                pending.push((i, n));
-            }
-        }
-        flush(&mut pending, &mut new_sealed, &mut remap);
-        ix.sealed = new_sealed;
-        ix.owner.values_mut().for_each(|loc| *loc = remap[*loc]);
-        ix.dead = 0;
-    }
-
     fn same_graph(a: &HnswIndex, b: &HnswIndex) -> bool {
         (&a.arena.keys, &a.arena.data, &a.arena.norms) == (&b.arena.keys, &b.arena.data, &b.arena.norms)
             && (&a.layers, &a.node_level, a.entry) == (&b.layers, &b.node_level, b.entry)
     }
 
+    /// A monolithic index fed `keys` (looked up in `vecs` by number) in order.
+    fn replayed(keys: &[usize], vecs: &[Vec<f32>]) -> HnswIndex {
+        let mut h = HnswIndex::with_dims(vecs[0].len());
+        keys.iter().for_each(|&i| h.add_slice(&format!("v{i}"), &vecs[i]).unwrap());
+        h
+    }
+
+    /// Every vector is inserted once: each sealed shard is the graph a
+    /// monolithic index builds from the same run of adds, and compacting a
+    /// stream without stale copies keeps every graph as it is.
+    #[test]
+    fn shards_are_built_once_and_clean_compaction_keeps_them() {
+        let vecs = random_vectors(110, 16, 41);
+        let mut ix = ShardedHnsw::new(16, 5); // shards grow to 20
+        for (i, v) in vecs.iter().enumerate() {
+            ix.add_slice(&format!("v{i}"), v).unwrap();
+        }
+        assert_eq!((ix.sealed_count(), ix.active.len()), (5, 10));
+        for (s, shard) in ix.sealed.iter().enumerate() {
+            assert!(same_graph(shard, &replayed(&(20 * s..20 * s + 20).collect::<Vec<_>>(), &vecs)), "shard {s}");
+        }
+        assert!(same_graph(&ix.active, &replayed(&(100..110).collect::<Vec<_>>(), &vecs)));
+        let sealed: Vec<Arc<HnswIndex>> = ix.sealed.iter().map(Arc::clone).collect();
+        let active = ix.active.clone();
+        ix.compact();
+        assert!(ix.sealed.iter().zip(&sealed).all(|(a, b)| Arc::ptr_eq(a, b)) && ix.sealed.len() == sealed.len());
+        assert!(same_graph(&ix.active, &active));
+    }
+
+    /// Compaction replays exactly the live entries of the shards that held
+    /// stale copies, in shard order, into tier-sized shards; clean shards
+    /// keep their graphs (the same allocation), and answers follow the owner.
     #[test]
     fn compaction_equals_a_rebuild_from_the_same_entries() {
-        let vecs = random_vectors(90, 16, 41);
-        let queries = random_vectors(12, 16, 43);
-        // `stale` removes keys from the first sealed shard, so its merge
-        // must fall back to a full replay; otherwise that shard is reused.
-        for stale in [false, true] {
-            let build = || {
-                let mut ix = ShardedHnsw::new(16, 10);
-                for (i, v) in vecs.iter().enumerate() {
-                    ix.add_slice(&format!("v{i}"), v).unwrap();
-                    if i % 9 == 8 {
-                        // Tombstone a key in a later shard, or in the first.
-                        let victim = if stale { i / 9 } else { i.saturating_sub(4) };
-                        ix.remove(&format!("v{victim}"));
-                    }
-                }
-                ix
-            };
-            let (mut fast, mut slow) = (build(), build());
-            assert_eq!(fast.sealed[0].len() == fast.sealed[0].entries().filter(|(k, _)| fast.owner.get(*k) == Some(&0)).count(), !stale);
-            fast.compact();
-            compact_by_replay(&mut slow);
-            assert_eq!(fast.sealed.len(), slow.sealed.len(), "stale={stale}");
-            assert!(fast.sealed.iter().zip(&slow.sealed).all(|(a, b)| same_graph(a, b)), "stale={stale}");
-            assert_eq!(fast.owner, slow.owner);
-            for q in &queries {
-                assert_eq!(fast.search(q, 10).unwrap(), slow.search(q, 10).unwrap(), "stale={stale}");
-            }
-            // A second compaction over a settled-size tail agrees as well.
-            for (i, v) in vecs.iter().enumerate().take(25) {
-                for ix in [&mut fast, &mut slow] {
-                    ix.add_slice(&format!("w{i}"), v).unwrap();
-                }
-            }
-            fast.compact();
-            compact_by_replay(&mut slow);
-            assert!(fast.sealed.iter().zip(&slow.sealed).all(|(a, b)| same_graph(a, b)), "stale={stale}");
+        let vecs = random_vectors(110, 16, 43);
+        let queries = random_vectors(12, 16, 47);
+        let mut ix = ShardedHnsw::new(16, 5); // shards grow to 20
+        for (i, v) in vecs.iter().enumerate() {
+            ix.add_slice(&format!("v{i}"), v).unwrap();
         }
+        // Stale copies in sealed shards 1 and 3 and in the active shard.
+        ix.remove("v25");
+        ix.remove("v61");
+        ix.remove("v105");
+        ix.add_slice("v62", &vecs[0]).unwrap();
+        assert_eq!((ix.dead(), ix.len()), (4, 107));
+        let clean: Vec<Arc<HnswIndex>> = [0, 2, 4].iter().map(|&s| Arc::clone(&ix.sealed[s])).collect();
+        ix.compact();
+        assert_eq!((ix.dead(), stored(&ix), ix.len()), (0, 107, 107));
+        assert!(ix.sealed[..3].iter().zip(&clean).all(|(a, b)| Arc::ptr_eq(a, b)));
+        let live: Vec<usize> = (20..40).chain(60..80).filter(|&i| ![25, 61, 62].contains(&i)).collect();
+        assert_eq!(ix.sealed.len(), 5, "37 live entries refill two shards");
+        assert!(same_graph(&ix.sealed[3], &replayed(&live[..20], &vecs)));
+        assert!(same_graph(&ix.sealed[4], &replayed(&live[20..], &vecs)));
+        let mut active = replayed(&(100..110).filter(|&i| i != 105).collect::<Vec<_>>(), &vecs);
+        active.add_slice("v62", &vecs[0]).unwrap();
+        assert!(same_graph(&ix.active, &active));
+        // Every live key is found where the owner says, at its own vector.
+        for (i, v) in vecs.iter().enumerate().filter(|(i, _)| ![25, 61, 105].contains(i)) {
+            let want = if i == 62 { &vecs[0] } else { v };
+            let hits = ix.search(want, 2).unwrap();
+            assert!(hits.iter().any(|n| n.key == format!("v{i}") && n.score > 0.999), "v{i}: {hits:?}");
+        }
+        for q in &queries {
+            assert!(ix.search(q, 20).unwrap().iter().all(|n| !["v25", "v61", "v105"].contains(&n.key.as_str())));
+        }
+    }
+
+    /// A stream of adds, overwrites and deletes compacted every round keeps
+    /// the shard count bounded: after each compaction every sealed shard
+    /// but at most one is full, so fan-out tracks the live count.
+    #[test]
+    fn compaction_bounds_the_shard_count_under_deletes_and_overwrites() {
+        let vecs = random_vectors(600, 8, 53);
+        let mut ix = ShardedHnsw::new(8, 4); // shards grow to 16
+        let mut next = 0usize;
+        for round in 0..30 {
+            for _ in 0..20 {
+                ix.add_slice(&format!("v{next}"), &vecs[next]).unwrap();
+                next += 1;
+            }
+            // One overwrite and one delete of older keys, spread over the shards.
+            let old = (round * 37) % next;
+            ix.add_slice(&format!("v{old}"), &vecs[(old + 1) % next]).unwrap();
+            ix.remove(&format!("v{}", (round * 53 + 11) % next));
+            ix.compact();
+            assert_eq!((ix.dead(), stored(&ix)), (0, ix.len()), "round {round}");
+            let partial = ix.sealed.iter().filter(|shard| shard.len() < ix.tier_cap).count();
+            assert!(partial <= 1, "round {round}: {partial} partial shards");
+            assert!(ix.sealed_count() <= ix.len().div_ceil(ix.tier_cap) + 1, "round {round}");
+        }
+        assert!(ix.sealed_count() >= 30, "the stream sealed many shards");
     }
 
     #[test]

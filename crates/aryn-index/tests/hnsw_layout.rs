@@ -72,15 +72,23 @@ fn default_parameters_keep_recall_and_compaction_keeps_answers() {
     }
     let recall = recall_at_k(&flat, &hnsw, &queries, 10).unwrap();
     assert!(recall >= 0.97, "monolithic recall@10 = {recall}");
+    let recall = recall_at_k(&flat, &sharded, &queries, 10).unwrap();
+    assert!(recall >= 0.97, "sharded recall@10 = {recall}");
 
     let top10 = |ix: &ShardedHnsw| -> Vec<BTreeSet<String>> {
         queries.iter().map(|q| ix.search(q, 10).unwrap().into_iter().map(|n| n.key).collect()).collect()
     };
-    assert_eq!(sharded.sealed_count(), 7, "2000 / 256");
+    assert_eq!(sharded.sealed_count(), 1, "one 1024-vector tier sealed, 976 vectors growing the next");
+    // Overwrite every 50th key with its own vector — 21 in the sealed shard,
+    // 19 in the active one — so compaction rebuilds both graphs at the
+    // default parameters.
+    for i in (0..2000).step_by(50) {
+        sharded.add_slice(&format!("v{i:04}"), &vecs[i]).unwrap();
+    }
+    assert_eq!((sharded.sealed_count(), sharded.dead(), sharded.len()), (1, 40, 2000));
     let before = top10(&sharded);
     sharded.compact();
-    assert_eq!(sharded.sealed_count(), 2, "1024-vector tiers");
-    assert_eq!(sharded.len(), 2000);
+    assert_eq!((sharded.sealed_count(), sharded.dead(), sharded.len()), (1, 0, 2000));
     assert_eq!(top10(&sharded), before);
 }
 

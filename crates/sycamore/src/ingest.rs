@@ -1,7 +1,7 @@
 //! Streaming ingestion (DESIGN.md §5j): a continuous parse→ingest→index
 //! feed where every arrival pays O(doc) work — a memtable put against the
-//! LSM [`DocStore`], a postings delta against a [`ShardedKeywordIndex`], an
-//! insert into the bounded active shard of a [`ShardedHnsw`], and an
+//! LSM [`DocStore`], a postings delta against a [`ShardedKeywordIndex`], one
+//! graph insert into the active shard of a [`ShardedHnsw`], and an
 //! optional per-document hook (knowledge-graph upserts) — instead of the
 //! offline full-rebuild path. Seals and compactions happen inline at
 //! deterministic boundaries; their cost is charged to a virtual clock, which
@@ -20,12 +20,13 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Streaming-ingestion knobs. One `seal_threshold`/`compact_fanout` pair
-/// drives the store *and* its keyword/vector sidecars so segment lifecycles
-/// stay aligned; the `*_cost_ms` knobs price pipeline stages on the virtual
-/// clock (deterministic latency accounting, like the serving layer's DES).
+/// drives the store *and* its keyword/vector sidecars (keyword shards seal
+/// at `seal_threshold`, vector shards grow to `4 × seal_threshold`); the
+/// `*_cost_ms` knobs price pipeline stages on the virtual clock
+/// (deterministic latency accounting, like the serving layer's DES).
 #[derive(Debug, Clone, Copy)]
 pub struct IngestConfig {
-    /// Documents per segment: memtable/active-shard size that seals.
+    /// Documents per segment: memtable/keyword-shard size that seals.
     pub seal_threshold: usize,
     /// Sealed-segment count that triggers compaction.
     pub compact_fanout: usize,
