@@ -11,6 +11,7 @@
 //!   commas, and the lenient parser repairs all of those.
 
 use crate::error::{ArynError, Result};
+use crate::serialize::MAX_DEPTH;
 use crate::value::Value;
 use std::collections::BTreeMap;
 
@@ -143,11 +144,16 @@ pub fn parse_lenient(input: &str) -> Result<Value> {
         return Ok(v);
     }
     let bytes = cleaned.as_bytes();
+    let mut next = 0;
     for (i, &b) in bytes.iter().enumerate() {
-        if b == b'{' || b == b'[' {
+        if i >= next && (b == b'{' || b == b'[') {
             let mut p = Parser::new(&cleaned[i..], true);
-            if let Ok(v) = p.value() {
-                return Ok(v);
+            match p.value() {
+                Ok(v) => return Ok(v),
+                // A candidate inside a too-deep one is a fragment of the
+                // same too-deep value: resume at the container refused.
+                Err(_) if p.too_deep => next = i + p.pos,
+                Err(_) => {}
             }
         }
     }
@@ -185,6 +191,11 @@ struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
     lenient: bool,
+    /// Open arrays and objects; past [`MAX_DEPTH`] the input is refused
+    /// instead of recursing further.
+    depth: usize,
+    /// Set when that happened.
+    too_deep: bool,
 }
 
 impl<'a> Parser<'a> {
@@ -193,6 +204,8 @@ impl<'a> Parser<'a> {
             bytes: input.as_bytes(),
             pos: 0,
             lenient,
+            depth: 0,
+            too_deep: false,
         }
     }
 
@@ -230,8 +243,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Value> {
         self.skip_ws();
         match self.peek().ok_or_else(|| self.err("unexpected end of input"))? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'{' => self.nested(Self::object),
+            b'[' => self.nested(Self::array),
             b'"' => Ok(Value::Str(self.string(b'"')?)),
             b'\'' if self.lenient => Ok(Value::Str(self.string(b'\'')?)),
             b't' | b'f' | b'n' => self.keyword(),
@@ -240,6 +253,19 @@ impl<'a> Parser<'a> {
             b'+' if self.lenient => self.number(),
             _ => Err(self.err("unexpected character")),
         }
+    }
+
+    /// Parses one container a level deeper, refusing nesting past
+    /// [`MAX_DEPTH`] (the binary codec's bound) before the stack runs out.
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth >= MAX_DEPTH {
+            self.too_deep = true;
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value> {
@@ -385,9 +411,10 @@ impl<'a> Parser<'a> {
                                 // High surrogate: expect a \u low surrogate.
                                 if self.bump() == Some(b'\\') && self.bump() == Some(b'u') {
                                     let low = self.hex4()?;
-                                    let c = 0x10000
-                                        + ((code - 0xD800) << 10)
-                                        + (low.wrapping_sub(0xDC00));
+                                    if !(0xDC00..0xE000).contains(&low) {
+                                        return Err(self.err("invalid surrogate pair"));
+                                    }
+                                    let c = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
                                     s.push(
                                         char::from_u32(c)
                                             .ok_or_else(|| self.err("invalid surrogate pair"))?,
@@ -484,6 +511,14 @@ mod tests {
     fn rejects_malformed_strict() {
         for bad in ["{", "[1,", "{\"a\":}", "tru", "1.2.3", "\"abc", "{} {}", "{'a':1}"] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
+        }
+    }
+
+    #[test]
+    fn a_high_surrogate_needs_a_low_one() {
+        assert_eq!(parse(r#""\ud83d\ude00""#).unwrap(), Value::from("\u{1F600}"));
+        for bad in [r#""\ud800\u0041""#, r#""\ud800\ud800""#, r#""\ud800x""#] {
+            assert!(parse(bad).is_err(), "should reject {bad}");
         }
     }
 

@@ -11,11 +11,14 @@
 //! deterministic compaction, which is when tombstones (deletes shadowing
 //! sealed entries) are dropped. Readers either scan the live store — a k-way
 //! merge of memtable + segments, newest layer winning per id — or take a
-//! [`StoreSnapshot`], an O(memtable) frozen view that stays bit-stable while
-//! ingestion and compaction continue underneath it (MVCC reads).
+//! [`StoreSnapshot`], an O(segments) frozen view that stays bit-stable while
+//! ingestion and compaction continue underneath it (MVCC reads). Reads judge
+//! and project rows through per-layer property columns ([`crate::columns`]).
 
+use crate::columns::Column;
 use aryn_core::vfs::{self, Vfs};
 use aryn_core::{ArynError, Document, Result, Value};
+use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -111,11 +114,11 @@ fn range_ok(v: &Value, lo: Option<&Value>, hi: Option<&Value>) -> bool {
     ge && le
 }
 
-/// A [`Predicate`] with per-predicate state precomputed (satellite of the
-/// segmented-store rework): `Contains` needles are tokenized once at compile
-/// time instead of once per document per leaf. `DocStore::filter` and
-/// snapshot filters compile automatically; callers evaluating one predicate
-/// against a whole corpus should compile explicitly.
+/// A [`Predicate`] with per-predicate state precomputed: `Contains` needles
+/// are tokenized once at compile time instead of once per document per
+/// leaf. `DocStore::filter` and snapshot filters compile automatically;
+/// callers evaluating one predicate against a whole corpus should compile
+/// explicitly.
 #[derive(Debug, Clone)]
 pub struct CompiledPredicate {
     root: CompiledNode,
@@ -123,41 +126,54 @@ pub struct CompiledPredicate {
 
 #[derive(Debug, Clone)]
 enum CompiledNode {
-    Eq(String, Value),
-    Ne(String, Value),
-    Range {
-        path: String,
-        lo: Option<Value>,
-        hi: Option<Value>,
-    },
-    In(String, Vec<Value>),
-    Exists(String),
-    Contains {
-        path: String,
-        /// The term pre-tokenized (lowercased word tokens).
-        needle: Vec<String>,
-    },
+    /// The value at a property path, tested by one [`Leaf`].
+    Leaf(String, Leaf),
     And(Vec<CompiledNode>),
     Or(Vec<CompiledNode>),
     Not(Box<CompiledNode>),
 }
 
+/// One comparison against the value at a path (`None` when the path is
+/// missing). Store reads test it once per distinct value of a layer's
+/// column, [`CompiledPredicate::matches`] once per document: one function,
+/// so the two cannot disagree.
+#[derive(Debug, Clone)]
+enum Leaf {
+    Eq(Value),
+    Ne(Value),
+    Range { lo: Option<Value>, hi: Option<Value> },
+    In(Vec<Value>),
+    Exists,
+    /// The term pre-tokenized (lowercased word tokens).
+    Contains(Vec<String>),
+}
+
+impl Leaf {
+    fn test(&self, v: Option<&Value>) -> bool {
+        let Some(v) = v else { return false };
+        match self {
+            Leaf::Eq(want) => v.loose_eq(want),
+            Leaf::Ne(want) => !v.loose_eq(want),
+            Leaf::Range { lo, hi } => !v.is_null() && range_ok(v, lo.as_ref(), hi.as_ref()),
+            Leaf::In(options) => options.iter().any(|o| v.loose_eq(o)),
+            Leaf::Exists => !v.is_null(),
+            Leaf::Contains(needle) => v
+                .as_str()
+                .is_some_and(|s| aryn_core::text::contains_tokens(s, needle)),
+        }
+    }
+}
+
 impl CompiledNode {
     fn build(p: &Predicate) -> CompiledNode {
+        let leaf = |path: &String, leaf| CompiledNode::Leaf(path.clone(), leaf);
         match p {
-            Predicate::Eq(path, want) => CompiledNode::Eq(path.clone(), want.clone()),
-            Predicate::Ne(path, want) => CompiledNode::Ne(path.clone(), want.clone()),
-            Predicate::Range { path, lo, hi } => CompiledNode::Range {
-                path: path.clone(),
-                lo: lo.clone(),
-                hi: hi.clone(),
-            },
-            Predicate::In(path, options) => CompiledNode::In(path.clone(), options.clone()),
-            Predicate::Exists(path) => CompiledNode::Exists(path.clone()),
-            Predicate::Contains(path, term) => CompiledNode::Contains {
-                path: path.clone(),
-                needle: aryn_core::text::tokenize(term),
-            },
+            Predicate::Eq(path, want) => leaf(path, Leaf::Eq(want.clone())),
+            Predicate::Ne(path, want) => leaf(path, Leaf::Ne(want.clone())),
+            Predicate::Range { path, lo, hi } => leaf(path, Leaf::Range { lo: lo.clone(), hi: hi.clone() }),
+            Predicate::In(path, options) => leaf(path, Leaf::In(options.clone())),
+            Predicate::Exists(path) => leaf(path, Leaf::Exists),
+            Predicate::Contains(path, term) => leaf(path, Leaf::Contains(aryn_core::text::tokenize(term))),
             Predicate::And(ps) => CompiledNode::And(ps.iter().map(CompiledNode::build).collect()),
             Predicate::Or(ps) => CompiledNode::Or(ps.iter().map(CompiledNode::build).collect()),
             Predicate::Not(p) => CompiledNode::Not(Box::new(CompiledNode::build(p))),
@@ -166,30 +182,37 @@ impl CompiledNode {
 
     fn matches_value(&self, props: &Value) -> bool {
         match self {
-            CompiledNode::Eq(path, want) => props
-                .get_path(path)
-                .is_some_and(|v| v.loose_eq(want)),
-            CompiledNode::Ne(path, want) => props
-                .get_path(path)
-                .is_some_and(|v| !v.loose_eq(want)),
-            CompiledNode::Range { path, lo, hi } => {
-                let Some(v) = props.get_path(path) else { return false };
-                if v.is_null() {
-                    return false;
-                }
-                range_ok(v, lo.as_ref(), hi.as_ref())
-            }
-            CompiledNode::In(path, options) => props
-                .get_path(path)
-                .is_some_and(|v| options.iter().any(|o| v.loose_eq(o))),
-            CompiledNode::Exists(path) => props.get_path(path).is_some_and(|v| !v.is_null()),
-            CompiledNode::Contains { path, needle } => props
-                .get_path(path)
-                .and_then(Value::as_str)
-                .is_some_and(|s| aryn_core::text::contains_tokens(s, needle)),
+            CompiledNode::Leaf(path, leaf) => leaf.test(props.get_path(path)),
             CompiledNode::And(ps) => ps.iter().all(|p| p.matches_value(props)),
             CompiledNode::Or(ps) => ps.iter().any(|p| p.matches_value(props)),
             CompiledNode::Not(p) => !p.matches_value(props),
+        }
+    }
+
+    /// The verdict for every entry of a run, read from its columns: each
+    /// leaf is tested once per distinct value of its path.
+    fn run_mask(&self, run: &Run, stats: &mut ScanStats) -> Vec<bool> {
+        match self {
+            CompiledNode::Leaf(path, leaf) => {
+                let col = run.column(path, stats);
+                let table = col.table(|v| leaf.test(v));
+                col.codes().iter().map(|&c| table[c as usize]).collect()
+            }
+            CompiledNode::And(ps) | CompiledNode::Or(ps) => {
+                let all = matches!(self, CompiledNode::And(_));
+                let mut mask = vec![all; run.docs.len()];
+                for p in ps {
+                    for (m, v) in mask.iter_mut().zip(p.run_mask(run, stats)) {
+                        *m = if all { *m && v } else { *m || v };
+                    }
+                }
+                mask
+            }
+            CompiledNode::Not(p) => {
+                let mut mask = p.run_mask(run, stats);
+                mask.iter_mut().for_each(|m| *m = !*m);
+                mask
+            }
         }
     }
 }
@@ -202,6 +225,15 @@ impl CompiledPredicate {
     pub fn matches_value(&self, props: &Value) -> bool {
         self.root.matches_value(props)
     }
+}
+
+/// What a columnar read did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScanStats {
+    /// Visible rows the read judged (all of them from columns).
+    pub rows: usize,
+    /// Columns this read had to build: first reads of a path on a run.
+    pub columns_built: usize,
 }
 
 /// Segment lifecycle knobs.
@@ -275,25 +307,67 @@ pub struct StoreStats {
 #[derive(Debug)]
 pub struct Segment {
     id: u64,
-    docs: BTreeMap<String, Option<Arc<Document>>>,
+    run: Arc<Run>,
 }
 
 impl Segment {
+    fn new(id: u64, docs: Layer) -> Segment {
+        Segment { id, run: Arc::new(Run::new(docs)) }
+    }
+
     pub fn id(&self) -> u64 {
         self.id
     }
 
     /// Entries including tombstones.
     pub fn len(&self) -> usize {
-        self.docs.len()
+        self.run.docs.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.docs.is_empty()
+        self.run.docs.is_empty()
     }
 }
 
 type Layer = BTreeMap<String, Option<Arc<Document>>>;
+
+/// A layer's entries with the property columns reads have built over them.
+/// A run is never written while anything else holds it: the memtable is
+/// copy-on-write ([`DocStore::mem_mut`]) and a seal hands the memtable's run
+/// to its segment as is, so a column stays true for as long as its run
+/// lives and every snapshot holding the run shares it.
+#[derive(Debug, Default)]
+struct Run {
+    docs: Layer,
+    /// Columns by path, built on first read of the path.
+    columns: Mutex<BTreeMap<String, Arc<Column>>>,
+}
+
+impl Clone for Run {
+    /// The entries only: the copy is about to be written.
+    fn clone(&self) -> Run {
+        Run::new(self.docs.clone())
+    }
+}
+
+impl Run {
+    fn new(docs: Layer) -> Run {
+        Run { docs, columns: Mutex::new(BTreeMap::new()) }
+    }
+
+    /// The column of `path`, built under the run's lock on first use (one
+    /// `get_path` per entry), counted in `stats.columns_built`.
+    fn column(&self, path: &str, stats: &mut ScanStats) -> Arc<Column> {
+        let mut columns = self.columns.lock();
+        if let Some(col) = columns.get(path) {
+            return Arc::clone(col);
+        }
+        stats.columns_built += 1;
+        let col = Arc::new(Column::build(self.docs.values(), path));
+        columns.insert(path.to_string(), Arc::clone(&col));
+        col
+    }
+}
 
 /// On-disk layout (DESIGN.md §5k): a manifest naming live segments and the
 /// current WAL, a frame file of one `m` frame.
@@ -426,8 +500,9 @@ fn load_segment(fs: &dyn Vfs, dir: &Path, id: u64) -> Result<Layer> {
 /// A named collection of documents (LSM-segmented; see module docs).
 #[derive(Debug, Default)]
 pub struct DocStore {
-    /// The mutable top layer. Shadows all segments.
-    mem: Layer,
+    /// The mutable top layer. Shadows all segments. Written through
+    /// [`DocStore::mem_mut`] only.
+    mem: Arc<Run>,
     /// Immutable sealed runs, oldest first. Newer segments shadow older.
     segments: Vec<Arc<Segment>>,
     config: StoreConfig,
@@ -485,7 +560,7 @@ impl DocStore {
 
     /// Documents (and tombstones) in the mutable memtable.
     pub fn memtable_len(&self) -> usize {
-        self.mem.len()
+        self.mem.docs.len()
     }
 
     /// Mutation sequence number; two snapshots with the same `seq` are
@@ -521,7 +596,7 @@ impl DocStore {
         self.wal_append(b'p', |o| aryn_core::serialize::encode_document(&doc, o))
             .inspect_err(|_| self.stats.io_errors += 1)?;
         self.apply_put(doc);
-        if self.config.seal_threshold > 0 && self.mem.len() >= self.config.seal_threshold {
+        if self.config.seal_threshold > 0 && self.mem.docs.len() >= self.config.seal_threshold {
             // A failed seal (counted by `try_seal`) doesn't unack the put:
             // the record is in the WAL and the memtable simply stays large
             // until a seal succeeds.
@@ -530,16 +605,24 @@ impl DocStore {
         Ok(())
     }
 
+    /// The memtable's entries for writing: copied first if a snapshot still
+    /// holds the current run, and its columns dropped either way.
+    fn mem_mut(&mut self) -> &mut Layer {
+        let run = Arc::make_mut(&mut self.mem);
+        run.columns.lock().clear();
+        &mut run.docs
+    }
+
     /// The memory half of a put (shared with WAL replay).
     fn apply_put(&mut self, doc: Document) {
         let id = doc.id.0.clone();
-        if let Some(old) = layered_lookup(&self.mem, &self.segments, &id).cloned() {
+        if let Some(old) = layered_lookup(&self.mem.docs, &self.segments, &id).cloned() {
             adjust_schema(&mut self.schema_types, "", &old.properties, -1);
         } else {
             self.live += 1;
         }
         adjust_schema(&mut self.schema_types, "", &doc.properties, 1);
-        self.mem.insert(id, Some(Arc::new(doc)));
+        self.mem_mut().insert(id, Some(Arc::new(doc)));
         self.stats.puts += 1;
         self.seq += 1;
     }
@@ -554,7 +637,7 @@ impl DocStore {
         if d.wal_dirty {
             // State-equivalent rewrite: the memtable already reflects every
             // acked record, so an atomic dump of it repairs the tail.
-            vfs::atomic_write(&d.vfs, &d.wal, &wal_bytes_for(&self.mem)?)?;
+            vfs::atomic_write(&d.vfs, &d.wal, &wal_bytes_for(&self.mem.docs)?)?;
             d.wal_dirty = false;
         }
         d.frame.clear();
@@ -572,7 +655,7 @@ impl DocStore {
     }
 
     pub fn get(&self, id: &str) -> Option<&Document> {
-        layered_lookup(&self.mem, &self.segments, id).map(Arc::as_ref)
+        layered_lookup(&self.mem.docs, &self.segments, id).map(Arc::as_ref)
     }
 
     /// Deletes a document with a durability ack (see [`DocStore::try_put`]);
@@ -580,7 +663,7 @@ impl DocStore {
     /// the id, a tombstone shadows it until compaction; otherwise the
     /// memtable entry is simply dropped.
     pub fn try_delete(&mut self, id: &str) -> Result<bool> {
-        if layered_lookup(&self.mem, &self.segments, id).is_none() {
+        if layered_lookup(&self.mem.docs, &self.segments, id).is_none() {
             return Ok(false);
         }
         self.wal_append(b'd', |o| {
@@ -595,16 +678,18 @@ impl DocStore {
     /// The memory half of a delete (shared with WAL replay); the id must be
     /// live.
     fn apply_delete(&mut self, id: &str) {
-        if let Some(old) = layered_lookup(&self.mem, &self.segments, id).cloned() {
+        if let Some(old) = layered_lookup(&self.mem.docs, &self.segments, id).cloned() {
             adjust_schema(&mut self.schema_types, "", &old.properties, -1);
         }
         self.live -= 1;
         self.stats.deletes += 1;
         self.seq += 1;
-        self.mem.remove(id);
+        let shadowed = segment_lookup(&self.segments, id).is_some();
+        let mem = self.mem_mut();
+        mem.remove(id);
         // Still visible through a sealed segment? Shadow it.
-        if segment_lookup(&self.segments, id).is_some() {
-            self.mem.insert(id.to_string(), None);
+        if shadowed {
+            mem.insert(id.to_string(), None);
         }
     }
 
@@ -619,7 +704,7 @@ impl DocStore {
     /// `io_errors` and leaves the memtable in place (retried at the next
     /// threshold crossing).
     pub fn try_seal(&mut self) -> Result<()> {
-        if self.mem.is_empty() {
+        if self.mem.docs.is_empty() {
             return Ok(());
         }
         if let Some(d) = self.durable.as_mut() {
@@ -627,7 +712,7 @@ impl DocStore {
             let mut ids: Vec<u64> = self.segments.iter().map(|s| s.id).collect();
             ids.push(seg_id);
             let new_wal = d.wal_seq + 1;
-            segment_bytes(&self.mem)
+            segment_bytes(&self.mem.docs)
                 .and_then(|seg| vfs::atomic_write(&d.vfs, &d.seg_path(seg_id), &seg))
                 .and_then(|()| write_manifest(&d.vfs, &d.dir, &ids, new_wal, seg_id + 1))
                 .inspect_err(|_| self.stats.io_errors += 1)?;
@@ -638,11 +723,9 @@ impl DocStore {
             d.wal_dirty = false;
             let _ = d.vfs.remove(&old);
         }
-        let docs = std::mem::take(&mut self.mem);
-        self.segments.push(Arc::new(Segment {
-            id: self.next_segment,
-            docs,
-        }));
+        // The memtable's run, columns and all, becomes the segment's.
+        let run = std::mem::take(&mut self.mem);
+        self.segments.push(Arc::new(Segment { id: self.next_segment, run }));
         self.next_segment += 1;
         self.stats.seals += 1;
         self.seq += 1;
@@ -667,7 +750,7 @@ impl DocStore {
         let mut merged: Layer = BTreeMap::new();
         let mut dropped = 0usize;
         for seg in &self.segments {
-            for (id, entry) in &seg.docs {
+            for (id, entry) in &seg.run.docs {
                 match entry {
                     Some(doc) => {
                         merged.insert(id.clone(), Some(doc.clone()));
@@ -699,10 +782,7 @@ impl DocStore {
         self.segments = if merged.is_empty() {
             Vec::new()
         } else {
-            let seg = Segment {
-                id: self.next_segment,
-                docs: merged,
-            };
+            let seg = Segment::new(self.next_segment, merged);
             self.next_segment += 1;
             vec![Arc::new(seg)]
         };
@@ -710,14 +790,16 @@ impl DocStore {
         Ok(())
     }
 
-    /// An MVCC snapshot: a frozen view sharing the sealed segments by `Arc`
-    /// and cloning only the memtable (bounded by `seal_threshold`). The view
-    /// is bit-stable under any later puts, deletes, seals, or compactions.
+    /// An MVCC snapshot: a frozen view sharing the sealed segments and the
+    /// memtable's current run by `Arc`, O(paths) for the schema. The next
+    /// write copies the memtable (bounded by `seal_threshold`) if a snapshot
+    /// still holds it. The view is bit-stable under any later puts, deletes,
+    /// seals, or compactions.
     pub fn snapshot(&self) -> StoreSnapshot {
         StoreSnapshot {
             seq: self.seq,
             live: self.live,
-            mem: self.mem.clone(),
+            mem: Arc::clone(&self.mem),
             segments: self.segments.clone(),
             schema: self.schema(),
         }
@@ -732,7 +814,7 @@ impl DocStore {
     /// [`DocStore::scan`] handing out the stored rows themselves: cloning an
     /// item is a pointer copy, never a document copy.
     pub fn scan_shared(&self) -> impl Iterator<Item = &Arc<Document>> {
-        layered_scan(&self.mem, &self.segments)
+        layered_scan(&layers(&self.mem, &self.segments)).map(|hit| hit.doc)
     }
 
     /// Documents matching a structured predicate. The predicate is compiled
@@ -742,17 +824,15 @@ impl DocStore {
         self.filter_shared(&compiled).map(Arc::as_ref).collect()
     }
 
-    /// The stored rows matching an already compiled predicate, streamed.
-    pub fn filter_shared<'a, 'p>(
-        &'a self,
-        pred: &'p CompiledPredicate,
-    ) -> impl Iterator<Item = &'a Arc<Document>> + use<'a, 'p> {
-        self.scan_shared().filter(move |d| pred.matches(d))
+    /// The stored rows matching an already compiled predicate, streamed in
+    /// scan order, each judged from its layer's columns.
+    pub fn filter_shared<'a>(&'a self, pred: &CompiledPredicate) -> Matches<'a> {
+        Matches::new(&self.mem, &self.segments, pred)
     }
 
     /// Distinct non-null values of a property with counts (facets).
     pub fn facet(&self, path: &str) -> Vec<(Value, usize)> {
-        layered_facet(self.scan(), path)
+        layered_facet(&layers(&self.mem, &self.segments), path)
     }
 
     /// The observed property schema: `path -> (type name, occurrence count)`.
@@ -789,7 +869,7 @@ impl DocStore {
 
 fn segment_lookup<'a>(segments: &'a [Arc<Segment>], id: &str) -> Option<&'a Arc<Document>> {
     for seg in segments.iter().rev() {
-        if let Some(entry) = seg.docs.get(id) {
+        if let Some(entry) = seg.run.docs.get(id) {
             return entry.as_ref();
         }
     }
@@ -807,69 +887,202 @@ fn layered_lookup<'a>(
     }
 }
 
-fn layered_scan<'a>(mem: &'a Layer, segments: &'a [Arc<Segment>]) -> MergeScan<'a> {
-    // Sources ordered newest first; ties on id resolve to the lowest source.
-    let mut iters = Vec::with_capacity(1 + segments.len());
-    iters.push(mem.iter().peekable());
-    for seg in segments.iter().rev() {
-        iters.push(seg.docs.iter().peekable());
-    }
-    MergeScan { iters }
+/// A read's layers, newest first: the memtable's run, then the sealed
+/// segments' from the newest down. A scan source's index is its position
+/// here.
+fn layers<'a>(mem: &'a Run, segments: &'a [Arc<Segment>]) -> Vec<&'a Run> {
+    std::iter::once(mem).chain(segments.iter().rev().map(|seg| seg.run.as_ref())).collect()
 }
 
-fn layered_facet<'a>(
-    scan: impl Iterator<Item = &'a Document>,
-    path: &str,
-) -> Vec<(Value, usize)> {
+fn layered_scan<'a>(layers: &[&'a Run]) -> MergeScan<'a> {
+    // Sources ordered newest first; ties on id resolve to the lowest source.
+    MergeScan::new(layers.iter().map(|run| run.docs.iter().enumerate().peekable()).collect())
+}
+
+/// What a facet has decided about one column code.
+#[derive(Clone, Copy)]
+enum FacetSlot {
+    Unseen,
+    /// Missing or null: not counted.
+    Skip,
+    Group(usize),
+}
+
+/// Distinct non-null values at `path` with counts, most frequent first.
+/// Values group by `loose_eq`, each group shown as its first value in scan
+/// order. A row reads its column code, and a code decides its group once —
+/// except for values not `loose_eq` to themselves (NaN), which open a group
+/// per row.
+fn layered_facet(layers: &[&Run], path: &str) -> Vec<(Value, usize)> {
+    let mut stats = ScanStats::default();
+    let columns: Vec<Arc<Column>> = layers.iter().map(|run| run.column(path, &mut stats)).collect();
+    let mut slots: Vec<Vec<FacetSlot>> = columns.iter().map(|c| c.table(|_| FacetSlot::Unseen)).collect();
     let mut counts: Vec<(Value, usize)> = Vec::new();
-    for d in scan {
-        let Some(v) = d.prop(path) else { continue };
-        if v.is_null() {
-            continue;
-        }
-        match counts.iter_mut().find(|(k, _)| k.loose_eq(v)) {
-            Some((_, c)) => *c += 1,
-            None => counts.push((v.clone(), 1)),
-        }
+    for hit in layered_scan(layers) {
+        let col = &columns[hit.layer];
+        let code = col.codes()[hit.pos];
+        let slot = &mut slots[hit.layer][code as usize];
+        let g = match *slot {
+            FacetSlot::Group(g) => g,
+            FacetSlot::Skip => continue,
+            FacetSlot::Unseen => {
+                let Some(v) = col.lookup(code).filter(|v| !v.is_null()) else {
+                    *slot = FacetSlot::Skip;
+                    continue;
+                };
+                let g = counts.iter().position(|(k, _)| k.loose_eq(v)).unwrap_or_else(|| {
+                    counts.push((v.clone(), 0));
+                    counts.len() - 1
+                });
+                if v.loose_eq(v) {
+                    *slot = FacetSlot::Group(g);
+                }
+                g
+            }
+        };
+        counts[g].1 += 1;
     }
     counts.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp_total(&b.0)));
     counts
 }
 
+/// One row of a layered scan: its source (an index into [`layers`]), its
+/// entry position there, and the row.
+struct Hit<'a> {
+    layer: usize,
+    pos: usize,
+    doc: &'a Arc<Document>,
+}
+
+type LayerIter<'a> = std::iter::Peekable<
+    std::iter::Enumerate<std::collections::btree_map::Iter<'a, String, Option<Arc<Document>>>>,
+>;
+
 /// K-way merge over id-sorted layers: smallest id next, the newest layer
-/// (lowest source index) winning duplicates, tombstones skipped.
+/// (lowest source index) winning duplicates, tombstones skipped. Where one
+/// layer's ids run below every other layer's next id (a streamed store's
+/// segments cover disjoint id ranges), the run is emitted with a single
+/// comparison per entry.
 struct MergeScan<'a> {
-    iters: Vec<std::iter::Peekable<std::collections::btree_map::Iter<'a, String, Option<Arc<Document>>>>>,
+    iters: Vec<LayerIter<'a>>,
+    /// A layer whose entries below the bound (`None`: all) no other layer
+    /// holds.
+    solo: Option<(usize, Option<&'a String>)>,
+}
+
+impl<'a> MergeScan<'a> {
+    fn new(iters: Vec<LayerIter<'a>>) -> MergeScan<'a> {
+        MergeScan { iters, solo: None }
+    }
 }
 
 impl<'a> Iterator for MergeScan<'a> {
-    type Item = &'a Arc<Document>;
+    type Item = Hit<'a>;
 
-    fn next(&mut self) -> Option<&'a Arc<Document>> {
+    fn next(&mut self) -> Option<Hit<'a>> {
         loop {
-            let mut best: Option<&'a String> = None;
-            for it in self.iters.iter_mut() {
-                if let Some(&(k, _)) = it.peek() {
-                    if best.is_none_or(|b| k < b) {
-                        best = Some(k);
+            if let Some((layer, bound)) = self.solo {
+                let it = &mut self.iters[layer];
+                if it.peek().is_some_and(|&(_, (k, _))| bound.is_none_or(|b| k < b)) {
+                    match it.next() {
+                        Some((pos, (_, Some(doc)))) => return Some(Hit { layer, pos, doc }),
+                        _ => continue, // a tombstone
+                    }
+                }
+                self.solo = None;
+            }
+            // The smallest next id and the next-smallest after it.
+            let mut best: Option<(&'a String, usize)> = None;
+            let mut second: Option<&'a String> = None;
+            for (layer, it) in self.iters.iter_mut().enumerate() {
+                let Some(&(_, (k, _))) = it.peek() else { continue };
+                match best {
+                    Some((b, _)) if k >= b => second = Some(second.map_or(k, |s| s.min(k))),
+                    _ => {
+                        second = best.map(|(b, _)| second.map_or(b, |s| s.min(b)));
+                        best = Some((k, layer));
                     }
                 }
             }
-            let key = best?;
-            // Advance every layer holding this id; the first (newest) wins.
-            let mut winner: Option<&'a Option<Arc<Document>>> = None;
-            for it in self.iters.iter_mut() {
-                if it.peek().is_some_and(|&(k, _)| k == key) {
-                    if let Some((_, entry)) = it.next() {
-                        winner.get_or_insert(entry);
+            let (key, layer) = best?;
+            if second != Some(key) {
+                self.solo = Some((layer, second));
+                continue;
+            }
+            // Several layers hold this id: advance them all; the first
+            // (newest) wins.
+            let mut winner: Option<(usize, usize, &'a Option<Arc<Document>>)> = None;
+            for (layer, it) in self.iters.iter_mut().enumerate() {
+                if it.peek().is_some_and(|&(_, (k, _))| k == key) {
+                    if let Some((pos, (_, entry))) = it.next() {
+                        winner.get_or_insert((layer, pos, entry));
                     }
                 }
             }
-            if let Some(Some(doc)) = winner {
-                return Some(doc);
+            if let Some((layer, pos, Some(doc))) = winner {
+                return Some(Hit { layer, pos, doc });
             }
             // Tombstone on top — skip the id entirely.
         }
+    }
+}
+
+/// The rows of a store or snapshot matching a compiled predicate, in scan
+/// order ([`DocStore::filter_shared`]). Every layer's verdicts are read from
+/// its columns up front; the merge then only looks them up.
+pub struct Matches<'a> {
+    layers: Vec<&'a Run>,
+    scan: MergeScan<'a>,
+    /// Per layer, the verdict per entry.
+    masks: Vec<Vec<bool>>,
+    stats: ScanStats,
+}
+
+impl<'a> Matches<'a> {
+    fn new(mem: &'a Run, segments: &'a [Arc<Segment>], pred: &CompiledPredicate) -> Self {
+        let layers = layers(mem, segments);
+        let mut stats = ScanStats::default();
+        let masks = layers.iter().map(|run| pred.root.run_mask(run, &mut stats)).collect();
+        Matches { scan: layered_scan(&layers), layers, masks, stats }
+    }
+
+    /// The rows read so far and the columns built.
+    pub fn stats(&self) -> ScanStats {
+        self.stats
+    }
+
+    fn next_hit(&mut self) -> Option<Hit<'a>> {
+        loop {
+            let hit = self.scan.next()?;
+            self.stats.rows += 1;
+            if self.masks[hit.layer][hit.pos] {
+                return Some(hit);
+            }
+        }
+    }
+
+    /// Drains the matches through `f` with their values at `paths`.
+    fn project(mut self, paths: &[&str], mut f: impl FnMut(&'a Arc<Document>, &[Option<&Value>])) -> ScanStats {
+        let columns: Vec<Vec<Arc<Column>>> = self
+            .layers
+            .iter()
+            .map(|run| paths.iter().map(|p| run.column(p, &mut self.stats)).collect())
+            .collect();
+        let mut values: Vec<Option<&Value>> = Vec::with_capacity(paths.len());
+        while let Some(hit) = self.next_hit() {
+            values.clear();
+            values.extend(columns[hit.layer].iter().map(|c| c.value(hit.pos)));
+            f(hit.doc, &values);
+        }
+        self.stats
+    }
+}
+
+impl<'a> Iterator for Matches<'a> {
+    type Item = &'a Arc<Document>;
+
+    fn next(&mut self) -> Option<&'a Arc<Document>> {
+        self.next_hit().map(|hit| hit.doc)
     }
 }
 
@@ -918,7 +1131,7 @@ fn adjust_schema(
 pub struct StoreSnapshot {
     seq: u64,
     live: usize,
-    mem: Layer,
+    mem: Arc<Run>,
     segments: Vec<Arc<Segment>>,
     schema: BTreeMap<String, (String, usize)>,
 }
@@ -942,7 +1155,7 @@ impl StoreSnapshot {
     }
 
     pub fn get(&self, id: &str) -> Option<&Document> {
-        layered_lookup(&self.mem, &self.segments, id).map(Arc::as_ref)
+        layered_lookup(&self.mem.docs, &self.segments, id).map(Arc::as_ref)
     }
 
     pub fn scan(&self) -> impl Iterator<Item = &Document> {
@@ -952,7 +1165,7 @@ impl StoreSnapshot {
     /// The frozen rows themselves, id-ordered: cloning an item is a pointer
     /// copy, so a reader can hold any subset without copying a document.
     pub fn scan_shared(&self) -> impl Iterator<Item = &Arc<Document>> {
-        layered_scan(&self.mem, &self.segments)
+        layered_scan(&layers(&self.mem, &self.segments)).map(|hit| hit.doc)
     }
 
     pub fn filter(&self, pred: &Predicate) -> Vec<&Document> {
@@ -960,16 +1173,26 @@ impl StoreSnapshot {
         self.filter_shared(&compiled).map(Arc::as_ref).collect()
     }
 
-    /// The frozen rows matching an already compiled predicate, streamed.
-    pub fn filter_shared<'a, 'p>(
+    /// The frozen rows matching an already compiled predicate, streamed
+    /// (see [`DocStore::filter_shared`]).
+    pub fn filter_shared<'a>(&'a self, pred: &CompiledPredicate) -> Matches<'a> {
+        Matches::new(&self.mem, &self.segments, pred)
+    }
+
+    /// The rows matching `pred` in scan order, each handed to `f` with its
+    /// values at `paths` (`None` where missing), read from the layers'
+    /// columns.
+    pub fn project<'a>(
         &'a self,
-        pred: &'p CompiledPredicate,
-    ) -> impl Iterator<Item = &'a Arc<Document>> + use<'a, 'p> {
-        self.scan_shared().filter(move |d| pred.matches(d))
+        pred: &CompiledPredicate,
+        paths: &[&str],
+        f: impl FnMut(&'a Arc<Document>, &[Option<&Value>]),
+    ) -> ScanStats {
+        Matches::new(&self.mem, &self.segments, pred).project(paths, f)
     }
 
     pub fn facet(&self, path: &str) -> Vec<(Value, usize)> {
-        layered_facet(self.scan(), path)
+        layered_facet(&layers(&self.mem, &self.segments), path)
     }
 
     pub fn schema(&self) -> BTreeMap<String, (String, usize)> {
@@ -1014,15 +1237,15 @@ impl DocStore {
             store.next_segment = v.get("next_segment").and_then(Value::as_int).unwrap_or(0) as u64;
             for id in seg_ids {
                 let docs = load_segment(&fs, &dir, id)?;
-                store.segments.push(Arc::new(Segment { id, docs }));
+                store.segments.push(Arc::new(Segment::new(id, docs)));
                 store.stats.segments_recovered += 1;
             }
             // Rebuild live count + schema from segment-visible docs in one
             // layered pass (the WAL replay below then applies clean deltas).
-            let empty: Layer = BTreeMap::new();
+            let empty = Run::default();
             let mut live = 0usize;
-            for d in layered_scan(&empty, &store.segments) {
-                adjust_schema(&mut store.schema_types, "", &d.properties, 1);
+            for hit in layered_scan(&layers(&empty, &store.segments)) {
+                adjust_schema(&mut store.schema_types, "", &hit.doc.properties, 1);
                 live += 1;
             }
             store.live = live;
@@ -1057,7 +1280,7 @@ impl DocStore {
         });
         // The replayed memtable may already exceed the seal threshold; a
         // failed seal (counted by `try_seal`) leaves it in the memtable.
-        if store.config.seal_threshold > 0 && store.mem.len() >= store.config.seal_threshold {
+        if store.config.seal_threshold > 0 && store.mem.docs.len() >= store.config.seal_threshold {
             let _ = store.try_seal();
         }
         Ok(store)
@@ -1071,7 +1294,7 @@ impl DocStore {
                 self.apply_put(aryn_core::serialize::decode_document(payload)?);
             } else {
                 let id = id_from(payload)?;
-                if layered_lookup(&self.mem, &self.segments, id).is_some() {
+                if layered_lookup(&self.mem.docs, &self.segments, id).is_some() {
                     self.apply_delete(id);
                 }
             }

@@ -9,6 +9,7 @@
 //! sharded, incrementally-maintainable forms ([`ShardedKeywordIndex`],
 //! [`ShardedHnsw`]) so a streaming feed pays O(doc) index work per arrival.
 
+pub mod columns;
 pub mod docstore;
 pub mod graph;
 pub mod hybrid;
@@ -16,8 +17,8 @@ pub mod keyword;
 pub mod vector;
 
 pub use docstore::{
-    Catalog, CompiledPredicate, DocStore, Predicate, Segment, StoreConfig, StoreSnapshot,
-    StoreStats, WalConfig,
+    Catalog, CompiledPredicate, DocStore, Matches, Predicate, ScanStats, Segment, StoreConfig,
+    StoreSnapshot, StoreStats, WalConfig,
 };
 pub use graph::{Edge, GraphNode, GraphStore};
 pub use hybrid::{fuse_hits, rrf_fuse, RRF_K};

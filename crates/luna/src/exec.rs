@@ -10,17 +10,25 @@
 //! hands out the pinned snapshot's own documents, filters, sorts and counts
 //! move or read pointers, and only `llmExtract`, `graphExpand` and `join`
 //! copy a document, because they write to it.
+//!
+//! A `queryDatabase` and the `basicFilter`/`rangeFilter` nodes under it do
+//! not even collect pointers: they stay a [`Selection`] — the pinned
+//! snapshot plus a conjunction — that the store evaluates on its columns.
+//! `count` reads its length, `aggregate` folds projected values, and rows
+//! are collected only for a consumer that needs them.
 
 use crate::ops::{Plan, PlanOp};
 use aryn_core::{ArynError, Document, Result, Value};
-use aryn_index::{CompiledPredicate, GraphStore, Predicate, StoreSnapshot};
+use aryn_index::{CompiledPredicate, GraphStore, Predicate, ScanStats, StoreSnapshot};
 use aryn_llm::prompt::tasks;
 use aryn_llm::{CacheStats, LlmClient, MeterScope, UsageStats};
 use aryn_telemetry::Telemetry;
 use parking_lot::RwLock;
+use std::cell::{Cell, OnceCell};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
+use sycamore::transforms::{AggFold, GroupFold};
 
 /// A node's output.
 #[derive(Debug, Clone, PartialEq)]
@@ -228,7 +236,7 @@ impl PlanExecutor {
             span.finish();
         }
         let order = plan.topo_order()?;
-        let mut outputs: BTreeMap<usize, NodeOutput> = BTreeMap::new();
+        let mut outputs: BTreeMap<usize, Out> = BTreeMap::new();
         let mut traces = Vec::with_capacity(order.len());
         for id in order {
             let node = plan
@@ -237,7 +245,7 @@ impl PlanExecutor {
             let start = Instant::now();
             let scope =
                 MeterScope::open(std::iter::once(&self.client).chain(self.model_clients.values()));
-            let inputs: Vec<&NodeOutput> = node
+            let inputs: Vec<&Out> = node
                 .inputs
                 .iter()
                 .map(|i| {
@@ -247,7 +255,8 @@ impl PlanExecutor {
                 })
                 .collect::<Result<_>>()?;
             let rows_in = inputs.iter().map(|o| o.len()).sum();
-            let out = self.run_node(&node.op, &inputs, &outputs, &run_pins)?;
+            let reads = Cell::new(ReadStats::default());
+            let out = self.run_node(&node.op, &inputs, &outputs, &run_pins, &reads)?;
             let (llm, cache) = scope.finish();
             let trace = NodeTrace {
                 node_id: id,
@@ -258,19 +267,19 @@ impl PlanExecutor {
                 wall_ms: start.elapsed().as_secs_f64() * 1000.0,
                 llm,
                 cache,
-                sample_ids: out
-                    .rows()
-                    .map(|r| r.iter().take(3).map(|d| d.id.0.clone()).collect())
-                    .unwrap_or_default(),
+                sample_ids: out.sample_ids(),
                 scalar: out.scalar().cloned(),
             };
-            self.record_node_span(&trace);
+            self.record_node_span(&trace, reads.get());
             traces.push(trace);
             outputs.insert(id, out);
         }
-        let output = outputs.remove(&plan.result).ok_or_else(|| {
-            ArynError::InvalidPlan(format!("result node out_{} was never executed", plan.result))
-        })?;
+        let output = outputs
+            .remove(&plan.result)
+            .ok_or_else(|| {
+                ArynError::InvalidPlan(format!("result node out_{} was never executed", plan.result))
+            })?
+            .into_output();
         let answer = render_answer(&output);
         Ok(LunaResult {
             output,
@@ -315,7 +324,7 @@ impl PlanExecutor {
         Ok(())
     }
 
-    fn record_node_span(&self, t: &NodeTrace) {
+    fn record_node_span(&self, t: &NodeTrace, read: ReadStats) {
         if !self.telemetry.is_enabled() {
             return;
         }
@@ -327,6 +336,13 @@ impl PlanExecutor {
             .set("rows_out", t.rows_out as u64)
             .set("retries", t.llm.retries)
             .gauge("wall_ms", t.wall_ms);
+        // Where the node's structured reads ran. Gauges: which reads build
+        // a column depends on what ran before on the store, not on the plan.
+        if read != ReadStats::default() {
+            span.gauge("column_rows", read.column_rows as f64)
+                .gauge("row_rows", read.row_rows as f64)
+                .gauge("columns_built", read.columns_built as f64);
+        }
         sycamore::stats::write_llm_group(&mut span, &t.llm, &t.cache);
         span.finish();
     }
@@ -371,78 +387,86 @@ impl PlanExecutor {
     fn run_node(
         &self,
         op: &PlanOp,
-        inputs: &[&NodeOutput],
-        all: &BTreeMap<usize, NodeOutput>,
+        inputs: &[&Out],
+        all: &BTreeMap<usize, Out>,
         pins: &BTreeMap<String, Arc<StoreSnapshot>>,
-    ) -> Result<NodeOutput> {
-        let rows_of = |i: usize| -> Result<&[Arc<Document>]> {
+        reads: &Cell<ReadStats>,
+    ) -> Result<Out> {
+        let input = |i: usize| {
             inputs
                 .get(i)
-                .and_then(|o| o.rows())
+                .copied()
                 .ok_or_else(|| ArynError::Exec(format!("{} expects a row input", op.kind())))
         };
+        let rows_of = |i: usize| -> Result<&[Arc<Document>]> {
+            input(i)?
+                .rows(reads)
+                .ok_or_else(|| ArynError::Exec(format!("{} expects a row input", op.kind())))
+        };
+        let rows = |r: Vec<Arc<Document>>| Ok(Out::Done(NodeOutput::Rows(r)));
+        let scalar = |v: Value| Ok(Out::Done(NodeOutput::Scalar(v)));
         match op {
             PlanOp::QueryDatabase { index, prefilter } => {
-                let filter = RowFilter::all_eq(prefilter.iter().map(|(path, value)| (path, value)));
                 // The run's pinned snapshot: consistent reads while
-                // ingestion continues underneath. The property conjuncts are
-                // evaluated inside the store's scan.
-                let rows = run_snapshot(pins, index)?
-                    .filter_shared(&filter.props)
-                    .filter(|d| filter.keeps_id(d))
-                    .map(Arc::clone)
-                    .collect();
-                Ok(NodeOutput::Rows(rows))
+                // ingestion continues underneath.
+                let conjuncts = prefilter.iter().map(|(path, value)| Conjunct::eq(path, value));
+                Ok(Out::Selection(Selection::new(Arc::clone(run_snapshot(pins, index)?), conjuncts, reads)))
             }
             PlanOp::BasicFilter { path, value } => {
-                let filter = RowFilter::all_eq([(path, value)]);
-                Ok(kept(rows_of(0)?, |d| filter.keeps_id(d) && filter.props.matches(d)))
-            }
-            PlanOp::RangeFilter { path, lo, hi } => {
-                let range = Predicate::Range { path: path.clone(), lo: lo.clone(), hi: hi.clone() }
-                    .compile();
-                Ok(kept(rows_of(0)?, |d| range.matches(d)))
-            }
-            PlanOp::LlmFilter { predicate, model } => {
-                let out = self
-                    .ctx
-                    .read_shared(rows_of(0)?)
-                    .llm_filter(self.client_for(model), predicate)
-                    .collect_shared()?;
-                Ok(NodeOutput::Rows(out))
-            }
-            PlanOp::LlmExtract { field, ftype, model } => {
-                let schema = aryn_core::obj! { field.as_str() => ftype.as_str() };
-                let out = self
-                    .ctx
-                    .read_shared(rows_of(0)?)
-                    .extract_properties(self.client_for(model), schema)
-                    .collect_shared()?;
-                Ok(NodeOutput::Rows(out))
-            }
-            PlanOp::Count => Ok(NodeOutput::Scalar(Value::Int(rows_of(0)?.len() as i64))),
-            PlanOp::Aggregate { key, func, path } => {
-                let aggs = [("value".to_string(), agg_from_name(func, path)?)];
-                if key.is_empty() {
-                    // Whole-collection aggregate → scalar.
-                    let groups = sycamore::transforms::reduce_by_key(rows_of(0)?, "__all__", &aggs);
-                    let v = groups
-                        .first()
-                        .and_then(|g| g.prop("value"))
-                        .cloned()
-                        .unwrap_or(Value::Null);
-                    Ok(NodeOutput::Scalar(v))
-                } else {
-                    Ok(NodeOutput::Rows(sycamore::transforms::reduce_by_key(rows_of(0)?, key, &aggs)))
+                let c = Conjunct::eq(path, value);
+                match input(0)? {
+                    Out::Selection(sel) => Ok(Out::Selection(sel.narrowed(c, reads))),
+                    _ => rows(kept(rows_of(0)?, &c, reads)),
                 }
             }
-            PlanOp::Sort { path, descending } => Ok(NodeOutput::Rows(
-                sycamore::transforms::sort_by(rows_of(0)?, path, *descending),
-            )),
+            PlanOp::RangeFilter { path, lo, hi } => {
+                let c = Conjunct::Prop(Predicate::Range { path: path.clone(), lo: lo.clone(), hi: hi.clone() });
+                match input(0)? {
+                    Out::Selection(sel) => Ok(Out::Selection(sel.narrowed(c, reads))),
+                    _ => rows(kept(rows_of(0)?, &c, reads)),
+                }
+            }
+            PlanOp::LlmFilter { predicate, model } => rows(
+                self.ctx
+                    .read_shared(rows_of(0)?)
+                    .llm_filter(self.client_for(model), predicate)
+                    .collect_shared()?,
+            ),
+            PlanOp::LlmExtract { field, ftype, model } => {
+                let schema = aryn_core::obj! { field.as_str() => ftype.as_str() };
+                rows(
+                    self.ctx
+                        .read_shared(rows_of(0)?)
+                        .extract_properties(self.client_for(model), schema)
+                        .collect_shared()?,
+                )
+            }
+            PlanOp::Count => scalar(Value::Int(input(0)?.row_count()? as i64)),
+            PlanOp::Aggregate { key, func, path } => {
+                let agg = agg_from_name(func, path)?;
+                let src = input(0)?;
+                if key.is_empty() {
+                    // Whole-collection aggregate → scalar (`Null` over no rows).
+                    let mut fold = AggFold::new(&agg);
+                    src.fold(agg.path().into_iter().collect(), reads, |_, vals| {
+                        fold.push(vals.first().copied().flatten())
+                    })?;
+                    scalar(if fold.pushed() == 0 { Value::Null } else { fold.finish() })
+                } else {
+                    let aggs = [("value".to_string(), agg)];
+                    let mut fold = GroupFold::new(key, &aggs);
+                    let paths = std::iter::once(key.as_str()).chain(aggs[0].1.path()).collect();
+                    src.fold(paths, reads, |id, vals| fold.push(id, vals[0], &vals[1..]))?;
+                    rows(fold.finish())
+                }
+            }
+            PlanOp::Sort { path, descending } => {
+                rows(sycamore::transforms::sort_by(rows_of(0)?, path, *descending))
+            }
             PlanOp::TopK { path, descending, k } => {
                 let mut docs = sycamore::transforms::sort_by(rows_of(0)?, path, *descending);
                 docs.truncate(*k);
-                Ok(NodeOutput::Rows(docs))
+                rows(docs)
             }
             PlanOp::Join { on } => {
                 let left = rows_of(0)?;
@@ -469,13 +493,13 @@ impl PlanExecutor {
                         }
                     }
                 }
-                Ok(NodeOutput::Rows(out))
+                rows(out)
             }
             PlanOp::Math { expr } => {
                 // Substitute {out_N} with scalar values from the whole DAG.
                 let resolved = substitute_outputs(expr, all)?;
                 let v = eval_math(&resolved)?;
-                Ok(NodeOutput::Scalar(Value::Float(v)))
+                scalar(Value::Float(v))
             }
             PlanOp::GraphExpand { relation, output } => {
                 let graph = self.graph.as_ref().ok_or_else(|| {
@@ -513,7 +537,7 @@ impl PlanExecutor {
                     );
                     out.push(Arc::new(d));
                 }
-                Ok(NodeOutput::Rows(out))
+                rows(out)
             }
             PlanOp::SummarizeData { instructions } => {
                 let doc =
@@ -523,17 +547,18 @@ impl PlanExecutor {
                     .and_then(Value::as_str)
                     .unwrap_or("")
                     .to_string();
-                Ok(NodeOutput::Scalar(Value::from(text)))
+                scalar(Value::from(text))
             }
             PlanOp::LlmGenerate { question } => {
                 // Render rows (and any scalar inputs) as context and ask.
                 let mut context = String::new();
                 for o in inputs {
-                    match o {
-                        NodeOutput::Scalar(v) => {
+                    match o.rows(reads) {
+                        None => {
+                            let v = o.scalar().unwrap_or(&Value::Null);
                             context.push_str(&format!("value: {v}\n"));
                         }
-                        NodeOutput::Rows(rows) => {
+                        Some(rows) => {
                             for d in rows.iter().take(40) {
                                 context.push_str(&format!(
                                     "- {}: {}\n",
@@ -552,7 +577,7 @@ impl PlanExecutor {
                     .get("answer")
                     .map(|a| a.display_text())
                     .unwrap_or_default();
-                Ok(NodeOutput::Scalar(Value::from(answer)))
+                scalar(Value::from(answer))
             }
         }
     }
@@ -570,37 +595,201 @@ fn run_snapshot<'a>(
 
 /// A structured Luna filter lowered onto the store's predicate evaluator.
 /// The `_id` pseudo-field is the document key, not a property, so equality
-/// on it is peeled off here and compared against the key directly.
-struct RowFilter {
-    props: CompiledPredicate,
-    ids: Vec<Value>,
+/// on it is kept apart and compared against the key directly.
+enum Conjunct {
+    Prop(Predicate),
+    Id(Value),
 }
 
-impl RowFilter {
-    /// The conjunction of `path == value` pairs.
-    fn all_eq<'a>(pairs: impl IntoIterator<Item = (&'a String, &'a Value)>) -> RowFilter {
-        let mut ids = Vec::new();
-        let mut props = Vec::new();
-        for (path, value) in pairs {
-            if path == "_id" {
-                ids.push(value.clone());
-            } else {
-                props.push(Predicate::Eq(path.clone(), value.clone()));
+impl Conjunct {
+    fn eq(path: &str, value: &Value) -> Conjunct {
+        if path == "_id" {
+            Conjunct::Id(value.clone())
+        } else {
+            Conjunct::Prop(Predicate::Eq(path.to_string(), value.clone()))
+        }
+    }
+}
+
+fn keeps_id(ids: &[Value], d: &Document) -> bool {
+    ids.iter()
+        .all(|v| v.as_str().is_some_and(|s| d.id.as_str().eq_ignore_ascii_case(s)))
+}
+
+/// The rows the conjunct accepts, as pointers to the same documents.
+fn kept(rows: &[Arc<Document>], c: &Conjunct, reads: &Cell<ReadStats>) -> Vec<Arc<Document>> {
+    add_row_reads(reads, rows.len());
+    let rows = rows.iter();
+    match c {
+        Conjunct::Prop(p) => {
+            let p = p.compile();
+            rows.filter(|d| p.matches(d)).map(Arc::clone).collect()
+        }
+        Conjunct::Id(v) => rows.filter(|d| keeps_id(std::slice::from_ref(v), d)).map(Arc::clone).collect(),
+    }
+}
+
+/// The rows of a pinned snapshot that pass a conjunction of structured
+/// filters, left unmaterialized. Its length and first ids are counted when
+/// it is made (every node's trace reports them); the rows themselves are
+/// collected once, and only if a consumer asks for them.
+struct Selection {
+    snap: Arc<StoreSnapshot>,
+    /// Property conjuncts, as store predicates.
+    props: Vec<Predicate>,
+    /// `_id` equalities.
+    ids: Vec<Value>,
+    pred: CompiledPredicate,
+    len: usize,
+    sample_ids: Vec<String>,
+    rows: OnceCell<Vec<Arc<Document>>>,
+}
+
+impl Selection {
+    fn new(snap: Arc<StoreSnapshot>, conjuncts: impl IntoIterator<Item = Conjunct>, reads: &Cell<ReadStats>) -> Selection {
+        let (mut props, mut ids) = (Vec::new(), Vec::new());
+        for c in conjuncts {
+            match c {
+                Conjunct::Prop(p) => props.push(p),
+                Conjunct::Id(v) => ids.push(v),
             }
         }
-        RowFilter { props: Predicate::And(props).compile(), ids }
+        let pred = Predicate::And(props.clone()).compile();
+        let mut sel =
+            Selection { snap, props, ids, pred, len: 0, sample_ids: Vec::new(), rows: OnceCell::new() };
+        if sel.props.is_empty() && sel.ids.is_empty() {
+            // The whole snapshot: its length is known.
+            sel.len = sel.snap.len();
+            sel.sample_ids = sel.snap.scan().take(3).map(|d| d.id.0.clone()).collect();
+        } else {
+            let mut matches = sel.snap.filter_shared(&sel.pred);
+            for d in matches.by_ref().filter(|d| keeps_id(&sel.ids, d)) {
+                if sel.sample_ids.len() < 3 {
+                    sel.sample_ids.push(d.id.0.clone());
+                }
+                sel.len += 1;
+            }
+            add_column_reads(reads, matches.stats());
+        }
+        sel
     }
 
-    fn keeps_id(&self, d: &Document) -> bool {
-        self.ids
-            .iter()
-            .all(|v| v.as_str().is_some_and(|s| d.id.as_str().eq_ignore_ascii_case(s)))
+    /// This selection with one more conjunct.
+    fn narrowed(&self, c: Conjunct, reads: &Cell<ReadStats>) -> Selection {
+        let conjuncts = self.props.iter().cloned().map(Conjunct::Prop);
+        let ids = self.ids.iter().cloned().map(Conjunct::Id);
+        Selection::new(Arc::clone(&self.snap), conjuncts.chain(ids).chain([c]), reads)
+    }
+
+    fn rows(&self, reads: &Cell<ReadStats>) -> &[Arc<Document>] {
+        self.rows.get_or_init(|| {
+            let mut matches = self.snap.filter_shared(&self.pred);
+            let rows = matches.by_ref().filter(|d| keeps_id(&self.ids, d)).map(Arc::clone).collect();
+            add_column_reads(reads, matches.stats());
+            rows
+        })
     }
 }
 
-/// The rows `keep` accepts, as pointers to the same documents.
-fn kept(rows: &[Arc<Document>], keep: impl Fn(&Document) -> bool) -> NodeOutput {
-    NodeOutput::Rows(rows.iter().filter(|d| keep(d)).map(Arc::clone).collect())
+/// Where one node's structured reads ran: on a store's columns (a
+/// selection) or on materialized documents.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct ReadStats {
+    column_rows: usize,
+    row_rows: usize,
+    columns_built: usize,
+}
+
+fn add_column_reads(reads: &Cell<ReadStats>, more: ScanStats) {
+    let mut total = reads.get();
+    total.column_rows += more.rows;
+    total.columns_built += more.columns_built;
+    reads.set(total);
+}
+
+fn add_row_reads(reads: &Cell<ReadStats>, rows: usize) {
+    let mut total = reads.get();
+    total.row_rows += rows;
+    reads.set(total);
+}
+
+/// A node's output while the plan runs.
+enum Out {
+    Done(NodeOutput),
+    Selection(Selection),
+}
+
+impl Out {
+    fn len(&self) -> usize {
+        match self {
+            Out::Done(o) => o.len(),
+            Out::Selection(sel) => sel.len,
+        }
+    }
+
+    fn scalar(&self) -> Option<&Value> {
+        match self {
+            Out::Done(o) => o.scalar(),
+            Out::Selection(_) => None,
+        }
+    }
+
+    /// The rows, collecting a selection's on first use.
+    fn rows(&self, reads: &Cell<ReadStats>) -> Option<&[Arc<Document>]> {
+        match self {
+            Out::Done(o) => o.rows(),
+            Out::Selection(sel) => Some(sel.rows(reads)),
+        }
+    }
+
+    fn row_count(&self) -> Result<usize> {
+        match self {
+            Out::Done(NodeOutput::Scalar(_)) => Err(ArynError::Exec("count expects a row input".into())),
+            _ => Ok(self.len()),
+        }
+    }
+
+    fn sample_ids(&self) -> Vec<String> {
+        match self {
+            Out::Done(o) => {
+                o.rows().map(|r| r.iter().take(3).map(|d| d.id.0.clone()).collect()).unwrap_or_default()
+            }
+            Out::Selection(sel) => sel.sample_ids.clone(),
+        }
+    }
+
+    /// Streams every row with its id and values at `paths`, in row order:
+    /// a selection's from the store's columns, rows' from the documents.
+    fn fold(&self, paths: Vec<&str>, reads: &Cell<ReadStats>, mut f: impl FnMut(&str, &[Option<&Value>])) -> Result<()> {
+        match self {
+            Out::Selection(sel) => {
+                let stats = sel.snap.project(&sel.pred, &paths, |d, vals| {
+                    if keeps_id(&sel.ids, d) {
+                        f(d.id.as_str(), vals)
+                    }
+                });
+                add_column_reads(reads, stats);
+            }
+            Out::Done(NodeOutput::Rows(rows)) => {
+                add_row_reads(reads, rows.len());
+                let mut vals = Vec::with_capacity(paths.len());
+                for d in rows {
+                    vals.clear();
+                    vals.extend(paths.iter().map(|p| d.prop(p)));
+                    f(d.id.as_str(), &vals);
+                }
+            }
+            Out::Done(NodeOutput::Scalar(_)) => return Err(ArynError::Exec("aggregate expects a row input".into())),
+        }
+        Ok(())
+    }
+
+    fn into_output(self) -> NodeOutput {
+        match self {
+            Out::Done(o) => o,
+            Out::Selection(sel) => NodeOutput::Rows(sel.rows(&Cell::default()).to_vec()),
+        }
+    }
 }
 
 fn agg_from_name(func: &str, path: &str) -> Result<sycamore::Agg> {
@@ -636,7 +825,7 @@ fn render_answer(output: &NodeOutput) -> String {
 }
 
 /// Replaces `{out_N}` references with their scalar values.
-fn substitute_outputs(expr: &str, all: &BTreeMap<usize, NodeOutput>) -> Result<String> {
+fn substitute_outputs(expr: &str, all: &BTreeMap<usize, Out>) -> Result<String> {
     let mut out = String::new();
     let mut rest = expr;
     while let Some(start) = rest.find("{out_") {
@@ -651,11 +840,11 @@ fn substitute_outputs(expr: &str, all: &BTreeMap<usize, NodeOutput>) -> Result<S
         let node = all
             .get(&id)
             .ok_or_else(|| ArynError::Exec(format!("math references out_{id} which has not run")))?;
-        let v = match node {
-            NodeOutput::Scalar(v) => v
+        let v = match node.scalar() {
+            Some(v) => v
                 .as_float()
                 .ok_or_else(|| ArynError::Exec(format!("out_{id} is not numeric")))?,
-            NodeOutput::Rows(r) => r.len() as f64,
+            None => node.len() as f64,
         };
         out.push_str(&format!("{v}"));
         rest = &after[end + 1..];
@@ -827,10 +1016,10 @@ mod tests {
     #[test]
     fn substitution_resolves_scalars_and_rowcounts() {
         let mut all = BTreeMap::new();
-        all.insert(2usize, NodeOutput::Scalar(Value::Int(8)));
+        all.insert(2usize, Out::Done(NodeOutput::Scalar(Value::Int(8))));
         all.insert(
             4usize,
-            NodeOutput::Rows(vec![Arc::new(Document::new("a")), Arc::new(Document::new("b"))]),
+            Out::Done(NodeOutput::Rows(vec![Arc::new(Document::new("a")), Arc::new(Document::new("b"))])),
         );
         let s = substitute_outputs("100 * {out_4} / {out_2}", &all).unwrap();
         assert_eq!(eval_math(&s).unwrap(), 25.0);

@@ -812,6 +812,16 @@ impl LunaAnswer {
                 ));
             }
             push_savings(&mut out, "  ", &t.llm, &t.cache);
+            // Where a structured read ran: the store's columns or documents.
+            if let Some(sp) = self.trace.span_named(&format!("out_{}:{}", t.node_id, t.op_kind)) {
+                let (columns, rows) = (sp.gauge("column_rows"), sp.gauge("row_rows"));
+                if columns + rows > 0.0 {
+                    out.push_str(&format!(
+                        "  read: {columns} rows from columns ({} built), {rows} from documents\n",
+                        sp.gauge("columns_built")
+                    ));
+                }
+            }
         }
         if let Some(p) = self.trace.spans_of_kind("planner").first() {
             out.push_str(&format!(

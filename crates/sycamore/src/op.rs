@@ -73,6 +73,16 @@ pub enum Agg {
     CollectDistinct(String),
 }
 
+impl Agg {
+    /// The property the aggregate reads (`None` for `Count`).
+    pub fn path(&self) -> Option<&str> {
+        match self {
+            Agg::Count => None,
+            Agg::Sum(p) | Agg::Avg(p) | Agg::Min(p) | Agg::Max(p) | Agg::CollectDistinct(p) => Some(p),
+        }
+    }
+}
+
 /// Partition-transform configuration.
 #[derive(Clone)]
 pub struct PartitionCfg {

@@ -499,93 +499,184 @@ fn key_of<'a>(doc: &'a Document, path: &str) -> &'a Value {
 }
 
 /// Groups documents by a key property and aggregates. Missing keys group
-/// under `Null`; missing aggregated values are skipped.
+/// under `Null`; missing aggregated values are skipped. Groups come out in
+/// key order (`cmp_total`), members and sums in input order.
 pub fn reduce_by_key(
     docs: &[Arc<Document>],
     key: &str,
     aggs: &[(String, Agg)],
 ) -> Vec<Arc<Document>> {
-    let mut sorted: Vec<&Document> = docs.iter().map(Arc::as_ref).collect();
-    sorted.sort_by(|a, b| key_of(a, key).cmp_total(key_of(b, key)));
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < sorted.len() {
-        let key_val = key_of(sorted[i], key);
-        let mut j = i;
-        while j < sorted.len()
-            && key_of(sorted[j], key).cmp_total(key_val) == std::cmp::Ordering::Equal
-        {
-            j += 1;
-        }
-        let group = &sorted[i..j];
-        let mut g = Document::new(format!("group:{}", key_val.display_text()));
-        g.set_prop(key, key_val.clone());
-        g.set_prop("count", group.len() as i64);
-        for (out_name, agg) in aggs {
-            let v = eval_agg(group, agg);
-            g.properties.set_path(out_name, v);
-        }
-        g.lineage.push(
-            LineageRecord::new("reduce_by_key", key.to_string())
-                .with_sources(group.iter().map(|d| d.id.0.clone()).collect()),
-        );
-        out.push(Arc::new(g));
-        i = j;
-    }
-    out
+    let mut fold = GroupFold::new(key, aggs);
+    docs.iter().for_each(|d| fold.push_row(d));
+    fold.finish()
 }
 
-fn eval_agg(group: &[&Document], agg: &Agg) -> Value {
-    let nums = |path: &str| -> Vec<f64> {
-        group
+/// The one group fold: rows arrive once, in order, each with its key and
+/// its value per aggregate, from documents ([`GroupFold::push_row`]) or from
+/// a store's columns ([`GroupFold::push`]). A row finds its group by binary
+/// search over the groups' keys; the first row of a group names it.
+pub struct GroupFold<'a> {
+    key: &'a str,
+    aggs: &'a [(String, Agg)],
+    /// Group indices in key order.
+    order: Vec<usize>,
+    groups: Vec<Group>,
+}
+
+struct Group {
+    key: Value,
+    sources: Vec<String>,
+    folds: Vec<AggFold>,
+}
+
+impl<'a> GroupFold<'a> {
+    pub fn new(key: &'a str, aggs: &'a [(String, Agg)]) -> GroupFold<'a> {
+        GroupFold { key, aggs, order: Vec::new(), groups: Vec::new() }
+    }
+
+    /// Adds document `id` with its `key` value and its value for each
+    /// aggregate (aligned with `aggs`; missing at the end, and ignored for
+    /// `Count`).
+    pub fn push(&mut self, id: &str, key: Option<&Value>, values: &[Option<&Value>]) {
+        let group = self.group(key);
+        group.sources.push(id.to_string());
+        for (i, fold) in group.folds.iter_mut().enumerate() {
+            fold.push(values.get(i).copied().flatten());
+        }
+    }
+
+    /// [`GroupFold::push`] reading the key and values from the document.
+    pub fn push_row(&mut self, doc: &Document) {
+        let aggs = self.aggs;
+        let group = self.group(doc.prop(self.key));
+        group.sources.push(doc.id.0.clone());
+        for ((_, agg), fold) in aggs.iter().zip(&mut group.folds) {
+            fold.push(agg.path().and_then(|p| doc.prop(p)));
+        }
+    }
+
+    /// The group of `key` (missing keys group under `Null`), opened if new.
+    fn group(&mut self, key: Option<&Value>) -> &mut Group {
+        let key = key.unwrap_or(&Value::Null);
+        let g = match self.order.binary_search_by(|&g| self.groups[g].key.cmp_total(key)) {
+            Ok(i) => self.order[i],
+            Err(i) => {
+                self.order.insert(i, self.groups.len());
+                self.groups.push(Group {
+                    key: key.clone(),
+                    sources: Vec::new(),
+                    folds: self.aggs.iter().map(|(_, agg)| AggFold::new(agg)).collect(),
+                });
+                self.groups.len() - 1
+            }
+        };
+        &mut self.groups[g]
+    }
+
+    /// One document per group, in key order.
+    pub fn finish(self) -> Vec<Arc<Document>> {
+        let mut groups: Vec<Option<Group>> = self.groups.into_iter().map(Some).collect();
+        self.order
             .iter()
-            .filter_map(|d| d.prop(path))
-            .filter_map(Value::as_float)
+            .filter_map(|&g| groups[g].take())
+            .map(|group| {
+                let mut g = Document::new(format!("group:{}", group.key.display_text()));
+                g.set_prop(self.key, group.key);
+                g.set_prop("count", group.sources.len() as i64);
+                for ((out_name, _), fold) in self.aggs.iter().zip(group.folds) {
+                    g.properties.set_path(out_name, fold.finish());
+                }
+                g.lineage.push(LineageRecord::new("reduce_by_key", self.key.to_string()).with_sources(group.sources));
+                Arc::new(g)
+            })
             .collect()
-    };
-    match agg {
-        Agg::Count => Value::Int(group.len() as i64),
-        Agg::Sum(path) => {
-            let xs = nums(path);
-            if xs.is_empty() {
-                Value::Null
-            } else {
-                Value::Float(xs.iter().sum())
-            }
-        }
-        Agg::Avg(path) => {
-            let xs = nums(path);
-            if xs.is_empty() {
-                Value::Null
-            } else {
-                Value::Float(xs.iter().sum::<f64>() / xs.len() as f64)
-            }
-        }
-        Agg::Min(path) | Agg::Max(path) => {
-            let mut vals: Vec<&Value> = group
-                .iter()
-                .filter_map(|d| d.prop(path))
-                .filter(|v| !v.is_null())
-                .collect();
-            vals.sort_by(|a, b| a.cmp_total(b));
-            let pick = if matches!(agg, Agg::Min(_)) {
-                vals.first()
-            } else {
-                vals.last()
-            };
-            pick.map(|v| (*v).clone()).unwrap_or(Value::Null)
-        }
-        Agg::CollectDistinct(path) => {
-            let mut vals: Vec<Value> = Vec::new();
-            for d in group {
-                if let Some(v) = d.prop(path) {
-                    if !v.is_null() && !vals.iter().any(|x| x.loose_eq(v)) {
-                        vals.push(v.clone());
-                    }
+    }
+}
+
+/// One aggregate folded over a stream of values in arrival order. Missing
+/// and non-numeric values are skipped where the aggregate needs numbers,
+/// nulls where it needs values; `Count` counts every push.
+#[derive(Debug)]
+pub struct AggFold {
+    pushed: usize,
+    state: AggState,
+}
+
+#[derive(Debug)]
+enum AggState {
+    Count,
+    /// The running sum and how many numbers it holds.
+    Sum(f64, usize),
+    Avg(f64, usize),
+    /// The pick so far: the first minimum, the last maximum.
+    Min(Option<Value>),
+    Max(Option<Value>),
+    /// First-seen representatives under `loose_eq`.
+    Distinct(Vec<Value>),
+}
+
+impl AggFold {
+    pub fn new(agg: &Agg) -> AggFold {
+        // Std's `Sum` for floats folds from this neutral element, so the
+        // running sum is bit for bit `numbers.iter().sum()`.
+        let zero = std::iter::empty::<f64>().sum();
+        let state = match agg {
+            Agg::Count => AggState::Count,
+            Agg::Sum(_) => AggState::Sum(zero, 0),
+            Agg::Avg(_) => AggState::Avg(zero, 0),
+            Agg::Min(_) => AggState::Min(None),
+            Agg::Max(_) => AggState::Max(None),
+            Agg::CollectDistinct(_) => AggState::Distinct(Vec::new()),
+        };
+        AggFold { pushed: 0, state }
+    }
+
+    pub fn push(&mut self, v: Option<&Value>) {
+        use std::cmp::Ordering::Less;
+        self.pushed += 1;
+        let value = v.filter(|v| !v.is_null());
+        match &mut self.state {
+            AggState::Count => {}
+            AggState::Sum(sum, n) | AggState::Avg(sum, n) => {
+                if let Some(x) = v.and_then(Value::as_float) {
+                    *sum += x;
+                    *n += 1;
                 }
             }
-            vals.sort_by(|a, b| a.cmp_total(b));
-            Value::Array(vals)
+            AggState::Min(pick) => {
+                if let Some(v) = value.filter(|v| pick.as_ref().is_none_or(|p| v.cmp_total(p) == Less)) {
+                    *pick = Some(v.clone());
+                }
+            }
+            AggState::Max(pick) => {
+                if let Some(v) = value.filter(|v| pick.as_ref().is_none_or(|p| v.cmp_total(p) != Less)) {
+                    *pick = Some(v.clone());
+                }
+            }
+            AggState::Distinct(vals) => {
+                if let Some(v) = value.filter(|v| !vals.iter().any(|x| x.loose_eq(v))) {
+                    vals.push(v.clone());
+                }
+            }
+        }
+    }
+
+    /// Values pushed so far (missing ones included).
+    pub fn pushed(&self) -> usize {
+        self.pushed
+    }
+
+    pub fn finish(self) -> Value {
+        match self.state {
+            AggState::Count => Value::Int(self.pushed as i64),
+            AggState::Sum(_, 0) | AggState::Avg(_, 0) => Value::Null,
+            AggState::Sum(sum, _) => Value::Float(sum),
+            AggState::Avg(sum, n) => Value::Float(sum / n as f64),
+            AggState::Min(pick) | AggState::Max(pick) => pick.unwrap_or(Value::Null),
+            AggState::Distinct(mut vals) => {
+                vals.sort_by(|a, b| a.cmp_total(b));
+                Value::Array(vals)
+            }
         }
     }
 }
