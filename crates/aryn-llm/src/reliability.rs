@@ -367,10 +367,8 @@ impl ReliabilityState {
     }
 
     /// A fresh budget handle for a new query: zeroed clocks, same policy and
-    /// scope, **shared** breaker board. This is the concurrency-safe
-    /// replacement for [`reset_budget`](Self::reset_budget): concurrent
-    /// queries each fork their own clock instead of trampling one shared
-    /// clock through `charge()`/`reset_budget()`.
+    /// scope, **shared** breaker board. Every query forks its own clock, so
+    /// concurrent queries never charge each other's budgets.
     pub fn fork(self: &Arc<Self>) -> Arc<ReliabilityState> {
         self.fork_with(self.policy)
     }
@@ -489,19 +487,6 @@ impl ReliabilityState {
     /// degradation threshold (never true when either knob is disabled).
     pub fn budget_low(&self) -> bool {
         self.policy.degrade_below_ms > 0.0 && self.remaining_ms() < self.policy.degrade_below_ms
-    }
-
-    /// Resets the spent clocks in place. Breaker state is intentionally
-    /// preserved: endpoint health outlives any one query.
-    ///
-    /// **Single-caller only.** This mutates a clock other callers of the
-    /// same handle may be charging concurrently — two queries sharing one
-    /// `ReliabilityState` through a shared `LlmClient` trample each other's
-    /// deadlines through `charge()`/`reset_budget()`. Any code serving more
-    /// than one query at a time must give each query its own
-    /// [`fork`](Self::fork) (see [`ReliabilitySlot`]) instead.
-    pub fn reset_budget(&self) {
-        *self.budget.lock() = BudgetInner::default();
     }
 
     /// The breaker for `model`, created on first use (`None` when breakers
@@ -683,30 +668,6 @@ mod tests {
             p.backoff_ms(100.0, "gpt-4-sim", 1),
             p.backoff_ms(100.0, "llama-7b-sim", 1),
             "jitter varies by model"
-        );
-    }
-
-    #[test]
-    fn state_budget_resets_but_breakers_persist() {
-        let state = ReliabilityState::new(ReliabilityPolicy {
-            deadline_ms: 100.0,
-            breaker_window: 2,
-            breaker_threshold: 0.5,
-            breaker_cooldown_ms: 1000.0,
-            ..ReliabilityPolicy::default()
-        });
-        let b = state.breaker("m").unwrap();
-        b.record(false, 0.0);
-        b.record(false, 1.0);
-        assert_eq!(state.total_trips(), 1);
-        state.charge(200.0);
-        assert!(state.check_deadline().is_err());
-        state.reset_budget();
-        assert!(state.check_deadline().is_ok());
-        assert_eq!(state.total_trips(), 1, "breakers survive budget reset");
-        assert_eq!(
-            state.breaker_states().get("m"),
-            Some(&BreakerState::Open)
         );
     }
 

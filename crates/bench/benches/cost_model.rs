@@ -2,9 +2,9 @@
 //!
 //! Two experiments:
 //!
-//! 1. **Predicted vs actual.** Every bench18 question is planned with
-//!    `analyze_cost` on and executed; the run's real calls/tokens/cost must
-//!    land inside the static envelope, and the expected-case point estimate
+//! 1. **Predicted vs actual.** Every bench18 question is planned with cost
+//!    analysis on and executed; the run's real calls/tokens/cost must land
+//!    inside the static envelope, and the expected-case point estimate
 //!    is compared to the actuals. The per-question deltas are exported to
 //!    `bench_results/cost_model.txt`.
 //! 2. **Dead-field pruning.** Two plans carrying an `llmExtract` whose field
@@ -16,7 +16,7 @@
 //! Smoke mode (CI): `COST_MODEL_SMOKE=1` shrinks the corpora.
 
 use aryn::luna::bench18::{Bench18, Bench18Cfg};
-use aryn::luna::{ntsb_schema, Plan, PlanNode, PlanOp};
+use aryn::luna::{ntsb_schema, CostAnalysis, OptimizerCfg, Plan, PlanNode, PlanOp};
 use aryn::prelude::*;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -51,7 +51,7 @@ fn predicted_vs_actual(smoke: bool, report: &mut String) {
     let fixture = Bench18::build(Bench18Cfg {
         n_ntsb,
         n_earnings,
-        analyze_cost: true,
+        cost_analysis: CostAnalysis::Analyze,
         ..Bench18Cfg::default()
     })
     .expect("bench18 fixture builds");
@@ -67,7 +67,7 @@ fn predicted_vs_actual(smoke: bool, report: &mut String) {
     );
     for q in &fixture.questions {
         let ans = fixture.luna.ask(&q.question).expect("question executes");
-        let cost = ans.cost.as_ref().expect("analyze_cost attaches a report");
+        let cost = ans.cost.as_ref().expect("cost analysis attaches a report");
         let calls = ans.result.llm().calls as f64;
         let tokens = ans.result.llm().usage.tokens() as f64;
         assert!(
@@ -125,8 +125,8 @@ fn build_luna(n_docs: usize, prune: bool) -> Luna {
         &["ntsb"],
         LunaConfig {
             sim: SimConfig::perfect(SEED),
-            analyze_cost: true,
-            prune_dead_fields: prune,
+            cost_analysis: CostAnalysis::Analyze,
+            optimizer: OptimizerCfg { prune_dead_fields: prune, ..OptimizerCfg::default() },
             ..LunaConfig::default()
         },
     )
@@ -229,7 +229,7 @@ fn dead_field_pruning(smoke: bool, report: &mut String) {
             let optimized = luna.optimize(&plan).expect("plan optimizes");
             let est = luna
                 .estimate_cost(&optimized.plan)
-                .expect("analyze_cost is on");
+                .expect("cost analysis is on");
             let result = luna.execute(&optimized.plan).unwrap_or_else(|e| {
                 panic!("{label}: execution failed: {e}");
             });

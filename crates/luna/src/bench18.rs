@@ -9,7 +9,9 @@
 //! B" keeping only A) — the same misinterpretation failure mode the paper
 //! reports.
 
-use crate::luna::{earnings_schema, ingest_lake, ntsb_schema, Luna, LunaAnswer, LunaConfig};
+use crate::luna::{
+    earnings_schema, ingest_lake, ntsb_schema, CostAnalysis, Luna, LunaAnswer, LunaConfig,
+};
 use aryn_core::{Result, Value};
 use aryn_docgen::Corpus;
 use aryn_llm::{LlmClient, MockLlm, SimConfig};
@@ -106,9 +108,8 @@ pub struct Bench18Cfg {
     pub detector: aryn_partitioner::Detector,
     /// Enable Luna's shared LLM call cache (repeated-query workloads).
     pub call_cache: bool,
-    /// Run the static cost analyzer (L22–L27) over every plan, and attach
-    /// a [`crate::costmodel::CostReport`] to each answer.
-    pub analyze_cost: bool,
+    /// Static cost analysis of every plan ([`CostAnalysis`]).
+    pub cost_analysis: CostAnalysis,
 }
 
 impl Default for Bench18Cfg {
@@ -120,7 +121,7 @@ impl Default for Bench18Cfg {
             sim: SimConfig::with_seed(42),
             detector: aryn_partitioner::Detector::DetrSim,
             call_cache: false,
-            analyze_cost: false,
+            cost_analysis: CostAnalysis::Off,
         }
     }
 }
@@ -154,7 +155,7 @@ impl Bench18 {
             LunaConfig {
                 sim: cfg.sim,
                 call_cache: cfg.call_cache,
-                analyze_cost: cfg.analyze_cost,
+                cost_analysis: cfg.cost_analysis,
                 ..LunaConfig::default()
             },
         )?;

@@ -673,10 +673,11 @@ pub fn verify(
 /// The cost/liveness verifier packaged as a PR 2 lint rule, so cost
 /// diagnostics flow through the same repair loop, optimizer gate, and
 /// telemetry counters as the semantic lints.
+#[derive(Clone)]
 pub struct CostRules {
     pub knobs: CostKnobs,
-    /// Promote hard infeasibility to Error severity (the
-    /// `enforce_budget` knob).
+    /// Promote hard infeasibility to Error severity
+    /// ([`crate::luna::CostAnalysis::Enforce`]).
     pub enforce: bool,
 }
 

@@ -29,7 +29,8 @@ pub use costmodel::{
 pub use exec::{eval_math, LunaResult, NodeOutput, NodeTrace, PlanExecutor};
 pub use kg::{build_earnings_graph, build_ntsb_graph, competitors_of};
 pub use luna::{
-    earnings_schema, ingest_lake, ntsb_schema, Luna, LunaAnswer, LunaConfig, SessionWiring,
+    earnings_schema, ingest_lake, ntsb_schema, CostAnalysis, Luna, LunaAnswer, LunaConfig,
+    SessionWiring,
 };
 pub use serve::{
     percentile, Admission, AdmissionGuard, CacheKeyPolicy, LoadGen, LoadProfile, LoadTenant,

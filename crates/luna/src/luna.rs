@@ -2,12 +2,14 @@
 //! optimize → Sycamore execution, with human-in-the-loop plan editing.
 
 use crate::analyze::Analysis;
+use crate::costmodel::{CostKnobs, CostRules};
 use crate::exec::{LunaResult, PlanExecutor};
 use crate::ops::{Plan, PlanOp};
 use crate::optimize::{optimize, Optimized, OptimizerCfg};
 use crate::planner::{PlannerEngine, RulePlanner};
 use crate::schema::IndexSchema;
 use aryn_core::{ArynError, Result, Severity, Value};
+use aryn_index::GraphStore;
 use aryn_llm::prompt::tasks;
 use aryn_llm::{
     CacheStats, FairShare, LlmCallCache, LlmClient, MeterScope, MockLlm, ModelSpec,
@@ -16,18 +18,25 @@ use aryn_llm::{
 use aryn_telemetry::{Telemetry, Trace};
 use std::sync::Arc;
 
-/// Serving-mode wiring for one Luna session (see [`crate::serve`]). The
-/// multi-tenant service builds shared infrastructure — call cache, fair-share
-/// gate, tenant-scoped reliability forks, discovered schemas, the knowledge
-/// graph — exactly once and injects it here, so creating a session is cheap
-/// and sessions never mutate the shared context's global knobs.
+/// Re-plan attempts when the produced plan fails validation.
+const MAX_REPLAN: u32 = 3;
+/// In-memory entry bound for a standalone Luna's call cache (LRU beyond it).
+const CALL_CACHE_CAPACITY: usize = 4096;
+
+/// What a Luna shares with the rest of its deployment: call cache,
+/// fair-share gate, reliability base state, discovered schemas and the
+/// knowledge graph. [`crate::serve::QueryService`] builds these once and
+/// hands every session a wiring that references them; a standalone Luna
+/// builds its own from its [`LunaConfig`]. Either way `Luna::new` wires
+/// its clients from this one struct.
 pub struct SessionWiring {
     /// Tenant the session belongs to (fair-share identity; also the breaker
-    /// scope when the reliability state is tenant-scoped).
+    /// scope when the reliability state is tenant-scoped). Empty for a
+    /// standalone Luna.
     pub tenant: String,
     /// Tag stamped on every stage this session executes (conventionally
     /// `tenant/session-N`), reported via `StageStats::tenant` and stage
-    /// span notes.
+    /// span notes. Empty = untagged.
     pub session_tag: String,
     /// Shared call cache. `None` = no cache for this session.
     pub call_cache: Option<Arc<LlmCallCache>>,
@@ -35,17 +44,85 @@ pub struct SessionWiring {
     /// other namespaces in the shared cache (per-tenant cache policy);
     /// `None` shares the global key space.
     pub cache_namespace: Option<String>,
-    /// The session's reliability handle (typically a tenant-scoped fork of
-    /// the service's base state). Each `ask` installs a fresh
+    /// The base reliability state (for a session, a tenant-scoped fork of
+    /// the service's). Each `ask` installs a fresh
     /// [`ReliabilityState::fork`] of it, so question budgets are isolated
     /// while breaker boards stay shared.
     pub reliability: Option<Arc<ReliabilityState>>,
     /// Fair-share LLM call-slot gate shared across all sessions.
     pub slots: Option<Arc<FairShare>>,
-    /// Pre-discovered index schemas (skips per-session discovery).
-    pub schemas: Option<Vec<IndexSchema>>,
-    /// Prebuilt knowledge graph (skips the per-session O(docs) build).
-    pub graph: Option<Arc<aryn_index::GraphStore>>,
+    /// The discovered schemas of the indexes Luna plans against.
+    pub schemas: Vec<IndexSchema>,
+    /// The knowledge graph over those indexes.
+    pub graph: Arc<GraphStore>,
+}
+
+impl SessionWiring {
+    /// A standalone Luna's wiring: no tenant, no fair-share gate, a private
+    /// call cache and base reliability state from `cfg`, and the schemas
+    /// and graph of `indexes`. Applies `cfg`'s context-owned knobs first,
+    /// as [`crate::serve::QueryService::new`] does for its sessions.
+    fn standalone(
+        ctx: &sycamore::Context,
+        indexes: &[&str],
+        cfg: &LunaConfig,
+    ) -> Result<SessionWiring> {
+        cfg.apply_context_knobs(ctx);
+        let call_cache = match (cfg.call_cache, &cfg.call_cache_dir) {
+            (false, _) => None,
+            (true, None) => Some(Arc::new(LlmCallCache::with_capacity(CALL_CACHE_CAPACITY))),
+            (true, Some(dir)) => Some(Arc::new(
+                LlmCallCache::with_capacity(CALL_CACHE_CAPACITY).with_disk(ctx.vfs(), dir)?,
+            )),
+        };
+        let (schemas, graph) = discover(ctx, indexes)?;
+        Ok(SessionWiring {
+            tenant: String::new(),
+            session_tag: String::new(),
+            call_cache,
+            cache_namespace: None,
+            reliability: cfg.reliability.map(ReliabilityState::new),
+            slots: None,
+            schemas,
+            graph,
+        })
+    }
+}
+
+/// Discovers the schemas of `indexes` and builds the pay-as-you-go
+/// knowledge graph over them (§7), merged across indexes. Both are O(docs),
+/// so a service builds them once for all its sessions.
+pub(crate) fn discover(
+    ctx: &sycamore::Context,
+    indexes: &[&str],
+) -> Result<(Vec<IndexSchema>, Arc<GraphStore>)> {
+    let mut schemas = Vec::with_capacity(indexes.len());
+    let mut graph = GraphStore::new();
+    for name in indexes {
+        ctx.with_store(name, |s| {
+            schemas.push(IndexSchema::discover(name, s.len(), s.schema()));
+            let _ = crate::kg::build_earnings_graph(s, &mut graph);
+            let _ = crate::kg::build_ntsb_graph(s, &mut graph);
+        })?;
+    }
+    Ok((schemas, Arc::new(graph)))
+}
+
+/// How Luna runs the static cost analyzer ([`crate::costmodel`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CostAnalysis {
+    /// No cost analysis.
+    Off,
+    /// L22–L27 feasibility/liveness diagnostics join the semantic analysis
+    /// (warnings only), and each answer carries a
+    /// [`crate::costmodel::CostReport`] that `explain_analyze` renders as
+    /// predicted-vs-actual.
+    Analyze,
+    /// `Analyze`, and hard budget infeasibility (a deadline the optimistic
+    /// latency bound already exceeds, a prompt that can never fit its model
+    /// window) is an Error: the planner repair loop re-prompts once and
+    /// `Luna::plan` rejects the plan before any execution-model call.
+    Enforce,
 }
 
 /// Luna configuration.
@@ -57,20 +134,16 @@ pub struct LunaConfig {
     pub exec_model: &'static ModelSpec,
     pub sim: SimConfig,
     pub optimizer: OptimizerCfg,
-    /// Re-plan attempts when the produced plan fails validation.
-    pub max_replan: u32,
     /// Override for the planner brain registered on the simulated LLM
     /// (defaults to [`PlannerEngine`] over the discovered schemas). Tests
     /// inject engines here to exercise the repair loop.
     pub planner_engine: Option<Box<dyn TaskEngine>>,
     /// Enable the content-addressed LLM call cache ([`aryn_llm::cache`]):
     /// one cache shared by the planner, the default execution client, and
-    /// every pinned model client, so repeated questions in a session reuse
-    /// identical temperature-0 completions. Off by default (call counts stay
-    /// exact for tests and benchmarks that pin them).
+    /// every pinned model client, so repeated questions reuse identical
+    /// temperature-0 completions. Off by default (call counts stay exact
+    /// for tests and benchmarks that pin them).
     pub call_cache: bool,
-    /// In-memory entry bound for the call cache (LRU beyond this).
-    pub call_cache_capacity: usize,
     /// Optional disk tier directory (conventionally the lake dir), written
     /// through the context's VFS: entries persist across sessions and processes.
     pub call_cache_dir: Option<std::path::PathBuf>,
@@ -82,10 +155,11 @@ pub struct LunaConfig {
     /// Token budget for one packed micro-batch payload.
     pub batch_token_budget: usize,
     /// Reliability policy ([`aryn_llm::reliability`]): per-call timeouts,
-    /// a per-question deadline over the simulated clock, circuit breakers,
-    /// and model-degradation chains (each execution model falls back to the
-    /// next-cheaper catalogue tier, ultimately string matching). `None`
-    /// (the default) keeps every call unguarded and call counts exact.
+    /// a per-question deadline over the simulated clock that planning and
+    /// execution both draw down, circuit breakers, and model-degradation
+    /// chains (each execution model falls back to the next-cheaper
+    /// catalogue tier, ultimately string matching). `None` (the default)
+    /// keeps every call unguarded and call counts exact.
     pub reliability: Option<aryn_llm::ReliabilityPolicy>,
     /// Deterministic fault schedule ([`aryn_llm::chaos`]) injected in front
     /// of every execution model: rate-limit storms, timeout bursts,
@@ -97,36 +171,19 @@ pub struct LunaConfig {
     /// morsels. Never changes results — only wall time and the per-worker
     /// telemetry gauges: a stage whose LLM client keeps call-order state
     /// (an arrival-order `chaos` schedule, a `reliability` budget or
-    /// breaker) runs on one worker whatever this says. Applied to the
-    /// context by `Luna::new`, except in session mode, where the service
-    /// applies it once when it is built.
+    /// breaker) runs on one worker whatever this says.
     pub exec_workers: usize,
     /// Documents per executor work morsel (upper bound; small inputs split
     /// finer automatically).
     pub exec_morsel_size: usize,
-    /// How idle executor workers acquire morsels.
-    pub exec_steal: sycamore::StealPolicy,
-    /// Run the static cost analyzer ([`crate::costmodel`]) over every plan:
-    /// L22–L27 feasibility/liveness diagnostics join the semantic analysis
-    /// (warnings only), and each answer carries a [`crate::costmodel::CostReport`]
-    /// that `explain_analyze` renders as predicted-vs-actual.
-    pub analyze_cost: bool,
-    /// Promote hard budget infeasibility (a deadline the optimistic latency
-    /// bound already exceeds, a prompt that can never fit its model window)
-    /// to Error severity: the planner repair loop re-prompts once and
-    /// `Luna::plan` rejects the plan before any execution-model call.
-    /// Implies `analyze_cost`.
-    pub enforce_budget: bool,
-    /// Optimizer rewrite: splice out `llmExtract` nodes whose field the
-    /// liveness pass proves is never read downstream (with cost deltas in
-    /// the optimizer notes). Answers are unchanged — extraction is 1:1.
-    pub prune_dead_fields: bool,
-    /// Serving-mode wiring ([`SessionWiring`]): shared infrastructure
-    /// injected by the multi-tenant service. When set, Luna never mutates
-    /// context-global knobs (`set_reliability`, `set_chaos`,
-    /// `set_parallelism`) and skips
-    /// schema discovery / KG construction where prebuilt artifacts are
-    /// provided. `None` (the default) is the classic single-session path.
+    /// Static cost analysis of every plan ([`CostAnalysis`]).
+    pub cost_analysis: CostAnalysis,
+    /// Serving-mode wiring ([`SessionWiring`]), injected by
+    /// [`crate::serve::QueryService`]. `None` (the default) builds a
+    /// standalone Luna's wiring from this config. The context-owned knobs
+    /// (`exec_workers`, `exec_morsel_size`, the batch knobs, `chaos`) are
+    /// applied to the context only when this is `None`; a service applies
+    /// them once for all its sessions.
     pub session: Option<SessionWiring>,
 }
 
@@ -137,10 +194,8 @@ impl Default for LunaConfig {
             exec_model: &aryn_llm::GPT4_SIM,
             sim: SimConfig::default(),
             optimizer: OptimizerCfg::default(),
-            max_replan: 3,
             planner_engine: None,
             call_cache: false,
-            call_cache_capacity: 4096,
             call_cache_dir: None,
             batch_max_items: 1,
             batch_token_budget: 2048,
@@ -149,21 +204,30 @@ impl Default for LunaConfig {
             exec_workers: std::thread::available_parallelism()
                 .map_or(1, std::num::NonZeroUsize::get),
             exec_morsel_size: 32,
-            exec_steal: sycamore::StealPolicy::Ring,
-            analyze_cost: false,
-            enforce_budget: false,
-            prune_dead_fields: false,
+            cost_analysis: CostAnalysis::Off,
             session: None,
         }
     }
 }
 
 impl LunaConfig {
-    /// Sets the executor's worker knobs on a live context, unless they are
-    /// the context's own defaults (one worker, 32-document morsels).
-    pub(crate) fn apply_parallelism(&self, ctx: &sycamore::Context) {
+    /// Applies the context-owned knobs to a live context (the sinks
+    /// survive, unlike `with_exec`): worker count and morsel size, batch
+    /// width, chaos schedule. A knob left at the context's own default is
+    /// not touched.
+    pub(crate) fn apply_context_knobs(&self, ctx: &sycamore::Context) {
         if self.exec_workers > 1 || self.exec_morsel_size != 32 {
-            ctx.set_parallelism(self.exec_workers, self.exec_morsel_size, self.exec_steal);
+            ctx.set_parallelism(
+                self.exec_workers,
+                self.exec_morsel_size,
+                sycamore::StealPolicy::Ring,
+            );
+        }
+        if self.batch_max_items > 1 {
+            ctx.set_batch(self.batch_max_items, self.batch_token_budget);
+        }
+        if let Some(schedule) = &self.chaos {
+            ctx.set_chaos(schedule.clone());
         }
     }
 }
@@ -174,19 +238,14 @@ pub struct Luna {
     planner_client: LlmClient,
     executor: PlanExecutor,
     optimizer: OptimizerCfg,
-    max_replan: u32,
-    /// The shared call cache, when `LunaConfig::call_cache` is on.
     call_cache: Option<Arc<LlmCallCache>>,
-    /// Static cost-analysis knobs, when `analyze_cost`/`enforce_budget` is
-    /// on — mirrors the execution wiring so the envelope matches how plans
-    /// actually run.
-    cost_knobs: Option<crate::costmodel::CostKnobs>,
-    enforce_budget: bool,
-    /// Session-mode reliability: the session's base state plus the one slot
-    /// every ladder tier holds. `ask` installs `base.fork()` into the slot,
-    /// giving each question fresh budget clocks without touching the
-    /// context-global reliability state other sessions may be using.
-    session_reliability: Option<(Arc<ReliabilityState>, Arc<ReliabilitySlot>)>,
+    /// The static cost analyzer, when `cost_analysis` is on, over the same
+    /// knobs execution runs under, so its envelope matches how plans run.
+    cost_rules: Option<CostRules>,
+    /// The base reliability state and the one slot the planner and every
+    /// ladder tier hold. `ask` installs `base.fork()` into the slot, giving
+    /// each question fresh budget clocks over the shared breaker board.
+    reliability: Option<(Arc<ReliabilityState>, Arc<ReliabilitySlot>)>,
 }
 
 impl Luna {
@@ -194,100 +253,38 @@ impl Luna {
     /// ingested stores named in `indexes`.
     pub fn new(ctx: sycamore::Context, indexes: &[&str], cfg: LunaConfig) -> Result<Luna> {
         let mut cfg = cfg;
-        let wiring = cfg.session.take();
+        let wiring = match cfg.session.take() {
+            Some(wiring) => wiring,
+            None => SessionWiring::standalone(&ctx, indexes, &cfg)?,
+        };
+        let SessionWiring {
+            tenant,
+            session_tag,
+            call_cache,
+            cache_namespace,
+            reliability,
+            slots,
+            schemas,
+            graph,
+        } = wiring;
         // A session executes on its own tagged context handle: the tag is
         // per-handle (never shared), so concurrent sessions stamp their own
         // stage stats without racing.
-        let ctx = match &wiring {
-            Some(w) if !w.session_tag.is_empty() => ctx.with_session_tag(&w.session_tag),
-            _ => ctx,
-        };
-        // Apply the micro-batching knobs to the live context (a query-time
-        // setting: the sinks survive, unlike `with_exec`), and let the
-        // optimizer's cost model know so its notes reflect the engine's
-        // actual packing width.
+        let ctx = if session_tag.is_empty() { ctx } else { ctx.with_session_tag(&session_tag) };
+        let reliability = reliability.filter(|s| s.policy().enabled()).map(|base| {
+            let slot = ReliabilitySlot::new(Arc::clone(&base));
+            (base, slot)
+        });
+        // The optimizer's cost model learns the engine's packing width and
+        // whether degradation ladders exist, so its notes match execution.
         let mut optimizer = cfg.optimizer.clone();
-        if cfg.prune_dead_fields {
-            optimizer.prune_dead_fields = true;
-        }
         if cfg.batch_max_items > 1 {
-            ctx.set_batch(cfg.batch_max_items, cfg.batch_token_budget);
             optimizer.batch_max_items = cfg.batch_max_items;
         }
-        // Parallelism rides the same channel as batching: a live mutation of
-        // the execution config, so the already-ingested sinks survive. Every
-        // semantic operator Luna's plan nodes build routes through the
-        // context's morsel executor and inherits these knobs. A session
-        // shares its context with every other session, so the service
-        // applies them once instead.
-        if wiring.is_none() {
-            cfg.apply_parallelism(&ctx);
-        }
-        // Reliability. Classic mode: one shared state (clock, budget,
-        // per-model breakers) installed on the context, so every
-        // docset-level semantic operator — including the ones Luna's plan
-        // nodes build — runs under it; the chaos schedule rides the same
-        // channel. Session mode: the service injects the session's state
-        // and Luna NEVER touches the context-global slot (concurrent
-        // sessions would trample each other); instead every client tier
-        // shares one `ReliabilitySlot` that `ask` repoints at a fresh fork.
-        let (reliability_state, reliability_slot) = match &wiring {
-            Some(w) => {
-                let state = w.reliability.clone().filter(|s| s.policy().enabled());
-                let slot = state.as_ref().map(|s| ReliabilitySlot::new(Arc::clone(s)));
-                (state, slot)
-            }
-            None => {
-                let state = cfg
-                    .reliability
-                    .filter(|p| p.enabled())
-                    .map(|p| ctx.set_reliability(p));
-                (state, None)
-            }
-        };
-        if wiring.is_none() {
-            if let Some(schedule) = &cfg.chaos {
-                ctx.set_chaos(schedule.clone());
-            }
-        }
-        optimizer.degradation_chain = reliability_state.is_some();
-        let schemas = match wiring.as_ref().and_then(|w| w.schemas.clone()) {
-            Some(prebuilt) => prebuilt,
-            None => {
-                let mut schemas = Vec::new();
-                for name in indexes {
-                    let schema = ctx.with_store(name, |s| IndexSchema::discover(name, s.len(), s.schema()))?;
-                    schemas.push(schema);
-                }
-                schemas
-            }
-        };
-        // The planner LLM: the rule planner registered as its `plan` brain
-        // (or an injected engine, used by repair-loop tests).
-        let engine = cfg.planner_engine.unwrap_or_else(|| {
-            Box::new(PlannerEngine::new(RulePlanner::new(schemas.clone())))
-        });
-        // One call cache shared by every client Luna owns, so any operator
-        // (or the planner) repeating an identical temperature-0 call hits it.
-        // In session mode the service's shared cache is injected instead;
-        // the session's namespace (per-tenant cache policy) and fair-share
-        // slot gate ride the same attach path so every tier honors them.
-        let call_cache: Option<Arc<LlmCallCache>> = match &wiring {
-            Some(w) => w.call_cache.clone(),
-            None if cfg.call_cache => {
-                let cache = LlmCallCache::with_capacity(cfg.call_cache_capacity);
-                let cache = match &cfg.call_cache_dir {
-                    Some(dir) => cache.with_disk(ctx.vfs(), dir)?,
-                    None => cache,
-                };
-                Some(Arc::new(cache))
-            }
-            None => None,
-        };
-        let cache_namespace = wiring.as_ref().and_then(|w| w.cache_namespace.clone());
-        let fair_slots = wiring
-            .as_ref()
-            .and_then(|w| w.slots.clone().map(|gate| (gate, w.tenant.clone())));
+        optimizer.degradation_chain = reliability.is_some();
+        // Every client Luna owns shares the call cache (under the session's
+        // namespace), the fair-share gate, and the reliability slot, so
+        // planning and execution draw on one question budget.
         let attach = |client: LlmClient| {
             let mut c = client;
             if let Some(cache) = &call_cache {
@@ -296,127 +293,85 @@ impl Luna {
             if let Some(ns) = &cache_namespace {
                 c = c.with_cache_namespace(ns);
             }
-            if let Some((gate, tenant)) = &fair_slots {
-                c = c.with_slots(Arc::clone(gate), tenant);
+            if let Some(gate) = &slots {
+                c = c.with_slots(Arc::clone(gate), &tenant);
+            }
+            if let Some((_, slot)) = &reliability {
+                c = c.with_reliability_slot(Arc::clone(slot));
             }
             c
         };
+        // The planner LLM: the rule planner registered as its `plan` brain
+        // (or an injected engine, used by repair-loop tests).
+        let engine = cfg.planner_engine.take().unwrap_or_else(|| {
+            Box::new(PlannerEngine::new(RulePlanner::new(schemas.clone())))
+        });
         let planner_llm = MockLlm::new(cfg.planner_model, cfg.sim.clone()).with_engine(engine);
-        let mut planner_client = attach(LlmClient::new(Arc::new(planner_llm)).with_policy(
+        let planner_client = attach(LlmClient::new(Arc::new(planner_llm)).with_policy(
             aryn_llm::RetryPolicy {
                 max_reask: 4,
                 ..aryn_llm::RetryPolicy::default()
             },
         ));
-        // Session mode meters planning against the tenant's budget too —
-        // a pushed-down question's only LLM work is its plan call, and the
-        // serving layer accounts every simulated millisecond. Classic mode
-        // keeps the planner unguarded (historical call counts and
-        // fingerprints stay exact).
-        if let Some(slot) = &reliability_slot {
-            planner_client = planner_client.with_reliability_slot(Arc::clone(slot));
-        }
         // Execution clients: default plus one per catalogue model, so the
         // optimizer's routing decisions have real endpoints. Under a
         // reliability policy each client is the head of a degradation
         // ladder: its fallback chain walks the cheaper catalogue tiers in
-        // quality order (gpt-4-sim → gpt-3.5-sim → llama-7b-sim), every
-        // tier sharing the one reliability state and call cache. Built
+        // quality order (gpt-4-sim → gpt-3.5-sim → llama-7b-sim). Built
         // cheapest-first so each tier owns the next.
-        let ladder = |primary: &'static ModelSpec| -> LlmClient {
+        let model = |spec: &'static ModelSpec| {
+            attach(LlmClient::new(Arc::new(MockLlm::new(spec, cfg.sim.clone()))))
+        };
+        let exec_client = |primary: &'static ModelSpec| -> LlmClient {
+            if reliability.is_none() {
+                return model(primary);
+            }
             let start = aryn_llm::ALL_MODELS
                 .iter()
                 .position(|s| s.name == primary.name)
                 .unwrap_or(0);
-            let mut chain: Option<LlmClient> = None;
-            for spec in aryn_llm::ALL_MODELS[start..].iter().rev() {
-                let mut c = attach(LlmClient::new(Arc::new(MockLlm::new(spec, cfg.sim.clone()))));
-                if let Some(slot) = &reliability_slot {
-                    // Session mode: every tier holds the SAME slot, so one
-                    // `install` per question repoints the whole ladder.
-                    c = c.with_reliability_slot(Arc::clone(slot));
-                } else if let Some(state) = &reliability_state {
-                    c = c.with_reliability(Arc::clone(state));
-                }
-                if let Some(cheaper) = chain.take() {
-                    c = c.with_fallback(cheaper);
-                }
-                chain = Some(c);
-            }
-            chain.unwrap_or_else(|| {
-                // Unreachable while ALL_MODELS is non-empty; a bare primary
-                // keeps construction total without panicking.
-                attach(LlmClient::new(Arc::new(MockLlm::new(
-                    primary,
-                    cfg.sim.clone(),
-                ))))
-            })
+            aryn_llm::ALL_MODELS[start..]
+                .iter()
+                .rev()
+                .fold(None, |cheaper: Option<LlmClient>, spec| {
+                    let c = model(spec);
+                    Some(match cheaper {
+                        Some(cheaper) => c.with_fallback(cheaper),
+                        None => c,
+                    })
+                })
+                .unwrap_or_else(|| model(primary))
         };
-        let exec_client = if reliability_state.is_some() {
-            ladder(cfg.exec_model)
-        } else {
-            attach(LlmClient::new(Arc::new(MockLlm::new(cfg.exec_model, cfg.sim.clone()))))
-        };
-        // Pay-as-you-go knowledge graph over the ingested stores (§7): built
-        // from extracted properties, merged across indexes. O(docs), so
-        // serving injects one prebuilt graph rather than paying per session.
-        let graph: Arc<aryn_index::GraphStore> = match wiring.as_ref().and_then(|w| w.graph.clone())
-        {
-            Some(prebuilt) => prebuilt,
-            None => {
-                let mut graph = aryn_index::GraphStore::new();
-                for name in indexes {
-                    ctx.with_store(name, |s| {
-                        let _ = crate::kg::build_earnings_graph(s, &mut graph);
-                        let _ = crate::kg::build_ntsb_graph(s, &mut graph);
-                    })?;
-                }
-                Arc::new(graph)
-            }
-        };
-        let mut executor = PlanExecutor::new(ctx, exec_client).with_graph(graph);
+        let mut executor = PlanExecutor::new(ctx, exec_client(cfg.exec_model)).with_graph(graph);
         for spec in aryn_llm::ALL_MODELS {
-            let client = if reliability_state.is_some() {
-                ladder(spec)
-            } else {
-                attach(LlmClient::new(Arc::new(MockLlm::new(spec, cfg.sim.clone()))))
-            };
-            executor = executor.with_model(spec.name, client);
+            executor = executor.with_model(spec.name, exec_client(spec));
         }
-        // The static cost analyzer sees the same knobs execution runs under,
-        // so its intervals are a checked contract on the real traces.
-        let cost_knobs = (cfg.analyze_cost || cfg.enforce_budget).then(|| {
+        let cost_rules = (cfg.cost_analysis != CostAnalysis::Off).then(|| {
             let retry = aryn_llm::RetryPolicy::default();
-            crate::costmodel::CostKnobs {
-                default_model: cfg.exec_model,
-                batch_max_items: cfg.batch_max_items.max(1),
-                batch_token_budget: cfg.batch_token_budget,
-                max_transient: retry.max_transient,
-                max_reask: retry.max_reask,
-                backoff_base_ms: retry.backoff_base_ms,
-                reliability: reliability_state
-                    .as_ref()
-                    .map(|s| s.policy())
-                    .filter(|p| p.enabled()),
-                chaos: cfg.chaos.is_some(),
-                call_cache: call_cache.is_some(),
-                workers: cfg.exec_workers.max(1),
+            CostRules {
+                knobs: CostKnobs {
+                    default_model: cfg.exec_model,
+                    batch_max_items: cfg.batch_max_items.max(1),
+                    batch_token_budget: cfg.batch_token_budget,
+                    max_transient: retry.max_transient,
+                    max_reask: retry.max_reask,
+                    backoff_base_ms: retry.backoff_base_ms,
+                    reliability: reliability.as_ref().map(|(base, _)| base.policy()),
+                    chaos: cfg.chaos.is_some(),
+                    call_cache: call_cache.is_some(),
+                    workers: cfg.exec_workers.max(1),
+                },
+                enforce: cfg.cost_analysis == CostAnalysis::Enforce,
             }
         });
-        let session_reliability = match (&reliability_state, reliability_slot) {
-            (Some(state), Some(slot)) => Some((Arc::clone(state), slot)),
-            _ => None,
-        };
         Ok(Luna {
             schemas,
             planner_client,
             executor,
             optimizer,
-            max_replan: cfg.max_replan,
             call_cache,
-            cost_knobs,
-            enforce_budget: cfg.enforce_budget,
-            session_reliability,
+            cost_rules,
+            reliability,
         })
     }
 
@@ -457,14 +412,12 @@ impl Luna {
         self.executor.unpin_all();
     }
 
-    /// Session mode only: the reliability state the most recent `ask` ran
-    /// under. Its budget clocks are that question's spend (each `ask`
+    /// The reliability state the most recent `ask` ran under. Its budget
+    /// clocks are that question's spend, planning included (each `ask`
     /// installs a fresh fork), so the serving layer reads per-question
-    /// deadline/token/$ accounting here. `None` in classic mode.
+    /// deadline/token/$ accounting here. `None` without an enabled policy.
     pub fn question_reliability(&self) -> Option<Arc<ReliabilityState>> {
-        self.session_reliability
-            .as_ref()
-            .map(|(_, slot)| slot.current())
+        self.reliability.as_ref().map(|(_, slot)| slot.current())
     }
 
     /// Plans a question via the LLM, validating and re-asking on failure —
@@ -491,15 +444,12 @@ impl Luna {
     }
 
     /// Analyzes an already-built plan against the discovered schemas. With
-    /// `analyze_cost`/`enforce_budget` on, the static cost analyzer's
-    /// L22–L27 feasibility and liveness diagnostics join the report.
+    /// `cost_analysis` on, the static cost analyzer's L22–L27 feasibility
+    /// and liveness diagnostics join the report.
     pub fn analyze(&self, plan: &Plan) -> Analysis {
-        match &self.cost_knobs {
-            Some(knobs) => crate::analyze::Analyzer::new()
-                .with_rule(Box::new(crate::costmodel::CostRules {
-                    knobs: knobs.clone(),
-                    enforce: self.enforce_budget,
-                }))
+        match &self.cost_rules {
+            Some(rules) => crate::analyze::Analyzer::new()
+                .with_rule(Box::new(rules.clone()))
                 .analyze(plan, &self.schemas),
             None => crate::analyze::analyze(plan, &self.schemas),
         }
@@ -507,9 +457,9 @@ impl Luna {
 
     /// The static cost report for a plan, when cost analysis is enabled.
     pub fn estimate_cost(&self, plan: &Plan) -> Option<crate::costmodel::CostReport> {
-        self.cost_knobs
+        self.cost_rules
             .as_ref()
-            .map(|k| crate::costmodel::estimate(plan, &self.schemas, k))
+            .map(|r| crate::costmodel::estimate(plan, &self.schemas, &r.knobs))
     }
 
     fn plan_with_analysis(&self, question: &str) -> Result<(Plan, Analysis)> {
@@ -546,7 +496,7 @@ impl Luna {
         // diagnostics back as a prompt param (DocETL's agentic-rewrite
         // pattern applied to our validation stage).
         let mut repaired = false;
-        for attempt in 0..=self.max_replan {
+        for attempt in 0..=MAX_REPLAN {
             let v = match self.planner_client.generate_json(&prompt, 2048) {
                 Ok(v) => v,
                 Err(e) => {
@@ -596,7 +546,7 @@ impl Luna {
                 }
             }
         }
-        record(self.max_replan, "failed", 0);
+        record(MAX_REPLAN, "failed", 0);
         Err(last_err.unwrap_or_else(|| ArynError::Plan("planning failed".into())))
     }
 
@@ -652,18 +602,11 @@ impl Luna {
     /// telemetry spans recorded while serving this question (planner,
     /// optimizer, per-operator, and any engine stage spans).
     pub fn ask(&self, question: &str) -> Result<LunaAnswer> {
-        // Each question gets a fresh deadline/retry budget; circuit-breaker
-        // state persists across questions (an open endpoint stays open until
-        // its cooldown elapses on the shared clock). Session mode repoints
-        // the ladder's shared slot at a fresh fork — budget clocks are
-        // question-scoped and never shared with concurrent sessions, while
-        // the breaker board behind the fork stays shared. Classic mode keeps
-        // the legacy in-place reset, safe because the context-installed
-        // state has exactly one caller.
-        if let Some((base, slot)) = &self.session_reliability {
+        // Each question gets fresh deadline/token/$ clocks, owned by no
+        // other Luna; the breaker board behind the fork is shared, so an open
+        // endpoint stays open until its cooldown elapses.
+        if let Some((base, slot)) = &self.reliability {
             slot.install(base.fork());
-        } else if let Some(state) = self.executor.ctx.reliability() {
-            state.reset_budget();
         }
         let tel = self.executor.telemetry.clone();
         let mark = tel.span_count();
@@ -760,8 +703,8 @@ pub struct LunaAnswer {
     pub result: LunaResult,
     /// Telemetry spans recorded while serving this question.
     pub trace: Trace,
-    /// Static cost envelope of the executed plan (when `analyze_cost` /
-    /// `enforce_budget` is on): the actual traces must land inside it.
+    /// Static cost envelope of the executed plan (when `cost_analysis` is
+    /// on): the actual traces must land inside it.
     pub cost: Option<crate::costmodel::CostReport>,
 }
 

@@ -33,7 +33,7 @@
 //! is how the serving bench and the CI fairness guard measure that one
 //! tenant's storm cannot starve the others.
 
-use crate::luna::{Luna, LunaConfig, SessionWiring};
+use crate::luna::{discover, Luna, LunaConfig, SessionWiring};
 use crate::schema::IndexSchema;
 use aryn_core::{ArynError, Result};
 use aryn_llm::{
@@ -263,21 +263,12 @@ impl QueryService {
     /// Builds the service over a context whose catalog already holds the
     /// ingested stores named in `indexes`: schemas are discovered and the
     /// knowledge graph is built exactly once, then shared by every session.
-    /// The default worker count ([`LunaConfig::exec_workers`]) is applied
-    /// to the context here, once; opening a session changes no knob.
+    /// The default context-owned knobs (e.g. [`LunaConfig::exec_workers`])
+    /// are applied to the context here, once; opening a session changes no
+    /// knob.
     pub fn new(ctx: sycamore::Context, indexes: &[&str], cfg: ServeConfig) -> Result<QueryService> {
-        LunaConfig::default().apply_parallelism(&ctx);
-        let mut schemas = Vec::new();
-        for name in indexes {
-            schemas.push(ctx.with_store(name, |s| IndexSchema::discover(name, s.len(), s.schema()))?);
-        }
-        let mut graph = aryn_index::GraphStore::new();
-        for name in indexes {
-            ctx.with_store(name, |s| {
-                let _ = crate::kg::build_earnings_graph(s, &mut graph);
-                let _ = crate::kg::build_ntsb_graph(s, &mut graph);
-            })?;
-        }
+        LunaConfig::default().apply_context_knobs(&ctx);
+        let (schemas, graph) = discover(&ctx, indexes)?;
         let cache = Arc::new(LlmCallCache::with_capacity(cfg.cache_capacity));
         let base = ReliabilityState::new(cfg.reliability);
         let gate = FairShare::new(cfg.llm_slots);
@@ -294,7 +285,7 @@ impl QueryService {
             ctx,
             indexes: indexes.iter().map(|s| s.to_string()).collect(),
             schemas,
-            graph: Arc::new(graph),
+            graph,
             cache,
             cache_policy: cfg.cache_policy,
             gate,
@@ -330,8 +321,8 @@ impl QueryService {
             cache_namespace: namespace,
             reliability: Some(Arc::clone(&handle.reliability)),
             slots: Some(Arc::clone(&self.gate)),
-            schemas: Some(self.schemas.clone()),
-            graph: Some(Arc::clone(&self.graph)),
+            schemas: self.schemas.clone(),
+            graph: Arc::clone(&self.graph),
         };
         let index_refs: Vec<&str> = self.indexes.iter().map(String::as_str).collect();
         Luna::new(

@@ -28,6 +28,10 @@
 //! 5. **Diagnostic-code doc check.** Every analyzer code
 //!    ([`luna::analyze::codes::ALL`]) and pipeline lint code
 //!    ([`sycamore::lint::codes::ALL`]) must be documented in `DESIGN.md`.
+//! 6. **Knob-table check.** Every `pub` field of `luna::LunaConfig` has a
+//!    row in README's knob table whose "Where" cell names
+//!    `luna::LunaConfig`, and every `LunaConfig` field the table names
+//!    exists.
 //!
 //! `lint --plans` is the plan-feasibility pass: it builds the bench18
 //! fixture at smoke corpus sizes, plans every question with the static cost
@@ -81,6 +85,7 @@ fn lint(root: &Path) -> Result<(), String> {
     sleep_retry_scan(root, &mut failures)?;
     raw_fs_scan(root, &mut failures)?;
     doc_code_check(root, &mut failures)?;
+    knob_table_check(root, &mut failures)?;
     if failures.is_empty() {
         println!("xtask lint: ok");
         Ok(())
@@ -444,7 +449,7 @@ fn plan_lint() -> Result<(), String> {
     let fixture = luna::bench18::Bench18::build(luna::bench18::Bench18Cfg {
         n_ntsb: 14,
         n_earnings: 12,
-        analyze_cost: true,
+        cost_analysis: luna::CostAnalysis::Analyze,
         ..Default::default()
     })
     .map_err(|e| format!("xtask lint --plans: bench18 fixture failed to build: {e}"))?;
@@ -508,9 +513,100 @@ fn doc_code_check(root: &Path, failures: &mut Vec<String>) -> Result<(), String>
     Ok(())
 }
 
+// --- README knob-table check ------------------------------------------------
+
+const CONFIG_PATH: &str = "luna::LunaConfig";
+
+fn knob_table_check(root: &Path, failures: &mut Vec<String>) -> Result<(), String> {
+    let read = |rel: &str| {
+        fs::read_to_string(root.join(rel)).map_err(|e| format!("cannot read {rel}: {e}"))
+    };
+    let fields = pub_fields(&read("crates/luna/src/luna.rs")?, "LunaConfig")
+        .ok_or("crates/luna/src/luna.rs: no `pub struct LunaConfig`")?;
+    let rows = table_fields(&read("README.md")?, CONFIG_PATH);
+    for field in &fields {
+        if !rows.contains(field) {
+            failures.push(format!("README.md: knob table has no row for `{CONFIG_PATH}.{field}`"));
+        }
+    }
+    for name in &rows {
+        if !fields.contains(name) {
+            failures.push(format!("README.md: knob table names `{CONFIG_PATH}.{name}`, not a field"));
+        }
+    }
+    Ok(())
+}
+
+/// The `pub` field names of `pub struct {name} { … }` in `src`, in order;
+/// `None` when the struct is missing or its body never closes.
+fn pub_fields(src: &str, name: &str) -> Option<Vec<String>> {
+    let start = src.find(&format!("pub struct {name} {{"))?;
+    let mut fields = Vec::new();
+    for line in src[start..].lines().skip(1).map(str::trim) {
+        if line.starts_with('}') {
+            return Some(fields);
+        }
+        if let Some((field, _)) = line.strip_prefix("pub ").and_then(|l| l.split_once(':')) {
+            fields.push(field.trim().to_string());
+        }
+    }
+    None
+}
+
+/// The config fields a markdown table names for `path`: in a row whose
+/// second ("Where") cell mentions `path`, `path.field` names `field`, and a
+/// bare `path` names every backticked knob in the row's first cell.
+fn table_fields(markdown: &str, path: &str) -> std::collections::BTreeSet<String> {
+    let mut out = std::collections::BTreeSet::new();
+    for line in markdown.lines().filter(|l| l.starts_with('|')) {
+        let cells: Vec<&str> = line.split('|').collect();
+        let (Some(knob), Some(place)) = (cells.get(1), cells.get(2)) else { continue };
+        for (at, _) in place.match_indices(path) {
+            let rest = &place[at + path.len()..];
+            match rest.strip_prefix('.') {
+                Some(tail) => {
+                    let end = tail
+                        .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                        .unwrap_or(tail.len());
+                    out.insert(tail[..end].to_string());
+                }
+                None => out.extend(knob.split('`').skip(1).step_by(2).map(str::to_string)),
+            }
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn knob_table_parser_reads_fields_and_rows() {
+        let src = "\
+/// Config.
+pub struct Cfg {
+    /// Doc with pub words: a field.
+    pub alpha: usize,
+    pub beta: Option<Box<dyn Fn()>>,
+    hidden: bool,
+}
+pub struct Other {
+    pub gamma: u8,
+}
+";
+        assert_eq!(pub_fields(src, "Cfg"), Some(vec!["alpha".to_string(), "beta".to_string()]));
+        assert_eq!(pub_fields(src, "Missing"), None);
+        let table = "\
+| Knob | Where | Default | Effect |
+|---|---|---|---|
+| `threads` | `sycamore::ExecConfig`, `luna::LunaConfig.exec_workers` | `1` | x |
+| `a` / `b` | `luna::LunaConfig`, `Bench18Cfg` | `0` | y |
+| `c` | `luna::ServeConfig` | `0` | z |
+";
+        let names: Vec<String> = table_fields(table, "luna::LunaConfig").into_iter().collect();
+        assert_eq!(names, vec!["a", "b", "exec_workers"]);
+    }
 
     #[test]
     fn scanner_skips_comments_and_test_blocks() {

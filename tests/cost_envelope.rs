@@ -14,7 +14,7 @@
 //! wall time, not the simulated clock the latency envelope models.
 
 use aryn::prelude::*;
-use luna::{ntsb_schema, Plan, PlanNode, PlanOp};
+use luna::{ntsb_schema, CostAnalysis, Plan, PlanNode, PlanOp};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -30,7 +30,7 @@ fn build_luna(workers: usize, batch: usize, cache: bool, chaotic: bool) -> Luna 
     ingest_lake(&ctx, "ntsb", "ntsb", &client, ntsb_schema(), Detector::DetrSim).unwrap();
     let cfg = LunaConfig {
         sim: SimConfig::with_seed(SEED),
-        analyze_cost: true,
+        cost_analysis: CostAnalysis::Analyze,
         exec_workers: workers,
         batch_max_items: batch,
         call_cache: cache,
@@ -147,7 +147,7 @@ fn plan_pool() -> Vec<Plan> {
 /// Executes a plan and asserts every node trace (and the totals) inside the
 /// static intervals.
 fn assert_envelope(luna: &Luna, plan: &Plan, label: &str, may_fail: bool) {
-    let report = luna.estimate_cost(plan).expect("analyze_cost is on");
+    let report = luna.estimate_cost(plan).expect("cost analysis is on");
     let result = match luna.execute(plan) {
         Ok(r) => r,
         // Chaos the retry ladder cannot absorb fails structurally (timeout,
@@ -318,7 +318,7 @@ fn sycamore_pipeline_totals_stay_inside_the_mirror_estimate() {
     }
 }
 
-/// The `enforce_budget` gate: a deadline the optimistic latency bound
+/// The `CostAnalysis::Enforce` gate: a deadline the optimistic latency bound
 /// already exceeds is rejected as a structured `InvalidPlan` *before any
 /// execution-model call is metered*.
 #[test]
@@ -336,7 +336,7 @@ fn hard_infeasibility_is_rejected_before_any_model_call() {
         &["ntsb"],
         LunaConfig {
             sim: SimConfig::with_seed(SEED),
-            enforce_budget: true,
+            cost_analysis: CostAnalysis::Enforce,
             reliability: Some(ReliabilityPolicy {
                 deadline_ms: 1.0,
                 call_timeout_ms: 0.0,

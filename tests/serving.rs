@@ -7,8 +7,11 @@
 //! compared bit-for-bit against its own solo run.
 
 use aryn::prelude::*;
+use aryn_docgen::stream::extracted_document;
+use aryn_index::DocStore;
 use luna::{
-    CacheKeyPolicy, LoadGen, LoadProfile, LoadTenant, QueryService, ServeConfig, TenantSpec,
+    CacheKeyPolicy, LoadGen, LoadProfile, LoadTenant, LunaAnswer, QueryService, ServeConfig,
+    TenantSpec,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -28,6 +31,28 @@ fn serving_ctx(seed: u64, docs: usize) -> Context {
     ctx.register_corpus("ntsb", &corpus);
     let client = LlmClient::new(Arc::new(MockLlm::new(&GPT4_SIM, SimConfig::with_seed(seed))));
     ingest_lake(&ctx, "ntsb", "ntsb", &client, luna::ntsb_schema(), Detector::DetrSim).unwrap();
+    ctx
+}
+
+/// An extracted NTSB store without its cause and weather fields, so a
+/// question about causes keeps a per-document `llmFilter` after
+/// optimization.
+fn semantic_ctx(docs: usize) -> Context {
+    let ctx = Context::new();
+    let store: DocStore = Corpus::ntsb(7, docs)
+        .docs
+        .iter()
+        .map(|d| {
+            let mut doc = extracted_document(d);
+            if let Some(props) = doc.properties.as_object_mut() {
+                props.remove("cause_detail");
+                props.remove("cause_category");
+                props.remove("weather_related");
+            }
+            doc
+        })
+        .collect();
+    ctx.put_store("ntsb", store);
     ctx
 }
 
@@ -290,4 +315,95 @@ proptest! {
             prop_assert_eq!(&answers, &solo, "a concurrent session diverged from the solo run");
         }
     }
+}
+
+/// One question's spend as its Luna reports it: simulated ms, tokens, $.
+fn question_spend(luna: &Luna) -> Option<(f64, u64, f64)> {
+    luna.question_reliability().map(|s| (s.now_ms(), s.spent_tokens(), s.spent_usd()))
+}
+
+/// Each node's LLM counters, as printed (floats by their exact rendering).
+fn node_counters(answer: &LunaAnswer) -> Vec<String> {
+    answer.result.traces.iter().map(|t| format!("out_{} {:?}", t.node_id, t.llm)).collect()
+}
+
+/// Two standalone Lunas with reliability policies share one context, and
+/// each question of each still starts from a fresh budget: building B
+/// does not take over A's budget, and A's second question is not charged
+/// for its first. The deadline fits one question, planning included, but
+/// not two.
+#[test]
+fn standalone_lunas_on_one_context_keep_per_question_budgets() {
+    const DEADLINE_MS: f64 = 60_000.0;
+    let ctx = semantic_ctx(12);
+    let build = || {
+        let cfg = LunaConfig {
+            sim: SimConfig::perfect(7),
+            reliability: Some(ReliabilityPolicy {
+                deadline_ms: DEADLINE_MS,
+                ..ReliabilityPolicy::default()
+            }),
+            ..LunaConfig::default()
+        };
+        Luna::new(ctx.clone(), &["ntsb"], cfg).unwrap()
+    };
+    let a = build();
+    let b = build();
+    let q = QUESTIONS[0];
+    let first = a.ask(q).unwrap();
+    let first_spend = question_spend(&a);
+    let second = a.ask(q).unwrap();
+    assert_eq!(second.answer(), first.answer());
+    assert_eq!(first.result.llm().degraded_docs, 0, "one question fits the deadline");
+    assert_eq!(second.result.llm().degraded_docs, 0, "the second question has its own budget");
+    let (ms, _, _) = first_spend.expect("a Luna with a policy reports its question's spend");
+    assert!(first.result.llm().calls > 0 && 2.0 * ms > DEADLINE_MS, "{ms} ms per question");
+    assert_eq!(question_spend(&a), first_spend);
+    let from_b = b.ask(q).unwrap();
+    assert_eq!(from_b.answer(), first.answer());
+    assert_eq!(question_spend(&b), first_spend);
+}
+
+/// A standalone Luna and a service session are wired the same way: under
+/// one policy and from a cold cache, one question gets the same answer,
+/// the same per-node LLM counters and the same budget spend, planning
+/// included.
+#[test]
+fn standalone_luna_matches_a_service_session() {
+    let policy = ReliabilityPolicy::standard();
+    let sim = SimConfig::with_seed(7);
+    let q = QUESTIONS[0];
+    let cfg = LunaConfig {
+        sim: sim.clone(),
+        reliability: Some(policy),
+        call_cache: true,
+        ..LunaConfig::default()
+    };
+    let luna = Luna::new(semantic_ctx(12), &["ntsb"], cfg).unwrap();
+    let standalone = luna.ask(q).unwrap();
+    let spend = question_spend(&luna).expect("a Luna with a policy reports its question's spend");
+
+    let svc = service(
+        semantic_ctx(12),
+        ServeConfig {
+            reliability: policy,
+            tenants: vec![TenantSpec::new("acme", 1.0)],
+            sim,
+            ..ServeConfig::default()
+        },
+    );
+    let served = svc.submit("acme", q).unwrap();
+    let acme = &svc.stats().tenants["acme"];
+
+    assert_eq!(served.answer(), standalone.answer());
+    assert_eq!(node_counters(&served), node_counters(&standalone));
+    assert_eq!((acme.spent_ms, acme.spent_tokens, acme.spent_usd), spend);
+    let executed = standalone.result.llm();
+    assert!(executed.calls > 0, "the question keeps a per-document llmFilter");
+    assert!(
+        spend.1 > executed.usage.tokens(),
+        "planning is charged to the question: {} tokens spent, {} executed",
+        spend.1,
+        executed.usage.tokens()
+    );
 }
