@@ -239,23 +239,28 @@ impl Document {
     /// The document rendered as plain text: raw text content if present,
     /// otherwise all elements' content in reading order.
     pub fn full_text(&self) -> String {
-        if let DocContent::Text(t) = &self.content {
-            if !self.elements.is_empty() {
-                // Prefer structured elements once partitioned.
-            } else {
-                return t.clone();
-            }
-        }
         let mut out = String::new();
         for e in &self.elements {
             e.push_line(&mut out);
         }
-        if out.is_empty() {
-            if let DocContent::Text(t) = &self.content {
-                return t.clone();
-            }
+        match &self.content {
+            DocContent::Text(t) if out.is_empty() => t.clone(),
+            _ => out,
         }
-        out
+    }
+
+    /// [`Document::full_text`] without a new string where none is needed:
+    /// raw text is borrowed, rendered elements land in `buf` (cleared
+    /// first), so one buffer serves a whole run of documents.
+    pub fn full_text_in<'a>(&'a self, buf: &'a mut String) -> &'a str {
+        buf.clear();
+        for e in &self.elements {
+            e.push_line(buf);
+        }
+        match &self.content {
+            DocContent::Text(t) if buf.is_empty() => t,
+            _ => buf,
+        }
     }
 
     /// Elements of a given type.
@@ -435,6 +440,12 @@ mod tests {
         d.elements.push(Element::text(ElementType::Text, "partitioned text"));
         assert!(d.full_text().contains("partitioned text"));
         assert!(!d.full_text().contains("raw bytes"));
+        // The borrowing form renders the same text, whatever the buffer held.
+        let mut buf = String::from("stale");
+        assert_eq!(d.full_text_in(&mut buf), d.full_text());
+        d.elements = vec![Element::text(ElementType::Picture, "")];
+        assert_eq!(d.full_text_in(&mut buf), "raw bytes stand-in");
+        assert_eq!(d.full_text(), "raw bytes stand-in");
     }
 
     #[test]

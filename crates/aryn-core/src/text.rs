@@ -62,9 +62,10 @@ pub fn analyze(text: &str) -> Vec<String> {
 }
 
 /// [`any_token`] over the terms [`analyze`] would return: stopwords
-/// skipped, each token stemmed in the shared buffer before `f` sees it.
+/// skipped, each token stemmed in the shared buffer before `f` sees it. The
+/// buffer starts wide enough for any ordinary word, so it never regrows.
 pub fn any_analyzed(text: &str, mut f: impl FnMut(&str) -> bool) -> bool {
-    scan_tokens(text, &mut String::new(), |t| {
+    scan_tokens(text, &mut String::with_capacity(32), |t| {
         if is_stopword(t) {
             return false;
         }

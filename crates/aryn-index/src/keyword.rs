@@ -1,6 +1,6 @@
 //! BM25 inverted index — the "keyword store" sink (paper §3).
 
-use aryn_core::text::analyze;
+use aryn_core::text::{analyze, any_analyzed};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -66,25 +66,29 @@ impl KeywordIndex {
         self.docs.is_empty()
     }
 
-    /// Indexes (or re-indexes) a document's text under `key`.
+    /// Indexes (or re-indexes) a document's text under `key`. Terms stream
+    /// through the tokenizer's one buffer: a term's postings are found by
+    /// `&str` and its tf counted on the list's last entry, so a `String` is
+    /// made only for a term the index has never seen.
     pub fn add(&mut self, key: impl Into<String>, text: &str) {
         let key = key.into();
         if self.by_key.contains_key(&key) {
             self.remove(&key);
         }
-        let mut tokens = analyze(text);
-        let (ord, len) = (self.docs.len() as u32, tokens.len() as u32);
-        // Term frequencies are the run lengths of the sorted tokens; each
-        // distinct term moves into `postings` without a copy.
-        tokens.sort_unstable();
-        let mut tokens = tokens.into_iter().peekable();
-        while let Some(term) = tokens.next() {
-            let mut tf = 1;
-            while tokens.next_if_eq(&term).is_some() {
-                tf += 1;
+        let (ord, mut len) = (self.docs.len() as u32, 0u32);
+        any_analyzed(text, |term| {
+            len += 1;
+            match self.postings.get_mut(term) {
+                Some(plist) => match plist.last_mut() {
+                    Some((last, tf)) if *last == ord => *tf += 1,
+                    _ => plist.push((ord, 1)),
+                },
+                None => {
+                    self.postings.insert(term.to_string(), vec![(ord, 1)]);
+                }
             }
-            self.postings.entry(term).or_default().push((ord, tf));
-        }
+            false
+        });
         self.total_len += u64::from(len);
         self.by_key.insert(key.clone(), ord);
         self.docs.push((key, len));
@@ -655,6 +659,88 @@ mod tests {
         let full = ix.search("airplane turbulence", 60);
         let want = full.iter().find(|h| h.key == "rare").unwrap();
         assert_eq!(hits[0].score, want.score);
+    }
+}
+
+/// The sort-and-run-length `add` that the streaming one replaced, kept as
+/// the reference it must match field for field.
+#[cfg(test)]
+mod streaming_add {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn reference_add(ix: &mut KeywordIndex, key: &str, text: &str) {
+        let key = key.to_string();
+        if ix.by_key.contains_key(&key) {
+            ix.remove(&key);
+        }
+        let mut tokens = analyze(text);
+        let (ord, len) = (ix.docs.len() as u32, tokens.len() as u32);
+        tokens.sort_unstable();
+        let mut tokens = tokens.into_iter().peekable();
+        while let Some(term) = tokens.next() {
+            let mut tf = 1;
+            while tokens.next_if_eq(&term).is_some() {
+                tf += 1;
+            }
+            ix.postings.entry(term).or_default().push((ord, tf));
+        }
+        ix.total_len += u64::from(len);
+        ix.by_key.insert(key.clone(), ord);
+        ix.docs.push((key, len));
+    }
+
+    /// Words the generator draws from: stopwords, stem variants, repeats,
+    /// numbers, and Unicode that lowercases to several chars or to marks.
+    const WORDS: &[&str] = &[
+        "the", "of", "a", "wind", "winds", "windy", "reported", "reporting", "reports", "gusting",
+        "national", "organization", "A380", "2024", "x", "Straße", "İstanbul", "ÉCOLE", "naïve",
+        "東京", "ǅemal", "runway", "RUNWAY", "runways", "it's", "is",
+    ];
+    const SEPS: &[&str] = &[" ", "  ", ", ", ".\n", "-", "'", "\t", "/", "…", ""];
+
+    fn text(picks: &[(usize, usize)]) -> String {
+        picks.iter().map(|&(w, s)| format!("{}{}", WORDS[w], SEPS[s])).collect()
+    }
+
+    fn assert_same(a: &KeywordIndex, b: &KeywordIndex) {
+        assert_eq!(a.postings, b.postings);
+        assert_eq!(a.docs, b.docs);
+        assert_eq!(a.by_key, b.by_key);
+        assert_eq!(a.total_len, b.total_len);
+    }
+
+    proptest! {
+        #[test]
+        fn streaming_add_equals_the_sorting_one(
+            adds in prop::collection::vec(
+                (0usize..6, prop::collection::vec((0..WORDS.len(), 0..SEPS.len()), 0..40)),
+                1..12,
+            ),
+        ) {
+            let (mut fast, mut slow) = (KeywordIndex::new(), KeywordIndex::new());
+            // Six keys over up to eleven adds: re-adding an existing key is common.
+            for (key, picks) in &adds {
+                let (key, text) = (format!("k{key}"), text(picks));
+                fast.add(key.as_str(), &text);
+                reference_add(&mut slow, &key, &text);
+                assert_same(&fast, &slow);
+            }
+            for q in ["wind report", "runway", "istanbul strasse", ""] {
+                prop_assert_eq!(fast.search(q, 10), slow.search(q, 10));
+            }
+        }
+    }
+
+    #[test]
+    fn empty_and_stopword_only_texts_index_zero_tokens() {
+        let (mut fast, mut slow) = (KeywordIndex::new(), KeywordIndex::new());
+        for (key, text) in [("e", ""), ("s", "the of a it's"), ("e", "wind wind")] {
+            fast.add(key, text);
+            reference_add(&mut slow, key, text);
+            assert_same(&fast, &slow);
+        }
+        assert_eq!(fast.doc_len("s"), Some(0));
     }
 }
 

@@ -37,6 +37,9 @@ pub trait VectorIndex: Send + Sync {
         self.len() == 0
     }
     fn dims(&self) -> usize;
+    /// Every live key with its stored vector, in insertion order per graph:
+    /// what a sharded index replays, and what an audit compares.
+    fn entries(&self) -> Box<dyn Iterator<Item = (&str, &[f32])> + '_>;
 }
 
 /// Dot product over the common prefix. Eight independent lanes summed in a
@@ -147,6 +150,10 @@ impl VectorIndex for FlatIndex {
 
     fn dims(&self) -> usize {
         self.arena.dims
+    }
+
+    fn entries(&self) -> Box<dyn Iterator<Item = (&str, &[f32])> + '_> {
+        Box::new(self.arena.entries())
     }
 }
 
@@ -328,12 +335,6 @@ impl HnswIndex {
         self.search_layer(s, query, qn, cur, self.params.ef_search.max(k), 0);
     }
 
-    /// Key/vector pairs in insertion (node id) order — what a sharded
-    /// wrapper replays to rebuild a shard without re-embedding.
-    pub fn entries(&self) -> impl Iterator<Item = (&str, &[f32])> {
-        self.arena.entries()
-    }
-
     fn max_links(&self, layer: usize) -> usize {
         if layer == 0 {
             self.params.m * 2
@@ -441,6 +442,10 @@ impl VectorIndex for HnswIndex {
 
     fn dims(&self) -> usize {
         self.arena.dims
+    }
+
+    fn entries(&self) -> Box<dyn Iterator<Item = (&str, &[f32])> + '_> {
+        Box::new(self.arena.entries())
     }
 }
 
@@ -674,6 +679,10 @@ impl VectorIndex for ShardedHnsw {
 
     fn dims(&self) -> usize {
         self.dims
+    }
+
+    fn entries(&self) -> Box<dyn Iterator<Item = (&str, &[f32])> + '_> {
+        Box::new(self.layers().flat_map(|(loc, shard)| self.live_entries(loc, shard)))
     }
 }
 

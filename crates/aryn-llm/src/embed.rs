@@ -9,7 +9,7 @@
 //! distinct vocabularies collide in a fixed number of dimensions and nearest
 //! neighbours crowd together.
 
-use aryn_core::text::analyze;
+use aryn_core::text::any_analyzed;
 use aryn_core::{stable_hash, ArynError, Result};
 
 /// An embedding model mapping text to fixed-dimension vectors.
@@ -77,16 +77,18 @@ impl EmbeddingModel for HashedBowEmbedder {
     }
 
     fn embed(&self, text: &str) -> Vec<f32> {
+        // Terms stream through the tokenizer's one buffer: no `String` each.
         let mut v = vec![0.0f32; self.dims];
-        for term in analyze(text) {
-            let w = Self::term_weight(&term);
+        any_analyzed(text, |term| {
+            let w = Self::term_weight(term);
             for p in 0..self.projections {
-                let h = stable_hash(self.seed.wrapping_add(p as u64), &[&term]);
+                let h = stable_hash(self.seed.wrapping_add(p as u64), &[term]);
                 let dim = (h % self.dims as u64) as usize;
                 let sign = if (h >> 32) & 1 == 0 { 1.0 } else { -1.0 };
                 v[dim] += sign * w;
             }
-        }
+            false
+        });
         l2_normalize(&mut v);
         v
     }
@@ -174,6 +176,41 @@ mod tests {
         let a = e.embed("reported injuries");
         let b = e.embed("reporting injury");
         assert!(cosine(&a, &b).unwrap() > 0.9);
+    }
+
+    /// The `analyze`-based `embed` that the streaming one replaced.
+    fn reference_embed(e: &HashedBowEmbedder, text: &str) -> Vec<f32> {
+        let mut v = vec![0.0f32; e.dims];
+        for term in aryn_core::text::analyze(text) {
+            let w = HashedBowEmbedder::term_weight(&term);
+            for p in 0..e.projections {
+                let h = stable_hash(e.seed.wrapping_add(p as u64), &[&term]);
+                let dim = (h % e.dims as u64) as usize;
+                let sign = if (h >> 32) & 1 == 0 { 1.0 } else { -1.0 };
+                v[dim] += sign * w;
+            }
+        }
+        l2_normalize(&mut v);
+        v
+    }
+
+    const WORDS: &[&str] = &[
+        "the", "of", "wind", "winds", "reported", "reporting", "pilot", "company", "national",
+        "A380", "2024", "x", "Straße", "İstanbul", "ÉCOLE", "naïve", "東京", "ǅemal", "it's",
+    ];
+    const SEPS: &[&str] = &[" ", ", ", ".\n", "-", "'", "…", ""];
+
+    proptest::proptest! {
+        #[test]
+        fn streaming_embed_equals_the_analyze_one(
+            picks in proptest::collection::vec((0..WORDS.len(), 0..SEPS.len()), 0..60),
+            dims in 1usize..300,
+        ) {
+            let text: String = picks.iter().map(|&(w, s)| format!("{}{}", WORDS[w], SEPS[s])).collect();
+            let e = HashedBowEmbedder::new(dims, 42);
+            let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(e.embed(&text)), bits(reference_embed(&e, &text)));
+        }
     }
 
     #[test]

@@ -77,7 +77,9 @@ impl Default for ExecConfig {
     }
 }
 
-/// Entries of one lake: `(doc id, raw rendering)` pairs.
+/// Entries of one lake: `(doc id, raw rendering)` pairs, stably sorted by
+/// id, so a lookup is a binary search and the first registered of two
+/// equal ids comes first.
 pub(crate) type LakeEntries = Vec<(String, Arc<RawDocument>)>;
 
 /// A materialization: the fingerprint of the op-prefix that produced it and
@@ -299,22 +301,22 @@ impl Context {
 
     /// Registers a synthetic corpus's raw renderings as a lake.
     pub fn register_corpus(&self, lake: &str, corpus: &Corpus) {
-        let entries = corpus
+        let mut entries: LakeEntries = corpus
             .docs
             .iter()
             .map(|d| (d.id.clone(), Arc::new(d.raw.clone())))
             .collect();
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
         self.inner.lake.write().insert(lake.to_string(), entries);
     }
 
-    /// Looks up one raw rendering in a lake.
+    /// Looks up one raw rendering in a lake; of two entries with one id, the
+    /// first registered wins.
     pub fn raw_from_lake(&self, lake: &str, id: &str) -> Option<Arc<RawDocument>> {
-        self.inner
-            .lake
-            .read()
-            .get(lake)
-            .and_then(|docs| docs.iter().find(|(k, _)| k == id))
-            .map(|(_, raw)| Arc::clone(raw))
+        let lakes = self.inner.lake.read();
+        let docs = lakes.get(lake)?;
+        let (k, raw) = docs.get(docs.partition_point(|(k, _)| k.as_str() < id))?;
+        (k == id).then(|| Arc::clone(raw))
     }
 
     /// DocSet over the raw documents of a lake (unpartitioned).
@@ -473,6 +475,33 @@ mod tests {
         assert!(ctx.read_lake("none").is_err());
         assert!(ctx.raw_from_lake("ntsb", &corpus.docs[0].id).is_some());
         assert!(ctx.raw_from_lake("ntsb", "ghost").is_none());
+    }
+
+    #[test]
+    fn lake_lookup_is_keyed_and_the_first_of_equal_ids_wins() {
+        use crate::op::PartitionCfg;
+        let ctx = Context::new();
+        let mut corpus = Corpus::ntsb(1, 6);
+        corpus.docs.reverse();
+        let mut dup = corpus.docs[4].clone();
+        dup.raw = corpus.docs[5].raw.clone();
+        assert_ne!(dup.raw, corpus.docs[4].raw);
+        corpus.docs.push(dup.clone());
+        ctx.register_corpus("ntsb", &corpus);
+        for d in &corpus.docs[..6] {
+            assert_eq!(*ctx.raw_from_lake("ntsb", &d.id).unwrap(), d.raw, "{}", d.id);
+        }
+        // Both copies are scanned, in id order; each partitions the first.
+        let ids: Vec<String> = ctx.read_lake("ntsb").unwrap().collect().unwrap().into_iter().map(|d| d.id.0).collect();
+        let mut want: Vec<String> = corpus.docs.iter().map(|d| d.id.clone()).collect();
+        want.sort();
+        assert_eq!(ids, want);
+        let parted = ctx.read_lake("ntsb").unwrap().partition("ntsb", PartitionCfg::default()).collect().unwrap();
+        let copies: Vec<&Document> = parted.iter().filter(|d| d.id.as_str() == dup.id).collect();
+        assert_eq!(copies.len(), 2);
+        assert_eq!(copies[0], copies[1]);
+        assert!(ctx.raw_from_lake("ntsb", "ntsb-").is_none());
+        assert!(ctx.raw_from_lake("ntsb", "zzz").is_none());
     }
 
     #[test]

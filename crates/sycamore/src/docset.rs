@@ -332,7 +332,19 @@ impl DocSet {
 
     /// [`DocSet::collect_shared`] with per-stage statistics.
     pub fn collect_shared_stats(&self) -> Result<(Vec<Arc<Document>>, ExecStats)> {
-        crate::exec::execute(&self.ctx, &self.source, &self.ops)
+        crate::exec::execute(&self.ctx, &self.source, &self.ops, 0)
+    }
+
+    /// Executes for an index sink, which reads each row's id and its text or
+    /// embedding. A trailing `embed`, and the `explode` before it, run
+    /// projected (DESIGN.md §5g). Returns the rows and whether the `embed`
+    /// was projected, so a vector sink must embed every row itself.
+    fn sink_rows(&self) -> Result<(Vec<Arc<Document>>, bool)> {
+        let mut tail = self.ops.iter().rev().peekable();
+        let embed = tail.next_if(|op| matches!(op, Op::Embed)).is_some();
+        let explode = tail.next_if(|op| matches!(op, Op::Explode)).is_some();
+        let projected = usize::from(embed) + usize::from(explode);
+        Ok((crate::exec::execute(&self.ctx, &self.source, &self.ops, projected)?.0, embed))
     }
 
     /// Executes and counts.
@@ -357,19 +369,21 @@ impl DocSet {
 
     /// Executes and indexes full text into a keyword index.
     pub fn write_keyword(&self, name: &str) -> Result<usize> {
-        let docs = self.collect_shared()?;
+        let (docs, _) = self.sink_rows()?;
         let mut kw = self.ctx.inner.keyword.write();
         let ix = kw.entry(name.to_string()).or_default();
+        let mut text = String::new();
         for d in &docs {
-            ix.add(d.id.as_str(), &d.full_text());
+            ix.add(d.id.as_str(), d.full_text_in(&mut text));
         }
         Ok(docs.len())
     }
 
     /// Executes and writes embeddings into a vector index (created if
-    /// missing). Documents without an embedding are embedded on the fly.
+    /// missing). Documents without an embedding are embedded on the fly, as
+    /// is every row of a plan that ends in `embed`.
     pub fn write_vector(&self, name: &str) -> Result<usize> {
-        let docs = self.collect_shared()?;
+        let (docs, embed_all) = self.sink_rows()?;
         {
             let vx = self.ctx.inner.vector.read();
             if !vx.contains_key(name) {
@@ -382,10 +396,11 @@ impl DocSet {
         let ix = vx
             .get_mut(name)
             .ok_or_else(|| ArynError::Index(format!("vector index {name:?} vanished mid-write")))?;
+        let mut text = String::new();
         for d in &docs {
             match &d.embedding {
-                Some(v) => ix.add_slice(d.id.as_str(), v)?,
-                None => ix.add(d.id.as_str(), embedder.embed(&d.full_text()))?,
+                Some(v) if !embed_all => ix.add_slice(d.id.as_str(), v)?,
+                _ => ix.add(d.id.as_str(), embedder.embed(d.full_text_in(&mut text)))?,
             }
         }
         Ok(docs.len())

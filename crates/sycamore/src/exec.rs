@@ -114,10 +114,14 @@ fn record_stage_span(tel: &Telemetry, stage: &StageStats) {
 /// fingerprint of the op-prefix that would produce it matches the one
 /// stamped at write time, so a changed upstream pipeline (or a different
 /// source) invalidates the cache instead of silently serving stale rows.
+///
+/// The last `projected` ops, per-document ops an index sink reads through,
+/// run projected ([`transforms::apply_per_doc`]) in their usual stage.
 pub fn execute(
     ctx: &Context,
     source: &Source,
     ops: &[Op],
+    projected: usize,
 ) -> Result<(Vec<Arc<Document>>, ExecStats)> {
     let tel = ctx.telemetry();
     let mut stats = ExecStats::default();
@@ -166,7 +170,8 @@ pub fn execute(
         let outcome = if barrier {
             apply_barrier(ctx, &ops[i], docs, plan_fingerprint(source, &ops[..j]))?
         } else {
-            run_segment(ctx, stage_ops, docs)?
+            // Projected ops are trailing per-document ops: all in the last stage.
+            run_segment(ctx, stage_ops, if j == ops.len() { projected } else { 0 }, docs)?
         };
         let (llm, cache) = scope.finish();
         let wall_ms = start.elapsed().as_secs_f64() * 1000.0;
@@ -239,19 +244,17 @@ fn resolve_source(ctx: &Context, source: &Source) -> Result<Vec<Arc<Document>>> 
             let entries = lake
                 .get(name)
                 .ok_or_else(|| ArynError::Index(format!("unknown lake {name:?}")))?;
-            let mut docs: Vec<Arc<Document>> = entries
+            // Entries are kept sorted by id, so scan order does not depend on
+            // ingest interleaving and runs, materialize fingerprints and the
+            // differential harness are reproducible.
+            Ok(entries
                 .iter()
                 .map(|(id, raw)| {
                     let mut d = Document::from_text(id.clone(), raw.full_text());
                     d.set_prop("lake", name.as_str());
                     Arc::new(d)
                 })
-                .collect();
-            // Scan order must not depend on ingest interleaving: sort by doc
-            // id so runs, materialize fingerprints, and the differential
-            // harness are reproducible.
-            docs.sort_by(|a, b| a.id.as_str().cmp(b.id.as_str()));
-            Ok(docs)
+                .collect())
         }
         Source::Store(name) => ctx.with_store(name, |s| s.scan_shared().map(Arc::clone).collect()),
         Source::Snapshot { snap, .. } => Ok(snap.scan_shared().map(Arc::clone).collect()),
@@ -285,11 +288,11 @@ struct SegmentOutcome {
 
 /// Applies a fused run of per-doc ops over all documents — morsel-parallel
 /// when configured, with cross-document micro-batching when enabled.
-fn run_segment(ctx: &Context, segment: &[Op], docs: Vec<Arc<Document>>) -> Result<SegmentOutcome> {
+fn run_segment(ctx: &Context, segment: &[Op], projected: usize, docs: Vec<Arc<Document>>) -> Result<SegmentOutcome> {
     if ctx.exec_config().batch_max_items > 1 && segment.iter().any(Op::is_batchable) {
-        run_segment_batched(ctx, segment, docs)
+        run_segment_batched(ctx, segment, projected, docs)
     } else {
-        run_per_doc(ctx, segment, docs)
+        run_per_doc(ctx, segment, projected, docs)
     }
 }
 
@@ -299,14 +302,14 @@ fn run_segment(ctx: &Context, segment: &[Op], docs: Vec<Arc<Document>>) -> Resul
 /// ([`aryn_llm::LlmClient::order_dependent`]: an arrival-order chaos
 /// schedule, a budget or breaker clock). Such a stage runs in input order
 /// at every worker count, so the worker count never changes its results.
-fn run_per_doc(ctx: &Context, segment: &[Op], docs: Vec<Arc<Document>>) -> Result<SegmentOutcome> {
+fn run_per_doc(ctx: &Context, segment: &[Op], projected: usize, docs: Vec<Arc<Document>>) -> Result<SegmentOutcome> {
     if ctx.exec_config().threads <= 1
         || docs.len() <= 1
         || segment.iter().filter_map(Op::client).any(aryn_llm::LlmClient::order_dependent)
     {
-        run_segment_sequential(ctx, segment, docs)
+        run_segment_sequential(ctx, segment, projected, docs)
     } else {
-        run_segment_morsels(ctx, segment, docs)
+        run_segment_morsels(ctx, segment, projected, docs)
     }
 }
 
@@ -320,6 +323,7 @@ fn run_per_doc(ctx: &Context, segment: &[Op], docs: Vec<Arc<Document>>) -> Resul
 fn run_segment_batched(
     ctx: &Context,
     segment: &[Op],
+    projected: usize,
     docs: Vec<Arc<Document>>,
 ) -> Result<SegmentOutcome> {
     let cfg = ctx.exec_config();
@@ -342,7 +346,8 @@ fn run_segment_batched(
             while j < segment.len() && !segment[j].is_batchable() {
                 j += 1;
             }
-            let sub = run_per_doc(ctx, &segment[i..j], std::mem::take(&mut acc.docs))?;
+            let tail = projected.saturating_sub(segment.len() - j);
+            let sub = run_per_doc(ctx, &segment[i..j], tail, std::mem::take(&mut acc.docs))?;
             acc.docs = sub.docs;
             acc.retries += sub.retries;
             acc.failed += sub.failed;
@@ -357,14 +362,17 @@ fn run_segment_batched(
 /// `doc` is the retry original: every attempt but the last runs on a pointer
 /// to it, so an attempt's writes land in a copy made at its first write and
 /// a failed attempt leaves the original as it was; the last attempt has no
-/// retry to protect and takes the original itself.
+/// retry to protect and takes the original itself. The last `projected` ops
+/// run projected ([`execute`]).
 fn process_doc(
     ctx: &Context,
     segment: &[Op],
+    projected: usize,
     stage_tag: &str,
     doc: Arc<Document>,
 ) -> (Result<Vec<Arc<Document>>>, usize) {
     let cfg = ctx.exec_config();
+    let first_projected = segment.len() - projected;
     let mut retries = 0usize;
     let id = doc.id.clone();
     let mut original = Some(doc);
@@ -389,10 +397,10 @@ fn process_doc(
         };
         let mut current: Vec<Arc<Document>> = input.into_iter().collect();
         let mut err = None;
-        'seg: for op in segment {
+        'seg: for (k, op) in segment.iter().enumerate() {
             let mut next = Vec::with_capacity(current.len());
             for d in std::mem::take(&mut current) {
-                match transforms::apply_per_doc(ctx, op, d) {
+                match transforms::apply_per_doc(ctx, op, k >= first_projected, d) {
                     Ok(mut out) => next.append(&mut out),
                     Err(e) => {
                         err = Some(e);
@@ -425,6 +433,7 @@ fn process_doc(
 fn run_segment_sequential(
     ctx: &Context,
     segment: &[Op],
+    projected: usize,
     docs: Vec<Arc<Document>>,
 ) -> Result<SegmentOutcome> {
     let cfg = ctx.exec_config();
@@ -438,7 +447,7 @@ fn run_segment_sequential(
     let t0 = busy_clock_ns();
     for doc in docs {
         let id = doc.id.clone();
-        let (res, r) = process_doc(ctx, segment, &tag, doc);
+        let (res, r) = process_doc(ctx, segment, projected, &tag, doc);
         shard.retries += r;
         shard.docs += 1;
         match res {
@@ -521,6 +530,7 @@ fn next_morsel(
 fn run_segment_morsels(
     ctx: &Context,
     segment: &[Op],
+    projected: usize,
     docs: Vec<Arc<Document>>,
 ) -> Result<SegmentOutcome> {
     let cfg = ctx.exec_config();
@@ -573,7 +583,7 @@ fn run_segment_morsels(
                     break;
                 }
                 let id = doc.id.clone();
-                let (res, r) = process_doc(ctx, segment, &tag, doc);
+                let (res, r) = process_doc(ctx, segment, projected, &tag, doc);
                 shard.retries += r;
                 shard.docs += 1;
                 match res {

@@ -24,8 +24,12 @@ use aryn_partitioner::{Partitioner, PartitionerOptions};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Applies one per-document op, producing 0..N output documents.
-pub fn apply_per_doc(ctx: &Context, op: &Op, mut doc: Arc<Document>) -> Result<Vec<Arc<Document>>> {
+/// Applies one per-document op, producing 0..N output documents. A
+/// `projected` op's rows only an index sink reads (DESIGN.md §5g, "Sink
+/// projection"): `explode` emits chunks of just id and text, and `embed`
+/// forwards the row untouched, leaving the vector to a vector sink, which
+/// embeds the row's text.
+pub fn apply_per_doc(ctx: &Context, op: &Op, projected: bool, mut doc: Arc<Document>) -> Result<Vec<Arc<Document>>> {
     match op {
         Op::Map { name, f } => {
             let mut out = f(Arc::unwrap_or_clone(doc));
@@ -55,6 +59,7 @@ pub fn apply_per_doc(ctx: &Context, op: &Op, mut doc: Arc<Document>) -> Result<V
                 .collect())
         }
         Op::Partition { lake, cfg } => partition(ctx, lake, cfg, &doc).map(|d| vec![Arc::new(d)]),
+        Op::Explode if projected => Ok(explode_projected(&doc)),
         Op::Explode => Ok(explode(&doc)),
         Op::LlmQuery {
             client,
@@ -86,8 +91,9 @@ pub fn apply_per_doc(ctx: &Context, op: &Op, mut doc: Arc<Document>) -> Result<V
             selector,
         } => summarize_doc(client, instructions, output_path, selector, doc).map(|d| vec![d]),
         Op::SummarizeSections { client } => summarize_sections(client, doc).map(|d| vec![d]),
+        Op::Embed if projected => Ok(vec![doc]),
         Op::Embed => {
-            let embedding = ctx.embedder().embed(&doc.full_text());
+            let embedding = ctx.embedder().embed(doc.full_text_in(&mut String::new()));
             let d = Arc::make_mut(&mut doc);
             d.embedding = Some(embedding);
             d.lineage
@@ -99,6 +105,14 @@ pub fn apply_per_doc(ctx: &Context, op: &Op, mut doc: Arc<Document>) -> Result<V
             barrier.name()
         ))),
     }
+}
+
+/// `"{parent}#{i}"`, the id of a document's `i`-th chunk, in one allocation.
+fn chunk_id(parent: &str, i: usize) -> String {
+    use std::fmt::Write;
+    let mut id = String::with_capacity(parent.len() + 8);
+    let _ = write!(id, "{parent}#{i}");
+    id
 }
 
 /// Runs the Aryn Partitioner against the raw rendering in the lake.
@@ -127,6 +141,18 @@ fn partition(ctx: &Context, lake: &str, cfg: &PartitionCfg, doc: &Document) -> R
     Ok(out)
 }
 
+/// [`explode`] for an index sink: each chunk holds only its id and the text
+/// its element renders, nothing else of the parent.
+fn explode_projected(doc: &Document) -> Vec<Arc<Document>> {
+    let chunk = |(i, e): (usize, &aryn_core::Element)| {
+        let mut text = String::with_capacity(e.text.len() + 1);
+        e.push_line(&mut text);
+        let id = chunk_id(doc.id.as_str(), i);
+        Arc::new(Document { content: aryn_core::DocContent::Text(text), ..Document::new(id) })
+    };
+    doc.elements.iter().enumerate().map(chunk).collect()
+}
+
 /// Emits each element as a chunk document (paper §5.2: explode "creates a
 /// new DocSet containing the elements of its input documents").
 fn explode(doc: &Document) -> Vec<Arc<Document>> {
@@ -135,7 +161,7 @@ fn explode(doc: &Document) -> Vec<Arc<Document>> {
         .iter()
         .enumerate()
         .map(|(i, e)| {
-            let mut child = Document::new(format!("{parent_id}#{i}"));
+            let mut child = Document::new(chunk_id(&parent_id, i));
             child.properties = doc.properties.clone();
             child.set_prop("parent_id", parent_id.as_str());
             child.set_prop("element_type", e.etype.name());

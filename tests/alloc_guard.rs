@@ -1,7 +1,8 @@
 //! Allocation guard for the row plane (DESIGN.md "Data plane"), the
-//! semantic operators' per-call path and the sidecar index adds (§5j): what
-//! a structured question, a semantic filter, one HNSW insert, one BM25
-//! insert and one durable put allocate, counted — nothing is timed. The
+//! semantic operators' per-call path, the sidecar index adds (§5j) and the
+//! projected ETL sinks (§5g): what a structured question, a semantic
+//! filter, one HNSW insert, one BM25 insert, one durable put and an
+//! `explode`/`embed` into an index allocate, counted — nothing is timed. The
 //! binary installs a counting global allocator whose counters are per
 //! thread. The pipelines run on a `Context::new()`, which executes on the
 //! calling thread (`LunaConfig::default()` would ask for the host's worker
@@ -236,15 +237,58 @@ fn one_keyword_add_allocates_no_more_than_its_tokens_and_terms() {
         let mut terms = aryn_core::text::analyze(&text);
         terms.sort_unstable();
         terms.dedup();
+        let new_terms = terms.iter().filter(|t| index.df(t) == 0).count();
         assert!(tokens.len() >= 150, "{} tokens", tokens.len());
         let n = blocks(|| index.add(d.id.as_str(), &text));
-        // One block per token (stopwords too: the tokenizer makes them before
-        // the analyzer drops them), at most a new postings list per distinct
-        // term, and a constant for map nodes, the key's two copies and the
-        // growth of the token vector and buffer. Measured: 298 into the empty
-        // index (179 tokens, 91 terms), then 196 to 272; the parent's
-        // per-token clone into a frequency map made it 506 to 606.
-        let bound = (tokens.len() + terms.len() + 32) as u64;
-        assert!(n <= bound, "{n} blocks for {} tokens and {} distinct terms", tokens.len(), terms.len());
+        // Nothing per token: terms stream through the tokenizer's buffer and
+        // find their postings by `&str`. Per new term a key and a postings
+        // list; the constant covers map nodes, the key's two copies, the
+        // buffer, and the postings lists that double when a common term's
+        // document frequency crosses a power of two (about 70 lists at once
+        // in this corpus). Measured: 199 into the empty index (179 tokens,
+        // 91 new terms), then 15 to 124 (4 to 27 new terms). This bound is
+        // 104 to 278 here; the previous one, a block per token plus one per
+        // distinct term, was 299 to 313 and is above it for every document.
+        let bound = (2 * new_terms + 96) as u64;
+        assert!(n <= bound, "{n} blocks for {} tokens and {new_terms} new terms", tokens.len());
     }
+}
+
+/// A store of 20 partitioned NTSB reports (357 elements) on a one-worker
+/// context.
+fn partitioned_store() -> (Context, usize) {
+    let ctx = Context::new();
+    ctx.register_corpus("lake", &Corpus::ntsb(11, 20));
+    ctx.read_lake("lake").unwrap().partition("lake", PartitionCfg::default()).write_store("s").unwrap();
+    let chunks = ctx.with_store("s", |s| s.scan().map(|d| d.elements.len()).sum()).unwrap();
+    (ctx, chunks)
+}
+
+#[test]
+fn explode_then_write_keyword_allocates_only_keys_per_chunk() {
+    let (ctx, chunks) = partitioned_store();
+    let pipeline = ctx.read_store("s").unwrap().explode();
+    // The first write creates the terms; the second re-indexes every key.
+    pipeline.write_keyword("kw").unwrap();
+    let mut n = 0;
+    let ((), _, row_blocks) = counted(|| n = blocks(|| assert_eq!(pipeline.write_keyword("kw").unwrap(), chunks)));
+    // The chunk is projected: its id, its text and its row, then the
+    // index's two copies of the key, plus the executor's per-document
+    // vectors. No parent properties, lineage or element are copied.
+    // Measured: 2 343 blocks for 357 chunks (6.6 each); full chunks, as
+    // `collect()` still builds them, made it 16 100 (45 each).
+    assert_eq!(row_blocks, chunks as u64, "one row per chunk, no copy of a parent");
+    assert!(n <= 7 * chunks as u64, "{n} blocks for {chunks} chunks");
+}
+
+#[test]
+fn embed_then_write_vector_copies_no_document() {
+    let (ctx, _) = partitioned_store();
+    let pipeline = ctx.read_store("s").unwrap().embed();
+    let (n, _, row_blocks) = counted(|| pipeline.write_vector("v").unwrap());
+    assert_eq!(n, 20);
+    // The store's rows are forwarded and the sink embeds their text.
+    // Measured: 408 blocks, 74 KB; the unprojected `embed` copied each
+    // shared row to attach its vector: 20 copies, 5 636 blocks, 455 KB.
+    assert_eq!(row_blocks, 0, "document copies");
 }
