@@ -10,7 +10,8 @@
 //! * [`BBox`] — page geometry for the partitioner;
 //! * [`text`] — tokenization, stemming, sentence splitting, token counting;
 //! * [`ids`] — deterministic hashing and identifiers;
-//! * [`LineageRecord`] — provenance for explainability.
+//! * [`LineageRecord`] — provenance for explainability;
+//! * [`percentile`] — the nearest-rank percentile latency reports use.
 
 pub mod bbox;
 pub mod diag;
@@ -35,3 +36,27 @@ pub use lineage::LineageRecord;
 pub use table::{Cell, Table};
 pub use value::Value;
 pub use vfs::{ChaosFs, MemFs, StdFs, StorageFault, StorageSchedule, StorageWindow, Vfs};
+
+/// Nearest-rank percentile (`p` in 0..=100) of an ascending-sorted slice;
+/// 0 for an empty one.
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = ((p / 100.0) * sorted.len() as f64).ceil().max(1.0) as usize;
+    sorted[rank.min(sorted.len()) - 1]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::percentile;
+
+    #[test]
+    fn percentile_nearest_rank() {
+        let v = [10.0, 20.0, 30.0, 40.0];
+        assert_eq!(percentile(&v, 50.0), 20.0);
+        assert_eq!(percentile(&v, 99.0), 40.0);
+        assert_eq!(percentile(&v, 0.0), 10.0);
+        assert_eq!(percentile(&[], 50.0), 0.0);
+    }
+}

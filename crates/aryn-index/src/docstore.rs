@@ -858,13 +858,6 @@ impl DocStore {
             })
             .collect()
     }
-
-    /// How many full corpus walks `schema()` has performed — always `0`
-    /// since the schema became delta-maintained; kept as an API probe so
-    /// tests can pin that discovery stays rescan-free.
-    pub fn schema_scan_count(&self) -> usize {
-        0
-    }
 }
 
 fn segment_lookup<'a>(segments: &'a [Arc<Segment>], id: &str) -> Option<&'a Arc<Document>> {
@@ -1486,8 +1479,7 @@ mod tests {
     #[test]
     fn schema_is_incremental_and_never_rescans() {
         let mut s = store();
-        // Schema derivation is delta-maintained: no corpus walk ever runs.
-        assert_eq!(s.schema_scan_count(), 0);
+        // Schema derivation is delta-maintained: every write folds in.
         let first = s.schema();
         assert_eq!(first["state"].1, 4);
         assert_eq!(s.schema(), first);
@@ -1506,11 +1498,10 @@ mod tests {
         let replaced = s.schema();
         assert_eq!(replaced["narrative_len"].0, "int");
         assert!(!replaced.contains_key("year") || replaced["year"].1 == 3);
-        // ...and seals/compactions never trigger a rescan.
+        // ...and seals/compactions leave it as it is.
         s.try_seal().unwrap();
         s.try_compact().unwrap();
         assert_eq!(s.schema(), replaced);
-        assert_eq!(s.schema_scan_count(), 0);
     }
 
     #[test]
@@ -1716,7 +1707,6 @@ mod durability_tests {
         assert_eq!(r.schema(), schema, "schema rebuilt from segments + wal");
         assert!(r.stats().segments_recovered > 0);
         assert!(r.get("d03").is_none());
-        assert_eq!(r.schema_scan_count(), 0);
     }
 
     #[test]

@@ -35,5 +35,5 @@ pub mod prelude {
     pub use aryn_partitioner::{Detector, Partitioner, PartitionerOptions};
     pub use aryn_telemetry::{Telemetry, Trace};
     pub use luna::{ingest_lake, Luna, LunaConfig};
-    pub use sycamore::{Agg, Context, ExecConfig, PartitionCfg, StealPolicy};
+    pub use sycamore::{Agg, Context, ExecConfig, PartitionCfg};
 }

@@ -14,7 +14,7 @@
 //!    clock, and a stage's critical path (max worker busy) is the wall time
 //!    a host with one core per worker would observe. This is where the
 //!    morsel executor's scaling is visible regardless of host core count,
-//!    alongside the morsel/steal counters.
+//!    alongside the morsel counter.
 //!
 //! Run with: `cargo bench -p bench --bench sycamore_scaling`
 //! Smoke mode (CI): `SYCAMORE_SCALING_SMOKE=1 cargo bench -p bench --bench
@@ -61,13 +61,13 @@ fn cpu_bound_run(threads: usize, n_docs: usize) -> (f64, ExecStats) {
 }
 
 /// The non-criterion makespan table: CPU-bound pipeline, workers 1→8,
-/// critical path on the virtual clock plus the morsel/steal counters.
+/// critical path on the virtual clock plus the morsel counter.
 fn makespan_table() {
     const N_DOCS: usize = 1000;
     println!("cpu-bound makespan, {N_DOCS} docs (virtual clock = max worker busy time)");
     println!(
-        "{:>8} {:>10} {:>14} {:>9} {:>8} {:>7}",
-        "workers", "wall_ms", "critical_ms", "speedup", "morsels", "steals"
+        "{:>8} {:>10} {:>14} {:>9} {:>8}",
+        "workers", "wall_ms", "critical_ms", "speedup", "morsels"
     );
     let mut base_cp = None;
     for threads in [1usize, 2, 4, 8] {
@@ -75,13 +75,12 @@ fn makespan_table() {
         let cp = stats.total_critical_path_ms();
         let base = *base_cp.get_or_insert(cp);
         println!(
-            "{:>8} {:>10.2} {:>14.2} {:>8.2}x {:>8} {:>7}",
+            "{:>8} {:>10.2} {:>14.2} {:>8.2}x {:>8}",
             threads,
             wall_ms,
             cp,
             base / cp.max(1e-9),
-            stats.total_morsels(),
-            stats.total_steals()
+            stats.total_morsels()
         );
     }
 }
@@ -141,8 +140,8 @@ fn bench_scaling(c: &mut Criterion) {
     g.finish();
 }
 
-/// One instrumented run whose stage spans — now carrying the morsel, steal,
-/// and per-worker busy gauges — become the JSON trace artifact.
+/// One instrumented run whose stage spans — carrying the morsel and
+/// per-worker busy gauges — become the JSON trace artifact.
 fn export_instrumented_trace() {
     let corpus = Corpus::ntsb(3, 48);
     let client = LlmClient::new(Arc::new(MockLlm::new(&GPT4_SIM, SimConfig::perfect(3))));

@@ -231,8 +231,7 @@ impl PlanExecutor {
         let exec_cfg = self.ctx.exec_config();
         if self.telemetry.is_enabled() && exec_cfg.threads > 1 {
             let mut span = self.telemetry.span("exec_mode", "executor");
-            span.gauge("workers", exec_cfg.threads as f64)
-                .gauge("morsel_size", exec_cfg.morsel_size as f64);
+            span.gauge("workers", exec_cfg.threads as f64);
             span.finish();
         }
         let order = plan.topo_order()?;

@@ -33,7 +33,7 @@ pub use luna::{
     SessionWiring,
 };
 pub use serve::{
-    percentile, Admission, AdmissionGuard, CacheKeyPolicy, LoadGen, LoadProfile, LoadTenant,
+    Admission, AdmissionGuard, CacheKeyPolicy, LoadGen, LoadProfile, LoadTenant,
     QueryService, ServeConfig, ServeStats, SimReport, TenantSim, TenantSpec, TenantStats,
 };
 pub use ops::{Plan, PlanNode, PlanOp};

@@ -166,24 +166,22 @@ pub struct LunaConfig {
     /// malformed-JSON streaks, endpoint blackouts. `None` = calm.
     pub chaos: Option<aryn_llm::ChaosSchedule>,
     /// Worker threads for the engine's morsel-driven per-document stages.
-    /// Defaults to the host's available parallelism; 1 runs sequentially,
-    /// higher counts split every fused per-doc segment into work-stealing
-    /// morsels. Never changes results — only wall time and the per-worker
-    /// telemetry gauges: a stage whose LLM client keeps call-order state
-    /// (an arrival-order `chaos` schedule, a `reliability` budget or
-    /// breaker) runs on one worker whatever this says.
+    /// Defaults to the host's available parallelism; 1 runs on the calling
+    /// thread in input order, higher counts share every fused per-doc
+    /// segment's morsels among that many workers. Never changes results —
+    /// only wall time and the per-worker telemetry gauges: a stage whose
+    /// LLM client keeps call-order state (an arrival-order `chaos`
+    /// schedule, a `reliability` budget or breaker) runs on one worker
+    /// whatever this says.
     pub exec_workers: usize,
-    /// Documents per executor work morsel (upper bound; small inputs split
-    /// finer automatically).
-    pub exec_morsel_size: usize,
     /// Static cost analysis of every plan ([`CostAnalysis`]).
     pub cost_analysis: CostAnalysis,
     /// Serving-mode wiring ([`SessionWiring`]), injected by
     /// [`crate::serve::QueryService`]. `None` (the default) builds a
     /// standalone Luna's wiring from this config. The context-owned knobs
-    /// (`exec_workers`, `exec_morsel_size`, the batch knobs, `chaos`) are
-    /// applied to the context only when this is `None`; a service applies
-    /// them once for all its sessions.
+    /// (`exec_workers`, the batch knobs, `chaos`) are applied to the
+    /// context only when this is `None`; a service applies them once for
+    /// all its sessions.
     pub session: Option<SessionWiring>,
 }
 
@@ -203,7 +201,6 @@ impl Default for LunaConfig {
             chaos: None,
             exec_workers: std::thread::available_parallelism()
                 .map_or(1, std::num::NonZeroUsize::get),
-            exec_morsel_size: 32,
             cost_analysis: CostAnalysis::Off,
             session: None,
         }
@@ -212,16 +209,11 @@ impl Default for LunaConfig {
 
 impl LunaConfig {
     /// Applies the context-owned knobs to a live context (the sinks
-    /// survive, unlike `with_exec`): worker count and morsel size, batch
-    /// width, chaos schedule. A knob left at the context's own default is
-    /// not touched.
+    /// survive, unlike `with_exec`): worker count, batch width, chaos
+    /// schedule. A knob left at the context's own default is not touched.
     pub(crate) fn apply_context_knobs(&self, ctx: &sycamore::Context) {
-        if self.exec_workers > 1 || self.exec_morsel_size != 32 {
-            ctx.set_parallelism(
-                self.exec_workers,
-                self.exec_morsel_size,
-                sycamore::StealPolicy::Ring,
-            );
+        if self.exec_workers > 1 {
+            ctx.set_workers(self.exec_workers);
         }
         if self.batch_max_items > 1 {
             ctx.set_batch(self.batch_max_items, self.batch_token_budget);
@@ -784,18 +776,16 @@ impl LunaAnswer {
         if !stages.is_empty() {
             // Morsel-execution summary from the engine's stage spans: these
             // are gauges (exact per-worker shard merges, but legally shaped
-            // by worker count and morsel size, so they stay out of the
+            // by worker count and scheduling, so they stay out of the
             // fingerprint).
             let workers = stages.iter().map(|s| s.gauge("workers") as usize).max().unwrap_or(0);
             let morsels: usize = stages.iter().map(|s| s.gauge("morsels") as usize).sum();
-            let steals: usize = stages.iter().map(|s| s.gauge("steals") as usize).sum();
             if morsels > 0 {
                 out.push_str(&format!(
-                    "engine stages: {}  ({} workers, {} morsels, {} stolen)\n",
+                    "engine stages: {}  ({} workers, {} morsels)\n",
                     stages.len(),
                     workers,
-                    morsels,
-                    steals
+                    morsels
                 ));
             } else {
                 out.push_str(&format!("engine stages: {}\n", stages.len()));

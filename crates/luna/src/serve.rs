@@ -35,7 +35,7 @@
 
 use crate::luna::{discover, Luna, LunaConfig, SessionWiring};
 use crate::schema::IndexSchema;
-use aryn_core::{ArynError, Result};
+use aryn_core::{percentile, ArynError, Result};
 use aryn_llm::{
     jain_index, DrrQueue, FairShare, FairShareStats, LlmCallCache, ReliabilityPolicy,
     ReliabilityState, SimConfig,
@@ -512,16 +512,6 @@ struct Job {
     service: f64,
 }
 
-/// Nearest-rank percentile over an unsorted sample (p in [0, 100]).
-pub fn percentile(samples: &mut [f64], p: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let rank = ((p / 100.0) * samples.len() as f64).ceil().max(1.0) as usize - 1;
-    samples[rank.min(samples.len() - 1)]
-}
-
 impl LoadGen {
     /// Runs the closed loop to completion on the virtual clock.
     pub fn run(&self) -> SimReport {
@@ -612,6 +602,7 @@ impl LoadGen {
             let mean =
                 if lat.is_empty() { 0.0 } else { lat.iter().sum::<f64>() / lat.len() as f64 };
             let max = lat.iter().cloned().fold(0.0f64, f64::max);
+            lat.sort_by(f64::total_cmp);
             let sim = TenantSim {
                 completed,
                 p50_ms: percentile(lat, 50.0),
@@ -777,13 +768,5 @@ mod tests {
             "{}",
             report.render()
         );
-    }
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let mut v = vec![10.0, 20.0, 30.0, 40.0];
-        assert_eq!(percentile(&mut v, 50.0), 20.0);
-        assert_eq!(percentile(&mut v, 99.0), 40.0);
-        assert_eq!(percentile([].as_mut_slice(), 50.0), 0.0);
     }
 }

@@ -19,30 +19,12 @@ use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// How idle morsel workers acquire more work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StealPolicy {
-    /// Scan the other workers' deques in ring order and steal from the cold
-    /// end (the default). Keeps all workers busy under skew.
-    #[default]
-    Ring,
-    /// Never steal: a worker exits once its own deque drains. Useful for
-    /// isolating scheduling effects in tests and benchmarks.
-    Disabled,
-}
-
 /// How pipelines execute.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecConfig {
-    /// Worker threads for per-document stages (1 = sequential).
+    /// Worker threads for per-document stages (1 = the calling thread, in
+    /// input order).
     pub threads: usize,
-    /// Documents per work morsel in the parallel executor: each worker runs
-    /// one morsel through the whole fused segment before taking the next.
-    /// This is an upper bound — small inputs are split finer so every worker
-    /// gets work. Morsel size never affects results, only scheduling.
-    pub morsel_size: usize,
-    /// Work-stealing policy for idle morsel workers.
-    pub steal: StealPolicy,
     /// Injected worker-failure probability per (doc, attempt) — exercises
     /// the Ray-style retry path.
     pub fail_rate: f64,
@@ -65,8 +47,6 @@ impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
             threads: 1,
-            morsel_size: 32,
-            steal: StealPolicy::Ring,
             fail_rate: 0.0,
             max_retries: 3,
             skip_failures: false,
@@ -225,19 +205,16 @@ impl Context {
         exec.batch_token_budget = token_budget.max(1);
     }
 
-    /// Adjusts the parallel-execution knobs in place: worker count, morsel
-    /// size, and steal policy. Like [`Context::set_batch`] this mutates the
-    /// live context without discarding index sinks — parallelism is a
-    /// query-time concern (Luna applies its configured worker count to an
-    /// already-ingested context). Results never depend on these knobs, only
-    /// wall time does: a stage whose LLM client keeps call-order state (an
-    /// arrival-order chaos schedule, a reliability budget or breaker) runs
-    /// on one worker whatever `threads` says.
-    pub fn set_parallelism(&self, threads: usize, morsel_size: usize, steal: StealPolicy) {
-        let mut exec = self.inner.exec.write();
-        exec.threads = threads.max(1);
-        exec.morsel_size = morsel_size.max(1);
-        exec.steal = steal;
+    /// Sets the worker count for per-document stages in place. Like
+    /// [`Context::set_batch`] this mutates the live context without
+    /// discarding index sinks — parallelism is a query-time concern (Luna
+    /// applies its configured worker count to an already-ingested context).
+    /// Results never depend on it, only wall time does: a stage whose LLM
+    /// client keeps call-order state (an arrival-order chaos schedule, a
+    /// reliability budget or breaker) runs on one worker whatever `threads`
+    /// says.
+    pub fn set_workers(&self, threads: usize) {
+        self.inner.exec.write().threads = threads.max(1);
     }
 
     /// Installs a reliability policy on this context and returns the shared
@@ -534,20 +511,13 @@ mod tests {
     #[test]
     fn set_parallelism_adjusts_live_context_and_clamps() {
         let ctx = Context::new();
-        let d = ctx.exec_config();
-        assert_eq!(d.threads, 1);
-        assert_eq!(d.morsel_size, 32);
-        assert_eq!(d.steal, StealPolicy::Ring);
-        ctx.put_store("s", DocStore::new());
-        ctx.set_parallelism(8, 16, StealPolicy::Disabled);
-        let cfg = ctx.exec_config();
-        assert_eq!(cfg.threads, 8);
-        assert_eq!(cfg.morsel_size, 16);
-        assert_eq!(cfg.steal, StealPolicy::Disabled);
-        assert!(ctx.read_store("s").is_ok(), "sinks survive the knob change");
-        ctx.set_parallelism(0, 0, StealPolicy::Ring);
         assert_eq!(ctx.exec_config().threads, 1);
-        assert_eq!(ctx.exec_config().morsel_size, 1);
+        ctx.put_store("s", DocStore::new());
+        ctx.set_workers(8);
+        assert_eq!(ctx.exec_config().threads, 8);
+        assert!(ctx.read_store("s").is_ok(), "sinks survive the knob change");
+        ctx.set_workers(0);
+        assert_eq!(ctx.exec_config().threads, 1);
     }
 
     #[test]

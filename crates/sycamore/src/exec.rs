@@ -2,11 +2,11 @@
 //!
 //! Plans execute as morsel-driven pipelines (Leis et al.; DESIGN.md §5g):
 //! maximal runs of per-document ops are fused into segments, the input is
-//! split into small morsels, and each worker runs a morsel through the
-//! *entire* fused segment before touching the next — so operator boundaries
-//! inside a segment are never barriers. Idle workers steal morsels from the
-//! cold end of their peers' deques. Only semantically-required barriers
-//! remain collection-at-a-time: sort, reduce, limit, collection summarize,
+//! split into small morsels, and workers take morsels in index order from
+//! one shared cursor, running each through the *entire* fused segment before
+//! taking the next — so operator boundaries inside a segment are never
+//! barriers. Only semantically-required barriers remain
+//! collection-at-a-time: sort, reduce, limit, collection summarize,
 //! materialize, and micro-batched segments (which pack documents across one
 //! shared LLM call). Each worker owns a private [`WorkerStats`] shard —
 //! merged once at finalize, never locked mid-stage — so per-worker
@@ -18,7 +18,7 @@
 //! copied only by the first transform that writes to a row something else
 //! still holds.
 
-use crate::context::{Context, StealPolicy};
+use crate::context::{Context, ExecConfig};
 use crate::docset::Source;
 use crate::op::Op;
 use crate::stats::{write_llm_group, ExecStats, StageStats, WorkerStats};
@@ -27,8 +27,7 @@ use aryn_core::{stable_hash, ArynError, Document, Result};
 use aryn_llm::MeterScope;
 use aryn_telemetry::Telemetry;
 use parking_lot::Mutex;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -68,10 +67,10 @@ fn busy_clock_ns() -> u64 {
 
 /// Records one executed stage into the context's trace: row counts, worker
 /// retries and the stage's LLM group as counters, times and the
-/// scheduling-shaped values — morsel and steal counts, per-worker docs and
+/// scheduling-shaped values — morsel counts, per-worker docs and
 /// busy fractions — as gauges (the rule is on [`write_llm_group`]). The
 /// gauges are *exact* (each worker owns its shard and the shards merge once
-/// at finalize) but they legally vary with worker count and morsel size.
+/// at finalize) but they legally vary with worker count and scheduling.
 fn record_stage_span(tel: &Telemetry, stage: &StageStats) {
     if !tel.is_enabled() {
         return;
@@ -93,7 +92,6 @@ fn record_stage_span(tel: &Telemetry, stage: &StageStats) {
     span.gauge("wall_ms", stage.wall_ms)
         .gauge("workers", stage.workers.len() as f64)
         .gauge("morsels", stage.morsels() as f64)
-        .gauge("steals", stage.steals() as f64)
         .gauge("critical_path_ms", stage.critical_path_ms);
     let fractions = stage.worker_busy_fractions();
     for (w, shard) in stage.workers.iter().enumerate() {
@@ -124,6 +122,7 @@ pub fn execute(
     projected: usize,
 ) -> Result<(Vec<Arc<Document>>, ExecStats)> {
     let tel = ctx.telemetry();
+    let cfg = ctx.exec_config();
     let mut stats = ExecStats::default();
     // Find the last cached materialize checkpoint whose recorded op-prefix
     // fingerprint matches this plan's, if any.
@@ -168,10 +167,10 @@ pub fn execute(
         let start = Instant::now();
         let rows_in = docs.len();
         let outcome = if barrier {
-            apply_barrier(ctx, &ops[i], docs, plan_fingerprint(source, &ops[..j]))?
+            apply_barrier(ctx, &cfg, &ops[i], docs, plan_fingerprint(source, &ops[..j]))?
         } else {
             // Projected ops are trailing per-document ops: all in the last stage.
-            run_segment(ctx, stage_ops, if j == ops.len() { projected } else { 0 }, docs)?
+            run_segment(ctx, &cfg, stage_ops, if j == ops.len() { projected } else { 0 }, docs)?
         };
         let (llm, cache) = scope.finish();
         let wall_ms = start.elapsed().as_secs_f64() * 1000.0;
@@ -274,43 +273,44 @@ struct SegmentOutcome {
     docs: Vec<Arc<Document>>,
     retries: usize,
     failed: usize,
-    /// Per-worker stats shards (empty for batched segments, which have no
-    /// per-worker attribution). *Which* worker got a given document is
-    /// scheduling-dependent under work stealing, so the per-worker split
-    /// feeds gauges only — but each worker counts its own work in a shard it
-    /// exclusively owns, so the shard sums always equal the stage totals
-    /// (the differential and stats-invariant tests pin this).
+    /// Per-worker stats shards (empty for barrier and batched stages, which
+    /// have no per-worker attribution). *Which* worker got a given morsel
+    /// depends on scheduling, so the per-worker split feeds gauges only —
+    /// but each worker counts its own work in a shard it exclusively owns,
+    /// so the shard sums always equal the stage totals (the differential and
+    /// stats-invariant tests pin this).
     workers: Vec<WorkerStats>,
     /// Documents per packed micro-batch call, in issue order. Empty unless
     /// this segment ran a batchable op with batching enabled.
     batch_sizes: Vec<usize>,
 }
 
-/// Applies a fused run of per-doc ops over all documents — morsel-parallel
-/// when configured, with cross-document micro-batching when enabled.
-fn run_segment(ctx: &Context, segment: &[Op], projected: usize, docs: Vec<Arc<Document>>) -> Result<SegmentOutcome> {
-    if ctx.exec_config().batch_max_items > 1 && segment.iter().any(Op::is_batchable) {
-        run_segment_batched(ctx, segment, projected, docs)
+/// Applies a fused run of per-doc ops over all documents — on the morsel
+/// workers, with cross-document micro-batching when enabled.
+fn run_segment(ctx: &Context, cfg: &ExecConfig, segment: &[Op], projected: usize, docs: Vec<Arc<Document>>) -> Result<SegmentOutcome> {
+    if cfg.batch_max_items > 1 && segment.iter().any(Op::is_batchable) {
+        run_segment_batched(ctx, cfg, segment, projected, docs)
     } else {
-        run_per_doc(ctx, segment, projected, docs)
+        run_per_doc(ctx, cfg, segment, projected, docs)
     }
 }
 
-/// Runs per-doc ops document by document: on the morsel workers, or on the
-/// calling thread when one worker is configured, there is at most one
+/// Runs per-doc ops document by document on the morsel workers. It picks
+/// the worker count only: one when one is configured, there is at most one
 /// document, or some op's client keeps state that depends on call order
 /// ([`aryn_llm::LlmClient::order_dependent`]: an arrival-order chaos
-/// schedule, a budget or breaker clock). Such a stage runs in input order
-/// at every worker count, so the worker count never changes its results.
-fn run_per_doc(ctx: &Context, segment: &[Op], projected: usize, docs: Vec<Arc<Document>>) -> Result<SegmentOutcome> {
-    if ctx.exec_config().threads <= 1
+/// schedule, a budget or breaker clock). One worker visits the input in
+/// order, so such a stage's results never depend on the configured count.
+fn run_per_doc(ctx: &Context, cfg: &ExecConfig, segment: &[Op], projected: usize, docs: Vec<Arc<Document>>) -> Result<SegmentOutcome> {
+    let workers = if cfg.threads <= 1
         || docs.len() <= 1
         || segment.iter().filter_map(Op::client).any(aryn_llm::LlmClient::order_dependent)
     {
-        run_segment_sequential(ctx, segment, projected, docs)
+        1
     } else {
-        run_segment_morsels(ctx, segment, projected, docs)
-    }
+        cfg.threads
+    };
+    run_morsels(ctx, cfg, segment, projected, docs, workers)
 }
 
 /// Runs a fused segment with cross-document micro-batching: maximal
@@ -322,11 +322,11 @@ fn run_per_doc(ctx: &Context, segment: &[Op], projected: usize, docs: Vec<Arc<Do
 /// and `skip_failures` accounting — match the unbatched path exactly.
 fn run_segment_batched(
     ctx: &Context,
+    cfg: &ExecConfig,
     segment: &[Op],
     projected: usize,
     docs: Vec<Arc<Document>>,
 ) -> Result<SegmentOutcome> {
-    let cfg = ctx.exec_config();
     let bcfg = aryn_llm::BatchConfig {
         max_items: cfg.batch_max_items,
         token_budget: cfg.batch_token_budget,
@@ -336,7 +336,7 @@ fn run_segment_batched(
     while i < segment.len() {
         if segment[i].is_batchable() {
             let (docs, failed, report) =
-                transforms::apply_batched(ctx, &segment[i], std::mem::take(&mut acc.docs), bcfg)?;
+                transforms::apply_batched(&segment[i], std::mem::take(&mut acc.docs), bcfg, cfg.skip_failures)?;
             acc.docs = docs;
             acc.failed += failed;
             acc.batch_sizes.extend(report.batch_sizes);
@@ -347,7 +347,7 @@ fn run_segment_batched(
                 j += 1;
             }
             let tail = projected.saturating_sub(segment.len() - j);
-            let sub = run_per_doc(ctx, &segment[i..j], tail, std::mem::take(&mut acc.docs))?;
+            let sub = run_per_doc(ctx, cfg, &segment[i..j], tail, std::mem::take(&mut acc.docs))?;
             acc.docs = sub.docs;
             acc.retries += sub.retries;
             acc.failed += sub.failed;
@@ -366,12 +366,12 @@ fn run_segment_batched(
 /// run projected ([`execute`]).
 fn process_doc(
     ctx: &Context,
+    cfg: &ExecConfig,
     segment: &[Op],
     projected: usize,
     stage_tag: &str,
     doc: Arc<Document>,
 ) -> (Result<Vec<Arc<Document>>>, usize) {
-    let cfg = ctx.exec_config();
     let first_projected = segment.len() - projected;
     let mut retries = 0usize;
     let id = doc.id.clone();
@@ -430,160 +430,69 @@ fn process_doc(
     )
 }
 
-fn run_segment_sequential(
+/// Most documents in one morsel. Small inputs are cut finer, so the work
+/// splits into about 4 morsels per worker. Load balance only — never
+/// semantics.
+const MAX_MORSEL_DOCS: usize = 32;
+
+/// The per-document runner (DESIGN.md §5g). The input is cut into
+/// positional morsels; `workers` threads take them in index order from one
+/// shared cursor and run each through the whole fused segment. A morsel's
+/// slot holds its input until a worker claims it, then its output and
+/// failure count, so output is assembled by morsel id whoever ran what. The
+/// caller is worker 0: one worker spawns nothing and visits the input in
+/// order. Statistics live in per-worker shards owned `&mut` by their worker;
+/// the only shared state is the cursor, one uncontended lock per slot, and
+/// the fail-stop flag.
+fn run_morsels(
     ctx: &Context,
+    cfg: &ExecConfig,
     segment: &[Op],
     projected: usize,
     docs: Vec<Arc<Document>>,
+    workers: usize,
 ) -> Result<SegmentOutcome> {
-    let cfg = ctx.exec_config();
-    let tag = segment
-        .iter()
-        .map(Op::name)
-        .collect::<Vec<_>>()
-        .join(",");
-    let mut out = Vec::with_capacity(docs.len());
-    let mut shard = WorkerStats::default();
-    let t0 = busy_clock_ns();
-    for doc in docs {
-        let id = doc.id.clone();
-        let (res, r) = process_doc(ctx, segment, projected, &tag, doc);
-        shard.retries += r;
-        shard.docs += 1;
-        match res {
-            Ok(mut produced) => out.append(&mut produced),
-            Err(e) => {
-                if cfg.skip_failures {
-                    shard.failed += 1;
-                } else {
-                    return Err(ArynError::Exec(format!("{id:?}: {e}")));
-                }
-            }
-        }
-    }
-    shard.busy_ms = (busy_clock_ns().saturating_sub(t0)) as f64 / 1e6;
-    Ok(SegmentOutcome {
-        docs: out,
-        retries: shard.retries,
-        failed: shard.failed,
-        workers: vec![shard],
-        batch_sizes: Vec::new(),
-    })
-}
-
-/// A morsel: a small contiguous run of input documents. `id` is the morsel's
-/// position in input order (its result slot); `base` is the input index of
-/// its first document (for fail-stop error reporting). Morsels are cut
-/// positionally, so the reassembled output is bit-identical to the
-/// sequential result regardless of morsel size, worker count, or who stole
-/// what.
-struct Morsel {
-    id: usize,
-    base: usize,
-    docs: Vec<Arc<Document>>,
-}
-
-/// What one completed morsel contributes: its output documents (in input
-/// order) and how many of its documents failed permanently (skip mode).
-type MorselResult = (Vec<Arc<Document>>, usize);
-
-/// The effective morsel size: the configured size, shrunk for small inputs
-/// so the work splits into at least ~4 morsels per worker. Load balance
-/// only — never semantics.
-fn effective_morsel_size(cfg_size: usize, n: usize, workers: usize) -> usize {
-    let target = n.div_ceil(workers.max(1) * 4).max(1);
-    cfg_size.max(1).min(target)
-}
-
-/// Pops the next morsel for worker `w`: its own deque from the hot end,
-/// then — under [`StealPolicy::Ring`] — its peers' deques from the cold end
-/// in ring order. `None` means no work is left anywhere this worker may
-/// look: since no morsel is ever produced mid-stage, that is a terminal
-/// condition and the worker exits (no condvar, no spinning).
-fn next_morsel(
-    w: usize,
-    deques: &[Mutex<VecDeque<Morsel>>],
-    steal: StealPolicy,
-) -> Option<(Morsel, bool)> {
-    if let Some(m) = deques[w].lock().pop_front() {
-        return Some((m, false));
-    }
-    if steal == StealPolicy::Disabled {
-        return None;
-    }
-    let k = deques.len();
-    for off in 1..k {
-        if let Some(m) = deques[(w + off) % k].lock().pop_back() {
-            return Some((m, true));
-        }
-    }
-    None
-}
-
-/// The morsel-driven parallel path (DESIGN.md §5g). Input documents are cut
-/// into positional morsels, dealt round-robin onto per-worker deques, and
-/// each worker runs one morsel at a time through the whole fused segment.
-/// Results land in a slot per morsel, so reassembly is in input order. All
-/// statistics live in per-worker shards owned `&mut` by their worker — the
-/// only shared mutable state is the deques, one result-slot write per
-/// morsel, and the fail-stop flag.
-fn run_segment_morsels(
-    ctx: &Context,
-    segment: &[Op],
-    projected: usize,
-    docs: Vec<Arc<Document>>,
-) -> Result<SegmentOutcome> {
-    let cfg = ctx.exec_config();
     let tag = segment
         .iter()
         .map(Op::name)
         .collect::<Vec<_>>()
         .join(",");
     let n = docs.len();
-    let msize = effective_morsel_size(cfg.morsel_size, n, cfg.threads);
-    let num_morsels = n.div_ceil(msize);
-    let workers = cfg.threads.min(num_morsels).max(1);
-
-    // Cut the input into positional morsels and deal them round-robin.
-    let deques: Vec<Mutex<VecDeque<Morsel>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
+    let size = MAX_MORSEL_DOCS.min(n.div_ceil(workers * 4)).max(1);
     let mut docs = docs.into_iter();
-    let mut base = 0usize;
-    for id in 0..num_morsels {
-        let chunk: Vec<Arc<Document>> = docs.by_ref().take(msize).collect();
-        let len = chunk.len();
-        deques[id % workers].lock().push_back(Morsel { id, base, docs: chunk });
-        base += len;
-    }
+    let slots: Vec<Mutex<(Vec<Arc<Document>>, usize)>> = (0..n.div_ceil(size))
+        .map(|_| Mutex::new((docs.by_ref().take(size).collect(), 0)))
+        .collect();
+    let workers = workers.min(slots.len()).max(1);
 
-    // One result slot per morsel; one shard per worker; a fail-stop flag
-    // plus the first error seen (lowest input index wins, matching the
-    // sequential path as closely as scheduling allows).
-    let slots: Mutex<Vec<Option<MorselResult>>> = Mutex::new((0..num_morsels).map(|_| None).collect());
+    // The cursor only hands out slot indices (each slot's data sits behind
+    // its own lock), so it can be relaxed. A fail-stop flag plus the first
+    // error seen (lowest input index wins, matching input order as closely
+    // as scheduling allows).
+    let cursor = AtomicUsize::new(0);
     let first_error: Mutex<Option<(usize, ArynError)>> = Mutex::new(None);
     let abort = AtomicBool::new(false);
     let mut shards: Vec<WorkerStats> = (0..workers).map(|_| WorkerStats::default()).collect();
 
-    let worker_loop = |w: usize, shard: &mut WorkerStats| {
+    let worker_loop = |shard: &mut WorkerStats| {
+        let t0 = busy_clock_ns();
         while !abort.load(Ordering::Relaxed) {
-            let Some((morsel, stolen)) = next_morsel(w, &deques, cfg.steal) else {
+            let m = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(slot) = slots.get(m) else {
                 break;
             };
             shard.morsels += 1;
-            if stolen {
-                shard.steals += 1;
-            }
-            let t0 = busy_clock_ns();
-            let mut out = Vec::with_capacity(morsel.docs.len());
+            let input = std::mem::take(&mut slot.lock().0);
+            let mut out = Vec::with_capacity(input.len());
             let mut failed = 0usize;
             let mut fatal = false;
-            for (k, doc) in morsel.docs.into_iter().enumerate() {
+            for (k, doc) in input.into_iter().enumerate() {
                 if abort.load(Ordering::Relaxed) {
                     fatal = true;
                     break;
                 }
                 let id = doc.id.clone();
-                let (res, r) = process_doc(ctx, segment, projected, &tag, doc);
+                let (res, r) = process_doc(ctx, cfg, segment, projected, &tag, doc);
                 shard.retries += r;
                 shard.docs += 1;
                 match res {
@@ -593,7 +502,7 @@ fn run_segment_morsels(
                             failed += 1;
                             shard.failed += 1;
                         } else {
-                            let index = morsel.base + k;
+                            let index = m * size + k;
                             let mut g = first_error.lock();
                             if g.as_ref().is_none_or(|(i, _)| index < *i) {
                                 *g = Some((index, ArynError::Exec(format!("doc #{index} ({id:?}): {e}"))));
@@ -605,24 +514,21 @@ fn run_segment_morsels(
                     }
                 }
             }
-            shard.busy_ms += (busy_clock_ns().saturating_sub(t0)) as f64 / 1e6;
             if fatal {
                 break;
             }
-            slots.lock()[morsel.id] = Some((out, failed));
+            *slot.lock() = (out, failed);
         }
+        shard.busy_ms = (busy_clock_ns().saturating_sub(t0)) as f64 / 1e6;
     };
 
     if let Some((caller_shard, spawned)) = shards.split_first_mut() {
         crossbeam::thread::scope(|scope| {
-            for (i, shard) in spawned.iter_mut().enumerate() {
+            for shard in spawned {
                 let worker_loop = &worker_loop;
-                scope.spawn(move |_| worker_loop(i + 1, shard));
+                scope.spawn(move |_| worker_loop(shard));
             }
-            // The coordinating thread participates as worker 0, so
-            // `threads: k` spawns only k-1 OS threads and small segments do
-            // not pay a full fleet of spawns.
-            worker_loop(0, caller_shard);
+            worker_loop(caller_shard);
         })
         .map_err(|_| ArynError::Exec("worker thread panicked".into()))?;
     }
@@ -630,11 +536,12 @@ fn run_segment_morsels(
     if let Some((_, e)) = first_error.into_inner() {
         return Err(e);
     }
+    // Every morsel ran to its end here: an aborted one records a first
+    // error, which returned above.
     let mut out = Vec::with_capacity(n);
     let mut failed = 0usize;
-    // Every slot is Some here: a missing slot implies an aborted morsel,
-    // and every abort records a first_error, which returned above.
-    for (mut produced, f) in slots.into_inner().into_iter().flatten() {
+    for slot in slots {
+        let (mut produced, f) = slot.into_inner();
         out.append(&mut produced);
         failed += f;
     }
@@ -655,6 +562,7 @@ fn run_segment_morsels(
 /// can detect stale caches.
 fn apply_barrier(
     ctx: &Context,
+    cfg: &ExecConfig,
     op: &Op,
     docs: Vec<Arc<Document>>,
     fingerprint: u64,
@@ -672,9 +580,8 @@ fn apply_barrier(
             client,
             instructions,
         } => {
-            let skip = ctx.exec_config().skip_failures;
             let (doc, dropped) =
-                transforms::summarize_all_stats(client, instructions, &docs, skip)?;
+                transforms::summarize_all_stats(client, instructions, &docs, cfg.skip_failures)?;
             failed = dropped;
             vec![Arc::new(doc)]
         }

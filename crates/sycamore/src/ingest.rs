@@ -10,7 +10,7 @@
 //! reproducible number rather than a wall-time artifact.
 
 use crate::context::Context;
-use aryn_core::{Document, Result};
+use aryn_core::{percentile, Document, Result};
 use aryn_index::{
     DocStore, ShardedHnsw, ShardedKeywordIndex, StoreConfig, StoreSnapshot, StoreStats,
     VectorIndex,
@@ -336,15 +336,6 @@ impl Ingestor {
         sp.finish();
         report
     }
-}
-
-/// Nearest-rank percentile over an ascending-sorted slice.
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil().max(1.0) as usize;
-    sorted[rank.min(sorted.len()) - 1]
 }
 
 #[cfg(test)]

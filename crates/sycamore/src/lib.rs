@@ -3,9 +3,9 @@
 //! The DocSet document-processing engine (paper §5): a Spark-like lazy
 //! dataflow over hierarchical documents with core, structural, analytic, and
 //! LLM-powered transforms (Table 1), a morsel-driven document-parallel
-//! executor with work stealing and Ray-style failure retry (§5.3), named
-//! materializations (memory or disk),
-//! per-document lineage, and writers into keyword/vector/document stores.
+//! executor with Ray-style failure retry (§5.3), named materializations
+//! (memory or disk), per-document lineage, and writers into
+//! keyword/vector/document stores.
 //!
 //! ```
 //! use sycamore::{Context, PartitionCfg};
@@ -30,7 +30,7 @@ pub mod op;
 pub mod stats;
 pub mod transforms;
 
-pub use context::{Context, ExecConfig, StealPolicy};
+pub use context::{Context, ExecConfig};
 pub use cost::{CostKnobs, Interval, LlmBounds, OpCost, PipelineCost};
 pub use docset::{DocSet, Source};
 pub use ingest::{IngestConfig, IngestReport, IngestShared, Ingestor};

@@ -12,9 +12,9 @@ use aryn_telemetry::SpanBuilder;
 /// One worker's statistics shard for one fused per-doc stage. Each morsel
 /// worker owns exactly one shard (`&mut`, no locks) while the stage runs;
 /// the shards are merged into the stage totals once at finalize. *Which*
-/// worker processed a given document is scheduling-dependent under work
-/// stealing, but every shard is exact — so the shard sums always equal the
-/// stage totals (`sum(docs) == rows_in`, `sum(retries) == retries`,
+/// worker processed a given document depends on scheduling, but every shard
+/// is exact — so the shard sums always equal the stage totals
+/// (`sum(docs) == rows_in`, `sum(retries) == retries`,
 /// `sum(failed) == failed_docs`), an invariant the stats tests pin.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct WorkerStats {
@@ -24,10 +24,8 @@ pub struct WorkerStats {
     pub retries: usize,
     /// Documents that failed permanently on this worker (skip mode).
     pub failed: usize,
-    /// Morsels this worker executed (own deque + stolen).
+    /// Morsels this worker took from the shared cursor and ran.
     pub morsels: usize,
-    /// Morsels this worker stole from another worker's deque.
-    pub steals: usize,
     /// Time this worker spent processing morsels, on the per-thread busy
     /// clock (thread CPU time on Linux): immune to preemption, so the
     /// critical path `max(busy_ms)` reflects true work distribution even
@@ -63,15 +61,15 @@ pub struct StageStats {
     /// being recomputed.
     pub cache_hit: bool,
     /// Per-worker shards, merged at finalize. One entry per worker for
-    /// morsel-executed per-doc stages (length 1 for the sequential path);
+    /// per-doc stages (length 1 for a one-worker run);
     /// empty for barrier and batched stages, which run collection-at-a-time
     /// on the coordinating thread.
     pub workers: Vec<WorkerStats>,
     /// The stage's critical path: the longest per-worker busy time for
     /// morsel stages, wall time for barrier/batched stages. The makespan a
-    /// perfectly parallel host would observe — the scaling bench and the
-    /// regression guard compare this across worker counts, which stays
-    /// meaningful even on hosts with fewer cores than workers.
+    /// perfectly parallel host would observe — the scaling bench compares
+    /// this across worker counts, which stays meaningful even on hosts with
+    /// fewer cores than workers.
     pub critical_path_ms: f64,
 }
 
@@ -90,11 +88,6 @@ impl StageStats {
     /// stages).
     pub fn morsels(&self) -> usize {
         self.workers.iter().map(|w| w.morsels).sum()
-    }
-
-    /// Morsels acquired by stealing rather than from the owner's deque.
-    pub fn steals(&self) -> usize {
-        self.workers.iter().map(|w| w.steals).sum()
     }
 
     /// Each worker's busy fraction of the stage's wall time, in worker
@@ -146,16 +139,10 @@ impl ExecStats {
         self.stages.iter().map(StageStats::morsels).sum()
     }
 
-    /// Stolen morsels across all stages.
-    pub fn total_steals(&self) -> usize {
-        self.stages.iter().map(StageStats::steals).sum()
-    }
-
     /// The pipeline's critical path: per-doc stages contribute their longest
     /// worker busy time, barriers their wall time. This is the makespan on
     /// the executor's virtual clock — what a host with one core per worker
-    /// would observe end to end — and the quantity the scaling regression
-    /// guard pins (it must not increase with the worker count).
+    /// would observe end to end — and what the scaling bench reports.
     pub fn total_critical_path_ms(&self) -> f64 {
         self.stages.iter().map(|s| s.critical_path_ms).sum()
     }
@@ -257,7 +244,6 @@ mod tests {
                             retries: 2,
                             failed: 1,
                             morsels: 2,
-                            steals: 1,
                             busy_ms: 1.2,
                         },
                         WorkerStats {
@@ -265,7 +251,6 @@ mod tests {
                             retries: 0,
                             failed: 0,
                             morsels: 1,
-                            steals: 0,
                             busy_ms: 0.9,
                         },
                     ],
@@ -292,7 +277,6 @@ mod tests {
         assert!((stats.cache().cost_saved_usd - 0.005).abs() < 1e-12);
         assert_eq!(stats.batch_size_histogram(), vec![(2, 1), (4, 3)]);
         assert_eq!(stats.total_morsels(), 3);
-        assert_eq!(stats.total_steals(), 1);
         assert!((stats.total_critical_path_ms() - 1.2).abs() < 1e-9);
         let fr = stats.stages[0].worker_busy_fractions();
         assert_eq!(fr.len(), 2);

@@ -318,17 +318,17 @@ fn llm_filter(
 
 /// Applies one batchable semantic op collection-at-a-time through the
 /// micro-batch packer (DESIGN.md §5e). Returns the surviving documents, the
-/// number dropped under `skip_failures`, and the packer's report. Per-item
-/// contexts are fitted with [`LlmClient::fit_context`] so each item's
-/// singleton prompt — and therefore its cache fingerprint and simulated
-/// answer — is byte-identical to the unbatched path's.
+/// number dropped under `skip` (the stage's `skip_failures`), and the
+/// packer's report. Per-item contexts are fitted with
+/// [`LlmClient::fit_context`] so each item's singleton prompt — and
+/// therefore its cache fingerprint and simulated answer — is
+/// byte-identical to the unbatched path's.
 pub fn apply_batched(
-    ctx: &Context,
     op: &Op,
     docs: Vec<Arc<Document>>,
     cfg: BatchConfig,
+    skip: bool,
 ) -> Result<(Vec<Arc<Document>>, usize, BatchReport)> {
-    let skip = ctx.exec_config().skip_failures;
     match op {
         Op::LlmFilter {
             client,

@@ -141,18 +141,11 @@ proptest! {
     #[test]
     fn parallel_equals_sequential_for_pure_transforms(
         docs in docs_strategy(),
-        morsel_ix in 0usize..4,
-        ring in any::<bool>(),
+        threads in 2usize..6,
     ) {
         let seq_ctx = Context::new();
         let par_ctx = Context::new().with_exec(sycamore::ExecConfig {
-            threads: 3,
-            morsel_size: [1usize, 2, 8, 64][morsel_ix],
-            steal: if ring {
-                sycamore::StealPolicy::Ring
-            } else {
-                sycamore::StealPolicy::Disabled
-            },
+            threads,
             ..sycamore::ExecConfig::default()
         });
         let run = |ctx: &Context| {

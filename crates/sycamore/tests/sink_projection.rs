@@ -227,7 +227,6 @@ fn projected_sinks_match_the_unprojected_pipeline() {
             ] {
                 let cfg = ExecConfig {
                     threads,
-                    morsel_size: 2,
                     fail_rate,
                     max_retries,
                     skip_failures,
@@ -360,13 +359,12 @@ proptest! {
         ),
         chain in 0..CHAINS.len(),
         threads in 1usize..5,
-        morsel_size in 1usize..4,
         failures in 0usize..3,
         seed in 0u64..1000,
     ) {
         let docs: Vec<Document> = docs.iter().enumerate().map(|(i, els)| synthetic(i, els)).collect();
         let (fail_rate, skip_failures) = [(0.0, false), (0.2, true), (0.2, false)][failures];
-        let cfg = ExecConfig { threads, morsel_size, fail_rate, max_retries: 1, skip_failures, seed, ..ExecConfig::default() };
+        let cfg = ExecConfig { threads, fail_rate, max_retries: 1, skip_failures, seed, ..ExecConfig::default() };
         let (fast, slow) = twins(cfg);
         for ctx in [&fast, &slow] {
             ctx.put_store("s", docs.iter().cloned().collect());

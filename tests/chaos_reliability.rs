@@ -310,7 +310,6 @@ fn luna_run(seed: u64, workers: usize) -> LunaRun {
             ..ReliabilityPolicy::default()
         }),
         exec_workers: workers,
-        exec_morsel_size: 2,
         ..LunaConfig::default()
     };
     let luna = Luna::new(ctx, &["ntsb"], cfg).unwrap();

@@ -1,5 +1,5 @@
-//! Differential harness for the executor (§5.3): the parallel path must be
-//! observationally identical to the sequential one. Same seed, same pipeline,
+//! Differential harness for the executor (§5.3): any worker count must be
+//! observationally identical to one worker. Same seed, same pipeline,
 //! different thread counts → bit-identical documents, element order, lineage,
 //! and failure bookkeeping — with and without injected worker failures.
 
@@ -153,55 +153,122 @@ fn worker_doc_attribution_sums_to_docs_processed() {
     }
 }
 
+/// Documents per morsel for a per-doc stage of `n` documents at `workers`
+/// workers: at most 32, fewer so that the work splits into about 4 morsels
+/// per worker.
+fn morsel_size(n: usize, workers: usize) -> usize {
+    32.min(n.div_ceil(workers * 4)).max(1)
+}
+
+fn expected_morsels(n: usize, workers: usize) -> usize {
+    n.div_ceil(morsel_size(n, workers))
+}
+
 #[test]
-fn morsel_size_and_steal_policy_never_change_results() {
-    // Morsel granularity and the steal policy are pure scheduling knobs: the
-    // same pipeline must be bit-identical across every combination, including
-    // degenerate one-doc morsels and stealing disabled entirely.
-    let run = |morsel_size: usize, steal: StealPolicy| {
+fn worker_count_and_input_size_never_change_results() {
+    // Worker count is a pure scheduling knob, and the input size sets the
+    // morsel size (1 to 32 documents across this matrix): every cell must be
+    // bit-identical to one worker — documents, order, lineage, retries,
+    // failures and LLM calls — under injected failures.
+    let run = |threads: usize, n: usize| {
         let ctx = Context::new().with_exec(ExecConfig {
-            threads: 8,
-            morsel_size,
-            steal,
+            threads,
             fail_rate: 0.25,
-            max_retries: 10,
+            max_retries: 2,
             skip_failures: true,
             seed: 0xD1FF,
             ..ExecConfig::default()
         });
-        let corpus = Corpus::ntsb(17, 14);
-        ctx.register_corpus("ntsb", &corpus);
         let client = LlmClient::new(Arc::new(MockLlm::new(&GPT4_SIM, SimConfig::with_seed(17))));
-        ctx.read_lake("ntsb")
-            .unwrap()
-            .partition("ntsb", PartitionCfg::default())
+        let docs: Vec<Document> = (0..n)
+            .map(|i| {
+                let state = ["CA", "WA", "TX", "OR"][i % 4];
+                Document::from_text(
+                    format!("doc-{i:04}"),
+                    format!(
+                        "Incident {i} in {state}: engine failure, {} injured.",
+                        i % 3
+                    ),
+                )
+            })
+            .collect();
+        ctx.read_docs(docs)
+            .map("tag", |mut d| {
+                let len = d.full_text().len() as i64;
+                d.set_prop("len", len);
+                d
+            })
             .extract_properties(
                 &client,
-                obj! { "us_state_abbrev" => "string", "fatal" => "int" },
+                obj! { "us_state_abbrev" => "string", "injured" => "int" },
             )
-            .explode()
+            .flat_map("copies", |d| {
+                let k = d.id.as_str().bytes().map(usize::from).sum::<usize>() % 3;
+                (0..k)
+                    .map(|c| {
+                        let mut copy = d.clone();
+                        copy.id = format!("{}#{c}", d.id.as_str()).into();
+                        copy
+                    })
+                    .collect()
+            })
+            .filter("even", |d| {
+                d.id.as_str().ends_with("#0")
+                    || d.prop("len")
+                        .and_then(|v| v.as_int())
+                        .is_some_and(|l| l % 2 == 0)
+            })
             .embed()
             .collect_stats()
             .unwrap()
     };
-    let (baseline_docs, baseline_stats) = run(32, StealPolicy::Ring);
-    for morsel_size in [1usize, 2, 7, 64] {
-        for steal in [StealPolicy::Ring, StealPolicy::Disabled] {
-            let (docs, stats) = run(morsel_size, steal);
-            assert_identical(
-                &baseline_docs,
-                &docs,
-                &format!("morsel_size={morsel_size} steal={steal:?}"),
+    let mut sizes = std::collections::BTreeSet::new();
+    for n in [1usize, 6, 45, 300] {
+        let (base_docs, base_stats) = run(1, n);
+        assert_eq!(
+            base_stats.stages.len(),
+            1,
+            "n={n}: the per-doc chain fuses into one stage"
+        );
+        for threads in [1usize, 2, 3, 8] {
+            let what = format!("threads={threads} n={n}");
+            let (docs, stats) = if threads == 1 {
+                (base_docs.clone(), base_stats.clone())
+            } else {
+                run(threads, n)
+            };
+            assert_identical(&base_docs, &docs, &what);
+            assert_eq!(
+                base_stats.total_retries(),
+                stats.total_retries(),
+                "{what}: retries"
             );
             assert_eq!(
-                baseline_stats.total_retries(),
-                stats.total_retries(),
-                "morsel_size={morsel_size} steal={steal:?}: retries"
+                base_stats.total_failed_docs(),
+                stats.total_failed_docs(),
+                "{what}: failures"
             );
-            assert_eq!(baseline_stats.total_failed_docs(), stats.total_failed_docs());
-            assert_eq!(baseline_stats.llm().calls, stats.llm().calls);
+            assert_eq!(
+                base_stats.llm().calls,
+                stats.llm().calls,
+                "{what}: LLM calls"
+            );
+            assert_eq!(
+                stats.total_morsels(),
+                expected_morsels(n, threads),
+                "{what}: morsels"
+            );
+            sizes.insert(morsel_size(n, threads));
+        }
+        if n == 300 {
+            assert!(
+                base_stats.total_retries() > 0,
+                "failures must have been injected"
+            );
         }
     }
+    assert_eq!(sizes.first(), Some(&1), "smallest morsel: {sizes:?}");
+    assert_eq!(sizes.last(), Some(&32), "largest morsel: {sizes:?}");
 }
 
 #[test]
@@ -231,8 +298,13 @@ fn stats_shards_account_for_every_document_at_every_thread_count() {
                 s.name
             );
             if threads == 1 {
-                assert_eq!(s.workers.len(), 1, "sequential path is a single shard");
-                assert_eq!(s.morsels(), 0, "sequential path cuts no morsels");
+                assert_eq!(s.workers.len(), 1, "one worker is a single shard");
+                assert_eq!(
+                    s.morsels(),
+                    expected_morsels(s.rows_in, 1),
+                    "stage {}: one worker's morsels",
+                    s.name
+                );
             }
         }
     }

@@ -1,11 +1,11 @@
-//! S1 of the morsel-executor PR (DESIGN.md §5g): the morsel-driven parallel
-//! path must be *bit-identical* to the sequential (1-worker) baseline across
-//! random pipelines, seeds, morsel sizes, worker counts, and steal policies —
-//! and it must stay bit-identical with the chaos injector installed, because
+//! The morsel-driven runner (DESIGN.md §5g) must be *bit-identical* at any
+//! worker count to its 1-worker baseline across random pipelines, seeds,
+//! input sizes (which set the morsel size) and worker counts — and it must
+//! stay bit-identical with the chaos injector installed, because
 //! request-keyed chaos ([`ChaosKeying::RequestKey`]) places faults by request
 //! content, never by arrival order.
 //!
-//! Morsels and stealing are pure scheduling: they decide *who* runs a
+//! Morsels and workers are pure scheduling: they decide *who* runs a
 //! document and *when*, never *what* the document becomes. Output order is
 //! restored by morsel id, injected worker failures are keyed by
 //! `(seed, stage, doc, attempt)`, and chaos faults by `(prompt, attempt)` —
@@ -37,8 +37,8 @@ struct RunCfg {
     shape: u8,
     corpus_seed: u64,
     threads: usize,
-    morsel_size: usize,
-    steal: StealPolicy,
+    /// Corpus size: with the worker count it sets the morsel size.
+    docs: usize,
     fail_rate: f64,
     chaos: bool,
 }
@@ -46,15 +46,13 @@ struct RunCfg {
 fn run(cfg: RunCfg) -> (Vec<Document>, ExecStats) {
     let ctx = Context::new().with_exec(ExecConfig {
         threads: cfg.threads,
-        morsel_size: cfg.morsel_size,
-        steal: cfg.steal,
         fail_rate: cfg.fail_rate,
         max_retries: 12,
         skip_failures: true,
         seed: 0x3035,
         ..ExecConfig::default()
     });
-    let corpus = Corpus::ntsb(cfg.corpus_seed, 13);
+    let corpus = Corpus::ntsb(cfg.corpus_seed, cfg.docs);
     ctx.register_corpus("ntsb", &corpus);
     if cfg.chaos {
         // Request-keyed chaos: the same request faults identically at any
@@ -104,14 +102,14 @@ fn assert_identical(a: &[Document], b: &[Document], what: &str) {
 }
 
 /// The core differential: one configuration against its own 1-worker
-/// sequential baseline, all observables equal.
+/// baseline, all observables equal.
 fn differential(cfg: RunCfg) {
     let baseline = RunCfg { threads: 1, ..cfg };
     let (d1, s1) = run(baseline);
     let (dn, sn) = run(cfg);
     let what = format!(
-        "threads={} morsel={} steal={:?} fail={} chaos={} shape={:#07b}",
-        cfg.threads, cfg.morsel_size, cfg.steal, cfg.fail_rate, cfg.chaos, cfg.shape
+        "threads={} docs={} fail={} chaos={} shape={:#07b}",
+        cfg.threads, cfg.docs, cfg.fail_rate, cfg.chaos, cfg.shape
     );
     assert_identical(&d1, &dn, &what);
     assert_eq!(s1.total_retries(), sn.total_retries(), "{what}: retries");
@@ -129,8 +127,7 @@ fn every_worker_count_matches_sequential_on_a_pinned_pipeline() {
         shape: SHAPE_EXTRACT | SHAPE_EXPLODE | SHAPE_MAP,
         corpus_seed: 11,
         threads: 1,
-        morsel_size: 3,
-        steal: StealPolicy::Ring,
+        docs: 13,
         fail_rate: 0.2,
         chaos: false,
     };
@@ -145,8 +142,7 @@ fn chaos_is_bit_identical_across_worker_counts_when_request_keyed() {
         shape: SHAPE_EXTRACT | SHAPE_EXPLODE,
         corpus_seed: 7,
         threads: 1,
-        morsel_size: 2,
-        steal: StealPolicy::Ring,
+        docs: 13,
         fail_rate: 0.0,
         chaos: true,
     };
@@ -158,22 +154,21 @@ fn chaos_is_bit_identical_across_worker_counts_when_request_keyed() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Random pipeline × random scheduling knobs ≡ sequential baseline.
+    /// Random pipeline × random worker count and input size ≡ 1-worker
+    /// baseline.
     #[test]
     fn morsel_schedules_never_change_results(
         shape in 0u8..32,
         corpus_seed in 1u64..64,
         threads_ix in 0usize..3,
-        morsel_ix in 0usize..5,
-        ring in any::<bool>(),
+        docs_ix in 0usize..3,
         faults in any::<bool>(),
     ) {
         differential(RunCfg {
             shape,
             corpus_seed,
             threads: [2usize, 4, 8][threads_ix],
-            morsel_size: [1usize, 2, 5, 16, 64][morsel_ix],
-            steal: if ring { StealPolicy::Ring } else { StealPolicy::Disabled },
+            docs: [5usize, 13, 21][docs_ix],
             fail_rate: if faults { 0.25 } else { 0.0 },
             chaos: false,
         });
@@ -185,14 +180,13 @@ proptest! {
     fn chaotic_morsel_schedules_never_change_results(
         corpus_seed in 1u64..48,
         threads_ix in 0usize..3,
-        morsel_ix in 0usize..3,
+        docs_ix in 0usize..2,
     ) {
         differential(RunCfg {
             shape: SHAPE_EXTRACT | SHAPE_MAP,
             corpus_seed,
             threads: [2usize, 4, 8][threads_ix],
-            morsel_size: [1usize, 3, 32][morsel_ix],
-            steal: StealPolicy::Ring,
+            docs: [4usize, 13][docs_ix],
             fail_rate: 0.0,
             chaos: true,
         });

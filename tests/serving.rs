@@ -133,7 +133,7 @@ fn opening_sessions_leaves_the_exec_config_unchanged() {
     let ctx = serving_ctx(5, 12);
     let svc = service(ctx.clone(), two_tenant_cfg(CacheKeyPolicy::Shared));
     assert_eq!(ctx.exec_config().threads, LunaConfig::default().exec_workers);
-    ctx.set_parallelism(3, 7, StealPolicy::Disabled);
+    ctx.set_workers(3);
     let pinned = ctx.exec_config();
     for tenant in ["acme", "globex", "acme"] {
         let session = svc.session(tenant).unwrap();

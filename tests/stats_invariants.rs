@@ -144,11 +144,25 @@ fn worker_shards_sum_exactly_to_stage_totals() {
                 "threads={threads}, stage {}: worker failures must sum to failed_docs",
                 s.name
             );
-            assert!(
-                s.steals() <= s.morsels(),
-                "threads={threads}, stage {}: every steal is a morsel",
-                s.name
-            );
+            for w in &s.workers {
+                assert!(
+                    w.morsels <= w.docs && (w.docs > 0) == (w.morsels > 0),
+                    "threads={threads}, stage {}: every morsel holds a document",
+                    s.name
+                );
+            }
+            if threads == 1 {
+                // One worker: one shard, ⌈n / size⌉ morsels of at most 32
+                // documents, about 4 of them for small inputs.
+                let size = 32.min(s.rows_in.div_ceil(4)).max(1);
+                assert_eq!(s.workers.len(), 1, "stage {}: one shard", s.name);
+                assert_eq!(
+                    s.morsels(),
+                    s.rows_in.div_ceil(size),
+                    "stage {}: morsels",
+                    s.name
+                );
+            }
             let max_busy = s.workers.iter().map(|w| w.busy_ms).fold(0.0f64, f64::max);
             assert!(
                 (s.critical_path_ms - max_busy).abs() < 1e-9,
@@ -160,10 +174,6 @@ fn worker_shards_sum_exactly_to_stage_totals() {
             }
         }
         assert!(sharded_stages > 0, "threads={threads}: no sharded stage observed");
-        if threads == 1 {
-            assert_eq!(stats.total_morsels(), 0, "sequential runs cut no morsels");
-            assert_eq!(stats.total_steals(), 0, "sequential runs steal nothing");
-        }
     }
 }
 

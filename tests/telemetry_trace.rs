@@ -123,13 +123,13 @@ fn worker_gauges_are_exact_under_parallel_execution() {
     // sampled racily; now each worker publishes an exact private shard at
     // stage finalize, so the gauges must be internally consistent — docs sum
     // to rows_in, the critical path is the longest worker's busy time and
-    // never exceeds the stage wall time, and steals never exceed morsels.
+    // never exceeds the stage wall time, and every morsel holds a document.
     let seed = 46;
     let ctx = Context::new();
     let corpus = Corpus::ntsb(seed, 16);
     ctx.register_corpus("ntsb", &corpus);
     // Parallel ingest *and* parallel question execution.
-    ctx.set_parallelism(4, 2, StealPolicy::Ring);
+    ctx.set_workers(4);
     let client = LlmClient::new(Arc::new(MockLlm::new(&GPT4_SIM, SimConfig::with_seed(seed))));
     ingest_lake(&ctx, "ntsb", "ntsb", &client, luna::ntsb_schema(), Detector::DetrSim).unwrap();
     let luna = Luna::new(
@@ -138,7 +138,6 @@ fn worker_gauges_are_exact_under_parallel_execution() {
         LunaConfig {
             sim: SimConfig::with_seed(seed),
             exec_workers: 4,
-            exec_morsel_size: 2,
             ..LunaConfig::default()
         },
     )
@@ -200,8 +199,8 @@ fn worker_gauges_are_exact_under_parallel_execution() {
             }
         }
         assert!(
-            span.gauge("steals") <= span.gauge("morsels"),
-            "stage {}: every steal is a morsel",
+            span.gauge("morsels") <= span.counter("rows_in") as f64,
+            "stage {}: every morsel holds a document",
             span.name
         );
     }

@@ -54,7 +54,6 @@ fn one_shot_client() -> LlmClient {
 fn context(threads: usize) -> Context {
     let ctx = Context::new().with_exec(ExecConfig {
         threads,
-        morsel_size: 4,
         fail_rate: 0.2,
         max_retries: 10,
         ..ExecConfig::default()
