@@ -6,8 +6,6 @@
 //! [`LineageRecord`] to the documents it touches; Luna's execution traces
 //! aggregate them per operator.
 
-use crate::value::Value;
-
 /// One step in a document's provenance chain.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LineageRecord {
@@ -44,53 +42,5 @@ impl LineageRecord {
         self.llm_calls = calls;
         self.cost_usd = cost_usd;
         self
-    }
-
-    /// Serializes to a JSON value for traces and materialization.
-    pub fn to_value(&self) -> Value {
-        crate::obj! {
-            "transform" => self.transform.as_str(),
-            "detail" => self.detail.as_str(),
-            "sources" => self.sources.clone(),
-            "llm_calls" => self.llm_calls as i64,
-            "cost_usd" => self.cost_usd,
-        }
-    }
-
-    /// Parses a record serialized by [`LineageRecord::to_value`].
-    pub fn from_value(v: &Value) -> Option<LineageRecord> {
-        Some(LineageRecord {
-            transform: v.get("transform")?.as_str()?.to_string(),
-            detail: v.get("detail")?.as_str()?.to_string(),
-            sources: v
-                .get("sources")?
-                .as_array()?
-                .iter()
-                .filter_map(|s| s.as_str().map(str::to_string))
-                .collect(),
-            llm_calls: v.get("llm_calls")?.as_int()? as u32,
-            cost_usd: v.get("cost_usd")?.as_float()?,
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn value_roundtrip() {
-        let r = LineageRecord::new("llm_filter", "caused by wind")
-            .with_sources(vec!["ntsb-1".into()])
-            .with_llm(2, 0.0031);
-        let v = r.to_value();
-        let back = LineageRecord::from_value(&v).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn from_value_rejects_malformed() {
-        assert!(LineageRecord::from_value(&Value::Null).is_none());
-        assert!(LineageRecord::from_value(&crate::obj! { "transform" => "x" }).is_none());
     }
 }

@@ -1,7 +1,6 @@
 //! Document serialization: the binary codec every persisted document goes
 //! through ([`encode_document`] / [`decode_document`]: DocStore WAL records
-//! and segments, materialize checkpoints), and Document ⇄ JSON for the
-//! partitioner's JSON output mode.
+//! and segments, materialize checkpoints).
 //!
 //! The binary format is little-endian, field by field: `u32` length prefixes,
 //! `0`/`1` option and bool bytes, enum and `Value` tag bytes, floats as raw
@@ -15,7 +14,7 @@ use crate::ids::DocId;
 use crate::lineage::LineageRecord;
 use crate::table::{Cell, Table};
 use crate::value::Value;
-use crate::{arr, obj, ArynError, Result};
+use crate::{ArynError, Result};
 
 /// Deepest `Value` nesting the codec writes or reads.
 pub const MAX_DEPTH: usize = 128;
@@ -219,206 +218,6 @@ impl Codec for Value {
     }
 }
 
-/// Serializes a document to a JSON value.
-pub fn document_to_value(doc: &Document) -> Value {
-    let mut v = obj! {
-        "id" => doc.id.as_str(),
-        "properties" => doc.properties.clone(),
-        "elements" => doc.elements.iter().map(element_to_value).collect::<Vec<_>>(),
-        "lineage" => doc.lineage.iter().map(|l| l.to_value()).collect::<Vec<_>>(),
-    };
-    match &doc.content {
-        DocContent::None => {}
-        DocContent::Text(t) => {
-            v.set_path("content_text", Value::from(t.as_str()));
-        }
-        DocContent::Binary(b) => {
-            // Binary content serializes as an int array (rare; our PDF
-            // stand-in is text).
-            v.set_path(
-                "content_binary",
-                Value::Array(b.iter().map(|x| Value::Int(*x as i64)).collect()),
-            );
-        }
-    }
-    if let Some(e) = &doc.embedding {
-        v.set_path(
-            "embedding",
-            Value::Array(e.iter().map(|x| Value::Float(*x as f64)).collect()),
-        );
-    }
-    v
-}
-
-/// Parses a document serialized by [`document_to_value`].
-pub fn document_from_value(v: &Value) -> Result<Document> {
-    let id = v
-        .get("id")
-        .and_then(Value::as_str)
-        .ok_or_else(|| ArynError::MissingField("id".into()))?;
-    let mut doc = Document::new(id);
-    doc.properties = v.get("properties").cloned().unwrap_or_else(Value::object);
-    if let Some(t) = v.get("content_text").and_then(Value::as_str) {
-        doc.content = DocContent::Text(t.to_string());
-    } else if let Some(b) = v.get("content_binary").and_then(Value::as_array) {
-        doc.content = DocContent::Binary(
-            b.iter()
-                .filter_map(Value::as_int)
-                .map(|x| x as u8)
-                .collect(),
-        );
-    }
-    if let Some(els) = v.get("elements").and_then(Value::as_array) {
-        for e in els {
-            doc.elements.push(element_from_value(e)?);
-        }
-    }
-    if let Some(ls) = v.get("lineage").and_then(Value::as_array) {
-        for l in ls {
-            doc.lineage.push(
-                LineageRecord::from_value(l)
-                    .ok_or_else(|| ArynError::Other("bad lineage record".into()))?,
-            );
-        }
-    }
-    if let Some(e) = v.get("embedding").and_then(Value::as_array) {
-        doc.embedding = Some(e.iter().filter_map(Value::as_float).map(|x| x as f32).collect());
-    }
-    Ok(doc)
-}
-
-fn bbox_to_value(b: &BBox) -> Value {
-    arr![b.x0 as f64, b.y0 as f64, b.x1 as f64, b.y1 as f64]
-}
-
-fn bbox_from_value(v: &Value) -> Option<BBox> {
-    let a = v.as_array()?;
-    if a.len() != 4 {
-        return None;
-    }
-    Some(BBox::new(
-        a[0].as_float()? as f32,
-        a[1].as_float()? as f32,
-        a[2].as_float()? as f32,
-        a[3].as_float()? as f32,
-    ))
-}
-
-fn element_to_value(e: &Element) -> Value {
-    let mut v = obj! {
-        "type" => e.etype.name(),
-        "text" => e.text.as_str(),
-        "page" => e.page as i64,
-        "confidence" => e.confidence as f64,
-        "properties" => e.properties.clone(),
-    };
-    if let Some(b) = &e.bbox {
-        v.set_path("bbox", bbox_to_value(b));
-    }
-    if let Some(t) = &e.table {
-        v.set_path("table", table_to_value(t));
-    }
-    if let Some(i) = &e.image {
-        v.set_path(
-            "image",
-            obj! {
-                "format" => i.format.as_str(),
-                "width_px" => i.width_px as i64,
-                "height_px" => i.height_px as i64,
-                "summary" => i.summary.clone(),
-                "ocr_text" => i.ocr_text.clone(),
-            },
-        );
-    }
-    v
-}
-
-fn element_from_value(v: &Value) -> Result<Element> {
-    let tname = v
-        .get("type")
-        .and_then(Value::as_str)
-        .ok_or_else(|| ArynError::MissingField("element.type".into()))?;
-    let etype = ElementType::from_name(tname)
-        .ok_or_else(|| ArynError::Other(format!("unknown element type {tname:?}")))?;
-    let mut e = Element::text(etype, v.get("text").and_then(Value::as_str).unwrap_or(""));
-    e.page = v.get("page").and_then(Value::as_int).unwrap_or(0) as usize;
-    e.confidence = v.get("confidence").and_then(Value::as_float).unwrap_or(1.0) as f32;
-    e.properties = v.get("properties").cloned().unwrap_or_else(Value::object);
-    e.bbox = v.get("bbox").and_then(bbox_from_value);
-    if let Some(t) = v.get("table") {
-        e.table = Some(table_from_value(t)?);
-    }
-    if let Some(i) = v.get("image") {
-        e.image = Some(ImageInfo {
-            format: i
-                .get("format")
-                .and_then(Value::as_str)
-                .unwrap_or("png")
-                .to_string(),
-            width_px: i.get("width_px").and_then(Value::as_int).unwrap_or(0) as u32,
-            height_px: i.get("height_px").and_then(Value::as_int).unwrap_or(0) as u32,
-            summary: i.get("summary").and_then(Value::as_str).map(str::to_string),
-            ocr_text: i.get("ocr_text").and_then(Value::as_str).map(str::to_string),
-        });
-    }
-    Ok(e)
-}
-
-/// Serializes a table to a JSON value.
-pub fn table_to_value(t: &Table) -> Value {
-    obj! {
-        "rows" => t.rows as i64,
-        "cols" => t.cols as i64,
-        "header_rows" => t.header_rows as i64,
-        "caption" => t.caption.clone(),
-        "cells" => t
-            .cells
-            .iter()
-            .map(|c| {
-                let mut v = obj! {
-                    "row" => c.row as i64,
-                    "col" => c.col as i64,
-                    "text" => c.text.as_str(),
-                    "is_header" => c.is_header,
-                };
-                if let Some(b) = &c.bbox {
-                    v.set_path("bbox", bbox_to_value(b));
-                }
-                v
-            })
-            .collect::<Vec<_>>(),
-    }
-}
-
-/// Parses a table serialized by [`table_to_value`].
-pub fn table_from_value(v: &Value) -> Result<Table> {
-    let get_usize = |k: &str| -> Result<usize> {
-        v.get(k)
-            .and_then(Value::as_int)
-            .map(|i| i as usize)
-            .ok_or_else(|| ArynError::MissingField(format!("table.{k}")))
-    };
-    let mut t = Table {
-        rows: get_usize("rows")?,
-        cols: get_usize("cols")?,
-        header_rows: get_usize("header_rows")?,
-        caption: v.get("caption").and_then(Value::as_str).map(str::to_string),
-        cells: Vec::new(),
-    };
-    if let Some(cells) = v.get("cells").and_then(Value::as_array) {
-        for c in cells {
-            t.cells.push(Cell {
-                row: c.get("row").and_then(Value::as_int).unwrap_or(0) as usize,
-                col: c.get("col").and_then(Value::as_int).unwrap_or(0) as usize,
-                text: c.get("text").and_then(Value::as_str).unwrap_or("").to_string(),
-                bbox: c.get("bbox").and_then(bbox_from_value),
-                is_header: c.get("is_header").and_then(Value::as_bool).unwrap_or(false),
-            });
-        }
-    }
-    Ok(t)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -449,28 +248,23 @@ mod tests {
         d
     }
 
-    #[test]
-    fn document_roundtrip_preserves_everything() {
-        let d = rich_document();
-        let v = document_to_value(&d);
-        let back = document_from_value(&v).unwrap();
-        assert_eq!(back, d);
+    fn roundtrip(d: &Document) -> Document {
+        let mut buf = Vec::new();
+        encode_document(d, &mut buf).unwrap();
+        decode_document(&buf).unwrap()
     }
 
     #[test]
-    fn roundtrip_through_json_text() {
+    fn document_roundtrip_preserves_everything() {
         let d = rich_document();
-        let text = crate::json::to_string(&document_to_value(&d));
-        let back = document_from_value(&crate::json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, d);
+        assert_eq!(roundtrip(&d), d);
     }
 
     #[test]
     fn binary_content_roundtrips() {
         let mut d = Document::new("b");
         d.content = DocContent::Binary(vec![0, 127, 255]);
-        let back = document_from_value(&document_to_value(&d)).unwrap();
-        assert_eq!(back.content, DocContent::Binary(vec![0, 127, 255]));
+        assert_eq!(roundtrip(&d).content, DocContent::Binary(vec![0, 127, 255]));
     }
 
     #[test]
@@ -494,9 +288,12 @@ mod tests {
 
     #[test]
     fn malformed_input_errors() {
-        assert!(document_from_value(&Value::object()).is_err());
-        assert!(document_from_value(&obj! { "id" => 5i64 }).is_err());
-        let bad_el = obj! { "id" => "x", "elements" => vec![Value::object()] };
-        assert!(document_from_value(&bad_el).is_err());
+        assert!(decode_document(&[]).is_err());
+        let mut buf = Vec::new();
+        encode_document(&Document::new("x"), &mut buf).unwrap();
+        // A length prefix larger than the bytes left is refused before
+        // anything is allocated.
+        buf[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode_document(&buf).is_err());
     }
 }

@@ -53,6 +53,7 @@ fn main() {
         },
     ];
     let fixture = Bench18::build(Bench18Cfg::default()).expect("fixture");
+    let knobs = fixture.luna.cost_knobs();
     println!(
         "{:<20} {:>9} {:>11} {:>10} {:>11} {:>12}",
         "variant", "correct", "plausible", "incorrect", "llm calls", "cost (usd)"
@@ -68,7 +69,8 @@ fn main() {
                 i += 1;
                 continue;
             };
-            let optimized = aryn::luna::optimize(&plan, fixture.luna.schemas(), &v.cfg).unwrap();
+            let optimized =
+                aryn::luna::optimize(&plan, fixture.luna.schemas(), &v.cfg, &knobs).unwrap();
             match fixture.luna.execute(&optimized.plan) {
                 Ok(result) => {
                     llm_calls += result.llm().calls;

@@ -45,7 +45,8 @@ fn main() {
         let raw = luna.execute(&plan).unwrap();
         // Full optimizer.
         let opt_cfg = OptimizerCfg::default();
-        let optimized = aryn::luna::optimize(&plan, luna.schemas(), &opt_cfg).unwrap();
+        let optimized =
+            aryn::luna::optimize(&plan, luna.schemas(), &opt_cfg, &luna.cost_knobs()).unwrap();
         let opt = luna.execute(&optimized.plan).unwrap();
         println!(
             "{:>6} {:>14} / {:<6.4} {:>14} / {:<6.4} {:>14.4}",

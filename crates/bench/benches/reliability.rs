@@ -43,7 +43,7 @@ struct Row {
 fn run_scenario(name: &'static str, schedule: ChaosSchedule, calm: &[Document]) -> Row {
     let ctx = Context::new();
     ctx.register_corpus("ntsb", &Corpus::ntsb(7, DOCS));
-    let state = ctx.set_reliability(policy());
+    let state = aryn::aryn_llm::ReliabilityState::new(policy());
     ctx.set_chaos(schedule);
     let fallback = LlmClient::new(Arc::new(MockLlm::new(&LLAMA7B_SIM, SimConfig::perfect(1))))
         .with_reliability(Arc::clone(&state));

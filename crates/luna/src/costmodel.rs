@@ -7,7 +7,7 @@
 //! simulated dollars, and virtual-clock latency. The intervals are a
 //! **checked contract**: an executed node's real [`crate::exec::NodeTrace`]
 //! must land inside them for any worker count, batch width, cache state, or
-//! chaos seed (enforced by the `cost_envelope` proptests). Alongside the
+//! chaos seed (enforced by the `cost_envelope` tests). Alongside the
 //! sound bounds, each node carries clean-run *point estimates* (`expected_*`)
 //! used for feasibility warnings and the predicted-vs-actual bench deltas.
 //!
@@ -673,7 +673,6 @@ pub fn verify(
 /// The cost/liveness verifier packaged as a PR 2 lint rule, so cost
 /// diagnostics flow through the same repair loop, optimizer gate, and
 /// telemetry counters as the semantic lints.
-#[derive(Clone)]
 pub struct CostRules {
     pub knobs: CostKnobs,
     /// Promote hard infeasibility to Error severity

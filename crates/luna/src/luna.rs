@@ -60,8 +60,8 @@ pub struct SessionWiring {
 impl SessionWiring {
     /// A standalone Luna's wiring: no tenant, no fair-share gate, a private
     /// call cache and base reliability state from `cfg`, and the schemas
-    /// and graph of `indexes`. Applies `cfg`'s context-owned knobs first,
-    /// as [`crate::serve::QueryService::new`] does for its sessions.
+    /// and graph of `indexes`. Applies `cfg.exec_workers` first, as
+    /// [`crate::serve::QueryService::new`] does for its sessions.
     fn standalone(
         ctx: &sycamore::Context,
         indexes: &[&str],
@@ -147,13 +147,6 @@ pub struct LunaConfig {
     /// Optional disk tier directory (conventionally the lake dir), written
     /// through the context's VFS: entries persist across sessions and processes.
     pub call_cache_dir: Option<std::path::PathBuf>,
-    /// Cross-document micro-batching width for batchable semantic operators
-    /// (`llmFilter`, `llmExtract`): up to this many documents share one
-    /// packed LLM call. 1 = off (the default; call counts stay exact for
-    /// tests and benchmarks that pin them).
-    pub batch_max_items: usize,
-    /// Token budget for one packed micro-batch payload.
-    pub batch_token_budget: usize,
     /// Reliability policy ([`aryn_llm::reliability`]): per-call timeouts,
     /// a per-question deadline over the simulated clock that planning and
     /// execution both draw down, circuit breakers, and model-degradation
@@ -161,27 +154,20 @@ pub struct LunaConfig {
     /// catalogue tier, ultimately string matching). `None` (the default)
     /// keeps every call unguarded and call counts exact.
     pub reliability: Option<aryn_llm::ReliabilityPolicy>,
-    /// Deterministic fault schedule ([`aryn_llm::chaos`]) injected in front
-    /// of every execution model: rate-limit storms, timeout bursts,
-    /// malformed-JSON streaks, endpoint blackouts. `None` = calm.
-    pub chaos: Option<aryn_llm::ChaosSchedule>,
-    /// Worker threads for the engine's morsel-driven per-document stages.
-    /// Defaults to the host's available parallelism; 1 runs on the calling
-    /// thread in input order, higher counts share every fused per-doc
-    /// segment's morsels among that many workers. Never changes results —
-    /// only wall time and the per-worker telemetry gauges: a stage whose
-    /// LLM client keeps call-order state (an arrival-order `chaos`
-    /// schedule, a `reliability` budget or breaker) runs on one worker
-    /// whatever this says.
+    /// Worker threads for the engine's morsel-driven per-document stages,
+    /// applied to the context by `Luna::new` (the context's own default is
+    /// one worker, for ETL). Defaults to the host's available parallelism.
+    /// Never changes results, only wall time. Batch width and token budget
+    /// (`Context::set_batch`) and the chaos schedule (`Context::set_chaos`)
+    /// are read from the context itself.
     pub exec_workers: usize,
     /// Static cost analysis of every plan ([`CostAnalysis`]).
     pub cost_analysis: CostAnalysis,
     /// Serving-mode wiring ([`SessionWiring`]), injected by
     /// [`crate::serve::QueryService`]. `None` (the default) builds a
-    /// standalone Luna's wiring from this config. The context-owned knobs
-    /// (`exec_workers`, the batch knobs, `chaos`) are applied to the
-    /// context only when this is `None`; a service applies them once for
-    /// all its sessions.
+    /// standalone Luna's wiring from this config. `exec_workers` is applied
+    /// to the context only when this is `None`; a service applies it once
+    /// for all its sessions.
     pub session: Option<SessionWiring>,
 }
 
@@ -195,10 +181,7 @@ impl Default for LunaConfig {
             planner_engine: None,
             call_cache: false,
             call_cache_dir: None,
-            batch_max_items: 1,
-            batch_token_budget: 2048,
             reliability: None,
-            chaos: None,
             exec_workers: std::thread::available_parallelism()
                 .map_or(1, std::num::NonZeroUsize::get),
             cost_analysis: CostAnalysis::Off,
@@ -208,18 +191,11 @@ impl Default for LunaConfig {
 }
 
 impl LunaConfig {
-    /// Applies the context-owned knobs to a live context (the sinks
-    /// survive, unlike `with_exec`): worker count, batch width, chaos
-    /// schedule. A knob left at the context's own default is not touched.
+    /// Applies `exec_workers` to a live context (the sinks survive, unlike
+    /// `with_exec`); one worker leaves the context's own setting alone.
     pub(crate) fn apply_context_knobs(&self, ctx: &sycamore::Context) {
         if self.exec_workers > 1 {
             ctx.set_workers(self.exec_workers);
-        }
-        if self.batch_max_items > 1 {
-            ctx.set_batch(self.batch_max_items, self.batch_token_budget);
-        }
-        if let Some(schedule) = &self.chaos {
-            ctx.set_chaos(schedule.clone());
         }
     }
 }
@@ -231,9 +207,9 @@ pub struct Luna {
     executor: PlanExecutor,
     optimizer: OptimizerCfg,
     call_cache: Option<Arc<LlmCallCache>>,
-    /// The static cost analyzer, when `cost_analysis` is on, over the same
-    /// knobs execution runs under, so its envelope matches how plans run.
-    cost_rules: Option<CostRules>,
+    /// Model for plan nodes that pin none.
+    exec_model: &'static ModelSpec,
+    cost_analysis: CostAnalysis,
     /// The base reliability state and the one slot the planner and every
     /// ladder tier hold. `ask` installs `base.fork()` into the slot, giving
     /// each question fresh budget clocks over the shared breaker board.
@@ -267,13 +243,6 @@ impl Luna {
             let slot = ReliabilitySlot::new(Arc::clone(&base));
             (base, slot)
         });
-        // The optimizer's cost model learns the engine's packing width and
-        // whether degradation ladders exist, so its notes match execution.
-        let mut optimizer = cfg.optimizer.clone();
-        if cfg.batch_max_items > 1 {
-            optimizer.batch_max_items = cfg.batch_max_items;
-        }
-        optimizer.degradation_chain = reliability.is_some();
         // Every client Luna owns shares the call cache (under the session's
         // namespace), the fair-share gate, and the reliability slot, so
         // planning and execution draw on one question budget.
@@ -338,31 +307,14 @@ impl Luna {
         for spec in aryn_llm::ALL_MODELS {
             executor = executor.with_model(spec.name, exec_client(spec));
         }
-        let cost_rules = (cfg.cost_analysis != CostAnalysis::Off).then(|| {
-            let retry = aryn_llm::RetryPolicy::default();
-            CostRules {
-                knobs: CostKnobs {
-                    default_model: cfg.exec_model,
-                    batch_max_items: cfg.batch_max_items.max(1),
-                    batch_token_budget: cfg.batch_token_budget,
-                    max_transient: retry.max_transient,
-                    max_reask: retry.max_reask,
-                    backoff_base_ms: retry.backoff_base_ms,
-                    reliability: reliability.as_ref().map(|(base, _)| base.policy()),
-                    chaos: cfg.chaos.is_some(),
-                    call_cache: call_cache.is_some(),
-                    workers: cfg.exec_workers.max(1),
-                },
-                enforce: cfg.cost_analysis == CostAnalysis::Enforce,
-            }
-        });
         Ok(Luna {
             schemas,
             planner_client,
             executor,
-            optimizer,
+            optimizer: cfg.optimizer,
             call_cache,
-            cost_rules,
+            exec_model: cfg.exec_model,
+            cost_analysis: cfg.cost_analysis,
             reliability,
         })
     }
@@ -418,7 +370,11 @@ impl Luna {
     /// planner is re-prompted once with the rendered diagnostics (the repair
     /// loop) before the question fails.
     pub fn plan(&self, question: &str) -> Result<Plan> {
-        let (plan, analysis) = self.plan_with_analysis(question)?;
+        self.plan_with(question, &self.cost_knobs())
+    }
+
+    fn plan_with(&self, question: &str, knobs: &CostKnobs) -> Result<Plan> {
+        let (plan, analysis) = self.plan_with_analysis(question, knobs)?;
         if analysis.has_errors() {
             return Err(ArynError::InvalidPlan(format!(
                 "plan failed semantic analysis:\n{}",
@@ -432,29 +388,55 @@ impl Luna {
     /// on it — the REPL's `check` command. The repair loop still runs, so a
     /// clean result means "clean after at most one repair".
     pub fn check(&self, question: &str) -> Result<(Plan, Analysis)> {
-        self.plan_with_analysis(question)
+        self.plan_with_analysis(question, &self.cost_knobs())
+    }
+
+    /// The cost-model knobs a question runs under: the context's execution
+    /// settings plus the reliability policy and call cache Luna's execution
+    /// clients carry. Built per question, so settings changed on the
+    /// context after `Luna::new` price and annotate plans too.
+    pub fn cost_knobs(&self) -> CostKnobs {
+        CostKnobs {
+            default_model: self.exec_model,
+            ..CostKnobs::from_context(&self.executor.ctx).with_clients([&self.executor.client])
+        }
     }
 
     /// Analyzes an already-built plan against the discovered schemas. With
     /// `cost_analysis` on, the static cost analyzer's L22–L27 feasibility
     /// and liveness diagnostics join the report.
     pub fn analyze(&self, plan: &Plan) -> Analysis {
-        match &self.cost_rules {
-            Some(rules) => crate::analyze::Analyzer::new()
-                .with_rule(Box::new(rules.clone()))
-                .analyze(plan, &self.schemas),
-            None => crate::analyze::analyze(plan, &self.schemas),
+        self.analyze_with(plan, &self.cost_knobs())
+    }
+
+    fn analyze_with(&self, plan: &Plan, knobs: &CostKnobs) -> Analysis {
+        if self.cost_analysis == CostAnalysis::Off {
+            return crate::analyze::analyze(plan, &self.schemas);
         }
+        let rules = CostRules {
+            knobs: knobs.clone(),
+            enforce: self.cost_analysis == CostAnalysis::Enforce,
+        };
+        crate::analyze::Analyzer::new()
+            .with_rule(Box::new(rules))
+            .analyze(plan, &self.schemas)
     }
 
     /// The static cost report for a plan, when cost analysis is enabled.
     pub fn estimate_cost(&self, plan: &Plan) -> Option<crate::costmodel::CostReport> {
-        self.cost_rules
-            .as_ref()
-            .map(|r| crate::costmodel::estimate(plan, &self.schemas, &r.knobs))
+        self.estimate_with(plan, &self.cost_knobs())
     }
 
-    fn plan_with_analysis(&self, question: &str) -> Result<(Plan, Analysis)> {
+    fn estimate_with(
+        &self,
+        plan: &Plan,
+        knobs: &CostKnobs,
+    ) -> Option<crate::costmodel::CostReport> {
+        (self.cost_analysis != CostAnalysis::Off)
+            .then(|| crate::costmodel::estimate(plan, &self.schemas, knobs))
+    }
+
+    fn plan_with_analysis(&self, question: &str, knobs: &CostKnobs) -> Result<(Plan, Analysis)> {
         let schema_render = if self.schemas.is_empty() {
             Value::object()
         } else {
@@ -505,7 +487,7 @@ impl Luna {
                 Ok(p)
             }) {
                 Ok(plan) => {
-                    let analysis = self.analyze(&plan);
+                    let analysis = self.analyze_with(&plan, knobs);
                     self.record_analysis("analyze:plan", &analysis);
                     if analysis.has_errors() && !repaired {
                         repaired = true;
@@ -568,8 +550,15 @@ impl Luna {
     /// output is re-checked by the analyzer; a pass that breaks the plan is
     /// an error in all build profiles.
     pub fn optimize(&self, plan: &Plan) -> Result<Optimized> {
-        let optimized = optimize(plan, &self.schemas, &self.optimizer)?;
-        self.record_analysis("analyze:optimize", &self.analyze(&optimized.plan));
+        self.optimize_with(plan, &self.cost_knobs())
+    }
+
+    fn optimize_with(&self, plan: &Plan, knobs: &CostKnobs) -> Result<Optimized> {
+        let optimized = optimize(plan, &self.schemas, &self.optimizer, knobs)?;
+        self.record_analysis(
+            "analyze:optimize",
+            &self.analyze_with(&optimized.plan, knobs),
+        );
         let tel = &self.executor.telemetry;
         if tel.is_enabled() {
             let mut span = tel.span("optimize", "optimizer");
@@ -602,11 +591,12 @@ impl Luna {
         }
         let tel = self.executor.telemetry.clone();
         let mark = tel.span_count();
-        let plan = self.plan(question)?;
-        let optimized = self.optimize(&plan)?;
+        let knobs = self.cost_knobs();
+        let plan = self.plan_with(question, &knobs)?;
+        let optimized = self.optimize_with(&plan, &knobs)?;
         // The envelope is computed over the executed (optimized) plan so the
         // per-node intervals line up with the execution traces.
-        let cost = self.estimate_cost(&optimized.plan);
+        let cost = self.estimate_with(&optimized.plan, &knobs);
         let result = self.execute(&optimized.plan)?;
         let trace = tel.spans_since(mark);
         Ok(LunaAnswer {

@@ -15,6 +15,7 @@
 //!    the model catalogue: lexically easy predicates route to the cheap
 //!    model, hard ones (sentiment, vague phrasing) to the strong one.
 
+use crate::costmodel::CostKnobs;
 use crate::ops::{Plan, PlanOp};
 use crate::schema::IndexSchema;
 use aryn_core::{lexicon, ArynError, Result, Value};
@@ -31,17 +32,6 @@ pub struct OptimizerCfg {
     pub model_selection: bool,
     /// Minimum acceptable per-call accuracy when picking a model.
     pub min_accuracy: f64,
-    /// Cross-document micro-batch width the engine will apply to surviving
-    /// semantic operators (1 = off). The cost model doesn't rewrite the plan
-    /// for it — packing happens at execution time — but it notes the
-    /// expected call reduction so `explain_analyze` surfaces the decision.
-    pub batch_max_items: usize,
-    /// Set when the engine runs under a reliability policy with
-    /// model-degradation ladders: the cost model notes each semantic
-    /// operator's fallback route (cheaper catalogue tiers, then string
-    /// matching) so `explain_analyze` shows where a degraded answer could
-    /// come from before it happens.
-    pub degradation_chain: bool,
     /// Remove `llmExtract` nodes whose field the [`crate::costmodel`]
     /// liveness pass proves is never read downstream (the `L27 dead-field`
     /// lint made actionable), recording before/after cost-model deltas.
@@ -56,8 +46,6 @@ impl Default for OptimizerCfg {
             batch_filters: true,
             model_selection: true,
             min_accuracy: 0.85,
-            batch_max_items: 1,
-            degradation_chain: false,
             prune_dead_fields: false,
         }
     }
@@ -70,14 +58,23 @@ pub struct Optimized {
     pub notes: Vec<String>,
 }
 
-/// Runs all enabled passes.
+/// Runs all enabled passes. `knobs` are the settings the plan will run
+/// under: its batch width and reliability policy only add notes (packing
+/// and degradation happen at execution time, and `explain_analyze` shows
+/// both decisions before they happen), and `prune_dead_fields` prices its
+/// rewrite with them.
 ///
 /// Every pass output is re-checked by the semantic analyzer
 /// ([`crate::analyze`]) in all build profiles — a rewrite that hallucinates
 /// a field, breaks the DAG, or changes an operator's input shape is an
 /// `InvalidPlan` error naming the offending pass, never a silently wrong
 /// answer at runtime.
-pub fn optimize(plan: &Plan, schemas: &[IndexSchema], cfg: &OptimizerCfg) -> Result<Optimized> {
+pub fn optimize(
+    plan: &Plan,
+    schemas: &[IndexSchema],
+    cfg: &OptimizerCfg,
+    knobs: &CostKnobs,
+) -> Result<Optimized> {
     let mut plan = plan.clone();
     let mut notes = Vec::new();
     check_pass("input", &plan, schemas)?;
@@ -98,13 +95,13 @@ pub fn optimize(plan: &Plan, schemas: &[IndexSchema], cfg: &OptimizerCfg) -> Res
         check_pass("model-selection", &plan, schemas)?;
     }
     if cfg.prune_dead_fields {
-        prune_dead(&mut plan, schemas, cfg, &mut notes);
+        prune_dead(&mut plan, schemas, knobs, &mut notes);
         check_pass("prune-dead-fields", &plan, schemas)?;
     }
-    if cfg.batch_max_items > 1 {
-        note_batching(&plan, schemas, cfg, &mut notes);
+    if knobs.batch_max_items > 1 {
+        note_batching(&plan, schemas, knobs.batch_max_items, &mut notes);
     }
-    if cfg.degradation_chain {
+    if knobs.reliability.is_some() {
         note_degradation(&plan, &mut notes);
     }
     Ok(Optimized { plan, notes })
@@ -112,10 +109,10 @@ pub fn optimize(plan: &Plan, schemas: &[IndexSchema], cfg: &OptimizerCfg) -> Res
 
 /// Cost-model pass for cross-document micro-batching: estimates the call
 /// reduction each surviving semantic operator gets from packing up to
-/// `batch_max_items` documents per call. Row counts are upper-bounded by the
-/// scanned index's document count (filters only shrink the set), so the
-/// estimate is a ceiling on calls and a floor on savings.
-fn note_batching(plan: &Plan, schemas: &[IndexSchema], cfg: &OptimizerCfg, notes: &mut Vec<String>) {
+/// `k` documents per call. Row counts are upper-bounded by the scanned
+/// index's document count (filters only shrink the set), so the estimate is
+/// a ceiling on calls and a floor on savings.
+fn note_batching(plan: &Plan, schemas: &[IndexSchema], k: usize, notes: &mut Vec<String>) {
     let index_docs = plan.nodes.iter().find_map(|n| match &n.op {
         PlanOp::QueryDatabase { index, .. } => schemas
             .iter()
@@ -123,7 +120,6 @@ fn note_batching(plan: &Plan, schemas: &[IndexSchema], cfg: &OptimizerCfg, notes
             .map(|s| s.doc_count),
         _ => None,
     });
-    let k = cfg.batch_max_items;
     for n in &plan.nodes {
         let kind = match &n.op {
             PlanOp::LlmFilter { .. } => "llmFilter",
@@ -180,12 +176,8 @@ fn note_degradation(plan: &Plan, notes: &mut Vec<String>) {
 /// without changing any answer; iterates to a fixed point because removing
 /// one extract can orphan another's field. The note records the cost-model
 /// delta so `explain_analyze` shows what the rewrite bought.
-fn prune_dead(plan: &mut Plan, schemas: &[IndexSchema], cfg: &OptimizerCfg, notes: &mut Vec<String>) {
-    let knobs = crate::costmodel::CostKnobs {
-        batch_max_items: cfg.batch_max_items.max(1),
-        ..crate::costmodel::CostKnobs::default()
-    };
-    let before = crate::costmodel::estimate(plan, schemas, &knobs);
+fn prune_dead(plan: &mut Plan, schemas: &[IndexSchema], knobs: &CostKnobs, notes: &mut Vec<String>) {
+    let before = crate::costmodel::estimate(plan, schemas, knobs);
     let mut pruned: Vec<(usize, String)> = Vec::new();
     loop {
         let dead = crate::costmodel::dead_extracts(plan);
@@ -220,7 +212,7 @@ fn prune_dead(plan: &mut Plan, schemas: &[IndexSchema], cfg: &OptimizerCfg, note
             "out_{id}: pruned dead llmExtract field {field:?} (liveness: never read downstream)"
         ));
     }
-    let after = crate::costmodel::estimate(plan, schemas, &knobs);
+    let after = crate::costmodel::estimate(plan, schemas, knobs);
     notes.push(format!(
         "prune-dead-fields: predicted calls {} -> {}, tokens {} -> {}, cost {} -> {}",
         before.llm.calls.render(),
@@ -543,11 +535,16 @@ mod tests {
         ]
     }
 
+    /// Optimizes under the default knobs (no batching, no reliability).
+    pub(super) fn run(plan: &Plan, schemas: &[IndexSchema], cfg: &OptimizerCfg) -> Optimized {
+        optimize(plan, schemas, cfg, &CostKnobs::default()).unwrap()
+    }
+
     #[test]
     fn pushdown_converts_state_filter() {
         let planner = RulePlanner::new(schemas());
         let plan = planner.plan_question("How many incidents occurred in Alaska?");
-        let opt = optimize(&plan, &schemas(), &OptimizerCfg::default()).unwrap();
+        let opt = run(&plan, &schemas(), &OptimizerCfg::default());
         assert!(opt
             .plan
             .nodes
@@ -578,7 +575,7 @@ mod tests {
             ],
             result: 1,
         };
-        let opt = optimize(&plan, &schemas(), &OptimizerCfg::default()).unwrap();
+        let opt = run(&plan, &schemas(), &OptimizerCfg::default());
         assert!(matches!(&opt.plan.nodes[1].op, PlanOp::LlmFilter { .. }));
     }
 
@@ -609,7 +606,7 @@ mod tests {
             ],
             result: 3,
         };
-        let opt = optimize(&plan, &schemas(), &OptimizerCfg::default()).unwrap();
+        let opt = run(&plan, &schemas(), &OptimizerCfg::default());
         assert!(matches!(opt.plan.nodes[1].op, PlanOp::RangeFilter { .. }));
         assert!(matches!(opt.plan.nodes[2].op, PlanOp::LlmFilter { .. }));
         assert!(opt.notes.iter().any(|n| n.contains("reordered")));
@@ -623,7 +620,7 @@ mod tests {
         let planner = RulePlanner::new(schemas());
         let plan = planner
             .plan_question("What percent of environmentally caused incidents were due to wind?");
-        let opt = optimize(&plan, &schemas(), &OptimizerCfg { pushdown: false, ..OptimizerCfg::default() }).unwrap();
+        let opt = run(&plan, &schemas(), &OptimizerCfg { pushdown: false, ..OptimizerCfg::default() });
         assert!(matches!(&opt.plan.nodes[0].op, PlanOp::QueryDatabase { .. }));
         opt.plan.validate().unwrap();
     }
@@ -657,7 +654,7 @@ mod tests {
             result: 2,
         };
         let models_at = |min_accuracy: f64| -> Vec<String> {
-            let opt = optimize(
+            let opt = run(
                 &plan,
                 &schemas(),
                 &OptimizerCfg {
@@ -667,8 +664,7 @@ mod tests {
                     min_accuracy,
                     ..OptimizerCfg::default()
                 },
-            )
-            .unwrap();
+            );
             opt.plan
                 .nodes
                 .iter()
@@ -707,7 +703,7 @@ mod tests {
             ],
             result: 1,
         };
-        let opt = optimize(&plan, &schemas(), &OptimizerCfg::default()).unwrap();
+        let opt = run(&plan, &schemas(), &OptimizerCfg::default());
         // Pushdown may not apply ("wind" has no single structured field in
         // this schema? cause_detail exists — but predicate is causal, not
         // named; assert the model stays pinned if the filter survived).
@@ -754,7 +750,7 @@ mod tests {
             result: 3,
         };
         let cfg = OptimizerCfg { prune_dead_fields: true, ..OptimizerCfg::default() };
-        let opt = optimize(&plan, &schemas(), &cfg).unwrap();
+        let opt = run(&plan, &schemas(), &cfg);
         assert!(
             !opt.plan.nodes.iter().any(|n| matches!(n.op, PlanOp::LlmExtract { .. })),
             "dead extract should be spliced out: {:?}",
@@ -772,7 +768,7 @@ mod tests {
         assert!(opt.notes.iter().any(|n| n.contains("prune-dead-fields: predicted calls")));
         opt.plan.validate().unwrap();
         // Off by default: the extract survives.
-        let off = optimize(&plan, &schemas(), &OptimizerCfg::default()).unwrap();
+        let off = run(&plan, &schemas(), &OptimizerCfg::default());
         assert!(off.plan.nodes.iter().any(|n| matches!(n.op, PlanOp::LlmExtract { .. })));
     }
 
@@ -812,7 +808,7 @@ mod tests {
             result: 3,
         };
         let cfg = OptimizerCfg { prune_dead_fields: true, ..OptimizerCfg::default() };
-        let opt = optimize(&plan, &schemas(), &cfg).unwrap();
+        let opt = run(&plan, &schemas(), &cfg);
         assert!(opt.plan.nodes.iter().any(|n| matches!(n.op, PlanOp::LlmExtract { .. })));
         assert!(opt.notes.iter().all(|n| !n.contains("pruned dead")));
     }
@@ -826,6 +822,7 @@ mod tests {
 
 #[cfg(test)]
 mod batch_tests {
+    use super::tests::run;
     use super::*;
     use crate::ops::PlanNode;
 
@@ -864,7 +861,7 @@ mod batch_tests {
             model_selection: false,
             ..OptimizerCfg::default()
         };
-        let opt = optimize(&chain_plan(), &[], &cfg).unwrap();
+        let opt = run(&chain_plan(), &[], &cfg);
         opt.plan.validate().unwrap();
         let filters: Vec<&PlanOp> = opt
             .plan
@@ -915,7 +912,7 @@ mod batch_tests {
             model_selection: false,
             ..OptimizerCfg::default()
         };
-        let opt = optimize(&plan, &[], &cfg).unwrap();
+        let opt = run(&plan, &[], &cfg);
         let n_filters = opt
             .plan
             .nodes
@@ -939,10 +936,10 @@ mod batch_tests {
             reorder: false,
             batch_filters: false,
             model_selection: false,
-            batch_max_items: 4,
             ..OptimizerCfg::default()
         };
-        let opt = optimize(&chain_plan(), &schemas, &cfg).unwrap();
+        let batched = CostKnobs { batch_max_items: 4, ..CostKnobs::default() };
+        let opt = optimize(&chain_plan(), &schemas, &cfg, &batched).unwrap();
         // 10 rows at ≤4 docs/call → ≤3 calls, saving ≥7; one note per
         // semantic operator.
         let batch_notes: Vec<&String> = opt
@@ -953,14 +950,7 @@ mod batch_tests {
         assert_eq!(batch_notes.len(), 2, "{:?}", opt.notes);
         assert!(batch_notes[0].contains("≤10 rows → ≤3 calls, saving ≥7"));
         // Off by default: no notes.
-        let off = optimize(&chain_plan(), &schemas, &OptimizerCfg {
-            pushdown: false,
-            reorder: false,
-            batch_filters: false,
-            model_selection: false,
-            ..OptimizerCfg::default()
-        })
-        .unwrap();
+        let off = run(&chain_plan(), &schemas, &cfg);
         assert!(off.notes.iter().all(|n| !n.contains("micro-batches")));
     }
 

@@ -263,9 +263,8 @@ impl QueryService {
     /// Builds the service over a context whose catalog already holds the
     /// ingested stores named in `indexes`: schemas are discovered and the
     /// knowledge graph is built exactly once, then shared by every session.
-    /// The default context-owned knobs (e.g. [`LunaConfig::exec_workers`])
-    /// are applied to the context here, once; opening a session changes no
-    /// knob.
+    /// The default [`LunaConfig::exec_workers`] is applied to the context
+    /// here, once; opening a session changes no setting.
     pub fn new(ctx: sycamore::Context, indexes: &[&str], cfg: ServeConfig) -> Result<QueryService> {
         LunaConfig::default().apply_context_knobs(&ctx);
         let (schemas, graph) = discover(&ctx, indexes)?;

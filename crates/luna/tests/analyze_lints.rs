@@ -384,7 +384,7 @@ fn optimizer_gate_rejects_a_pass_that_breaks_plans() {
         ],
         result: 1,
     };
-    match luna::optimize(&plan, luna.schemas(), &luna::OptimizerCfg::default()) {
+    match luna::optimize(&plan, luna.schemas(), &luna::OptimizerCfg::default(), &luna.cost_knobs()) {
         Err(aryn_core::ArynError::InvalidPlan(msg)) => {
             assert!(msg.contains("optimizer pass"), "{msg}");
             assert!(msg.contains(codes::UNKNOWN_FIELD), "{msg}");

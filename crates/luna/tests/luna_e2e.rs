@@ -508,8 +508,8 @@ fn repeated_queries_reuse_cached_index_schema() {
     );
 }
 
-/// Micro-batching is answer-preserving end to end: a Luna with
-/// `batch_max_items > 1` returns the same answer as an unbatched one while
+/// Micro-batching is answer-preserving end to end: a Luna over a context
+/// with `batch_max_items > 1` returns the same answer as an unbatched one while
 /// issuing fewer LLM calls, and the savings surface in `explain_analyze`.
 #[test]
 fn micro_batched_queries_answer_identically_and_save_calls() {
@@ -530,13 +530,12 @@ fn micro_batched_queries_answer_identically_and_save_calls() {
             aryn_partitioner::Detector::DetrSim,
         )
         .unwrap();
+        ctx.set_batch(batch, 1 << 20);
         Luna::new(
             ctx,
             &["ntsb"],
             LunaConfig {
                 sim: SimConfig::perfect(7),
-                batch_max_items: batch,
-                batch_token_budget: 1 << 20,
                 optimizer: luna::OptimizerCfg { pushdown: false, ..Default::default() },
                 ..LunaConfig::default()
             },
@@ -579,13 +578,15 @@ fn reliability_chain_degrades_under_blackout_without_changing_the_answer() {
             aryn_partitioner::Detector::DetrSim,
         )
         .unwrap();
+        if let Some(schedule) = chaos {
+            ctx.set_chaos(schedule);
+        }
         Luna::new(
             ctx,
             &["ntsb"],
             LunaConfig {
                 sim: SimConfig::perfect(7),
                 reliability,
-                chaos,
                 // Keep the semantic filter: pushed down it would become a
                 // structured predicate with no LLM calls to degrade.
                 optimizer: luna::OptimizerCfg { pushdown: false, ..Default::default() },

@@ -187,7 +187,7 @@ proptest! {
             model_selection: pass == 3,
             ..OptimizerCfg::default()
         };
-        let optimized = luna::optimize(&plan, luna.schemas(), &cfg).unwrap();
+        let optimized = luna::optimize(&plan, luna.schemas(), &cfg, &luna.cost_knobs()).unwrap();
         let base = luna.execute(&plan).unwrap();
         let opt = luna.execute(&optimized.plan).unwrap();
         prop_assert_eq!(
@@ -223,7 +223,7 @@ proptest! {
             model_selection: pass == 3 || pass == 4,
             ..OptimizerCfg::default()
         };
-        let optimized = luna::optimize(&plan, luna.schemas(), &cfg).unwrap();
+        let optimized = luna::optimize(&plan, luna.schemas(), &cfg, &luna.cost_knobs()).unwrap();
         let out = luna.analyze(&optimized.plan);
         prop_assert!(
             !out.has_errors(),

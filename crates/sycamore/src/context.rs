@@ -11,9 +11,7 @@ use aryn_docgen::Corpus;
 use aryn_index::{
     Catalog, DocStore, HnswIndex, KeywordIndex, StoreConfig, StoreSnapshot, VectorIndex, WalConfig,
 };
-use aryn_llm::{
-    ChaosSchedule, EmbeddingModel, HashedBowEmbedder, ReliabilityPolicy, ReliabilityState,
-};
+use aryn_llm::{ChaosSchedule, EmbeddingModel, HashedBowEmbedder};
 use aryn_telemetry::Telemetry;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -79,10 +77,6 @@ pub(crate) struct ContextInner {
     /// fingerprint of the op-prefix that produced them — so a checkpoint
     /// written by one pipeline shape is never reused by a different one.
     pub materialized: RwLock<BTreeMap<String, Checkpoint>>,
-    /// Shared reliability state (per-query deadline budget + per-model
-    /// circuit breakers). `None` = reliability off; LLM ops built on this
-    /// context attach it when present.
-    pub reliability: RwLock<Option<Arc<ReliabilityState>>>,
     /// Chaos fault schedule wrapped around LLM ops built on this context
     /// (one independent schedule clock per op). `None` = calm.
     pub chaos: RwLock<Option<ChaosSchedule>>,
@@ -137,7 +131,6 @@ impl Context {
                 keyword: RwLock::new(BTreeMap::new()),
                 vector: RwLock::new(BTreeMap::new()),
                 materialized: RwLock::new(BTreeMap::new()),
-                reliability: RwLock::new(None),
                 chaos: RwLock::new(None),
                 embedder,
                 exec: RwLock::new(ExecConfig::default()),
@@ -179,7 +172,6 @@ impl Context {
                 keyword: RwLock::new(BTreeMap::new()),
                 vector: RwLock::new(BTreeMap::new()),
                 materialized: RwLock::new(self.inner.materialized.read().clone()),
-                reliability: RwLock::new(self.inner.reliability.read().clone()),
                 chaos: RwLock::new(self.inner.chaos.read().clone()),
                 embedder: Arc::clone(&self.inner.embedder),
                 exec: RwLock::new(exec),
@@ -197,8 +189,8 @@ impl Context {
 
     /// Adjusts the micro-batching knobs in place. Unlike [`Context::with_exec`],
     /// which starts the index sinks empty because executor settings are an
-    /// ingest-time choice, batching is a query-time concern: Luna applies its
-    /// configured knobs to an existing context without discarding indexes.
+    /// ingest-time choice, batching is a query-time concern: set it on an
+    /// ingested context (Luna's included) without discarding indexes.
     pub fn set_batch(&self, max_items: usize, token_budget: usize) {
         let mut exec = self.inner.exec.write();
         exec.batch_max_items = max_items.max(1);
@@ -215,22 +207,6 @@ impl Context {
     /// says.
     pub fn set_workers(&self, threads: usize) {
         self.inner.exec.write().threads = threads.max(1);
-    }
-
-    /// Installs a reliability policy on this context and returns the shared
-    /// state. LLM ops constructed afterwards attach it: their calls draw
-    /// down one per-query deadline budget and feed per-model circuit
-    /// breakers. Like [`Context::set_batch`] this mutates the live context —
-    /// reliability is a query-time concern.
-    pub fn set_reliability(&self, policy: ReliabilityPolicy) -> Arc<ReliabilityState> {
-        let state = ReliabilityState::new(policy);
-        *self.inner.reliability.write() = Some(Arc::clone(&state));
-        state
-    }
-
-    /// The installed reliability state, if any.
-    pub fn reliability(&self) -> Option<Arc<ReliabilityState>> {
-        self.inner.reliability.read().clone()
     }
 
     /// Installs a chaos fault schedule. Each LLM op constructed afterwards

@@ -8,7 +8,7 @@
 //! simulated dollars, and virtual-clock latency. The bounds are **sound**,
 //! not tight: an executed pipeline's real [`crate::stats::ExecStats`] must
 //! land inside them under any worker count, batch width, cache state, or
-//! chaos schedule (enforced by the `cost_envelope` proptests). Upper bounds
+//! chaos schedule (enforced by the `cost_envelope` tests). Upper bounds
 //! therefore carry retry headroom (every transient retry and JSON re-ask
 //! meters as a real call), degradation-ladder headroom (each fallback tier
 //! runs its own attempt ladder), and micro-batch bisection headroom (a
@@ -16,6 +16,7 @@
 //! whenever a cache hit, circuit breaker, or proactive deadline skip could
 //! legally answer without a metered call.
 
+use crate::context::Context;
 use crate::op::Op;
 use aryn_core::text::count_tokens;
 use aryn_llm::prompt::tasks;
@@ -114,7 +115,9 @@ impl Interval {
 }
 
 /// Execution knobs the cost estimators read — this module's and
-/// `luna::costmodel`'s. The retry fields mirror [`aryn_llm::RetryPolicy`];
+/// `luna::costmodel`'s. Built by [`CostKnobs::from_context`] from the
+/// settings the engine runs with, then [`CostKnobs::with_clients`] adds what
+/// the op clients carry. The retry fields mirror [`aryn_llm::RetryPolicy`];
 /// `reliability`, `chaos` and `call_cache` widen the bounds for execution
 /// modes where calls can legally vanish (cache hits, breaker/deadline skips)
 /// or multiply (chaos-driven retries walking a fallback ladder).
@@ -158,6 +161,30 @@ impl Default for CostKnobs {
 }
 
 impl CostKnobs {
+    /// The knobs a pipeline on `ctx` runs under: its `ExecConfig`'s workers
+    /// and batch width/budget, and whether a chaos schedule is installed.
+    pub fn from_context(ctx: &Context) -> CostKnobs {
+        let exec = ctx.exec_config();
+        CostKnobs {
+            workers: exec.threads,
+            batch_max_items: exec.batch_max_items,
+            batch_token_budget: exec.batch_token_budget,
+            chaos: ctx.chaos().is_some(),
+            ..CostKnobs::default()
+        }
+    }
+
+    /// Adds what `clients` (and their fallback tiers) carry: the first
+    /// enabled reliability policy, and whether any tier has a call cache.
+    pub fn with_clients<'a>(mut self, clients: impl IntoIterator<Item = &'a LlmClient>) -> Self {
+        for tier in clients.into_iter().flat_map(LlmClient::fallback_chain) {
+            let policy = tier.reliability().map(|s| s.policy());
+            self.reliability = self.reliability.or(policy.filter(|p| p.enabled()));
+            self.call_cache |= tier.cache().is_some();
+        }
+        self
+    }
+
     /// Whether at least one metered call per item is guaranteed: nothing is
     /// installed that can answer from a cache, a breaker, or a skip.
     pub fn calls_guaranteed(&self) -> bool {

@@ -68,24 +68,12 @@ impl DocSet {
     }
 
     /// Statically estimates this pipeline's cost envelope ([`crate::cost`])
-    /// for `input_docs` entering documents. Batch width, worker count, and
-    /// the reliability/chaos flags are read from the live context so the
-    /// bounds match how the pipeline would actually execute.
+    /// for `input_docs` entering documents, under the context's execution
+    /// settings and the reliability policy and call cache the op clients
+    /// carry.
     pub fn estimate_cost(&self, input_docs: usize) -> crate::cost::PipelineCost {
-        let exec = self.ctx.exec_config();
-        let knobs = crate::cost::CostKnobs {
-            workers: exec.threads,
-            batch_max_items: exec.batch_max_items,
-            batch_token_budget: exec.batch_token_budget,
-            reliability: self.ctx.reliability().map(|s| s.policy()),
-            chaos: self.ctx.chaos().is_some(),
-            call_cache: self
-                .ops
-                .iter()
-                .filter_map(Op::client)
-                .any(|c| c.fallback_chain().iter().any(|t| t.cache().is_some())),
-            ..crate::cost::CostKnobs::default()
-        };
+        let knobs = crate::cost::CostKnobs::from_context(&self.ctx)
+            .with_clients(self.ops.iter().filter_map(Op::client));
         crate::cost::estimate(&self.ops, input_docs, &knobs)
     }
 
@@ -94,22 +82,15 @@ impl DocSet {
         self
     }
 
-    /// Clones a client into an op, applying the context's reliability state
-    /// (when the client carries none of its own) and wrapping the model in
-    /// the context's chaos schedule (each op gets a fresh fault clock).
-    /// Fallback tiers inside the client keep their own wiring — chaos
-    /// targets the endpoint the op talks to first.
+    /// Clones a client into an op, wrapping the model in the context's
+    /// chaos schedule (each op gets a fresh fault clock). Fallback tiers
+    /// inside the client keep their own wiring — chaos targets the endpoint
+    /// the op talks to first.
     fn attach(&self, client: &LlmClient) -> LlmClient {
-        let mut c = client.clone();
-        if c.reliability().is_none() {
-            if let Some(state) = self.ctx.reliability() {
-                c = c.with_reliability(state);
-            }
+        match self.ctx.chaos() {
+            Some(schedule) => client.clone().with_chaos(schedule),
+            None => client.clone(),
         }
-        if let Some(schedule) = self.ctx.chaos() {
-            c = c.with_chaos(schedule);
-        }
-        c
     }
 
     // --- core transforms ---------------------------------------------------

@@ -132,8 +132,9 @@ proptest! {
     #[test]
     fn document_serialization_roundtrips(docs in docs_strategy()) {
         for d in &docs {
-            let v = aryn_core::serialize::document_to_value(d);
-            let back = aryn_core::serialize::document_from_value(&v).unwrap();
+            let mut bytes = Vec::new();
+            aryn_core::serialize::encode_document(d, &mut bytes).unwrap();
+            let back = aryn_core::serialize::decode_document(&bytes).unwrap();
             prop_assert_eq!(&back, d);
         }
     }

@@ -28,10 +28,10 @@
 //! 5. **Diagnostic-code doc check.** Every analyzer code
 //!    ([`luna::analyze::codes::ALL`]) and pipeline lint code
 //!    ([`sycamore::lint::codes::ALL`]) must be documented in `DESIGN.md`.
-//! 6. **Knob-table check.** Every `pub` field of `luna::LunaConfig` has a
-//!    row in README's knob table whose "Where" cell names
-//!    `luna::LunaConfig`, and every `LunaConfig` field the table names
-//!    exists.
+//! 6. **Knob-table check.** Every `pub` field of `luna::LunaConfig` and
+//!    `sycamore::ExecConfig` has a row in README's knob table whose "Where"
+//!    cell names the struct, and every field the table names for either
+//!    struct exists.
 //!
 //! `lint --plans` is the plan-feasibility pass: it builds the bench18
 //! fixture at smoke corpus sizes, plans every question with the static cost
@@ -515,26 +515,43 @@ fn doc_code_check(root: &Path, failures: &mut Vec<String>) -> Result<(), String>
 
 // --- README knob-table check ------------------------------------------------
 
-const CONFIG_PATH: &str = "luna::LunaConfig";
+/// The config structs README's knob table documents: (source file, struct
+/// name, path the table's "Where" cell names it by).
+const KNOB_STRUCTS: [(&str, &str, &str); 2] = [
+    ("crates/luna/src/luna.rs", "LunaConfig", "luna::LunaConfig"),
+    (
+        "crates/sycamore/src/context.rs",
+        "ExecConfig",
+        "sycamore::ExecConfig",
+    ),
+];
 
 fn knob_table_check(root: &Path, failures: &mut Vec<String>) -> Result<(), String> {
     let read = |rel: &str| {
         fs::read_to_string(root.join(rel)).map_err(|e| format!("cannot read {rel}: {e}"))
     };
-    let fields = pub_fields(&read("crates/luna/src/luna.rs")?, "LunaConfig")
-        .ok_or("crates/luna/src/luna.rs: no `pub struct LunaConfig`")?;
-    let rows = table_fields(&read("README.md")?, CONFIG_PATH);
-    for field in &fields {
-        if !rows.contains(field) {
-            failures.push(format!("README.md: knob table has no row for `{CONFIG_PATH}.{field}`"));
-        }
-    }
-    for name in &rows {
-        if !fields.contains(name) {
-            failures.push(format!("README.md: knob table names `{CONFIG_PATH}.{name}`, not a field"));
-        }
+    let readme = read("README.md")?;
+    for (file, name, path) in KNOB_STRUCTS {
+        let fields =
+            pub_fields(&read(file)?, name).ok_or(format!("{file}: no `pub struct {name}`"))?;
+        failures.extend(knob_table_drift(&readme, &fields, path));
     }
     Ok(())
+}
+
+/// README rows missing for `fields`, and rows naming a `path` field that
+/// does not exist.
+fn knob_table_drift(readme: &str, fields: &[String], path: &str) -> Vec<String> {
+    let rows = table_fields(readme, path);
+    let missing = fields
+        .iter()
+        .filter(|f| !rows.contains(*f))
+        .map(|f| format!("README.md: knob table has no row for `{path}.{f}`"));
+    let unknown = rows
+        .iter()
+        .filter(|r| !fields.contains(r))
+        .map(|r| format!("README.md: knob table names `{path}.{r}`, not a field"));
+    missing.chain(unknown).collect()
 }
 
 /// The `pub` field names of `pub struct {name} { … }` in `src`, in order;
@@ -606,6 +623,28 @@ pub struct Other {
 ";
         let names: Vec<String> = table_fields(table, "luna::LunaConfig").into_iter().collect();
         assert_eq!(names, vec!["a", "b", "exec_workers"]);
+        // The same table read for the engine's struct: a bare path names the
+        // row's knobs, and drift is reported both ways.
+        let names: Vec<String> = table_fields(table, "sycamore::ExecConfig")
+            .into_iter()
+            .collect();
+        assert_eq!(names, vec!["threads"]);
+        let exec = vec!["threads".to_string(), "seed".to_string()];
+        assert_eq!(
+            knob_table_drift(table, &exec, "sycamore::ExecConfig"),
+            vec!["README.md: knob table has no row for `sycamore::ExecConfig.seed`"]
+        );
+        assert_eq!(
+            knob_table_drift(table, &exec[..0], "sycamore::ExecConfig"),
+            vec!["README.md: knob table names `sycamore::ExecConfig.threads`, not a field"]
+        );
+        for (file, name, _) in KNOB_STRUCTS {
+            let src = fs::read_to_string(repo_root().join(file)).unwrap();
+            assert!(
+                pub_fields(&src, name).is_some_and(|f| !f.is_empty()),
+                "{file}: {name}"
+            );
+        }
     }
 
     #[test]

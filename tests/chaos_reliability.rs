@@ -19,8 +19,8 @@ use aryn_docgen::stream::extracted_document;
 use aryn_docgen::Corpus;
 use aryn_index::DocStore;
 use aryn_llm::{
-    ChaosSchedule, FaultKind, LlmClient, MockLlm, ReliabilityPolicy, SimConfig, UsageStats, GPT4_SIM,
-    LLAMA7B_SIM,
+    ChaosSchedule, FaultKind, LlmClient, MockLlm, ReliabilityPolicy, ReliabilityState, SimConfig,
+    UsageStats, GPT4_SIM, LLAMA7B_SIM,
 };
 use luna::{Luna, LunaConfig, Plan, PlanNode, PlanOp};
 use proptest::prelude::*;
@@ -61,7 +61,7 @@ fn chaotic_extract(
     ladder: bool,
 ) -> (Result<(Vec<Document>, ExecStats), ArynError>, LlmClient) {
     let ctx = corpus_ctx(n);
-    let state = ctx.set_reliability(policy);
+    let state = ReliabilityState::new(policy);
     ctx.set_chaos(schedule);
     let mut client = perfect_client().with_reliability(Arc::clone(&state));
     if ladder {
@@ -158,11 +158,11 @@ fn deadline_exhaustion_degrades_filter_to_string_match() {
     // a perfect sim both tiers agree, so the kept set matches calm — but
     // the route is recorded, never silent.
     let ctx = corpus_ctx(10);
-    ctx.set_reliability(ReliabilityPolicy {
+    let state = ReliabilityState::new(ReliabilityPolicy {
         deadline_ms: 1_000.0, // ~2 gpt-4-sim calls at 450ms base latency
         ..ReliabilityPolicy::default()
     });
-    let client = perfect_client();
+    let client = perfect_client().with_reliability(Arc::clone(&state));
     let (docs, stats) = ctx
         .read_lake("ntsb")
         .unwrap()
@@ -189,7 +189,6 @@ fn deadline_exhaustion_degrades_filter_to_string_match() {
         .all(|d| degraded(d) == Some("string-match")));
     // The structured error is reachable directly: a drained budget refuses
     // further calls with DeadlineExceeded, not a generic failure.
-    let state = ctx.reliability().unwrap();
     state.charge(10_000.0);
     match state.check_deadline() {
         Err(ArynError::DeadlineExceeded { budget_ms, .. }) => assert_eq!(budget_ms, 1_000.0),
@@ -300,9 +299,9 @@ fn luna_run(seed: u64, workers: usize) -> LunaRun {
         })
         .collect();
     ctx.put_store("ntsb", store);
+    ctx.set_chaos(ChaosSchedule::from_seed(seed, 80, 0.7));
     let cfg = LunaConfig {
         sim: SimConfig::perfect(1),
-        chaos: Some(ChaosSchedule::from_seed(seed, 80, 0.7)),
         reliability: Some(ReliabilityPolicy {
             call_timeout_ms: 10_000.0,
             deadline_ms: 40_000.0,

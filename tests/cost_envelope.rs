@@ -13,26 +13,35 @@
 //! Latency intervals are deliberately *not* asserted — `wall_ms` is host
 //! wall time, not the simulated clock the latency envelope models.
 
+use aryn::aryn_llm::ReliabilityState;
 use aryn::prelude::*;
 use luna::{ntsb_schema, CostAnalysis, Plan, PlanNode, PlanOp};
-use proptest::prelude::*;
 use std::sync::Arc;
 
 const SEED: u64 = 11;
 const N_DOCS: usize = 10;
 
-/// Ingests a small NTSB corpus and builds Luna with the given execution
-/// knobs and cost analysis on.
-fn build_luna(workers: usize, batch: usize, cache: bool, chaotic: bool) -> Luna {
+/// A context holding a small ingested NTSB store.
+fn ingested_ctx() -> Context {
     let ctx = Context::new();
     ctx.register_corpus("ntsb", &Corpus::ntsb(SEED, N_DOCS));
     let client = LlmClient::new(Arc::new(MockLlm::new(&GPT4_SIM, SimConfig::with_seed(SEED))));
     ingest_lake(&ctx, "ntsb", "ntsb", &client, ntsb_schema(), Detector::DetrSim).unwrap();
+    ctx
+}
+
+/// Builds Luna with cost analysis on over a fresh ingested context whose
+/// batch width and chaos schedule are set on the context, as callers do.
+fn build_luna(workers: usize, batch: usize, cache: bool, chaotic: bool) -> Luna {
+    let ctx = ingested_ctx();
+    ctx.set_batch(batch, 2048);
+    if chaotic {
+        ctx.set_chaos(ChaosSchedule::from_seed(SEED, 60, 0.4));
+    }
     let cfg = LunaConfig {
         sim: SimConfig::with_seed(SEED),
         cost_analysis: CostAnalysis::Analyze,
         exec_workers: workers,
-        batch_max_items: batch,
         call_cache: cache,
         reliability: chaotic.then(|| ReliabilityPolicy {
             // A roomy deadline: degradation stays possible (widening the
@@ -40,7 +49,6 @@ fn build_luna(workers: usize, batch: usize, cache: bool, chaotic: bool) -> Luna 
             deadline_ms: 10_000_000.0,
             ..ReliabilityPolicy::standard()
         }),
-        chaos: chaotic.then(|| ChaosSchedule::from_seed(SEED, 60, 0.4)),
         ..LunaConfig::default()
     };
     Luna::new(ctx, &["ntsb"], cfg).unwrap()
@@ -219,25 +227,56 @@ fn assert_envelope(luna: &Luna, plan: &Plan, label: &str, may_fail: bool) {
     );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+/// Every execution knob combination × every plan shape: the envelope holds
+/// everywhere. Each cell gets a fresh Luna, so a cached run never sees
+/// another cell's warm entries.
+#[test]
+fn executed_traces_land_inside_the_static_intervals() {
+    for workers in [1usize, 2, 4] {
+        for batch in [1usize, 3, 4] {
+            for cache in [false, true] {
+                for (plan_idx, plan) in plan_pool().iter().enumerate() {
+                    let luna = build_luna(workers, batch, cache, false);
+                    assert_envelope(
+                        &luna,
+                        plan,
+                        &format!("workers={workers} batch={batch} cache={cache} plan={plan_idx}"),
+                        false,
+                    );
+                }
+            }
+        }
+    }
+}
 
-    /// Random execution knobs × plan shapes: the envelope holds everywhere.
-    #[test]
-    fn executed_traces_land_inside_the_static_intervals(
-        workers in prop_oneof![Just(1usize), Just(2), Just(4)],
-        batch in prop_oneof![Just(1usize), Just(3), Just(4)],
-        cache in any::<bool>(),
-        plan_idx in 0usize..4,
-    ) {
-        let luna = build_luna(workers, batch, cache, false);
-        let plan = &plan_pool()[plan_idx];
-        assert_envelope(
-            &luna,
-            plan,
-            &format!("workers={workers} batch={batch} cache={cache} plan={plan_idx}"),
-            false,
-        );
+/// Batch width set on the context before or after `Luna::new` prices and
+/// annotates plans: the envelope holds for the per-row LLM plans and the
+/// optimizer notes the micro-batching.
+#[test]
+fn context_knobs_reach_the_envelope_and_the_optimizer() {
+    for set_before in [true, false] {
+        let ctx = ingested_ctx();
+        if set_before {
+            ctx.set_batch(4, 1 << 20);
+        }
+        let cfg = LunaConfig {
+            sim: SimConfig::with_seed(SEED),
+            cost_analysis: CostAnalysis::Analyze,
+            ..LunaConfig::default()
+        };
+        let luna = Luna::new(ctx.clone(), &["ntsb"], cfg).unwrap();
+        if !set_before {
+            ctx.set_batch(4, 1 << 20);
+        }
+        for (plan_idx, plan) in plan_pool().iter().enumerate().skip(1).take(2) {
+            let label = format!("set_before={set_before} plan={plan_idx}");
+            assert_envelope(&luna, plan, &label, false);
+            let notes = luna.optimize(plan).unwrap().notes;
+            assert!(
+                notes.iter().any(|n| n.contains("micro-batches up to 4 docs/call")),
+                "{label}: no micro-batch note in {notes:?}"
+            );
+        }
     }
 }
 
@@ -251,9 +290,8 @@ fn chaotic_runs_stay_inside_the_envelope() {
     }
 }
 
-/// One Luna over all plan shapes with every cost-relevant knob at defaults:
-/// the cheap smoke CI runs on every push (`COST_ENVELOPE_SMOKE` mirrors it
-/// through the bench harness).
+/// One Luna over all plan shapes with every cost-relevant knob at defaults,
+/// so a cache-off Luna also sees the plans run one after another.
 #[test]
 fn default_knobs_cover_all_plan_shapes() {
     let luna = build_luna(1, 1, false, false);
@@ -316,6 +354,44 @@ fn sycamore_pipeline_totals_stay_inside_the_mirror_estimate() {
             est.llm.cost_usd.render()
         );
     }
+}
+
+/// A client that carries its own reliability state, on a context without
+/// one, is priced as able to skip calls: a deadline that runs out part-way
+/// degrades later documents to string matching with no metered call, and
+/// the estimate still contains the executed totals.
+#[test]
+fn client_reliability_reaches_the_mirror_estimate() {
+    let ctx = Context::new();
+    ctx.register_corpus("ntsb", &Corpus::ntsb(SEED, N_DOCS));
+    let state = ReliabilityState::new(ReliabilityPolicy {
+        deadline_ms: 1_000.0,
+        ..ReliabilityPolicy::default()
+    });
+    let client = LlmClient::new(Arc::new(MockLlm::new(&GPT4_SIM, SimConfig::perfect(1))))
+        .with_reliability(state);
+    let docset = ctx.read_lake("ntsb").unwrap().llm_filter(&client, "caused by wind");
+    let est = docset.estimate_cost(N_DOCS);
+    let (_, stats) = docset.collect_stats().unwrap();
+    assert!(stats.llm().degraded_docs > 0, "the deadline must run out: {stats:?}");
+    assert!(
+        est.llm.calls.contains(stats.llm().calls as f64),
+        "calls {} outside {}",
+        stats.llm().calls,
+        est.llm.calls.render()
+    );
+    assert!(
+        est.llm.total_tokens().contains(stats.llm().usage.tokens() as f64),
+        "tokens {} outside {}",
+        stats.llm().usage.tokens(),
+        est.llm.total_tokens().render()
+    );
+    assert!(
+        est.llm.cost_usd.contains(stats.llm().usage.cost_usd),
+        "cost {} outside {}",
+        stats.llm().usage.cost_usd,
+        est.llm.cost_usd.render()
+    );
 }
 
 /// The `CostAnalysis::Enforce` gate: a deadline the optimistic latency bound

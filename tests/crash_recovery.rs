@@ -69,12 +69,20 @@ fn store_cfg() -> StoreConfig {
     }
 }
 
-fn canon(d: &Document) -> String {
-    aryn_core::json::to_string(&aryn_core::serialize::document_to_value(d))
+fn canon(d: &Document) -> Vec<u8> {
+    let mut out = Vec::new();
+    aryn_core::serialize::encode_document(d, &mut out).unwrap();
+    out
+}
+
+/// Whether a canonical encoding is a document of category "even".
+fn is_even(c: &[u8]) -> bool {
+    let d = aryn_core::serialize::decode_document(c).unwrap();
+    d.prop("cat").and_then(|v| v.as_str()) == Some("even")
 }
 
 /// The reference state after applying the first `j` steps.
-fn model_after(steps: &[Step], j: usize) -> BTreeMap<String, String> {
+fn model_after(steps: &[Step], j: usize) -> BTreeMap<String, Vec<u8>> {
     let mut m = BTreeMap::new();
     for step in &steps[..j] {
         match step {
@@ -90,7 +98,7 @@ fn model_after(steps: &[Step], j: usize) -> BTreeMap<String, String> {
     m
 }
 
-fn snapshot_map(store: &DocStore) -> BTreeMap<String, String> {
+fn snapshot_map(store: &DocStore) -> BTreeMap<String, Vec<u8>> {
     store.scan().map(|d| (d.id.0.clone(), canon(d))).collect()
 }
 
@@ -137,7 +145,7 @@ fn assert_consistent_prefix(recovered: &DocStore, steps: &[Step], acked: usize, 
     let recovered_even: Vec<&String> = {
         let mut v: Vec<&String> = got
             .iter()
-            .filter(|(_, c)| c.contains("\"cat\":\"even\""))
+            .filter(|(_, c)| is_even(c))
             .map(|(id, _)| id)
             .collect();
         v.sort();
@@ -146,15 +154,15 @@ fn assert_consistent_prefix(recovered: &DocStore, steps: &[Step], acked: usize, 
     let model_even: Vec<&String> = {
         let mut v: Vec<&String> = model
             .iter()
-            .filter(|(_, c)| c.contains("\"cat\":\"even\""))
+            .filter(|(_, c)| is_even(c))
             .map(|(id, _)| id)
             .collect();
         v.sort();
         v
     };
     assert_eq!(recovered_even, model_even, "{label}: filter answers diverge at prefix {j}");
-    let facet = |m: &BTreeMap<String, String>| -> (usize, usize) {
-        let even = m.values().filter(|c| c.contains("\"cat\":\"even\"")).count();
+    let facet = |m: &BTreeMap<String, Vec<u8>>| -> (usize, usize) {
+        let even = m.values().filter(|c| is_even(c)).count();
         (even, m.len() - even)
     };
     assert_eq!(facet(&got), facet(&model), "{label}: facet counts diverge at prefix {j}");

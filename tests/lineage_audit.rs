@@ -3,7 +3,6 @@
 //! of intermediate results" (§2).
 
 use aryn::prelude::*;
-use aryn_core::Value;
 use std::sync::Arc;
 
 fn client(seed: u64) -> LlmClient {
@@ -136,10 +135,10 @@ fn audit_can_reconstruct_why_a_document_was_kept() {
         assert_eq!(rec.detail, "caused by environmental factors");
         assert!(rec.llm_calls >= 1);
     }
-    // And the serialized form carries it too.
-    let v = aryn_core::serialize::document_to_value(&kept[0]);
-    let lineage = v.get("lineage").unwrap().as_array().unwrap();
-    assert!(lineage
-        .iter()
-        .any(|l| l.get("transform").and_then(Value::as_str) == Some("llm_filter")));
+    // And it survives the binary codec persisted documents go through.
+    let mut bytes = Vec::new();
+    aryn_core::serialize::encode_document(&kept[0], &mut bytes).unwrap();
+    let back = aryn_core::serialize::decode_document(&bytes).unwrap();
+    assert_eq!(back.lineage, kept[0].lineage);
+    assert!(back.lineage.iter().any(|l| l.transform == "llm_filter"));
 }
