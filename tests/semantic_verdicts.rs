@@ -7,7 +7,13 @@
 
 use aryn::prelude::*;
 use aryn_docgen::stream::extracted_document;
-use aryn_llm::semantics::{eval_predicate, find_cause, sentiment, weather_related};
+use aryn_llm::model::{LanguageModel, LlmRequest};
+use aryn_llm::prompt::tasks;
+use aryn_llm::semantics::{
+    answer_question, classify, eval_predicate, extract_field, find_cause, sentiment, summarize,
+    weather_related,
+};
+use luna::luna::{earnings_schema, ntsb_schema};
 
 /// One predicate per branch of `eval_predicate`: causal details, categories
 /// and free phrases, weather, fatalities, CEO change, both sentiments,
@@ -63,6 +69,77 @@ fn render() -> String {
 fn semantic_verdicts_match_the_golden_file() {
     let got = render();
     let want = include_str!("golden/semantics_verdicts.golden");
+    for (n, (g, w)) in got.lines().zip(want.lines()).enumerate() {
+        assert_eq!(g, w, "golden line {}", n + 1);
+    }
+    assert_eq!(got.lines().count(), want.lines().count());
+}
+
+/// Questions for `answer_question`, one per answer shape: city, date,
+/// person, count, percent and free evidence.
+const QUESTIONS: &[&str] = &[
+    "Where did the accident occur?",
+    "When did it happen?",
+    "Who is the new CEO?",
+    "How many occupants were fatally injured?",
+    "What percent did revenue grow?",
+    "What was the probable cause?",
+];
+
+/// Three lines per document: every schema field through `extract_field`;
+/// the simulated completion of one extraction prompt with its token counts;
+/// then `classify` over the cause categories and the sentiments, and the
+/// FNV-1a hashes of `summarize` and of each `answer_question` reply (with
+/// its evidence position).
+fn render_extraction() -> String {
+    let model = MockLlm::new(&LLAMA7B_SIM, SimConfig::with_seed(7));
+    let causes: Vec<String> = ["environmental", "mechanical", "pilot error", "other"].map(String::from).to_vec();
+    let moods: Vec<String> = ["positive", "negative", "neutral"].map(String::from).to_vec();
+    let hash = |s: &str| aryn_core::fnv1a(s.as_bytes());
+    let mut out = String::new();
+    for seed in 1..=3 {
+        for (name, corpus, schema) in [
+            ("ntsb", Corpus::ntsb(seed, 200), ntsb_schema()),
+            ("earnings", Corpus::earnings(seed, 200), earnings_schema()),
+        ] {
+            let fields = schema.as_object().expect("a schema is an object");
+            for d in &corpus.docs {
+                let text = extracted_document(d).full_text();
+                let tag = format!("{name}{seed} {}", d.id);
+                out.push_str(&tag);
+                for (field, ftype) in fields {
+                    let v = extract_field(field, ftype.as_str().unwrap_or("string"), &text);
+                    out.push_str(&format!(" {field}={}", aryn_core::json::to_string(&v)));
+                }
+                let r = model.generate(&LlmRequest::new(tasks::extract(&schema, &text))).expect("no transient faults at seed 7");
+                out.push_str(&format!(
+                    "\n{tag} completion {:?} in={} out={}\n",
+                    r.text, r.usage.input_tokens, r.usage.output_tokens
+                ));
+                out.push_str(&format!(
+                    "{tag} classify={:?}/{:?} summary={:016x}",
+                    classify(&causes, &text),
+                    classify(&moods, &text),
+                    hash(&summarize("cause of the accident and outlook", &text, 3))
+                ));
+                for q in QUESTIONS {
+                    let (a, pos) = answer_question(q, &text);
+                    out.push_str(&format!(" {:016x}@{pos:?}", hash(&a)));
+                }
+                out.push('\n');
+            }
+        }
+    }
+    out
+}
+
+/// `golden/extraction.golden` was written by this same `render_extraction`
+/// at the commit before the recognizers shared one tokenized reading of the
+/// document, when each lexicon entry re-tokenized the context.
+#[test]
+fn extraction_matches_the_golden_file() {
+    let got = render_extraction();
+    let want = include_str!("golden/extraction.golden");
     for (n, (g, w)) in got.lines().zip(want.lines()).enumerate() {
         assert_eq!(g, w, "golden line {}", n + 1);
     }
