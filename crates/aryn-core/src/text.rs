@@ -11,10 +11,20 @@ fn scan_tokens(
     mut on_token: impl FnMut(&mut String) -> bool,
 ) -> bool {
     cur.clear();
-    for c in text.chars() {
-        if c.is_ascii_alphanumeric() {
-            cur.push(c.to_ascii_lowercase());
-        } else if !c.is_ascii() && c.is_alphanumeric() {
+    let mut rest = text;
+    while !rest.is_empty() {
+        // A run of ASCII letters and digits is copied and lowercased whole.
+        let run = rest.bytes().position(|b| !b.is_ascii_alphanumeric()).unwrap_or(rest.len());
+        if run > 0 {
+            let start = cur.len();
+            cur.push_str(&rest[..run]);
+            cur[start..].make_ascii_lowercase();
+            rest = &rest[run..];
+            continue;
+        }
+        let Some(c) = rest.chars().next() else { break };
+        rest = &rest[c.len_utf8()..];
+        if !c.is_ascii() && c.is_alphanumeric() {
             // Some lowercasings expand to combining marks; keep only
             // alphanumeric output so tokens stay clean.
             cur.extend(c.to_lowercase().filter(|lc| lc.is_alphanumeric()));
@@ -148,7 +158,7 @@ pub fn stem(token: &str) -> String {
 
 /// [`stem`] on an owned token: truncates and appends, never reallocates
 /// (no replacement is longer than its suffix).
-fn stem_in_place(token: &mut String) {
+pub fn stem_in_place(token: &mut String) {
     let last = token.as_bytes().last().copied();
     for (suffix, replace) in STEM_RULES {
         // The last byte first: most rules are out after one comparison.
@@ -215,19 +225,24 @@ pub fn count_tokens(text: &str) -> usize {
 /// `char::is_whitespace` is exactly space and `\t`..=`\r`) and decoding only
 /// the characters in between.
 fn count_words(text: &str) -> usize {
+    let ws = |b: u8| matches!(b, b' ' | b'\t'..=b'\r');
     // A word starts at every non-whitespace character after whitespace.
     let (mut words, mut prev_ws) = (0, true);
-    let mut step = |ws: bool| {
-        words += usize::from(prev_ws && !ws);
-        prev_ws = ws;
-    };
     let mut rest = text;
     while !rest.is_empty() {
         let ascii = rest.bytes().position(|b| !b.is_ascii()).unwrap_or(rest.len());
-        rest[..ascii].bytes().for_each(|b| step(matches!(b, b' ' | b'\t'..=b'\r')));
+        let run = &rest.as_bytes()[..ascii];
+        if let (Some(&first), Some(&last)) = (run.first(), run.last()) {
+            // Each byte pair on its own, with nothing carried from one pair
+            // to the next, so the count vectorizes.
+            let starts: usize = run.iter().zip(&run[1..]).map(|(&a, &b)| usize::from(ws(a) && !ws(b))).sum();
+            words += starts + usize::from(prev_ws && !ws(first));
+            prev_ws = ws(last);
+        }
         rest = &rest[ascii..];
         if let Some(c) = rest.chars().next() {
-            step(c.is_whitespace());
+            words += usize::from(prev_ws && !c.is_whitespace());
+            prev_ws = c.is_whitespace();
             rest = &rest[c.len_utf8()..];
         }
     }

@@ -157,7 +157,8 @@ mod tests {
         for i in 0..n {
             let r = EarningsRecord::generate(13, i);
             let (doc, _) = render(&r);
-            let text = doc.full_text();
+            let full_text = doc.full_text();
+            let text = aryn_llm::semantics::Reading::new(&full_text);
             if aryn_llm::semantics::find_company(&text).as_deref() == Some(r.company.as_str()) {
                 company_ok += 1;
             }
@@ -226,6 +227,7 @@ mod tests {
         let r = EarningsRecord::generate(2, 0);
         let text = render(&r).0.full_text();
         assert!(text.contains(&format!("({})", r.ticker)));
-        assert_eq!(aryn_llm::semantics::find_ticker(&text), Some(r.ticker.clone()));
+        let reading = aryn_llm::semantics::Reading::new(&text);
+        assert_eq!(aryn_llm::semantics::find_ticker(&reading), Some(r.ticker.clone()));
     }
 }

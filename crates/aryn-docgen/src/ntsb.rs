@@ -254,7 +254,8 @@ mod tests {
         for i in 0..n {
             let r = NtsbRecord::generate(11, i);
             let (doc, _) = render(&r);
-            let text = doc.full_text();
+            let full_text = doc.full_text();
+            let text = aryn_llm::semantics::Reading::new(&full_text);
             if aryn_llm::semantics::find_state(&text).as_deref() == Some(r.state.as_str()) {
                 state_ok += 1;
             }

@@ -19,7 +19,7 @@
 use crate::model::{LanguageModel, LlmRequest, LlmResponse, Usage};
 use crate::prompt::{build_prompt, parse_batch_params, parse_prompt, split_batch_items, ParsedTask};
 use crate::registry::{ModelSpec, TaskKind};
-use crate::semantics;
+use crate::semantics::{self, Reading};
 use aryn_core::text::count_tokens;
 use aryn_core::{lexicon, obj, stable_hash, ArynError, Result, Value};
 use rand::rngs::StdRng;
@@ -209,9 +209,11 @@ impl MockLlm {
                 let schema = task.params.get("schema").cloned().unwrap_or(Value::object());
                 let mut out = std::collections::BTreeMap::new();
                 if let Some(fields) = schema.as_object() {
+                    // Every field reads the context through one reading.
+                    let context = Reading::new(&task.context);
                     for (name, ftype) in fields {
                         let t = ftype.as_str().unwrap_or("string");
-                        out.insert(name.clone(), semantics::extract_field(name, t, &task.context));
+                        out.insert(name.clone(), semantics::extract_field(name, t, &context));
                     }
                 }
                 Value::Object(out)
@@ -222,7 +224,7 @@ impl MockLlm {
                     .get("predicate")
                     .and_then(Value::as_str)
                     .unwrap_or("");
-                obj! { "match" => semantics::eval_predicate(pred, &task.context) }
+                obj! { "match" => semantics::eval_predicate(pred, &Reading::new(&task.context)) }
             }
             TaskKind::Classify => {
                 let labels: Vec<String> = task
@@ -231,7 +233,7 @@ impl MockLlm {
                     .and_then(Value::as_array)
                     .map(|a| a.iter().filter_map(|v| v.as_str().map(str::to_string)).collect())
                     .unwrap_or_default();
-                let label = semantics::classify(&labels, &task.context);
+                let label = semantics::classify(&labels, &Reading::new(&task.context));
                 obj! { "label" => label }
             }
             TaskKind::Summarize => {
@@ -499,14 +501,15 @@ impl LanguageModel for MockLlm {
             Err(_) => "I'm not sure what you are asking for. Could you clarify?".to_string(),
         };
         let mut text = text;
+        let mut output_tokens = count_tokens(&text);
         // Enforce the completion cap. An instruction-following model aims
         // to fit its budget: shrink the longest string field of a JSON
         // completion first; only freestyle text gets hard-truncated
         // (a finish_reason=length analogue).
-        if count_tokens(&text) > req.max_tokens {
+        if output_tokens > req.max_tokens {
             text = shrink_completion(&text, req.max_tokens);
+            output_tokens = count_tokens(&text);
         }
-        let output_tokens = count_tokens(&text);
         let cost_usd = input_tokens as f64 / 1000.0 * self.spec.usd_per_1k_input
             + output_tokens as f64 / 1000.0 * self.spec.usd_per_1k_output;
         let latency_ms = self.spec.base_latency_ms

@@ -5,19 +5,302 @@
 //! context* using lexicons and surface patterns — never on hidden ground
 //! truth. The error model in [`crate::mock`] sits on top and decides when to
 //! corrupt an honest result; this module is deterministic and RNG-free.
+//!
+//! A model call reads its context once: the recognizers share one
+//! [`Reading`] of it, and every lexicon is tokenized once per process and
+//! matched in one pass over the reading's words.
 
 use aryn_core::lexicon;
-use aryn_core::text::{
-    analyze, any_analyzed, any_token, contains_term, sentence_spans, sentences, stem, tokenize,
-};
+use aryn_core::text::{analyze, any_token, is_stopword, sentence_spans, sentences, stem, stem_in_place, tokenize};
 use aryn_core::Value;
 use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::sync::OnceLock;
+
+/// One read of a context, shared by every recognizer a model call runs.
+/// Each view — the lowercased words, the analyzed terms, the sentence
+/// spans, the lowercased text and the causal region — is built the first
+/// time a recognizer asks for it, and only then.
+pub struct Reading<'a> {
+    text: Cow<'a, str>,
+    words: OnceCell<Words>,
+    terms: OnceCell<Words>,
+    sentences: OnceCell<Vec<(usize, usize)>>,
+    lower: OnceCell<String>,
+    causal: OnceCell<Option<Box<Reading<'static>>>>,
+}
+
+impl<'a> Reading<'a> {
+    pub fn new(text: &'a str) -> Reading<'a> {
+        Reading::of(Cow::Borrowed(text))
+    }
+
+    fn of(text: Cow<'a, str>) -> Reading<'a> {
+        Reading {
+            text,
+            words: OnceCell::new(),
+            terms: OnceCell::new(),
+            sentences: OnceCell::new(),
+            lower: OnceCell::new(),
+            causal: OnceCell::new(),
+        }
+    }
+
+    pub fn text(&self) -> &str {
+        &self.text
+    }
+
+    /// Whether `term`'s words occur in the text as a run of whole words,
+    /// case-insensitively ([`aryn_core::text::contains_term`]).
+    pub fn contains_term(&self, term: &str) -> bool {
+        self.words().contains(&tokenize(term))
+    }
+
+    /// The words [`tokenize`] returns.
+    fn words(&self) -> &Words {
+        self.words.get_or_init(|| {
+            let mut w = Words::with_capacity(self.text.len());
+            any_token(&self.text, |t| {
+                w.push(t);
+                false
+            });
+            w
+        })
+    }
+
+    /// The terms [`analyze`] returns: the words less stopwords, stemmed.
+    fn terms(&self) -> &Words {
+        self.terms.get_or_init(|| {
+            let words = self.words();
+            let mut terms = Words::with_capacity(words.buf.len());
+            let mut term = String::new();
+            for w in words.iter().filter(|w| !is_stopword(w)) {
+                term.clear();
+                term.push_str(w);
+                stem_in_place(&mut term);
+                terms.push(&term);
+            }
+            terms
+        })
+    }
+
+    /// The sentences [`sentence_spans`] returns.
+    fn sentences(&self) -> impl Iterator<Item = &str> {
+        let spans = self.sentences.get_or_init(|| {
+            let base = self.text.as_ptr() as usize;
+            sentence_spans(&self.text)
+                .map(|s| (s.as_ptr() as usize - base, s.len()))
+                .collect()
+        });
+        spans.iter().map(|&(at, len)| &self.text[at..at + len])
+    }
+
+    /// `text.to_lowercase()`.
+    fn lower(&self) -> &str {
+        self.lower.get_or_init(|| self.text.to_lowercase())
+    }
+
+    /// The sentences around causal markers — where a report states its
+    /// cause — joined by spaces, or the whole text when none has a marker.
+    fn causal(&self) -> &Reading<'a> {
+        let region = self.causal.get_or_init(|| {
+            let (mut out, mut lower) = (String::new(), String::new());
+            for s in self.sentences() {
+                if CAUSAL_MARKERS.iter().any(|m| lowercase_into(s, &mut lower).contains(m)) {
+                    out.push_str(s);
+                    out.push(' ');
+                }
+            }
+            (!out.is_empty()).then(|| Box::new(Reading::of(Cow::Owned(out))))
+        });
+        match region {
+            Some(causal) => causal,
+            None => self,
+        }
+    }
+}
+
+/// Words laid end to end in one buffer: word `i` is
+/// `buf[ends[i - 1]..ends[i]]`.
+struct Words {
+    buf: String,
+    ends: Vec<u32>,
+}
+
+impl Words {
+    /// Room for the words of a `text_len`-byte text without regrowing.
+    fn with_capacity(text_len: usize) -> Words {
+        Words { buf: String::with_capacity(text_len), ends: Vec::with_capacity(text_len / 4 + 1) }
+    }
+
+    fn push(&mut self, word: &str) {
+        self.buf.push_str(word);
+        self.ends.push(self.buf.len() as u32);
+    }
+
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn get(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.buf[start..self.ends[i] as usize]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &str> {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    fn has(&self, word: &str) -> bool {
+        self.iter().any(|w| w == word)
+    }
+
+    /// Whether `needle` occurs as a run starting at word `i`.
+    fn run_at(&self, i: usize, needle: &[String]) -> bool {
+        i + needle.len() <= self.len() && needle.iter().enumerate().all(|(k, n)| self.get(i + k) == n)
+    }
+
+    /// Whether `needle` occurs as a run anywhere; never for an empty needle.
+    fn contains(&self, needle: &[String]) -> bool {
+        !needle.is_empty() && (0..self.len()).any(|i| self.run_at(i, needle))
+    }
+}
+
+/// At most 64 lexicon entries, each tokenized once, indexed by first word:
+/// one pass over a text's words finds every entry that occurs in it.
+struct Lexicon {
+    needles: Vec<Vec<String>>,
+    /// `(first word, entry)` for every non-empty needle, sorted.
+    first: Vec<(String, usize)>,
+    /// [`bloom_bit`] of every first word: most words miss the index here,
+    /// before a binary search.
+    bloom: [u64; 4],
+}
+
+/// A word's bit in a [`Lexicon`]'s 256-bit filter, from its length and its
+/// first and last bytes.
+fn bloom_bit(word: &str) -> usize {
+    let b = word.as_bytes();
+    let (first, last) = (*b.first().unwrap_or(&0) as usize, *b.last().unwrap_or(&0) as usize);
+    (b.len() * 31 + first * 7 + last) & 255
+}
+
+impl Lexicon {
+    fn new<'s>(entries: impl IntoIterator<Item = &'s str>) -> Lexicon {
+        let needles: Vec<Vec<String>> = entries.into_iter().map(tokenize).collect();
+        assert!(needles.len() <= 64, "a lexicon holds at most 64 entries");
+        let mut first: Vec<(String, usize)> =
+            needles.iter().enumerate().filter_map(|(k, n)| Some((n.first()?.clone(), k))).collect();
+        first.sort_unstable();
+        let mut bloom = [0u64; 4];
+        for (w, _) in &first {
+            let bit = bloom_bit(w);
+            bloom[bit / 64] |= 1 << (bit % 64);
+        }
+        Lexicon { needles, first, bloom }
+    }
+
+    /// Which entries occur in `words` as runs of whole words: bit `k` for
+    /// entry `k`.
+    fn hits(&self, words: &Words) -> u64 {
+        let mut hits = 0u64;
+        for i in 0..words.len() {
+            let w = words.get(i);
+            let bit = bloom_bit(w);
+            if self.bloom[bit / 64] & (1 << (bit % 64)) == 0 {
+                continue;
+            }
+            let from = self.first.partition_point(|(f, _)| f.as_str() < w);
+            for (_, k) in self.first[from..].iter().take_while(|(f, _)| f == w) {
+                if words.run_at(i, &self.needles[*k]) {
+                    hits |= 1 << k;
+                }
+            }
+        }
+        hits
+    }
+
+    /// The first entry, in lexicon order, that occurs in `words`.
+    fn first_hit(&self, words: &Words) -> Option<usize> {
+        let hits = self.hits(words);
+        (hits != 0).then(|| hits.trailing_zeros() as usize)
+    }
+
+    /// Whether entry `k` occurs in `words`.
+    fn occurs(&self, words: &Words, k: usize) -> bool {
+        words.contains(&self.needles[k])
+    }
+}
+
+/// The lexicons the recognizers match, built once per process.
+struct Lexicons {
+    cities: Lexicon,
+    states: Lexicon,
+    /// Every detail cause, category by category.
+    causes: Lexicon,
+    /// Bit mask over `causes` of each category's details.
+    cause_masks: Vec<u64>,
+    categories: Lexicon,
+    /// The environmental details, then "weather" and "environmental".
+    weather: Lexicon,
+    phases: Lexicon,
+    sectors: Lexicon,
+    /// The sentiment cue stems, positive first: matched against terms.
+    cues: Lexicon,
+}
+
+fn lexicons() -> &'static Lexicons {
+    static LEXICONS: OnceLock<Lexicons> = OnceLock::new();
+    LEXICONS.get_or_init(|| {
+        let mut cause_masks = Vec::new();
+        let mut next = 0;
+        for (_, details) in lexicon::CAUSES {
+            cause_masks.push(((1u64 << details.len()) - 1) << next);
+            next += details.len();
+        }
+        let env = lexicon::CAUSES.iter().find(|(c, _)| *c == "environmental").map_or(&[][..], |(_, d)| *d);
+        let cue_stems: Vec<String> =
+            lexicon::POSITIVE_CUES.iter().chain(lexicon::NEGATIVE_CUES).map(|c| stem(c)).collect();
+        Lexicons {
+            cities: Lexicon::new(lexicon::CITIES.iter().map(|(c, _)| *c)),
+            states: Lexicon::new(lexicon::US_STATES.iter().map(|(_, full)| *full)),
+            causes: Lexicon::new(lexicon::CAUSES.iter().flat_map(|(_, d)| d.iter().copied())),
+            cause_masks,
+            categories: Lexicon::new(lexicon::CAUSES.iter().map(|(c, _)| *c)),
+            weather: Lexicon::new(env.iter().copied().chain(["weather", "environmental"])),
+            phases: Lexicon::new(lexicon::FLIGHT_PHASES.iter().copied()),
+            sectors: Lexicon::new(lexicon::SECTORS.iter().copied()),
+            cues: Lexicon::new(cue_stems.iter().map(String::as_str)),
+        }
+    })
+}
+
+/// `s.to_lowercase()`, written into `buf`; an ASCII `s` is lowercased
+/// bytewise.
+fn lowercase_into<'b>(s: &str, buf: &'b mut String) -> &'b str {
+    buf.clear();
+    if s.is_ascii() {
+        buf.push_str(s);
+        buf.make_ascii_lowercase();
+    } else {
+        buf.push_str(&s.to_lowercase());
+    }
+    buf
+}
+
+/// `s.to_lowercase().starts_with(prefix)` for a lowercase ASCII `prefix`,
+/// reading no more of `s` than the prefix is long when that much is ASCII.
+fn lower_starts_with(s: &str, prefix: &str) -> bool {
+    match s.as_bytes().get(..prefix.len()) {
+        Some(head) if head.is_ascii() => head.eq_ignore_ascii_case(prefix.as_bytes()),
+        _ => s.to_lowercase().starts_with(prefix),
+    }
+}
 
 /// Extracts one schema field from context text, dispatching on the field
 /// name the way an instruction-following model keys off the schema.
 /// Returns [`Value::Null`] when nothing plausible is found.
-pub fn extract_field(name: &str, ftype: &str, context: &str) -> Value {
+pub fn extract_field(name: &str, ftype: &str, context: &Reading) -> Value {
     let lname = name.to_lowercase();
     // Domain-specific recognizers, most specific first.
     if lname.contains("state") {
@@ -106,9 +389,9 @@ pub fn extract_field(name: &str, ftype: &str, context: &str) -> Value {
     }
     // Generic fallbacks by declared type.
     match ftype {
-        "bool" => Value::Bool(contains_term(context, &lname.replace('_', " "))),
-        "int" => first_number(context).map(|n| Value::Int(n as i64)).unwrap_or(Value::Null),
-        "float" | "number" => first_number(context).map(Value::Float).unwrap_or(Value::Null),
+        "bool" => Value::Bool(context.contains_term(&lname.replace('_', " "))),
+        "int" => first_number(context.text()).map(|n| Value::Int(n as i64)).unwrap_or(Value::Null),
+        "float" | "number" => first_number(context.text()).map(Value::Float).unwrap_or(Value::Null),
         _ => {
             // Best sentence mentioning the field-name words.
             let terms = lname.replace('_', " ");
@@ -118,7 +401,7 @@ pub fn extract_field(name: &str, ftype: &str, context: &str) -> Value {
 }
 
 /// Evaluates a natural-language yes/no predicate against context.
-pub fn eval_predicate(predicate: &str, context: &str) -> bool {
+pub fn eval_predicate(predicate: &str, context: &Reading) -> bool {
     let p = predicate.to_lowercase();
     // Batched conjunctions (the optimizer fuses filters with this marker):
     // every part must hold.
@@ -155,9 +438,9 @@ pub fn eval_predicate(predicate: &str, context: &str) -> bool {
     // about that sector at all, even without the literal word "sector"
     // nearby ("a slowdown in AI spending").
     if p.contains("sector") {
-        for name in lexicon::SECTORS {
+        for (k, name) in lexicon::SECTORS.iter().enumerate() {
             if p.contains(&name.to_lowercase()) {
-                return contains_term(context, name);
+                return lexicons().sectors.occurs(context.words(), k);
             }
         }
     }
@@ -183,48 +466,24 @@ pub fn eval_predicate(predicate: &str, context: &str) -> bool {
     !negated(&terms, context)
 }
 
-/// Which of `terms` occur among `text`'s analyzed terms, one bit each (bit
-/// `k` for `terms[k]`): `analyze(text).contains(&terms[k])` for every `k`,
-/// with the text streamed instead of collected and the scan stopped once
-/// every term has been seen. At most 64 terms.
-fn analyzed_hits(terms: &[String], text: &str) -> u64 {
-    debug_assert!(terms.len() <= 64);
-    let all = match terms.len() {
-        64 => u64::MAX,
-        n => (1u64 << n) - 1,
-    };
-    let mut seen = 0u64;
-    any_analyzed(text, |t| {
-        for (k, term) in terms.iter().enumerate() {
-            if term == t {
-                seen |= 1 << k;
-            }
-        }
-        seen == all
-    });
-    seen
-}
-
-/// How many entries of `terms` occur among `text`'s analyzed terms.
-fn terms_present(terms: &[String], text: &str) -> usize {
-    if terms.len() <= 64 {
-        return analyzed_hits(terms, text).count_ones() as usize;
-    }
-    let tokens = analyze(text);
-    terms.iter().filter(|t| tokens.contains(t)).count()
+/// How many entries of `terms` occur among the context's analyzed terms.
+fn terms_present(terms: &[String], context: &Reading) -> usize {
+    let have = context.terms();
+    terms.iter().filter(|t| have.has(t)).count()
 }
 
 /// True when the cause description in `context` matches `target`, which may
 /// be a detail cause ("wind"), a category ("environmental factors"), or a
 /// free phrase.
-pub fn cause_matches(target: &str, context: &str) -> bool {
-    let causal = causal_region(context);
+pub fn cause_matches(target: &str, context: &Reading) -> bool {
+    let causal = context.causal();
     let t = target.to_lowercase();
     // Category-level match: "environmental factors" ⊇ {wind, fog, ...}.
-    for (cat, details) in lexicon::CAUSES {
+    let lex = lexicons();
+    for (k, (cat, _)) in lexicon::CAUSES.iter().enumerate() {
         if t.contains(cat) || (*cat == "pilot error" && t.contains("pilot")) {
-            return details.iter().any(|d| contains_term(&causal, d))
-                || contains_term(&causal, cat);
+            return lex.causes.hits(causal.words()) & lex.cause_masks[k] != 0
+                || lex.categories.occurs(causal.words(), k);
         }
     }
     // Detail-level match on the causal region first, whole document second.
@@ -232,60 +491,35 @@ pub fn cause_matches(target: &str, context: &str) -> bool {
     if terms.is_empty() {
         return false;
     }
-    terms_present(&terms, &causal) * 2 >= terms.len().max(1)
+    terms_present(&terms, causal) * 2 >= terms.len().max(1)
 }
 
 /// Sentence markers of a report's causal statement.
 const CAUSAL_MARKERS: &[&str] =
     &["probable cause", "caused by", "due to", "result of", "resulted in", "failure to"];
 
-/// The sentences around causal markers — where a report states its cause —
-/// or the whole context when none has a marker. Each sentence is lowercased
-/// into one reused buffer for the marker test.
-fn causal_region(context: &str) -> Cow<'_, str> {
-    let mut out = String::new();
-    let mut lower = String::new();
-    for s in sentence_spans(context) {
-        lower.clear();
-        if s.is_ascii() {
-            lower.push_str(s);
-            lower.make_ascii_lowercase();
-        } else {
-            lower.extend(s.chars().flat_map(char::to_lowercase));
-        }
-        if CAUSAL_MARKERS.iter().any(|m| lower.contains(m)) {
-            out.push_str(s);
-            out.push(' ');
-        }
-    }
-    if out.is_empty() {
-        Cow::Borrowed(context)
-    } else {
-        Cow::Owned(out)
-    }
-}
-
 /// Picks the best label for the context from a closed set.
-pub fn classify(labels: &[String], context: &str) -> Option<String> {
+pub fn classify(labels: &[String], context: &Reading) -> Option<String> {
+    let lex = lexicons();
     let mut best: Option<(usize, f64)> = None;
     for (i, label) in labels.iter().enumerate() {
         let mut score = 0.0;
         // Direct term hits.
-        let terms = analyze(label);
-        let ctx_tokens = analyze(context);
-        for t in &terms {
-            if ctx_tokens.contains(t) {
+        for t in &analyze(label) {
+            if context.terms().has(t) {
                 score += 1.0;
             }
         }
         // Category expansion via the cause lexicon.
-        for (cat, details) in lexicon::CAUSES {
-            if label.to_lowercase().contains(cat) {
-                score += details.iter().filter(|d| contains_term(context, d)).count() as f64 * 1.5;
+        let label = label.to_lowercase();
+        for (k, (cat, _)) in lexicon::CAUSES.iter().enumerate() {
+            if label.contains(cat) {
+                let details = lex.causes.hits(context.words()) & lex.cause_masks[k];
+                score += details.count_ones() as f64 * 1.5;
             }
         }
         // Sentiment labels.
-        match label.to_lowercase().as_str() {
+        match label.as_str() {
             "positive" => score += pos_neg(context).0 as f64 * 0.5,
             "negative" => score += pos_neg(context).1 as f64 * 0.5,
             _ => {}
@@ -398,7 +632,7 @@ pub fn answer_question(question: &str, context: &str) -> (String, f64) {
         }
     }
     if ql.contains("percent") || ql.contains("%") {
-        if let Some(p) = find_percent(sentence, &[]) {
+        if let Some(p) = find_percent(&Reading::new(sentence), &[]) {
             return (format!("{p}%"), position);
         }
     }
@@ -407,29 +641,30 @@ pub fn answer_question(question: &str, context: &str) -> (String, f64) {
     let neighbourhood = || {
         let lo = idx.saturating_sub(3);
         let hi = (idx + 4).min(sents.len());
-        sents[lo..hi].join(" ")
+        Reading::of(Cow::Owned(sents[lo..hi].join(" ")))
     };
+    let (in_sentence, in_passage) = (Reading::new(sentence), Reading::new(context));
     if ql.starts_with("where") || ql.contains("which city") || ql.contains("what city") {
-        if let Some(city) = find_city(sentence)
+        if let Some(city) = find_city(&in_sentence)
             .or_else(|| find_city(&neighbourhood()))
-            .or_else(|| find_city(context))
+            .or_else(|| find_city(&in_passage))
         {
             return (city, position);
         }
-        if let Some(st) = find_state(sentence).or_else(|| find_state(&neighbourhood())) {
+        if let Some(st) = find_state(&in_sentence).or_else(|| find_state(&neighbourhood())) {
             return (st, position);
         }
     }
     if ql.starts_with("when") {
-        if let Some(d) = find_date(sentence)
+        if let Some(d) = find_date(&in_sentence)
             .or_else(|| find_date(&neighbourhood()))
-            .or_else(|| find_date(context))
+            .or_else(|| find_date(&in_passage))
         {
             return (d, position);
         }
     }
     if ql.starts_with("who") {
-        if let Some(name) = find_person(sentence) {
+        if let Some(name) = find_person(&in_sentence) {
             return (name, position);
         }
     }
@@ -673,17 +908,15 @@ pub fn find_json_field_value(question: &str, row_text: &str) -> Option<String> {
 // ---------------------------------------------------------------------------
 
 /// US state abbreviation: prefers ", XX" renderings, falls back to full names.
-pub fn find_state(context: &str) -> Option<String> {
+pub fn find_state(context: &Reading) -> Option<String> {
     // ", AK." / ", AK," / ", AK " patterns.
-    let bytes = context.as_bytes();
+    let context_text = context.text();
+    let bytes = context_text.as_bytes();
     let mut i = 0;
     while i + 4 <= bytes.len() {
-        if bytes[i] == b',' && bytes[i + 1] == b' ' {
-            let cand = &context[i + 2..(i + 4).min(context.len())];
-            if cand.len() == 2
-                && cand.chars().all(|c| c.is_ascii_uppercase())
-                && lexicon::is_state_abbrev(cand)
-            {
+        // `get`: the two bytes after ", " may end inside a character.
+        if let (b',', b' ', Some(cand)) = (bytes[i], bytes[i + 1], context_text.get(i + 2..i + 4)) {
+            if cand.chars().all(|c| c.is_ascii_uppercase()) && lexicon::is_state_abbrev(cand) {
                 let after = bytes.get(i + 4).copied().unwrap_or(b' ');
                 if !(after as char).is_ascii_alphanumeric() {
                     return Some(cand.to_string());
@@ -692,25 +925,19 @@ pub fn find_state(context: &str) -> Option<String> {
         }
         i += 1;
     }
-    for (ab, full) in lexicon::US_STATES {
-        if contains_term(context, full) {
-            return Some((*ab).to_string());
-        }
-    }
-    None
+    let k = lexicons().states.first_hit(context.words())?;
+    Some(lexicon::US_STATES[k].0.to_string())
 }
 
 /// A known city name appearing in the text.
-pub fn find_city(context: &str) -> Option<String> {
-    lexicon::CITIES
-        .iter()
-        .find(|(city, _)| contains_term(context, city))
-        .map(|(city, _)| (*city).to_string())
+pub fn find_city(context: &Reading) -> Option<String> {
+    let k = lexicons().cities.first_hit(context.words())?;
+    Some(lexicon::CITIES[k].0.to_string())
 }
 
 /// FAA registration ("N" + digits + letters).
-pub fn find_registration(context: &str) -> Option<String> {
-    for word in context.split(|c: char| !(c.is_ascii_alphanumeric())) {
+pub fn find_registration(context: &Reading) -> Option<String> {
+    for word in context.text().split(|c: char| !(c.is_ascii_alphanumeric())) {
         if word.len() >= 4
             && word.len() <= 6
             && word.starts_with('N')
@@ -729,7 +956,8 @@ const MONTHS: &[&str] = &[
 ];
 
 /// "Month D, YYYY" date, normalized to `YYYY-MM-DD`.
-pub fn find_date(context: &str) -> Option<String> {
+pub fn find_date(context: &Reading) -> Option<String> {
+    let context = context.text();
     for (mi, month) in MONTHS.iter().enumerate() {
         let mut start = 0;
         while let Some(pos) = context[start..].find(month) {
@@ -751,8 +979,8 @@ pub fn find_date(context: &str) -> Option<String> {
 }
 
 /// First plausible calendar year (1950..=2049).
-pub fn find_year(context: &str) -> Option<u32> {
-    for word in context.split(|c: char| !c.is_ascii_digit()) {
+pub fn find_year(context: &Reading) -> Option<u32> {
+    for word in context.text().split(|c: char| !c.is_ascii_digit()) {
         if word.len() == 4 {
             if let Ok(y) = word.parse::<u32>() {
                 if (1950..2050).contains(&y) {
@@ -765,34 +993,25 @@ pub fn find_year(context: &str) -> Option<u32> {
 }
 
 /// Whether the document's stated cause is environmental/weather.
-pub fn weather_related(context: &str) -> bool {
-    let causal = causal_region(context);
-    let env = lexicon::CAUSES
-        .iter()
-        .find(|(c, _)| *c == "environmental")
-        .map(|(_, d)| *d)
-        .unwrap_or(&[]);
-    env.iter().any(|d| contains_term(&causal, d))
-        || contains_term(&causal, "weather")
-        || contains_term(&causal, "environmental")
+pub fn weather_related(context: &Reading) -> bool {
+    lexicons().weather.hits(context.causal().words()) != 0
 }
 
 /// The detail cause named in the causal region.
-pub fn find_cause(context: &str) -> Option<String> {
-    let causal = causal_region(context);
-    for (_, details) in lexicon::CAUSES {
-        for d in *details {
-            if contains_term(&causal, d) {
-                return Some((*d).to_string());
-            }
-        }
+pub fn find_cause(context: &Reading) -> Option<String> {
+    let causal = context.causal();
+    if let Some(k) = lexicons().causes.first_hit(causal.words()) {
+        let detail = lexicon::CAUSES.iter().flat_map(|(_, d)| d.iter()).nth(k);
+        return detail.map(|d| (*d).to_string());
     }
     // Fallback: the clause after a causal marker (NTSB reports phrase it
-    // "determines the probable cause ... to be: <clause>").
-    let l = causal.to_lowercase();
+    // "determines the probable cause ... to be: <clause>"), found
+    // case-insensitively where it stands in the text.
+    let text = causal.text();
     for marker in ["to be: ", "due to ", "caused by "] {
-        if let Some(i) = l.find(marker) {
-            let tail: String = causal[i + marker.len()..]
+        let at = text.as_bytes().windows(marker.len()).position(|w| w.eq_ignore_ascii_case(marker.as_bytes()));
+        if let Some(i) = at {
+            let tail: String = text[i + marker.len()..]
                 .chars()
                 .take_while(|c| *c != '.' && *c != ',')
                 .collect();
@@ -806,29 +1025,25 @@ pub fn find_cause(context: &str) -> Option<String> {
 }
 
 /// The cause category implied by the causal region.
-pub fn find_cause_category(context: &str) -> Option<String> {
+pub fn find_cause_category(context: &Reading) -> Option<String> {
     find_cause(context)
         .and_then(|d| lexicon::cause_category(&d))
-        .map(str::to_string)
         .or_else(|| {
-            let causal = causal_region(context);
-            lexicon::CAUSES
-                .iter()
-                .find(|(cat, _)| contains_term(&causal, cat))
-                .map(|(cat, _)| (*cat).to_string())
+            let k = lexicons().categories.first_hit(context.causal().words())?;
+            Some(lexicon::CAUSES[k].0)
         })
+        .map(str::to_string)
 }
 
 /// Flight phase named in the text.
-pub fn find_phase(context: &str) -> Option<String> {
-    lexicon::FLIGHT_PHASES
-        .iter()
-        .find(|p| contains_term(context, p))
-        .map(|p| (*p).to_string())
+pub fn find_phase(context: &Reading) -> Option<String> {
+    let k = lexicons().phases.first_hit(context.words())?;
+    Some(lexicon::FLIGHT_PHASES[k].to_string())
 }
 
 /// Aircraft `(make, model)` from the lexicon.
-pub fn find_aircraft(context: &str) -> Option<(String, String)> {
+pub fn find_aircraft(context: &Reading) -> Option<(String, String)> {
+    let context = context.text();
     for (make, models) in lexicon::AIRCRAFT {
         if context.contains(make) {
             for m in *models {
@@ -843,7 +1058,8 @@ pub fn find_aircraft(context: &str) -> Option<(String, String)> {
 }
 
 /// Company `"<Head> <Tail>"` bigram from the lexicon.
-pub fn find_company(context: &str) -> Option<String> {
+pub fn find_company(context: &Reading) -> Option<String> {
+    let context = context.text();
     for head in lexicon::COMPANY_HEADS {
         let mut start = 0;
         while let Some(pos) = context[start..].find(head) {
@@ -861,9 +1077,9 @@ pub fn find_company(context: &str) -> Option<String> {
 }
 
 /// Ticker symbol rendered as "(XXXX)".
-pub fn find_ticker(context: &str) -> Option<String> {
-    let chars = context.char_indices().peekable();
-    for (i, c) in chars {
+pub fn find_ticker(context: &Reading) -> Option<String> {
+    let context = context.text();
+    for (i, c) in context.char_indices() {
         if c == '(' {
             let rest = &context[i + 1..];
             let sym: String = rest.chars().take_while(|c| c.is_ascii_uppercase()).collect();
@@ -876,9 +1092,10 @@ pub fn find_ticker(context: &str) -> Option<String> {
 }
 
 /// Dollar amount in millions near one of `anchors` (empty anchors = any).
-pub fn find_money(context: &str, anchors: &[&str]) -> Option<f64> {
-    for s in sentence_spans(context) {
-        let ls = s.to_lowercase();
+pub fn find_money(context: &Reading, anchors: &[&str]) -> Option<f64> {
+    let mut ls = String::new();
+    for s in context.sentences() {
+        let ls = lowercase_into(s, &mut ls);
         let anchor_pos = if anchors.is_empty() {
             Some(0)
         } else {
@@ -898,10 +1115,10 @@ pub fn find_money(context: &str, anchors: &[&str]) -> Option<f64> {
                 .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == ',')
                 .collect();
             if let Ok(mut v) = num.replace(',', "").parse::<f64>() {
-                let tail = rest[num.len()..].trim_start().to_lowercase();
-                if tail.starts_with("billion") {
+                let tail = rest[num.len()..].trim_start();
+                if lower_starts_with(tail, "billion") {
                     v *= 1000.0;
-                } else if !tail.starts_with("million") && v > 10_000.0 {
+                } else if !lower_starts_with(tail, "million") && v > 10_000.0 {
                     v /= 1.0e6; // raw dollars → millions
                 }
                 let dist = i.abs_diff(anchor_pos);
@@ -919,9 +1136,10 @@ pub fn find_money(context: &str, anchors: &[&str]) -> Option<f64> {
 }
 
 /// Percentage near one of `anchors`; negative when a decline verb anchors it.
-pub fn find_percent(context: &str, anchors: &[&str]) -> Option<f64> {
-    for s in sentence_spans(context) {
-        let ls = s.to_lowercase();
+pub fn find_percent(context: &Reading, anchors: &[&str]) -> Option<f64> {
+    let mut ls = String::new();
+    for s in context.sentences() {
+        let ls = lowercase_into(s, &mut ls);
         if !anchors.is_empty() && !anchors.iter().any(|a| ls.contains(a)) {
             continue;
         }
@@ -950,8 +1168,8 @@ pub fn find_percent(context: &str, anchors: &[&str]) -> Option<f64> {
 }
 
 /// Whether text reports a CEO change/appointment.
-pub fn ceo_changed(context: &str) -> bool {
-    let l = context.to_lowercase();
+pub fn ceo_changed(context: &Reading) -> bool {
+    let l = context.lower();
     ["new chief executive", "new ceo", "appointed", "succeeds", "stepped down", "named as ceo",
      "transition at the top", "incoming ceo"]
         .iter()
@@ -959,11 +1177,12 @@ pub fn ceo_changed(context: &str) -> bool {
 }
 
 /// CEO name: "FIRST LAST" lexicon bigram near a CEO mention.
-pub fn find_ceo(context: &str) -> Option<String> {
-    for s in sentence_spans(context) {
-        let l = s.to_lowercase();
+pub fn find_ceo(context: &Reading) -> Option<String> {
+    let mut l = String::new();
+    for s in context.sentences() {
+        let l = lowercase_into(s, &mut l);
         if l.contains("ceo") || l.contains("chief executive") {
-            if let Some(n) = find_person(s) {
+            if let Some(n) = find_person(&Reading::new(s)) {
                 return Some(n);
             }
         }
@@ -974,7 +1193,8 @@ pub fn find_ceo(context: &str) -> Option<String> {
 /// The earliest "FIRST LAST" bigram (by text position) from the name
 /// lexicons — earliest, so "appointed Maria Chen ... James Anderson stepped
 /// down" resolves to the appointee.
-pub fn find_person(context: &str) -> Option<String> {
+pub fn find_person(context: &Reading) -> Option<String> {
+    let context = context.text();
     let mut best: Option<(usize, String)> = None;
     for first in lexicon::FIRST_NAMES {
         let mut start = 0;
@@ -993,16 +1213,14 @@ pub fn find_person(context: &str) -> Option<String> {
 }
 
 /// Sector term from the lexicon.
-pub fn find_sector(context: &str) -> Option<String> {
-    lexicon::SECTORS
-        .iter()
-        .find(|s| contains_term(context, s))
-        .map(|s| (*s).to_string())
+pub fn find_sector(context: &Reading) -> Option<String> {
+    let k = lexicons().sectors.first_hit(context.words())?;
+    Some(lexicon::SECTORS[k].to_string())
 }
 
 /// Guidance direction mentioned near the word "guidance".
-pub fn find_guidance(context: &str) -> Option<String> {
-    let l = context.to_lowercase();
+pub fn find_guidance(context: &Reading) -> Option<String> {
+    let l = context.lower();
     let mut best: Option<(usize, &str)> = None;
     for g in ["lowered", "raised", "maintained"] {
         let mut start = 0;
@@ -1029,7 +1247,8 @@ pub fn find_guidance(context: &str) -> Option<String> {
 }
 
 /// Fiscal quarter like "Q3 2024".
-pub fn find_quarter(context: &str) -> Option<String> {
+pub fn find_quarter(context: &Reading) -> Option<String> {
+    let context = context.text();
     let bytes = context.as_bytes();
     for i in 0..bytes.len().saturating_sub(1) {
         if bytes[i] == b'Q' && bytes[i + 1].is_ascii_digit() && (b'1'..=b'4').contains(&bytes[i + 1])
@@ -1047,19 +1266,14 @@ pub fn find_quarter(context: &str) -> Option<String> {
 }
 
 /// `(positive_cues, negative_cues)` counts.
-fn pos_neg(context: &str) -> (usize, usize) {
-    // The cue stems, positive first, built once.
-    static CUE_STEMS: OnceLock<Vec<String>> = OnceLock::new();
-    let stems = CUE_STEMS.get_or_init(|| {
-        lexicon::POSITIVE_CUES.iter().chain(lexicon::NEGATIVE_CUES).map(|c| stem(c)).collect()
-    });
-    let hits = analyzed_hits(stems, context);
+fn pos_neg(context: &Reading) -> (usize, usize) {
+    let hits = lexicons().cues.hits(context.terms());
     let pos_mask = (1u64 << lexicon::POSITIVE_CUES.len()) - 1;
     ((hits & pos_mask).count_ones() as usize, (hits & !pos_mask).count_ones() as usize)
 }
 
 /// Three-way sentiment from cue counts.
-pub fn sentiment(context: &str) -> &'static str {
+pub fn sentiment(context: &Reading) -> &'static str {
     let (p, n) = pos_neg(context);
     if p > n {
         "positive"
@@ -1073,21 +1287,21 @@ pub fn sentiment(context: &str) -> &'static str {
 /// Number of fatalities stated in the text: reads both table rows
 /// ("Fatal | 0 | 0 | 2" — the trailing total column) and narrative
 /// ("Two occupants were fatally injured"). Returns the maximum statement.
-pub fn fatal_count(context: &str) -> i64 {
+pub fn fatal_count(context: &Reading) -> i64 {
     const WORDS: &[(&str, i64)] = &[
         ("one", 1), ("two", 2), ("three", 3), ("four", 4), ("five", 5), ("six", 6),
     ];
-    let toks = tokenize(context);
+    let toks = context.words();
     let mut best: i64 = 0;
-    for (i, t) in toks.iter().enumerate() {
-        if !t.starts_with("fatal") {
+    for i in 0..toks.len() {
+        if !toks.get(i).starts_with("fatal") {
             continue;
         }
         // Table shape: digits following the keyword; take the last of the
         // run (the Total column).
         let mut last_digit: Option<i64> = None;
-        for next in toks.iter().skip(i + 1).take(4) {
-            match next.parse::<i64>() {
+        for next in (i + 1..toks.len()).take(4) {
+            match toks.get(next).parse::<i64>() {
                 Ok(n) if n < 1000 => last_digit = Some(n),
                 _ => break,
             }
@@ -1098,13 +1312,13 @@ pub fn fatal_count(context: &str) -> i64 {
         }
         // Narrative shape: a count (digit or number word) shortly before
         // "fatally injured" / "fatal injuries".
-        for back in toks[i.saturating_sub(4)..i].iter() {
+        for back in (i.saturating_sub(4)..i).map(|j| toks.get(j)) {
             if let Ok(n) = back.parse::<i64>() {
                 if n < 100 {
                     best = best.max(n);
                 }
             }
-            if let Some((_, n)) = WORDS.iter().find(|(w, _)| w == back) {
+            if let Some((_, n)) = WORDS.iter().find(|(w, _)| *w == back) {
                 best = best.max(*n);
             }
         }
@@ -1114,12 +1328,12 @@ pub fn fatal_count(context: &str) -> i64 {
 
 /// Count appearing in the same sentence as one of the anchor stems; handles
 /// "no injuries" and number words up to twelve.
-pub fn count_near(context: &str, anchors: &[&str]) -> Option<i64> {
+pub fn count_near(context: &Reading, anchors: &[&str]) -> Option<i64> {
     const WORDS: &[(&str, i64)] = &[
         ("zero", 0), ("one", 1), ("two", 2), ("three", 3), ("four", 4), ("five", 5), ("six", 6),
         ("seven", 7), ("eight", 8), ("nine", 9), ("ten", 10), ("eleven", 11), ("twelve", 12),
     ];
-    for s in sentence_spans(context) {
+    for s in context.sentences() {
         let l = s.to_lowercase();
         if !anchors.iter().any(|a| l.contains(a)) {
             continue;
@@ -1166,10 +1380,10 @@ pub fn first_number(text: &str) -> Option<f64> {
 }
 
 /// The sentence with the highest term overlap with `terms` text.
-pub fn best_sentence(terms: &str, context: &str) -> Option<String> {
+pub fn best_sentence(terms: &str, context: &Reading) -> Option<String> {
     let want = analyze(terms);
     let mut best: Option<(String, usize)> = None;
-    for s in sentence_spans(context) {
+    for s in context.sentences() {
         let toks = analyze(s);
         let hits = want.iter().filter(|t| toks.contains(t)).count();
         if hits > 0 && best.as_ref().is_none_or(|(_, h)| hits > *h) {
@@ -1181,11 +1395,11 @@ pub fn best_sentence(terms: &str, context: &str) -> Option<String> {
 
 /// Crude negation check: any matched term preceded by no/not/without nearby
 /// (within the three tokens before it).
-fn negated(terms: &[String], context: &str) -> bool {
+fn negated(terms: &[String], context: &Reading) -> bool {
     // Which of the last three tokens were negation cues, newest in bit 0. A
     // token is stemmed only when one was.
     let mut recent = 0u8;
-    any_token(context, |t| {
+    context.words().iter().any(|t| {
         let hit = recent != 0 && terms.contains(&stem(t));
         let cue = matches!(t, "no" | "not" | "without" | "never");
         recent = ((recent << 1) | u8::from(cue)) & 0b111;
@@ -1211,73 +1425,71 @@ mod tests {
 
     #[test]
     fn extracts_ntsb_fields() {
-        assert_eq!(extract_field("us_state_abbrev", "string", NTSB_SAMPLE), Value::from("AK"));
-        assert_eq!(extract_field("city", "string", NTSB_SAMPLE), Value::from("Anchorage"));
-        assert_eq!(extract_field("date", "string", NTSB_SAMPLE), Value::from("2019-06-03"));
-        assert_eq!(extract_field("year", "int", NTSB_SAMPLE), Value::Int(2019));
+        assert_eq!(extract_field("us_state_abbrev", "string", &Reading::new(NTSB_SAMPLE)), Value::from("AK"));
+        assert_eq!(extract_field("city", "string", &Reading::new(NTSB_SAMPLE)), Value::from("Anchorage"));
+        assert_eq!(extract_field("date", "string", &Reading::new(NTSB_SAMPLE)), Value::from("2019-06-03"));
+        assert_eq!(extract_field("year", "int", &Reading::new(NTSB_SAMPLE)), Value::Int(2019));
         assert_eq!(
-            extract_field("registration", "string", NTSB_SAMPLE),
+            extract_field("registration", "string", &Reading::new(NTSB_SAMPLE)),
             Value::from("N4521B")
         );
         assert_eq!(
-            extract_field("aircraft_model", "string", NTSB_SAMPLE),
+            extract_field("aircraft_model", "string", &Reading::new(NTSB_SAMPLE)),
             Value::from("Cessna 172")
         );
-        assert_eq!(extract_field("weather_related", "bool", NTSB_SAMPLE), Value::Bool(true));
-        assert_eq!(extract_field("cause_detail", "string", NTSB_SAMPLE), Value::from("wind"));
+        assert_eq!(extract_field("weather_related", "bool", &Reading::new(NTSB_SAMPLE)), Value::Bool(true));
+        assert_eq!(extract_field("cause_detail", "string", &Reading::new(NTSB_SAMPLE)), Value::from("wind"));
         assert_eq!(
-            extract_field("cause_category", "string", NTSB_SAMPLE),
+            extract_field("cause_category", "string", &Reading::new(NTSB_SAMPLE)),
             Value::from("environmental")
         );
-        assert_eq!(extract_field("phase", "string", NTSB_SAMPLE), Value::from("approach"));
+        assert_eq!(extract_field("phase", "string", &Reading::new(NTSB_SAMPLE)), Value::from("approach"));
     }
 
     #[test]
     fn extracts_earnings_fields() {
-        assert_eq!(extract_field("company", "string", EARNINGS_SAMPLE), Value::from("Apex Robotics"));
-        assert_eq!(extract_field("ticker", "string", EARNINGS_SAMPLE), Value::from("APXR"));
-        assert_eq!(extract_field("revenue_musd", "float", EARNINGS_SAMPLE), Value::Float(412.5));
-        assert_eq!(extract_field("growth_pct", "float", EARNINGS_SAMPLE), Value::Float(18.2));
-        assert_eq!(extract_field("quarter", "string", EARNINGS_SAMPLE), Value::from("Q3 2024"));
-        assert_eq!(extract_field("ceo", "string", EARNINGS_SAMPLE), Value::from("Maria Chen"));
-        assert_eq!(extract_field("ceo_changed", "bool", EARNINGS_SAMPLE), Value::Bool(true));
-        assert_eq!(extract_field("sector", "string", EARNINGS_SAMPLE), Value::from("AI"));
-        assert_eq!(extract_field("sentiment", "string", EARNINGS_SAMPLE), Value::from("positive"));
+        assert_eq!(extract_field("company", "string", &Reading::new(EARNINGS_SAMPLE)), Value::from("Apex Robotics"));
+        assert_eq!(extract_field("ticker", "string", &Reading::new(EARNINGS_SAMPLE)), Value::from("APXR"));
+        assert_eq!(extract_field("revenue_musd", "float", &Reading::new(EARNINGS_SAMPLE)), Value::Float(412.5));
+        assert_eq!(extract_field("growth_pct", "float", &Reading::new(EARNINGS_SAMPLE)), Value::Float(18.2));
+        assert_eq!(extract_field("quarter", "string", &Reading::new(EARNINGS_SAMPLE)), Value::from("Q3 2024"));
+        assert_eq!(extract_field("ceo", "string", &Reading::new(EARNINGS_SAMPLE)), Value::from("Maria Chen"));
+        assert_eq!(extract_field("ceo_changed", "bool", &Reading::new(EARNINGS_SAMPLE)), Value::Bool(true));
+        assert_eq!(extract_field("sector", "string", &Reading::new(EARNINGS_SAMPLE)), Value::from("AI"));
+        assert_eq!(extract_field("sentiment", "string", &Reading::new(EARNINGS_SAMPLE)), Value::from("positive"));
     }
 
     #[test]
     fn missing_fields_are_null_or_default() {
-        assert_eq!(extract_field("ticker", "string", NTSB_SAMPLE), Value::Null);
-        assert_eq!(extract_field("city", "string", "nothing here"), Value::Null);
+        assert_eq!(extract_field("ticker", "string", &Reading::new(NTSB_SAMPLE)), Value::Null);
+        assert_eq!(extract_field("city", "string", &Reading::new("nothing here")), Value::Null);
     }
 
     #[test]
     fn predicates_on_causes() {
-        assert!(eval_predicate("caused by wind", NTSB_SAMPLE));
-        assert!(eval_predicate("caused by environmental factors", NTSB_SAMPLE));
-        assert!(!eval_predicate("caused by engine failure", NTSB_SAMPLE));
-        assert!(!eval_predicate("caused by pilot error", NTSB_SAMPLE));
+        assert!(eval_predicate("caused by wind", &Reading::new(NTSB_SAMPLE)));
+        assert!(eval_predicate("caused by environmental factors", &Reading::new(NTSB_SAMPLE)));
+        assert!(!eval_predicate("caused by engine failure", &Reading::new(NTSB_SAMPLE)));
+        assert!(!eval_predicate("caused by pilot error", &Reading::new(NTSB_SAMPLE)));
     }
 
     #[test]
     fn generic_predicates_with_negation() {
-        assert!(eval_predicate("mentions a runway", NTSB_SAMPLE));
-        assert!(!eval_predicate("mentions a helicopter", NTSB_SAMPLE));
-        assert!(!eval_predicate(
-            "passengers were injured",
-            "There were no injured passengers aboard."
-        ));
+        assert!(eval_predicate("mentions a runway", &Reading::new(NTSB_SAMPLE)));
+        assert!(!eval_predicate("mentions a helicopter", &Reading::new(NTSB_SAMPLE)));
+        let injured = |text| eval_predicate("passengers were injured", &Reading::new(text));
+        assert!(!injured("There were no injured passengers aboard."));
         // A negation cue reaches exactly three tokens ahead.
-        assert!(!eval_predicate("passengers were injured", "Not all four passengers were injured."));
-        assert!(eval_predicate("passengers were injured", "Not even all four passengers were injured."));
+        assert!(!injured("Not all four passengers were injured."));
+        assert!(injured("Not even all four passengers were injured."));
     }
 
     #[test]
     fn classify_prefers_supported_label() {
         let labels: Vec<String> = vec!["environmental".into(), "mechanical".into(), "pilot error".into()];
-        assert_eq!(classify(&labels, NTSB_SAMPLE), Some("environmental".into()));
+        assert_eq!(classify(&labels, &Reading::new(NTSB_SAMPLE)), Some("environmental".into()));
         let labels2: Vec<String> = vec!["positive".into(), "negative".into(), "neutral".into()];
-        assert_eq!(classify(&labels2, EARNINGS_SAMPLE), Some("positive".into()));
+        assert_eq!(classify(&labels2, &Reading::new(EARNINGS_SAMPLE)), Some("positive".into()));
     }
 
     #[test]
@@ -1309,9 +1521,9 @@ mod tests {
 
     #[test]
     fn injury_counts() {
-        assert_eq!(count_near(NTSB_SAMPLE, &["injur"]), Some(1));
-        assert_eq!(count_near("There were no injuries reported.", &["injur"]), Some(0));
-        assert_eq!(count_near("Three occupants were fatally injured.", &["fatal"]), Some(3));
+        assert_eq!(count_near(&Reading::new(NTSB_SAMPLE), &["injur"]), Some(1));
+        assert_eq!(count_near(&Reading::new("There were no injuries reported."), &["injur"]), Some(0));
+        assert_eq!(count_near(&Reading::new("Three occupants were fatally injured."), &["fatal"]), Some(3));
     }
 
     #[test]
@@ -1323,9 +1535,9 @@ mod tests {
 
     #[test]
     fn money_and_percent_variants() {
-        assert_eq!(find_money("Revenue was $2.1 billion this year.", &["revenue"]), Some(2100.0));
-        assert_eq!(find_percent("Sales declined 4.5% in Q2.", &["decline"]), Some(-4.5));
-        assert_eq!(find_percent("no numbers here", &[]), None);
+        assert_eq!(find_money(&Reading::new("Revenue was $2.1 billion this year."), &["revenue"]), Some(2100.0));
+        assert_eq!(find_percent(&Reading::new("Sales declined 4.5% in Q2."), &["decline"]), Some(-4.5));
+        assert_eq!(find_percent(&Reading::new("no numbers here"), &[]), None);
     }
 }
 
@@ -1336,36 +1548,36 @@ mod newer_recognizer_tests {
     #[test]
     fn fatal_count_reads_tables_and_narrative() {
         // Table shape: the trailing Total column wins.
-        assert_eq!(fatal_count("Injuries | Crew | Passengers | Total Fatal | 1 | 1 | 2 Serious | 0 | 0 | 0"), 2);
-        assert_eq!(fatal_count("Fatal | 0 | 0 | 0 Serious | 1 | 0 | 1"), 0);
+        assert_eq!(fatal_count(&Reading::new("Injuries | Crew | Passengers | Total Fatal | 1 | 1 | 2 Serious | 0 | 0 | 0")), 2);
+        assert_eq!(fatal_count(&Reading::new("Fatal | 0 | 0 | 0 Serious | 1 | 0 | 1")), 0);
         // Narrative shapes.
-        assert_eq!(fatal_count("Two occupants were fatally injured."), 2);
-        assert_eq!(fatal_count("3 occupants were fatally injured in the crash."), 3);
-        assert_eq!(fatal_count("The occupants were not injured."), 0);
+        assert_eq!(fatal_count(&Reading::new("Two occupants were fatally injured.")), 2);
+        assert_eq!(fatal_count(&Reading::new("3 occupants were fatally injured in the crash.")), 3);
+        assert_eq!(fatal_count(&Reading::new("The occupants were not injured.")), 0);
         // Multiple statements: take the max (table + narrative agree).
         assert_eq!(
-            fatal_count("One occupant was fatally injured. Fatal | 0 | 1 | 1"),
+            fatal_count(&Reading::new("One occupant was fatally injured. Fatal | 0 | 1 | 1")),
             1
         );
-        assert_eq!(fatal_count(""), 0);
+        assert_eq!(fatal_count(&Reading::new("")), 0);
     }
 
     #[test]
     fn guidance_recognizer_requires_nearby_anchor() {
         assert_eq!(
-            find_guidance("Full-year guidance lowered after the quarter."),
+            find_guidance(&Reading::new("Full-year guidance lowered after the quarter.")),
             Some("lowered".into())
         );
         assert_eq!(
-            find_guidance("the company raised its outlook for the year"),
+            find_guidance(&Reading::new("the company raised its outlook for the year")),
             Some("raised".into())
         );
         // "lowered" far from any guidance mention doesn't count.
         assert_eq!(
-            find_guidance("The landing gear was lowered on final. Nothing else happened in this long sentence about flying."),
+            find_guidance(&Reading::new("The landing gear was lowered on final. Nothing else happened in this long sentence about flying.")),
             None
         );
-        assert_eq!(find_guidance(""), None);
+        assert_eq!(find_guidance(&Reading::new("")), None);
     }
 
     #[test]
@@ -1414,13 +1626,10 @@ mod newer_recognizer_tests {
 
     #[test]
     fn conjunction_predicates_are_all_of() {
-        let text = "Strong winds damaged the airplane near Reno.";
-        assert!(eval_predicate("mentions winds; and also mentions Reno", text));
-        assert!(!eval_predicate("mentions winds; and also mentions Boston", text));
-        assert!(!eval_predicate(
-            "mentions snow; and also mentions Reno",
-            text
-        ));
+        let text = Reading::new("Strong winds damaged the airplane near Reno.");
+        assert!(eval_predicate("mentions winds; and also mentions Reno", &text));
+        assert!(!eval_predicate("mentions winds; and also mentions Boston", &text));
+        assert!(!eval_predicate("mentions snow; and also mentions Reno", &text));
     }
 }
 

@@ -956,14 +956,9 @@ mod batch_tests {
 
     #[test]
     fn batched_predicate_semantics_are_conjunctive() {
-        let text = "The airplane was substantially damaged after strong gusts hit on final.";
-        assert!(aryn_llm::semantics::eval_predicate(
-            "mentions strong gusts; and also the airplane was damaged",
-            text
-        ));
-        assert!(!aryn_llm::semantics::eval_predicate(
-            "mentions strong gusts; and also the pilot was a student",
-            text
-        ));
+        use aryn_llm::semantics::{eval_predicate, Reading};
+        let text = Reading::new("The airplane was substantially damaged after strong gusts hit on final.");
+        assert!(eval_predicate("mentions strong gusts; and also the airplane was damaged", &text));
+        assert!(!eval_predicate("mentions strong gusts; and also the pilot was a student", &text));
     }
 }

@@ -296,7 +296,7 @@ fn llm_filter(
             // the selected text. Costs no LLM budget; the flag records how
             // the verdict was produced.
             Err(ArynError::CircuitOpen { .. } | ArynError::DeadlineExceeded { .. }) => (
-                semantics::eval_predicate(predicate, &text),
+                semantics::eval_predicate(predicate, &semantics::Reading::new(&text)),
                 Some("string-match".to_string()),
             ),
             Err(e) => return Err(e),

@@ -11,7 +11,7 @@ use aryn_llm::model::{LanguageModel, LlmRequest};
 use aryn_llm::prompt::tasks;
 use aryn_llm::semantics::{
     answer_question, classify, eval_predicate, extract_field, find_cause, sentiment, summarize,
-    weather_related,
+    weather_related, Reading,
 };
 use luna::luna::{earnings_schema, ntsb_schema};
 
@@ -47,7 +47,8 @@ fn render() -> String {
     for seed in 1..=3 {
         for (name, corpus) in [("ntsb", Corpus::ntsb(seed, 200)), ("earnings", Corpus::earnings(seed, 200))] {
             for d in &corpus.docs {
-                let text = extracted_document(d).full_text();
+                let full_text = extracted_document(d).full_text();
+                let text = Reading::new(&full_text);
                 let bits: String = PREDICATES.iter().map(|p| if eval_predicate(p, &text) { '1' } else { '0' }).collect();
                 out.push_str(&format!(
                     "{name}{seed} {} {bits} {} {} {:?}\n",
@@ -105,10 +106,11 @@ fn render_extraction() -> String {
             let fields = schema.as_object().expect("a schema is an object");
             for d in &corpus.docs {
                 let text = extracted_document(d).full_text();
+                let reading = Reading::new(&text);
                 let tag = format!("{name}{seed} {}", d.id);
                 out.push_str(&tag);
                 for (field, ftype) in fields {
-                    let v = extract_field(field, ftype.as_str().unwrap_or("string"), &text);
+                    let v = extract_field(field, ftype.as_str().unwrap_or("string"), &reading);
                     out.push_str(&format!(" {field}={}", aryn_core::json::to_string(&v)));
                 }
                 let r = model.generate(&LlmRequest::new(tasks::extract(&schema, &text))).expect("no transient faults at seed 7");
@@ -118,8 +120,8 @@ fn render_extraction() -> String {
                 ));
                 out.push_str(&format!(
                     "{tag} classify={:?}/{:?} summary={:016x}",
-                    classify(&causes, &text),
-                    classify(&moods, &text),
+                    classify(&causes, &reading),
+                    classify(&moods, &reading),
                     hash(&summarize("cause of the accident and outlook", &text, 3))
                 ));
                 for q in QUESTIONS {
