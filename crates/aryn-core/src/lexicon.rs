@@ -69,7 +69,7 @@ pub fn state_abbrev(full_name: &str) -> Option<&'static str> {
 
 /// True if `s` is a US state abbreviation.
 pub fn is_state_abbrev(s: &str) -> bool {
-    s.len() == 2 && US_STATES.iter().any(|(a, _)| *a == s.to_ascii_uppercase())
+    s.len() == 2 && US_STATES.iter().any(|(a, _)| a.eq_ignore_ascii_case(s))
 }
 
 /// Aircraft manufacturers with representative models.

@@ -206,9 +206,8 @@ impl MockLlm {
     fn honest_answer(&self, task: &ParsedTask) -> Value {
         match task.kind {
             TaskKind::Extract => {
-                let schema = task.params.get("schema").cloned().unwrap_or(Value::object());
                 let mut out = std::collections::BTreeMap::new();
-                if let Some(fields) = schema.as_object() {
+                if let Some(fields) = task.params.get("schema").and_then(Value::as_object) {
                     // Every field reads the context through one reading.
                     let context = Reading::new(&task.context);
                     for (name, ftype) in fields {

@@ -104,7 +104,7 @@ impl<'a> Reading<'a> {
     /// cause — joined by spaces, or the whole text when none has a marker.
     fn causal(&self) -> &Reading<'a> {
         let region = self.causal.get_or_init(|| {
-            let (mut out, mut lower) = (String::new(), String::new());
+            let (mut out, mut lower) = (String::with_capacity(self.text.len()), String::new());
             for s in self.sentences() {
                 if CAUSAL_MARKERS.iter().any(|m| lowercase_into(s, &mut lower).contains(m)) {
                     out.push_str(s);
@@ -964,10 +964,10 @@ pub fn find_date(context: &Reading) -> Option<String> {
             let abs = start + pos;
             let rest = &context[abs + month.len()..];
             let rest = rest.trim_start();
-            let day: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
+            let day = leading_digits(rest);
             if !day.is_empty() {
                 let after_day = rest[day.len()..].trim_start_matches([',', ' ']);
-                let year: String = after_day.chars().take_while(|c| c.is_ascii_digit()).collect();
+                let year = leading_digits(after_day);
                 if year.len() == 4 {
                     return Some(format!("{year}-{:02}-{:02}", mi + 1, day.parse::<u32>().ok()?));
                 }
@@ -976,6 +976,11 @@ pub fn find_date(context: &Reading) -> Option<String> {
         }
     }
     None
+}
+
+/// The ASCII digits `s` starts with.
+fn leading_digits(s: &str) -> &str {
+    &s[..s.bytes().take_while(u8::is_ascii_digit).count()]
 }
 
 /// First plausible calendar year (1950..=2049).
@@ -1082,9 +1087,9 @@ pub fn find_ticker(context: &Reading) -> Option<String> {
     for (i, c) in context.char_indices() {
         if c == '(' {
             let rest = &context[i + 1..];
-            let sym: String = rest.chars().take_while(|c| c.is_ascii_uppercase()).collect();
+            let sym = &rest[..rest.bytes().take_while(u8::is_ascii_uppercase).count()];
             if (2..=5).contains(&sym.len()) && rest[sym.len()..].starts_with(')') {
-                return Some(sym);
+                return Some(sym.to_string());
             }
         }
     }
@@ -1145,14 +1150,7 @@ pub fn find_percent(context: &Reading, anchors: &[&str]) -> Option<f64> {
         }
         if let Some(i) = s.find('%') {
             let head = &s[..i];
-            let num: String = head
-                .chars()
-                .rev()
-                .take_while(|c| c.is_ascii_digit() || *c == '.')
-                .collect::<Vec<_>>()
-                .into_iter()
-                .rev()
-                .collect();
+            let num = &head[head.len() - head.bytes().rev().take_while(|b| b.is_ascii_digit() || *b == b'.').count()..];
             if let Ok(v) = num.parse::<f64>() {
                 let sign = if ls.contains("decline") || ls.contains("decrease") || ls.contains("fell")
                 {
@@ -1254,8 +1252,7 @@ pub fn find_quarter(context: &Reading) -> Option<String> {
         if bytes[i] == b'Q' && bytes[i + 1].is_ascii_digit() && (b'1'..=b'4').contains(&bytes[i + 1])
         {
             let q = &context[i..i + 2];
-            let rest = context[i + 2..].trim_start();
-            let year: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
+            let year = leading_digits(context[i + 2..].trim_start());
             if year.len() == 4 {
                 return Some(format!("{q} {year}"));
             }

@@ -1,8 +1,9 @@
 //! Allocation guard for the row plane (DESIGN.md "Data plane"), the
 //! semantic operators' per-call path, the sidecar index adds (§5j) and the
 //! projected ETL sinks (§5g): what a structured question, a semantic
-//! filter, one HNSW insert, one BM25 insert, one durable put and an
-//! `explode`/`embed` into an index allocate, counted — nothing is timed. The
+//! filter, one HNSW insert, one BM25 insert, one durable put, an
+//! `explode`/`embed` into an index and one simulated-model extraction call
+//! allocate, counted — nothing is timed. The
 //! binary installs a counting global allocator whose counters are per
 //! thread. The pipelines run on a `Context::new()`, which executes on the
 //! calling thread (`LunaConfig::default()` would ask for the host's worker
@@ -291,4 +292,36 @@ fn embed_then_write_vector_copies_no_document() {
     // Measured: 408 blocks, 74 KB; the unprojected `embed` copied each
     // shared row to attach its vector: 20 copies, 5 636 blocks, 455 KB.
     assert_eq!(row_blocks, 0, "document copies");
+}
+
+/// Blocks each extraction `generate` of `schema` allocates, one call per
+/// document of `corpus`, after one warm-up call.
+fn extraction_blocks(corpus: &Corpus, schema: &Value) -> Vec<u64> {
+    use aryn_llm::model::{LanguageModel, LlmRequest};
+    let model = MockLlm::new(&GPT4_SIM, SimConfig::perfect(11));
+    let requests: Vec<LlmRequest> = corpus
+        .docs
+        .iter()
+        .map(|d| LlmRequest::new(aryn_llm::prompt::tasks::extract(schema, &extracted_document(d).full_text())))
+        .collect();
+    model.generate(&requests[0]).unwrap();
+    requests.iter().map(|r| blocks(|| drop(model.generate(r).unwrap()))).collect()
+}
+
+#[test]
+fn one_extraction_call_reads_its_document_once() {
+    // Per call: the prompt parse, one reading of the context (its words, its
+    // sentence spans, the causal region and that region's words), each
+    // field's value, the JSON reply and the usage. Measured over 40
+    // documents: 89 to 103 blocks per NTSB call (mean 92) and 99 to 106 per
+    // earnings call (mean 100). Re-reading the context per lexicon entry and
+    // per field made it 325 to 820 (mean 585) and 134 to 173 (mean 149).
+    for (what, corpus, schema) in [
+        ("ntsb", Corpus::ntsb(11, 40), luna::luna::ntsb_schema()),
+        ("earnings", Corpus::earnings(11, 40), luna::luna::earnings_schema()),
+    ] {
+        for (i, n) in extraction_blocks(&corpus, &schema).into_iter().enumerate() {
+            assert!(n <= 120, "{what} document {i}: one extraction call allocated {n} blocks");
+        }
+    }
 }
