@@ -11,7 +11,7 @@
 //! structural transforms (flatten, section summarization) consume it.
 
 use crate::bbox::BBox;
-use crate::ids::{DocId, ElementId};
+use crate::ids::DocId;
 use crate::lineage::LineageRecord;
 use crate::table::Table;
 use crate::value::Value;
@@ -226,14 +226,6 @@ impl Document {
     /// Sets a property by dotted path.
     pub fn set_prop(&mut self, path: &str, value: impl Into<Value>) {
         self.properties.set_path(path, value.into());
-    }
-
-    /// Id for the element at `index`.
-    pub fn element_id(&self, index: usize) -> ElementId {
-        ElementId {
-            doc: self.id.clone(),
-            index,
-        }
     }
 
     /// The document rendered as plain text: raw text content if present,

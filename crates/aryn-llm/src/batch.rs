@@ -81,15 +81,6 @@ pub struct BatchReport {
     pub singleton_fallbacks: usize,
 }
 
-impl BatchReport {
-    /// Model calls an unbatched run would have issued minus what the
-    /// packed calls cost: `Σ max(resolved_per_pack - 1, 0)` as accumulated
-    /// into the meter's `calls_saved`.
-    pub fn packed_calls(&self) -> usize {
-        self.batch_sizes.len()
-    }
-}
-
 /// Runs `kind` over every context in `contexts`, packing cache-cold items
 /// into indexed multi-item prompts. Returns per-item results **in input
 /// order** — `results[i]` is what

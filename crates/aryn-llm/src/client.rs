@@ -323,11 +323,6 @@ impl LlmClient {
         self.reliability.as_ref().map(|s| s.current())
     }
 
-    /// The swappable slot itself, for sessions that install per-query forks.
-    pub fn reliability_slot(&self) -> Option<Arc<ReliabilitySlot>> {
-        self.reliability.clone()
-    }
-
     /// The cache-key namespace, if any.
     pub fn cache_namespace(&self) -> Option<&str> {
         self.cache_namespace.as_deref()

@@ -922,6 +922,11 @@ const LABELS: &[&[&str]] = &[
 
 const ANCHORS: &[&[&str]] = &[&[], &["revenue"], &["grew", "growth", "decline"], &["per share", "eps"]];
 
+/// A recognizer that answers with a string, or with nothing, and its
+/// reference.
+type Recognizer = fn(&Reading) -> Option<String>;
+type Reference = fn(&str) -> Option<String>;
+
 /// Every recognizer, through one shared reading, against its reference on
 /// the same text.
 fn assert_recognizers_match(text: &str) {
@@ -944,7 +949,7 @@ fn assert_recognizers_match(text: &str) {
         assert_eq!(s::find_money(&r, anchors), reference::find_money(text, anchors), "{anchors:?} on {text:?}");
         assert_eq!(s::find_percent(&r, anchors), reference::find_percent(text, anchors), "{anchors:?} on {text:?}");
     }
-    let strings: [(fn(&Reading) -> Option<String>, fn(&str) -> Option<String>); 15] = [
+    let strings: [(Recognizer, Reference); 15] = [
         (s::find_state, reference::find_state),
         (s::find_city, reference::find_city),
         (s::find_registration, reference::find_registration),

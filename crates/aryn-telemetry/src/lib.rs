@@ -128,11 +128,6 @@ impl Trace {
             .sum()
     }
 
-    /// Sum of a gauge across all spans.
-    pub fn total_gauge(&self, gauge: &str) -> f64 {
-        self.spans.iter().map(|s| s.gauge(gauge)).sum()
-    }
-
     pub fn spans_of_kind(&self, kind: &str) -> Vec<&Span> {
         self.spans.iter().filter(|s| s.kind == kind).collect()
     }

@@ -209,10 +209,6 @@ impl Shape {
         }
     }
 
-    pub fn is_rows(&self) -> bool {
-        matches!(self, Shape::Rows { .. })
-    }
-
     /// Resolves a field path against this shape. `_id` is the document-key
     /// pseudo-field and always resolves to a string.
     pub fn resolve(&self, path: &str) -> Resolution {

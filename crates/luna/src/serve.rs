@@ -218,19 +218,6 @@ pub struct ServeStats {
     pub tenants: BTreeMap<String, TenantStats>,
 }
 
-impl ServeStats {
-    /// Jain fairness index over per-tenant answered-question counts
-    /// normalized by fair-share weight (1.0 = perfectly fair).
-    pub fn jain_by_weight(&self, weights: &BTreeMap<String, f64>) -> f64 {
-        let alloc: Vec<f64> = self
-            .tenants
-            .iter()
-            .map(|(id, t)| t.answered as f64 / weights.get(id).copied().unwrap_or(1.0).max(1e-9))
-            .collect();
-        jain_index(&alloc)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The service
 // ---------------------------------------------------------------------------

@@ -408,11 +408,6 @@ impl Context {
             .write()
             .insert(name.to_string(), Box::new(HnswIndex::with_dims(dims)));
     }
-
-    /// Names of all materializations currently cached.
-    pub fn materialization_names(&self) -> Vec<String> {
-        self.inner.materialized.read().keys().cloned().collect()
-    }
 }
 
 #[cfg(test)]

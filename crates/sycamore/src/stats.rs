@@ -116,10 +116,6 @@ impl ExecStats {
         self.stages.iter().map(|s| s.failed_docs).sum()
     }
 
-    pub fn total_wall_ms(&self) -> f64 {
-        self.stages.iter().map(|s| s.wall_ms).sum()
-    }
-
     /// LLM usage merged over all stages.
     pub fn llm(&self) -> UsageStats {
         let mut total = UsageStats::default();
@@ -267,7 +263,6 @@ mod tests {
         };
         assert_eq!(stats.total_retries(), 2);
         assert_eq!(stats.total_failed_docs(), 1);
-        assert!((stats.total_wall_ms() - 2.0).abs() < 1e-9);
         let llm = stats.llm();
         assert_eq!((llm.calls, llm.usage.tokens()), (10, 550));
         assert!((llm.usage.cost_usd - 0.02).abs() < 1e-12);

@@ -21,7 +21,6 @@ use aryn_llm::prompt::tasks;
 use aryn_llm::semantics;
 use aryn_llm::{run_batched, BatchConfig, BatchReport, LlmClient, TaskKind};
 use aryn_partitioner::{Partitioner, PartitionerOptions};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Applies one per-document op, producing 0..N output documents. A
@@ -891,18 +890,4 @@ pub fn load_materialized(fs: &dyn Vfs, path: &std::path::Path) -> Result<Vec<Doc
             aryn_core::serialize::decode_document(payload)
         })
         .collect()
-}
-
-/// Groups documents into a BTreeMap keyed by the *display text* of a
-/// property — a helper for tests and joins.
-pub fn group_index(docs: &[Document], key: &str) -> BTreeMap<String, Vec<usize>> {
-    let mut out: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-    for (i, d) in docs.iter().enumerate() {
-        let k = d
-            .prop(key)
-            .map(|v| v.display_text())
-            .unwrap_or_else(|| "null".into());
-        out.entry(k).or_default().push(i);
-    }
-    out
 }
