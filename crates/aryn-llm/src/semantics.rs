@@ -25,7 +25,7 @@ pub struct Reading<'a> {
     text: Cow<'a, str>,
     words: OnceCell<Words>,
     terms: OnceCell<Words>,
-    sentences: OnceCell<Vec<(usize, usize)>>,
+    sentences: OnceCell<Sentences>,
     lower: OnceCell<String>,
     causal: OnceCell<Option<Box<Reading<'static>>>>,
 }
@@ -84,15 +84,21 @@ impl<'a> Reading<'a> {
         })
     }
 
-    /// The sentences [`sentence_spans`] returns.
-    fn sentences(&self) -> impl Iterator<Item = &str> {
-        let spans = self.sentences.get_or_init(|| {
+    /// The sentences [`sentence_spans`] returns, each with its
+    /// `to_lowercase()`.
+    fn sentences(&self) -> impl Iterator<Item = (&str, &str)> {
+        let sentences = self.sentences.get_or_init(|| {
             let base = self.text.as_ptr() as usize;
-            sentence_spans(&self.text)
-                .map(|s| (s.as_ptr() as usize - base, s.len()))
-                .collect()
+            let (mut spans, mut lower) = (Vec::new(), Words::with_capacity(self.text.len()));
+            let mut buf = String::new();
+            for s in sentence_spans(&self.text) {
+                spans.push((s.as_ptr() as usize - base, s.len()));
+                lower.push(lowercase_into(s, &mut buf));
+            }
+            Sentences { spans, lower }
         });
-        spans.iter().map(|&(at, len)| &self.text[at..at + len])
+        let text = &self.text;
+        sentences.spans.iter().enumerate().map(move |(i, &(at, len))| (&text[at..at + len], sentences.lower.get(i)))
     }
 
     /// `text.to_lowercase()`.
@@ -104,9 +110,9 @@ impl<'a> Reading<'a> {
     /// cause — joined by spaces, or the whole text when none has a marker.
     fn causal(&self) -> &Reading<'a> {
         let region = self.causal.get_or_init(|| {
-            let (mut out, mut lower) = (String::with_capacity(self.text.len()), String::new());
-            for s in self.sentences() {
-                if CAUSAL_MARKERS.iter().any(|m| lowercase_into(s, &mut lower).contains(m)) {
+            let mut out = String::with_capacity(self.text.len());
+            for (s, lower) in self.sentences() {
+                if CAUSAL_MARKERS.iter().any(|m| lower.contains(m)) {
                     out.push_str(s);
                     out.push(' ');
                 }
@@ -164,6 +170,12 @@ impl Words {
     fn contains(&self, needle: &[String]) -> bool {
         !needle.is_empty() && (0..self.len()).any(|i| self.run_at(i, needle))
     }
+}
+
+/// Sentence spans of a text, `(start, len)`, and their lowercase.
+struct Sentences {
+    spans: Vec<(usize, usize)>,
+    lower: Words,
 }
 
 /// At most 64 lexicon entries, each tokenized once, indexed by first word:
@@ -958,7 +970,9 @@ const MONTHS: &[&str] = &[
 /// "Month D, YYYY" date, normalized to `YYYY-MM-DD`.
 pub fn find_date(context: &Reading) -> Option<String> {
     let context = context.text();
-    for (mi, month) in MONTHS.iter().enumerate() {
+    // `contains` first: it skips a month the text never names faster than
+    // `find` can.
+    for (mi, month) in MONTHS.iter().enumerate().filter(|(_, m)| context.contains(*m)) {
         let mut start = 0;
         while let Some(pos) = context[start..].find(month) {
             let abs = start + pos;
@@ -1065,7 +1079,7 @@ pub fn find_aircraft(context: &Reading) -> Option<(String, String)> {
 /// Company `"<Head> <Tail>"` bigram from the lexicon.
 pub fn find_company(context: &Reading) -> Option<String> {
     let context = context.text();
-    for head in lexicon::COMPANY_HEADS {
+    for head in lexicon::COMPANY_HEADS.iter().filter(|h| context.contains(*h)) {
         let mut start = 0;
         while let Some(pos) = context[start..].find(head) {
             let abs = start + pos;
@@ -1098,9 +1112,7 @@ pub fn find_ticker(context: &Reading) -> Option<String> {
 
 /// Dollar amount in millions near one of `anchors` (empty anchors = any).
 pub fn find_money(context: &Reading, anchors: &[&str]) -> Option<f64> {
-    let mut ls = String::new();
-    for s in context.sentences() {
-        let ls = lowercase_into(s, &mut ls);
+    for (s, ls) in context.sentences() {
         let anchor_pos = if anchors.is_empty() {
             Some(0)
         } else {
@@ -1142,9 +1154,7 @@ pub fn find_money(context: &Reading, anchors: &[&str]) -> Option<f64> {
 
 /// Percentage near one of `anchors`; negative when a decline verb anchors it.
 pub fn find_percent(context: &Reading, anchors: &[&str]) -> Option<f64> {
-    let mut ls = String::new();
-    for s in context.sentences() {
-        let ls = lowercase_into(s, &mut ls);
+    for (s, ls) in context.sentences() {
         if !anchors.is_empty() && !anchors.iter().any(|a| ls.contains(a)) {
             continue;
         }
@@ -1176,9 +1186,7 @@ pub fn ceo_changed(context: &Reading) -> bool {
 
 /// CEO name: "FIRST LAST" lexicon bigram near a CEO mention.
 pub fn find_ceo(context: &Reading) -> Option<String> {
-    let mut l = String::new();
-    for s in context.sentences() {
-        let l = lowercase_into(s, &mut l);
+    for (s, l) in context.sentences() {
         if l.contains("ceo") || l.contains("chief executive") {
             if let Some(n) = find_person(&Reading::new(s)) {
                 return Some(n);
@@ -1194,7 +1202,7 @@ pub fn find_ceo(context: &Reading) -> Option<String> {
 pub fn find_person(context: &Reading) -> Option<String> {
     let context = context.text();
     let mut best: Option<(usize, String)> = None;
-    for first in lexicon::FIRST_NAMES {
+    for first in lexicon::FIRST_NAMES.iter().filter(|f| context.contains(*f)) {
         let mut start = 0;
         while let Some(pos) = context[start..].find(first) {
             let abs = start + pos;
@@ -1220,7 +1228,7 @@ pub fn find_sector(context: &Reading) -> Option<String> {
 pub fn find_guidance(context: &Reading) -> Option<String> {
     let l = context.lower();
     let mut best: Option<(usize, &str)> = None;
-    for g in ["lowered", "raised", "maintained"] {
+    for g in ["lowered", "raised", "maintained"].into_iter().filter(|g| l.contains(g)) {
         let mut start = 0;
         while let Some(pos) = l[start..].find(g) {
             let abs = start + pos;
@@ -1330,8 +1338,7 @@ pub fn count_near(context: &Reading, anchors: &[&str]) -> Option<i64> {
         ("zero", 0), ("one", 1), ("two", 2), ("three", 3), ("four", 4), ("five", 5), ("six", 6),
         ("seven", 7), ("eight", 8), ("nine", 9), ("ten", 10), ("eleven", 11), ("twelve", 12),
     ];
-    for s in context.sentences() {
-        let l = s.to_lowercase();
+    for (s, l) in context.sentences() {
         if !anchors.iter().any(|a| l.contains(a)) {
             continue;
         }
@@ -1341,7 +1348,7 @@ pub fn count_near(context: &Reading, anchors: &[&str]) -> Option<i64> {
         if let Some(n) = first_number(s) {
             return Some(n as i64);
         }
-        let toks = tokenize(&l);
+        let toks = tokenize(l);
         for (w, n) in WORDS {
             if toks.iter().any(|t| t == w) {
                 return Some(*n);
@@ -1380,7 +1387,7 @@ pub fn first_number(text: &str) -> Option<f64> {
 pub fn best_sentence(terms: &str, context: &Reading) -> Option<String> {
     let want = analyze(terms);
     let mut best: Option<(String, usize)> = None;
-    for s in context.sentences() {
+    for (s, _) in context.sentences() {
         let toks = analyze(s);
         let hits = want.iter().filter(|t| toks.contains(t)).count();
         if hits > 0 && best.as_ref().is_none_or(|(_, h)| hits > *h) {
