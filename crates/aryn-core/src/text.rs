@@ -11,20 +11,10 @@ fn scan_tokens(
     mut on_token: impl FnMut(&mut String) -> bool,
 ) -> bool {
     cur.clear();
-    let mut rest = text;
-    while !rest.is_empty() {
-        // A run of ASCII letters and digits is copied and lowercased whole.
-        let run = rest.bytes().position(|b| !b.is_ascii_alphanumeric()).unwrap_or(rest.len());
-        if run > 0 {
-            let start = cur.len();
-            cur.push_str(&rest[..run]);
-            cur[start..].make_ascii_lowercase();
-            rest = &rest[run..];
-            continue;
-        }
-        let Some(c) = rest.chars().next() else { break };
-        rest = &rest[c.len_utf8()..];
-        if !c.is_ascii() && c.is_alphanumeric() {
+    for c in text.chars() {
+        if c.is_ascii_alphanumeric() {
+            cur.push(c.to_ascii_lowercase());
+        } else if !c.is_ascii() && c.is_alphanumeric() {
             // Some lowercasings expand to combining marks; keep only
             // alphanumeric output so tokens stay clean.
             cur.extend(c.to_lowercase().filter(|lc| lc.is_alphanumeric()));
@@ -225,7 +215,6 @@ pub fn count_tokens(text: &str) -> usize {
 /// `char::is_whitespace` is exactly space and `\t`..=`\r`) and decoding only
 /// the characters in between.
 fn count_words(text: &str) -> usize {
-    let ws = |b: u8| matches!(b, b' ' | b'\t'..=b'\r');
     // A word starts at every non-whitespace character after whitespace.
     let (mut words, mut prev_ws) = (0, true);
     let mut rest = text;
@@ -233,11 +222,8 @@ fn count_words(text: &str) -> usize {
         let ascii = rest.bytes().position(|b| !b.is_ascii()).unwrap_or(rest.len());
         let run = &rest.as_bytes()[..ascii];
         if let (Some(&first), Some(&last)) = (run.first(), run.last()) {
-            // Each byte pair on its own, with nothing carried from one pair
-            // to the next, so the count vectorizes.
-            let starts: usize = run.iter().zip(&run[1..]).map(|(&a, &b)| usize::from(ws(a) && !ws(b))).sum();
-            words += starts + usize::from(prev_ws && !ws(first));
-            prev_ws = ws(last);
+            words += word_starts(run) + usize::from(prev_ws && !ascii_ws(first));
+            prev_ws = ascii_ws(last);
         }
         rest = &rest[ascii..];
         if let Some(c) = rest.chars().next() {
@@ -247,6 +233,26 @@ fn count_words(text: &str) -> usize {
         }
     }
     words
+}
+
+fn ascii_ws(b: u8) -> bool {
+    matches!(b, b' ' | b'\t'..=b'\r')
+}
+
+/// Words that start inside an ASCII run after its first byte: each byte
+/// pair is judged on its own, with nothing carried from one pair to the
+/// next, and counted in `u8` lanes 255 pairs at a time, so the loop
+/// vectorizes.
+fn word_starts(run: &[u8]) -> usize {
+    let (heads, tails) = (&run[..run.len() - 1], &run[1..]);
+    heads
+        .chunks(255)
+        .zip(tails.chunks(255))
+        .map(|(a, b)| {
+            let starts = a.iter().zip(b).map(|(&a, &b)| u8::from(ascii_ws(a) & !ascii_ws(b)));
+            usize::from(starts.fold(0u8, u8::wrapping_add))
+        })
+        .sum()
 }
 
 /// Truncates text to approximately `max_tokens` (see [`count_tokens`]),

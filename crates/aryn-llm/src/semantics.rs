@@ -18,13 +18,12 @@ use std::cell::OnceCell;
 use std::sync::OnceLock;
 
 /// One read of a context, shared by every recognizer a model call runs.
-/// Each view — the lowercased words, the analyzed terms, the sentence
-/// spans, the lowercased text and the causal region — is built the first
-/// time a recognizer asks for it, and only then.
+/// Each view — the lowercased words, the sentence spans, the lowercased
+/// text and the causal region — is built the first time a recognizer asks
+/// for it, and only then.
 pub struct Reading<'a> {
     text: Cow<'a, str>,
     words: OnceCell<Words>,
-    terms: OnceCell<Words>,
     sentences: OnceCell<Sentences>,
     lower: OnceCell<String>,
     causal: OnceCell<Option<Box<Reading<'static>>>>,
@@ -39,7 +38,6 @@ impl<'a> Reading<'a> {
         Reading {
             text,
             words: OnceCell::new(),
-            terms: OnceCell::new(),
             sentences: OnceCell::new(),
             lower: OnceCell::new(),
             causal: OnceCell::new(),
@@ -68,19 +66,16 @@ impl<'a> Reading<'a> {
         })
     }
 
-    /// The terms [`analyze`] returns: the words less stopwords, stemmed.
-    fn terms(&self) -> &Words {
-        self.terms.get_or_init(|| {
-            let words = self.words();
-            let mut terms = Words::with_capacity(words.buf.len());
-            let mut term = String::new();
-            for w in words.iter().filter(|w| !is_stopword(w)) {
-                term.clear();
-                term.push_str(w);
-                stem_in_place(&mut term);
-                terms.push(&term);
-            }
-            terms
+    /// Streams the terms [`analyze`] returns — the words less stopwords,
+    /// stemmed — through `f`, stopping at the first `true`. Returns whether
+    /// one did.
+    fn any_term(&self, mut f: impl FnMut(&str) -> bool) -> bool {
+        let mut term = String::with_capacity(32);
+        self.words().iter().filter(|w| !is_stopword(w)).any(|w| {
+            term.clear();
+            term.push_str(w);
+            stem_in_place(&mut term);
+            f(&term)
         })
     }
 
@@ -90,10 +85,9 @@ impl<'a> Reading<'a> {
         let sentences = self.sentences.get_or_init(|| {
             let base = self.text.as_ptr() as usize;
             let (mut spans, mut lower) = (Vec::new(), Words::with_capacity(self.text.len()));
-            let mut buf = String::new();
             for s in sentence_spans(&self.text) {
                 spans.push((s.as_ptr() as usize - base, s.len()));
-                lower.push(lowercase_into(s, &mut buf));
+                lower.push_lowercase(s);
             }
             Sentences { spans, lower }
         });
@@ -144,6 +138,18 @@ impl Words {
         self.ends.push(self.buf.len() as u32);
     }
 
+    /// Appends `s.to_lowercase()`; an ASCII `s` is lowercased in place.
+    fn push_lowercase(&mut self, s: &str) {
+        if s.is_ascii() {
+            let start = self.buf.len();
+            self.buf.push_str(s);
+            self.buf[start..].make_ascii_lowercase();
+        } else {
+            self.buf.push_str(&s.to_lowercase());
+        }
+        self.ends.push(self.buf.len() as u32);
+    }
+
     fn len(&self) -> usize {
         self.ends.len()
     }
@@ -155,10 +161,6 @@ impl Words {
 
     fn iter(&self) -> impl Iterator<Item = &str> {
         (0..self.len()).map(|i| self.get(i))
-    }
-
-    fn has(&self, word: &str) -> bool {
-        self.iter().any(|w| w == word)
     }
 
     /// Whether `needle` occurs as a run starting at word `i`.
@@ -257,8 +259,6 @@ struct Lexicons {
     weather: Lexicon,
     phases: Lexicon,
     sectors: Lexicon,
-    /// The sentiment cue stems, positive first: matched against terms.
-    cues: Lexicon,
 }
 
 fn lexicons() -> &'static Lexicons {
@@ -271,8 +271,6 @@ fn lexicons() -> &'static Lexicons {
             next += details.len();
         }
         let env = lexicon::CAUSES.iter().find(|(c, _)| *c == "environmental").map_or(&[][..], |(_, d)| *d);
-        let cue_stems: Vec<String> =
-            lexicon::POSITIVE_CUES.iter().chain(lexicon::NEGATIVE_CUES).map(|c| stem(c)).collect();
         Lexicons {
             cities: Lexicon::new(lexicon::CITIES.iter().map(|(c, _)| *c)),
             states: Lexicon::new(lexicon::US_STATES.iter().map(|(_, full)| *full)),
@@ -282,22 +280,8 @@ fn lexicons() -> &'static Lexicons {
             weather: Lexicon::new(env.iter().copied().chain(["weather", "environmental"])),
             phases: Lexicon::new(lexicon::FLIGHT_PHASES.iter().copied()),
             sectors: Lexicon::new(lexicon::SECTORS.iter().copied()),
-            cues: Lexicon::new(cue_stems.iter().map(String::as_str)),
         }
     })
-}
-
-/// `s.to_lowercase()`, written into `buf`; an ASCII `s` is lowercased
-/// bytewise.
-fn lowercase_into<'b>(s: &str, buf: &'b mut String) -> &'b str {
-    buf.clear();
-    if s.is_ascii() {
-        buf.push_str(s);
-        buf.make_ascii_lowercase();
-    } else {
-        buf.push_str(&s.to_lowercase());
-    }
-    buf
 }
 
 /// `s.to_lowercase().starts_with(prefix)` for a lowercase ASCII `prefix`,
@@ -478,10 +462,33 @@ pub fn eval_predicate(predicate: &str, context: &Reading) -> bool {
     !negated(&terms, context)
 }
 
+/// Which of `terms` occur among the context's analyzed terms, one bit each
+/// (bit `k` for `terms[k]`), the scan stopped once every term has been
+/// seen. At most 64 terms.
+fn analyzed_hits(terms: &[String], context: &Reading) -> u64 {
+    debug_assert!(terms.len() <= 64);
+    let all = match terms.len() {
+        64 => u64::MAX,
+        n => (1u64 << n) - 1,
+    };
+    let mut seen = 0u64;
+    context.any_term(|t| {
+        for (k, term) in terms.iter().enumerate() {
+            if term == t {
+                seen |= 1 << k;
+            }
+        }
+        seen == all
+    });
+    seen
+}
+
 /// How many entries of `terms` occur among the context's analyzed terms.
 fn terms_present(terms: &[String], context: &Reading) -> usize {
-    let have = context.terms();
-    terms.iter().filter(|t| have.has(t)).count()
+    if terms.len() <= 64 {
+        return analyzed_hits(terms, context).count_ones() as usize;
+    }
+    terms.iter().filter(|t| context.any_term(|w| w == t.as_str())).count()
 }
 
 /// True when the cause description in `context` matches `target`, which may
@@ -517,11 +524,7 @@ pub fn classify(labels: &[String], context: &Reading) -> Option<String> {
     for (i, label) in labels.iter().enumerate() {
         let mut score = 0.0;
         // Direct term hits.
-        for t in &analyze(label) {
-            if context.terms().has(t) {
-                score += 1.0;
-            }
-        }
+        score += terms_present(&analyze(label), context) as f64;
         // Category expansion via the cause lexicon.
         let label = label.to_lowercase();
         for (k, (cat, _)) in lexicon::CAUSES.iter().enumerate() {
@@ -1272,7 +1275,12 @@ pub fn find_quarter(context: &Reading) -> Option<String> {
 
 /// `(positive_cues, negative_cues)` counts.
 fn pos_neg(context: &Reading) -> (usize, usize) {
-    let hits = lexicons().cues.hits(context.terms());
+    // The cue stems, positive first, built once.
+    static CUE_STEMS: OnceLock<Vec<String>> = OnceLock::new();
+    let stems = CUE_STEMS.get_or_init(|| {
+        lexicon::POSITIVE_CUES.iter().chain(lexicon::NEGATIVE_CUES).map(|c| stem(c)).collect()
+    });
+    let hits = analyzed_hits(stems, context);
     let pos_mask = (1u64 << lexicon::POSITIVE_CUES.len()) - 1;
     ((hits & pos_mask).count_ones() as usize, (hits & !pos_mask).count_ones() as usize)
 }
