@@ -44,14 +44,8 @@ impl<'a> Reading<'a> {
         }
     }
 
-    pub fn text(&self) -> &str {
+    fn text(&self) -> &str {
         &self.text
-    }
-
-    /// Whether `term`'s words occur in the text as a run of whole words,
-    /// case-insensitively ([`aryn_core::text::contains_term`]).
-    pub fn contains_term(&self, term: &str) -> bool {
-        self.words().contains(&tokenize(term))
     }
 
     /// The words [`tokenize`] returns.
@@ -385,7 +379,7 @@ pub fn extract_field(name: &str, ftype: &str, context: &Reading) -> Value {
     }
     // Generic fallbacks by declared type.
     match ftype {
-        "bool" => Value::Bool(context.contains_term(&lname.replace('_', " "))),
+        "bool" => Value::Bool(context.words().contains(&tokenize(&lname.replace('_', " ")))),
         "int" => first_number(context.text()).map(|n| Value::Int(n as i64)).unwrap_or(Value::Null),
         "float" | "number" => first_number(context.text()).map(Value::Float).unwrap_or(Value::Null),
         _ => {

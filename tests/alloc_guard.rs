@@ -313,15 +313,15 @@ fn one_extraction_call_reads_its_document_once() {
     // Per call: the prompt parse, one reading of the context (its words, its
     // sentence spans, the causal region and that region's words), each
     // field's value, the JSON reply and the usage. Measured over 40
-    // documents: 89 to 103 blocks per NTSB call (mean 92) and 99 to 106 per
-    // earnings call (mean 100). Re-reading the context per lexicon entry and
+    // documents: 79 to 88 blocks per NTSB call (mean 80) and 94 to 101 per
+    // earnings call (mean 95). Re-reading the context per lexicon entry and
     // per field made it 325 to 820 (mean 585) and 134 to 173 (mean 149).
     for (what, corpus, schema) in [
         ("ntsb", Corpus::ntsb(11, 40), luna::luna::ntsb_schema()),
         ("earnings", Corpus::earnings(11, 40), luna::luna::earnings_schema()),
     ] {
         for (i, n) in extraction_blocks(&corpus, &schema).into_iter().enumerate() {
-            assert!(n <= 120, "{what} document {i}: one extraction call allocated {n} blocks");
+            assert!(n <= 110, "{what} document {i}: one extraction call allocated {n} blocks");
         }
     }
 }
