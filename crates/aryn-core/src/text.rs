@@ -163,6 +163,14 @@ pub fn stem_in_place(token: &mut String) {
     }
 }
 
+/// The start that every word [`stem`]ming to `term` has: `term` less the
+/// longest replacement of a rule it ends with, since a rule only cuts a
+/// suffix and appends its replacement.
+pub fn stem_root(term: &str) -> &str {
+    let cut = STEM_RULES.iter().filter(|(_, r)| term.ends_with(r)).map(|(_, r)| r.len()).max().unwrap_or(0);
+    &term[..term.len() - cut]
+}
+
 /// Splits text into sentences on `.`, `!`, `?` followed by whitespace,
 /// keeping abbreviation-like short tokens ("U.S.", "No. 4") attached.
 pub fn sentences(text: &str) -> Vec<String> {
@@ -177,20 +185,9 @@ pub fn sentence_spans(text: &str) -> impl Iterator<Item = &str> {
     // them and every `end` is a char boundary.
     let (mut start, mut end) = (0, 0);
     std::iter::from_fn(move || {
-        let terminator = |b: &u8| matches!(b, b'.' | b'!' | b'?');
-        while let Some(k) = text.as_bytes()[end..].iter().position(terminator) {
+        while let Some(k) = text.as_bytes()[end..].iter().position(is_terminator) {
             end += k + 1;
-            let next_ws = text[end..].chars().next().is_none_or(char::is_whitespace);
-            // Don't split after single-letter abbreviations like "U." or digits "No. 4".
-            let prev_word = text[start..end]
-                .trim_end_matches(['.', '!', '?'])
-                .rsplit(char::is_whitespace)
-                .next()
-                .unwrap_or("");
-            // Words with internal dots ("U.S") or very short ones ("No") are
-            // abbreviation-like; keep the sentence going.
-            let abbrev = prev_word.len() <= 2 || prev_word.contains('.');
-            if next_ws && !abbrev {
+            if ends_sentence(text, end) {
                 let s = text[start..end].trim();
                 start = end;
                 if !s.is_empty() {
@@ -202,6 +199,47 @@ pub fn sentence_spans(text: &str) -> impl Iterator<Item = &str> {
         start = text.len();
         (!s.is_empty()).then_some(s)
     })
+}
+
+/// The sentence of [`sentence_spans`] that holds byte `at` of `text`, a
+/// byte that is not whitespace, found from the terminators around it alone.
+pub fn sentence_around(text: &str, at: usize) -> &str {
+    let bytes = text.as_bytes();
+    let mut before = at;
+    let start = loop {
+        match bytes[..before].iter().rposition(is_terminator) {
+            Some(k) if ends_sentence(text, k + 1) => break k + 1,
+            Some(k) => before = k,
+            None => break 0,
+        }
+    };
+    let mut end = at;
+    while let Some(k) = bytes[end..].iter().position(is_terminator) {
+        end += k + 1;
+        if ends_sentence(text, end) {
+            return text[start..end].trim();
+        }
+    }
+    text[start..].trim()
+}
+
+fn is_terminator(b: &u8) -> bool {
+    matches!(b, b'.' | b'!' | b'?')
+}
+
+/// Whether the terminator just before byte `end` closes a sentence: one
+/// whitespace or the text's end follows it, and the word it ends is no
+/// abbreviation. Only the text around `end` is read — the word before it
+/// reaches back to a whitespace, which starts every sentence but the first,
+/// or to the text's start — so the rule needs no sentence start.
+fn ends_sentence(text: &str, end: usize) -> bool {
+    let next_ws = text[end..].chars().next().is_none_or(char::is_whitespace);
+    // Don't split after single-letter abbreviations like "U." or digits "No. 4".
+    let prev_word = text[..end].trim_end_matches(['.', '!', '?']).rsplit(char::is_whitespace).next().unwrap_or("");
+    // Words with internal dots ("U.S") or very short ones ("No") are
+    // abbreviation-like; keep the sentence going.
+    let abbrev = prev_word.len() <= 2 || prev_word.contains('.');
+    next_ws && !abbrev
 }
 
 /// Approximates an LLM token count: roughly one token per 4 characters, with
@@ -344,6 +382,20 @@ mod tests {
         );
         assert!(tokenize("").is_empty());
         assert!(tokenize("!!! --- ").is_empty());
+    }
+
+    #[test]
+    fn every_word_starts_with_the_root_of_its_stem() {
+        // One word per rule that appends a replacement, and a few that cut.
+        for w in [
+            "relational", "organization", "hopefulness", "famousness", "decisiveness", "enforcement", "payments",
+            "station", "mission", "ponies", "carried", "lowers", "pilots", "rated", "ab", "a",
+        ] {
+            let stemmed = stem(w);
+            assert!(w.starts_with(stem_root(&stemmed)), "{w:?} stems to {stemmed:?}, root {:?}", stem_root(&stemmed));
+        }
+        assert_eq!(stem_root("pony"), "pon");
+        assert_eq!(stem_root("wind"), "wind");
     }
 
     #[test]

@@ -313,6 +313,8 @@ fn assert_analysis_frozen(s: &str) {
     assert_eq!(text::analyze(s), reference::analyze(s), "analyze({s:?})");
     for tok in reference::tokenize(s) {
         assert_eq!(text::stem(&tok), reference::stem(&tok), "stem({tok:?})");
+        let stemmed = text::stem(&tok);
+        assert!(tok.starts_with(text::stem_root(&stemmed)), "{tok:?} stems to {stemmed:?}");
     }
 }
 
@@ -559,6 +561,16 @@ fn assert_streaming_matches(s: &str) {
     let spans: Vec<&str> = text::sentence_spans(s).collect();
     assert_eq!(spans, reference::sentences(s), "sentence_spans({s:?})");
     assert_eq!(text::sentences(s), reference::sentences(s), "sentences({s:?})");
+    // Every character but whitespace lies in one sentence, found from the
+    // terminators around it.
+    let base = s.as_ptr() as usize;
+    for (at, _) in s.char_indices().filter(|(_, c)| !c.is_whitespace()) {
+        let holder = spans.iter().find(|sp| {
+            let lo = sp.as_ptr() as usize - base;
+            (lo..lo + sp.len()).contains(&at)
+        });
+        assert_eq!(Some(&text::sentence_around(s, at)), holder, "sentence_around({s:?}, {at})");
+    }
     assert_eq!(streamed_terms(s), text::analyze(s), "any_analyzed({s:?})");
     assert_eq!(text::count_tokens(s), reference::count_tokens(s), "count_tokens({s:?})");
     let tokens = text::tokenize(s);

@@ -415,11 +415,7 @@ impl LlmClient {
         max_output: usize,
         prompt_fn: impl Fn(&str) -> String,
     ) -> String {
-        let empty = prompt_fn("");
-        let overhead = count_tokens(&empty);
-        let budget = self.context_budget(overhead, max_output);
-        let fitted = truncate_tokens(context, budget);
-        prompt_fn(fitted)
+        prompt_fn(self.fitted(context, max_output, &prompt_fn))
     }
 
     /// Truncates `context` exactly the way [`LlmClient::fit_prompt`] would,
@@ -433,8 +429,19 @@ impl LlmClient {
         max_output: usize,
         prompt_fn: impl Fn(&str) -> String,
     ) -> String {
-        let overhead = count_tokens(&prompt_fn(""));
-        truncate_tokens(context, self.context_budget(overhead, max_output)).to_string()
+        self.fitted(context, max_output, &prompt_fn).to_string()
+    }
+
+    /// The longest word-boundary prefix of `context` within the budget the
+    /// rest of the prompt leaves. A token is at least one byte, so when the
+    /// bytes fit, the tokens do: the whole context is kept without counting.
+    fn fitted<'c>(&self, context: &'c str, max_output: usize, prompt_fn: impl Fn(&str) -> String) -> &'c str {
+        let empty = prompt_fn("");
+        let bytes = empty.len().saturating_add(context.len()).saturating_add(max_output).saturating_add(16);
+        if bytes <= self.model.context_window() {
+            return context;
+        }
+        truncate_tokens(context, self.context_budget(count_tokens(&empty), max_output))
     }
 
     /// One raw completion with transient-failure retries and metering.

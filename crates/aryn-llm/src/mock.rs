@@ -62,7 +62,7 @@ pub trait TaskEngine: Send + Sync {
     fn kind(&self) -> TaskKind;
     /// Produces the *honest* completion text for the task, or `None` to fall
     /// through to built-in handling.
-    fn run(&self, task: &ParsedTask, ctx: &EngineCtx<'_>) -> Option<String>;
+    fn run(&self, task: &ParsedTask<'_>, ctx: &EngineCtx<'_>) -> Option<String>;
 }
 
 /// Tuning knobs for the simulation, shared across models in a run.
@@ -145,7 +145,7 @@ impl MockLlm {
     }
 
     /// Runs the semantic engine and the error model for one parsed task.
-    fn complete_task(&self, task: &ParsedTask, ctx: &EngineCtx<'_>) -> String {
+    fn complete_task(&self, task: &ParsedTask<'_>, ctx: &EngineCtx<'_>) -> String {
         if task.kind == TaskKind::Batch {
             return self.complete_batch(task, ctx);
         }
@@ -157,8 +157,8 @@ impl MockLlm {
                 }
             }
         }
-        let honest = self.honest_answer(task);
-        self.maybe_corrupt(task, ctx, honest)
+        let (honest, evidence) = self.honest_answer(task);
+        self.maybe_corrupt(task, ctx, honest, evidence)
     }
 
     /// Completes a batched prompt by replaying each item through the
@@ -174,7 +174,7 @@ impl MockLlm {
     /// drives the caller's split-and-retry fallback down to a singleton
     /// where the real retry ladder applies. The assembled object then takes
     /// one more batch-level malformation draw, as any completion would.
-    fn complete_batch(&self, task: &ParsedTask, ctx: &EngineCtx<'_>) -> String {
+    fn complete_batch(&self, task: &ParsedTask<'_>, ctx: &EngineCtx<'_>) -> String {
         let Ok((inner_kind, inner_params, _)) = parse_batch_params(&task.params) else {
             return "{\"error\": \"unparseable batch params\"}".to_string();
         };
@@ -182,7 +182,7 @@ impl MockLlm {
             return "{\"error\": \"nested batch\"}".to_string();
         }
         let mut out = std::collections::BTreeMap::new();
-        for (i, item) in split_batch_items(&task.context).iter().enumerate() {
+        for (i, item) in split_batch_items(task.context).iter().enumerate() {
             let single = build_prompt(inner_kind, &inner_params, item);
             let ictx = EngineCtx {
                 spec: self.spec,
@@ -193,7 +193,7 @@ impl MockLlm {
             let itask = ParsedTask {
                 kind: inner_kind,
                 params: inner_params.clone(),
-                context: item.clone(),
+                context: item,
             };
             let text = self.complete_task(&itask, &ictx);
             if let Ok(v) = aryn_core::json::parse_lenient(&text) {
@@ -203,13 +203,15 @@ impl MockLlm {
         self.render_raw(ctx, aryn_core::json::to_string_pretty(&Value::Object(out)))
     }
 
-    fn honest_answer(&self, task: &ParsedTask) -> Value {
-        match task.kind {
+    /// The honest completion for a task and, for a QA task, where its
+    /// evidence sat in the context (see [`semantics::answer_question`]).
+    fn honest_answer(&self, task: &ParsedTask<'_>) -> (Value, Option<f64>) {
+        let value = match task.kind {
             TaskKind::Extract => {
                 let mut out = std::collections::BTreeMap::new();
                 if let Some(fields) = task.params.get("schema").and_then(Value::as_object) {
                     // Every field reads the context through one reading.
-                    let context = Reading::new(&task.context);
+                    let context = Reading::new(task.context);
                     for (name, ftype) in fields {
                         let t = ftype.as_str().unwrap_or("string");
                         out.insert(name.clone(), semantics::extract_field(name, t, &context));
@@ -223,7 +225,7 @@ impl MockLlm {
                     .get("predicate")
                     .and_then(Value::as_str)
                     .unwrap_or("");
-                obj! { "match" => semantics::eval_predicate(pred, &Reading::new(&task.context)) }
+                obj! { "match" => semantics::eval_predicate(pred, &Reading::new(task.context)) }
             }
             TaskKind::Classify => {
                 let labels: Vec<String> = task
@@ -232,7 +234,7 @@ impl MockLlm {
                     .and_then(Value::as_array)
                     .map(|a| a.iter().filter_map(|v| v.as_str().map(str::to_string)).collect())
                     .unwrap_or_default();
-                let label = semantics::classify(&labels, &Reading::new(&task.context));
+                let label = semantics::classify(&labels, &Reading::new(task.context));
                 obj! { "label" => label }
             }
             TaskKind::Summarize => {
@@ -241,7 +243,7 @@ impl MockLlm {
                     .get("instructions")
                     .and_then(Value::as_str)
                     .unwrap_or("");
-                obj! { "summary" => semantics::summarize(instr, &task.context, 3) }
+                obj! { "summary" => semantics::summarize(instr, task.context, 3) }
             }
             TaskKind::Answer => {
                 let q = task
@@ -249,8 +251,8 @@ impl MockLlm {
                     .get("question")
                     .and_then(Value::as_str)
                     .unwrap_or("");
-                let (answer, _) = semantics::answer_question(q, &task.context);
-                obj! { "answer" => answer }
+                let (answer, position) = semantics::answer_question(q, task.context);
+                return (obj! { "answer" => answer }, Some(position));
             }
             TaskKind::Plan => {
                 // No built-in planner: without a registered engine the model
@@ -260,19 +262,24 @@ impl MockLlm {
             // Batch is intercepted in complete_task; reaching here means a
             // malformed envelope.
             TaskKind::Batch => obj! { "error" => "unhandled batch" },
-        }
+        };
+        (value, None)
     }
 
     /// Applies the accuracy draw; on failure substitutes a plausible wrong
     /// answer. Returns the serialized completion.
-    fn maybe_corrupt(&self, task: &ParsedTask, ctx: &EngineCtx<'_>, honest: Value) -> String {
+    fn maybe_corrupt(
+        &self,
+        task: &ParsedTask<'_>,
+        ctx: &EngineCtx<'_>,
+        honest: Value,
+        evidence: Option<f64>,
+    ) -> String {
         let mut err = self.effective_error(self.spec.accuracy.get(task.kind));
         // Lost-in-the-middle: QA over long contexts degrades most when the
         // evidence sits mid-context (Liu et al. 2023; paper §2).
-        if task.kind == TaskKind::Answer {
-            let q = task.params.get("question").and_then(Value::as_str).unwrap_or("");
-            let (_, pos) = semantics::answer_question(q, &task.context);
-            let fill = (count_tokens(&task.context) as f64 / self.spec.context_window as f64)
+        if let Some(pos) = evidence {
+            let fill = (count_tokens(task.context) as f64 / self.spec.context_window as f64)
                 .clamp(0.0, 1.0);
             let mid = 4.0 * pos * (1.0 - pos); // 1 at center, 0 at the ends
             err = (err + self.spec.lost_in_middle * mid * fill * self.cfg.error_scale).min(1.0);
@@ -286,7 +293,7 @@ impl MockLlm {
     }
 
     /// Same error draw for engine-produced (already textual) completions.
-    fn maybe_corrupt_text(&self, task: &ParsedTask, ctx: &EngineCtx<'_>, text: String) -> String {
+    fn maybe_corrupt_text(&self, task: &ParsedTask<'_>, ctx: &EngineCtx<'_>, text: String) -> String {
         let err = self.effective_error(self.spec.accuracy.get(task.kind));
         if ctx.chance("accuracy", err) {
             // A wrong plan / wrong free-form output: truncate it mid-way,
@@ -304,7 +311,7 @@ impl MockLlm {
     }
 
     /// Substitutes a plausible wrong value for the honest one.
-    fn corrupt(&self, task: &ParsedTask, ctx: &EngineCtx<'_>, honest: Value) -> Value {
+    fn corrupt(&self, task: &ParsedTask<'_>, ctx: &EngineCtx<'_>, honest: Value) -> Value {
         let mut rng = ctx.rng("corrupt");
         match task.kind {
             TaskKind::Extract => {
@@ -344,7 +351,7 @@ impl MockLlm {
             }
             TaskKind::Answer => {
                 // Answer from a random sentence — confidently wrong.
-                let sents = aryn_core::text::sentences(&task.context);
+                let sents = aryn_core::text::sentences(task.context);
                 if sents.is_empty() {
                     honest
                 } else {
@@ -656,7 +663,7 @@ mod tests {
             fn kind(&self) -> TaskKind {
                 TaskKind::Plan
             }
-            fn run(&self, _t: &ParsedTask, _c: &EngineCtx<'_>) -> Option<String> {
+            fn run(&self, _t: &ParsedTask<'_>, _c: &EngineCtx<'_>) -> Option<String> {
                 Some("{\"nodes\": []}".to_string())
             }
         }

@@ -23,12 +23,13 @@ use crate::registry::TaskKind;
 use aryn_core::json;
 use aryn_core::{ArynError, Result, Value};
 
-/// A parsed structured task, as the simulated model sees it.
+/// A parsed structured task, as the simulated model sees it: the context
+/// is borrowed from the prompt.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ParsedTask {
+pub struct ParsedTask<'a> {
     pub kind: TaskKind,
     pub params: Value,
-    pub context: String,
+    pub context: &'a str,
 }
 
 /// Builds a task prompt from its parts.
@@ -76,7 +77,7 @@ pub fn build_prompt(kind: TaskKind, params: &Value, context: &str) -> String {
 /// Parses the structured sections back out of a prompt. Returns an error for
 /// prompts that do not follow the template (a real model would freestyle; the
 /// simulated ones refuse, which surfaces template bugs loudly in tests).
-pub fn parse_prompt(prompt: &str) -> Result<ParsedTask> {
+pub fn parse_prompt(prompt: &str) -> Result<ParsedTask<'_>> {
     let task_line = section_line(prompt, "[TASK]")
         .ok_or_else(|| ArynError::Llm("prompt missing [TASK] section".into()))?;
     let kind = TaskKind::from_name(task_line.trim())
@@ -86,8 +87,7 @@ pub fn parse_prompt(prompt: &str) -> Result<ParsedTask> {
     let params = json::parse(params_line.trim())
         .map_err(|e| ArynError::Llm(format!("bad [PARAMS] json: {e}")))?;
     let context = between(prompt, "[CONTEXT]\n", "\n[END]")
-        .ok_or_else(|| ArynError::Llm("prompt missing [CONTEXT] section".into()))?
-        .to_string();
+        .ok_or_else(|| ArynError::Llm("prompt missing [CONTEXT] section".into()))?;
     Ok(ParsedTask {
         kind,
         params,

@@ -11,7 +11,10 @@
 //! matched in one pass over the reading's words.
 
 use aryn_core::lexicon;
-use aryn_core::text::{analyze, any_token, is_stopword, sentence_spans, sentences, stem, stem_in_place, tokenize};
+use aryn_core::text::{
+    analyze, any_token, contains_tokens, is_stopword, sentence_around, sentence_spans, sentences, stem,
+    stem_in_place, stem_root, tokenize,
+};
 use aryn_core::Value;
 use std::borrow::Cow;
 use std::cell::OnceCell;
@@ -19,13 +22,14 @@ use std::sync::OnceLock;
 
 /// One read of a context, shared by every recognizer a model call runs.
 /// Each view — the lowercased words, the sentence spans, the lowercased
-/// text and the causal region — is built the first time a recognizer asks
-/// for it, and only then.
+/// text, its ASCII lowercase and the causal region — is built the first
+/// time a recognizer asks for it, and only then.
 pub struct Reading<'a> {
     text: Cow<'a, str>,
     words: OnceCell<Words>,
     sentences: OnceCell<Sentences>,
     lower: OnceCell<String>,
+    ascii_lower: OnceCell<String>,
     causal: OnceCell<Option<Box<Reading<'static>>>>,
 }
 
@@ -40,6 +44,7 @@ impl<'a> Reading<'a> {
             words: OnceCell::new(),
             sentences: OnceCell::new(),
             lower: OnceCell::new(),
+            ascii_lower: OnceCell::new(),
             causal: OnceCell::new(),
         }
     }
@@ -61,16 +66,35 @@ impl<'a> Reading<'a> {
     }
 
     /// Streams the terms [`analyze`] returns — the words less stopwords,
-    /// stemmed — through `f`, stopping at the first `true`. Returns whether
-    /// one did.
-    fn any_term(&self, mut f: impl FnMut(&str) -> bool) -> bool {
+    /// stemmed — that may be one of `terms` through `f`, stopping at the
+    /// first `true`. Returns whether one did. A word `terms` rules out is
+    /// neither looked up as a stopword nor stemmed. The words are read as
+    /// [`Reading::contains`] reads them.
+    fn any_term(&self, terms: &Terms, mut f: impl FnMut(&str) -> bool) -> bool {
         let mut term = String::with_capacity(32);
-        self.words().iter().filter(|w| !is_stopword(w)).any(|w| {
+        let on_word = |w: &str| {
+            if !terms.admits(w) || is_stopword(w) {
+                return false;
+            }
             term.clear();
             term.push_str(w);
             stem_in_place(&mut term);
             f(&term)
-        })
+        };
+        match self.words.get() {
+            Some(words) => words.iter().any(on_word),
+            None => any_token(&self.text, on_word),
+        }
+    }
+
+    /// Whether `needle` occurs as a run of the words: read from the stored
+    /// words when a recognizer has built them, streamed over the text
+    /// otherwise; either way the search stops at the first match.
+    fn contains(&self, needle: &[String]) -> bool {
+        match self.words.get() {
+            Some(words) => words.contains(needle),
+            None => contains_tokens(&self.text, needle),
+        }
     }
 
     /// The sentences [`sentence_spans`] returns, each with its
@@ -94,16 +118,40 @@ impl<'a> Reading<'a> {
         self.lower.get_or_init(|| self.text.to_lowercase())
     }
 
+    /// `text.to_ascii_lowercase()`: byte offsets are the text's.
+    fn ascii_lower(&self) -> &str {
+        self.ascii_lower.get_or_init(|| self.text.to_ascii_lowercase())
+    }
+
+    /// Whether some analyzed term of the text may be `term`. A word that
+    /// stems to an ASCII term is lowercased from ASCII characters alone when
+    /// the text holds no `İ` or `K` (the only characters outside ASCII that
+    /// lowercase into it), so it is then a piece of the ASCII lowercase that
+    /// starts with the term's [`stem_root`].
+    fn may_have_term(&self, term: &str) -> bool {
+        let folds_into_ascii = || self.text.contains('\u{130}') || self.text.contains('\u{212a}');
+        !term.is_ascii()
+            || (!self.text.is_ascii() && folds_into_ascii())
+            || self.ascii_lower().contains(stem_root(term))
+    }
+
     /// The sentences around causal markers — where a report states its
     /// cause — joined by spaces, or the whole text when none has a marker.
     fn causal(&self) -> &Reading<'a> {
         let region = self.causal.get_or_init(|| {
-            let mut out = String::with_capacity(self.text.len());
-            for (s, lower) in self.sentences() {
-                if CAUSAL_MARKERS.iter().any(|m| lower.contains(m)) {
-                    out.push_str(s);
-                    out.push(' ');
+            let text: &str = &self.text;
+            let base = text.as_ptr() as usize;
+            // Marker offsets ascend, so the sentences come in text order,
+            // each once: `taken` is where the last one taken ends.
+            let (mut out, mut taken) = (String::new(), 0);
+            for at in causal_marker_starts(self.ascii_lower()) {
+                if at < taken {
+                    continue;
                 }
+                let s = sentence_around(text, at);
+                taken = s.as_ptr() as usize - base + s.len();
+                out.push_str(s);
+                out.push(' ');
             }
             (!out.is_empty()).then(|| Box::new(Reading::of(Cow::Owned(out))))
         });
@@ -234,10 +282,52 @@ impl Lexicon {
         (hits != 0).then(|| hits.trailing_zeros() as usize)
     }
 
-    /// Whether entry `k` occurs in `words`.
-    fn occurs(&self, words: &Words, k: usize) -> bool {
-        words.contains(&self.needles[k])
+    /// Whether entry `k` occurs in `context`.
+    fn occurs(&self, context: &Reading, k: usize) -> bool {
+        context.contains(&self.needles[k])
     }
+}
+
+/// Terms to find among a reading's analyzed terms, with what a word must
+/// look like to stem to one. No rule cuts a word below two bytes, so a
+/// word's stem starts with the word's first two bytes (or is the word), and
+/// a word stemming to a term starts with the term's [`stem_root`].
+struct Terms<'t> {
+    terms: &'t [String],
+    /// A 256-bit filter of the terms' [`head_bit`]s.
+    heads: [u64; 4],
+    /// `(head bit, root)` of every term, sorted.
+    roots: Vec<(usize, &'t str)>,
+}
+
+impl<'t> Terms<'t> {
+    fn new(terms: &'t [String]) -> Terms<'t> {
+        let mut roots: Vec<(usize, &str)> = terms.iter().map(|t| (head_bit(t), stem_root(t))).collect();
+        roots.sort_unstable();
+        let mut heads = [0u64; 4];
+        for &(bit, _) in &roots {
+            heads[bit / 64] |= 1 << (bit % 64);
+        }
+        Terms { terms, heads, roots }
+    }
+
+    /// Whether `word` may stem to one of the terms: its head is one of
+    /// theirs, and it starts with the root of a term with that head.
+    fn admits(&self, word: &str) -> bool {
+        let bit = head_bit(word);
+        if self.heads[bit / 64] & (1 << (bit % 64)) == 0 {
+            return false;
+        }
+        let from = self.roots.partition_point(|&(b, _)| b < bit);
+        self.roots[from..].iter().take_while(|&&(b, _)| b == bit).any(|(_, root)| word.starts_with(root))
+    }
+}
+
+/// A word's bit in a [`Terms`] filter, from its first two bytes.
+fn head_bit(word: &str) -> usize {
+    let b = word.as_bytes();
+    let (first, second) = (*b.first().unwrap_or(&0) as usize, *b.get(1).unwrap_or(&0) as usize);
+    (first * 37 + second) & 255
 }
 
 /// The lexicons the recognizers match, built once per process.
@@ -253,6 +343,8 @@ struct Lexicons {
     weather: Lexicon,
     phases: Lexicon,
     sectors: Lexicon,
+    /// Each sector's `to_lowercase()`, as a predicate names it.
+    sector_names: Vec<String>,
 }
 
 fn lexicons() -> &'static Lexicons {
@@ -274,6 +366,7 @@ fn lexicons() -> &'static Lexicons {
             weather: Lexicon::new(env.iter().copied().chain(["weather", "environmental"])),
             phases: Lexicon::new(lexicon::FLIGHT_PHASES.iter().copied()),
             sectors: Lexicon::new(lexicon::SECTORS.iter().copied()),
+            sector_names: lexicon::SECTORS.iter().map(|s| s.to_lowercase()).collect(),
         }
     })
 }
@@ -428,10 +521,9 @@ pub fn eval_predicate(predicate: &str, context: &Reading) -> bool {
     // about that sector at all, even without the literal word "sector"
     // nearby ("a slowdown in AI spending").
     if p.contains("sector") {
-        for (k, name) in lexicon::SECTORS.iter().enumerate() {
-            if p.contains(&name.to_lowercase()) {
-                return lexicons().sectors.occurs(context.words(), k);
-            }
+        let lex = lexicons();
+        if let Some(k) = lex.sector_names.iter().position(|name| p.contains(name.as_str())) {
+            return lex.sectors.occurs(context, k);
         }
     }
     // Generic: a majority of the predicate's content terms appear, with
@@ -459,15 +551,15 @@ pub fn eval_predicate(predicate: &str, context: &Reading) -> bool {
 /// Which of `terms` occur among the context's analyzed terms, one bit each
 /// (bit `k` for `terms[k]`), the scan stopped once every term has been
 /// seen. At most 64 terms.
-fn analyzed_hits(terms: &[String], context: &Reading) -> u64 {
-    debug_assert!(terms.len() <= 64);
-    let all = match terms.len() {
+fn analyzed_hits(terms: &Terms, context: &Reading) -> u64 {
+    debug_assert!(terms.terms.len() <= 64);
+    let all = match terms.terms.len() {
         64 => u64::MAX,
         n => (1u64 << n) - 1,
     };
     let mut seen = 0u64;
-    context.any_term(|t| {
-        for (k, term) in terms.iter().enumerate() {
+    context.any_term(terms, |t| {
+        for (k, term) in terms.terms.iter().enumerate() {
             if term == t {
                 seen |= 1 << k;
             }
@@ -480,36 +572,57 @@ fn analyzed_hits(terms: &[String], context: &Reading) -> u64 {
 /// How many entries of `terms` occur among the context's analyzed terms.
 fn terms_present(terms: &[String], context: &Reading) -> usize {
     if terms.len() <= 64 {
-        return analyzed_hits(terms, context).count_ones() as usize;
+        return analyzed_hits(&Terms::new(terms), context).count_ones() as usize;
     }
-    terms.iter().filter(|t| context.any_term(|w| w == t.as_str())).count()
+    terms.iter().filter(|t| context.any_term(&Terms::new(std::slice::from_ref(t)), |w| w == t.as_str())).count()
 }
 
 /// True when the cause description in `context` matches `target`, which may
 /// be a detail cause ("wind"), a category ("environmental factors"), or a
 /// free phrase.
 pub fn cause_matches(target: &str, context: &Reading) -> bool {
-    let causal = context.causal();
     let t = target.to_lowercase();
     // Category-level match: "environmental factors" ⊇ {wind, fog, ...}.
     let lex = lexicons();
     for (k, (cat, _)) in lexicon::CAUSES.iter().enumerate() {
         if t.contains(cat) || (*cat == "pilot error" && t.contains("pilot")) {
+            let causal = context.causal();
             return lex.causes.hits(causal.words()) & lex.cause_masks[k] != 0
-                || lex.categories.occurs(causal.words(), k);
+                || lex.categories.occurs(causal, k);
         }
     }
-    // Detail-level match on the causal region first, whole document second.
+    // Detail-level match on the causal region. A term that may be in no
+    // word of the text is in none of the region: when too few may be,
+    // the region is not read.
     let terms = analyze(&t);
-    if terms.is_empty() {
+    let possible = terms.iter().filter(|term| context.may_have_term(term)).count();
+    if terms.is_empty() || possible * 2 < terms.len() {
         return false;
     }
-    terms_present(&terms, causal) * 2 >= terms.len().max(1)
+    terms_present(&terms, context.causal()) * 2 >= terms.len()
 }
 
 /// Sentence markers of a report's causal statement.
 const CAUSAL_MARKERS: &[&str] =
     &["probable cause", "caused by", "due to", "result of", "resulted in", "failure to"];
+
+/// Where causal markers start in a text's ASCII lowercase `lower`,
+/// ascending. `lower` holds a marker exactly where a sentence's
+/// `to_lowercase()` does: the markers hold no terminator, no `k`, and every
+/// `i` in them is followed by a letter, while the only characters outside
+/// ASCII that lowercase into ASCII are `K` (to `k`) and `İ` (to `i` +
+/// U+0307).
+fn causal_marker_starts(lower: &str) -> Vec<usize> {
+    // `contains` first: it rules out an absent marker faster than
+    // `match_indices` can.
+    let mut starts: Vec<usize> = CAUSAL_MARKERS
+        .iter()
+        .filter(|m| lower.contains(**m))
+        .flat_map(|m| lower.match_indices(m).map(|(at, _)| at))
+        .collect();
+    starts.sort_unstable();
+    starts
+}
 
 /// Picks the best label for the context from a closed set.
 pub fn classify(labels: &[String], context: &Reading) -> Option<String> {
@@ -1271,10 +1384,13 @@ pub fn find_quarter(context: &Reading) -> Option<String> {
 fn pos_neg(context: &Reading) -> (usize, usize) {
     // The cue stems, positive first, built once.
     static CUE_STEMS: OnceLock<Vec<String>> = OnceLock::new();
-    let stems = CUE_STEMS.get_or_init(|| {
-        lexicon::POSITIVE_CUES.iter().chain(lexicon::NEGATIVE_CUES).map(|c| stem(c)).collect()
+    static CUES: OnceLock<Terms<'static>> = OnceLock::new();
+    let cues = CUES.get_or_init(|| {
+        Terms::new(CUE_STEMS.get_or_init(|| {
+            lexicon::POSITIVE_CUES.iter().chain(lexicon::NEGATIVE_CUES).map(|c| stem(c)).collect()
+        }))
     });
-    let hits = analyzed_hits(stems, context);
+    let hits = analyzed_hits(cues, context);
     let pos_mask = (1u64 << lexicon::POSITIVE_CUES.len()) - 1;
     ((hits & pos_mask).count_ones() as usize, (hits & !pos_mask).count_ones() as usize)
 }

@@ -7,9 +7,11 @@ use aryn_llm::model::{LanguageModel, LlmRequest};
 use aryn_llm::prompt::{build_prompt, parse_prompt, tasks};
 use aryn_llm::registry::{TaskKind, GPT4_SIM, LLAMA7B_SIM};
 use aryn_llm::semantics::Reading;
+use aryn_llm::LlmClient;
 use aryn_docgen::corpus::Domain;
 use aryn_docgen::stream::{corpus_doc, extracted_document};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn context_strategy() -> impl Strategy<Value = String> {
     // Context text without the template's section markers (a real document
@@ -38,7 +40,7 @@ proptest! {
             let t = parse_prompt(&p).unwrap();
             prop_assert_eq!(t.kind, kind);
             prop_assert_eq!(&t.params, &params);
-            prop_assert_eq!(t.context.as_str(), context.as_str());
+            prop_assert_eq!(t.context, context.as_str());
         }
     }
 
@@ -135,13 +137,41 @@ proptest! {
 /// text are taken where they stand (`find_state`'s two bytes after ", "
 /// may end inside a character; `find_cause` located its marker in the
 /// lowercased text, whose offsets drift once a character before it changes
-/// length when lowercased).
+/// length when lowercased). With them, the client's prompt fitting as it
+/// stood when it always counted tokens.
 mod reference {
     use aryn_core::lexicon;
-    use aryn_core::text::{analyze, contains_term, sentence_spans, stem, tokenize};
+    use aryn_core::text::{analyze, contains_term, count_tokens, sentence_spans, stem, tokenize, truncate_tokens};
     use aryn_core::Value;
     use aryn_llm::semantics::first_number;
+    use aryn_llm::LlmClient;
     use std::borrow::Cow;
+
+    /// `LlmClient::fit_prompt` as it stood before the byte bound: the
+    /// fixed parts and the context are always counted.
+    pub fn fit_prompt(
+        client: &LlmClient,
+        context: &str,
+        max_output: usize,
+        prompt_fn: impl Fn(&str) -> String,
+    ) -> String {
+        let empty = prompt_fn("");
+        let overhead = count_tokens(&empty);
+        let budget = client.context_budget(overhead, max_output);
+        let fitted = truncate_tokens(context, budget);
+        prompt_fn(fitted)
+    }
+
+    /// `LlmClient::fit_context` as it stood before the byte bound.
+    pub fn fit_context(
+        client: &LlmClient,
+        context: &str,
+        max_output: usize,
+        prompt_fn: impl Fn(&str) -> String,
+    ) -> String {
+        let overhead = count_tokens(&prompt_fn(""));
+        truncate_tokens(context, client.context_budget(overhead, max_output)).to_string()
+    }
 
     /// Extracts one schema field from context text, dispatching on the field
     /// name the way an instruction-following model keys off the schema.
@@ -912,6 +942,9 @@ const PREDICATES: &[&str] = &[
     "passengers were injured", "the company had a new CEO", "the report has positive sentiment",
     "the outlook is pessimistic", "the company is in the AI sector", "the company is in the retail sector",
     "the report mentions headwinds", "revenue grew year over year; and also mentions record demand",
+    // As Luna's planner words them.
+    "caused by control cable failure", "caused by fuel contamination", "in the AI sector", "in the energy sector",
+    "carries a negative sentiment", "carries a positive sentiment", "caused by w\u{130}nd", "caused by g\u{fc}st",
 ];
 
 const LABELS: &[&[&str]] = &[
@@ -938,7 +971,10 @@ fn assert_recognizers_match(text: &str) {
     for p in PREDICATES {
         assert_eq!(s::eval_predicate(p, &r), reference::eval_predicate(p, text), "{p:?} on {text:?}");
     }
-    for target in ["wind", "environmental factors", "pilot", "engine failure", "a gusty crosswind"] {
+    for target in [
+        "wind", "environmental factors", "pilot", "engine failure", "a gusty crosswind", "icing conditions",
+        "control cable failures", "the fuel", "w\u{130}nd", "\u{212a}nots",
+    ] {
         assert_eq!(s::cause_matches(target, &r), reference::cause_matches(target, text), "{target:?} on {text:?}");
     }
     for labels in LABELS {
@@ -1017,10 +1053,74 @@ const VOCAB: &[&str] = &[
     "fatally injured", "Cessna 172", "N4521B", "June 3, 2019", "Q3 2024", "(APXR)", "Apex Robotics",
     "Maria Chen", "CEO", "appointed", "$412.5 million", "$2.1 Billion", "18.2%", "declined", "revenue",
     "guidance", "lowered", "strong", "record", "headwinds", "AI", "retail", "approach", "no", "not", ". ",
+    "W\u{130}ND", "\u{212a}nots", "failure to", "resulted in", "control cable failures",
     "! ", "? ", "U.S. ", "\n", " ",
 ];
 
+/// A model that only has a context window, for fitting prompts to it.
+struct Window(usize);
+
+impl LanguageModel for Window {
+    fn name(&self) -> &str {
+        "window"
+    }
+
+    fn context_window(&self) -> usize {
+        self.0
+    }
+
+    fn generate(&self, _req: &LlmRequest) -> aryn_core::Result<aryn_llm::model::LlmResponse> {
+        Err(aryn_core::ArynError::Llm("a window answers nothing".into()))
+    }
+}
+
+/// A prompt that embeds its context zero, one or two times, only its first
+/// 40 characters, or nothing else (so the fixed part costs no token and a
+/// window a few bytes off the bound decides the fit).
+fn shaped_prompt(shape: usize, ctx: &str) -> String {
+    match shape {
+        0 => tasks::filter("caused by wind", ""),
+        1 => tasks::filter("caused by wind", ctx),
+        2 => tasks::answer(ctx, ctx),
+        3 => tasks::summarize("short", &ctx.chars().take(40).collect::<String>()),
+        _ => ctx.to_string(),
+    }
+}
+
 proptest! {
+    #[test]
+    fn byte_bound_fit_matches_the_counting_fit(
+        pieces in prop_oneof![
+            prop::collection::vec((any::<bool>(), unicode_char()), 0..8),
+            prop::collection::vec((any::<bool>(), unicode_char()), 0..400),
+        ],
+        shape in 0usize..5,
+        max_output in 0usize..80,
+        near_tokens in any::<bool>(),
+        offset in 0usize..17,
+    ) {
+        let context: String = pieces.iter().map(|&(space, c)| if space { ' ' } else { c }).collect();
+        let prompt_fn = |ctx: &str| shaped_prompt(shape, ctx);
+        let empty = prompt_fn("");
+        // A window within eight of the byte bound, or of the token count
+        // where truncation starts, on either side.
+        let fixed = max_output + 16;
+        let bound = if near_tokens {
+            aryn_core::text::count_tokens(&empty) + aryn_core::text::count_tokens(&context) + fixed
+        } else {
+            empty.len() + context.len() + fixed
+        };
+        let client = LlmClient::new(Arc::new(Window((bound + offset).saturating_sub(8))));
+        prop_assert_eq!(
+            client.fit_prompt(&context, max_output, prompt_fn),
+            reference::fit_prompt(&client, &context, max_output, prompt_fn)
+        );
+        prop_assert_eq!(
+            client.fit_context(&context, max_output, prompt_fn),
+            reference::fit_context(&client, &context, max_output, prompt_fn)
+        );
+    }
+
     #[test]
     fn recognizers_match_their_references_on_docgen_text(
         earnings in any::<bool>(),

@@ -5,7 +5,7 @@ use crate::analyze::Analysis;
 use crate::costmodel::{CostKnobs, CostRules};
 use crate::exec::{LunaResult, PlanExecutor};
 use crate::ops::{Plan, PlanOp};
-use crate::optimize::{optimize, Optimized, OptimizerCfg};
+use crate::optimize::{optimize_checked, Optimized, OptimizerCfg};
 use crate::planner::{PlannerEngine, RulePlanner};
 use crate::schema::IndexSchema;
 use aryn_core::{ArynError, Result, Severity, Value};
@@ -370,10 +370,12 @@ impl Luna {
     /// planner is re-prompted once with the rendered diagnostics (the repair
     /// loop) before the question fails.
     pub fn plan(&self, question: &str) -> Result<Plan> {
-        self.plan_with(question, &self.cost_knobs())
+        self.plan_with(question, &self.cost_knobs()).map(|(plan, _)| plan)
     }
 
-    fn plan_with(&self, question: &str, knobs: &CostKnobs) -> Result<Plan> {
+    /// [`Luna::plan`], returning the gate's error-free analysis with the
+    /// plan.
+    fn plan_with(&self, question: &str, knobs: &CostKnobs) -> Result<(Plan, Analysis)> {
         let (plan, analysis) = self.plan_with_analysis(question, knobs)?;
         if analysis.has_errors() {
             return Err(ArynError::InvalidPlan(format!(
@@ -381,7 +383,7 @@ impl Luna {
                 analysis.render_errors()
             )));
         }
-        Ok(plan)
+        Ok((plan, analysis))
     }
 
     /// Plans a question and returns the full analyzer report without gating
@@ -546,19 +548,23 @@ impl Luna {
 
     /// Optimizes a plan, returning the rewritten plan and notes. Each
     /// optimizer decision (e.g. rewriting a semantic LLM filter into a
-    /// structured string match) is recorded as a span note. Every pass
-    /// output is re-checked by the analyzer; a pass that breaks the plan is
-    /// an error in all build profiles.
+    /// structured string match) is recorded as a span note. The input and
+    /// every pass that rewrites it are checked by the analyzer; a pass that
+    /// breaks the plan is an error in all build profiles.
     pub fn optimize(&self, plan: &Plan) -> Result<Optimized> {
-        self.optimize_with(plan, &self.cost_knobs())
+        self.optimize_with(plan, None, &self.cost_knobs())
     }
 
-    fn optimize_with(&self, plan: &Plan, knobs: &CostKnobs) -> Result<Optimized> {
-        let optimized = optimize(plan, &self.schemas, &self.optimizer, knobs)?;
-        self.record_analysis(
-            "analyze:optimize",
-            &self.analyze_with(&optimized.plan, knobs),
-        );
+    /// [`Luna::optimize`]; `planned` is the planning gate's analysis of
+    /// `plan`, which stands in for the optimizer's input check.
+    fn optimize_with(&self, plan: &Plan, planned: Option<Analysis>, knobs: &CostKnobs) -> Result<Optimized> {
+        let (optimized, last) = optimize_checked(plan, planned, &self.schemas, &self.optimizer, knobs)?;
+        // Without cost rules the last gate ran this very analyzer.
+        let analysis = match self.cost_analysis {
+            CostAnalysis::Off => last,
+            _ => self.analyze_with(&optimized.plan, knobs),
+        };
+        self.record_analysis("analyze:optimize", &analysis);
         let tel = &self.executor.telemetry;
         if tel.is_enabled() {
             let mut span = tel.span("optimize", "optimizer");
@@ -592,8 +598,8 @@ impl Luna {
         let tel = self.executor.telemetry.clone();
         let mark = tel.span_count();
         let knobs = self.cost_knobs();
-        let plan = self.plan_with(question, &knobs)?;
-        let optimized = self.optimize_with(&plan, &knobs)?;
+        let (plan, analysis) = self.plan_with(question, &knobs)?;
+        let optimized = self.optimize_with(&plan, Some(analysis), &knobs)?;
         // The envelope is computed over the executed (optimized) plan so the
         // per-node intervals line up with the execution traces.
         let cost = self.estimate_with(&optimized.plan, &knobs);

@@ -15,6 +15,7 @@
 //!    the model catalogue: lexically easy predicates route to the cheap
 //!    model, hard ones (sentiment, vague phrasing) to the strong one.
 
+use crate::analyze::Analysis;
 use crate::costmodel::CostKnobs;
 use crate::ops::{Plan, PlanOp};
 use crate::schema::IndexSchema;
@@ -64,39 +65,51 @@ pub struct Optimized {
 /// both decisions before they happen), and `prune_dead_fields` prices its
 /// rewrite with them.
 ///
-/// Every pass output is re-checked by the semantic analyzer
-/// ([`crate::analyze`]) in all build profiles — a rewrite that hallucinates
-/// a field, breaks the DAG, or changes an operator's input shape is an
-/// `InvalidPlan` error naming the offending pass, never a silently wrong
-/// answer at runtime.
+/// The input and every pass that rewrites the plan are checked by the
+/// semantic analyzer ([`crate::analyze`]) in all build profiles — a rewrite
+/// that hallucinates a field, breaks the DAG, or changes an operator's input
+/// shape is an `InvalidPlan` error naming the offending pass, never a
+/// silently wrong answer at runtime.
 pub fn optimize(
     plan: &Plan,
     schemas: &[IndexSchema],
     cfg: &OptimizerCfg,
     knobs: &CostKnobs,
 ) -> Result<Optimized> {
+    optimize_checked(plan, None, schemas, cfg, knobs).map(|(optimized, _)| optimized)
+}
+
+/// [`optimize`], taking the input's analysis when the caller already holds
+/// an error-free one (the planning gate's) instead of re-running it, and
+/// returning the analysis of the optimized plan with it: the last gate's,
+/// since a pass that leaves the plan as it was is not re-checked.
+pub(crate) fn optimize_checked(
+    plan: &Plan,
+    input: Option<Analysis>,
+    schemas: &[IndexSchema],
+    cfg: &OptimizerCfg,
+    knobs: &CostKnobs,
+) -> Result<(Optimized, Analysis)> {
+    let mut last = match input {
+        Some(analysis) => analysis,
+        None => check_pass("input", plan, schemas)?,
+    };
     let mut plan = plan.clone();
     let mut notes = Vec::new();
-    check_pass("input", &plan, schemas)?;
     if cfg.pushdown {
-        pushdown(&mut plan, schemas, &mut notes);
-        check_pass("pushdown", &plan, schemas)?;
+        run_pass("pushdown", &mut plan, schemas, &mut last, |p| pushdown(p, schemas, &mut notes))?;
     }
     if cfg.reorder {
-        reorder_filters(&mut plan, &mut notes);
-        check_pass("reorder", &plan, schemas)?;
+        run_pass("reorder", &mut plan, schemas, &mut last, |p| reorder_filters(p, &mut notes))?;
     }
     if cfg.batch_filters {
-        batch_filters(&mut plan, &mut notes);
-        check_pass("batch", &plan, schemas)?;
+        run_pass("batch", &mut plan, schemas, &mut last, |p| batch_filters(p, &mut notes))?;
     }
     if cfg.model_selection {
-        select_models(&mut plan, cfg, &mut notes);
-        check_pass("model-selection", &plan, schemas)?;
+        run_pass("model-selection", &mut plan, schemas, &mut last, |p| select_models(p, cfg, &mut notes))?;
     }
     if cfg.prune_dead_fields {
-        prune_dead(&mut plan, schemas, knobs, &mut notes);
-        check_pass("prune-dead-fields", &plan, schemas)?;
+        run_pass("prune-dead-fields", &mut plan, schemas, &mut last, |p| prune_dead(p, schemas, knobs, &mut notes))?;
     }
     if knobs.batch_max_items > 1 {
         note_batching(&plan, schemas, knobs.batch_max_items, &mut notes);
@@ -104,7 +117,7 @@ pub fn optimize(
     if knobs.reliability.is_some() {
         note_degradation(&plan, &mut notes);
     }
-    Ok(Optimized { plan, notes })
+    Ok((Optimized { plan, notes }, last))
 }
 
 /// Cost-model pass for cross-document micro-batching: estimates the call
@@ -224,9 +237,26 @@ fn prune_dead(plan: &mut Plan, schemas: &[IndexSchema], knobs: &CostKnobs, notes
     ));
 }
 
+/// Runs one pass and, when it rewrote the plan, the analyzer gate behind
+/// it, whose analysis becomes `last`.
+fn run_pass(
+    name: &str,
+    plan: &mut Plan,
+    schemas: &[IndexSchema],
+    last: &mut Analysis,
+    pass: impl FnOnce(&mut Plan),
+) -> Result<()> {
+    let before = plan.clone();
+    pass(plan);
+    if *plan != before {
+        *last = check_pass(name, plan, schemas)?;
+    }
+    Ok(())
+}
+
 /// The analyzer gate behind each pass (replaces the old `debug_assert!`,
-/// which vanished in release builds).
-fn check_pass(pass: &str, plan: &Plan, schemas: &[IndexSchema]) -> Result<()> {
+/// which vanished in release builds). Returns the error-free analysis.
+fn check_pass(pass: &str, plan: &Plan, schemas: &[IndexSchema]) -> Result<Analysis> {
     let analysis = crate::analyze::analyze(plan, schemas);
     if analysis.has_errors() {
         return Err(ArynError::InvalidPlan(format!(
@@ -234,7 +264,7 @@ fn check_pass(pass: &str, plan: &Plan, schemas: &[IndexSchema]) -> Result<()> {
             analysis.render_errors()
         )));
     }
-    Ok(())
+    Ok(analysis)
 }
 
 /// Pass 1: llmFilter → basicFilter when the predicate names a schema value.
