@@ -159,16 +159,23 @@ pub fn split_batch_items(context: &str) -> Vec<String> {
 }
 
 fn section_line<'a>(text: &'a str, tag: &str) -> Option<&'a str> {
-    let start = text.find(tag)? + tag.len();
+    let start = find_tag(text, tag)? + tag.len();
     let rest = &text[start..];
     Some(rest.split('\n').next().unwrap_or(rest))
 }
 
 fn between<'a>(text: &'a str, start_tag: &str, end_tag: &str) -> Option<&'a str> {
-    let start = text.find(start_tag)? + start_tag.len();
+    let start = find_tag(text, start_tag)? + start_tag.len();
     let rest = &text[start..];
     let end = rest.rfind(end_tag)?;
     Some(&rest[..end])
+}
+
+/// `text.find(tag)` for a tag that opens with `[`, looked for only where a
+/// `[` stands: the bracket is rare in a prompt and found by byte search.
+fn find_tag(text: &str, tag: &str) -> Option<usize> {
+    debug_assert!(tag.starts_with('['));
+    text.match_indices('[').map(|(at, _)| at).find(|&at| text[at..].starts_with(tag))
 }
 
 /// Convenience constructors for the common tasks.
@@ -270,6 +277,15 @@ mod tests {
         let p = build_prompt(TaskKind::Summarize, &obj! { "instructions" => "short" }, ctx);
         let t = parse_prompt(&p).unwrap();
         assert_eq!(t.context, ctx);
+    }
+
+    #[test]
+    fn tags_are_found_where_find_finds_them() {
+        for text in ["", "[", "x[TASK] a\n[TASK] b", "[[TASK]", "[PARAMS][TASK]", "\u{e9}[CONTEXT]\n[", "[TAS[TASK]"] {
+            for tag in ["[TASK]", "[PARAMS]", "[CONTEXT]\n"] {
+                assert_eq!(find_tag(text, tag), text.find(tag), "{tag:?} in {text:?}");
+            }
+        }
     }
 
     #[test]
