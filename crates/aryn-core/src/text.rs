@@ -47,6 +47,19 @@ pub fn any_token(text: &str, mut f: impl FnMut(&str) -> bool) -> bool {
     scan_tokens(text, &mut String::new(), |t| f(t))
 }
 
+/// True when `text` carries a negation cue: "no", "not", "non-", "none",
+/// "nobody", "neither", "nor", "never", "without", or an "n't" contraction
+/// (which [`tokenize`] splits into a word ending in `n` and a lone `t`).
+pub fn has_negation_cue(text: &str) -> bool {
+    let mut after_n = false;
+    any_token(text, |t| {
+        let cue = matches!(t, "no" | "not" | "non" | "none" | "nobody" | "neither" | "nor" | "never" | "without")
+            || (after_n && t == "t");
+        after_n = t.ends_with('n');
+        cue
+    })
+}
+
 /// Tokenizes, removes stopwords, and stems — the normalization used for
 /// indexing and bag-of-words embeddings.
 pub fn analyze(text: &str) -> Vec<String> {
@@ -382,6 +395,24 @@ mod tests {
         );
         assert!(tokenize("").is_empty());
         assert!(tokenize("!!! --- ").is_empty());
+    }
+
+    #[test]
+    fn negation_cues() {
+        for p in [
+            "the incident involved no fatalities",
+            "the accident was not fatal",
+            "a non-fatal accident",
+            "landed without fatalities",
+            "the crew never declared an emergency",
+            "the company didn't lower its guidance",
+            "it wasn\u{2019}t fatal",
+        ] {
+            assert!(has_negation_cue(p), "{p:?}");
+        }
+        for p in ["the incident involved a fatality", "in the AI sector", "noted a nonzero total", "caused by snow", ""] {
+            assert!(!has_negation_cue(p), "{p:?}");
+        }
     }
 
     #[test]

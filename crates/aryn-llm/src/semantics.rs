@@ -12,8 +12,8 @@
 
 use aryn_core::lexicon;
 use aryn_core::text::{
-    analyze, any_token, contains_tokens, is_stopword, sentence_around, sentence_spans, sentences, stem,
-    stem_in_place, stem_root, tokenize,
+    analyze, any_token, contains_tokens, has_negation_cue, is_stopword, sentence_around, sentence_spans, sentences,
+    stem, stem_in_place, stem_root, tokenize,
 };
 use aryn_core::Value;
 use std::borrow::Cow;
@@ -504,8 +504,10 @@ pub fn eval_predicate(predicate: &str, context: &Reading) -> bool {
     if p.contains("weather") || p.contains("environmental") {
         return weather_related(context);
     }
+    // "involved no fatalities", "was not fatal", "non-fatal": a negated
+    // fatality predicate holds when nobody died.
     if p.contains("fatal") {
-        return fatal_count(context) > 0;
+        return (fatal_count(context) > 0) != has_negation_cue(&p);
     }
     if (p.contains("ceo") || p.contains("executive")) && (p.contains("chang") || p.contains("new"))
     {
@@ -1666,6 +1668,18 @@ mod tests {
 #[cfg(test)]
 mod newer_recognizer_tests {
     use super::*;
+
+    #[test]
+    fn negated_fatality_predicates_hold_when_nobody_died() {
+        let fatal = Reading::new("Two occupants were fatally injured.");
+        let safe = Reading::new("Fatal | 0 | 0 | 0 Serious | 1 | 0 | 1");
+        for p in ["the incident involved no fatalities", "the accident was not fatal", "a non-fatal accident", "without fatalities"] {
+            assert!(!eval_predicate(p, &fatal), "{p:?}");
+            assert!(eval_predicate(p, &safe), "{p:?}");
+        }
+        assert!(eval_predicate("the accident involved fatalities", &fatal));
+        assert!(!eval_predicate("the accident involved fatalities", &safe));
+    }
 
     #[test]
     fn fatal_count_reads_tables_and_narrative() {

@@ -298,7 +298,7 @@ mod reference {
             return weather_related(context);
         }
         if p.contains("fatal") {
-            return fatal_count(context) > 0;
+            return (fatal_count(context) > 0) != aryn_core::text::has_negation_cue(&p);
         }
         if (p.contains("ceo") || p.contains("executive")) && (p.contains("chang") || p.contains("new"))
         {
@@ -938,7 +938,8 @@ const PREDICATES: &[&str] = &[
     "the incident was caused by wind", "caused by icing", "the accident was due to engine failure",
     "the incident was caused by environmental factors", "caused by pilot error",
     "the cause was a bird strike near the runway", "attributed to a loss of control",
-    "the incident was weather related", "the accident involved fatalities", "mentions a runway",
+    "the incident was weather related", "the accident involved fatalities",
+    "the incident involved no fatalities", "mentions a runway",
     "passengers were injured", "the company had a new CEO", "the report has positive sentiment",
     "the outlook is pessimistic", "the company is in the AI sector", "the company is in the retail sector",
     "the report mentions headwinds", "revenue grew year over year; and also mentions record demand",
