@@ -541,15 +541,6 @@ impl<'a> PlanCtx<'a> {
     pub fn input_shape(&self, node: &PlanNode, i: usize) -> Shape {
         input_rows_shape(node, self.shapes, i)
     }
-
-    /// How many nodes consume a node's output.
-    pub fn consumers(&self, node_id: usize) -> usize {
-        self.plan
-            .nodes
-            .iter()
-            .filter(|n| n.inputs.contains(&node_id))
-            .count()
-    }
 }
 
 /// One lint rule. Rules run after structural validation and shape inference
@@ -1117,9 +1108,10 @@ impl LintRule for UnknownIndexRule {
     }
 }
 
-/// `llmFilter` predicates the optimizer could answer by string matching
-/// against an extracted property — the paper's "string matching vs semantic
-/// matching" decision (§6.1).
+/// `llmFilter` predicates the optimizer answers by string matching against
+/// an extracted property — the paper's "string matching vs semantic
+/// matching" decision (§6.1): the sites [`crate::optimize::pushdown_sites`]
+/// finds, which the pushdown pass rewrites.
 struct PushdownHintRule;
 
 impl LintRule for PushdownHintRule {
@@ -1128,34 +1120,26 @@ impl LintRule for PushdownHintRule {
     }
 
     fn check(&self, cx: &PlanCtx<'_>, out: &mut Vec<Diagnostic>) {
-        let index = cx.plan.nodes.iter().find_map(|n| match &n.op {
-            PlanOp::QueryDatabase { index, .. } => Some(index.clone()),
-            _ => None,
-        });
-        let Some(index) = index else { return };
-        let Some(schema) = cx.schemas.iter().find(|s| s.index == index) else { return };
-        for node in &cx.plan.nodes {
-            let PlanOp::LlmFilter { predicate, .. } = &node.op else { continue };
-            if let Some((path, value)) = crate::optimize::structured_equivalent(predicate, schema) {
-                out.push(
-                    Diagnostic::hint(
-                        codes::SEMANTIC_PUSHDOWN,
-                        format!(
-                            "node {}: llmFilter {predicate:?} can be answered by string matching on an extracted property",
-                            node.id
-                        ),
-                    )
-                    .at_node(node.id)
-                    .at_path(cx.path(node.id, "predicate"))
-                    .with_suggestion(format!("basicFilter {path} = {value}")),
-                );
-            }
+        for (id, op) in crate::optimize::pushdown_sites(cx.plan, cx.shapes) {
+            let Some(PlanOp::LlmFilter { predicate, .. }) = cx.plan.node(id).map(|n| &n.op) else { continue };
+            out.push(
+                Diagnostic::hint(
+                    codes::SEMANTIC_PUSHDOWN,
+                    format!(
+                        "node {id}: llmFilter {predicate:?} can be answered by string matching on an extracted property"
+                    ),
+                )
+                .at_node(id)
+                .at_path(cx.path(id, "predicate"))
+                .with_suggestion(format!("{} {}", op.kind(), crate::optimize::condition(&op))),
+            );
         }
     }
 }
 
-/// Structured filters downstream of LLM operators in a linear chain: running
-/// them first shrinks the row set the LLM sees.
+/// Structured filters downstream of a semantic filter in a linear chain:
+/// running them first shrinks the row set the LLM sees. The sites
+/// [`crate::optimize::reorder_sites`] finds, which the reorder pass swaps.
 struct ReorderHintRule;
 
 impl LintRule for ReorderHintRule {
@@ -1164,35 +1148,17 @@ impl LintRule for ReorderHintRule {
     }
 
     fn check(&self, cx: &PlanCtx<'_>, out: &mut Vec<Diagnostic>) {
-        for node in &cx.plan.nodes {
-            if !matches!(
-                node.op,
-                PlanOp::BasicFilter { .. } | PlanOp::RangeFilter { .. }
-            ) {
-                continue;
-            }
-            let [parent_id] = node.inputs[..] else { continue };
-            let Some(parent) = cx.plan.node(parent_id) else { continue };
-            if !matches!(
-                parent.op,
-                PlanOp::LlmFilter { .. } | PlanOp::LlmExtract { .. }
-            ) {
-                continue;
-            }
-            if cx.consumers(parent_id) != 1 {
-                continue;
-            }
+        for (parent, child) in crate::optimize::reorder_sites(cx.plan) {
             out.push(
                 Diagnostic::hint(
                     codes::FILTER_REORDER,
                     format!(
-                        "node {}: structured filter runs after LLM operator out_{parent_id}; \
-                         running it first would reduce per-row LLM calls",
-                        node.id
+                        "node {child}: structured filter runs after LLM operator out_{parent}; \
+                         running it first would reduce per-row LLM calls"
                     ),
                 )
-                .at_node(node.id)
-                .at_path(cx.path(node.id, ""))
+                .at_node(child)
+                .at_path(cx.path(child, ""))
                 .with_suggestion("let the optimizer reorder structured filters before semantic ones"),
             );
         }
@@ -1553,6 +1519,55 @@ mod tests {
             .iter()
             .any(|d| d.code == codes::SEMANTIC_PUSHDOWN));
         assert!(a.diagnostics.iter().any(|d| d.code == codes::FILTER_REORDER));
+    }
+
+    #[test]
+    fn fatality_pushdown_is_hinted_unless_negated() {
+        let hints = |predicate: &str| {
+            let plan = Plan {
+                nodes: vec![
+                    scan(0),
+                    node(1, PlanOp::LlmFilter { predicate: predicate.into(), model: String::new() }, vec![0]),
+                    node(2, PlanOp::Count, vec![1]),
+                ],
+                result: 2,
+            };
+            let a = analyze(&plan, &ntsb_schema_fixture());
+            a.diagnostics
+                .into_iter()
+                .filter(|d| d.code == codes::SEMANTIC_PUSHDOWN)
+                .map(|d| d.suggestion.unwrap_or_default())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(hints("involved a fatality"), vec!["rangeFilter fatal >= 1".to_string()]);
+        assert!(hints("the incident involved no fatalities").is_empty());
+        assert!(hints("the accident was not fatal").is_empty());
+    }
+
+    #[test]
+    fn extract_then_range_filter_is_not_a_reorder_site() {
+        // The reorder pass only swaps past an llmFilter, so an extract
+        // followed by a structured filter gets no hint.
+        let plan = Plan {
+            nodes: vec![
+                scan(0),
+                node(
+                    1,
+                    PlanOp::LlmExtract { field: "phase".into(), ftype: "string".into(), model: String::new() },
+                    vec![0],
+                ),
+                node(
+                    2,
+                    PlanOp::RangeFilter { path: "year".into(), lo: Some(Value::Int(2019)), hi: None },
+                    vec![1],
+                ),
+                node(3, PlanOp::Count, vec![2]),
+            ],
+            result: 3,
+        };
+        let a = analyze(&plan, &ntsb_schema_fixture());
+        assert!(!a.has_errors(), "{}", a.render());
+        assert!(a.diagnostics.iter().all(|d| d.code != codes::FILTER_REORDER), "{}", a.render());
     }
 
     #[test]

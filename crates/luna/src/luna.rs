@@ -616,33 +616,6 @@ impl Luna {
         })
     }
 
-    /// `EXPLAIN ANALYZE` for a question, including plans the analyzer gate
-    /// rejects: instead of a bare error, the rendered diagnostics (code,
-    /// offending node path, suggestion) and the offending plan are emitted,
-    /// so a rejected plan is as explainable as an executed one.
-    pub fn explain_question(&self, question: &str) -> String {
-        let first_err = match self.ask(question) {
-            Ok(answer) => return answer.explain_analyze(),
-            Err(e) => e,
-        };
-        match self.check(question) {
-            Ok((plan, analysis)) if analysis.has_errors() => {
-                let mut out = format!(
-                    "EXPLAIN ANALYZE {question:?}\nplan rejected by analyzer ({} errors, {} warnings):\n",
-                    analysis.count(Severity::Error),
-                    analysis.count(Severity::Warning),
-                );
-                for d in &analysis.diagnostics {
-                    out.push_str(&format!("  {d}\n"));
-                }
-                out.push_str("\nRejected plan:\n");
-                out.push_str(&plan.describe());
-                out
-            }
-            _ => format!("EXPLAIN ANALYZE {question:?}\nfailed: {first_err}"),
-        }
-    }
-
     /// Executes an edited plan (the human-in-the-loop path): the plan is
     /// re-validated and re-analyzed before running.
     pub fn execute_edited(&self, plan: &Plan) -> Result<LunaResult> {

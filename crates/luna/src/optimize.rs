@@ -14,13 +14,19 @@
 //! 3. **Model selection** — remaining semantic operators are costed against
 //!    the model catalogue: lexically easy predicates route to the cheap
 //!    model, hard ones (sentiment, vague phrasing) to the strong one.
+//!
+//! Passes 1 and 2 rewrite the sites [`pushdown_sites`] and [`reorder_sites`]
+//! find, and the analyzer's `semantic-pushdown` and `filter-reorder` hints
+//! report those same sites: each rewrite is detected in one place.
 
-use crate::analyze::Analysis;
+use crate::analyze::{Analysis, FieldType, Resolution, Shape};
 use crate::costmodel::CostKnobs;
 use crate::ops::{Plan, PlanOp};
 use crate::schema::IndexSchema;
+use aryn_core::text::has_negation_cue;
 use aryn_core::{lexicon, ArynError, Result, Value};
 use aryn_llm::registry::{ModelSpec, GPT4_SIM, LLAMA7B_SIM};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Optimizer configuration.
 #[derive(Debug, Clone)]
@@ -97,7 +103,8 @@ pub(crate) fn optimize_checked(
     let mut plan = plan.clone();
     let mut notes = Vec::new();
     if cfg.pushdown {
-        run_pass("pushdown", &mut plan, schemas, &mut last, |p| pushdown(p, schemas, &mut notes))?;
+        let sites = pushdown_sites(&plan, &last.shapes);
+        run_pass("pushdown", &mut plan, schemas, &mut last, |p| pushdown(p, sites, &mut notes))?;
     }
     if cfg.reorder {
         run_pass("reorder", &mut plan, schemas, &mut last, |p| reorder_filters(p, &mut notes))?;
@@ -122,24 +129,17 @@ pub(crate) fn optimize_checked(
 
 /// Cost-model pass for cross-document micro-batching: estimates the call
 /// reduction each surviving semantic operator gets from packing up to
-/// `k` documents per call. Row counts are upper-bounded by the scanned
-/// index's document count (filters only shrink the set), so the estimate is
-/// a ceiling on calls and a floor on savings.
+/// `k` documents per call. Row counts are upper-bounded by the document
+/// count of the index the operator reads (filters only shrink the set), so
+/// the estimate is a ceiling on calls and a floor on savings.
 fn note_batching(plan: &Plan, schemas: &[IndexSchema], k: usize, notes: &mut Vec<String>) {
-    let index_docs = plan.nodes.iter().find_map(|n| match &n.op {
-        PlanOp::QueryDatabase { index, .. } => schemas
-            .iter()
-            .find(|s| s.index == *index)
-            .map(|s| s.doc_count),
-        _ => None,
-    });
     for n in &plan.nodes {
         let kind = match &n.op {
             PlanOp::LlmFilter { .. } => "llmFilter",
             PlanOp::LlmExtract { .. } => "llmExtract",
             _ => continue,
         };
-        match index_docs {
+        match scanned_docs(plan, schemas, n.id) {
             Some(rows) if rows > 0 => {
                 let calls = rows.div_ceil(k);
                 notes.push(format!(
@@ -152,6 +152,21 @@ fn note_batching(plan: &Plan, schemas: &[IndexSchema], k: usize, notes: &mut Vec
                 "out_{}: {kind} micro-batches up to {k} docs/call",
                 n.id
             )),
+        }
+    }
+}
+
+/// The document count of the index node `id` reads through one-input
+/// operators; none behind a join or for an index without a schema.
+fn scanned_docs(plan: &Plan, schemas: &[IndexSchema], mut id: usize) -> Option<usize> {
+    loop {
+        let n = plan.node(id)?;
+        match (&n.op, &n.inputs[..]) {
+            (PlanOp::QueryDatabase { index, .. }, _) => {
+                return schemas.iter().find(|s| s.index == *index).map(|s| s.doc_count)
+            }
+            (_, [input]) => id = *input,
+            _ => return None,
         }
     }
 }
@@ -267,157 +282,186 @@ fn check_pass(pass: &str, plan: &Plan, schemas: &[IndexSchema]) -> Result<Analys
     Ok(analysis)
 }
 
-/// Pass 1: llmFilter → basicFilter when the predicate names a schema value.
-fn pushdown(plan: &mut Plan, schemas: &[IndexSchema], notes: &mut Vec<String>) {
-    // Which index does this plan scan?
-    let index = plan.nodes.iter().find_map(|n| match &n.op {
-        PlanOp::QueryDatabase { index, .. } => Some(index.clone()),
-        _ => None,
-    });
-    let Some(index) = index else { return };
-    let Some(schema) = schemas.iter().find(|s| s.index == index) else { return };
-    for n in &mut plan.nodes {
-        let PlanOp::LlmFilter { predicate, .. } = &n.op else { continue };
-        if let Some((path, value)) = structured_equivalent(predicate, schema) {
-            notes.push(format!(
-                "out_{}: pushed down llmFilter {predicate:?} to structured filter {path} = {value}",
-                n.id
-            ));
-            n.op = PlanOp::BasicFilter { path, value };
-            continue;
-        }
-        // Fatality predicates push to a range over the extracted count.
-        if schema.field("fatal").is_some() && predicate.to_lowercase().contains("fatal") {
-            notes.push(format!(
-                "out_{}: pushed down llmFilter {predicate:?} to structured filter fatal >= 1",
-                n.id
-            ));
-            n.op = PlanOp::RangeFilter {
-                path: "fatal".into(),
-                lo: Some(Value::Int(1)),
-                hi: None,
+/// The `llmFilter` nodes string matching can answer, each with the
+/// structured filter that replaces it: the paper's "string matching vs
+/// semantic matching" decision (§6.1). The analyzer's `semantic-pushdown`
+/// hint reports exactly these sites and the pushdown pass rewrites them.
+///
+/// A site's field resolves as `Known`, with a type its literal compares to,
+/// in the filter's own input shape (the shape the gate's field checks read,
+/// so no rewrite fails the gate), and no `llmExtract` upstream writes it: a
+/// query-time extraction and the filter read the text differently. A filter
+/// keeps its input's shape, so the sites of a plan are still sites once
+/// the others are rewritten.
+pub(crate) fn pushdown_sites(plan: &Plan, shapes: &BTreeMap<usize, Shape>) -> Vec<(usize, PlanOp)> {
+    plan.nodes
+        .iter()
+        .filter_map(|n| {
+            let PlanOp::LlmFilter { predicate, .. } = &n.op else { return None };
+            let shape = shapes.get(n.inputs.first()?)?;
+            let extracted = extracted_upstream(plan, n.id);
+            let usable = |field: &str, literal: FieldType| {
+                matches!(shape.resolve(field), Resolution::Known(t) if t.compatible(literal))
+                    && !extracted.contains(field)
             };
+            structured_equivalent(predicate, usable).map(|op| (n.id, op))
+        })
+        .collect()
+}
+
+/// The fields `llmExtract` nodes upstream of node `id` write.
+fn extracted_upstream(plan: &Plan, id: usize) -> BTreeSet<&str> {
+    let mut fields = BTreeSet::new();
+    let mut seen = BTreeSet::new();
+    let mut stack: Vec<usize> = plan.node(id).map(|n| n.inputs.clone()).unwrap_or_default();
+    while let Some(id) = stack.pop() {
+        let Some(n) = plan.node(id).filter(|_| seen.insert(id)) else { continue };
+        if let PlanOp::LlmExtract { field, .. } = &n.op {
+            fields.insert(field.as_str());
         }
+        stack.extend(&n.inputs);
+    }
+    fields
+}
+
+/// Pass 1: every pushdown site rewritten at once.
+fn pushdown(plan: &mut Plan, sites: Vec<(usize, PlanOp)>, notes: &mut Vec<String>) {
+    for (id, op) in sites {
+        let Some(n) = plan.nodes.iter_mut().find(|n| n.id == id) else { continue };
+        let PlanOp::LlmFilter { predicate, .. } = &n.op else { continue };
+        notes.push(format!(
+            "out_{id}: pushed down llmFilter {predicate:?} to structured filter {}",
+            condition(&op)
+        ));
+        n.op = op;
     }
 }
 
-/// Maps a semantic predicate to `(field, value)` when it names a known
-/// categorical value of the schema. Shared with the analyzer's
-/// `semantic-pushdown` hint.
-pub(crate) fn structured_equivalent(predicate: &str, schema: &IndexSchema) -> Option<(String, Value)> {
+/// The test a pushed-down filter applies: `path = value` or `path >= lo`.
+pub(crate) fn condition(op: &PlanOp) -> String {
+    match op {
+        PlanOp::BasicFilter { path, value } => format!("{path} = {value}"),
+        PlanOp::RangeFilter { path, lo: Some(lo), hi: None } => format!("{path} >= {lo}"),
+        other => other.kind().to_string(),
+    }
+}
+
+/// The structured filter equivalent to a semantic predicate, when the
+/// predicate names a categorical value or a fatality and `usable(field,
+/// literal type)` allows comparing that field. A predicate with a negation
+/// cue has none: "involved no fatalities" is not `fatal >= 1`.
+fn structured_equivalent(predicate: &str, usable: impl Fn(&str, FieldType) -> bool) -> Option<PlanOp> {
     let p = predicate.to_lowercase();
+    if has_negation_cue(&p) {
+        return None;
+    }
+    let eq = |path: &str, value: Value| Some(PlanOp::BasicFilter { path: path.into(), value });
     // State mentions: "occurred in Alaska (AK)" — the planner annotates the
     // abbreviation; bare full names also resolve via the lexicon.
-    if let Some(f) = schema.field("us_state_abbrev") {
+    if usable("us_state_abbrev", FieldType::Str) {
         for (abbrev, full) in lexicon::US_STATES {
-            if p.contains(&format!("({})", abbrev.to_lowercase()))
-                || p.contains(&full.to_lowercase())
-            {
-                let _ = f;
-                return Some(("us_state_abbrev".into(), Value::from(*abbrev)));
+            if p.contains(&format!("({})", abbrev.to_lowercase())) || p.contains(&full.to_lowercase()) {
+                return eq("us_state_abbrev", Value::from(*abbrev));
             }
         }
     }
     // Cause predicates: ETL already extracted cause_detail/cause_category,
     // so "caused by wind" is a string match on the extracted field — the
     // optimizer's "string matching vs semantic matching" decision (§6.1).
-    if schema.field("cause_category").is_some() {
+    if usable("cause_category", FieldType::Str) {
         for (cat, _) in lexicon::CAUSES {
-            if p.contains(cat) || (*cat == "pilot error" && p.contains("pilot error")) {
-                return Some(("cause_category".into(), Value::from(*cat)));
+            if p.contains(cat) {
+                return eq("cause_category", Value::from(*cat));
             }
         }
     }
-    if schema.field("cause_detail").is_some() && (p.contains("caused by") || p.contains("due to")) {
+    if usable("cause_detail", FieldType::Str) && (p.contains("caused by") || p.contains("due to")) {
         for (_, details) in lexicon::CAUSES {
             for d in *details {
                 if p.contains(d) {
-                    return Some(("cause_detail".into(), Value::from(*d)));
+                    return eq("cause_detail", Value::from(*d));
                 }
             }
         }
     }
     // Sector mentions: any lexicon sector named with the word "sector".
-    if schema.field("sector").is_some() {
+    if usable("sector", FieldType::Str) {
         for name in lexicon::SECTORS {
             if p.contains(&format!("{} sector", name.to_lowercase())) {
-                return Some(("sector".into(), Value::from(*name)));
+                return eq("sector", Value::from(*name));
             }
         }
     }
     // Guidance: "the company lowered its guidance".
-    if schema.field("guidance").is_some() {
+    if usable("guidance", FieldType::Str) {
         for g in ["lowered", "raised", "maintained"] {
             if p.contains(&format!("{g} its guidance")) || p.contains(&format!("{g} guidance")) {
-                return Some(("guidance".into(), Value::from(g)));
+                return eq("guidance", Value::from(g));
             }
         }
     }
     // CEO change.
-    if schema.field("ceo_changed").is_some() && p.contains("ceo") && p.contains("chang") {
-        return Some(("ceo_changed".into(), Value::Bool(true)));
+    if usable("ceo_changed", FieldType::Bool) && p.contains("ceo") && p.contains("chang") {
+        return eq("ceo_changed", Value::Bool(true));
     }
     // Weather flag: "caused by environmental factors" — equivalent to the
     // extracted weather_related property when ETL extracted it.
-    if schema.field("weather_related").is_some()
+    if usable("weather_related", FieldType::Bool)
         && (p.contains("environmental factors") || p.contains("weather related"))
     {
-        return Some(("weather_related".into(), Value::Bool(true)));
+        return eq("weather_related", Value::Bool(true));
     }
     // Sentiment.
-    if schema.field("sentiment").is_some() {
+    if usable("sentiment", FieldType::Str) {
         for s in ["positive", "negative", "neutral"] {
             if p.contains(&format!("{s} sentiment")) {
-                return Some(("sentiment".into(), Value::from(s)));
+                return eq("sentiment", Value::from(s));
             }
         }
+    }
+    // Fatality predicates: a range over the extracted count.
+    if usable("fatal", FieldType::Num) && p.contains("fatal") {
+        return Some(PlanOp::RangeFilter { path: "fatal".into(), lo: Some(Value::Int(1)), hi: None });
     }
     None
 }
 
-/// Pass 2: within each linear filter chain, structured filters first.
+/// Structured filters fed by an `llmFilter` that feeds nothing else, as
+/// `(parent, child)`: running the structured filter first shrinks the rows
+/// the LLM sees. The analyzer's `filter-reorder` hint reports exactly these
+/// sites. No two share a node (a site's parent is semantic, its child
+/// structured), so the reorder pass swaps them all at once.
+pub(crate) fn reorder_sites(plan: &Plan) -> Vec<(usize, usize)> {
+    plan.nodes
+        .iter()
+        .filter_map(|child| {
+            if !matches!(child.op, PlanOp::BasicFilter { .. } | PlanOp::RangeFilter { .. }) {
+                return None;
+            }
+            let [parent] = child.inputs[..] else { return None };
+            let consumers = plan.nodes.iter().filter(|n| n.inputs.contains(&parent)).count();
+            (matches!(plan.node(parent)?.op, PlanOp::LlmFilter { .. }) && consumers == 1)
+                .then_some((parent, child.id))
+        })
+        .collect()
+}
+
+/// Pass 2: swap the ops of every reorder site (keeping the node wiring
+/// keeps the DAG valid) until none is left.
 fn reorder_filters(plan: &mut Plan, notes: &mut Vec<String>) {
-    // Find chains: sequences n1 → n2 where n2.inputs == [n1.id] and both are
-    // filters; bubble structured filters ahead of semantic ones by swapping
-    // the ops (keeping the node wiring intact keeps the DAG valid).
-    fn is_structured(op: &PlanOp) -> bool {
-        matches!(op, PlanOp::BasicFilter { .. } | PlanOp::RangeFilter { .. })
-    }
-    fn is_filter(op: &PlanOp) -> bool {
-        is_structured(op) || matches!(op, PlanOp::LlmFilter { .. })
-    }
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for i in 0..plan.nodes.len() {
-            let child_id = plan.nodes[i].id;
-            let Some(parent_id) = (plan.nodes[i].inputs.len() == 1).then(|| plan.nodes[i].inputs[0]) else {
-                continue;
-            };
-            let Some(parent_pos) = plan.nodes.iter().position(|n| n.id == parent_id) else { continue };
-            // Only swap when the parent feeds just this child (linear chain).
-            let consumers = plan
-                .nodes
-                .iter()
-                .filter(|n| n.inputs.contains(&parent_id))
-                .count();
-            if consumers != 1 {
-                continue;
-            }
-            let parent_op = plan.nodes[parent_pos].op.clone();
-            let child_op = plan.nodes[i].op.clone();
-            if is_filter(&parent_op)
-                && is_filter(&child_op)
-                && !is_structured(&parent_op)
-                && is_structured(&child_op)
-            {
-                plan.nodes[parent_pos].op = child_op;
-                plan.nodes[i].op = parent_op;
-                notes.push(format!(
-                    "out_{parent_id}/out_{child_id}: reordered structured filter before semantic filter"
-                ));
-                changed = true;
-            }
+    loop {
+        let sites = reorder_sites(plan);
+        if sites.is_empty() {
+            return;
+        }
+        for (parent, child) in sites {
+            let pos = |id: usize| plan.nodes.iter().position(|n| n.id == id);
+            let (Some(p), Some(c)) = (pos(parent), pos(child)) else { continue };
+            let (left, right) = plan.nodes.split_at_mut(p.max(c));
+            std::mem::swap(&mut left[p.min(c)].op, &mut right[0].op);
+            notes.push(format!(
+                "out_{parent}/out_{child}: reordered structured filter before semantic filter"
+            ));
         }
     }
 }
@@ -607,6 +651,29 @@ mod tests {
         };
         let opt = run(&plan, &schemas(), &OptimizerCfg::default());
         assert!(matches!(&opt.plan.nodes[1].op, PlanOp::LlmFilter { .. }));
+    }
+
+    #[test]
+    fn pushdown_skips_fields_an_upstream_extract_writes() {
+        // A query-time extraction and the semantic filter read the text
+        // differently, so a filter over an extracted field stays semantic.
+        let node = |id: usize, op: PlanOp| PlanNode { id, op, inputs: vec![id.saturating_sub(1)], description: String::new() };
+        let plan = Plan {
+            nodes: vec![
+                PlanNode {
+                    id: 0,
+                    op: PlanOp::QueryDatabase { index: "earnings".into(), prefilter: vec![] },
+                    inputs: vec![],
+                    description: String::new(),
+                },
+                node(1, PlanOp::LlmExtract { field: "sector".into(), ftype: "string".into(), model: String::new() }),
+                node(2, PlanOp::LlmFilter { predicate: "in the AI sector".into(), model: String::new() }),
+                node(3, PlanOp::Count),
+            ],
+            result: 3,
+        };
+        let opt = run(&plan, &schemas(), &OptimizerCfg::default());
+        assert!(matches!(&opt.plan.nodes[2].op, PlanOp::LlmFilter { .. }), "{:?}", opt.notes);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use aryn_core::Value;
 use aryn_docgen::Corpus;
 use aryn_llm::{LlmClient, MockLlm, SimConfig};
-use luna::{ingest_lake, ntsb_schema, Luna, LunaConfig, Plan, PlanOp};
+use luna::{earnings_schema, ingest_lake, ntsb_schema, Luna, LunaConfig, Plan, PlanNode, PlanOp};
 use std::sync::Arc;
 use sycamore::Context;
 
@@ -631,4 +631,95 @@ fn reliability_chain_degrades_under_blackout_without_changing_the_answer() {
     assert_eq!(quiet.answer(), calm.answer());
     assert_eq!(quiet.result.llm().degraded_docs, 0);
     assert_eq!(quiet.result.llm().fallback_calls, 0);
+}
+
+/// 40 NTSB and 30 earnings reports (seed 7), both ingested, under a
+/// noise-free model; returns the NTSB corpus for its records.
+fn two_index_fixture() -> (Luna, Corpus) {
+    let ctx = Context::new();
+    let ntsb = Corpus::ntsb(7, 40);
+    ctx.register_corpus("ntsb", &ntsb);
+    ctx.register_corpus("earnings", &Corpus::earnings(7, 30));
+    let client = LlmClient::new(Arc::new(MockLlm::new(&aryn_llm::GPT4_SIM, SimConfig::perfect(7))));
+    for (index, schema) in [("ntsb", ntsb_schema()), ("earnings", earnings_schema())] {
+        ingest_lake(&ctx, index, index, &client, schema, aryn_partitioner::Detector::DetrSim).unwrap();
+    }
+    let cfg = LunaConfig { sim: SimConfig::perfect(7), ..LunaConfig::default() };
+    (Luna::new(ctx, &["ntsb", "earnings"], cfg).unwrap(), ntsb)
+}
+
+/// A plan of `(op, inputs)` steps, node ids in step order, the last step
+/// the result.
+fn plan_of(steps: Vec<(PlanOp, Vec<usize>)>) -> Plan {
+    let nodes: Vec<PlanNode> = steps
+        .into_iter()
+        .enumerate()
+        .map(|(id, (op, inputs))| PlanNode { id, op, inputs, description: String::new() })
+        .collect();
+    Plan { result: nodes.len() - 1, nodes }
+}
+
+fn scan(index: &str) -> PlanOp {
+    PlanOp::QueryDatabase { index: index.into(), prefilter: vec![] }
+}
+
+fn llm_filter(predicate: &str) -> PlanOp {
+    PlanOp::LlmFilter { predicate: predicate.into(), model: String::new() }
+}
+
+#[test]
+fn negated_fatality_filter_counts_the_incidents_without_fatalities() {
+    let (luna, ntsb) = two_index_fixture();
+    let plan = plan_of(vec![
+        (scan("ntsb"), vec![]),
+        (llm_filter("the incident involved no fatalities"), vec![0]),
+        (PlanOp::Count, vec![1]),
+    ]);
+    let truth = ntsb.docs.iter().filter(|d| d.record.get("fatal").and_then(Value::as_int).unwrap_or(0) == 0).count();
+    assert_eq!(truth, 33);
+    let edited = luna.execute_edited(&plan).unwrap();
+    assert_eq!(aryn_llm::semantics::first_number(&edited.answer), Some(truth as f64));
+    let optimized = luna.optimize(&plan).unwrap();
+    assert!(optimized.notes.iter().all(|n| !n.contains("pushed down")), "{:?}", optimized.notes);
+}
+
+#[test]
+fn two_scan_plans_push_down_against_each_scans_own_schema() {
+    let (luna, _) = two_index_fixture();
+    let two_scans = |first: &str, second: &str, predicate: &str| {
+        plan_of(vec![
+            (scan(first), vec![]),
+            (PlanOp::Count, vec![0]),
+            (scan(second), vec![]),
+            (llm_filter(predicate), vec![2]),
+            (PlanOp::Count, vec![3]),
+            (PlanOp::Math { expr: "{out_1} + {out_4}".into() }, vec![1, 4]),
+        ])
+    };
+    for (plan, pushed) in [
+        (two_scans("earnings", "ntsb", "the report mentions the AI sector"), false),
+        (two_scans("ntsb", "earnings", "the company is in the AI sector"), true),
+    ] {
+        let optimized = luna.optimize(&plan).unwrap();
+        let sector_filter = optimized
+            .plan
+            .nodes
+            .iter()
+            .any(|n| matches!(&n.op, PlanOp::BasicFilter { path, .. } if path == "sector"));
+        assert_eq!(sector_filter, pushed, "{}", plan.describe());
+        let base = luna.execute(&plan).unwrap();
+        assert_eq!(luna.execute_edited(&plan).unwrap().answer, base.answer, "{}", plan.describe());
+    }
+}
+
+#[test]
+fn a_semantic_filter_over_aggregate_rows_runs() {
+    let (luna, _) = two_index_fixture();
+    let plan = plan_of(vec![
+        (scan("earnings"), vec![]),
+        (PlanOp::Aggregate { key: "year".into(), func: "count".into(), path: String::new() }, vec![0]),
+        (llm_filter("the company is in the AI sector"), vec![1]),
+    ]);
+    let base = luna.execute(&plan).unwrap();
+    assert_eq!(luna.execute_edited(&plan).unwrap().answer, base.answer);
 }
