@@ -1224,7 +1224,7 @@ pub fn find_ticker(context: &Reading) -> Option<String> {
 
 /// Dollar amount in millions near one of `anchors` (empty anchors = any).
 pub fn find_money(context: &Reading, anchors: &[&str]) -> Option<f64> {
-    for (s, ls) in context.sentences() {
+    for (_, ls) in context.sentences() {
         let anchor_pos = if anchors.is_empty() {
             Some(0)
         } else {
@@ -1233,12 +1233,14 @@ pub fn find_money(context: &Reading, anchors: &[&str]) -> Option<f64> {
         let Some(anchor_pos) = anchor_pos else { continue };
         // Consider every "$<number>" in the sentence; take the one nearest
         // the anchor term ("earnings of $1.42 per share" must not pick the
-        // revenue figure earlier in the same sentence).
+        // revenue figure earlier in the same sentence). Both offsets are
+        // taken in the lowercased sentence: lowercasing can change a
+        // character's byte length.
         let mut best: Option<(usize, f64)> = None;
         let mut search = 0;
-        while let Some(rel) = s[search..].find('$') {
+        while let Some(rel) = ls[search..].find('$') {
             let i = search + rel;
-            let rest = &s[i + 1..];
+            let rest = &ls[i + 1..];
             let num: String = rest
                 .chars()
                 .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == ',')
@@ -1662,6 +1664,14 @@ mod tests {
         assert_eq!(find_money(&Reading::new("Revenue was $2.1 billion this year."), &["revenue"]), Some(2100.0));
         assert_eq!(find_percent(&Reading::new("Sales declined 4.5% in Q2."), &["decline"]), Some(-4.5));
         assert_eq!(find_percent(&Reading::new("no numbers here"), &[]), None);
+    }
+
+    #[test]
+    fn money_nearest_the_anchor_survives_lowercasing_that_grows_text() {
+        // 'Ⱥ' is 2 bytes and its lowercase 3: offsets from the original and
+        // the lowercased sentence would disagree by one per 'Ⱥ'.
+        let text = format!("{} $7 million in revenue and a cost base of $900 million.", "Ⱥ".repeat(20));
+        assert_eq!(find_money(&Reading::new(&text), &["revenue"]), Some(7.0));
     }
 }
 

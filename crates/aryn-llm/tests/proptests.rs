@@ -653,9 +653,9 @@ mod reference {
             // revenue figure earlier in the same sentence).
             let mut best: Option<(usize, f64)> = None;
             let mut search = 0;
-            while let Some(rel) = s[search..].find('$') {
+            while let Some(rel) = ls[search..].find('$') {
                 let i = search + rel;
-                let rest = &s[i + 1..];
+                let rest = &ls[i + 1..];
                 let num: String = rest
                     .chars()
                     .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == ',')
