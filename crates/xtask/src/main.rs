@@ -454,14 +454,15 @@ fn plan_lint() -> Result<(), String> {
     })
     .map_err(|e| format!("xtask lint --plans: bench18 fixture failed to build: {e}"))?;
     let mut failures = Vec::new();
-    let mut warnings = 0usize;
+    let (mut warnings, mut hints) = (0usize, 0usize);
     for q in &fixture.questions {
         match fixture.luna.check(&q.question) {
             Ok((plan, analysis)) => {
                 for d in analysis.errors() {
                     failures.push(format!("plan {:?}: {d}", q.question));
                 }
-                warnings += analysis.diagnostics.len() - analysis.errors().len();
+                warnings += analysis.count(aryn_core::Severity::Warning);
+                hints += analysis.count(aryn_core::Severity::Hint);
                 let verdict = if analysis.has_errors() { "INFEASIBLE" } else { "feasible" };
                 match fixture.luna.estimate_cost(&plan) {
                     Some(report) => println!(
@@ -479,7 +480,7 @@ fn plan_lint() -> Result<(), String> {
     }
     if failures.is_empty() {
         println!(
-            "xtask lint --plans: ok — {} plans analyzed, 0 hard diagnostics, {warnings} warning(s)",
+            "xtask lint --plans: ok — {} plans analyzed, 0 hard diagnostics, {warnings} warning(s), {hints} hint(s)",
             fixture.questions.len()
         );
         Ok(())
