@@ -173,9 +173,25 @@ pub fn spec_by_name(name: &str) -> Option<&'static ModelSpec> {
     ALL_MODELS.iter().copied().find(|m| m.name == name)
 }
 
+/// The degradation ladder from a primary model: the catalogue tiers from
+/// `primary` down to the cheapest, in quality order. A model outside the
+/// catalogue starts at the top.
+pub fn ladder(primary: &str) -> &'static [&'static ModelSpec] {
+    let start = ALL_MODELS.iter().position(|m| m.name == primary).unwrap_or(0);
+    &ALL_MODELS[start..]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ladder_runs_from_the_primary_down() {
+        let names = |primary| ladder(primary).iter().map(|m| m.name).collect::<Vec<_>>();
+        assert_eq!(names("gpt-3.5-sim"), ["gpt-3.5-sim", "llama-7b-sim"]);
+        assert_eq!(names("llama-7b-sim"), ["llama-7b-sim"]);
+        assert_eq!(names("gpt-9").len(), ALL_MODELS.len());
+    }
 
     #[test]
     fn lookup_by_name() {

@@ -27,7 +27,7 @@
 //! pass output in all build profiles, and the executor refuses plans with
 //! Error diagnostics.
 
-use crate::ops::{Plan, PlanNode, PlanOp};
+use crate::ops::{math_pieces, math_refs, AggFunc, MathPiece, Plan, PlanNode, PlanOp, RowFlow};
 use crate::schema::IndexSchema;
 use aryn_core::{Diagnostic, Severity, Value};
 use std::collections::{BTreeMap, BTreeSet};
@@ -114,13 +114,20 @@ pub enum FieldType {
 impl FieldType {
     /// Parses a schema/extraction type name ("string", "int", "float", ...).
     pub fn parse(name: &str) -> FieldType {
-        match name.trim().to_ascii_lowercase().as_str() {
-            "string" | "str" | "text" => FieldType::Str,
-            "int" | "integer" | "float" | "number" | "double" => FieldType::Num,
-            "bool" | "boolean" => FieldType::Bool,
-            "date" | "datetime" => FieldType::Date,
-            "array" | "list" => FieldType::List,
-            _ => FieldType::Any,
+        let name = name.trim();
+        let is = |names: &[&str]| names.iter().any(|n| n.eq_ignore_ascii_case(name));
+        if is(&["string", "str", "text"]) {
+            FieldType::Str
+        } else if is(&["int", "integer", "float", "number", "double"]) {
+            FieldType::Num
+        } else if is(&["bool", "boolean"]) {
+            FieldType::Bool
+        } else if is(&["date", "datetime"]) {
+            FieldType::Date
+        } else if is(&["array", "list"]) {
+            FieldType::List
+        } else {
+            FieldType::Any
         }
     }
 
@@ -328,38 +335,19 @@ pub fn structural(plan: &Plan) -> Vec<Diagnostic> {
                 .at_path(format!("{npath}.inputs")),
             );
         }
-        match &n.op {
-            PlanOp::LlmFilter { predicate, .. } if predicate.trim().is_empty() => {
-                out.push(
-                    Diagnostic::error(
-                        codes::EMPTY_PARAM,
-                        format!("node {}: llmFilter with empty predicate", n.id),
-                    )
+        // The parameter an operator cannot run without: (JSON key, value, name).
+        let required = match &n.op {
+            PlanOp::LlmFilter { predicate, .. } => Some(("predicate", predicate, "predicate")),
+            PlanOp::LlmExtract { field, .. } => Some(("field", field, "field")),
+            PlanOp::Math { expr } => Some(("expr", expr, "expression")),
+            _ => None,
+        };
+        if let Some((key, _, name)) = required.filter(|(_, value, _)| value.trim().is_empty()) {
+            out.push(
+                Diagnostic::error(codes::EMPTY_PARAM, format!("node {}: {} with empty {name}", n.id, n.op.kind()))
                     .at_node(n.id)
-                    .at_path(format!("{npath}.predicate")),
-                );
-            }
-            PlanOp::LlmExtract { field, .. } if field.trim().is_empty() => {
-                out.push(
-                    Diagnostic::error(
-                        codes::EMPTY_PARAM,
-                        format!("node {}: llmExtract with empty field", n.id),
-                    )
-                    .at_node(n.id)
-                    .at_path(format!("{npath}.field")),
-                );
-            }
-            PlanOp::Math { expr } if expr.trim().is_empty() => {
-                out.push(
-                    Diagnostic::error(
-                        codes::EMPTY_PARAM,
-                        format!("node {}: math with empty expression", n.id),
-                    )
-                    .at_node(n.id)
-                    .at_path(format!("{npath}.expr")),
-                );
-            }
-            _ => {}
+                    .at_path(format!("{npath}.{key}")),
+            );
         }
     }
     if plan.node(plan.result).is_none() {
@@ -407,14 +395,6 @@ fn input_rows_shape(node: &PlanNode, shapes: &BTreeMap<usize, Shape>, i: usize) 
     }
 }
 
-fn agg_value_type(func: &str, path_type: FieldType) -> FieldType {
-    match func {
-        "count" | "" | "sum" | "avg" | "mean" | "average" => FieldType::Num,
-        "min" | "max" => path_type,
-        _ => FieldType::Any,
-    }
-}
-
 /// Infers each node's output shape in topological order.
 fn infer_shapes(
     plan: &Plan,
@@ -424,45 +404,32 @@ fn infer_shapes(
     let mut shapes: BTreeMap<usize, Shape> = BTreeMap::new();
     for id in order {
         let Some(node) = plan.node(*id) else { continue };
-        let shape = match &node.op {
-            PlanOp::QueryDatabase { index, .. } => schema_shape(index, schemas),
-            PlanOp::BasicFilter { .. }
-            | PlanOp::RangeFilter { .. }
-            | PlanOp::LlmFilter { .. }
-            | PlanOp::Sort { .. }
-            | PlanOp::TopK { .. } => input_rows_shape(node, &shapes, 0),
-            PlanOp::LlmExtract { field, ftype, .. } => {
+        let shape = match node.op.row_flow() {
+            RowFlow::Scan { index, .. } => schema_shape(index, schemas),
+            RowFlow::Kept | RowFlow::Narrowed | RowFlow::Capped(_) => {
                 let mut s = input_rows_shape(node, &shapes, 0);
-                if let Shape::Rows { fields, .. } = &mut s {
-                    fields.insert(field.clone(), FieldType::parse(ftype));
+                if let (Shape::Rows { fields, .. }, Some((field, t))) = (&mut s, node.op.writes()) {
+                    fields.insert(field.to_string(), t);
                 }
                 s
             }
-            PlanOp::Count => Shape::Scalar(FieldType::Num),
-            PlanOp::Aggregate { key, func, path } => {
-                if key.is_empty() {
-                    Shape::Scalar(FieldType::Num)
-                } else {
-                    let input = input_rows_shape(node, &shapes, 0);
-                    let key_type = match input.resolve(key) {
-                        Resolution::Known(t) => t,
-                        _ => FieldType::Any,
-                    };
-                    let path_type = match input.resolve(path) {
-                        Resolution::Known(t) => t,
-                        _ => FieldType::Any,
-                    };
-                    let mut fields = BTreeMap::new();
-                    fields.insert(key.clone(), key_type);
-                    fields.insert("count".to_string(), FieldType::Num);
-                    fields.insert("value".to_string(), agg_value_type(func, path_type));
-                    Shape::Rows {
-                        fields,
-                        open: false,
-                    }
+            RowFlow::Grouped { key, func, path } => {
+                let input = input_rows_shape(node, &shapes, 0);
+                let known = |field| match input.resolve(field) {
+                    Resolution::Known(t) => t,
+                    _ => FieldType::Any,
+                };
+                let mut fields = BTreeMap::new();
+                fields.insert(key.to_string(), known(key));
+                fields.insert("count".to_string(), FieldType::Num);
+                let value = func.map_or(FieldType::Any, |f| f.value_type(known(path)));
+                fields.insert("value".to_string(), value);
+                Shape::Rows {
+                    fields,
+                    open: false,
                 }
             }
-            PlanOp::Join { .. } => {
+            RowFlow::Joined => {
                 let left = input_rows_shape(node, &shapes, 0);
                 let right = input_rows_shape(node, &shapes, 1);
                 match (left, right) {
@@ -489,17 +456,7 @@ fn infer_shapes(
                     _ => Shape::open_rows(),
                 }
             }
-            PlanOp::Math { .. } => Shape::Scalar(FieldType::Num),
-            PlanOp::GraphExpand { output, .. } => {
-                let mut s = input_rows_shape(node, &shapes, 0);
-                if let Shape::Rows { fields, .. } = &mut s {
-                    fields.insert(output.clone(), FieldType::List);
-                }
-                s
-            }
-            PlanOp::SummarizeData { .. } | PlanOp::LlmGenerate { .. } => {
-                Shape::Scalar(FieldType::Str)
-            }
+            RowFlow::Scalar(t) => Shape::Scalar(t),
         };
         shapes.insert(*id, shape);
     }
@@ -651,21 +608,14 @@ fn unknown_field(
     field: &str,
     shape: &Shape,
 ) -> Diagnostic {
-    let mut d = Diagnostic::new(
-        codes::UNKNOWN_FIELD,
-        severity,
-        format!(
-            "node {} ({}): field {field:?} does not exist in its input",
-            node.id,
-            node.op.kind()
-        ),
-    )
-    .at_node(node.id)
-    .at_path(cx.path(node.id, json_field));
-    if let Some(s) = available_fields(shape) {
-        d = d.with_suggestion(s);
+    let message = format!("node {} ({}): field {field:?} does not exist in its input", node.id, node.op.kind());
+    let d = Diagnostic::new(codes::UNKNOWN_FIELD, severity, message)
+        .at_node(node.id)
+        .at_path(cx.path(node.id, json_field));
+    match available_fields(shape) {
+        Some(s) => d.with_suggestion(s),
+        None => d,
     }
-    d
 }
 
 /// Row-consuming operators fed a scalar input fail at runtime; catch them
@@ -711,41 +661,30 @@ impl LintRule for ScalarInputRule {
 struct FieldRefRule;
 
 impl FieldRefRule {
+    /// Type-checks a literal compared with `field`, named by its JSON key.
     fn check_literal(
         cx: &PlanCtx<'_>,
         node: &PlanNode,
-        json_field: &str,
+        at: &str,
         field: &str,
         ftype: FieldType,
         value: &Value,
         out: &mut Vec<Diagnostic>,
     ) {
-        if value.is_null() {
-            return;
-        }
         let vt = FieldType::of_value(value);
-        if !ftype.compatible(vt) {
-            out.push(
-                Diagnostic::error(
-                    codes::TYPE_MISMATCH,
-                    format!(
-                        "node {} ({}): field {field:?} is {} but the literal {value} is {}",
-                        node.id,
-                        node.op.kind(),
-                        ftype.name(),
-                        vt.name()
-                    ),
-                )
-                .at_node(node.id)
-                .at_path(cx.path(node.id, json_field)),
-            );
+        if !value.is_null() && !ftype.compatible(vt) {
+            let (kind, ft, vn) = (node.op.kind(), ftype.name(), vt.name());
+            let message = format!("node {} ({kind}): field {field:?} is {ft} but the literal {value} is {vn}", node.id);
+            out.push(Diagnostic::error(codes::TYPE_MISMATCH, message).at_node(node.id).at_path(cx.path(node.id, at)));
         }
     }
 
+    /// Resolves `field`, named by the JSON key `at`, against `shape`,
+    /// reporting an unknown field at `severity`; its type when known.
     fn check_resolved(
         cx: &PlanCtx<'_>,
         node: &PlanNode,
-        json_field: &str,
+        at: &str,
         field: &str,
         shape: &Shape,
         severity: Severity,
@@ -755,7 +694,7 @@ impl FieldRefRule {
             Resolution::Known(t) => Some(t),
             Resolution::Open => None,
             Resolution::Unknown => {
-                out.push(unknown_field(cx, severity, node, json_field, field, shape));
+                out.push(unknown_field(cx, severity, node, at, field, shape));
                 None
             }
         }
@@ -771,88 +710,47 @@ impl LintRule for FieldRefRule {
         for node in &cx.plan.nodes {
             match &node.op {
                 PlanOp::QueryDatabase { prefilter, .. } => {
-                    let Some(shape) = cx.shape_of(node.id).cloned() else { continue };
+                    let Some(shape) = cx.shape_of(node.id) else { continue };
                     for (k, v) in prefilter {
-                        if let Some(t) = Self::check_resolved(
-                            cx,
-                            node,
-                            &format!("prefilter.{k}"),
-                            k,
-                            &shape,
-                            Severity::Error,
-                            out,
-                        ) {
-                            Self::check_literal(
-                                cx,
-                                node,
-                                &format!("prefilter.{k}"),
-                                k,
-                                t,
-                                v,
-                                out,
-                            );
+                        let at = format!("prefilter.{k}");
+                        if let Some(t) = Self::check_resolved(cx, node, &at, k, shape, Severity::Error, out) {
+                            Self::check_literal(cx, node, &at, k, t, v, out);
                         }
                     }
                 }
                 PlanOp::BasicFilter { path, value } => {
                     let shape = cx.input_shape(node, 0);
-                    if let Some(t) = Self::check_resolved(
-                        cx,
-                        node,
-                        "path",
-                        path,
-                        &shape,
-                        Severity::Error,
-                        out,
-                    ) {
+                    if let Some(t) = Self::check_resolved(cx, node, "path", path, &shape, Severity::Error, out) {
                         Self::check_literal(cx, node, "value", path, t, value, out);
                     }
                 }
                 PlanOp::RangeFilter { path, lo, hi } => {
                     let shape = cx.input_shape(node, 0);
-                    if let Some(t) = Self::check_resolved(
-                        cx,
-                        node,
-                        "path",
-                        path,
-                        &shape,
-                        Severity::Error,
-                        out,
-                    ) {
-                        for (name, bound) in [("lo", lo), ("hi", hi)] {
+                    if let Some(t) = Self::check_resolved(cx, node, "path", path, &shape, Severity::Error, out) {
+                        for (at, bound) in [("lo", lo), ("hi", hi)] {
                             if let Some(v) = bound {
-                                Self::check_literal(cx, node, name, path, t, v, out);
+                                Self::check_literal(cx, node, at, path, t, v, out);
                             }
                         }
                     }
                 }
                 PlanOp::Aggregate { key, func, path } => {
                     let shape = cx.input_shape(node, 0);
-                    let needs_numeric = matches!(func.as_str(), "sum" | "avg" | "mean" | "average");
-                    let ordered = matches!(func.as_str(), "min" | "max");
-                    if !needs_numeric && !ordered && !matches!(func.as_str(), "count" | "") {
+                    let agg = AggFunc::parse(func);
+                    let needs_numeric = matches!(agg, Some(AggFunc::Sum | AggFunc::Avg));
+                    let ordered = matches!(agg, Some(AggFunc::Min | AggFunc::Max));
+                    if agg.is_none() {
+                        let message = format!("node {}: unknown aggregate function {func:?}", node.id);
                         out.push(
-                            Diagnostic::error(
-                                codes::UNKNOWN_AGGREGATE_FUNC,
-                                format!(
-                                    "node {}: unknown aggregate function {func:?}",
-                                    node.id
-                                ),
-                            )
+                            Diagnostic::error(codes::UNKNOWN_AGGREGATE_FUNC, message)
                             .at_node(node.id)
                             .at_path(cx.path(node.id, "func"))
                             .with_suggestion("use one of count, sum, avg, min, max"),
                         );
                     }
                     if needs_numeric || ordered {
-                        let severity = if needs_numeric {
-                            Severity::Error
-                        } else {
-                            Severity::Warning
-                        };
-                        if let Some(t) =
-                            Self::check_resolved(cx, node, "path", path, &shape, severity, out)
-                        {
+                        let severity = if needs_numeric { Severity::Error } else { Severity::Warning };
+                        if let Some(t) = Self::check_resolved(cx, node, "path", path, &shape, severity, out) {
                             if !t.is_numeric() {
                                 out.push(
                                     Diagnostic::new(
@@ -874,28 +772,12 @@ impl LintRule for FieldRefRule {
                         }
                     }
                     if !key.is_empty() {
-                        Self::check_resolved(
-                            cx,
-                            node,
-                            "key",
-                            key,
-                            &shape,
-                            Severity::Warning,
-                            out,
-                        );
+                        Self::check_resolved(cx, node, "key", key, &shape, Severity::Warning, out);
                     }
                 }
                 PlanOp::Sort { path, .. } | PlanOp::TopK { path, .. } => {
                     let shape = cx.input_shape(node, 0);
-                    Self::check_resolved(
-                        cx,
-                        node,
-                        "path",
-                        path,
-                        &shape,
-                        Severity::Warning,
-                        out,
-                    );
+                    Self::check_resolved(cx, node, "path", path, &shape, Severity::Warning, out);
                 }
                 PlanOp::Join { on } => {
                     if on.trim().is_empty() {
@@ -960,31 +842,6 @@ impl LintRule for FieldRefRule {
 /// expression must parse.
 struct MathRule;
 
-impl MathRule {
-    fn refs(expr: &str) -> (Vec<usize>, bool) {
-        let mut refs = Vec::new();
-        let mut rest = expr;
-        let mut malformed = false;
-        while let Some(start) = rest.find("{out_") {
-            let after = &rest[start + 5..];
-            match after.find('}') {
-                Some(end) => {
-                    match after[..end].parse::<usize>() {
-                        Ok(id) => refs.push(id),
-                        Err(_) => malformed = true,
-                    }
-                    rest = &after[end + 1..];
-                }
-                None => {
-                    malformed = true;
-                    break;
-                }
-            }
-        }
-        (refs, malformed)
-    }
-}
-
 impl LintRule for MathRule {
     fn code(&self) -> &'static str {
         codes::MATH_SYNTAX
@@ -993,8 +850,7 @@ impl LintRule for MathRule {
     fn check(&self, cx: &PlanCtx<'_>, out: &mut Vec<Diagnostic>) {
         for node in &cx.plan.nodes {
             let PlanOp::Math { expr } = &node.op else { continue };
-            let (refs, malformed) = Self::refs(expr);
-            if malformed {
+            if math_pieces(expr).any(|p| matches!(p, MathPiece::Malformed(_))) {
                 out.push(
                     Diagnostic::error(
                         codes::MATH_SYNTAX,
@@ -1005,6 +861,7 @@ impl LintRule for MathRule {
                 );
                 continue;
             }
+            let refs: Vec<usize> = math_refs(expr).collect();
             for r in &refs {
                 if cx.plan.node(*r).is_none() {
                     out.push(
@@ -1054,10 +911,12 @@ impl LintRule for MathRule {
             // Syntax check: substitute each reference with a distinct
             // constant and evaluate. Division-by-zero under the substitution
             // is not a syntax error.
-            let mut probe = expr.clone();
-            for (i, r) in refs.iter().enumerate() {
-                probe = probe.replace(&format!("{{out_{r}}}"), &format!("{}", 3 + 2 * i));
-            }
+            let probe: String = math_pieces(expr)
+                .map(|p| match p {
+                    MathPiece::Ref(r) => (3 + 2 * refs.iter().position(|x| *x == r).unwrap_or(0)).to_string(),
+                    p => p.to_string(),
+                })
+                .collect();
             if let Err(e) = crate::exec::eval_math(&probe) {
                 let msg = e.to_string();
                 if !msg.contains("division by zero") {
@@ -1185,8 +1044,7 @@ impl LintRule for DeadNodeRule {
                 // Math nodes may pull values from referenced nodes that are
                 // not wired as inputs; those are live too.
                 if let PlanOp::Math { expr } = &n.op {
-                    let (refs, _) = MathRule::refs(expr);
-                    stack.extend(refs);
+                    stack.extend(math_refs(expr));
                 }
             }
         }

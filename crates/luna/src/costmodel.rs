@@ -26,12 +26,10 @@
 //!    the optimizer's `prune_dead_fields` rewrite consumes it.
 
 use crate::analyze::{codes, LintRule, PlanCtx};
-use crate::ops::{Plan, PlanOp};
+use crate::ops::{LlmCall, Plan, PlanOp, Prompts, RowFlow};
 use crate::schema::IndexSchema;
-use aryn_core::text::count_tokens;
 use aryn_core::Diagnostic;
-use aryn_llm::prompt::tasks;
-use aryn_llm::registry::{spec_by_name, ModelSpec, ALL_MODELS};
+use aryn_llm::registry::{ladder, spec_by_name, ModelSpec};
 use std::collections::{BTreeMap, BTreeSet};
 
 pub use sycamore::cost::{CostKnobs, Interval, LlmBounds};
@@ -123,47 +121,34 @@ impl CostReport {
     }
 }
 
-/// Parameters of one LLM-calling node, fed to the shared transfer function.
-struct LlmShape {
-    /// Logical prompts issued (usually the input cardinality).
-    items: Interval,
-    /// Prompt tokens of the rendered task with an empty context — the
-    /// guaranteed minimum per singleton call.
-    envelope: f64,
-    max_output: f64,
-    /// Eligible for the PR 4 cross-document micro-batcher.
-    batchable: bool,
-    /// Walks a degradation ladder under a reliability policy
-    /// (`generate_json_with_fallback` sites; plain `generate_json` sites
-    /// only ever meter their primary tier).
-    laddered: bool,
-}
-
+/// The cost of one semantic node making `items` logical prompts of `call`.
 fn llm_node(
     node_id: usize,
     op_kind: &str,
     rows: Interval,
-    shape: &LlmShape,
-    primary: &'static ModelSpec,
+    items: Interval,
+    call: &LlmCall<'_>,
     knobs: &CostKnobs,
 ) -> NodeCost {
+    let primary = model_of(call.model, knobs);
     // The tiers this node's calls can reach: the catalogue ladder from the
     // primary down when it degrades, the primary alone otherwise.
-    let facts = if shape.laddered && knobs.reliability.is_some() {
-        let start = ALL_MODELS.iter().position(|s| s.name == primary.name).unwrap_or(0);
-        TierFacts::of(&ALL_MODELS[start..])
+    let facts = if call.terminal.is_some() && knobs.reliability.is_some() {
+        TierFacts::of(ladder(primary.name))
     } else {
         TierFacts::of(&[primary])
     };
-    let llm = llm_bounds(shape.items, shape.envelope, shape.max_output, shape.batchable, &facts, knobs);
+    let envelope = call.envelope();
+    let max_output = call.max_output as f64;
+    let llm = llm_bounds(items, envelope, max_output, call.batchable, &facts, knobs);
     // Clean-run point estimates: one attempt per item at the upper
     // cardinality, typical context, typical completion.
     let (expected_calls, expected_tokens, expected_cost_usd, expected_latency_ms) =
-        if shape.items.hi.is_finite() {
-            let items = shape.items.hi;
-            let calls_e = (items / knobs.pack(shape.batchable)).ceil();
-            let in_e = items * (TYP_CTX_TOKENS + 4.0) + calls_e * shape.envelope;
-            let out_e = items * TYP_OUT_TOKENS.min(shape.max_output);
+        if items.hi.is_finite() {
+            let items = items.hi;
+            let calls_e = (items / knobs.pack(call.batchable)).ceil();
+            let in_e = items * (TYP_CTX_TOKENS + 4.0) + calls_e * envelope;
+            let out_e = items * TYP_OUT_TOKENS.min(max_output);
             let cost_e = in_e / 1000.0 * primary.usd_per_1k_input
                 + out_e / 1000.0 * primary.usd_per_1k_output;
             let lat_e = calls_e * primary.base_latency_ms
@@ -210,100 +195,33 @@ pub fn estimate(plan: &Plan, schemas: &[IndexSchema], knobs: &CostKnobs) -> Cost
                 .unwrap_or(Interval::ZERO)
         };
         let in0 = input(0);
-        let nc = match &node.op {
-            PlanOp::QueryDatabase { index, prefilter } => {
-                let rows = match schemas.iter().find(|s| s.index == *index) {
-                    Some(s) if prefilter.is_empty() => Interval::exact(s.doc_count as f64),
-                    Some(s) => Interval::new(0.0, s.doc_count as f64),
-                    // Unknown index: cardinality is statically unbounded.
-                    None => Interval::at_least(0.0),
+        let at_least_one = if in0.lo > 0.0 { 1.0 } else { 0.0 };
+        let rows = match node.op.row_flow() {
+            RowFlow::Scan { index, prefiltered } => match schemas.iter().find(|s| s.index == index) {
+                Some(s) if !prefiltered => Interval::exact(s.doc_count as f64),
+                Some(s) => Interval::new(0.0, s.doc_count as f64),
+                // Unknown index: cardinality is statically unbounded.
+                None => Interval::at_least(0.0),
+            },
+            RowFlow::Kept => in0,
+            RowFlow::Narrowed => Interval::new(0.0, in0.hi),
+            RowFlow::Capped(k) => in0.cap(k as f64),
+            RowFlow::Grouped { .. } => Interval::new(at_least_one, in0.hi),
+            RowFlow::Joined => Interval::new(0.0, in0.hi * input(1).hi),
+            RowFlow::Scalar(_) => Interval::exact(1.0),
+        };
+        let nc = match node.op.llm_call() {
+            None => NodeCost::pure(id, node.op.kind(), rows),
+            Some(call) => {
+                let items = match call.prompts {
+                    Prompts::PerRow => in0,
+                    Prompts::ReduceTree => {
+                        Interval::new(at_least_one, if in0.hi == 0.0 { 0.0 } else { 2.0 * in0.hi + 1.0 })
+                    }
+                    Prompts::One => Interval::new(if knobs.calls_guaranteed() { 1.0 } else { 0.0 }, 1.0),
                 };
-                NodeCost::pure(id, node.op.kind(), rows)
+                llm_node(id, node.op.kind(), rows, items, &call, knobs)
             }
-            PlanOp::BasicFilter { .. } | PlanOp::RangeFilter { .. } => {
-                NodeCost::pure(id, node.op.kind(), Interval::new(0.0, in0.hi))
-            }
-            PlanOp::LlmFilter { predicate, model } => llm_node(
-                id,
-                node.op.kind(),
-                Interval::new(0.0, in0.hi),
-                &LlmShape {
-                    items: in0,
-                    envelope: count_tokens(&tasks::filter(predicate, "")) as f64,
-                    max_output: 64.0,
-                    batchable: true,
-                    laddered: true,
-                },
-                model_of(model, knobs),
-                knobs,
-            ),
-            PlanOp::LlmExtract { field, ftype, model } => {
-                let schema = aryn_core::obj! { field.as_str() => ftype.as_str() };
-                llm_node(
-                    id,
-                    node.op.kind(),
-                    in0,
-                    &LlmShape {
-                        items: in0,
-                        envelope: count_tokens(&tasks::extract(&schema, "")) as f64,
-                        max_output: 512.0,
-                        batchable: true,
-                        laddered: true,
-                    },
-                    model_of(model, knobs),
-                    knobs,
-                )
-            }
-            PlanOp::Count | PlanOp::Math { .. } => {
-                NodeCost::pure(id, node.op.kind(), Interval::exact(1.0))
-            }
-            PlanOp::Aggregate { key, .. } => {
-                let rows = if key.is_empty() {
-                    Interval::exact(1.0)
-                } else {
-                    Interval::new(if in0.lo > 0.0 { 1.0 } else { 0.0 }, in0.hi)
-                };
-                NodeCost::pure(id, node.op.kind(), rows)
-            }
-            PlanOp::Sort { .. } | PlanOp::GraphExpand { .. } => {
-                NodeCost::pure(id, node.op.kind(), in0)
-            }
-            PlanOp::TopK { k, .. } => NodeCost::pure(id, node.op.kind(), in0.cap(*k as f64)),
-            PlanOp::Join { .. } => {
-                NodeCost::pure(id, node.op.kind(), Interval::new(0.0, in0.hi * input(1).hi))
-            }
-            PlanOp::SummarizeData { instructions } => llm_node(
-                id,
-                node.op.kind(),
-                Interval::exact(1.0),
-                &LlmShape {
-                    // Hierarchical reduce: ≤ 2n+1 calls for n rows.
-                    items: Interval::new(
-                        if in0.lo > 0.0 { 1.0 } else { 0.0 },
-                        if in0.hi == 0.0 { 0.0 } else { 2.0 * in0.hi + 1.0 },
-                    ),
-                    envelope: count_tokens(&tasks::summarize(instructions, "")) as f64,
-                    max_output: 256.0,
-                    batchable: false,
-                    laddered: false,
-                },
-                knobs.default_model,
-                knobs,
-            ),
-            PlanOp::LlmGenerate { question } => llm_node(
-                id,
-                node.op.kind(),
-                Interval::exact(1.0),
-                &LlmShape {
-                    items: Interval::new(if knobs.calls_guaranteed() { 1.0 } else { 0.0 }, 1.0),
-                    envelope: count_tokens(&tasks::answer(question, "")) as f64,
-                    max_output: 512.0,
-                    batchable: false,
-                    laddered: false,
-                },
-                knobs.default_model,
-                knobs,
-            ),
         };
         rows_of.insert(id, nc.rows);
         nodes.push(nc);
@@ -353,54 +271,21 @@ impl Live {
     }
 }
 
-fn fields(names: &[&str]) -> Live {
-    Live::Fields(names.iter().filter(|n| !n.is_empty()).map(|n| n.to_string()).collect())
-}
-
-/// The demand a consumer places on its `pos`-th input: the fields the
+/// The demand a consumer places on each of its inputs: the fields the
 /// consumer reads, plus whatever of its own live-out passes through.
-fn input_demand(op: &PlanOp, live_out: &Live, _pos: usize) -> Live {
-    let mut d = match op {
-        // Structured references.
-        PlanOp::BasicFilter { path, .. } => fields(&[path]),
-        PlanOp::RangeFilter { path, .. } => fields(&[path]),
-        PlanOp::Sort { path, .. } => fields(&[path]),
-        PlanOp::TopK { path, .. } => fields(&[path]),
-        PlanOp::Aggregate { key, path, .. } => fields(&[key, path]),
-        PlanOp::Join { on } => fields(&[on]),
-        // graphExpand resolves rows to graph nodes via name-like props.
-        PlanOp::GraphExpand { .. } => fields(&["company", "entity", "name"]),
-        // These serialize the whole property bag (or the document text,
-        // which extraction cannot change) into a prompt.
-        PlanOp::LlmGenerate { .. } | PlanOp::SummarizeData { .. } => Live::All,
-        // Text-only consumers: llmFilter/llmExtract prompts render the
-        // document's element text, never its properties.
-        PlanOp::LlmFilter { .. } | PlanOp::LlmExtract { .. } => Live::none(),
-        PlanOp::Count | PlanOp::Math { .. } => Live::none(),
-        PlanOp::QueryDatabase { .. } => Live::none(),
+fn input_demand(op: &PlanOp, live_out: &Live) -> Live {
+    let mut d = match op.reads() {
+        Some(names) => Live::Fields(names.iter().filter(|n| !n.is_empty()).map(|n| n.to_string()).collect()),
+        None => Live::All,
     };
-    // Pass-through: operators whose output rows are their input rows keep
-    // every downstream-live field alive upstream. Aggregates and scalar
-    // producers mint fresh rows/values, so nothing passes through them.
-    let passes_through = matches!(
-        op,
-        PlanOp::BasicFilter { .. }
-            | PlanOp::RangeFilter { .. }
-            | PlanOp::LlmFilter { .. }
-            | PlanOp::LlmExtract { .. }
-            | PlanOp::Sort { .. }
-            | PlanOp::TopK { .. }
-            | PlanOp::Join { .. }
-            | PlanOp::GraphExpand { .. }
-    );
-    if passes_through {
+    // Operators whose output rows are their input rows keep every
+    // downstream-live field alive upstream; aggregates and scalar producers
+    // mint fresh rows or values, so nothing passes through them.
+    if matches!(op.row_flow(), RowFlow::Kept | RowFlow::Narrowed | RowFlow::Capped(_) | RowFlow::Joined) {
         let mut through = live_out.clone();
-        // Fields the operator itself writes are satisfied locally.
-        if let (Live::Fields(s), PlanOp::LlmExtract { field, .. }) = (&mut through, op) {
+        // A field the operator itself writes is satisfied locally.
+        if let (Live::Fields(s), Some((field, _))) = (&mut through, op.writes()) {
             s.remove(field);
-        }
-        if let (Live::Fields(s), PlanOp::GraphExpand { output, .. }) = (&mut through, op) {
-            s.remove(output);
         }
         d.union_into(through);
     }
@@ -416,25 +301,17 @@ pub fn liveness(plan: &Plan) -> BTreeMap<usize, Live> {
         return live;
     };
     // The result node's rows are rendered verbatim into the answer.
-    let result_is_rows = plan.node(plan.result).is_some_and(|n| {
-        !matches!(
-            n.op,
-            PlanOp::Count
-                | PlanOp::Math { .. }
-                | PlanOp::SummarizeData { .. }
-                | PlanOp::LlmGenerate { .. }
-        ) && !matches!(&n.op, PlanOp::Aggregate { key, .. } if key.is_empty())
-    });
+    let result_is_rows =
+        plan.node(plan.result).is_some_and(|n| !matches!(n.op.row_flow(), RowFlow::Scalar(_)));
     if result_is_rows {
         live.insert(plan.result, Live::All);
     }
     for &id in order.iter().rev() {
         let Some(node) = plan.node(id) else { continue };
         let out = live.get(&id).cloned().unwrap_or_else(Live::none);
-        for (pos, input) in node.inputs.iter().enumerate() {
-            let demand = input_demand(&node.op, &out, pos);
+        for input in &node.inputs {
             if let Some(slot) = live.get_mut(input) {
-                slot.union_into(demand);
+                slot.union_into(input_demand(&node.op, &out));
             }
         }
     }
@@ -510,11 +387,7 @@ pub fn verify(
         // guarded call skips straight to its terminal tier.
         if p.degrade_below_ms > 0.0 && p.deadline_ms <= p.degrade_below_ms {
             for n in &plan.nodes {
-                let terminal = match &n.op {
-                    PlanOp::LlmFilter { .. } => "string-match",
-                    PlanOp::LlmExtract { .. } => "skip",
-                    _ => continue,
-                };
+                let Some(terminal) = n.op.llm_call().and_then(|call| call.terminal) else { continue };
                 out.push(
                     Diagnostic::warning(
                         codes::DEGRADED_TERMINAL_ONLY,
@@ -531,32 +404,9 @@ pub fn verify(
     }
     for n in &plan.nodes {
         // L23: a guaranteed-minimum prompt that cannot fit the model window.
-        let (envelope, max_output, model) = match &n.op {
-            PlanOp::LlmFilter { predicate, model } => (
-                count_tokens(&tasks::filter(predicate, "")) as f64,
-                64.0,
-                model_of(model, knobs),
-            ),
-            PlanOp::LlmExtract { field, ftype, model } => {
-                let schema = aryn_core::obj! { field.as_str() => ftype.as_str() };
-                (
-                    count_tokens(&tasks::extract(&schema, "")) as f64,
-                    512.0,
-                    model_of(model, knobs),
-                )
-            }
-            PlanOp::SummarizeData { instructions } => (
-                count_tokens(&tasks::summarize(instructions, "")) as f64,
-                256.0,
-                knobs.default_model,
-            ),
-            PlanOp::LlmGenerate { question } => (
-                count_tokens(&tasks::answer(question, "")) as f64,
-                512.0,
-                knobs.default_model,
-            ),
-            _ => continue,
-        };
+        let Some(call) = n.op.llm_call() else { continue };
+        let (envelope, max_output, model) =
+            (call.envelope(), call.max_output as f64, model_of(call.model, knobs));
         if envelope + max_output + 16.0 > model.context_window as f64 {
             out.push(
                 Diagnostic::error(
@@ -571,7 +421,7 @@ pub fn verify(
                 .with_suggestion("shorten the predicate/instructions or pin a larger-window model"),
             );
         } else if knobs.batch_max_items > 1
-            && matches!(n.op, PlanOp::LlmFilter { .. } | PlanOp::LlmExtract { .. })
+            && call.batchable
             && envelope + knobs.batch_token_budget as f64 + max_output + 24.0
                 > model.context_window as f64
         {

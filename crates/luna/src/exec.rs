@@ -17,7 +17,7 @@
 //! `count` reads its length, `aggregate` folds projected values, and rows
 //! are collected only for a consumer that needs them.
 
-use crate::ops::{Plan, PlanOp};
+use crate::ops::{math_pieces, AggFunc, MathPiece, Plan, PlanOp, ANSWER_MAX_OUTPUT, GRAPH_LOOKUP_KEYS};
 use aryn_core::{ArynError, Document, Result, Value};
 use aryn_index::{CompiledPredicate, GraphStore, Predicate, ScanStats, StoreSnapshot};
 use aryn_llm::prompt::tasks;
@@ -442,7 +442,9 @@ impl PlanExecutor {
             }
             PlanOp::Count => scalar(Value::Int(input(0)?.row_count()? as i64)),
             PlanOp::Aggregate { key, func, path } => {
-                let agg = agg_from_name(func, path)?;
+                let agg = AggFunc::parse(func)
+                    .ok_or_else(|| ArynError::InvalidPlan(format!("unknown aggregate function {func:?}")))?
+                    .agg(path);
                 let src = input(0)?;
                 if key.is_empty() {
                     // Whole-collection aggregate → scalar (`Null` over no rows).
@@ -510,7 +512,7 @@ impl PlanExecutor {
                     let mut d = Document::clone(row);
                     // Resolve the row to a graph node: by a name-like
                     // property first, then by document id.
-                    let node_id = ["company", "entity", "name"]
+                    let node_id = GRAPH_LOOKUP_KEYS
                         .iter()
                         .find_map(|k| d.prop(k).and_then(Value::as_str).map(str::to_string))
                         .unwrap_or_else(|| d.id.0.clone());
@@ -570,8 +572,8 @@ impl PlanExecutor {
                 }
                 let prompt = self
                     .client
-                    .fit_prompt(&context, 512, |c| tasks::answer(question, c));
-                let v = self.client.generate_json(&prompt, 512)?;
+                    .fit_prompt(&context, ANSWER_MAX_OUTPUT, |c| tasks::answer(question, c));
+                let v = self.client.generate_json(&prompt, ANSWER_MAX_OUTPUT)?;
                 let answer = v
                     .get("answer")
                     .map(|a| a.display_text())
@@ -791,21 +793,6 @@ impl Out {
     }
 }
 
-fn agg_from_name(func: &str, path: &str) -> Result<sycamore::Agg> {
-    Ok(match func {
-        "count" | "" => sycamore::Agg::Count,
-        "sum" => sycamore::Agg::Sum(path.to_string()),
-        "avg" | "mean" | "average" => sycamore::Agg::Avg(path.to_string()),
-        "min" => sycamore::Agg::Min(path.to_string()),
-        "max" => sycamore::Agg::Max(path.to_string()),
-        other => {
-            return Err(ArynError::InvalidPlan(format!(
-                "unknown aggregate function {other:?}"
-            )))
-        }
-    })
-}
-
 fn render_answer(output: &NodeOutput) -> String {
     match output {
         NodeOutput::Scalar(Value::Str(s)) => s.clone(),
@@ -826,16 +813,15 @@ fn render_answer(output: &NodeOutput) -> String {
 /// Replaces `{out_N}` references with their scalar values.
 fn substitute_outputs(expr: &str, all: &BTreeMap<usize, Out>) -> Result<String> {
     let mut out = String::new();
-    let mut rest = expr;
-    while let Some(start) = rest.find("{out_") {
-        out.push_str(&rest[..start]);
-        let after = &rest[start + 5..];
-        let end = after
-            .find('}')
-            .ok_or_else(|| ArynError::Exec("unclosed {out_N} reference".into()))?;
-        let id: usize = after[..end]
-            .parse()
-            .map_err(|_| ArynError::Exec(format!("bad node reference {{out_{}}}", &after[..end])))?;
+    for piece in math_pieces(expr) {
+        let id = match piece {
+            MathPiece::Text(text) => {
+                out.push_str(text);
+                continue;
+            }
+            MathPiece::Ref(id) => id,
+            MathPiece::Malformed(_) => return Err(ArynError::Exec(format!("bad node reference {piece}"))),
+        };
         let node = all
             .get(&id)
             .ok_or_else(|| ArynError::Exec(format!("math references out_{id} which has not run")))?;
@@ -846,9 +832,7 @@ fn substitute_outputs(expr: &str, all: &BTreeMap<usize, Out>) -> Result<String> 
             None => node.len() as f64,
         };
         out.push_str(&format!("{v}"));
-        rest = &after[end + 1..];
     }
-    out.push_str(rest);
     Ok(out)
 }
 

@@ -287,11 +287,7 @@ impl Luna {
             if reliability.is_none() {
                 return model(primary);
             }
-            let start = aryn_llm::ALL_MODELS
-                .iter()
-                .position(|s| s.name == primary.name)
-                .unwrap_or(0);
-            aryn_llm::ALL_MODELS[start..]
+            aryn_llm::registry::ladder(primary.name)
                 .iter()
                 .rev()
                 .fold(None, |cheaper: Option<LlmClient>, spec| {

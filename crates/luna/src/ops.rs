@@ -11,7 +11,10 @@
 //! natural language (Figure 5) and as Python-like code (Figure 6), and can
 //! be edited by a human before execution.
 
+use crate::analyze::FieldType;
+use aryn_core::text::count_tokens;
 use aryn_core::{json, obj, ArynError, Result, Value};
+use aryn_llm::prompt::tasks;
 use std::collections::BTreeSet;
 
 /// One plan operator.
@@ -102,16 +105,9 @@ impl PlanOp {
         }
     }
 
-    /// Whether the operator calls an LLM per row (cost driver for the
-    /// optimizer).
+    /// Whether the operator calls an LLM (cost driver for the optimizer).
     pub fn is_semantic(&self) -> bool {
-        matches!(
-            self,
-            PlanOp::LlmFilter { .. }
-                | PlanOp::LlmExtract { .. }
-                | PlanOp::SummarizeData { .. }
-                | PlanOp::LlmGenerate { .. }
-        )
+        self.llm_call().is_some()
     }
 
     /// All operator kind names, advertised to the planner LLM.
@@ -131,6 +127,219 @@ impl PlanOp {
         "summarizeData",
         "llmGenerate",
     ];
+
+    // --- Operator facts: each stated once, read by the analyzer, the cost
+    // model, liveness, the optimizer and the executor. ---------------------
+
+    /// How the operator's output rows relate to its input rows.
+    pub(crate) fn row_flow(&self) -> RowFlow<'_> {
+        match self {
+            PlanOp::QueryDatabase { index, prefilter } => RowFlow::Scan { index, prefiltered: !prefilter.is_empty() },
+            PlanOp::BasicFilter { .. } | PlanOp::RangeFilter { .. } | PlanOp::LlmFilter { .. } => RowFlow::Narrowed,
+            PlanOp::LlmExtract { .. } | PlanOp::Sort { .. } | PlanOp::GraphExpand { .. } => RowFlow::Kept,
+            PlanOp::TopK { k, .. } => RowFlow::Capped(*k),
+            PlanOp::Aggregate { key, func, path } if !key.is_empty() => {
+                RowFlow::Grouped { key, func: AggFunc::parse(func), path }
+            }
+            PlanOp::Join { .. } => RowFlow::Joined,
+            PlanOp::Count | PlanOp::Math { .. } | PlanOp::Aggregate { .. } => RowFlow::Scalar(FieldType::Num),
+            PlanOp::SummarizeData { .. } | PlanOp::LlmGenerate { .. } => RowFlow::Scalar(FieldType::Str),
+        }
+    }
+
+    /// The property fields the operator reads from its input rows (empty
+    /// names are unused slots), or `None` when it serializes every property
+    /// into a prompt. `llmFilter`/`llmExtract` prompts render the element
+    /// text, never the properties.
+    pub(crate) fn reads(&self) -> Option<[&str; 3]> {
+        Some(match self {
+            PlanOp::BasicFilter { path, .. }
+            | PlanOp::RangeFilter { path, .. }
+            | PlanOp::Sort { path, .. }
+            | PlanOp::TopK { path, .. } => [path, "", ""],
+            PlanOp::Aggregate { key, path, .. } => [key, path, ""],
+            PlanOp::Join { on } => [on, "", ""],
+            PlanOp::GraphExpand { .. } => GRAPH_LOOKUP_KEYS,
+            PlanOp::LlmGenerate { .. } | PlanOp::SummarizeData { .. } => return None,
+            _ => ["", "", ""],
+        })
+    }
+
+    /// The property the operator adds to each row, with its type.
+    pub(crate) fn writes(&self) -> Option<(&str, FieldType)> {
+        match self {
+            PlanOp::LlmExtract { field, ftype, .. } => Some((field, FieldType::parse(ftype))),
+            PlanOp::GraphExpand { output, .. } => Some((output, FieldType::List)),
+            _ => None,
+        }
+    }
+
+    /// The LLM call of a semantic operator.
+    pub(crate) fn llm_call(&self) -> Option<LlmCall<'_>> {
+        use sycamore::transforms::{EXTRACT_MAX_OUTPUT, FILTER_MAX_OUTPUT, SUMMARIZE_MAX_OUTPUT};
+        let (model, max_output, prompts, terminal) = match self {
+            PlanOp::LlmFilter { model, .. } => (model.as_str(), FILTER_MAX_OUTPUT, Prompts::PerRow, Some("string-match")),
+            PlanOp::LlmExtract { model, .. } => (model.as_str(), EXTRACT_MAX_OUTPUT, Prompts::PerRow, Some("skip")),
+            PlanOp::SummarizeData { .. } => ("", SUMMARIZE_MAX_OUTPUT, Prompts::ReduceTree, None),
+            PlanOp::LlmGenerate { .. } => ("", ANSWER_MAX_OUTPUT, Prompts::One, None),
+            _ => return None,
+        };
+        let batchable = prompts == Prompts::PerRow;
+        Some(LlmCall { op: self, model, max_output, prompts, batchable, terminal })
+    }
+}
+
+/// The completion cap of `llmGenerate`'s answer call.
+pub(crate) const ANSWER_MAX_OUTPUT: usize = 512;
+
+/// The properties `graphExpand` finds a row's graph node by, in order,
+/// before the document id.
+pub(crate) const GRAPH_LOOKUP_KEYS: [&str; 3] = ["company", "entity", "name"];
+
+/// How an operator's output rows relate to its input rows.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum RowFlow<'a> {
+    /// The documents of `index`, or some of them under a prefilter.
+    Scan { index: &'a str, prefiltered: bool },
+    /// One output row per input row.
+    Kept,
+    /// Some of the input rows.
+    Narrowed,
+    /// At most this many of the input rows.
+    Capped(usize),
+    /// One row per distinct `key`, carrying the key, `count` and `value`.
+    Grouped { key: &'a str, func: Option<AggFunc>, path: &'a str },
+    /// The matching pairs of the two inputs' rows, merged.
+    Joined,
+    /// One value of this type, no rows.
+    Scalar(FieldType),
+}
+
+/// How many prompts a semantic operator issues: one per input row, a
+/// hierarchical reduce (at most `2n + 1` for `n` rows, one at least when any
+/// row flows in), or one per run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Prompts {
+    PerRow,
+    ReduceTree,
+    One,
+}
+
+/// The LLM call of one semantic operator.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LlmCall<'a> {
+    op: &'a PlanOp,
+    /// The pinned model; empty means the executor's default model.
+    pub model: &'a str,
+    /// Completion cap in tokens.
+    pub max_output: usize,
+    pub prompts: Prompts,
+    /// Eligible for cross-document micro-batching.
+    pub batchable: bool,
+    /// What answers once a reliability policy's degradation ladder is
+    /// spent; `None` for a call that walks no ladder.
+    pub terminal: Option<&'static str>,
+}
+
+impl LlmCall<'_> {
+    /// Prompt tokens of the task with an empty context: the minimum of
+    /// every singleton call.
+    pub(crate) fn envelope(&self) -> f64 {
+        let prompt = match self.op {
+            PlanOp::LlmFilter { predicate, .. } => tasks::filter(predicate, ""),
+            PlanOp::LlmExtract { field, ftype, .. } => tasks::extract(&obj! { field.as_str() => ftype.as_str() }, ""),
+            PlanOp::SummarizeData { instructions } => tasks::summarize(instructions, ""),
+            PlanOp::LlmGenerate { question } => tasks::answer(question, ""),
+            _ => String::new(),
+        };
+        count_tokens(&prompt) as f64
+    }
+}
+
+/// An aggregate function, by the names a plan may give it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum AggFunc {
+    Count,
+    Sum,
+    Avg,
+    Min,
+    Max,
+}
+
+impl AggFunc {
+    /// `None` for a name outside the vocabulary; no name counts.
+    pub(crate) fn parse(name: &str) -> Option<AggFunc> {
+        Some(match name {
+            "count" | "" => AggFunc::Count,
+            "sum" => AggFunc::Sum,
+            "avg" | "mean" | "average" => AggFunc::Avg,
+            "min" => AggFunc::Min,
+            "max" => AggFunc::Max,
+            _ => return None,
+        })
+    }
+
+    /// The type of the aggregate over a field of type `path`.
+    pub(crate) fn value_type(self, path: FieldType) -> FieldType {
+        if matches!(self, AggFunc::Min | AggFunc::Max) { path } else { FieldType::Num }
+    }
+
+    /// The engine's fold of this function over `path`.
+    pub(crate) fn agg(self, path: &str) -> sycamore::Agg {
+        let path = path.to_string();
+        match self {
+            AggFunc::Count => sycamore::Agg::Count,
+            AggFunc::Sum => sycamore::Agg::Sum(path),
+            AggFunc::Avg => sycamore::Agg::Avg(path),
+            AggFunc::Min => sycamore::Agg::Min(path),
+            AggFunc::Max => sycamore::Agg::Max(path),
+        }
+    }
+}
+
+/// A piece of a `math` expression: text, an `{out_N}` reference to node
+/// `N`'s output, or a malformed reference (a non-numeric id, or no closing
+/// brace), verbatim.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum MathPiece<'a> {
+    Text(&'a str),
+    Ref(usize),
+    Malformed(&'a str),
+}
+
+impl std::fmt::Display for MathPiece<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            MathPiece::Text(s) | MathPiece::Malformed(s) => f.write_str(s),
+            MathPiece::Ref(id) => write!(f, "{{out_{id}}}"),
+        }
+    }
+}
+
+/// Splits a `math` expression into pieces, in order; they render back to
+/// the expression.
+pub(crate) fn math_pieces(expr: &str) -> impl Iterator<Item = MathPiece<'_>> {
+    let (mut rest, mut next) = (Some(expr), None);
+    std::iter::from_fn(move || {
+        if let Some(piece) = next.take() {
+            return Some(piece);
+        }
+        let text = rest?;
+        let Some(start) = text.find("{out_") else {
+            rest = None;
+            return Some(MathPiece::Text(text));
+        };
+        let end = text[start..].find('}').map_or(text.len(), |e| start + e + 1);
+        let id = text[start + 5..end].strip_suffix('}').and_then(|id| id.parse().ok());
+        next = Some(id.map_or(MathPiece::Malformed(&text[start..end]), MathPiece::Ref));
+        rest = Some(&text[end..]);
+        Some(MathPiece::Text(&text[..start]))
+    })
+}
+
+/// The nodes a `math` expression references, in order.
+pub(crate) fn math_refs(expr: &str) -> impl Iterator<Item = usize> + '_ {
+    math_pieces(expr).filter_map(|p| if let MathPiece::Ref(id) = p { Some(id) } else { None })
 }
 
 /// A node in the plan DAG.
@@ -432,14 +641,7 @@ fn node_from_value(v: &Value) -> Result<PlanNode> {
         },
         "llmExtract" => PlanOp::LlmExtract {
             field: s("field"),
-            ftype: {
-                let t = s("ftype");
-                if t.is_empty() {
-                    "string".into()
-                } else {
-                    t
-                }
-            },
+            ftype: Some(s("ftype")).filter(|t| !t.is_empty()).unwrap_or_else(|| "string".into()),
             model: s("model"),
         },
         "count" => PlanOp::Count,
@@ -461,14 +663,7 @@ fn node_from_value(v: &Value) -> Result<PlanNode> {
         "math" => PlanOp::Math { expr: s("expr") },
         "graphExpand" => PlanOp::GraphExpand {
             relation: s("relation"),
-            output: {
-                let o = s("output");
-                if o.is_empty() {
-                    "neighbors".into()
-                } else {
-                    o
-                }
-            },
+            output: Some(s("output")).filter(|o| !o.is_empty()).unwrap_or_else(|| "neighbors".into()),
         },
         "summarizeData" => PlanOp::SummarizeData {
             instructions: s("instructions"),
@@ -628,6 +823,18 @@ mod tests {
         assert!(d.contains("environmental factors"));
         assert!(d.contains("inputs: out_2, out_4"));
         assert_eq!(d.lines().count(), 6);
+    }
+
+    #[test]
+    fn math_pieces_split_references_and_render_back() {
+        for expr in ["100 * {out_4} / {out_2}", "{out_x} + {out_3}", "1 + {out_", "{out_}{out_7}", "no refs"] {
+            assert_eq!(math_pieces(expr).map(|p| p.to_string()).collect::<String>(), expr);
+        }
+        assert_eq!(math_refs("100 * {out_4} / {out_2} - {out_4}").collect::<Vec<_>>(), [4, 2, 4]);
+        // A malformed reference does not hide the ones after it.
+        let pieces: Vec<MathPiece> = math_pieces("{out_x} + {out_3}").filter(|p| *p != MathPiece::Text("")).collect();
+        assert_eq!(pieces, [MathPiece::Malformed("{out_x}"), MathPiece::Text(" + "), MathPiece::Ref(3)]);
+        assert!(math_pieces("2 * {out_1").any(|p| p == MathPiece::Malformed("{out_1")));
     }
 
     #[test]

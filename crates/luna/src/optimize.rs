@@ -21,11 +21,11 @@
 
 use crate::analyze::{Analysis, FieldType, Resolution, Shape};
 use crate::costmodel::CostKnobs;
-use crate::ops::{Plan, PlanOp};
+use crate::ops::{math_pieces, MathPiece, Plan, PlanOp};
 use crate::schema::IndexSchema;
 use aryn_core::text::has_negation_cue;
 use aryn_core::{lexicon, ArynError, Result, Value};
-use aryn_llm::registry::{ModelSpec, GPT4_SIM, LLAMA7B_SIM};
+use aryn_llm::registry::{ladder, ModelSpec, GPT4_SIM, LLAMA7B_SIM};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Optimizer configuration.
@@ -122,7 +122,7 @@ pub(crate) fn optimize_checked(
         note_batching(&plan, schemas, knobs.batch_max_items, &mut notes);
     }
     if knobs.reliability.is_some() {
-        note_degradation(&plan, &mut notes);
+        note_degradation(&plan, knobs.default_model, &mut notes);
     }
     Ok((Optimized { plan, notes }, last))
 }
@@ -134,11 +134,10 @@ pub(crate) fn optimize_checked(
 /// the estimate is a ceiling on calls and a floor on savings.
 fn note_batching(plan: &Plan, schemas: &[IndexSchema], k: usize, notes: &mut Vec<String>) {
     for n in &plan.nodes {
-        let kind = match &n.op {
-            PlanOp::LlmFilter { .. } => "llmFilter",
-            PlanOp::LlmExtract { .. } => "llmExtract",
-            _ => continue,
-        };
+        if !n.op.llm_call().is_some_and(|call| call.batchable) {
+            continue;
+        }
+        let kind = n.op.kind();
         match scanned_docs(plan, schemas, n.id) {
             Some(rows) if rows > 0 => {
                 let calls = rows.div_ceil(k);
@@ -173,25 +172,19 @@ fn scanned_docs(plan: &Plan, schemas: &[IndexSchema], mut id: usize) -> Option<u
 
 /// Cost-model note for degradation ladders: records each semantic
 /// operator's fallback route under the reliability policy — the cheaper
-/// catalogue tiers its breaker/deadline failures would walk, ending at
-/// string matching for `llmFilter` (a skipped extraction for `llmExtract`).
-fn note_degradation(plan: &Plan, notes: &mut Vec<String>) {
+/// catalogue tiers its breaker/deadline failures would walk from its pinned
+/// model (`default_model` when none is pinned), ending at its terminal.
+fn note_degradation(plan: &Plan, default_model: &ModelSpec, notes: &mut Vec<String>) {
     for n in &plan.nodes {
-        let (kind, model, terminal) = match &n.op {
-            PlanOp::LlmFilter { model, .. } => ("llmFilter", model, "string-match"),
-            PlanOp::LlmExtract { model, .. } => ("llmExtract", model, "skip"),
-            _ => continue,
-        };
-        let primary = if model.is_empty() { GPT4_SIM.name } else { model.as_str() };
-        let start = aryn_llm::ALL_MODELS
-            .iter()
-            .position(|s| s.name == primary)
-            .unwrap_or(0);
-        let mut tiers: Vec<&str> = aryn_llm::ALL_MODELS[start..].iter().map(|s| s.name).collect();
+        let Some(call) = n.op.llm_call() else { continue };
+        let Some(terminal) = call.terminal else { continue };
+        let primary = if call.model.is_empty() { default_model.name } else { call.model };
+        let mut tiers: Vec<&str> = ladder(primary).iter().map(|s| s.name).collect();
         tiers.push(terminal);
         notes.push(format!(
-            "out_{}: {kind} degradation ladder {} (breaker/deadline failures fall through)",
+            "out_{}: {} degradation ladder {} (breaker/deadline failures fall through)",
             n.id,
+            n.op.kind(),
             tiers.join(" -> ")
         ));
     }
@@ -223,7 +216,8 @@ fn prune_dead(plan: &mut Plan, schemas: &[IndexSchema], knobs: &CostKnobs, notes
                 }
             }
             if let PlanOp::Math { expr } = &mut n.op {
-                *expr = expr.replace(&format!("{{out_{id}}}"), &format!("{{out_{input}}}"));
+                let renamed = |p| if p == MathPiece::Ref(id) { MathPiece::Ref(input) } else { p };
+                *expr = math_pieces(expr).map(|p| renamed(p).to_string()).collect();
             }
         }
         if plan.result == id {
@@ -309,15 +303,15 @@ pub(crate) fn pushdown_sites(plan: &Plan, shapes: &BTreeMap<usize, Shape>) -> Ve
         .collect()
 }
 
-/// The fields `llmExtract` nodes upstream of node `id` write.
+/// The fields semantic operators upstream of node `id` write.
 fn extracted_upstream(plan: &Plan, id: usize) -> BTreeSet<&str> {
     let mut fields = BTreeSet::new();
     let mut seen = BTreeSet::new();
     let mut stack: Vec<usize> = plan.node(id).map(|n| n.inputs.clone()).unwrap_or_default();
     while let Some(id) = stack.pop() {
         let Some(n) = plan.node(id).filter(|_| seen.insert(id)) else { continue };
-        if let PlanOp::LlmExtract { field, .. } = &n.op {
-            fields.insert(field.as_str());
+        if let Some((field, _)) = n.op.writes().filter(|_| n.op.is_semantic()) {
+            fields.insert(field);
         }
         stack.extend(&n.inputs);
     }
@@ -469,46 +463,29 @@ fn reorder_filters(plan: &mut Plan, notes: &mut Vec<String>) {
 /// Pass 3: fuse a linear chain `llmFilter(A) → llmFilter(B)` into a single
 /// `llmFilter(A; and also B)` — half the per-row LLM calls.
 fn batch_filters(plan: &mut Plan, notes: &mut Vec<String>) {
-    loop {
-        // Find a child llmFilter whose sole input is an llmFilter consumed
-        // only by this child.
-        let mut fused = None;
-        for (ci, child) in plan.nodes.iter().enumerate() {
-            let PlanOp::LlmFilter { .. } = &child.op else { continue };
-            if child.inputs.len() != 1 {
-                continue;
-            }
-            let parent_id = child.inputs[0];
-            let Some(pi) = plan.nodes.iter().position(|n| n.id == parent_id) else { continue };
-            let PlanOp::LlmFilter { .. } = &plan.nodes[pi].op else { continue };
-            let consumers = plan.nodes.iter().filter(|n| n.inputs.contains(&parent_id)).count();
-            if consumers == 1 {
-                fused = Some((pi, ci));
-                break;
-            }
-        }
-        let Some((pi, ci)) = fused else { break };
-        let (parent_pred, parent_model) = match &plan.nodes[pi].op {
-            PlanOp::LlmFilter { predicate, model } => (predicate.clone(), model.clone()),
-            _ => unreachable!("checked above"),
-        };
-        let parent_id = plan.nodes[pi].id;
-        let parent_inputs = plan.nodes[pi].inputs.clone();
+    // A child llmFilter whose sole input is an llmFilter consumed only by
+    // this child.
+    let fusable = |plan: &Plan| {
+        plan.nodes.iter().enumerate().find_map(|(ci, child)| {
+            let (PlanOp::LlmFilter { .. }, [parent]) = (&child.op, &child.inputs[..]) else { return None };
+            let pi = plan.nodes.iter().position(|n| n.id == *parent)?;
+            let sole = plan.nodes.iter().filter(|n| n.inputs.contains(parent)).count() == 1;
+            (sole && matches!(plan.nodes[pi].op, PlanOp::LlmFilter { .. })).then_some((pi, ci))
+        })
+    };
+    while let Some((pi, ci)) = fusable(plan) {
+        let parent = plan.nodes.remove(pi);
+        let child = &mut plan.nodes[if ci > pi { ci - 1 } else { ci }];
+        if let (PlanOp::LlmFilter { predicate: first, model: first_model }, PlanOp::LlmFilter { predicate, model }) =
+            (parent.op, &mut child.op)
         {
-            let child = &mut plan.nodes[ci];
-            let child_id = child.id;
-            if let PlanOp::LlmFilter { predicate, model } = &mut child.op {
-                *predicate = format!("{parent_pred}; and also {predicate}");
-                if model.is_empty() {
-                    *model = parent_model;
-                }
+            *predicate = format!("{first}; and also {predicate}");
+            if model.is_empty() {
+                *model = first_model;
             }
-            child.inputs = parent_inputs;
-            notes.push(format!(
-                "out_{parent_id}/out_{child_id}: batched two semantic filters into one call"
-            ));
         }
-        plan.nodes.remove(pi);
+        child.inputs = parent.inputs;
+        notes.push(format!("out_{}/out_{}: batched two semantic filters into one call", parent.id, child.id));
     }
 }
 
@@ -1049,6 +1026,31 @@ mod batch_tests {
         // Off by default: no notes.
         let off = run(&chain_plan(), &schemas, &cfg);
         assert!(off.notes.iter().all(|n| !n.contains("micro-batches")));
+    }
+
+    #[test]
+    fn degradation_ladder_starts_at_the_default_model() {
+        // An unpinned semantic operator runs on the executor's default
+        // model, so its ladder starts there, not at the catalogue's top.
+        let node = |id: usize, op: PlanOp, inputs: Vec<usize>| PlanNode { id, op, inputs, description: String::new() };
+        let plan = Plan {
+            nodes: vec![
+                node(0, PlanOp::QueryDatabase { index: "ntsb".into(), prefilter: vec![] }, vec![]),
+                node(1, PlanOp::LlmFilter { predicate: "caused by a rare anomaly".into(), model: String::new() }, vec![0]),
+                node(2, PlanOp::Count, vec![1]),
+            ],
+            result: 2,
+        };
+        let cfg = OptimizerCfg { model_selection: false, ..OptimizerCfg::default() };
+        let knobs = CostKnobs {
+            default_model: &LLAMA7B_SIM,
+            reliability: Some(aryn_llm::ReliabilityPolicy::standard()),
+            ..CostKnobs::default()
+        };
+        let opt = optimize(&plan, &[], &cfg, &knobs).unwrap();
+        let ladders: Vec<&String> = opt.notes.iter().filter(|n| n.contains("degradation ladder")).collect();
+        assert_eq!(ladders.len(), 1, "{:?}", opt.notes);
+        assert!(ladders[0].contains("ladder llama-7b-sim -> string-match ("), "{}", ladders[0]);
     }
 
     #[test]

@@ -18,6 +18,10 @@
 
 use crate::context::Context;
 use crate::op::Op;
+use crate::transforms::{
+    CLASSIFY_MAX_OUTPUT, EXTRACT_MAX_OUTPUT, FILTER_MAX_OUTPUT, QUERY_MAX_OUTPUT,
+    SECTION_SUMMARY_MAX_OUTPUT, SUMMARIZE_MAX_OUTPUT,
+};
 use aryn_core::text::count_tokens;
 use aryn_llm::prompt::tasks;
 use aryn_llm::registry::{ModelSpec, GPT4_SIM};
@@ -394,9 +398,9 @@ pub fn estimate(ops: &[Op], input_docs: usize, knobs: &CostKnobs) -> PipelineCos
     // Fan-out ops and per-section calls are statically unbounded above.
     let open = |d: Interval| if d.hi == 0.0 { Interval::ZERO } else { Interval::at_least(0.0) };
     let pure = |docs: Interval| (docs, LlmBounds::default());
-    let llm = |docs_out, items, envelope: usize, max_output, batchable, client| {
+    let llm = |docs_out, items, envelope: usize, max_output: usize, batchable, client| {
         let facts = client_facts(client, knobs);
-        (docs_out, llm_bounds(items, envelope as f64, max_output, batchable, &facts, knobs))
+        (docs_out, llm_bounds(items, envelope as f64, max_output as f64, batchable, &facts, knobs))
     };
     for op in ops {
         let (docs_out, bounds) = match op {
@@ -412,26 +416,26 @@ pub fn estimate(ops: &[Op], input_docs: usize, knobs: &CostKnobs) -> PipelineCos
                 pure(Interval::new(if docs.lo > 0.0 { 1.0 } else { 0.0 }, docs.hi))
             }
             Op::Limit(n) => pure(docs.cap(*n as f64)),
-            Op::LlmQuery { client, .. } => llm(docs, docs, 1, 256.0, false, client),
+            Op::LlmQuery { client, .. } => llm(docs, docs, 1, QUERY_MAX_OUTPUT, false, client),
             Op::ExtractProperties { client, schema, .. } => {
                 let env = count_tokens(&tasks::extract(schema, ""));
-                llm(docs, docs, env, 512.0, true, client)
+                llm(docs, docs, env, EXTRACT_MAX_OUTPUT, true, client)
             }
             Op::LlmFilter { client, predicate, .. } => {
                 let env = count_tokens(&tasks::filter(predicate, ""));
-                llm(Interval::new(0.0, docs.hi), docs, env, 64.0, true, client)
+                llm(Interval::new(0.0, docs.hi), docs, env, FILTER_MAX_OUTPUT, true, client)
             }
             Op::LlmClassify { client, question, labels, .. } => {
                 let refs: Vec<&str> = labels.iter().map(String::as_str).collect();
                 let env = count_tokens(&tasks::classify(question, &refs, ""));
-                llm(docs, docs, env, 64.0, false, client)
+                llm(docs, docs, env, CLASSIFY_MAX_OUTPUT, false, client)
             }
             Op::Summarize { client, instructions, .. } => {
                 let env = count_tokens(&tasks::summarize(instructions, ""));
-                llm(docs, docs, env, 256.0, false, client)
+                llm(docs, docs, env, SUMMARIZE_MAX_OUTPUT, false, client)
             }
             // Calls per document = its section count.
-            Op::SummarizeSections { client } => llm(docs, open(docs), 1, 128.0, false, client),
+            Op::SummarizeSections { client } => llm(docs, open(docs), 1, SECTION_SUMMARY_MAX_OUTPUT, false, client),
             Op::SummarizeAll { client, instructions } => {
                 // Hierarchical reduce: ≤ 2n+1 calls for n documents (leaf
                 // batches plus the reduction tree), at least one when any
@@ -441,7 +445,7 @@ pub fn estimate(ops: &[Op], input_docs: usize, knobs: &CostKnobs) -> PipelineCos
                     if docs.lo > 0.0 { 1.0 } else { 0.0 },
                     if docs.hi == 0.0 { 0.0 } else { 2.0 * docs.hi + 1.0 },
                 );
-                llm(Interval::exact(1.0), items, env, 256.0, false, client)
+                llm(Interval::exact(1.0), items, env, SUMMARIZE_MAX_OUTPUT, false, client)
             }
         };
         docs = docs_out;

@@ -23,6 +23,16 @@ use aryn_llm::{run_batched, BatchConfig, BatchReport, LlmClient, TaskKind};
 use aryn_partitioner::{Partitioner, PartitionerOptions};
 use std::sync::Arc;
 
+// Completion caps, in tokens, of the engine's LLM calls. The cost model
+// (`crate::cost`, and Luna's over its plan operators) bounds each call's
+// completion by the same constant.
+pub const FILTER_MAX_OUTPUT: usize = 64;
+pub(crate) const CLASSIFY_MAX_OUTPUT: usize = 64;
+pub const EXTRACT_MAX_OUTPUT: usize = 512;
+pub const SUMMARIZE_MAX_OUTPUT: usize = 256;
+pub(crate) const SECTION_SUMMARY_MAX_OUTPUT: usize = 128;
+pub(crate) const QUERY_MAX_OUTPUT: usize = 256;
+
 /// Applies one per-document op, producing 0..N output documents. A
 /// `projected` op's rows only an index sink reads (DESIGN.md §5g, "Sink
 /// projection"): `explode` emits chunks of just id and text, and `embed`
@@ -221,8 +231,8 @@ fn llm_query(
 ) -> Result<Arc<Document>> {
     let text = selector.select_text(&row);
     let question = render_template(template, &row, "");
-    let prompt = client.fit_prompt(&text, 256, |ctx| tasks::answer(&question, ctx));
-    let v = client.generate_json(&prompt, 256)?;
+    let prompt = client.fit_prompt(&text, QUERY_MAX_OUTPUT, |ctx| tasks::answer(&question, ctx));
+    let v = client.generate_json(&prompt, QUERY_MAX_OUTPUT)?;
     let answer = v
         .get("answer")
         .cloned()
@@ -243,7 +253,7 @@ fn extract_properties(
 ) -> Result<Arc<Document>> {
     let text = selector.select_text(&row);
     let (v, degraded_to) =
-        match client.generate_json_with_fallback(&text, 512, &|ctx| tasks::extract(schema, ctx)) {
+        match client.generate_json_with_fallback(&text, EXTRACT_MAX_OUTPUT, &|ctx| tasks::extract(schema, ctx)) {
             Ok(out) => (out.value, out.degraded_to),
             // Reliability cut the ladder off: the document passes through
             // unextracted, flagged — an incomplete answer, never a silent
@@ -286,7 +296,7 @@ fn llm_filter(
 ) -> Result<Vec<Arc<Document>>> {
     let text = selector.select_text(&row);
     let (keep, degraded_to) =
-        match client.generate_json_with_fallback(&text, 64, &|ctx| tasks::filter(predicate, ctx)) {
+        match client.generate_json_with_fallback(&text, FILTER_MAX_OUTPUT, &|ctx| tasks::filter(predicate, ctx)) {
             Ok(out) => (
                 out.value.get("match").and_then(Value::as_bool).unwrap_or(false),
                 out.degraded_to,
@@ -358,12 +368,12 @@ fn llm_filter_batched(
     let contexts: Vec<String> = docs
         .iter()
         .map(|d| {
-            client.fit_context(&selector.select_text(d), 64, |ctx| {
+            client.fit_context(&selector.select_text(d), FILTER_MAX_OUTPUT, |ctx| {
                 tasks::filter(predicate, ctx)
             })
         })
         .collect();
-    let (values, report) = run_batched(client, TaskKind::Filter, &params, &contexts, 64, cfg);
+    let (values, report) = run_batched(client, TaskKind::Filter, &params, &contexts, FILTER_MAX_OUTPUT, cfg);
     let mut out = Vec::with_capacity(docs.len());
     let mut failed = 0usize;
     for (mut doc, res) in docs.into_iter().zip(values) {
@@ -400,12 +410,12 @@ fn extract_properties_batched(
     let contexts: Vec<String> = docs
         .iter()
         .map(|d| {
-            client.fit_context(&selector.select_text(d), 512, |ctx| {
+            client.fit_context(&selector.select_text(d), EXTRACT_MAX_OUTPUT, |ctx| {
                 tasks::extract(schema, ctx)
             })
         })
         .collect();
-    let (values, report) = run_batched(client, TaskKind::Extract, &params, &contexts, 512, cfg);
+    let (values, report) = run_batched(client, TaskKind::Extract, &params, &contexts, EXTRACT_MAX_OUTPUT, cfg);
     let mut out = Vec::with_capacity(docs.len());
     let mut failed = 0usize;
     for (mut doc, res) in docs.into_iter().zip(values) {
@@ -436,8 +446,8 @@ fn llm_classify(
 ) -> Result<Arc<Document>> {
     let text = selector.select_text(&row);
     let label_refs: Vec<&str> = labels.iter().map(String::as_str).collect();
-    let prompt = client.fit_prompt(&text, 64, |ctx| tasks::classify(question, &label_refs, ctx));
-    let v = client.generate_json(&prompt, 64)?;
+    let prompt = client.fit_prompt(&text, CLASSIFY_MAX_OUTPUT, |ctx| tasks::classify(question, &label_refs, ctx));
+    let v = client.generate_json(&prompt, CLASSIFY_MAX_OUTPUT)?;
     let label = v.get("label").cloned().unwrap_or(Value::Null);
     let doc = Arc::make_mut(&mut row);
     doc.properties.set_path(output_path, label);
@@ -454,8 +464,8 @@ fn summarize_doc(
     mut row: Arc<Document>,
 ) -> Result<Arc<Document>> {
     let text = selector.select_text(&row);
-    let prompt = client.fit_prompt(&text, 256, |ctx| tasks::summarize(instructions, ctx));
-    let v = client.generate_json(&prompt, 256)?;
+    let prompt = client.fit_prompt(&text, SUMMARIZE_MAX_OUTPUT, |ctx| tasks::summarize(instructions, ctx));
+    let v = client.generate_json(&prompt, SUMMARIZE_MAX_OUTPUT)?;
     let summary = v.get("summary").cloned().unwrap_or(Value::Null);
     let doc = Arc::make_mut(&mut row);
     doc.properties.set_path(output_path, summary);
@@ -491,10 +501,10 @@ fn summarize_sections(client: &LlmClient, mut row: Arc<Document>) -> Result<Arc<
         if body.trim().is_empty() || heading.is_empty() {
             continue;
         }
-        let prompt = client.fit_prompt(&body, 128, |ctx| {
+        let prompt = client.fit_prompt(&body, SECTION_SUMMARY_MAX_OUTPUT, |ctx| {
             tasks::summarize(&format!("Summarize the {heading:?} section in one sentence."), ctx)
         });
-        let v = client.generate_json(&prompt, 128)?;
+        let v = client.generate_json(&prompt, SECTION_SUMMARY_MAX_OUTPUT)?;
         let summary = v.get("summary").cloned().unwrap_or(Value::Null);
         // Heading as a property key: sanitized to a path-safe slug.
         let slug: String = heading
@@ -769,7 +779,7 @@ pub fn summarize_all_stats(
         if rounds > 12 {
             return Err(ArynError::Exec("summarize_all failed to converge".into()));
         }
-        let budget = client.context_budget(96, 256).max(256);
+        let budget = client.context_budget(96, SUMMARIZE_MAX_OUTPUT).max(256);
         let mut batches: Vec<(String, usize)> = Vec::new();
         let mut cur = String::new();
         let mut cur_weight = 0usize;
@@ -792,8 +802,8 @@ pub fn summarize_all_stats(
         let n_batches = batches.len();
         let mut next: Vec<(String, usize)> = Vec::with_capacity(n_batches);
         for (b, w) in &batches {
-            let prompt = client.fit_prompt(b, 256, |ctx| tasks::summarize(instructions, ctx));
-            match client.generate_json(&prompt, 256) {
+            let prompt = client.fit_prompt(b, SUMMARIZE_MAX_OUTPUT, |ctx| tasks::summarize(instructions, ctx));
+            match client.generate_json(&prompt, SUMMARIZE_MAX_OUTPUT) {
                 Ok(v) => next.push((
                     v.get("summary")
                         .and_then(Value::as_str)

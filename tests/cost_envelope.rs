@@ -6,7 +6,10 @@
 //! * Luna plans: hand-built plans execute through [`luna::PlanExecutor`] and
 //!   every [`luna::NodeTrace`] (rows, calls, tokens, dollars) is checked
 //!   against the matching [`luna::NodeCost`] interval from
-//!   [`luna::costmodel::estimate`].
+//!   [`luna::costmodel::estimate`]. The same runs check the analyzer's
+//!   inferred shapes: each node's output kind, and the field each
+//!   `llmExtract`/`graphExpand` writes. The pool covers every operator kind,
+//!   so this is the executable reference for each operator's row flow.
 //! * Sycamore pipelines: `DocSet::estimate_cost` totals must contain the
 //!   executed `ExecStats` totals.
 //!
@@ -15,7 +18,7 @@
 
 use aryn::aryn_llm::ReliabilityState;
 use aryn::prelude::*;
-use luna::{ntsb_schema, CostAnalysis, Plan, PlanNode, PlanOp};
+use luna::{ntsb_schema, CostAnalysis, LunaResult, Plan, PlanNode, PlanOp, Shape};
 use std::sync::Arc;
 
 const SEED: u64 = 11;
@@ -74,7 +77,8 @@ fn scan(id: usize) -> PlanNode {
     )
 }
 
-/// A small pool of plan shapes covering pure, per-row-LLM, and reduce paths.
+/// A pool of plan shapes covering every operator kind: pure, per-row-LLM,
+/// reduce, join, graph and answer-synthesis paths.
 fn plan_pool() -> Vec<Plan> {
     vec![
         // Pure: scan → rangeFilter(year) → count.
@@ -149,7 +153,191 @@ fn plan_pool() -> Vec<Plan> {
             ],
             result: 1,
         },
+        // Structured filter feeding a sort of rows.
+        Plan {
+            nodes: vec![
+                scan(0),
+                node(
+                    1,
+                    PlanOp::BasicFilter {
+                        path: "weather_related".into(),
+                        value: Value::Bool(true),
+                    },
+                    vec![0],
+                ),
+                node(
+                    2,
+                    PlanOp::Sort {
+                        path: "year".into(),
+                        descending: false,
+                    },
+                    vec![1],
+                ),
+            ],
+            result: 2,
+        },
+        // Keyed aggregate: one row per state.
+        Plan {
+            nodes: vec![
+                scan(0),
+                node(
+                    1,
+                    PlanOp::Aggregate {
+                        key: "us_state_abbrev".into(),
+                        func: "count".into(),
+                        path: String::new(),
+                    },
+                    vec![0],
+                ),
+            ],
+            result: 1,
+        },
+        // Whole-set aggregate: one scalar.
+        Plan {
+            nodes: vec![
+                scan(0),
+                node(
+                    1,
+                    PlanOp::Aggregate {
+                        key: String::new(),
+                        func: "avg".into(),
+                        path: "fatal".into(),
+                    },
+                    vec![0],
+                ),
+            ],
+            result: 1,
+        },
+        // Math over two counts.
+        Plan {
+            nodes: vec![
+                scan(0),
+                node(
+                    1,
+                    PlanOp::RangeFilter {
+                        path: "year".into(),
+                        lo: Some(Value::Int(2015)),
+                        hi: None,
+                    },
+                    vec![0],
+                ),
+                node(2, PlanOp::Count, vec![1]),
+                node(3, PlanOp::Count, vec![0]),
+                node(
+                    4,
+                    PlanOp::Math {
+                        expr: "100 * {out_2} / {out_3}".into(),
+                    },
+                    vec![2, 3],
+                ),
+            ],
+            result: 4,
+        },
+        // Join of two scans of the same index.
+        Plan {
+            nodes: vec![
+                scan(0),
+                scan(1),
+                node(
+                    2,
+                    PlanOp::Join {
+                        on: "us_state_abbrev".into(),
+                    },
+                    vec![0, 1],
+                ),
+            ],
+            result: 2,
+        },
+        // Knowledge-graph expansion.
+        Plan {
+            nodes: vec![
+                scan(0),
+                node(
+                    1,
+                    PlanOp::GraphExpand {
+                        relation: "occurred_in".into(),
+                        output: "states".into(),
+                    },
+                    vec![0],
+                ),
+            ],
+            result: 1,
+        },
+        // Answer synthesis from rows and a scalar.
+        Plan {
+            nodes: vec![
+                scan(0),
+                node(
+                    1,
+                    PlanOp::TopK {
+                        path: "year".into(),
+                        descending: true,
+                        k: 3,
+                    },
+                    vec![0],
+                ),
+                node(2, PlanOp::Count, vec![0]),
+                node(
+                    3,
+                    PlanOp::LlmGenerate {
+                        question: "Which recent incidents stand out?".into(),
+                    },
+                    vec![1, 2],
+                ),
+            ],
+            result: 3,
+        },
     ]
+}
+
+/// The analyzer's inferred shapes agree with what ran: every executed
+/// node's output kind (scalar or rows), and the field each `llmExtract` and
+/// `graphExpand` writes — in the node's inferred shape, and on the result
+/// rows it reaches.
+fn assert_shapes_agree(luna: &Luna, plan: &Plan, result: &LunaResult, label: &str) {
+    let analysis = luna.analyze(plan);
+    for t in &result.traces {
+        let shape = analysis
+            .shapes
+            .get(&t.node_id)
+            .unwrap_or_else(|| panic!("{label}: no inferred shape for out_{}", t.node_id));
+        assert_eq!(
+            t.scalar.is_some(),
+            matches!(shape, Shape::Scalar(_)),
+            "{label}: out_{} ran as {} but was inferred as {shape:?}",
+            t.node_id,
+            if t.scalar.is_some() { "a scalar" } else { "rows" }
+        );
+        let written = match plan.node(t.node_id).map(|n| &n.op) {
+            Some(PlanOp::LlmExtract { field, .. }) => field,
+            Some(PlanOp::GraphExpand { output, .. }) => output,
+            _ => continue,
+        };
+        let Shape::Rows { fields, .. } = shape else {
+            panic!("{label}: out_{} writes {written:?} but was inferred as {shape:?}", t.node_id)
+        };
+        assert!(
+            fields.contains_key(written.as_str()),
+            "{label}: out_{} writes {written:?}, missing from its inferred fields {fields:?}",
+            t.node_id
+        );
+        let (Some(rows), Some(Shape::Rows { fields, .. })) =
+            (result.output.rows(), analysis.shapes.get(&plan.result))
+        else {
+            continue;
+        };
+        if fields.contains_key(written.as_str()) {
+            // A degraded extraction skips its write and flags the row.
+            for row in rows.iter().filter(|d| d.prop("_degraded").is_none()) {
+                assert!(
+                    row.prop(written).is_some(),
+                    "{label}: result row {} lacks {written:?}, written by out_{}",
+                    row.id,
+                    t.node_id
+                );
+            }
+        }
+    }
 }
 
 /// Executes a plan and asserts every node trace (and the totals) inside the
@@ -167,6 +355,7 @@ fn assert_envelope(luna: &Luna, plan: &Plan, label: &str, may_fail: bool) {
         }
         Err(e) => panic!("{label}: unexpected failure {e}"),
     };
+    assert_shapes_agree(luna, plan, &result, label);
     for t in &result.traces {
         let nc = report
             .node(t.node_id)
