@@ -278,8 +278,18 @@ impl Vfs for StdFs {
             .map_err(|e| io_err(path, e))
     }
 
+    /// The rename, then an fsync of `to`'s directory: a rename lives in its
+    /// directory's entries, and only a synced directory keeps it through a
+    /// power cut.
     fn rename(&self, from: &Path, to: &Path) -> Result<()> {
-        std::fs::rename(from, to).map_err(|e| io_err(from, e))
+        std::fs::rename(from, to).map_err(|e| io_err(from, e))?;
+        let dir = match to.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        std::fs::File::open(dir)
+            .and_then(|d| d.sync_all())
+            .map_err(|e| io_err(dir, e))
     }
 
     fn remove(&self, path: &Path) -> Result<()> {
@@ -814,6 +824,20 @@ impl Vfs for ChaosFs {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn std_fs_rename_replaces_the_target_and_syncs_its_directory() {
+        let fs = StdFs;
+        let dir = std::env::temp_dir().join(format!("aryn-vfs-rename-{}", std::process::id()));
+        fs.create_dir_all(&dir).unwrap();
+        let path = dir.join("f");
+        atomic_write(&fs, &path, b"old").unwrap();
+        atomic_write(&fs, &path, b"new").unwrap();
+        assert_eq!(fs.read(&path).unwrap(), b"new");
+        assert_eq!(fs.list(&dir).unwrap(), vec!["f".to_string()], "no temp file left");
+        assert!(fs.rename(&path, &dir.join("missing").join("f")).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {

@@ -9,11 +9,13 @@
 //! writes land in a mutable memtable that seals into immutable, id-sorted
 //! [`Segment`]s shared via `Arc`; sealed segments merge back into one by
 //! deterministic compaction, which is when tombstones (deletes shadowing
-//! sealed entries) are dropped. Readers either scan the live store — a k-way
-//! merge of memtable + segments, newest layer winning per id — or take a
+//! sealed entries) are dropped. Readers either read the live store or take a
 //! [`StoreSnapshot`], an O(segments) frozen view that stays bit-stable while
-//! ingestion and compaction continue underneath it (MVCC reads). Reads judge
-//! and project rows through per-layer property columns ([`crate::columns`]).
+//! ingestion and compaction continue underneath it (MVCC reads). Either way a
+//! read walks the layer stack's visible entries — worked out once by a k-way
+//! merge, newest layer winning per id, and kept until the stack changes —
+//! and judges and projects rows through per-layer property columns
+//! ([`crate::columns`]).
 
 use crate::columns::Column;
 use aryn_core::vfs::{self, Vfs};
@@ -21,7 +23,7 @@ use aryn_core::{ArynError, Document, Result, Value};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A structured predicate over document properties.
 ///
@@ -234,6 +236,9 @@ pub struct ScanStats {
     pub rows: usize,
     /// Columns this read had to build: first reads of a path on a run.
     pub columns_built: usize,
+    /// Visible-entry plans this read had to build: first reads of a layer
+    /// stack.
+    pub plans_built: usize,
 }
 
 /// Segment lifecycle knobs.
@@ -331,17 +336,28 @@ impl Segment {
 
 type Layer = BTreeMap<String, Option<Arc<Document>>>;
 
-/// A layer's entries with the property columns reads have built over them.
-/// A run is never written while anything else holds it: the memtable is
-/// copy-on-write ([`DocStore::mem_mut`]) and a seal hands the memtable's run
-/// to its segment as is, so a column stays true for as long as its run
-/// lives and every snapshot holding the run shares it.
+/// A layer's entries with what reads have built over them: property
+/// columns, the entries by position, and (on a stack's top run) the plan of
+/// the stack's visible entries. A run is never written while anything else
+/// holds it: the memtable is copy-on-write ([`DocStore::mem_mut`]) and a
+/// seal hands the memtable's run to its segment as is, so all of it stays
+/// true for as long as its run lives and every snapshot holding the run
+/// shares it.
 #[derive(Debug, Default)]
 struct Run {
     docs: Layer,
     /// Columns by path, built on first read of the path.
     columns: Mutex<BTreeMap<String, Arc<Column>>>,
+    /// The entries in id order, built on the first read of a row by
+    /// position.
+    entries: OnceLock<Vec<Option<Arc<Document>>>>,
+    /// The visible entries of the stack this run tops (see [`visible`]).
+    plan: Mutex<Option<KeptPlan>>,
 }
+
+/// A stack's visible-entry spans with the ids of the segments that were
+/// beneath its top run when they were worked out.
+type KeptPlan = (Vec<u64>, Arc<[Span]>);
 
 impl Clone for Run {
     /// The entries only: the copy is about to be written.
@@ -352,7 +368,7 @@ impl Clone for Run {
 
 impl Run {
     fn new(docs: Layer) -> Run {
-        Run { docs, columns: Mutex::new(BTreeMap::new()) }
+        Run { docs, ..Run::default() }
     }
 
     /// The column of `path`, built under the run's lock on first use (one
@@ -366,6 +382,12 @@ impl Run {
         let col = Arc::new(Column::build(self.docs.values(), path));
         columns.insert(path.to_string(), Arc::clone(&col));
         col
+    }
+
+    /// The entries by position (`None`: a tombstone, which no plan names),
+    /// built on first use.
+    fn entries(&self) -> &[Option<Arc<Document>>] {
+        self.entries.get_or_init(|| self.docs.values().cloned().collect())
     }
 }
 
@@ -606,10 +628,13 @@ impl DocStore {
     }
 
     /// The memtable's entries for writing: copied first if a snapshot still
-    /// holds the current run, and its columns dropped either way.
+    /// holds the current run, and everything reads built over it (columns,
+    /// positions, plan) dropped either way.
     fn mem_mut(&mut self) -> &mut Layer {
         let run = Arc::make_mut(&mut self.mem);
         run.columns.lock().clear();
+        run.entries.take();
+        run.plan.lock().take();
         &mut run.docs
     }
 
@@ -805,8 +830,8 @@ impl DocStore {
         }
     }
 
-    /// All documents, id-ordered (deterministic scan order): a k-way merge
-    /// of memtable and segments, newest layer winning per id.
+    /// All documents, id-ordered (deterministic scan order): the newest
+    /// layer's entry per id, read from the stack's visible-entry plan.
     pub fn scan(&self) -> impl Iterator<Item = &Document> {
         self.scan_shared().map(Arc::as_ref)
     }
@@ -814,7 +839,7 @@ impl DocStore {
     /// [`DocStore::scan`] handing out the stored rows themselves: cloning an
     /// item is a pointer copy, never a document copy.
     pub fn scan_shared(&self) -> impl Iterator<Item = &Arc<Document>> {
-        layered_scan(&layers(&self.mem, &self.segments)).map(|hit| hit.doc)
+        layered_rows(&self.mem, &self.segments)
     }
 
     /// Documents matching a structured predicate. The predicate is compiled
@@ -832,7 +857,7 @@ impl DocStore {
 
     /// Distinct non-null values of a property with counts (facets).
     pub fn facet(&self, path: &str) -> Vec<(Value, usize)> {
-        layered_facet(&layers(&self.mem, &self.segments), path)
+        layered_facet(&self.mem, &self.segments, path)
     }
 
     /// The observed property schema: `path -> (type name, occurrence count)`.
@@ -880,16 +905,68 @@ fn layered_lookup<'a>(
     }
 }
 
-/// A read's layers, newest first: the memtable's run, then the sealed
-/// segments' from the newest down. A scan source's index is its position
-/// here.
-fn layers<'a>(mem: &'a Run, segments: &'a [Arc<Segment>]) -> Vec<&'a Run> {
-    std::iter::once(mem).chain(segments.iter().rev().map(|seg| seg.run.as_ref())).collect()
+/// Consecutive visible entries `start..end` of one layer (an index into
+/// [`Visible::layers`]).
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    layer: usize,
+    start: usize,
+    end: usize,
 }
 
-fn layered_scan<'a>(layers: &[&'a Run]) -> MergeScan<'a> {
-    // Sources ordered newest first; ties on id resolve to the lowest source.
-    MergeScan::new(layers.iter().map(|run| run.docs.iter().enumerate().peekable()).collect())
+/// A read's view of one layer stack: its layers, newest first (the
+/// memtable's run, then the sealed segments' from the newest down), and its
+/// visible entries in id order as spans of positions in them.
+struct Visible<'a> {
+    layers: Vec<&'a Run>,
+    spans: Arc<[Span]>,
+}
+
+/// The stack of `mem` over `segments`. An entry is visible when no newer
+/// layer holds its id and it is not a tombstone. The spans come from one
+/// merge of the layers and are kept on `mem`, keyed by the ids of the
+/// segments beneath it: a write drops them ([`DocStore::mem_mut`]), a seal
+/// puts a new run on top and a compaction changes the ids, so a kept plan
+/// always belongs to the stack that finds it. A build counts in
+/// `stats.plans_built`.
+fn visible<'a>(mem: &'a Run, segments: &'a [Arc<Segment>], stats: &mut ScanStats) -> Visible<'a> {
+    let layers: Vec<&Run> = std::iter::once(mem).chain(segments.iter().rev().map(|seg| seg.run.as_ref())).collect();
+    let mut plan = mem.plan.lock();
+    let spans = match &*plan {
+        Some((ids, spans)) if ids.iter().eq(segments.iter().map(|seg| &seg.id)) => Arc::clone(spans),
+        _ => {
+            stats.plans_built += 1;
+            let mut spans: Vec<Span> = Vec::new();
+            for (layer, pos) in MergeScan::new(&layers) {
+                match spans.last_mut() {
+                    Some(span) if span.layer == layer && span.end == pos => span.end += 1,
+                    _ => spans.push(Span { layer, start: pos, end: pos + 1 }),
+                }
+            }
+            let spans: Arc<[Span]> = spans.into();
+            *plan = Some((segments.iter().map(|seg| seg.id).collect(), Arc::clone(&spans)));
+            spans
+        }
+    };
+    drop(plan);
+    Visible { layers, spans }
+}
+
+impl Visible<'_> {
+    /// Each visible entry's layer and position, in id order.
+    fn positions(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.spans.iter().flat_map(|span| (span.start..span.end).map(move |pos| (span.layer, pos)))
+    }
+}
+
+/// The visible rows of a stack in id order (see [`visible`]).
+fn layered_rows<'a>(mem: &'a Run, segments: &'a [Arc<Segment>]) -> impl Iterator<Item = &'a Arc<Document>> {
+    let Visible { layers, spans } = visible(mem, segments, &mut ScanStats::default());
+    (0..spans.len()).flat_map(move |i| {
+        let Span { layer, start, end } = spans[i];
+        let run: &'a Run = layers[layer];
+        run.entries()[start..end].iter().flatten()
+    })
 }
 
 /// What a facet has decided about one column code.
@@ -906,15 +983,16 @@ enum FacetSlot {
 /// order. A row reads its column code, and a code decides its group once —
 /// except for values not `loose_eq` to themselves (NaN), which open a group
 /// per row.
-fn layered_facet(layers: &[&Run], path: &str) -> Vec<(Value, usize)> {
+fn layered_facet(mem: &Run, segments: &[Arc<Segment>], path: &str) -> Vec<(Value, usize)> {
     let mut stats = ScanStats::default();
-    let columns: Vec<Arc<Column>> = layers.iter().map(|run| run.column(path, &mut stats)).collect();
+    let visible = visible(mem, segments, &mut stats);
+    let columns: Vec<Arc<Column>> = visible.layers.iter().map(|run| run.column(path, &mut stats)).collect();
     let mut slots: Vec<Vec<FacetSlot>> = columns.iter().map(|c| c.table(|_| FacetSlot::Unseen)).collect();
     let mut counts: Vec<(Value, usize)> = Vec::new();
-    for hit in layered_scan(layers) {
-        let col = &columns[hit.layer];
-        let code = col.codes()[hit.pos];
-        let slot = &mut slots[hit.layer][code as usize];
+    for (layer, pos) in visible.positions() {
+        let col = &columns[layer];
+        let code = col.codes()[pos];
+        let slot = &mut slots[layer][code as usize];
         let g = match *slot {
             FacetSlot::Group(g) => g,
             FacetSlot::Skip => continue,
@@ -939,23 +1017,16 @@ fn layered_facet(layers: &[&Run], path: &str) -> Vec<(Value, usize)> {
     counts
 }
 
-/// One row of a layered scan: its source (an index into [`layers`]), its
-/// entry position there, and the row.
-struct Hit<'a> {
-    layer: usize,
-    pos: usize,
-    doc: &'a Arc<Document>,
-}
-
 type LayerIter<'a> = std::iter::Peekable<
     std::iter::Enumerate<std::collections::btree_map::Iter<'a, String, Option<Arc<Document>>>>,
 >;
 
-/// K-way merge over id-sorted layers: smallest id next, the newest layer
-/// (lowest source index) winning duplicates, tombstones skipped. Where one
-/// layer's ids run below every other layer's next id (a streamed store's
-/// segments cover disjoint id ranges), the run is emitted with a single
-/// comparison per entry.
+/// K-way merge over id-sorted layers, newest first, yielding each visible
+/// entry's layer and position: smallest id next, the newest layer (lowest
+/// index) winning duplicates, tombstones skipped. Where one layer's ids run
+/// below every other layer's next id (a streamed store's segments cover
+/// disjoint id ranges), the run is emitted with a single comparison per
+/// entry. It builds the plans [`visible`] keeps; reads walk those.
 struct MergeScan<'a> {
     iters: Vec<LayerIter<'a>>,
     /// A layer whose entries below the bound (`None`: all) no other layer
@@ -964,29 +1035,30 @@ struct MergeScan<'a> {
 }
 
 impl<'a> MergeScan<'a> {
-    fn new(iters: Vec<LayerIter<'a>>) -> MergeScan<'a> {
+    fn new(layers: &[&'a Run]) -> MergeScan<'a> {
+        let iters = layers.iter().map(|run| run.docs.iter().enumerate().peekable()).collect();
         MergeScan { iters, solo: None }
     }
 }
 
-impl<'a> Iterator for MergeScan<'a> {
-    type Item = Hit<'a>;
+impl Iterator for MergeScan<'_> {
+    type Item = (usize, usize);
 
-    fn next(&mut self) -> Option<Hit<'a>> {
+    fn next(&mut self) -> Option<(usize, usize)> {
         loop {
             if let Some((layer, bound)) = self.solo {
                 let it = &mut self.iters[layer];
                 if it.peek().is_some_and(|&(_, (k, _))| bound.is_none_or(|b| k < b)) {
                     match it.next() {
-                        Some((pos, (_, Some(doc)))) => return Some(Hit { layer, pos, doc }),
+                        Some((pos, (_, Some(_)))) => return Some((layer, pos)),
                         _ => continue, // a tombstone
                     }
                 }
                 self.solo = None;
             }
             // The smallest next id and the next-smallest after it.
-            let mut best: Option<(&'a String, usize)> = None;
-            let mut second: Option<&'a String> = None;
+            let mut best: Option<(&String, usize)> = None;
+            let mut second: Option<&String> = None;
             for (layer, it) in self.iters.iter_mut().enumerate() {
                 let Some(&(_, (k, _))) = it.peek() else { continue };
                 match best {
@@ -1004,16 +1076,16 @@ impl<'a> Iterator for MergeScan<'a> {
             }
             // Several layers hold this id: advance them all; the first
             // (newest) wins.
-            let mut winner: Option<(usize, usize, &'a Option<Arc<Document>>)> = None;
+            let mut winner: Option<(usize, usize, bool)> = None;
             for (layer, it) in self.iters.iter_mut().enumerate() {
                 if it.peek().is_some_and(|&(_, (k, _))| k == key) {
                     if let Some((pos, (_, entry))) = it.next() {
-                        winner.get_or_insert((layer, pos, entry));
+                        winner.get_or_insert((layer, pos, entry.is_some()));
                     }
                 }
             }
-            if let Some((layer, pos, Some(doc))) = winner {
-                return Some(Hit { layer, pos, doc });
+            if let Some((layer, pos, true)) = winner {
+                return Some((layer, pos));
             }
             // Tombstone on top — skip the id entirely.
         }
@@ -1022,50 +1094,81 @@ impl<'a> Iterator for MergeScan<'a> {
 
 /// The rows of a store or snapshot matching a compiled predicate, in scan
 /// order ([`DocStore::filter_shared`]). Every layer's verdicts are read from
-/// its columns up front; the merge then only looks them up.
+/// its columns up front; the read then walks the stack's visible spans
+/// against them.
 pub struct Matches<'a> {
-    layers: Vec<&'a Run>,
-    scan: MergeScan<'a>,
+    visible: Visible<'a>,
     /// Per layer, the verdict per entry.
     masks: Vec<Vec<bool>>,
+    /// The span being read, and the next position in it to judge.
+    span: usize,
+    pos: usize,
     stats: ScanStats,
 }
 
 impl<'a> Matches<'a> {
     fn new(mem: &'a Run, segments: &'a [Arc<Segment>], pred: &CompiledPredicate) -> Self {
-        let layers = layers(mem, segments);
         let mut stats = ScanStats::default();
-        let masks = layers.iter().map(|run| pred.root.run_mask(run, &mut stats)).collect();
-        Matches { scan: layered_scan(&layers), layers, masks, stats }
+        let visible = visible(mem, segments, &mut stats);
+        let masks = visible.layers.iter().map(|run| pred.root.run_mask(run, &mut stats)).collect();
+        let pos = visible.spans.first().map_or(0, |span| span.start);
+        Matches { visible, masks, span: 0, pos, stats }
     }
 
-    /// The rows read so far and the columns built.
+    /// The rows read so far, the columns and plans built.
     pub fn stats(&self) -> ScanStats {
         self.stats
     }
 
-    fn next_hit(&mut self) -> Option<Hit<'a>> {
-        loop {
-            let hit = self.scan.next()?;
-            self.stats.rows += 1;
-            if self.masks[hit.layer][hit.pos] {
-                return Some(hit);
+    /// The matches not read yet, counted from the verdicts alone: no row is
+    /// read.
+    pub fn count_rest(&mut self) -> usize {
+        let mut n = 0;
+        while let Some(&Span { layer, end, .. }) = self.visible.spans.get(self.span) {
+            n += self.masks[layer][self.pos..end].iter().filter(|&&m| m).count();
+            self.stats.rows += end - self.pos;
+            self.next_span();
+        }
+        n
+    }
+
+    fn next_span(&mut self) {
+        self.span += 1;
+        self.pos = self.visible.spans.get(self.span).map_or(0, |span| span.start);
+    }
+
+    /// The next match: its layer, position and row.
+    fn next_match(&mut self) -> Option<(usize, usize, &'a Arc<Document>)> {
+        while let Some(&Span { layer, end, .. }) = self.visible.spans.get(self.span) {
+            let from = self.pos;
+            let Some(i) = self.masks[layer][from..end].iter().position(|&m| m) else {
+                self.stats.rows += end - from;
+                self.next_span();
+                continue;
+            };
+            self.stats.rows += i + 1;
+            self.pos = from + i + 1;
+            let run: &'a Run = self.visible.layers[layer];
+            if let Some(doc) = &run.entries()[from + i] {
+                return Some((layer, from + i, doc));
             }
         }
+        None
     }
 
     /// Drains the matches through `f` with their values at `paths`.
     fn project(mut self, paths: &[&str], mut f: impl FnMut(&'a Arc<Document>, &[Option<&Value>])) -> ScanStats {
         let columns: Vec<Vec<Arc<Column>>> = self
+            .visible
             .layers
             .iter()
             .map(|run| paths.iter().map(|p| run.column(p, &mut self.stats)).collect())
             .collect();
         let mut values: Vec<Option<&Value>> = Vec::with_capacity(paths.len());
-        while let Some(hit) = self.next_hit() {
+        while let Some((layer, pos, doc)) = self.next_match() {
             values.clear();
-            values.extend(columns[hit.layer].iter().map(|c| c.value(hit.pos)));
-            f(hit.doc, &values);
+            values.extend(columns[layer].iter().map(|c| c.value(pos)));
+            f(doc, &values);
         }
         self.stats
     }
@@ -1075,7 +1178,7 @@ impl<'a> Iterator for Matches<'a> {
     type Item = &'a Arc<Document>;
 
     fn next(&mut self) -> Option<&'a Arc<Document>> {
-        self.next_hit().map(|hit| hit.doc)
+        self.next_match().map(|(_, _, doc)| doc)
     }
 }
 
@@ -1158,7 +1261,7 @@ impl StoreSnapshot {
     /// The frozen rows themselves, id-ordered: cloning an item is a pointer
     /// copy, so a reader can hold any subset without copying a document.
     pub fn scan_shared(&self) -> impl Iterator<Item = &Arc<Document>> {
-        layered_scan(&layers(&self.mem, &self.segments)).map(|hit| hit.doc)
+        layered_rows(&self.mem, &self.segments)
     }
 
     pub fn filter(&self, pred: &Predicate) -> Vec<&Document> {
@@ -1185,7 +1288,7 @@ impl StoreSnapshot {
     }
 
     pub fn facet(&self, path: &str) -> Vec<(Value, usize)> {
-        layered_facet(&layers(&self.mem, &self.segments), path)
+        layered_facet(&self.mem, &self.segments, path)
     }
 
     pub fn schema(&self) -> BTreeMap<String, (String, usize)> {
@@ -1237,8 +1340,8 @@ impl DocStore {
             // layered pass (the WAL replay below then applies clean deltas).
             let empty = Run::default();
             let mut live = 0usize;
-            for hit in layered_scan(&layers(&empty, &store.segments)) {
-                adjust_schema(&mut store.schema_types, "", &hit.doc.properties, 1);
+            for doc in layered_rows(&empty, &store.segments) {
+                adjust_schema(&mut store.schema_types, "", &doc.properties, 1);
                 live += 1;
             }
             store.live = live;

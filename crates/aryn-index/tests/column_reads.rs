@@ -5,15 +5,20 @@
 //!
 //! Stores are layered: a memtable over several segments, with overwrites,
 //! deletes (tombstones), seals and compactions, read in between so columns
-//! are built at every stage. Values are nested, in arrays, missing, `Null`,
-//! `Int`/`Float` twins, NaN and case variants; predicates are every kind,
-//! composed. Snapshots are pinned along the way, one of them across a
-//! compaction, and must keep answering for the writes they saw.
+//! and visible-entry plans are built at every stage. Every store and
+//! snapshot is read twice: the second read must come from what the first
+//! built (no column, no plan built) and answer the same. Values are nested,
+//! in arrays, missing, `Null`, `Int`/`Float` twins, NaN and case variants;
+//! predicates are every kind, composed. Snapshots are pinned along the way,
+//! one of them across a compaction, and must keep answering for the writes
+//! they saw; others are read, dropped, and the memtable they shared written
+//! in place under the plan it kept. A read judges every visible row once
+//! (`ScanStats::rows`), and a scan keeps id order.
 //!
 //! Case counts follow `PROPTEST_CASES` (256 by default).
 
 use aryn_core::{Document, Value};
-use aryn_index::{DocStore, Predicate, StoreConfig, StoreSnapshot};
+use aryn_index::{DocStore, Predicate, ScanStats, StoreConfig, StoreSnapshot};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::collections::BTreeMap;
@@ -130,6 +135,9 @@ enum Op {
     Read,
     /// Pin a snapshot, checked against the model as of now at the end.
     Pin,
+    /// Read a snapshot and drop it, then put: the memtable it shared is
+    /// written in place.
+    ReadDropPut(usize, Value),
 }
 
 fn op() -> impl Strategy<Value = Op> {
@@ -143,7 +151,8 @@ fn op() -> impl Strategy<Value = Op> {
         Just(Op::Seal),
         Just(Op::Compact),
         Just(Op::Read),
-        Just(Op::Pin)
+        Just(Op::Pin),
+        (0usize..12, props()).prop_map(|(i, p)| Op::ReadDropPut(i, p)),
     ]
 }
 
@@ -187,27 +196,48 @@ fn ids<'a>(docs: impl Iterator<Item = &'a Document>) -> Vec<String> {
     docs.map(|d| d.id.0.clone()).collect()
 }
 
+/// A read after the first over the same stack builds nothing.
+fn check_reused(
+    stats: ScanStats,
+    pass: usize,
+    what: &str,
+) -> std::result::Result<(), TestCaseError> {
+    if pass > 0 {
+        prop_assert_eq!(
+            (stats.columns_built, stats.plans_built),
+            (0, 0),
+            "{} read again",
+            what
+        );
+    }
+    Ok(())
+}
+
 fn check_store(
     store: &DocStore,
     model: &Model,
     preds: &[Predicate],
 ) -> std::result::Result<(), TestCaseError> {
-    for p in preds {
-        let want = ids(model.values().filter(|d| p.matches(d)));
+    for pass in 0..2 {
         prop_assert_eq!(
-            ids(store.filter_shared(&p.compile()).map(|d| d.as_ref())),
-            want,
-            "{:?}",
-            p
+            ids(store.scan_shared().map(|d| d.as_ref())),
+            model.keys().cloned().collect::<Vec<_>>()
         );
-    }
-    for path in PATHS {
-        prop_assert_eq!(
-            show(&store.facet(path)),
-            show(&facet_oracle(model, path)),
-            "facet {}",
-            path
-        );
+        for p in preds {
+            let want = ids(model.values().filter(|d| p.matches(d)));
+            let mut matches = store.filter_shared(&p.compile());
+            prop_assert_eq!(ids(matches.by_ref().map(|d| d.as_ref())), want, "{:?}", p);
+            prop_assert_eq!(matches.stats().rows, model.len(), "rows judged under {:?}", p);
+            check_reused(matches.stats(), pass, "filter")?;
+        }
+        for path in PATHS {
+            prop_assert_eq!(
+                show(&store.facet(path)),
+                show(&facet_oracle(model, path)),
+                "facet {}",
+                path
+            );
+        }
     }
     Ok(())
 }
@@ -218,33 +248,44 @@ fn check_snapshot(
     preds: &[Predicate],
 ) -> std::result::Result<(), TestCaseError> {
     prop_assert_eq!(snap.len(), model.len());
-    for p in preds {
-        let compiled = p.compile();
-        let want = ids(model.values().filter(|d| p.matches(d)));
+    for pass in 0..2 {
         prop_assert_eq!(
-            ids(snap.filter_shared(&compiled).map(|d| d.as_ref())),
-            want,
-            "{:?}",
-            p
+            ids(snap.scan_shared().map(|d| d.as_ref())),
+            model.keys().cloned().collect::<Vec<_>>()
         );
-        let mut got = Vec::new();
-        snap.project(&compiled, &PATHS, |d, vals| {
-            got.push(format!("{} {:?}", d.id.as_str(), vals))
-        });
-        let want: Vec<String> = model
-            .values()
-            .filter(|d| p.matches(d))
-            .map(|d| format!("{} {:?}", d.id.as_str(), PATHS.map(|path| d.prop(path))))
-            .collect();
-        prop_assert_eq!(got, want, "projection under {:?}", p);
-    }
-    for path in PATHS {
-        prop_assert_eq!(
-            show(&snap.facet(path)),
-            show(&facet_oracle(model, path)),
-            "facet {}",
-            path
-        );
+        for p in preds {
+            let compiled = p.compile();
+            let want = ids(model.values().filter(|d| p.matches(d)));
+            let mut matches = snap.filter_shared(&compiled);
+            prop_assert_eq!(ids(matches.by_ref().map(|d| d.as_ref())), want.clone(), "{:?}", p);
+            prop_assert_eq!(matches.stats().rows, model.len(), "rows judged under {:?}", p);
+            check_reused(matches.stats(), pass, "filter")?;
+            // Two rows read, the rest counted from the verdicts.
+            let mut matches = snap.filter_shared(&compiled);
+            let read = matches.by_ref().take(2).count();
+            prop_assert_eq!(read + matches.count_rest(), want.len(), "count under {:?}", p);
+            prop_assert_eq!(matches.stats().rows, model.len(), "rows counted under {:?}", p);
+            let mut got = Vec::new();
+            let stats = snap.project(&compiled, &PATHS, |d, vals| {
+                got.push(format!("{} {:?}", d.id.as_str(), vals))
+            });
+            let want: Vec<String> = model
+                .values()
+                .filter(|d| p.matches(d))
+                .map(|d| format!("{} {:?}", d.id.as_str(), PATHS.map(|path| d.prop(path))))
+                .collect();
+            prop_assert_eq!(got, want, "projection under {:?}", p);
+            prop_assert_eq!(stats.rows, model.len(), "rows projected under {:?}", p);
+            check_reused(stats, pass, "projection")?;
+        }
+        for path in PATHS {
+            prop_assert_eq!(
+                show(&snap.facet(path)),
+                show(&facet_oracle(model, path)),
+                "facet {}",
+                path
+            );
+        }
     }
     Ok(())
 }
@@ -275,6 +316,13 @@ proptest! {
                 Op::Compact => store.try_compact().expect("in-memory compaction"),
                 Op::Read => check_store(&store, &model, &preds)?,
                 Op::Pin => pins.push((store.snapshot(), model.clone())),
+                Op::ReadDropPut(i, p) => {
+                    check_snapshot(&store.snapshot(), &model, &preds)?;
+                    let d = doc(i, p);
+                    model.insert(d.id.0.clone(), d.clone());
+                    store.try_put(d).expect("in-memory put");
+                    check_store(&store, &model, &preds)?;
+                }
             }
         }
         check_store(&store, &model, &preds)?;

@@ -1,10 +1,13 @@
 //! E13 — index substrate performance: BM25 search latency, HNSW vs. flat
 //! vector search latency, and HNSW recall@10 (printed before the criterion
-//! timings).
+//! timings); then the document store's structured reads over a pinned
+//! 1 500-document NTSB snapshot (a filter with a count, a filter with a
+//! one-path projection: the reads behind a structured Luna question).
 //!
 //! Run with: `cargo bench -p bench --bench index_perf`
 
-use aryn::aryn_index::{recall_at_k, FlatIndex, HnswIndex, KeywordIndex, VectorIndex};
+use aryn::aryn_docgen::stream::extracted_document;
+use aryn::aryn_index::{recall_at_k, DocStore, FlatIndex, HnswIndex, KeywordIndex, Predicate, VectorIndex};
 use aryn::aryn_llm::{EmbeddingModel, HashedBowEmbedder};
 use aryn::prelude::*;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -108,6 +111,23 @@ fn bench_indexes(c: &mut Criterion) {
     let q = rand_vec(&mut rng_seed);
     g.bench_function("flat_4000", |b| b.iter(|| flat_big.search(&q, 10).unwrap()));
     g.bench_function("hnsw_4000", |b| b.iter(|| hnsw_big.search(&q, 10).unwrap()));
+    g.finish();
+
+    // Warm reads: the first read of each builds the columns and the
+    // visible-entry plan the timed ones reuse.
+    let mut g = c.benchmark_group("store_reads_1500");
+    g.sample_size(500);
+    let store: DocStore = Corpus::ntsb(11, 1500).docs.iter().map(extracted_document).collect();
+    let snap = store.snapshot();
+    let texas = Predicate::Eq("us_state_abbrev".into(), Value::from("TX")).compile();
+    g.bench_function("filter_count", |b| b.iter(|| snap.filter_shared(&texas).count()));
+    g.bench_function("filter_project_one_path", |b| {
+        b.iter(|| {
+            let mut fatal = 0;
+            snap.project(&texas, &["fatal"], |_, v| fatal += v[0].and_then(Value::as_int).unwrap_or(0));
+            fatal
+        })
+    });
     g.finish();
 }
 

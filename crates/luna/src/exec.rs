@@ -664,12 +664,15 @@ impl Selection {
             sel.sample_ids = sel.snap.scan().take(3).map(|d| d.id.0.clone()).collect();
         } else {
             let mut matches = sel.snap.filter_shared(&sel.pred);
-            for d in matches.by_ref().filter(|d| keeps_id(&sel.ids, d)) {
-                if sel.sample_ids.len() < 3 {
-                    sel.sample_ids.push(d.id.0.clone());
-                }
-                sel.len += 1;
-            }
+            sel.sample_ids = matches.by_ref().filter(|d| keeps_id(&sel.ids, d)).take(3).map(|d| d.id.0.clone()).collect();
+            // Without `_id` equalities the rest is counted from the store's
+            // verdicts alone; with them each row's id is compared.
+            sel.len = sel.sample_ids.len()
+                + if sel.ids.is_empty() {
+                    matches.count_rest()
+                } else {
+                    matches.by_ref().filter(|d| keeps_id(&sel.ids, d)).count()
+                };
             add_column_reads(reads, matches.stats());
         }
         sel

@@ -12,7 +12,7 @@
 
 use aryn::prelude::*;
 use aryn_docgen::stream::extracted_document;
-use aryn_index::{DocStore, HnswIndex, KeywordIndex, VectorIndex};
+use aryn_index::{DocStore, HnswIndex, KeywordIndex, Predicate, VectorIndex};
 use luna::{Plan, PlanNode, PlanOp};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -124,6 +124,34 @@ fn a_structured_count_allocates_under_1kb_per_scanned_document() {
             "{what}: {bytes} B for {DOCS} scanned documents = {per_doc} B each"
         );
     }
+}
+
+#[test]
+fn a_second_count_over_a_pinned_store_builds_nothing() {
+    const DOCS: usize = 1_500;
+    let ctx = ntsb_context(DOCS);
+    let snap = ctx.snapshot_store("ntsb").unwrap();
+    let alaska = Predicate::Eq("us_state_abbrev".into(), Value::from("AK")).compile();
+    // What a `Selection` does: three sample rows, the rest counted.
+    let count = || {
+        let mut matches = snap.filter_shared(&alaska);
+        let sample = matches.by_ref().take(3).count();
+        (sample + matches.count_rest(), matches.stats())
+    };
+    let (first, built) = count();
+    assert!(first > 0 && first < DOCS, "{first}");
+    assert_eq!((built.plans_built, built.columns_built, built.rows), (1, 2, DOCS), "the first count builds");
+    let ((again, stats), bytes, row_blocks) = counted(count);
+    assert_eq!(again, first);
+    assert_eq!((stats.plans_built, stats.columns_built, stats.rows), (0, 0, DOCS), "the second builds nothing");
+    assert_eq!(row_blocks, 0, "a count copies no document");
+    // Measured: 1 626 B in 6 blocks (a verdict byte per entry, the layer
+    // and mask lists).
+    assert!(bytes < 4 * 1024, "{bytes} B");
+    let blocks = blocks(|| {
+        count();
+    });
+    assert!(blocks <= 12, "{blocks} blocks");
 }
 
 #[test]
