@@ -25,6 +25,10 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
+/// A store's observed property schema: `path -> (dominant type name,
+/// occurrence count)` ([`DocStore::schema`]).
+pub type Schema = BTreeMap<String, (String, usize)>;
+
 /// A structured predicate over document properties.
 ///
 /// ```
@@ -201,9 +205,12 @@ impl CompiledNode {
                 col.codes().iter().map(|&c| table[c as usize]).collect()
             }
             CompiledNode::And(ps) | CompiledNode::Or(ps) => {
+                // The first child's mask is the start: an empty `And` is
+                // all true, an empty `Or` all false.
                 let all = matches!(self, CompiledNode::And(_));
-                let mut mask = vec![all; run.docs.len()];
-                for p in ps {
+                let Some((first, rest)) = ps.split_first() else { return vec![all; run.docs.len()] };
+                let mut mask = first.run_mask(run, stats);
+                for p in rest {
                     for (m, v) in mask.iter_mut().zip(p.run_mask(run, stats)) {
                         *m = if all { *m && v } else { *m || v };
                     }
@@ -537,6 +544,9 @@ pub struct DocStore {
     /// Incrementally-maintained schema: `path -> type name -> doc count`.
     /// Updated by put/delete deltas, never by a corpus walk.
     schema_types: BTreeMap<String, BTreeMap<String, usize>>,
+    /// [`DocStore::schema`] as the snapshots since the last write share
+    /// it: derived at the first pin after a write, dropped by the write.
+    shared_schema: OnceLock<Arc<Schema>>,
     /// Present on stores opened via [`DocStore::open`]: WAL + manifest
     /// persistence through the VFS. In-memory stores skip it entirely.
     durable: Option<Durable>,
@@ -629,8 +639,9 @@ impl DocStore {
 
     /// The memtable's entries for writing: copied first if a snapshot still
     /// holds the current run, and everything reads built over it (columns,
-    /// positions, plan) dropped either way.
+    /// positions, plan, the shared schema) dropped either way.
     fn mem_mut(&mut self) -> &mut Layer {
+        self.shared_schema.take();
         let run = Arc::make_mut(&mut self.mem);
         run.columns.lock().clear();
         run.entries.take();
@@ -815,10 +826,11 @@ impl DocStore {
         Ok(())
     }
 
-    /// An MVCC snapshot: a frozen view sharing the sealed segments and the
-    /// memtable's current run by `Arc`, O(paths) for the schema. The next
-    /// write copies the memtable (bounded by `seal_threshold`) if a snapshot
-    /// still holds it. The view is bit-stable under any later puts, deletes,
+    /// An MVCC snapshot: a frozen view sharing the sealed segments, the
+    /// memtable's current run and the schema by `Arc` (the schema is
+    /// derived, O(paths), by the first pin after a write). The next write
+    /// copies the memtable (bounded by `seal_threshold`) if a snapshot still
+    /// holds it. The view is bit-stable under any later puts, deletes,
     /// seals, or compactions.
     pub fn snapshot(&self) -> StoreSnapshot {
         StoreSnapshot {
@@ -826,7 +838,7 @@ impl DocStore {
             live: self.live,
             mem: Arc::clone(&self.mem),
             segments: self.segments.clone(),
-            schema: self.schema(),
+            schema: Arc::clone(self.shared_schema.get_or_init(|| Arc::new(self.schema()))),
         }
     }
 
@@ -865,7 +877,7 @@ impl DocStore {
     /// Maintained incrementally from put/delete deltas: deriving it is
     /// O(paths), never a corpus walk, so a streaming feed keeps the planner's
     /// schema fresh for free.
-    pub fn schema(&self) -> BTreeMap<String, (String, usize)> {
+    pub fn schema(&self) -> Schema {
         self.schema_types
             .iter()
             .filter_map(|(path, types)| {
@@ -1156,8 +1168,13 @@ impl<'a> Matches<'a> {
         None
     }
 
-    /// Drains the matches through `f` with their values at `paths`.
-    fn project(mut self, paths: &[&str], mut f: impl FnMut(&'a Arc<Document>, &[Option<&Value>])) -> ScanStats {
+    /// Drains the matches through `f` with their layer, position and values
+    /// at `paths`.
+    fn project(
+        mut self,
+        paths: &[&str],
+        mut f: impl FnMut(usize, usize, &'a Arc<Document>, &[Option<&Value>]),
+    ) -> ScanStats {
         let columns: Vec<Vec<Arc<Column>>> = self
             .visible
             .layers
@@ -1168,9 +1185,27 @@ impl<'a> Matches<'a> {
         while let Some((layer, pos, doc)) = self.next_match() {
             values.clear();
             values.extend(columns[layer].iter().map(|c| c.value(pos)));
-            f(doc, &values);
+            f(layer, pos, doc, &values);
         }
         self.stats
+    }
+
+    /// [`Matches::project`] handing each match its value at `key` and the
+    /// group slot of that value's column code in its layer (see
+    /// [`StoreSnapshot::project_grouped`]).
+    fn project_grouped(
+        mut self,
+        key: &str,
+        paths: &[&str],
+        mut f: impl FnMut(&mut Option<usize>, Option<&Value>, &'a Arc<Document>, &[Option<&Value>]),
+    ) -> ScanStats {
+        let keys: Vec<Arc<Column>> =
+            self.visible.layers.iter().map(|run| run.column(key, &mut self.stats)).collect();
+        let mut slots: Vec<Vec<Option<usize>>> = keys.iter().map(|col| col.table(|_| None)).collect();
+        self.project(paths, |layer, pos, doc, values| {
+            let code = keys[layer].codes()[pos];
+            f(&mut slots[layer][code as usize], keys[layer].lookup(code), doc, values)
+        })
     }
 }
 
@@ -1229,7 +1264,7 @@ pub struct StoreSnapshot {
     live: usize,
     mem: Arc<Run>,
     segments: Vec<Arc<Segment>>,
-    schema: BTreeMap<String, (String, usize)>,
+    schema: Arc<Schema>,
 }
 
 impl StoreSnapshot {
@@ -1282,17 +1317,40 @@ impl StoreSnapshot {
         &'a self,
         pred: &CompiledPredicate,
         paths: &[&str],
-        f: impl FnMut(&'a Arc<Document>, &[Option<&Value>]),
+        mut f: impl FnMut(&'a Arc<Document>, &[Option<&Value>]),
     ) -> ScanStats {
-        Matches::new(&self.mem, &self.segments, pred).project(paths, f)
+        Matches::new(&self.mem, &self.segments, pred).project(paths, |_, _, doc, values| f(doc, values))
+    }
+
+    /// [`StoreSnapshot::project`] for a group-by on the value at `key`:
+    /// `f` also gets each match's key value (`None` where missing) and a
+    /// group slot, one per distinct stored value of each layer, `None` until
+    /// `f` fills it. A caller that fills a slot with the group of its key
+    /// names each value's group once, at its first match in scan order (as
+    /// [`StoreSnapshot::facet`] decides a value), and every other match of
+    /// it only reads the slot.
+    pub fn project_grouped<'a>(
+        &'a self,
+        pred: &CompiledPredicate,
+        key: &str,
+        paths: &[&str],
+        f: impl FnMut(&mut Option<usize>, Option<&Value>, &'a Arc<Document>, &[Option<&Value>]),
+    ) -> ScanStats {
+        Matches::new(&self.mem, &self.segments, pred).project_grouped(key, paths, f)
     }
 
     pub fn facet(&self, path: &str) -> Vec<(Value, usize)> {
         layered_facet(&self.mem, &self.segments, path)
     }
 
-    pub fn schema(&self) -> BTreeMap<String, (String, usize)> {
-        self.schema.clone()
+    pub fn schema(&self) -> Schema {
+        Schema::clone(&self.schema)
+    }
+
+    /// The schema without a copy: every snapshot pinned between the same
+    /// two writes shares this one.
+    pub fn shared_schema(&self) -> &Arc<Schema> {
+        &self.schema
     }
 }
 
@@ -1559,6 +1617,37 @@ mod tests {
         let missing = s.filter(&p);
         assert_eq!(missing.len(), 1);
         assert_eq!(missing[0].id.as_str(), "c");
+    }
+
+    #[test]
+    fn one_child_and_or_give_the_childs_verdicts() {
+        let s = store();
+        let ids = |p: &Predicate| s.filter(p).iter().map(|d| d.id.0.clone()).collect::<Vec<_>>();
+        for p in [
+            Predicate::Eq("state".into(), Value::from("AK")),
+            Predicate::Not(Box::new(Predicate::Exists("cause".into()))),
+            Predicate::Range { path: "year".into(), lo: Some(Value::Int(2020)), hi: None },
+        ] {
+            assert_eq!(ids(&Predicate::And(vec![p.clone()])), ids(&p), "And([{p:?}])");
+            assert_eq!(ids(&Predicate::Or(vec![p.clone()])), ids(&p), "Or([{p:?}])");
+        }
+        assert_eq!(s.filter(&Predicate::And(Vec::new())).len(), s.len(), "an empty And keeps all");
+        assert!(s.filter(&Predicate::Or(Vec::new())).is_empty(), "an empty Or keeps none");
+    }
+
+    #[test]
+    fn pins_between_writes_share_one_schema() {
+        let mut s = store();
+        let (a, b) = (s.snapshot(), s.snapshot());
+        assert!(Arc::ptr_eq(a.shared_schema(), b.shared_schema()));
+        assert_eq!(**a.shared_schema(), s.schema());
+        s.try_put(doc("e", obj! { "state" => "HI", "island" => "Maui" })).unwrap();
+        let c = s.snapshot();
+        assert!(!Arc::ptr_eq(a.shared_schema(), c.shared_schema()), "a write drops the shared schema");
+        assert!(!a.schema().contains_key("island"), "an earlier pin keeps its own");
+        assert_eq!(**c.shared_schema(), s.schema());
+        s.try_delete("e").unwrap();
+        assert_eq!(s.snapshot().schema(), a.schema());
     }
 
     #[test]

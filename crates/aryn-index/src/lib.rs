@@ -17,8 +17,8 @@ pub mod keyword;
 pub mod vector;
 
 pub use docstore::{
-    Catalog, CompiledPredicate, DocStore, Matches, Predicate, ScanStats, Segment, StoreConfig,
-    StoreSnapshot, StoreStats, WalConfig,
+    Catalog, CompiledPredicate, DocStore, Matches, Predicate, ScanStats, Schema, Segment,
+    StoreConfig, StoreSnapshot, StoreStats, WalConfig,
 };
 pub use graph::{Edge, GraphNode, GraphStore};
 pub use hybrid::{fuse_hits, rrf_fuse, RRF_K};

@@ -2,7 +2,8 @@
 //! vector search latency, and HNSW recall@10 (printed before the criterion
 //! timings); then the document store's structured reads over a pinned
 //! 1 500-document NTSB snapshot (a filter with a count, a filter with a
-//! one-path projection: the reads behind a structured Luna question).
+//! one-path projection, a keyed count: the reads behind a structured Luna
+//! question) and `Luna::execute` of a keyed and a pushed-down count over it.
 //!
 //! Run with: `cargo bench -p bench --bench index_perf`
 
@@ -10,6 +11,7 @@ use aryn::aryn_docgen::stream::extracted_document;
 use aryn::aryn_index::{recall_at_k, DocStore, FlatIndex, HnswIndex, KeywordIndex, Predicate, VectorIndex};
 use aryn::aryn_llm::{EmbeddingModel, HashedBowEmbedder};
 use aryn::prelude::*;
+use aryn::sycamore::transforms::GroupFold;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
 
@@ -128,6 +130,30 @@ fn bench_indexes(c: &mut Criterion) {
             fatal
         })
     });
+    // A keyed count (the group-by under "Which state had the most
+    // incidents?") as Luna's `aggregate` folds a selection: each distinct
+    // stored state finds its group once, and no row is read.
+    let all = Predicate::And(Vec::new()).compile();
+    let aggs = [("value".to_string(), Agg::Count)];
+    g.bench_function("keyed_count", |b| {
+        b.iter(|| {
+            let mut fold = GroupFold::new("us_state_abbrev", &aggs);
+            snap.project_grouped(&all, "us_state_abbrev", &[], |slot, key, _, v| {
+                let g = *slot.get_or_insert_with(|| fold.slot(key));
+                fold.fold_at(g, v)
+            });
+            fold.finish().len()
+        })
+    });
+    // The same question's optimized plan and a pushed-down count, through
+    // `Luna::execute` (pins, the analyzer gate, operator spans).
+    let ctx = Context::new();
+    ctx.put_store("ntsb", store);
+    let luna = Luna::new(ctx, &["ntsb"], LunaConfig::default()).unwrap();
+    let keyed = luna.ask("Which state had the most incidents?").unwrap().optimized_plan;
+    g.bench_function("luna_execute_keyed_count", |b| b.iter(|| luna.execute(&keyed).unwrap()));
+    let count = luna.ask("How many incidents occurred in Texas?").unwrap().optimized_plan;
+    g.bench_function("luna_execute_count", |b| b.iter(|| luna.execute(&count).unwrap()));
     g.finish();
 }
 

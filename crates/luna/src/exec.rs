@@ -15,9 +15,13 @@
 //! not even collect pointers: they stay a [`Selection`] — the pinned
 //! snapshot plus a conjunction — that the store evaluates on its columns.
 //! `count` reads its length, `aggregate` folds projected values, and rows
-//! are collected only for a consumer that needs them.
+//! are collected only for a consumer that needs them. A keyed `aggregate`
+//! over it leaves its groups' lineage sources to gather the same way: a
+//! `topK` gathers only the sources of the groups it keeps.
 
+use crate::analyze::Analysis;
 use crate::ops::{math_pieces, AggFunc, MathPiece, Plan, PlanOp, ANSWER_MAX_OUTPUT, GRAPH_LOOKUP_KEYS};
+use crate::schema::IndexSchema;
 use aryn_core::{ArynError, Document, Result, Value};
 use aryn_index::{CompiledPredicate, GraphStore, Predicate, ScanStats, StoreSnapshot};
 use aryn_llm::prompt::tasks;
@@ -210,6 +214,14 @@ impl PlanExecutor {
     /// the scanned stores; a plan with Error-severity diagnostics is refused
     /// before any operator executes.
     pub fn execute(&self, plan: &Plan) -> Result<LunaResult> {
+        self.execute_judged(plan, None)
+    }
+
+    /// [`PlanExecutor::execute`] of a plan the analyzer has judged already:
+    /// `judged` is that analysis with the schemas it read. The gate takes
+    /// its verdict instead of analyzing again when each store the plan
+    /// scans was judged by the very schema its pinned snapshot maintains.
+    pub(crate) fn execute_judged(&self, plan: &Plan, judged: Option<(&Analysis, &[IndexSchema])>) -> Result<LunaResult> {
         plan.validate()?;
         // Pin every store the plan scans to one MVCC snapshot for the whole
         // run (explicit pins win), so a question sees a single consistent
@@ -223,7 +235,7 @@ impl PlanExecutor {
                 run_pins.insert(index.clone(), self.ctx.snapshot_store(index)?);
             }
         }
-        self.check_plan(plan, &run_pins)?;
+        self.check_plan(plan, &run_pins, judged)?;
         self.record_ingest_spans(&run_pins);
         // One span per plan run recording the execution mode the engine's
         // per-doc stages will use. Gauges only: the mode shapes scheduling,
@@ -289,18 +301,39 @@ impl PlanExecutor {
 
     /// The executor's analyzer gate. It judges the plan against the schema
     /// each pinned snapshot maintains (O(paths), no corpus walk), so the
-    /// analyzer and the scan operators see the same frozen view.
-    fn check_plan(&self, plan: &Plan, pins: &BTreeMap<String, Arc<StoreSnapshot>>) -> Result<()> {
-        let mut schemas: Vec<crate::schema::IndexSchema> = Vec::new();
-        for n in &plan.nodes {
-            let PlanOp::QueryDatabase { index, .. } = &n.op else { continue };
-            if schemas.iter().any(|s| s.index == *index) {
-                continue;
+    /// analyzer and the scan operators see the same frozen view — or takes
+    /// `judged`'s verdict when those are the schemas it was judged by.
+    fn check_plan(
+        &self,
+        plan: &Plan,
+        pins: &BTreeMap<String, Arc<StoreSnapshot>>,
+        judged: Option<(&Analysis, &[IndexSchema])>,
+    ) -> Result<()> {
+        let scanned = plan.nodes.iter().filter_map(|n| match &n.op {
+            PlanOp::QueryDatabase { index, .. } => Some(index),
+            _ => None,
+        });
+        let judged_by = |schemas: &[IndexSchema]| {
+            scanned.clone().all(|index| {
+                let schema = schemas.iter().find(|s| s.index == *index);
+                pins.get(index).zip(schema).is_some_and(|(snap, s)| s.describes(snap.len(), snap.shared_schema()))
+            })
+        };
+        let fresh;
+        let analysis = match judged {
+            Some((analysis, schemas)) if judged_by(schemas) => analysis,
+            _ => {
+                let mut schemas: Vec<IndexSchema> = Vec::new();
+                for index in scanned {
+                    if !schemas.iter().any(|s| s.index == *index) {
+                        let snap = run_snapshot(pins, index)?;
+                        schemas.push(IndexSchema::discover(index, snap.len(), snap.schema()));
+                    }
+                }
+                fresh = crate::analyze::analyze(plan, &schemas);
+                &fresh
             }
-            let snap = run_snapshot(pins, index)?;
-            schemas.push(crate::schema::IndexSchema::discover(index, snap.len(), snap.schema()));
-        }
-        let analysis = crate::analyze::analyze(plan, &schemas);
+        };
         if self.telemetry.is_enabled() {
             self.telemetry.count(
                 "analyze:execute",
@@ -330,7 +363,9 @@ impl PlanExecutor {
         let mut span = self
             .telemetry
             .span(format!("out_{}:{}", t.node_id, t.op_kind), "operator");
-        span.note(t.description.clone());
+        if !t.description.is_empty() {
+            span.note(t.description.clone());
+        }
         span.set("rows_in", t.rows_in as u64)
             .set("rows_out", t.rows_out as u64)
             .set("retries", t.llm.retries)
@@ -342,7 +377,11 @@ impl PlanExecutor {
                 .gauge("row_rows", read.row_rows as f64)
                 .gauge("columns_built", read.columns_built as f64);
         }
-        sycamore::stats::write_llm_group(&mut span, &t.llm, &t.cache);
+        // The LLM group only where the node met a model or its cache: an
+        // absent counter reads as 0.
+        if t.llm != UsageStats::default() || t.cache != CacheStats::default() {
+            sycamore::stats::write_llm_group(&mut span, &t.llm, &t.cache);
+        }
         span.finish();
     }
 
@@ -456,16 +495,25 @@ impl PlanExecutor {
                 } else {
                     let aggs = [("value".to_string(), agg)];
                     let mut fold = GroupFold::new(key, &aggs);
-                    let paths = std::iter::once(key.as_str()).chain(aggs[0].1.path()).collect();
-                    src.fold(paths, reads, |id, vals| fold.push(id, vals[0], &vals[1..]))?;
-                    rows(fold.finish())
+                    let path = aggs[0].1.path();
+                    match src {
+                        Out::Selection(sel) => Ok(Out::Groups(sel.grouped(key, path, fold, reads))),
+                        _ => {
+                            let paths = std::iter::once(key.as_str()).chain(path).collect();
+                            src.fold(paths, reads, |id, vals| fold.push(id, vals[0], &vals[1..]))?;
+                            rows(fold.finish())
+                        }
+                    }
                 }
             }
             PlanOp::Sort { path, descending } => {
                 rows(sycamore::transforms::sort_by(rows_of(0)?, path, *descending))
             }
             PlanOp::TopK { path, descending, k } => {
-                let mut docs = sycamore::transforms::sort_by(rows_of(0)?, path, *descending);
+                let mut docs = match input(0)? {
+                    Out::Groups(groups) => groups.top(path, *descending, *k, reads),
+                    _ => sycamore::transforms::sort_by(rows_of(0)?, path, *descending),
+                };
                 docs.truncate(*k);
                 rows(docs)
             }
@@ -693,6 +741,92 @@ impl Selection {
             rows
         })
     }
+
+    /// Folds the rows into `fold` under their value at `key`, with their
+    /// value at `path`, from the store's columns: each distinct stored key
+    /// finds its group once, at its first kept row, and no row is read
+    /// (bar its id, under `_id` equalities).
+    fn grouped(&self, key: &str, path: Option<&str>, mut fold: GroupFold, reads: &Cell<ReadStats>) -> Groups {
+        let paths: Vec<&str> = path.into_iter().collect();
+        let mut of_row: Vec<u32> = Vec::with_capacity(self.len);
+        let stats = self.snap.project_grouped(&self.pred, key, &paths, |slot, key, d, vals| {
+            if keeps_id(&self.ids, d) {
+                let g = *slot.get_or_insert_with(|| fold.slot(key));
+                fold.fold_at(g, vals);
+                of_row.push(g as u32);
+            }
+        });
+        add_column_reads(reads, stats);
+        let positions = fold.positions();
+        of_row.iter_mut().for_each(|g| *g = positions[*g as usize] as u32);
+        Groups {
+            snap: Arc::clone(&self.snap),
+            pred: self.pred.clone(),
+            ids: self.ids.clone(),
+            of_row,
+            heads: fold.finish(),
+            rows: OnceCell::new(),
+        }
+    }
+}
+
+/// A keyed aggregate over a selection with its lineage still to gather:
+/// the group documents without their sources, and the group of each kept
+/// row in scan order. `topK` gathers the sources of the groups it keeps,
+/// any other consumer every group's, by one more walk of the selection.
+struct Groups {
+    snap: Arc<StoreSnapshot>,
+    pred: CompiledPredicate,
+    ids: Vec<Value>,
+    /// Per kept row, in scan order, its group's index in `heads`.
+    of_row: Vec<u32>,
+    /// One document per group, in key order, its sources empty.
+    heads: Vec<Arc<Document>>,
+    rows: OnceCell<Vec<Arc<Document>>>,
+}
+
+impl Groups {
+    /// Every group with its sources.
+    fn rows(&self, reads: &Cell<ReadStats>) -> &[Arc<Document>] {
+        self.rows.get_or_init(|| self.sourced(&(0..self.heads.len()).collect::<Vec<_>>(), reads))
+    }
+
+    /// The groups sorted by `path`, as [`sycamore::transforms::sort_by`]
+    /// sorts rows, the first `k` with their sources.
+    fn top(&self, path: &str, descending: bool, k: usize, reads: &Cell<ReadStats>) -> Vec<Arc<Document>> {
+        let mut top = sycamore::transforms::sort_by(&self.heads, path, descending);
+        top.truncate(k);
+        let keep: Vec<usize> =
+            top.iter().filter_map(|t| self.heads.iter().position(|h| Arc::ptr_eq(h, t))).collect();
+        self.sourced(&keep, reads)
+    }
+
+    /// The groups at `keep`, in that order, each with its sources: the ids
+    /// of its rows in scan order.
+    fn sourced(&self, keep: &[usize], reads: &Cell<ReadStats>) -> Vec<Arc<Document>> {
+        let mut wanted: Vec<Option<usize>> = vec![None; self.heads.len()];
+        keep.iter().enumerate().for_each(|(j, &g)| wanted[g] = Some(j));
+        let mut sizes = vec![0; keep.len()];
+        self.of_row.iter().filter_map(|&g| wanted[g as usize]).for_each(|j| sizes[j] += 1);
+        let mut sources: Vec<Vec<String>> = sizes.into_iter().map(Vec::with_capacity).collect();
+        let mut matches = self.snap.filter_shared(&self.pred);
+        for (d, &g) in matches.by_ref().filter(|d| keeps_id(&self.ids, d)).zip(&self.of_row) {
+            if let Some(j) = wanted[g as usize] {
+                sources[j].push(d.id.0.clone());
+            }
+        }
+        add_column_reads(reads, matches.stats());
+        keep.iter()
+            .zip(sources)
+            .map(|(&g, ids)| {
+                let mut doc = Document::clone(&self.heads[g]);
+                if let Some(record) = doc.lineage.last_mut() {
+                    record.sources = ids;
+                }
+                Arc::new(doc)
+            })
+            .collect()
+    }
 }
 
 /// Where one node's structured reads ran: on a store's columns (a
@@ -721,6 +855,7 @@ fn add_row_reads(reads: &Cell<ReadStats>, rows: usize) {
 enum Out {
     Done(NodeOutput),
     Selection(Selection),
+    Groups(Groups),
 }
 
 impl Out {
@@ -728,13 +863,14 @@ impl Out {
         match self {
             Out::Done(o) => o.len(),
             Out::Selection(sel) => sel.len,
+            Out::Groups(groups) => groups.heads.len(),
         }
     }
 
     fn scalar(&self) -> Option<&Value> {
         match self {
             Out::Done(o) => o.scalar(),
-            Out::Selection(_) => None,
+            Out::Selection(_) | Out::Groups(_) => None,
         }
     }
 
@@ -743,6 +879,7 @@ impl Out {
         match self {
             Out::Done(o) => o.rows(),
             Out::Selection(sel) => Some(sel.rows(reads)),
+            Out::Groups(groups) => Some(groups.rows(reads)),
         }
     }
 
@@ -759,6 +896,7 @@ impl Out {
                 o.rows().map(|r| r.iter().take(3).map(|d| d.id.0.clone()).collect()).unwrap_or_default()
             }
             Out::Selection(sel) => sel.sample_ids.clone(),
+            Out::Groups(groups) => groups.heads.iter().take(3).map(|d| d.id.0.clone()).collect(),
         }
     }
 
@@ -774,7 +912,8 @@ impl Out {
                 });
                 add_column_reads(reads, stats);
             }
-            Out::Done(NodeOutput::Rows(rows)) => {
+            Out::Done(NodeOutput::Rows(_)) | Out::Groups(_) => {
+                let rows = self.rows(reads).unwrap_or_default();
                 add_row_reads(reads, rows.len());
                 let mut vals = Vec::with_capacity(paths.len());
                 for d in rows {
@@ -792,6 +931,7 @@ impl Out {
         match self {
             Out::Done(o) => o,
             Out::Selection(sel) => NodeOutput::Rows(sel.rows(&Cell::default()).to_vec()),
+            Out::Groups(groups) => NodeOutput::Rows(groups.rows(&Cell::default()).to_vec()),
         }
     }
 }

@@ -548,12 +548,18 @@ impl Luna {
     /// every pass that rewrites it are checked by the analyzer; a pass that
     /// breaks the plan is an error in all build profiles.
     pub fn optimize(&self, plan: &Plan) -> Result<Optimized> {
-        self.optimize_with(plan, None, &self.cost_knobs())
+        self.optimize_with(plan, None, &self.cost_knobs()).map(|(optimized, _)| optimized)
     }
 
     /// [`Luna::optimize`]; `planned` is the planning gate's analysis of
-    /// `plan`, which stands in for the optimizer's input check.
-    fn optimize_with(&self, plan: &Plan, planned: Option<Analysis>, knobs: &CostKnobs) -> Result<Optimized> {
+    /// `plan`, which stands in for the optimizer's input check. Returns the
+    /// analysis of the optimized plan with it.
+    fn optimize_with(
+        &self,
+        plan: &Plan,
+        planned: Option<Analysis>,
+        knobs: &CostKnobs,
+    ) -> Result<(Optimized, Analysis)> {
         let (optimized, last) = optimize_checked(plan, planned, &self.schemas, &self.optimizer, knobs)?;
         // Without cost rules the last gate ran this very analyzer.
         let analysis = match self.cost_analysis {
@@ -573,7 +579,7 @@ impl Luna {
             }
             span.finish();
         }
-        Ok(optimized)
+        Ok((optimized, analysis))
     }
 
     /// Executes a (validated) plan with tracing.
@@ -595,11 +601,15 @@ impl Luna {
         let mark = tel.span_count();
         let knobs = self.cost_knobs();
         let (plan, analysis) = self.plan_with(question, &knobs)?;
-        let optimized = self.optimize_with(&plan, Some(analysis), &knobs)?;
+        let (optimized, analysis) = self.optimize_with(&plan, Some(analysis), &knobs)?;
         // The envelope is computed over the executed (optimized) plan so the
         // per-node intervals line up with the execution traces.
         let cost = self.estimate_with(&optimized.plan, &knobs);
-        let result = self.execute(&optimized.plan)?;
+        // Without cost rules that analysis is the executor gate's own
+        // analyzer over Luna's schemas: the gate reuses it while the pinned
+        // stores still maintain those schemas.
+        let judged = (self.cost_analysis == CostAnalysis::Off).then_some((&analysis, &self.schemas[..]));
+        let result = self.executor.execute_judged(&optimized.plan, judged)?;
         let trace = tel.spans_since(mark);
         Ok(LunaAnswer {
             question: question.to_string(),

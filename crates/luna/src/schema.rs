@@ -47,6 +47,16 @@ impl IndexSchema {
         }
     }
 
+    /// Whether [`IndexSchema::discover`] of `doc_count` and `maintained`
+    /// is this schema, compared without building it.
+    pub fn describes(&self, doc_count: usize, maintained: &aryn_index::Schema) -> bool {
+        self.doc_count == doc_count
+            && self.fields.len() == maintained.len()
+            && self.fields.iter().zip(maintained).all(|(f, (path, (ftype, count)))| {
+                f.path == *path && f.ftype == *ftype && f.count == *count
+            })
+    }
+
     pub fn field(&self, path: &str) -> Option<&Field> {
         self.fields.iter().find(|f| f.path == path)
     }

@@ -548,8 +548,11 @@ pub fn reduce_by_key(
 
 /// The one group fold: rows arrive once, in order, each with its key and
 /// its value per aggregate, from documents ([`GroupFold::push_row`]) or from
-/// a store's columns ([`GroupFold::push`]). A row finds its group by binary
-/// search over the groups' keys; the first row of a group names it.
+/// a store's columns ([`GroupFold::push`], or [`GroupFold::fold_at`] for a
+/// reader that resolves each distinct key to its slot once). A key finds its
+/// group by binary search over the groups' keys; the first row of a group
+/// names it. Each row counts, and is a lineage source of its group unless
+/// it came through [`GroupFold::fold_at`].
 pub struct GroupFold<'a> {
     key: &'a str,
     aggs: &'a [(String, Agg)],
@@ -560,6 +563,7 @@ pub struct GroupFold<'a> {
 
 struct Group {
     key: Value,
+    rows: usize,
     sources: Vec<String>,
     folds: Vec<AggFold>,
 }
@@ -573,8 +577,18 @@ impl<'a> GroupFold<'a> {
     /// aggregate (aligned with `aggs`; missing at the end, and ignored for
     /// `Count`).
     pub fn push(&mut self, id: &str, key: Option<&Value>, values: &[Option<&Value>]) {
-        let group = self.group(key);
-        group.sources.push(id.to_string());
+        let slot = self.slot(key);
+        self.fold_at(slot, values);
+        self.groups[slot].sources.push(id.to_string());
+    }
+
+    /// [`GroupFold::push`] into the group at `slot`, which
+    /// [`GroupFold::slot`] returned for the row's key, without naming the
+    /// row among the group's sources: for a reader that resolves each
+    /// distinct key once and gathers sources later, for the groups it keeps.
+    pub fn fold_at(&mut self, slot: usize, values: &[Option<&Value>]) {
+        let group = &mut self.groups[slot];
+        group.rows += 1;
         for (i, fold) in group.folds.iter_mut().enumerate() {
             fold.push(values.get(i).copied().flatten());
         }
@@ -583,29 +597,42 @@ impl<'a> GroupFold<'a> {
     /// [`GroupFold::push`] reading the key and values from the document.
     pub fn push_row(&mut self, doc: &Document) {
         let aggs = self.aggs;
-        let group = self.group(doc.prop(self.key));
+        let slot = self.slot(doc.prop(self.key));
+        let group = &mut self.groups[slot];
+        group.rows += 1;
         group.sources.push(doc.id.0.clone());
         for ((_, agg), fold) in aggs.iter().zip(&mut group.folds) {
             fold.push(agg.path().and_then(|p| doc.prop(p)));
         }
     }
 
-    /// The group of `key` (missing keys group under `Null`), opened if new.
-    fn group(&mut self, key: Option<&Value>) -> &mut Group {
+    /// The slot of `key`'s group (missing keys group under `Null`), opened
+    /// with `key` as its name if new. A slot stays its group's for the
+    /// fold's life.
+    pub fn slot(&mut self, key: Option<&Value>) -> usize {
         let key = key.unwrap_or(&Value::Null);
-        let g = match self.order.binary_search_by(|&g| self.groups[g].key.cmp_total(key)) {
+        match self.order.binary_search_by(|&g| self.groups[g].key.cmp_total(key)) {
             Ok(i) => self.order[i],
             Err(i) => {
                 self.order.insert(i, self.groups.len());
                 self.groups.push(Group {
                     key: key.clone(),
+                    rows: 0,
                     sources: Vec::new(),
                     folds: self.aggs.iter().map(|(_, agg)| AggFold::new(agg)).collect(),
                 });
                 self.groups.len() - 1
             }
-        };
-        &mut self.groups[g]
+        }
+    }
+
+    /// Each slot's position among [`GroupFold::finish`]'s documents.
+    pub fn positions(&self) -> Vec<usize> {
+        let mut positions = vec![0; self.groups.len()];
+        for (i, &g) in self.order.iter().enumerate() {
+            positions[g] = i;
+        }
+        positions
     }
 
     /// One document per group, in key order.
@@ -617,7 +644,7 @@ impl<'a> GroupFold<'a> {
             .map(|group| {
                 let mut g = Document::new(format!("group:{}", group.key.display_text()));
                 g.set_prop(self.key, group.key);
-                g.set_prop("count", group.sources.len() as i64);
+                g.set_prop("count", group.rows as i64);
                 for ((out_name, _), fold) in self.aggs.iter().zip(group.folds) {
                     g.properties.set_path(out_name, fold.finish());
                 }

@@ -62,6 +62,19 @@ fn every_answer_carries_a_consistent_trace() {
         assert_eq!(span.counter("rows_out"), nt.rows_out as u64);
         assert_eq!(span.counter("llm_calls"), nt.llm.calls);
     }
+    // A structured node meets no model: its span carries no LLM group.
+    let (count, _) = operators
+        .iter()
+        .zip(&ans.result.traces)
+        .find(|(_, nt)| nt.op_kind == "count")
+        .expect("the question counts");
+    assert!(
+        count.counters.keys().chain(count.gauges.keys()).all(|k| !k.starts_with("llm_")),
+        "{}: {:?} {:?}",
+        count.name,
+        count.counters,
+        count.gauges
+    );
 }
 
 #[test]
