@@ -23,14 +23,15 @@
 //!    enforced by `cargo xtask lint`).
 //!
 //! Diagnostics feed three gates: the planner re-prompts the LLM once with
-//! rendered Error diagnostics (the repair loop), the optimizer verifies every
-//! pass output in all build profiles, and the executor refuses plans with
-//! Error diagnostics.
+//! rendered Error diagnostics (the repair loop), and [`Analyzer::check`]
+//! turns a plan free of Errors into the [`CheckedPlan`] that the optimizer
+//! rewrites (checking each rewrite again) and the executor runs.
 
-use crate::ops::{math_pieces, math_refs, AggFunc, MathPiece, Plan, PlanNode, PlanOp, RowFlow};
+use crate::ops::{AggFunc, MathExpr, Plan, PlanNode, PlanOp, RowFlow};
 use crate::schema::IndexSchema;
-use aryn_core::{Diagnostic, Severity, Value};
+use aryn_core::{ArynError, Diagnostic, Result, Severity, Value};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Diagnostic codes emitted by the plan analyzer. Every code here must be
 /// documented in DESIGN.md; `cargo xtask lint` enforces that.
@@ -286,6 +287,100 @@ impl Analysis {
             .cloned()
             .collect();
         aryn_core::diag::render(&errs)
+    }
+}
+
+// --- The checked plan -------------------------------------------------------
+
+/// A node's string parameters, parsed once by the check.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Parsed {
+    /// The operator has no parameter to parse.
+    Nothing,
+    /// An `aggregate`'s function.
+    Aggregate(AggFunc),
+    /// An `llmExtract`'s field type.
+    Extract(FieldType),
+    /// A `math` node's expression.
+    Math(MathExpr),
+}
+
+/// A plan the analyzer found free of Error diagnostics, with what the check
+/// learned: its analysis, the schemas that judged it, its run order and each
+/// node's parsed parameters. Only the analyzer makes one ([`Analyzer::check`]),
+/// so the optimizer and the executor take it without judging it again.
+#[derive(Debug, Clone)]
+pub struct CheckedPlan {
+    plan: Plan,
+    analysis: Analysis,
+    schemas: Arc<[IndexSchema]>,
+    /// The nodes in run order: each one's position in `plan.nodes` and its
+    /// parsed parameters.
+    steps: Vec<(usize, Parsed)>,
+    /// Each node's place in `steps`, by id.
+    slots: BTreeMap<usize, usize>,
+}
+
+impl CheckedPlan {
+    /// `plan` with `analysis`, an analyzer's of it by `schemas`; an
+    /// `InvalidPlan` that opens with `refusal` and renders the Error
+    /// diagnostics when there are any.
+    pub(crate) fn new(refusal: &str, plan: Plan, analysis: Analysis, schemas: Arc<[IndexSchema]>) -> Result<CheckedPlan> {
+        if analysis.has_errors() {
+            return Err(ArynError::InvalidPlan(format!("{refusal}:\n{}", analysis.render_errors())));
+        }
+        let mut steps = Vec::with_capacity(plan.nodes.len());
+        let mut slots = BTreeMap::new();
+        for id in plan.topo_order()? {
+            let Some(pos) = plan.nodes.iter().position(|n| n.id == id) else { continue };
+            let parsed = match &plan.nodes[pos].op {
+                PlanOp::Aggregate { func, .. } => Parsed::Aggregate(
+                    AggFunc::parse(func)
+                        .ok_or_else(|| ArynError::InvalidPlan(format!("unknown aggregate function {func:?}")))?,
+                ),
+                PlanOp::LlmExtract { ftype, .. } => Parsed::Extract(FieldType::parse(ftype)),
+                PlanOp::Math { expr } => Parsed::Math(MathExpr::parse(expr)?),
+                _ => Parsed::Nothing,
+            };
+            slots.insert(id, steps.len());
+            steps.push((pos, parsed));
+        }
+        Ok(CheckedPlan { plan, analysis, schemas, steps, slots })
+    }
+
+    /// [`Analyzer::check`] of `plan` under the schemas that judged this one.
+    pub(crate) fn recheck(&self, analyzer: &Analyzer, refusal: &str, plan: Plan) -> Result<CheckedPlan> {
+        let analysis = analyzer.analyze(&plan, &self.schemas);
+        CheckedPlan::new(refusal, plan, analysis, Arc::clone(&self.schemas))
+    }
+
+    pub fn plan(&self) -> &Plan {
+        &self.plan
+    }
+
+    pub fn into_plan(self) -> Plan {
+        self.plan
+    }
+
+    pub fn analysis(&self) -> &Analysis {
+        &self.analysis
+    }
+
+    /// The schemas the plan was checked against.
+    pub fn schemas(&self) -> &[IndexSchema] {
+        &self.schemas
+    }
+
+    /// The nodes in run order, each with its parsed parameters: a node runs
+    /// after its inputs and the nodes its math references.
+    pub fn steps(&self) -> impl Iterator<Item = (&PlanNode, &Parsed)> {
+        self.steps.iter().map(|(pos, parsed)| (&self.plan.nodes[*pos], parsed))
+    }
+
+    /// The place in the run order of node `id`, which the check found in the
+    /// plan (an input, a math reference or the result).
+    pub(crate) fn slot(&self, id: usize) -> usize {
+        self.slots[&id]
     }
 }
 
@@ -547,25 +642,25 @@ impl Analyzer {
         self
     }
 
+    /// Checks `plan` against `schemas` with one analysis: the
+    /// [`CheckedPlan`] when it has no Error diagnostic, otherwise an
+    /// `InvalidPlan` that renders them with their codes.
+    pub fn check(&self, plan: &Plan, schemas: impl Into<Arc<[IndexSchema]>>) -> Result<CheckedPlan> {
+        self.check_for("plan failed semantic analysis", plan, schemas.into())
+    }
+
+    /// [`Analyzer::check`], its refusal opening with `refusal`.
+    pub(crate) fn check_for(&self, refusal: &str, plan: &Plan, schemas: Arc<[IndexSchema]>) -> Result<CheckedPlan> {
+        CheckedPlan::new(refusal, plan.clone(), self.analyze(plan, &schemas), schemas)
+    }
+
     /// Runs the full analysis. Structural errors stop inference (shapes stay
     /// empty); otherwise every rule runs over the inferred shapes.
     pub fn analyze(&self, plan: &Plan, schemas: &[IndexSchema]) -> Analysis {
         let mut diagnostics = structural(plan);
-        if aryn_core::diag::has_errors(&diagnostics) {
-            return Analysis {
-                diagnostics,
-                shapes: BTreeMap::new(),
-            };
-        }
         let order = match plan.topo_order() {
-            Ok(o) => o,
-            Err(_) => {
-                // Unreachable: structural() already vetted the DAG.
-                return Analysis {
-                    diagnostics,
-                    shapes: BTreeMap::new(),
-                };
-            }
+            Ok(order) if !aryn_core::diag::has_errors(&diagnostics) => order,
+            _ => return Analysis { diagnostics, shapes: BTreeMap::new() },
         };
         let shapes = infer_shapes(plan, schemas, &order);
         let cx = PlanCtx {
@@ -837,9 +932,9 @@ impl LintRule for FieldRefRule {
     }
 }
 
-/// Checks `{out_N}` references in math expressions: they must name existing
-/// nodes (ideally the node's declared inputs) with numeric outputs, and the
-/// expression must parse.
+/// Checks math expressions: they must parse ([`MathExpr::parse`]), and their
+/// `{out_N}` references must name existing nodes (ideally the node's
+/// declared inputs) with numeric outputs.
 struct MathRule;
 
 impl LintRule for MathRule {
@@ -850,20 +945,16 @@ impl LintRule for MathRule {
     fn check(&self, cx: &PlanCtx<'_>, out: &mut Vec<Diagnostic>) {
         for node in &cx.plan.nodes {
             let PlanOp::Math { expr } = &node.op else { continue };
-            if math_pieces(expr).any(|p| matches!(p, MathPiece::Malformed(_))) {
-                out.push(
-                    Diagnostic::error(
-                        codes::MATH_SYNTAX,
-                        format!("node {}: malformed {{out_N}} reference in {expr:?}", node.id),
-                    )
-                    .at_node(node.id)
-                    .at_path(cx.path(node.id, "expr")),
-                );
-                continue;
-            }
-            let refs: Vec<usize> = math_refs(expr).collect();
-            for r in &refs {
-                if cx.plan.node(*r).is_none() {
+            let parsed = match MathExpr::parse(expr) {
+                Ok(parsed) => parsed,
+                Err(e) => {
+                    let message = format!("node {}: math expression {expr:?} does not parse: {e}", node.id);
+                    out.push(Diagnostic::error(codes::MATH_SYNTAX, message).at_node(node.id).at_path(cx.path(node.id, "expr")));
+                    continue;
+                }
+            };
+            for r in parsed.refs() {
+                if cx.plan.node(r).is_none() {
                     out.push(
                         Diagnostic::error(
                             codes::MATH_UNKNOWN_REF,
@@ -877,13 +968,12 @@ impl LintRule for MathRule {
                     );
                     continue;
                 }
-                if !node.inputs.contains(r) {
+                if !node.inputs.contains(&r) {
                     out.push(
                         Diagnostic::warning(
                             codes::MATH_REF_NOT_INPUT,
                             format!(
-                                "node {}: math references out_{r} but does not list it as an input; \
-                                 execution order is not guaranteed",
+                                "node {}: math references out_{r} without listing it as an input (it still runs first)",
                                 node.id
                             ),
                         )
@@ -891,7 +981,7 @@ impl LintRule for MathRule {
                         .at_path(cx.path(node.id, "inputs")),
                     );
                 }
-                if let Some(Shape::Scalar(t)) = cx.shape_of(*r) {
+                if let Some(Shape::Scalar(t)) = cx.shape_of(r) {
                     if !t.is_numeric() {
                         out.push(
                             Diagnostic::error(
@@ -906,28 +996,6 @@ impl LintRule for MathRule {
                             .at_path(cx.path(node.id, "expr")),
                         );
                     }
-                }
-            }
-            // Syntax check: substitute each reference with a distinct
-            // constant and evaluate. Division-by-zero under the substitution
-            // is not a syntax error.
-            let probe: String = math_pieces(expr)
-                .map(|p| match p {
-                    MathPiece::Ref(r) => (3 + 2 * refs.iter().position(|x| *x == r).unwrap_or(0)).to_string(),
-                    p => p.to_string(),
-                })
-                .collect();
-            if let Err(e) = crate::exec::eval_math(&probe) {
-                let msg = e.to_string();
-                if !msg.contains("division by zero") {
-                    out.push(
-                        Diagnostic::error(
-                            codes::MATH_SYNTAX,
-                            format!("node {}: math expression {expr:?} does not parse: {msg}", node.id),
-                        )
-                        .at_node(node.id)
-                        .at_path(cx.path(node.id, "expr")),
-                    );
                 }
             }
         }
@@ -1044,7 +1112,7 @@ impl LintRule for DeadNodeRule {
                 // Math nodes may pull values from referenced nodes that are
                 // not wired as inputs; those are live too.
                 if let PlanOp::Math { expr } = &n.op {
-                    stack.extend(math_refs(expr));
+                    stack.extend(MathExpr::parse(expr).iter().flat_map(MathExpr::refs));
                 }
             }
         }

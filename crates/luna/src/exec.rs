@@ -19,8 +19,8 @@
 //! over it leaves its groups' lineage sources to gather the same way: a
 //! `topK` gathers only the sources of the groups it keeps.
 
-use crate::analyze::Analysis;
-use crate::ops::{math_pieces, AggFunc, MathPiece, Plan, PlanOp, ANSWER_MAX_OUTPUT, GRAPH_LOOKUP_KEYS};
+use crate::analyze::{Analyzer, CheckedPlan, Parsed};
+use crate::ops::{Plan, PlanOp, ANSWER_MAX_OUTPUT, GRAPH_LOOKUP_KEYS};
 use crate::schema::IndexSchema;
 use aryn_core::{ArynError, Document, Result, Value};
 use aryn_index::{CompiledPredicate, GraphStore, Predicate, ScanStats, StoreSnapshot};
@@ -209,34 +209,52 @@ impl PlanExecutor {
         }
     }
 
-    /// Runs a validated plan. Beyond structural validation, the semantic
-    /// analyzer ([`crate::analyze`]) runs against schemas discovered from
-    /// the scanned stores; a plan with Error-severity diagnostics is refused
-    /// before any operator executes.
+    /// Runs a plan the analyzer has not checked: it is checked against the
+    /// schemas its scanned stores maintain as pinned for this run, and a
+    /// plan with Error-severity diagnostics is refused before any operator
+    /// executes.
     pub fn execute(&self, plan: &Plan) -> Result<LunaResult> {
-        self.execute_judged(plan, None)
+        let pins = self.pin_scanned(plan)?;
+        self.run_pinned(&check_pinned(plan, &pins)?, &pins)
     }
 
-    /// [`PlanExecutor::execute`] of a plan the analyzer has judged already:
-    /// `judged` is that analysis with the schemas it read. The gate takes
-    /// its verdict instead of analyzing again when each store the plan
-    /// scans was judged by the very schema its pinned snapshot maintains.
-    pub(crate) fn execute_judged(&self, plan: &Plan, judged: Option<(&Analysis, &[IndexSchema])>) -> Result<LunaResult> {
-        plan.validate()?;
-        // Pin every store the plan scans to one MVCC snapshot for the whole
-        // run (explicit pins win), so a question sees a single consistent
-        // view per store even while an ingest stream mutates it underneath.
-        // A store that cannot be snapshotted cannot be scanned either: its
-        // `Index` error is the run's error.
-        let mut run_pins: BTreeMap<String, Arc<StoreSnapshot>> = self.pins.read().clone();
-        for n in &plan.nodes {
-            let PlanOp::QueryDatabase { index, .. } = &n.op else { continue };
-            if !run_pins.contains_key(index) {
-                run_pins.insert(index.clone(), self.ctx.snapshot_store(index)?);
+    /// Runs a checked plan. It pins each store the plan scans once; when a
+    /// pin no longer maintains the schema the plan was checked by (a write
+    /// changed it since), the plan is checked again against the pins.
+    pub fn run(&self, plan: &CheckedPlan) -> Result<LunaResult> {
+        let pins = self.pin_scanned(plan.plan())?;
+        let judged = scanned(plan.plan()).all(|index| {
+            let snap = &pins[index];
+            plan.schemas().iter().any(|s| s.index == *index && s.describes(snap.len(), snap.shared_schema()))
+        });
+        let rechecked;
+        let plan = if judged { plan } else { rechecked = check_pinned(plan.plan(), &pins)?; &rechecked };
+        self.run_pinned(plan, &pins)
+    }
+
+    /// Pins every store the plan scans to one MVCC snapshot for the whole
+    /// run (explicit pins win), so a question sees a single consistent view
+    /// per store even while an ingest stream mutates it underneath. A store
+    /// that cannot be snapshotted cannot be scanned either: its `Index`
+    /// error is the run's error.
+    fn pin_scanned(&self, plan: &Plan) -> Result<Pins> {
+        let mut pins = self.pins.read().clone();
+        for index in scanned(plan) {
+            if !pins.contains_key(index) {
+                pins.insert(index.clone(), self.ctx.snapshot_store(index)?);
             }
         }
-        self.check_plan(plan, &run_pins, judged)?;
-        self.record_ingest_spans(&run_pins);
+        Ok(pins)
+    }
+
+    /// Runs a checked plan over the snapshots `pin_scanned` took for it.
+    fn run_pinned(&self, plan: &CheckedPlan, pins: &Pins) -> Result<LunaResult> {
+        if self.telemetry.is_enabled() {
+            let analysis = plan.analysis();
+            let counts = [("errors", analysis.errors().len() as u64), ("diagnostics", analysis.diagnostics.len() as u64)];
+            self.telemetry.count("analyze:execute", "analyzer", &counts);
+        }
+        self.record_ingest_spans(pins);
         // One span per plan run recording the execution mode the engine's
         // per-doc stages will use. Gauges only: the mode shapes scheduling,
         // never results, so it must stay out of the trace fingerprint.
@@ -246,31 +264,22 @@ impl PlanExecutor {
             span.gauge("workers", exec_cfg.threads as f64);
             span.finish();
         }
-        let order = plan.topo_order()?;
-        let mut outputs: BTreeMap<usize, Out> = BTreeMap::new();
-        let mut traces = Vec::with_capacity(order.len());
-        for id in order {
-            let node = plan
-                .node(id)
-                .ok_or_else(|| ArynError::InvalidPlan(format!("node out_{id} missing from plan")))?;
+        // Each node's output, in run order: the check ran every input and
+        // every math reference before the node that reads it.
+        let mut outputs: Vec<Out> = Vec::with_capacity(plan.plan().nodes.len());
+        let mut traces = Vec::with_capacity(plan.plan().nodes.len());
+        for (node, parsed) in plan.steps() {
             let start = Instant::now();
             let scope =
                 MeterScope::open(std::iter::once(&self.client).chain(self.model_clients.values()));
-            let inputs: Vec<&Out> = node
-                .inputs
-                .iter()
-                .map(|i| {
-                    outputs.get(i).ok_or_else(|| {
-                        ArynError::InvalidPlan(format!("input out_{i} not executed before out_{id}"))
-                    })
-                })
-                .collect::<Result<_>>()?;
+            let inputs: Vec<&Out> = node.inputs.iter().map(|&i| &outputs[plan.slot(i)]).collect();
             let rows_in = inputs.iter().map(|o| o.len()).sum();
             let reads = Cell::new(ReadStats::default());
-            let out = self.run_node(&node.op, &inputs, &outputs, &run_pins, &reads)?;
+            let of_node = |id: usize| &outputs[plan.slot(id)];
+            let out = self.run_node(&node.op, parsed, &inputs, of_node, pins, &reads)?;
             let (llm, cache) = scope.finish();
             let trace = NodeTrace {
-                node_id: id,
+                node_id: node.id,
                 op_kind: node.op.kind().to_string(),
                 description: node.description.clone(),
                 rows_in,
@@ -283,77 +292,15 @@ impl PlanExecutor {
             };
             self.record_node_span(&trace, reads.get());
             traces.push(trace);
-            outputs.insert(id, out);
+            outputs.push(out);
         }
-        let output = outputs
-            .remove(&plan.result)
-            .ok_or_else(|| {
-                ArynError::InvalidPlan(format!("result node out_{} was never executed", plan.result))
-            })?
-            .into_output();
+        let output = outputs.swap_remove(plan.slot(plan.plan().result)).into_output();
         let answer = render_answer(&output);
         Ok(LunaResult {
             output,
             answer,
             traces,
         })
-    }
-
-    /// The executor's analyzer gate. It judges the plan against the schema
-    /// each pinned snapshot maintains (O(paths), no corpus walk), so the
-    /// analyzer and the scan operators see the same frozen view — or takes
-    /// `judged`'s verdict when those are the schemas it was judged by.
-    fn check_plan(
-        &self,
-        plan: &Plan,
-        pins: &BTreeMap<String, Arc<StoreSnapshot>>,
-        judged: Option<(&Analysis, &[IndexSchema])>,
-    ) -> Result<()> {
-        let scanned = plan.nodes.iter().filter_map(|n| match &n.op {
-            PlanOp::QueryDatabase { index, .. } => Some(index),
-            _ => None,
-        });
-        let judged_by = |schemas: &[IndexSchema]| {
-            scanned.clone().all(|index| {
-                let schema = schemas.iter().find(|s| s.index == *index);
-                pins.get(index).zip(schema).is_some_and(|(snap, s)| s.describes(snap.len(), snap.shared_schema()))
-            })
-        };
-        let fresh;
-        let analysis = match judged {
-            Some((analysis, schemas)) if judged_by(schemas) => analysis,
-            _ => {
-                let mut schemas: Vec<IndexSchema> = Vec::new();
-                for index in scanned {
-                    if !schemas.iter().any(|s| s.index == *index) {
-                        let snap = run_snapshot(pins, index)?;
-                        schemas.push(IndexSchema::discover(index, snap.len(), snap.schema()));
-                    }
-                }
-                fresh = crate::analyze::analyze(plan, &schemas);
-                &fresh
-            }
-        };
-        if self.telemetry.is_enabled() {
-            self.telemetry.count(
-                "analyze:execute",
-                "analyzer",
-                &[
-                    ("errors", analysis.errors().len() as u64),
-                    (
-                        "diagnostics",
-                        analysis.diagnostics.len() as u64,
-                    ),
-                ],
-            );
-        }
-        if analysis.has_errors() {
-            return Err(ArynError::InvalidPlan(format!(
-                "refusing to execute a plan with analyzer errors:\n{}",
-                analysis.render_errors()
-            )));
-        }
-        Ok(())
     }
 
     fn record_node_span(&self, t: &NodeTrace, read: ReadStats) {
@@ -422,55 +369,53 @@ impl PlanExecutor {
         }
     }
 
-    fn run_node(
+    /// Runs one node over its inputs; `of_node` is the output of any node
+    /// that ran before it.
+    fn run_node<'o>(
         &self,
         op: &PlanOp,
-        inputs: &[&Out],
-        all: &BTreeMap<usize, Out>,
-        pins: &BTreeMap<String, Arc<StoreSnapshot>>,
+        parsed: &Parsed,
+        inputs: &[&'o Out],
+        of_node: impl Fn(usize) -> &'o Out,
+        pins: &Pins,
         reads: &Cell<ReadStats>,
     ) -> Result<Out> {
-        let input = |i: usize| {
-            inputs
-                .get(i)
-                .copied()
-                .ok_or_else(|| ArynError::Exec(format!("{} expects a row input", op.kind())))
-        };
+        // The check's structural pass gave each node its operator's arity.
         let rows_of = |i: usize| -> Result<&[Arc<Document>]> {
-            input(i)?
+            inputs[i]
                 .rows(reads)
                 .ok_or_else(|| ArynError::Exec(format!("{} expects a row input", op.kind())))
         };
         let rows = |r: Vec<Arc<Document>>| Ok(Out::Done(NodeOutput::Rows(r)));
         let scalar = |v: Value| Ok(Out::Done(NodeOutput::Scalar(v)));
-        match op {
-            PlanOp::QueryDatabase { index, prefilter } => {
+        match (op, parsed) {
+            (PlanOp::QueryDatabase { index, prefilter }, _) => {
                 // The run's pinned snapshot: consistent reads while
                 // ingestion continues underneath.
                 let conjuncts = prefilter.iter().map(|(path, value)| Conjunct::eq(path, value));
-                Ok(Out::Selection(Selection::new(Arc::clone(run_snapshot(pins, index)?), conjuncts, reads)))
+                Ok(Out::Selection(Selection::new(Arc::clone(&pins[index]), conjuncts, reads)))
             }
-            PlanOp::BasicFilter { path, value } => {
+            (PlanOp::BasicFilter { path, value }, _) => {
                 let c = Conjunct::eq(path, value);
-                match input(0)? {
+                match inputs[0] {
                     Out::Selection(sel) => Ok(Out::Selection(sel.narrowed(c, reads))),
                     _ => rows(kept(rows_of(0)?, &c, reads)),
                 }
             }
-            PlanOp::RangeFilter { path, lo, hi } => {
+            (PlanOp::RangeFilter { path, lo, hi }, _) => {
                 let c = Conjunct::Prop(Predicate::Range { path: path.clone(), lo: lo.clone(), hi: hi.clone() });
-                match input(0)? {
+                match inputs[0] {
                     Out::Selection(sel) => Ok(Out::Selection(sel.narrowed(c, reads))),
                     _ => rows(kept(rows_of(0)?, &c, reads)),
                 }
             }
-            PlanOp::LlmFilter { predicate, model } => rows(
+            (PlanOp::LlmFilter { predicate, model }, _) => rows(
                 self.ctx
                     .read_shared(rows_of(0)?)
                     .llm_filter(self.client_for(model), predicate)
                     .collect_shared()?,
             ),
-            PlanOp::LlmExtract { field, ftype, model } => {
+            (PlanOp::LlmExtract { field, ftype, model }, _) => {
                 let schema = aryn_core::obj! { field.as_str() => ftype.as_str() };
                 rows(
                     self.ctx
@@ -479,12 +424,10 @@ impl PlanExecutor {
                         .collect_shared()?,
                 )
             }
-            PlanOp::Count => scalar(Value::Int(input(0)?.row_count()? as i64)),
-            PlanOp::Aggregate { key, func, path } => {
-                let agg = AggFunc::parse(func)
-                    .ok_or_else(|| ArynError::InvalidPlan(format!("unknown aggregate function {func:?}")))?
-                    .agg(path);
-                let src = input(0)?;
+            (PlanOp::Count, _) => scalar(Value::Int(inputs[0].row_count()? as i64)),
+            (PlanOp::Aggregate { key, path, .. }, Parsed::Aggregate(func)) => {
+                let agg = func.agg(path);
+                let src = inputs[0];
                 if key.is_empty() {
                     // Whole-collection aggregate → scalar (`Null` over no rows).
                     let mut fold = AggFold::new(&agg);
@@ -506,18 +449,18 @@ impl PlanExecutor {
                     }
                 }
             }
-            PlanOp::Sort { path, descending } => {
+            (PlanOp::Sort { path, descending }, _) => {
                 rows(sycamore::transforms::sort_by(rows_of(0)?, path, *descending))
             }
-            PlanOp::TopK { path, descending, k } => {
-                let mut docs = match input(0)? {
+            (PlanOp::TopK { path, descending, k }, _) => {
+                let mut docs = match inputs[0] {
                     Out::Groups(groups) => groups.top(path, *descending, *k, reads),
                     _ => sycamore::transforms::sort_by(rows_of(0)?, path, *descending),
                 };
                 docs.truncate(*k);
                 rows(docs)
             }
-            PlanOp::Join { on } => {
+            (PlanOp::Join { on }, _) => {
                 let left = rows_of(0)?;
                 let right = rows_of(1)?;
                 let mut out = Vec::new();
@@ -544,13 +487,15 @@ impl PlanExecutor {
                 }
                 rows(out)
             }
-            PlanOp::Math { expr } => {
-                // Substitute {out_N} with scalar values from the whole DAG.
-                let resolved = substitute_outputs(expr, all)?;
-                let v = eval_math(&resolved)?;
-                scalar(Value::Float(v))
+            (PlanOp::Math { .. }, Parsed::Math(expr)) => {
+                scalar(Value::Float(expr.eval(|id| of_node(id).math_value(id))?))
             }
-            PlanOp::GraphExpand { relation, output } => {
+            // The check parses every aggregate's function and every math
+            // expression; no other code makes a checked plan.
+            (PlanOp::Aggregate { .. } | PlanOp::Math { .. }, _) => {
+                Err(ArynError::Exec(format!("{} node without its parsed parameters", op.kind())))
+            }
+            (PlanOp::GraphExpand { relation, output }, _) => {
                 let graph = self.graph.as_ref().ok_or_else(|| {
                     ArynError::Exec("graphExpand requires a knowledge graph".into())
                 })?;
@@ -588,7 +533,7 @@ impl PlanExecutor {
                 }
                 rows(out)
             }
-            PlanOp::SummarizeData { instructions } => {
+            (PlanOp::SummarizeData { instructions }, _) => {
                 let doc =
                     sycamore::transforms::summarize_all(&self.client, instructions, rows_of(0)?)?;
                 let text = doc
@@ -598,7 +543,7 @@ impl PlanExecutor {
                     .to_string();
                 scalar(Value::from(text))
             }
-            PlanOp::LlmGenerate { question } => {
+            (PlanOp::LlmGenerate { question }, _) => {
                 // Render rows (and any scalar inputs) as context and ask.
                 let mut context = String::new();
                 for o in inputs {
@@ -632,14 +577,29 @@ impl PlanExecutor {
     }
 }
 
-/// The run's snapshot of `index`; `execute` pins every store the plan scans
-/// before any node runs.
-fn run_snapshot<'a>(
-    pins: &'a BTreeMap<String, Arc<StoreSnapshot>>,
-    index: &str,
-) -> Result<&'a Arc<StoreSnapshot>> {
-    pins.get(index)
-        .ok_or_else(|| ArynError::Index(format!("index {index:?} was not pinned for this run")))
+/// A run's snapshot of each store, by index name.
+type Pins = BTreeMap<String, Arc<StoreSnapshot>>;
+
+/// The indexes a plan scans.
+fn scanned(plan: &Plan) -> impl Iterator<Item = &String> {
+    plan.nodes.iter().filter_map(|n| match &n.op {
+        PlanOp::QueryDatabase { index, .. } => Some(index),
+        _ => None,
+    })
+}
+
+/// The executor's check of `plan` against the schema each pinned snapshot
+/// maintains (O(paths), no corpus walk), so the analyzer and the scan
+/// operators see the same frozen view.
+fn check_pinned(plan: &Plan, pins: &Pins) -> Result<CheckedPlan> {
+    let mut schemas: Vec<IndexSchema> = Vec::new();
+    for index in scanned(plan) {
+        if !schemas.iter().any(|s| s.index == *index) {
+            let snap = &pins[index];
+            schemas.push(IndexSchema::discover(index, snap.len(), snap.schema()));
+        }
+    }
+    Analyzer::new().check_for("refusing to execute a plan with analyzer errors", plan, schemas.into())
 }
 
 /// A structured Luna filter lowered onto the store's predicate evaluator.
@@ -883,6 +843,15 @@ impl Out {
         }
     }
 
+    /// The value a math expression reads for this output of node `id`: a
+    /// number, or the row count of a row set.
+    fn math_value(&self, id: usize) -> Result<f64> {
+        match self.scalar() {
+            Some(v) => v.as_float().ok_or_else(|| ArynError::Exec(format!("out_{id} is not numeric"))),
+            None => Ok(self.len() as f64),
+        }
+    }
+
     fn row_count(&self) -> Result<usize> {
         match self {
             Out::Done(NodeOutput::Scalar(_)) => Err(ArynError::Exec("count expects a row input".into())),
@@ -953,191 +922,10 @@ fn render_answer(output: &NodeOutput) -> String {
     }
 }
 
-/// Replaces `{out_N}` references with their scalar values.
-fn substitute_outputs(expr: &str, all: &BTreeMap<usize, Out>) -> Result<String> {
-    let mut out = String::new();
-    for piece in math_pieces(expr) {
-        let id = match piece {
-            MathPiece::Text(text) => {
-                out.push_str(text);
-                continue;
-            }
-            MathPiece::Ref(id) => id,
-            MathPiece::Malformed(_) => return Err(ArynError::Exec(format!("bad node reference {piece}"))),
-        };
-        let node = all
-            .get(&id)
-            .ok_or_else(|| ArynError::Exec(format!("math references out_{id} which has not run")))?;
-        let v = match node.scalar() {
-            Some(v) => v
-                .as_float()
-                .ok_or_else(|| ArynError::Exec(format!("out_{id} is not numeric")))?,
-            None => node.len() as f64,
-        };
-        out.push_str(&format!("{v}"));
-    }
-    Ok(out)
-}
-
-/// Evaluates arithmetic: `+ - * /`, parentheses, unary minus.
-pub fn eval_math(expr: &str) -> Result<f64> {
-    let tokens = math_tokens(expr)?;
-    let mut pos = 0;
-    let v = parse_expr(&tokens, &mut pos)?;
-    if pos != tokens.len() {
-        return Err(ArynError::Exec(format!("trailing tokens in math expr {expr:?}")));
-    }
-    Ok(v)
-}
-
-#[derive(Debug, PartialEq)]
-enum Tok {
-    Num(f64),
-    Plus,
-    Minus,
-    Star,
-    Slash,
-    LParen,
-    RParen,
-}
-
-fn math_tokens(expr: &str) -> Result<Vec<Tok>> {
-    let mut out = Vec::new();
-    let bytes = expr.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        match c {
-            ' ' | '\t' => i += 1,
-            '+' => {
-                out.push(Tok::Plus);
-                i += 1;
-            }
-            '-' => {
-                out.push(Tok::Minus);
-                i += 1;
-            }
-            '*' => {
-                out.push(Tok::Star);
-                i += 1;
-            }
-            '/' => {
-                out.push(Tok::Slash);
-                i += 1;
-            }
-            '(' => {
-                out.push(Tok::LParen);
-                i += 1;
-            }
-            ')' => {
-                out.push(Tok::RParen);
-                i += 1;
-            }
-            c if c.is_ascii_digit() || c == '.' => {
-                let start = i;
-                while i < bytes.len()
-                    && ((bytes[i] as char).is_ascii_digit() || bytes[i] == b'.' || bytes[i] == b'e'
-                        || (bytes[i] == b'-' && i > start && bytes[i - 1] == b'e'))
-                {
-                    i += 1;
-                }
-                let n: f64 = expr[start..i]
-                    .parse()
-                    .map_err(|_| ArynError::Exec(format!("bad number in {expr:?}")))?;
-                out.push(Tok::Num(n));
-            }
-            other => {
-                return Err(ArynError::Exec(format!(
-                    "unexpected character {other:?} in math expr"
-                )))
-            }
-        }
-    }
-    Ok(out)
-}
-
-fn parse_expr(toks: &[Tok], pos: &mut usize) -> Result<f64> {
-    let mut v = parse_term(toks, pos)?;
-    while *pos < toks.len() {
-        match toks[*pos] {
-            Tok::Plus => {
-                *pos += 1;
-                v += parse_term(toks, pos)?;
-            }
-            Tok::Minus => {
-                *pos += 1;
-                v -= parse_term(toks, pos)?;
-            }
-            _ => break,
-        }
-    }
-    Ok(v)
-}
-
-fn parse_term(toks: &[Tok], pos: &mut usize) -> Result<f64> {
-    let mut v = parse_factor(toks, pos)?;
-    while *pos < toks.len() {
-        match toks[*pos] {
-            Tok::Star => {
-                *pos += 1;
-                v *= parse_factor(toks, pos)?;
-            }
-            Tok::Slash => {
-                *pos += 1;
-                let d = parse_factor(toks, pos)?;
-                if d == 0.0 {
-                    return Err(ArynError::Exec("division by zero in math expr".into()));
-                }
-                v /= d;
-            }
-            _ => break,
-        }
-    }
-    Ok(v)
-}
-
-fn parse_factor(toks: &[Tok], pos: &mut usize) -> Result<f64> {
-    match toks.get(*pos) {
-        Some(Tok::Num(n)) => {
-            *pos += 1;
-            Ok(*n)
-        }
-        Some(Tok::Minus) => {
-            *pos += 1;
-            Ok(-parse_factor(toks, pos)?)
-        }
-        Some(Tok::LParen) => {
-            *pos += 1;
-            let v = parse_expr(toks, pos)?;
-            match toks.get(*pos) {
-                Some(Tok::RParen) => {
-                    *pos += 1;
-                    Ok(v)
-                }
-                _ => Err(ArynError::Exec("missing closing paren".into())),
-            }
-        }
-        _ => Err(ArynError::Exec("expected number or '('".into())),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn math_evaluator() {
-        assert_eq!(eval_math("1 + 2 * 3").unwrap(), 7.0);
-        assert_eq!(eval_math("(1 + 2) * 3").unwrap(), 9.0);
-        assert_eq!(eval_math("100 * 4 / 8").unwrap(), 50.0);
-        assert_eq!(eval_math("-3 + 5").unwrap(), 2.0);
-        assert_eq!(eval_math("2.5 * 2").unwrap(), 5.0);
-        assert!(eval_math("1 / 0").is_err());
-        assert!(eval_math("1 +").is_err());
-        assert!(eval_math("(1").is_err());
-        assert!(eval_math("foo").is_err());
-        assert!(eval_math("1 2").is_err());
-    }
+    use crate::ops::MathExpr;
 
     #[test]
     fn substitution_resolves_scalars_and_rowcounts() {
@@ -1147,10 +935,11 @@ mod tests {
             4usize,
             Out::Done(NodeOutput::Rows(vec![Arc::new(Document::new("a")), Arc::new(Document::new("b"))])),
         );
-        let s = substitute_outputs("100 * {out_4} / {out_2}", &all).unwrap();
-        assert_eq!(eval_math(&s).unwrap(), 25.0);
-        assert!(substitute_outputs("{out_9}", &all).is_err());
-        assert!(substitute_outputs("{out_", &all).is_err());
+        all.insert(5usize, Out::Done(NodeOutput::Scalar(Value::from("text"))));
+        let eval = |expr: &str| MathExpr::parse(expr)?.eval(|id| all[&id].math_value(id));
+        assert_eq!(eval("100 * {out_4} / {out_2}").unwrap(), 25.0);
+        assert!(eval("{out_5} + 1").is_err());
+        assert!(eval("{out_").is_err());
     }
 
     #[test]

@@ -21,12 +21,12 @@ pub mod planner;
 pub mod schema;
 pub mod serve;
 
-pub use analyze::{analyze, Analysis, Analyzer, FieldType, LintRule, PlanCtx, Shape};
+pub use analyze::{analyze, Analysis, Analyzer, CheckedPlan, FieldType, LintRule, Parsed, PlanCtx, Shape};
 pub use costmodel::{
     dead_extracts, estimate as estimate_cost, liveness, verify as verify_budget, CostKnobs,
     CostReport, CostRules, Interval, Live, NodeCost,
 };
-pub use exec::{eval_math, LunaResult, NodeOutput, NodeTrace, PlanExecutor};
+pub use exec::{LunaResult, NodeOutput, NodeTrace, PlanExecutor};
 pub use kg::{build_earnings_graph, build_ntsb_graph, competitors_of};
 pub use luna::{
     earnings_schema, ingest_lake, ntsb_schema, CostAnalysis, Luna, LunaAnswer, LunaConfig,
@@ -36,7 +36,7 @@ pub use serve::{
     Admission, AdmissionGuard, CacheKeyPolicy, LoadGen, LoadProfile, LoadTenant,
     QueryService, ServeConfig, ServeStats, SimReport, TenantSim, TenantSpec, TenantStats,
 };
-pub use ops::{Plan, PlanNode, PlanOp};
+pub use ops::{eval_math, AggFunc, MathExpr, Plan, PlanNode, PlanOp};
 pub use optimize::{optimize, Optimized, OptimizerCfg};
 pub use planner::{PlannerEngine, RulePlanner};
 pub use schema::{Field, IndexSchema};

@@ -1,11 +1,11 @@
 //! The Luna front end: natural-language question → plan (via the LLM) →
 //! optimize → Sycamore execution, with human-in-the-loop plan editing.
 
-use crate::analyze::Analysis;
+use crate::analyze::{Analysis, Analyzer, CheckedPlan};
 use crate::costmodel::{CostKnobs, CostRules};
 use crate::exec::{LunaResult, PlanExecutor};
 use crate::ops::{Plan, PlanOp};
-use crate::optimize::{optimize_checked, Optimized, OptimizerCfg};
+use crate::optimize::{Optimized, OptimizerCfg};
 use crate::planner::{PlannerEngine, RulePlanner};
 use crate::schema::IndexSchema;
 use aryn_core::{ArynError, Result, Severity, Value};
@@ -202,7 +202,7 @@ impl LunaConfig {
 
 /// The end-to-end natural-language query system.
 pub struct Luna {
-    schemas: Vec<IndexSchema>,
+    schemas: Arc<[IndexSchema]>,
     planner_client: LlmClient,
     executor: PlanExecutor,
     optimizer: OptimizerCfg,
@@ -267,6 +267,7 @@ impl Luna {
         let engine = cfg.planner_engine.take().unwrap_or_else(|| {
             Box::new(PlannerEngine::new(RulePlanner::new(schemas.clone())))
         });
+        let schemas = Arc::from(schemas);
         let planner_llm = MockLlm::new(cfg.planner_model, cfg.sim.clone()).with_engine(engine);
         let planner_client = attach(LlmClient::new(Arc::new(planner_llm)).with_policy(
             aryn_llm::RetryPolicy {
@@ -340,7 +341,7 @@ impl Luna {
     /// still pins its scanned stores to one snapshot at plan start —
     /// explicit pinning just fixes *which* snapshot across questions.
     pub fn pin_indexes(&self) -> Result<()> {
-        for s in &self.schemas {
+        for s in self.schemas.iter() {
             self.executor.pin_index(&s.index)?;
         }
         Ok(())
@@ -366,27 +367,20 @@ impl Luna {
     /// planner is re-prompted once with the rendered diagnostics (the repair
     /// loop) before the question fails.
     pub fn plan(&self, question: &str) -> Result<Plan> {
-        self.plan_with(question, &self.cost_knobs()).map(|(plan, _)| plan)
+        self.plan_checked(question, &self.analyzer(&self.cost_knobs())).map(CheckedPlan::into_plan)
     }
 
-    /// [`Luna::plan`], returning the gate's error-free analysis with the
-    /// plan.
-    fn plan_with(&self, question: &str, knobs: &CostKnobs) -> Result<(Plan, Analysis)> {
-        let (plan, analysis) = self.plan_with_analysis(question, knobs)?;
-        if analysis.has_errors() {
-            return Err(ArynError::InvalidPlan(format!(
-                "plan failed semantic analysis:\n{}",
-                analysis.render_errors()
-            )));
-        }
-        Ok((plan, analysis))
+    /// [`Luna::plan`], as the planning gate's check of the plan.
+    fn plan_checked(&self, question: &str, analyzer: &Analyzer) -> Result<CheckedPlan> {
+        let (plan, analysis) = self.plan_with_analysis(question, analyzer)?;
+        CheckedPlan::new("plan failed semantic analysis", plan, analysis, Arc::clone(&self.schemas))
     }
 
     /// Plans a question and returns the full analyzer report without gating
     /// on it — the REPL's `check` command. The repair loop still runs, so a
     /// clean result means "clean after at most one repair".
     pub fn check(&self, question: &str) -> Result<(Plan, Analysis)> {
-        self.plan_with_analysis(question, &self.cost_knobs())
+        self.plan_with_analysis(question, &self.analyzer(&self.cost_knobs()))
     }
 
     /// The cost-model knobs a question runs under: the context's execution
@@ -404,20 +398,18 @@ impl Luna {
     /// `cost_analysis` on, the static cost analyzer's L22–L27 feasibility
     /// and liveness diagnostics join the report.
     pub fn analyze(&self, plan: &Plan) -> Analysis {
-        self.analyze_with(plan, &self.cost_knobs())
+        self.analyzer(&self.cost_knobs()).analyze(plan, &self.schemas)
     }
 
-    fn analyze_with(&self, plan: &Plan, knobs: &CostKnobs) -> Analysis {
+    /// The analyzer Luna checks plans with: the default rules, plus the cost
+    /// rules under `knobs` when `cost_analysis` is on.
+    fn analyzer(&self, knobs: &CostKnobs) -> Analyzer {
+        let analyzer = Analyzer::new();
         if self.cost_analysis == CostAnalysis::Off {
-            return crate::analyze::analyze(plan, &self.schemas);
+            return analyzer;
         }
-        let rules = CostRules {
-            knobs: knobs.clone(),
-            enforce: self.cost_analysis == CostAnalysis::Enforce,
-        };
-        crate::analyze::Analyzer::new()
-            .with_rule(Box::new(rules))
-            .analyze(plan, &self.schemas)
+        let enforce = self.cost_analysis == CostAnalysis::Enforce;
+        analyzer.with_rule(Box::new(CostRules { knobs: knobs.clone(), enforce }))
     }
 
     /// The static cost report for a plan, when cost analysis is enabled.
@@ -434,7 +426,7 @@ impl Luna {
             .then(|| crate::costmodel::estimate(plan, &self.schemas, knobs))
     }
 
-    fn plan_with_analysis(&self, question: &str, knobs: &CostKnobs) -> Result<(Plan, Analysis)> {
+    fn plan_with_analysis(&self, question: &str, analyzer: &Analyzer) -> Result<(Plan, Analysis)> {
         let schema_render = if self.schemas.is_empty() {
             Value::object()
         } else {
@@ -485,7 +477,7 @@ impl Luna {
                 Ok(p)
             }) {
                 Ok(plan) => {
-                    let analysis = self.analyze_with(&plan, knobs);
+                    let analysis = analyzer.analyze(&plan, &self.schemas);
                     self.record_analysis("analyze:plan", &analysis);
                     if analysis.has_errors() && !repaired {
                         repaired = true;
@@ -548,46 +540,37 @@ impl Luna {
     /// every pass that rewrites it are checked by the analyzer; a pass that
     /// breaks the plan is an error in all build profiles.
     pub fn optimize(&self, plan: &Plan) -> Result<Optimized> {
-        self.optimize_with(plan, None, &self.cost_knobs()).map(|(optimized, _)| optimized)
+        let knobs = self.cost_knobs();
+        let analyzer = self.analyzer(&knobs);
+        let checked = analyzer.check(plan, Arc::clone(&self.schemas))?;
+        let (checked, notes) = self.rewrite(checked, &analyzer, &knobs)?;
+        Ok(Optimized { plan: checked.into_plan(), notes })
     }
 
-    /// [`Luna::optimize`]; `planned` is the planning gate's analysis of
-    /// `plan`, which stands in for the optimizer's input check. Returns the
-    /// analysis of the optimized plan with it.
-    fn optimize_with(
-        &self,
-        plan: &Plan,
-        planned: Option<Analysis>,
-        knobs: &CostKnobs,
-    ) -> Result<(Optimized, Analysis)> {
-        let (optimized, last) = optimize_checked(plan, planned, &self.schemas, &self.optimizer, knobs)?;
-        // Without cost rules the last gate ran this very analyzer.
-        let analysis = match self.cost_analysis {
-            CostAnalysis::Off => last,
-            _ => self.analyze_with(&optimized.plan, knobs),
-        };
-        self.record_analysis("analyze:optimize", &analysis);
+    /// The optimizer over a checked plan ([`crate::optimize::rewrite`]),
+    /// recording the checked rewrite's analysis and the rewrite notes.
+    fn rewrite(&self, plan: CheckedPlan, analyzer: &Analyzer, knobs: &CostKnobs) -> Result<(CheckedPlan, Vec<String>)> {
+        let (checked, notes) = crate::optimize::rewrite(plan, analyzer, &self.optimizer, knobs)?;
+        self.record_analysis("analyze:optimize", checked.analysis());
         let tel = &self.executor.telemetry;
         if tel.is_enabled() {
             let mut span = tel.span("optimize", "optimizer");
-            span.set("rewrites", optimized.notes.len() as u64).set(
-                "plan_nodes",
-                optimized.plan.topo_order().map(|o| o.len()).unwrap_or(0) as u64,
-            );
-            for note in &optimized.notes {
+            span.set("rewrites", notes.len() as u64).set("plan_nodes", checked.plan().nodes.len() as u64);
+            for note in &notes {
                 span.note(note.clone());
             }
             span.finish();
         }
-        Ok((optimized, analysis))
+        Ok((checked, notes))
     }
 
-    /// Executes a (validated) plan with tracing.
+    /// Executes a plan with tracing; the executor checks it against the
+    /// stores it scans first.
     pub fn execute(&self, plan: &Plan) -> Result<LunaResult> {
         self.executor.execute(plan)
     }
 
-    /// The full path: plan → optimize → execute. The answer carries the
+    /// The full path: plan → check → optimize → run. The answer carries the
     /// telemetry spans recorded while serving this question (planner,
     /// optimizer, per-operator, and any engine stage spans).
     pub fn ask(&self, question: &str) -> Result<LunaAnswer> {
@@ -600,22 +583,20 @@ impl Luna {
         let tel = self.executor.telemetry.clone();
         let mark = tel.span_count();
         let knobs = self.cost_knobs();
-        let (plan, analysis) = self.plan_with(question, &knobs)?;
-        let (optimized, analysis) = self.optimize_with(&plan, Some(analysis), &knobs)?;
+        let analyzer = self.analyzer(&knobs);
+        let checked = self.plan_checked(question, &analyzer)?;
+        let plan = checked.plan().clone();
+        let (optimized, optimizer_notes) = self.rewrite(checked, &analyzer, &knobs)?;
         // The envelope is computed over the executed (optimized) plan so the
         // per-node intervals line up with the execution traces.
-        let cost = self.estimate_with(&optimized.plan, &knobs);
-        // Without cost rules that analysis is the executor gate's own
-        // analyzer over Luna's schemas: the gate reuses it while the pinned
-        // stores still maintain those schemas.
-        let judged = (self.cost_analysis == CostAnalysis::Off).then_some((&analysis, &self.schemas[..]));
-        let result = self.executor.execute_judged(&optimized.plan, judged)?;
+        let cost = self.estimate_with(optimized.plan(), &knobs);
+        let result = self.executor.run(&optimized)?;
         let trace = tel.spans_since(mark);
         Ok(LunaAnswer {
             question: question.to_string(),
             plan,
-            optimized_plan: optimized.plan,
-            optimizer_notes: optimized.notes,
+            optimized_plan: optimized.into_plan(),
+            optimizer_notes,
             result,
             trace,
             cost,
@@ -623,11 +604,13 @@ impl Luna {
     }
 
     /// Executes an edited plan (the human-in-the-loop path): the plan is
-    /// re-validated and re-analyzed before running.
+    /// checked, optimized and run like a planned one.
     pub fn execute_edited(&self, plan: &Plan) -> Result<LunaResult> {
-        plan.validate()?;
-        let optimized = self.optimize(plan)?;
-        self.execute(&optimized.plan)
+        let knobs = self.cost_knobs();
+        let analyzer = self.analyzer(&knobs);
+        let checked = analyzer.check(plan, Arc::clone(&self.schemas))?;
+        let (optimized, _) = self.rewrite(checked, &analyzer, &knobs)?;
+        self.executor.run(&optimized)
     }
 
     /// Total planning + execution spend so far (simulated dollars),

@@ -258,7 +258,7 @@ impl LlmCall<'_> {
 
 /// An aggregate function, by the names a plan may give it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum AggFunc {
+pub enum AggFunc {
     Count,
     Sum,
     Avg,
@@ -297,49 +297,201 @@ impl AggFunc {
     }
 }
 
-/// A piece of a `math` expression: text, an `{out_N}` reference to node
-/// `N`'s output, or a malformed reference (a non-numeric id, or no closing
-/// brace), verbatim.
+/// A `math` expression parsed once: `+ - * /`, parentheses and unary minus
+/// over numbers and `{out_N}` node references. It holds the expression
+/// tree in postfix order, so parsing, evaluating, rendering and dropping it
+/// walk an explicit stack: no nesting depth can overflow the call stack.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MathExpr(Vec<MathTerm>);
+
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum MathPiece<'a> {
-    Text(&'a str),
+enum MathTerm {
+    Num(f64),
     Ref(usize),
-    Malformed(&'a str),
+    /// Unary minus.
+    Neg,
+    /// One of `+ - * /`, or `(` while parsing.
+    Op(u8),
 }
 
-impl std::fmt::Display for MathPiece<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl MathTerm {
+    /// How tightly the term binds its operands.
+    fn binding(self) -> u8 {
         match self {
-            MathPiece::Text(s) | MathPiece::Malformed(s) => f.write_str(s),
-            MathPiece::Ref(id) => write!(f, "{{out_{id}}}"),
+            MathTerm::Num(_) | MathTerm::Ref(_) => 4,
+            MathTerm::Neg => 3,
+            MathTerm::Op(b'*' | b'/') => 2,
+            MathTerm::Op(_) => 1,
         }
     }
 }
 
-/// Splits a `math` expression into pieces, in order; they render back to
-/// the expression.
-pub(crate) fn math_pieces(expr: &str) -> impl Iterator<Item = MathPiece<'_>> {
-    let (mut rest, mut next) = (Some(expr), None);
-    std::iter::from_fn(move || {
-        if let Some(piece) = next.take() {
-            return Some(piece);
+impl MathExpr {
+    /// Parses `expr` (shunting-yard); a malformed `{out_N}` reference, a
+    /// stray character or an unbalanced expression is an error.
+    pub fn parse(expr: &str) -> Result<MathExpr> {
+        let err = |what: &str| ArynError::Exec(format!("{what} in math expr {expr:?}"));
+        let mut tokens = Vec::new();
+        let mut rest = expr.trim_start_matches([' ', '\t']);
+        while let Some(c) = rest.bytes().next() {
+            let (term, len) = match c {
+                b'+' | b'-' | b'*' | b'/' | b'(' | b')' => (MathTerm::Op(c), 1),
+                b'0'..=b'9' | b'.' => {
+                    let b = rest.as_bytes();
+                    let number = |i: usize| b[i].is_ascii_digit() || b[i] == b'.' || b[i] == b'e' || (b[i] == b'-' && b[i - 1] == b'e');
+                    let len = (1..b.len()).find(|&i| !number(i)).unwrap_or(b.len());
+                    let n = rest[..len].parse().ok().filter(|n: &f64| n.is_finite()).ok_or_else(|| err("bad number"))?;
+                    (MathTerm::Num(n), len)
+                }
+                b'{' => {
+                    let len = rest.find('}').map_or(rest.len(), |end| end + 1);
+                    let id = rest[..len].strip_prefix("{out_").and_then(|r| r.strip_suffix('}')?.parse().ok());
+                    (MathTerm::Ref(id.ok_or_else(|| err("malformed {out_N} reference"))?), len)
+                }
+                _ => return Err(err("unexpected character")),
+            };
+            tokens.push(term);
+            rest = rest[len..].trim_start_matches([' ', '\t']);
         }
-        let text = rest?;
-        let Some(start) = text.find("{out_") else {
-            rest = None;
-            return Some(MathPiece::Text(text));
-        };
-        let end = text[start..].find('}').map_or(text.len(), |e| start + e + 1);
-        let id = text[start + 5..end].strip_suffix('}').and_then(|id| id.parse().ok());
-        next = Some(id.map_or(MathPiece::Malformed(&text[start..end]), MathPiece::Ref));
-        rest = Some(&text[end..]);
-        Some(MathPiece::Text(&text[..start]))
-    })
+        // Postfix output, and the operators and `(`s still pending.
+        let (mut out, mut pending, mut operand) = (Vec::with_capacity(tokens.len()), Vec::new(), true);
+        for t in tokens {
+            match (operand, t) {
+                (true, MathTerm::Num(_) | MathTerm::Ref(_)) => {
+                    out.push(t);
+                    operand = false;
+                }
+                (true, MathTerm::Op(b'-')) => pending.push(MathTerm::Neg),
+                (true, MathTerm::Op(b'(')) => pending.push(t),
+                (false, MathTerm::Op(b')')) => loop {
+                    match pending.pop() {
+                        Some(MathTerm::Op(b'(')) => break,
+                        Some(op) => out.push(op),
+                        None => return Err(err("unbalanced ')'")),
+                    }
+                },
+                (false, MathTerm::Op(op)) if op != b'(' => {
+                    let binds = |top: &mut MathTerm| *top != MathTerm::Op(b'(') && top.binding() >= t.binding();
+                    while let Some(top) = pending.pop_if(binds) {
+                        out.push(top);
+                    }
+                    pending.push(t);
+                    operand = true;
+                }
+                (true, _) => return Err(err("expected number or '('")),
+                (false, _) => return Err(err("trailing tokens")),
+            }
+        }
+        if operand {
+            return Err(err("expected number or '('"));
+        }
+        while let Some(op) = pending.pop() {
+            if op == MathTerm::Op(b'(') {
+                return Err(err("missing closing paren"));
+            }
+            out.push(op);
+        }
+        Ok(MathExpr(out))
+    }
+
+    /// The nodes the expression references, in order.
+    pub fn refs(&self) -> impl Iterator<Item = usize> + '_ {
+        self.0.iter().filter_map(|t| if let MathTerm::Ref(id) = t { Some(*id) } else { None })
+    }
+
+    /// The expression with its references to node `from` made to `to`.
+    pub(crate) fn renamed(&self, from: usize, to: usize) -> MathExpr {
+        MathExpr(self.0.iter().map(|&t| if t == MathTerm::Ref(from) { MathTerm::Ref(to) } else { t }).collect())
+    }
+
+    /// The expression's value, each reference valued by `value_of`.
+    pub fn eval(&self, mut value_of: impl FnMut(usize) -> Result<f64>) -> Result<f64> {
+        let mut stack: Vec<f64> = Vec::with_capacity(self.0.len());
+        // `parse` leaves every operator its operands.
+        let pop = |stack: &mut Vec<f64>| stack.pop().unwrap_or(f64::NAN);
+        for term in &self.0 {
+            let v = match *term {
+                MathTerm::Num(n) => n,
+                MathTerm::Ref(id) => value_of(id)?,
+                MathTerm::Neg => -pop(&mut stack),
+                MathTerm::Op(op) => {
+                    let (r, l) = (pop(&mut stack), pop(&mut stack));
+                    match op {
+                        b'+' => l + r,
+                        b'-' => l - r,
+                        b'*' => l * r,
+                        _ if r == 0.0 => return Err(ArynError::Exec("division by zero in math expr".into())),
+                        _ => l / r,
+                    }
+                }
+            };
+            stack.push(v);
+        }
+        Ok(pop(&mut stack))
+    }
 }
 
-/// The nodes a `math` expression references, in order.
-pub(crate) fn math_refs(expr: &str) -> impl Iterator<Item = usize> + '_ {
-    math_pieces(expr).filter_map(|p| if let MathPiece::Ref(id) = p { Some(id) } else { None })
+/// Evaluates arithmetic without node references (`+ - * /`, parentheses,
+/// unary minus): a checked math expression with its `{out_N}` references
+/// written out as numbers evaluates to the same value.
+pub fn eval_math(expr: &str) -> Result<f64> {
+    MathExpr::parse(expr)?.eval(|id| Err(ArynError::Exec(format!("math references out_{id}, which has no value here"))))
+}
+
+/// Renders with the fewest parentheses that keep the tree: `parse` of the
+/// rendering is the same expression.
+impl std::fmt::Display for MathExpr {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The tree: each operator's operands, by position.
+        let mut operands = vec![(0, 0); self.0.len()];
+        let mut stack = Vec::new();
+        for (i, term) in self.0.iter().enumerate() {
+            match term {
+                MathTerm::Neg => operands[i].1 = stack.pop().unwrap_or_default(),
+                MathTerm::Op(_) => {
+                    let r = stack.pop().unwrap_or_default();
+                    operands[i] = (stack.pop().unwrap_or_default(), r);
+                }
+                _ => {}
+            }
+            stack.push(i);
+        }
+        enum Step {
+            Term(usize, bool),
+            Text(&'static str),
+        }
+        // Written left to right from an explicit stack of what is still to write.
+        let mut todo: Vec<Step> = stack.pop().map(|root| Step::Term(root, false)).into_iter().collect();
+        while let Some(step) = todo.pop() {
+            let (i, parens) = match step {
+                Step::Text(text) => {
+                    f.write_str(text)?;
+                    continue;
+                }
+                Step::Term(i, parens) => (i, parens),
+            };
+            if parens {
+                f.write_str("(")?;
+                todo.push(Step::Text(")"));
+            }
+            let (term, (l, r)) = (self.0[i], operands[i]);
+            match term {
+                MathTerm::Num(n) => write!(f, "{n}")?,
+                MathTerm::Ref(id) => write!(f, "{{out_{id}}}")?,
+                MathTerm::Neg => {
+                    f.write_str("-")?;
+                    todo.push(Step::Term(r, self.0[r].binding() < term.binding()));
+                }
+                MathTerm::Op(op) => {
+                    let text = match op { b'+' => " + ", b'-' => " - ", b'*' => " * ", _ => " / " };
+                    todo.push(Step::Term(r, self.0[r].binding() <= term.binding()));
+                    todo.push(Step::Text(text));
+                    todo.push(Step::Term(l, self.0[l].binding() < term.binding()));
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// A node in the plan DAG.
@@ -372,15 +524,21 @@ impl Plan {
     }
 
     /// Topological order of node ids; errors on cycles or dangling inputs.
+    /// A `math` node's `{out_N}` references to nodes of the plan are edges
+    /// too, listed as inputs or not: it reads their outputs.
     pub fn topo_order(&self) -> Result<Vec<usize>> {
         let ids: BTreeSet<usize> = self.nodes.iter().map(|n| n.id).collect();
+        let refs = |n: &PlanNode| match &n.op {
+            PlanOp::Math { expr } => MathExpr::parse(expr).iter().flat_map(MathExpr::refs).filter(|r| ids.contains(r)).collect(),
+            _ => Vec::new(),
+        };
         let mut order = Vec::new();
         let mut placed: BTreeSet<usize> = BTreeSet::new();
-        let mut remaining: Vec<&PlanNode> = self.nodes.iter().collect();
+        let mut remaining: Vec<(&PlanNode, Vec<usize>)> = self.nodes.iter().map(|n| (n, refs(n))).collect();
         while !remaining.is_empty() {
             let before = remaining.len();
-            remaining.retain(|n| {
-                if n.inputs.iter().all(|i| placed.contains(i)) {
+            remaining.retain(|(n, refs)| {
+                if n.inputs.iter().chain(refs).all(|i| placed.contains(i)) {
                     order.push(n.id);
                     placed.insert(n.id);
                     false
@@ -390,7 +548,7 @@ impl Plan {
             });
             if remaining.len() == before {
                 // No progress: cycle or dangling reference.
-                for n in &remaining {
+                for (n, _) in &remaining {
                     for i in &n.inputs {
                         if !ids.contains(i) {
                             return Err(ArynError::InvalidPlan(format!(
@@ -826,15 +984,79 @@ mod tests {
     }
 
     #[test]
-    fn math_pieces_split_references_and_render_back() {
-        for expr in ["100 * {out_4} / {out_2}", "{out_x} + {out_3}", "1 + {out_", "{out_}{out_7}", "no refs"] {
-            assert_eq!(math_pieces(expr).map(|p| p.to_string()).collect::<String>(), expr);
+    fn math_references_parse_in_order_and_malformed_ones_are_refused() {
+        let refs = |expr: &str| MathExpr::parse(expr).unwrap().refs().collect::<Vec<_>>();
+        assert_eq!(refs("100 * {out_4} / {out_2} - {out_4}"), [4, 2, 4]);
+        assert_eq!(refs("{out_7}"), [7]);
+        for bad in ["{out_x} + {out_3}", "1 + {out_", "{out_}{out_7}", "2 * {out_1", "{out_1 + 2}", "{in_1}"] {
+            assert!(MathExpr::parse(bad).is_err(), "{bad}");
         }
-        assert_eq!(math_refs("100 * {out_4} / {out_2} - {out_4}").collect::<Vec<_>>(), [4, 2, 4]);
-        // A malformed reference does not hide the ones after it.
-        let pieces: Vec<MathPiece> = math_pieces("{out_x} + {out_3}").filter(|p| *p != MathPiece::Text("")).collect();
-        assert_eq!(pieces, [MathPiece::Malformed("{out_x}"), MathPiece::Text(" + "), MathPiece::Ref(3)]);
-        assert!(math_pieces("2 * {out_1").any(|p| p == MathPiece::Malformed("{out_1")));
+    }
+
+    #[test]
+    fn math_evaluator() {
+        assert_eq!(eval_math("1 + 2 * 3").unwrap(), 7.0);
+        assert_eq!(eval_math("(1 + 2) * 3").unwrap(), 9.0);
+        assert_eq!(eval_math("100 * 4 / 8").unwrap(), 50.0);
+        assert_eq!(eval_math("-3 + 5").unwrap(), 2.0);
+        assert_eq!(eval_math("2.5 * 2").unwrap(), 5.0);
+        assert!(eval_math("1 / 0").is_err());
+        assert!(eval_math("1 +").is_err());
+        assert!(eval_math("(1").is_err());
+        assert!(eval_math("foo").is_err());
+        assert!(eval_math("1 2").is_err());
+    }
+
+    #[test]
+    fn math_renders_with_the_fewest_parentheses_that_keep_its_tree() {
+        for expr in ["100 * {out_4} / {out_2}", "1 - (2 - 3)", "(1 + 2) * -{out_0}", "-(2 * 3) - --4", "2 / (3 * 4)"] {
+            let parsed = MathExpr::parse(expr).unwrap();
+            assert_eq!(parsed.to_string(), expr);
+        }
+        assert_eq!(MathExpr::parse("((1+2))*3").unwrap().to_string(), "(1 + 2) * 3");
+        assert!(MathExpr::parse("{out_1}{out_2}").is_err(), "two operands in a row");
+        assert!(MathExpr::parse("1e999").is_err(), "a number renders back only when finite");
+        assert!(MathExpr::parse("1)").is_err() && MathExpr::parse("()").is_err());
+    }
+
+    #[test]
+    fn math_nesting_depth_costs_no_call_stack() {
+        // Deep enough to overflow any recursive parser, evaluator, renderer
+        // or drop.
+        let n = 200_000;
+        let deep = format!("{}{{out_1}}{}", "(".repeat(n), ")".repeat(n));
+        let parsed = MathExpr::parse(&deep).unwrap();
+        assert_eq!(parsed.eval(|_| Ok(2.0)).unwrap(), 2.0);
+        assert_eq!(parsed.to_string(), "{out_1}");
+        let negated = format!("{}7", "-".repeat(n));
+        assert_eq!(eval_math(&negated).unwrap(), 7.0);
+        assert_eq!(MathExpr::parse(&negated).unwrap().to_string(), negated);
+        let chain = vec!["1"; n].join(" - ");
+        assert_eq!(eval_math(&chain).unwrap(), 2.0 - n as f64);
+        assert_eq!(MathExpr::parse(&chain).unwrap().to_string(), chain);
+        assert!(eval_math(&"(".repeat(n)).is_err());
+    }
+
+    #[test]
+    fn a_math_reference_orders_the_run_and_a_reference_cycle_is_a_cycle() {
+        let node = |id: usize, op: PlanOp, inputs: Vec<usize>| PlanNode { id, op, inputs, description: String::new() };
+        let scan = PlanOp::QueryDatabase { index: "t".into(), prefilter: vec![] };
+        let math = |expr: &str| PlanOp::Math { expr: expr.into() };
+        let plan = Plan {
+            nodes: vec![
+                node(0, scan.clone(), vec![]),
+                node(1, math("100 * {out_2} / {out_3}"), vec![0]),
+                node(2, PlanOp::Count, vec![0]),
+                node(3, PlanOp::Count, vec![0]),
+            ],
+            result: 1,
+        };
+        assert_eq!(plan.topo_order().unwrap(), [0, 2, 3, 1]);
+        let cyclic = Plan {
+            nodes: vec![node(0, scan, vec![]), node(1, math("{out_2}"), vec![0]), node(2, math("{out_1}"), vec![0])],
+            result: 2,
+        };
+        assert!(matches!(cyclic.validate(), Err(ArynError::InvalidPlan(m)) if m.contains("cycle")));
     }
 
     #[test]

@@ -19,12 +19,12 @@
 //! find, and the analyzer's `semantic-pushdown` and `filter-reorder` hints
 //! report those same sites: each rewrite is detected in one place.
 
-use crate::analyze::{Analysis, FieldType, Resolution, Shape};
+use crate::analyze::{Analyzer, CheckedPlan, FieldType, Resolution, Shape};
 use crate::costmodel::CostKnobs;
-use crate::ops::{math_pieces, MathPiece, Plan, PlanOp};
+use crate::ops::{MathExpr, Plan, PlanOp};
 use crate::schema::IndexSchema;
 use aryn_core::text::has_negation_cue;
-use aryn_core::{lexicon, ArynError, Result, Value};
+use aryn_core::{lexicon, Result, Value};
 use aryn_llm::registry::{ladder, ModelSpec, GPT4_SIM, LLAMA7B_SIM};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -65,66 +65,62 @@ pub struct Optimized {
     pub notes: Vec<String>,
 }
 
-/// Runs all enabled passes. `knobs` are the settings the plan will run
-/// under: its batch width and reliability policy only add notes (packing
-/// and degradation happen at execution time, and `explain_analyze` shows
-/// both decisions before they happen), and `prune_dead_fields` prices its
-/// rewrite with them.
-///
-/// The input and every pass that rewrites the plan are checked by the
-/// semantic analyzer ([`crate::analyze`]) in all build profiles — a rewrite
-/// that hallucinates a field, breaks the DAG, or changes an operator's input
-/// shape is an `InvalidPlan` error naming the offending pass, never a
-/// silently wrong answer at runtime.
+/// [`rewrite`] of a plan the analyzer has not checked yet: its check is the
+/// gate of an "input" pass.
 pub fn optimize(
     plan: &Plan,
     schemas: &[IndexSchema],
     cfg: &OptimizerCfg,
     knobs: &CostKnobs,
 ) -> Result<Optimized> {
-    optimize_checked(plan, None, schemas, cfg, knobs).map(|(optimized, _)| optimized)
+    let analyzer = Analyzer::new();
+    let checked = analyzer.check_for(&refusal("input"), plan, schemas.into())?;
+    let (checked, notes) = rewrite(checked, &analyzer, cfg, knobs)?;
+    Ok(Optimized { plan: checked.into_plan(), notes })
 }
 
-/// [`optimize`], taking the input's analysis when the caller already holds
-/// an error-free one (the planning gate's) instead of re-running it, and
-/// returning the analysis of the optimized plan with it: the last gate's,
-/// since a pass that leaves the plan as it was is not re-checked.
-pub(crate) fn optimize_checked(
-    plan: &Plan,
-    input: Option<Analysis>,
-    schemas: &[IndexSchema],
+/// Runs all enabled passes over a checked plan, returning the checked
+/// rewrite and the rewrite notes. `knobs` are the settings the plan will
+/// run under: its batch width and reliability policy only add notes
+/// (packing and degradation happen at execution time, and
+/// `explain_analyze` shows both decisions before they happen), and
+/// `prune_dead_fields` prices its rewrite with them.
+///
+/// Every pass that rewrites the plan is checked again by `analyzer` against
+/// the plan's schemas, in all build profiles: a rewrite that hallucinates a
+/// field, breaks the DAG, or changes an operator's input shape is an
+/// `InvalidPlan` error naming the offending pass, never a silently wrong
+/// answer at runtime.
+pub fn rewrite(
+    mut plan: CheckedPlan,
+    analyzer: &Analyzer,
     cfg: &OptimizerCfg,
     knobs: &CostKnobs,
-) -> Result<(Optimized, Analysis)> {
-    let mut last = match input {
-        Some(analysis) => analysis,
-        None => check_pass("input", plan, schemas)?,
-    };
-    let mut plan = plan.clone();
+) -> Result<(CheckedPlan, Vec<String>)> {
     let mut notes = Vec::new();
     if cfg.pushdown {
-        let sites = pushdown_sites(&plan, &last.shapes);
-        run_pass("pushdown", &mut plan, schemas, &mut last, |p| pushdown(p, sites, &mut notes))?;
+        let sites = pushdown_sites(plan.plan(), &plan.analysis().shapes);
+        plan = run_pass("pushdown", plan, analyzer, |p, _| pushdown(p, sites, &mut notes))?;
     }
     if cfg.reorder {
-        run_pass("reorder", &mut plan, schemas, &mut last, |p| reorder_filters(p, &mut notes))?;
+        plan = run_pass("reorder", plan, analyzer, |p, _| reorder_filters(p, &mut notes))?;
     }
     if cfg.batch_filters {
-        run_pass("batch", &mut plan, schemas, &mut last, |p| batch_filters(p, &mut notes))?;
+        plan = run_pass("batch", plan, analyzer, |p, _| batch_filters(p, &mut notes))?;
     }
     if cfg.model_selection {
-        run_pass("model-selection", &mut plan, schemas, &mut last, |p| select_models(p, cfg, &mut notes))?;
+        plan = run_pass("model-selection", plan, analyzer, |p, _| select_models(p, cfg, &mut notes))?;
     }
     if cfg.prune_dead_fields {
-        run_pass("prune-dead-fields", &mut plan, schemas, &mut last, |p| prune_dead(p, schemas, knobs, &mut notes))?;
+        plan = run_pass("prune-dead-fields", plan, analyzer, |p, schemas| prune_dead(p, schemas, knobs, &mut notes))?;
     }
     if knobs.batch_max_items > 1 {
-        note_batching(&plan, schemas, knobs.batch_max_items, &mut notes);
+        note_batching(plan.plan(), plan.schemas(), knobs.batch_max_items, &mut notes);
     }
     if knobs.reliability.is_some() {
-        note_degradation(&plan, knobs.default_model, &mut notes);
+        note_degradation(plan.plan(), knobs.default_model, &mut notes);
     }
-    Ok((Optimized { plan, notes }, last))
+    Ok((plan, notes))
 }
 
 /// Cost-model pass for cross-document micro-batching: estimates the call
@@ -216,8 +212,9 @@ fn prune_dead(plan: &mut Plan, schemas: &[IndexSchema], knobs: &CostKnobs, notes
                 }
             }
             if let PlanOp::Math { expr } = &mut n.op {
-                let renamed = |p| if p == MathPiece::Ref(id) { MathPiece::Ref(input) } else { p };
-                *expr = math_pieces(expr).map(|p| renamed(p).to_string()).collect();
+                if let Some(parsed) = MathExpr::parse(expr).ok().filter(|e| e.refs().any(|r| r == id)) {
+                    *expr = parsed.renamed(id, input).to_string();
+                }
             }
         }
         if plan.result == id {
@@ -246,34 +243,25 @@ fn prune_dead(plan: &mut Plan, schemas: &[IndexSchema], knobs: &CostKnobs, notes
     ));
 }
 
-/// Runs one pass and, when it rewrote the plan, the analyzer gate behind
-/// it, whose analysis becomes `last`.
+/// Runs one pass over the plan and its schemas; when it rewrote the plan,
+/// the rewrite is checked again.
 fn run_pass(
     name: &str,
-    plan: &mut Plan,
-    schemas: &[IndexSchema],
-    last: &mut Analysis,
-    pass: impl FnOnce(&mut Plan),
-) -> Result<()> {
-    let before = plan.clone();
-    pass(plan);
-    if *plan != before {
-        *last = check_pass(name, plan, schemas)?;
+    checked: CheckedPlan,
+    analyzer: &Analyzer,
+    pass: impl FnOnce(&mut Plan, &[IndexSchema]),
+) -> Result<CheckedPlan> {
+    let mut plan = checked.plan().clone();
+    pass(&mut plan, checked.schemas());
+    if plan == *checked.plan() {
+        return Ok(checked);
     }
-    Ok(())
+    checked.recheck(analyzer, &refusal(name), plan)
 }
 
-/// The analyzer gate behind each pass (replaces the old `debug_assert!`,
-/// which vanished in release builds). Returns the error-free analysis.
-fn check_pass(pass: &str, plan: &Plan, schemas: &[IndexSchema]) -> Result<Analysis> {
-    let analysis = crate::analyze::analyze(plan, schemas);
-    if analysis.has_errors() {
-        return Err(ArynError::InvalidPlan(format!(
-            "optimizer pass {pass:?} produced an invalid plan:\n{}",
-            analysis.render_errors()
-        )));
-    }
-    Ok(analysis)
+/// How the analyzer gate behind a pass refuses the pass's output.
+fn refusal(pass: &str) -> String {
+    format!("optimizer pass {pass:?} produced an invalid plan")
 }
 
 /// The `llmFilter` nodes string matching can answer, each with the

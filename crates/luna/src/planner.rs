@@ -14,7 +14,7 @@
 //! ("the intention of certain ambiguous questions was misinterpreted by the
 //! query planner").
 
-use crate::ops::{MathPiece, Plan, PlanNode, PlanOp};
+use crate::ops::{Plan, PlanNode, PlanOp};
 use crate::schema::IndexSchema;
 use aryn_core::{json, lexicon, Value};
 use aryn_llm::mock::{EngineCtx, TaskEngine};
@@ -92,7 +92,7 @@ impl RulePlanner {
                 // base scan by B (assuming B ⊆ A).
                 let num_f = b.filter_from_clause(schema, base, &b_clause_framed);
                 let num = b.count(num_f);
-                let expr = format!("100 * {} / {}", MathPiece::Ref(num), MathPiece::Ref(denom));
+                let expr = format!("100 * {{out_{num}}} / {{out_{denom}}}");
                 let result = b.math(&expr, vec![denom, num]);
                 return b.finish(result);
             }

@@ -415,3 +415,25 @@ fn annotated_codegen_carries_diagnostics_for_check_view() {
         .expect("diagnostic rendered");
     assert!(lines[comment + 1].starts_with("out_1 = "), "{code}");
 }
+
+// --- Math nesting -------------------------------------------------------------
+
+#[test]
+fn deeply_nested_math_is_refused_without_overflowing_the_stack() {
+    let luna = fixture();
+    let math = |expr: String| Plan {
+        nodes: vec![scan(0), node(1, PlanOp::Count, vec![0]), node(2, PlanOp::Math { expr }, vec![1])],
+        result: 2,
+    };
+    let unclosed = math("(".repeat(100_000));
+    assert!(luna.analyze(&unclosed).errors().iter().any(|d| d.code == codes::MATH_SYNTAX));
+    match luna.execute_edited(&unclosed) {
+        Err(aryn_core::ArynError::InvalidPlan(msg)) => assert!(msg.contains(codes::MATH_SYNTAX), "{}", msg.get(..200).unwrap_or(&msg)),
+        other => panic!("expected a math-syntax refusal, got {:?}", other.map(|r| r.answer)),
+    }
+    // Balanced, the same depth is an expression like any other.
+    let n = 100_000;
+    let balanced = math(format!("{}{{out_1}}{}", "(".repeat(n), ")".repeat(n)));
+    let count = luna.execute(&math("{out_1}".into())).unwrap().answer;
+    assert_eq!(luna.execute_edited(&balanced).unwrap().answer, count);
+}

@@ -4,7 +4,7 @@
 use aryn_core::{obj, ArynError, Document, Value};
 use aryn_index::{DocStore, GraphNode, GraphStore};
 use aryn_llm::{LlmClient, MockLlm, SimConfig, GPT4_SIM};
-use luna::{NodeOutput, Plan, PlanExecutor, PlanNode, PlanOp};
+use luna::{Analyzer, IndexSchema, NodeOutput, Plan, PlanExecutor, PlanNode, PlanOp};
 use std::sync::Arc;
 use sycamore::Context;
 
@@ -259,4 +259,63 @@ fn prefilter_and_id_pseudofield() {
     assert_eq!(rows.output.len(), 1);
     assert_eq!(rows.output.rows().unwrap()[0].id.as_str(), "t1");
     let _ = NodeOutput::Scalar(Value::Null); // type is public API
+}
+
+#[test]
+fn a_math_node_runs_after_the_nodes_it_references_wherever_it_is_listed() {
+    let rows = ["AK", "TX", "AK", "CA", "WA"].iter().map(|s| obj! { "state" => *s }).collect();
+    let ex = executor(store("t", rows));
+    let math = node(1, PlanOp::Math { expr: "100 * {out_2} / {out_3}".into() }, vec![0]);
+    let mut plan = Plan {
+        nodes: vec![
+            node(0, PlanOp::QueryDatabase { index: "t".into(), prefilter: vec![] }, vec![]),
+            math,
+            node(2, PlanOp::BasicFilter { path: "state".into(), value: Value::from("AK") }, vec![0]),
+            node(3, PlanOp::Count, vec![0]),
+        ],
+        result: 1,
+    };
+    // The references are not listed as inputs: a warning, not an error.
+    let analysis = luna::analyze(&plan, &[]);
+    assert!(!analysis.has_errors(), "{}", analysis.render());
+    assert_eq!(analysis.diagnostics.iter().filter(|d| d.code == "math-ref-not-input").count(), 2);
+    let listed_second = ex.execute(&plan).unwrap();
+    assert_eq!(listed_second.output.scalar().and_then(Value::as_float), Some(40.0));
+    let math = plan.nodes.remove(1);
+    plan.nodes.push(math);
+    assert_eq!(ex.execute(&plan).unwrap().output, listed_second.output);
+}
+
+#[test]
+fn a_run_checks_again_when_a_write_changed_the_schema_it_was_checked_by() {
+    let ctx = store("t", vec![obj! { "state" => "AK" }, obj! { "state" => "TX" }]);
+    let ex = executor(ctx.clone());
+    let plan = Plan {
+        nodes: vec![
+            node(0, PlanOp::QueryDatabase { index: "t".into(), prefilter: vec![] }, vec![]),
+            node(1, PlanOp::BasicFilter { path: "state".into(), value: Value::from("AK") }, vec![0]),
+            node(2, PlanOp::Count, vec![1]),
+        ],
+        result: 2,
+    };
+    let schemas = ctx.with_store("t", |s| vec![IndexSchema::discover("t", s.len(), s.schema())]).unwrap();
+    let checked = Analyzer::new().check(&plan, schemas).unwrap();
+    assert_eq!(ex.run(&checked).unwrap().output.scalar(), Some(&Value::Int(1)));
+    // Overwrites drop the field the plan filters on: the pinned store no
+    // longer has the schema the plan was checked by.
+    ctx.with_store_mut("t", |s| {
+        for i in 0..2 {
+            let mut d = Document::new(format!("t{i}"));
+            d.properties = obj! { "city" => "Juneau" };
+            s.try_put(d).unwrap();
+        }
+    })
+    .unwrap();
+    match ex.run(&checked) {
+        Err(ArynError::InvalidPlan(msg)) => {
+            assert!(msg.contains("refusing to execute"), "{msg}");
+            assert!(msg.contains("unknown-field"), "{msg}");
+        }
+        other => panic!("expected the run to check again and refuse, got {other:?}"),
+    }
 }

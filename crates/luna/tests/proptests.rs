@@ -1,7 +1,8 @@
 //! Property-based tests for plans and the math evaluator.
 
-use aryn_core::{json, Value};
-use luna::{eval_math, Plan, PlanNode, PlanOp};
+use aryn_core::{json, obj, Document, Value};
+use aryn_index::DocStore;
+use luna::{eval_math, Analyzer, IndexSchema, Parsed, Plan, PlanNode, PlanOp};
 use proptest::prelude::*;
 
 /// Arbitrary single-input operator.
@@ -83,6 +84,77 @@ fn expr_strategy() -> impl Strategy<Value = (String, f64)> {
     })
     // Guard against division blowups producing subnormal comparisons.
     .prop_filter("finite", |(_, v)| v.is_finite() && v.abs() < 1e12)
+}
+
+/// `first`, then `terms`, joined by one of `ops` each: `len` terms in all.
+fn joined(
+    first: BoxedStrategy<String>,
+    terms: BoxedStrategy<String>,
+    ops: [&'static str; 2],
+    len: std::ops::Range<usize>,
+) -> BoxedStrategy<String> {
+    let op = prop_oneof![Just(ops[0]), Just(ops[1])];
+    (first, prop::collection::vec((op, terms), len.start - 1..len.end - 1))
+        .prop_map(|(first, rest)| rest.into_iter().fold(first, |acc, (op, term)| format!("{acc} {op} {term}")))
+}
+
+/// A math expression over `{out_0}`..`{out_4}` as `MathExpr` renders it: a
+/// sum of products, each opening with a number or a reference, whose later
+/// factors may be a parenthesized sum of two or more products; one in five
+/// is junk instead.
+fn math_expr_strategy() -> impl Strategy<Value = String> {
+    let leaf = prop_oneof![(1u32..200).prop_map(|n| n.to_string()), (0usize..5).prop_map(|id| format!("{{out_{id}}}"))]
+        .boxed();
+    let first = leaf.clone();
+    let product = move |factor: BoxedStrategy<String>| joined(first.clone(), factor, ["*", "/"], 1..3);
+    let sum = move |factor: BoxedStrategy<String>, len| joined(product(factor.clone()), product(factor), ["+", "-"], len);
+    let parenthesized = {
+        let sum = sum.clone();
+        move |factor| sum(factor, 2..4).prop_map(|sum| format!("({sum})"))
+    };
+    let expr = sum(leaf.prop_recursive(3, 24, 3, parenthesized), 1..4);
+    prop_oneof![expr.clone(), expr.clone(), expr.clone(), expr, ".{0,12}"]
+}
+
+/// A `plan_strategy()` plan whose result is a math node over its outputs,
+/// with the value each `{out_N}` reads.
+fn math_plan_strategy() -> impl Strategy<Value = (Plan, Vec<f64>)> {
+    let values = prop::collection::vec((-40i32..40).prop_map(|q| f64::from(q) / 4.0), 10..11);
+    (plan_strategy(), math_expr_strategy(), values).prop_map(|(mut plan, expr, values)| {
+        let id = plan.nodes.len();
+        plan.nodes.push(PlanNode { id, op: PlanOp::Math { expr }, inputs: vec![id - 1], description: String::new() });
+        plan.result = id;
+        (plan, values)
+    })
+}
+
+/// A closed schema, so most generated field references are unknown.
+fn ntsb_schemas() -> Vec<IndexSchema> {
+    let mut store = DocStore::new();
+    let mut d = Document::new("n1");
+    d.properties = obj! { "state" => "AK", "year" => 2019i64, "fatal" => 1i64 };
+    store.try_put(d).unwrap();
+    vec![IndexSchema::discover("ntsb", store.len(), store.schema())]
+}
+
+proptest! {
+    #[test]
+    fn checked_plans_agree_with_the_analyzer((plan, values) in math_plan_strategy()) {
+        let schemas = ntsb_schemas();
+        let analysis = luna::analyze(&plan, &schemas);
+        let checked = Analyzer::new().check(&plan, &schemas[..]);
+        prop_assert_eq!(checked.is_ok(), !analysis.has_errors(), "{}", analysis.render());
+        let Ok(checked) = checked else { return Ok(()) };
+        for (node, parsed) in checked.steps() {
+            let (PlanOp::Math { expr }, Parsed::Math(ast)) = (&node.op, parsed) else { continue };
+            prop_assert_eq!(&ast.to_string(), expr);
+            let substituted = (0..values.len())
+                .fold(expr.clone(), |e, id| e.replace(&format!("{{out_{id}}}"), &values[id].to_string()));
+            let got = ast.eval(|id| Ok(values[id])).map_err(|e| e.to_string());
+            let want = eval_math(&substituted).map_err(|e| e.to_string());
+            prop_assert_eq!(got, want, "{} as {}", expr, substituted);
+        }
+    }
 }
 
 proptest! {
