@@ -92,24 +92,9 @@ impl BBox {
         self.intersect(other).map_or(0.0, |b| b.area() / self.area())
     }
 
-    /// True if the point is inside (inclusive of edges).
-    pub fn contains_point(&self, x: f32, y: f32) -> bool {
-        x >= self.x0 && x <= self.x1 && y >= self.y0 && y <= self.y1
-    }
-
     /// True if `other` lies entirely within `self`.
     pub fn contains(&self, other: &BBox) -> bool {
         other.x0 >= self.x0 && other.x1 <= self.x1 && other.y0 >= self.y0 && other.y1 <= self.y1
-    }
-
-    /// Horizontal gap between boxes (0 when they overlap in x).
-    pub fn hgap(&self, other: &BBox) -> f32 {
-        (other.x0 - self.x1).max(self.x0 - other.x1).max(0.0)
-    }
-
-    /// Vertical gap between boxes (0 when they overlap in y).
-    pub fn vgap(&self, other: &BBox) -> f32 {
-        (other.y0 - self.y1).max(self.y0 - other.y1).max(0.0)
     }
 
     /// Grows the box by `d` on every side (clamped to non-negative size).
@@ -163,23 +148,11 @@ mod tests {
     }
 
     #[test]
-    fn gaps() {
-        let a = b(0.0, 0.0, 10.0, 10.0);
-        let right = b(15.0, 0.0, 20.0, 10.0);
-        let below = b(0.0, 13.0, 10.0, 20.0);
-        assert_eq!(a.hgap(&right), 5.0);
-        assert_eq!(right.hgap(&a), 5.0);
-        assert_eq!(a.vgap(&below), 3.0);
-        assert_eq!(a.hgap(&below), 0.0);
-    }
-
-    #[test]
     fn containment_and_coverage() {
         let outer = b(0.0, 0.0, 100.0, 100.0);
         let inner = b(10.0, 10.0, 20.0, 20.0);
         assert!(outer.contains(&inner));
         assert!(!inner.contains(&outer));
-        assert!(outer.contains_point(0.0, 100.0));
         assert!((inner.coverage_by(&outer) - 1.0).abs() < 1e-6);
         assert!((outer.coverage_by(&inner) - 0.01).abs() < 1e-6);
     }

@@ -141,11 +141,6 @@ pub fn has_errors(diags: &[Diagnostic]) -> bool {
     diags.iter().any(|d| d.severity == Severity::Error)
 }
 
-/// The worst severity present, if any.
-pub fn max_severity(diags: &[Diagnostic]) -> Option<Severity> {
-    diags.iter().map(|d| d.severity).max()
-}
-
 /// Renders diagnostics one per line, errors first, for prompts and terminals.
 pub fn render(diags: &[Diagnostic]) -> String {
     let mut sorted: Vec<&Diagnostic> = diags.iter().collect();
@@ -200,8 +195,6 @@ mod tests {
         let hpos = r.find("a-hint").unwrap();
         assert!(epos < wpos && wpos < hpos);
         assert!(has_errors(&diags));
-        assert_eq!(max_severity(&diags), Some(Severity::Error));
-        assert_eq!(max_severity(&[]), None);
     }
 
     #[test]

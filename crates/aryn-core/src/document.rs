@@ -134,7 +134,7 @@ impl Element {
 
     /// Appends [`Element::content_text`] to `out` without building it
     /// first.
-    pub fn push_content_text(&self, out: &mut String) {
+    fn push_content_text(&self, out: &mut String) {
         match (&self.table, &self.image) {
             (Some(t), _) => {
                 if let Some(c) = &t.caption {
@@ -296,23 +296,6 @@ impl<'a> DocNode<'a> {
     /// Heading text ("" for the root).
     pub fn heading_text(&self) -> &str {
         self.heading.map_or("", |i| self.doc.elements[i].text.as_str())
-    }
-
-    /// All element indexes in this subtree, pre-order.
-    pub fn all_elements(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.collect(&mut out);
-        out
-    }
-
-    fn collect(&self, out: &mut Vec<usize>) {
-        if let Some(h) = self.heading {
-            out.push(h);
-        }
-        out.extend(&self.body);
-        for c in &self.children {
-            c.collect(out);
-        }
     }
 }
 
@@ -484,15 +467,6 @@ mod tests {
         assert_eq!(sections.len(), 3); // Title + 2 section headers
         let analysis = sections.iter().find(|s| s.heading_text() == "Analysis").unwrap();
         assert!(analysis.children.is_empty());
-    }
-
-    #[test]
-    fn all_elements_preorder() {
-        let d = doc_with_sections();
-        let tree = d.tree();
-        let mut all = tree.root.body.clone();
-        all.extend(tree.root.children[0].all_elements());
-        assert_eq!(all, vec![0, 1, 2, 3, 4, 5, 6]);
     }
 
     #[test]

@@ -59,14 +59,6 @@ pub const US_STATES: &[(&str, &str)] = &[
     ("WY", "Wyoming"),
 ];
 
-/// Looks up a state's abbreviation from its full name (case-insensitive).
-pub fn state_abbrev(full_name: &str) -> Option<&'static str> {
-    US_STATES
-        .iter()
-        .find(|(_, n)| n.eq_ignore_ascii_case(full_name))
-        .map(|(a, _)| *a)
-}
-
 /// True if `s` is a US state abbreviation.
 pub fn is_state_abbrev(s: &str) -> bool {
     s.len() == 2 && US_STATES.iter().any(|(a, _)| a.eq_ignore_ascii_case(s))
@@ -224,8 +216,6 @@ mod tests {
 
     #[test]
     fn state_lookup() {
-        assert_eq!(state_abbrev("alaska"), Some("AK"));
-        assert_eq!(state_abbrev("Narnia"), None);
         assert!(is_state_abbrev("wa"));
         assert!(!is_state_abbrev("XX"));
         assert!(!is_state_abbrev("WAS"));

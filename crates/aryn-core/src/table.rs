@@ -85,7 +85,7 @@ impl Table {
     }
 
     /// Index of the column whose header contains `name` (case-insensitive).
-    pub fn column_index(&self, name: &str) -> Option<usize> {
+    fn column_index(&self, name: &str) -> Option<usize> {
         let needle = name.to_lowercase();
         self.headers()
             .iter()

@@ -95,7 +95,7 @@ pub fn atomic_write(vfs: &dyn Vfs, path: &Path, data: &[u8]) -> Result<()> {
 
 /// The temp-file name `atomic_write` stages through (recognizable so
 /// recovery can sweep orphans).
-pub fn tmp_path(path: &Path) -> PathBuf {
+fn tmp_path(path: &Path) -> PathBuf {
     let mut name = path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
     name.push_str(".tmp");
     path.with_file_name(name)

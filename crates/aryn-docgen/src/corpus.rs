@@ -93,21 +93,6 @@ impl Corpus {
         self.docs.is_empty()
     }
 
-    /// Documents at the *raw* stage: full text as content, no elements — the
-    /// "single-node document with the raw PDF binary as the content" (§5.1).
-    /// The raw rendering itself travels alongside in `DocContent::Text` form
-    /// (our PDF stand-in is positioned text, not opaque bytes).
-    pub fn raw_documents(&self) -> Vec<Document> {
-        self.docs
-            .iter()
-            .map(|d| {
-                let mut doc = Document::from_text(d.id.clone(), d.raw.full_text());
-                doc.set_prop("domain", d.domain.name());
-                doc
-            })
-            .collect()
-    }
-
     /// Documents partitioned *perfectly from ground truth* — the oracle
     /// partitioning, used to isolate downstream stages in tests and to
     /// compare against real partitioner output.
@@ -187,15 +172,6 @@ mod tests {
         assert_eq!(c.len(), 7);
         assert_eq!(c.docs.iter().filter(|d| d.domain == Domain::Ntsb).count(), 3);
         assert_eq!(c.docs.iter().filter(|d| d.domain == Domain::Earnings).count(), 4);
-    }
-
-    #[test]
-    fn raw_documents_have_text_but_no_elements() {
-        let c = Corpus::ntsb(1, 2);
-        let docs = c.raw_documents();
-        assert!(docs[0].elements.is_empty());
-        assert!(!docs[0].full_text().is_empty());
-        assert_eq!(docs[0].prop("domain").unwrap().as_str(), Some("ntsb"));
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub struct RawDocument {
 
 impl RawDocument {
     /// Fragments on one page, in reading order (sorted by y, then x).
-    pub fn page_fragments(&self, page: usize) -> Vec<&Fragment> {
+    fn page_fragments(&self, page: usize) -> Vec<&Fragment> {
         let mut v: Vec<&Fragment> = self.fragments.iter().filter(|f| f.page == page).collect();
         v.sort_by(|a, b| {
             a.bbox

@@ -15,7 +15,7 @@ pub mod records;
 pub mod stream;
 
 pub use corpus::{gold_document, Corpus, CorpusDoc, Domain};
-pub use stream::{extracted_document, DocStream, StreamStage};
+pub use stream::{extracted_document, DocStream};
 pub use layout::{Block, Fragment, GroundTruth, GtBox, LayoutEngine, RawDocument, RawImage, Rule,
                  MARGIN, PAGE_H, PAGE_W};
 pub use records::{EarningsRecord, NtsbRecord};

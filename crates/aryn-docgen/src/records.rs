@@ -44,7 +44,7 @@ impl NtsbRecord {
         self.fatal + self.serious + self.minor + self.uninjured
     }
 
-    pub fn date_iso(&self) -> String {
+    fn date_iso(&self) -> String {
         format!("{:04}-{:02}-{:02}", self.year, self.month, self.day)
     }
 

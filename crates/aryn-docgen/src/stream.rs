@@ -9,20 +9,9 @@ use crate::corpus::{gold_document, CorpusDoc, Domain};
 use crate::records::{EarningsRecord, NtsbRecord};
 use aryn_core::Document;
 
-/// What stage of document the stream emits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamStage {
-    /// Raw full-text content only (pre-partitioning).
-    Raw,
-    /// Perfectly partitioned from ground truth (oracle elements).
-    Gold,
-    /// Gold elements plus the grading record's fields as extracted
-    /// properties — a stand-in for a parse→extract pipeline having already
-    /// run, so the emitted documents are immediately plannable by Luna.
-    Extracted,
-}
-
-/// A rate-controlled, seeded document feed.
+/// A rate-controlled, seeded document feed of extracted documents
+/// ([`extracted_document`]): gold elements plus the grading record's fields
+/// as properties, immediately plannable by Luna.
 #[derive(Debug, Clone)]
 pub struct DocStream {
     domain: Domain,
@@ -31,7 +20,6 @@ pub struct DocStream {
     next_i: usize,
     /// Virtual milliseconds between consecutive arrivals.
     interval_ms: f64,
-    stage: StreamStage,
 }
 
 impl DocStream {
@@ -43,7 +31,6 @@ impl DocStream {
             total,
             next_i: 0,
             interval_ms,
-            stage: StreamStage::Extracted,
         }
     }
 
@@ -55,14 +42,7 @@ impl DocStream {
             total,
             next_i: 0,
             interval_ms,
-            stage: StreamStage::Extracted,
         }
-    }
-
-    /// Overrides the emitted document stage (default: `Extracted`).
-    pub fn with_stage(mut self, stage: StreamStage) -> DocStream {
-        self.stage = stage;
-        self
     }
 
     /// Documents not yet emitted.
@@ -70,37 +50,15 @@ impl DocStream {
         self.total - self.next_i
     }
 
-    pub fn is_exhausted(&self) -> bool {
-        self.next_i >= self.total
-    }
-
-    /// Arrival time of the next document, if any.
-    pub fn peek_arrival_ms(&self) -> Option<f64> {
-        (!self.is_exhausted()).then_some(self.next_i as f64 * self.interval_ms)
-    }
-
     /// Generates the next document and its arrival timestamp.
     pub fn next_arrival(&mut self) -> Option<(Document, f64)> {
-        if self.is_exhausted() {
+        if self.remaining() == 0 {
             return None;
         }
         let i = self.next_i;
         self.next_i += 1;
         let entry = corpus_doc(self.domain, self.seed, i);
-        Some((stage_document(&entry, self.stage), i as f64 * self.interval_ms))
-    }
-
-    /// Drains every document whose arrival time is `<= until_ms` — the shape
-    /// a poll-driven feeder wants ("what has arrived by now?").
-    pub fn next_batch(&mut self, until_ms: f64) -> Vec<(Document, f64)> {
-        let mut out = Vec::new();
-        while let Some(at) = self.peek_arrival_ms() {
-            if at > until_ms {
-                break;
-            }
-            out.extend(self.next_arrival());
-        }
-        out
+        Some((extracted_document(&entry), i as f64 * self.interval_ms))
     }
 }
 
@@ -148,18 +106,6 @@ pub fn extracted_document(d: &CorpusDoc) -> Document {
     doc
 }
 
-fn stage_document(d: &CorpusDoc, stage: StreamStage) -> Document {
-    match stage {
-        StreamStage::Raw => {
-            let mut doc = Document::from_text(d.id.clone(), d.raw.full_text());
-            doc.set_prop("domain", d.domain.name());
-            doc
-        }
-        StreamStage::Gold => gold_document(d),
-        StreamStage::Extracted => extracted_document(d),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,17 +114,17 @@ mod tests {
     #[test]
     fn stream_matches_batch_corpus_doc_for_doc() {
         let corpus = Corpus::ntsb(3, 5);
-        let mut stream = DocStream::ntsb(3, 5, 10.0).with_stage(StreamStage::Raw);
-        let batch = corpus.raw_documents();
+        let mut stream = DocStream::ntsb(3, 5, 10.0);
         let mut n = 0;
         while let Some((doc, at)) = stream.next_arrival() {
-            assert_eq!(doc.id, batch[n].id);
-            assert_eq!(doc.full_text(), batch[n].full_text());
+            let want = extracted_document(&corpus.docs[n]);
+            assert_eq!(doc.id, want.id);
+            assert_eq!(doc.full_text(), want.full_text());
             assert_eq!(at, n as f64 * 10.0);
             n += 1;
         }
         assert_eq!(n, 5);
-        assert!(stream.is_exhausted());
+        assert_eq!(stream.remaining(), 0);
     }
 
     #[test]
@@ -190,20 +136,5 @@ mod tests {
         assert!(doc.prop("sector").is_some());
         assert!(doc.prop("id").is_none(), "grading id stays out of properties");
         assert!(!doc.elements.is_empty(), "gold elements ride along");
-    }
-
-    #[test]
-    fn next_batch_drains_by_arrival_time() {
-        let mut stream = DocStream::ntsb(9, 10, 100.0);
-        let first = stream.next_batch(250.0);
-        assert_eq!(first.len(), 3, "arrivals at 0/100/200");
-        assert_eq!(stream.remaining(), 7);
-        let none = stream.next_batch(250.0);
-        assert!(none.is_empty());
-        let rest = stream.next_batch(f64::MAX);
-        assert_eq!(rest.len(), 7);
-        assert!(stream.is_exhausted());
-        assert!(stream.next_arrival().is_none());
-        assert_eq!(stream.peek_arrival_ms(), None);
     }
 }

@@ -75,7 +75,7 @@ impl Predicate {
     }
 
     /// Evaluates against a bare properties object.
-    pub fn matches_value(&self, props: &Value) -> bool {
+    fn matches_value(&self, props: &Value) -> bool {
         match self {
             Predicate::Eq(path, want) => props
                 .get_path(path)
@@ -229,10 +229,6 @@ impl CompiledNode {
 impl CompiledPredicate {
     pub fn matches(&self, doc: &Document) -> bool {
         self.root.matches_value(&doc.properties)
-    }
-
-    pub fn matches_value(&self, props: &Value) -> bool {
-        self.root.matches_value(props)
     }
 }
 
@@ -586,12 +582,14 @@ impl DocStore {
     }
 
     /// Number of sealed segments currently live.
-    pub fn segment_count(&self) -> usize {
+    #[cfg(test)]
+    fn segment_count(&self) -> usize {
         self.segments.len()
     }
 
     /// Documents (and tombstones) in the mutable memtable.
-    pub fn memtable_len(&self) -> usize {
+    #[cfg(test)]
+    fn memtable_len(&self) -> usize {
         self.mem.docs.len()
     }
 
@@ -1279,10 +1277,6 @@ impl StoreSnapshot {
 
     pub fn is_empty(&self) -> bool {
         self.live == 0
-    }
-
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
     }
 
     pub fn get(&self, id: &str) -> Option<&Document> {

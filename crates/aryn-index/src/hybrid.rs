@@ -3,9 +3,6 @@
 //! RAG stacks combine lexical and semantic retrieval; RRF is the standard
 //! score-free fusion. `score(d) = Σ_lists 1 / (k + rank_d)`.
 
-use crate::keyword::Hit;
-use crate::vector::Neighbor;
-
 /// RRF constant; 60 is the canonical choice from the original paper.
 pub const RRF_K: f64 = 60.0;
 
@@ -26,17 +23,6 @@ pub fn rrf_fuse(lists: &[Vec<String>], limit: usize) -> Vec<(String, f64)> {
     });
     out.truncate(limit);
     out
-}
-
-/// Convenience: fuse keyword hits and vector neighbours.
-pub fn fuse_hits(keyword: &[Hit], vector: &[Neighbor], limit: usize) -> Vec<(String, f64)> {
-    rrf_fuse(
-        &[
-            keyword.iter().map(|h| h.key.clone()).collect(),
-            vector.iter().map(|n| n.key.clone()).collect(),
-        ],
-        limit,
-    )
 }
 
 #[cfg(test)]
@@ -72,13 +58,5 @@ mod tests {
         assert!(rrf_fuse(&[], 5).is_empty());
         let fused = rrf_fuse(&[vec!["a".into(), "b".into(), "c".into()]], 2);
         assert_eq!(fused.len(), 2);
-    }
-
-    #[test]
-    fn fuse_hits_bridges_types() {
-        let kw = vec![Hit { key: "k1".into(), score: 9.0 }];
-        let vx = vec![Neighbor { key: "k1".into(), score: 0.9 }, Neighbor { key: "k2".into(), score: 0.5 }];
-        let fused = fuse_hits(&kw, &vx, 10);
-        assert_eq!(fused[0].0, "k1");
     }
 }

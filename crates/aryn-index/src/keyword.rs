@@ -4,18 +4,10 @@ use aryn_core::text::{analyze, any_analyzed};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// BM25 parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct Bm25Params {
-    pub k1: f64,
-    pub b: f64,
-}
-
-impl Default for Bm25Params {
-    fn default() -> Self {
-        Bm25Params { k1: 1.2, b: 0.75 }
-    }
-}
+/// BM25 term-frequency saturation.
+const K1: f64 = 1.2;
+/// BM25 document-length normalization.
+const B: f64 = 0.75;
 
 /// A scored search hit.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,7 +28,6 @@ pub struct Hit {
 /// ```
 #[derive(Debug, Default)]
 pub struct KeywordIndex {
-    params: Bm25Params,
     /// term -> postings (doc ordinal, term frequency)
     postings: BTreeMap<String, Vec<(u32, u32)>>,
     /// doc ordinal -> (external key, token length)
@@ -49,13 +40,6 @@ pub struct KeywordIndex {
 impl KeywordIndex {
     pub fn new() -> KeywordIndex {
         KeywordIndex::default()
-    }
-
-    pub fn with_params(params: Bm25Params) -> KeywordIndex {
-        KeywordIndex {
-            params,
-            ..KeywordIndex::default()
-        }
     }
 
     pub fn len(&self) -> usize {
@@ -141,69 +125,12 @@ impl KeywordIndex {
         }
         let n = self.live_docs() as f64;
         let avg_len = self.total_len as f64 / n.max(1.0);
-        let consts = Bm25Consts::new(self.params, avg_len);
+        let consts = Bm25Consts::new(avg_len);
         let mut scores: BTreeMap<u32, f64> = BTreeMap::new();
         for term in &terms {
             let Some(plist) = self.postings.get(term) else { continue };
             let idf = bm25_idf(n, plist.len() as f64);
             for (ord, tf) in plist {
-                let doc_len = self.docs[*ord as usize].1 as f64;
-                *scores.entry(*ord).or_insert(0.0) += consts.score(idf, *tf as f64, doc_len);
-            }
-        }
-        let mut hits: Vec<Hit> = scores
-            .into_iter()
-            .filter(|(ord, _)| !self.docs[*ord as usize].0.is_empty())
-            .map(|(ord, score)| Hit {
-                key: self.docs[ord as usize].0.clone(),
-                score,
-            })
-            .collect();
-        sort_hits(&mut hits, k);
-        hits
-    }
-
-    /// Phrase search: BM25 candidates filtered to those whose text contained
-    /// the query terms adjacently at index time is not representable from
-    /// postings alone; instead this checks all-terms-present (AND semantics).
-    /// Short-circuits on the rarest term: candidates start from the smallest
-    /// postings list and only survivors of the intersection are scored.
-    pub fn search_all_terms(&self, query: &str, k: usize) -> Vec<Hit> {
-        let terms = analyze(query);
-        if terms.is_empty() || self.live_docs() == 0 {
-            return Vec::new();
-        }
-        // Any term with no postings makes the conjunction empty — bail
-        // before touching the other lists.
-        let mut lists: Vec<&Vec<(u32, u32)>> = Vec::with_capacity(terms.len());
-        for t in &terms {
-            match self.postings.get(t) {
-                Some(p) if !p.is_empty() => lists.push(p),
-                _ => return Vec::new(),
-            }
-        }
-        // Intersect starting from the rarest term's postings; every other
-        // list is probed by binary search (postings stay ord-sorted).
-        lists.sort_by_key(|p| p.len());
-        let mut ords: Vec<u32> = lists[0].iter().map(|(d, _)| *d).collect();
-        for p in &lists[1..] {
-            ords.retain(|d| p.binary_search_by_key(d, |(x, _)| *x).is_ok());
-            if ords.is_empty() {
-                return Vec::new();
-            }
-        }
-        let surviving: std::collections::BTreeSet<u32> = ords.into_iter().collect();
-        let n = self.live_docs() as f64;
-        let avg_len = self.total_len as f64 / n.max(1.0);
-        let consts = Bm25Consts::new(self.params, avg_len);
-        let mut scores: BTreeMap<u32, f64> = BTreeMap::new();
-        for term in &terms {
-            let Some(plist) = self.postings.get(term) else { continue };
-            let idf = bm25_idf(n, plist.len() as f64);
-            for (ord, tf) in plist {
-                if !surviving.contains(ord) {
-                    continue;
-                }
                 let doc_len = self.docs[*ord as usize].1 as f64;
                 *scores.entry(*ord).or_insert(0.0) += consts.score(idf, *tf as f64, doc_len);
             }
@@ -225,9 +152,9 @@ impl KeywordIndex {
 /// `pending`, in shard then ordinal order: the compaction merge. Postings
 /// move over by index through a per-shard old → new ordinal table, never
 /// re-analyzed and never looked up by key.
-fn merge_live(params: Bm25Params, old: &[Arc<KeywordIndex>], owner: &BTreeMap<String, usize>, pending: &[usize]) -> KeywordIndex {
+fn merge_live(old: &[Arc<KeywordIndex>], owner: &BTreeMap<String, usize>, pending: &[usize]) -> KeywordIndex {
     const DROPPED: u32 = u32::MAX;
-    let mut merged = KeywordIndex::with_params(params);
+    let mut merged = KeywordIndex::new();
     let mut ords: Vec<u32> = Vec::new();
     for &i in pending {
         ords.clear();
@@ -274,11 +201,11 @@ struct Bm25Consts {
 }
 
 impl Bm25Consts {
-    fn new(params: Bm25Params, avg_len: f64) -> Bm25Consts {
+    fn new(avg_len: f64) -> Bm25Consts {
         Bm25Consts {
-            k1_plus_1: params.k1 + 1.0,
-            k1_one_minus_b: params.k1 * (1.0 - params.b),
-            k1_b_over_avg: params.k1 * params.b / avg_len,
+            k1_plus_1: K1 + 1.0,
+            k1_one_minus_b: K1 * (1.0 - B),
+            k1_b_over_avg: K1 * B / avg_len,
         }
     }
 
@@ -318,7 +245,6 @@ const ACTIVE_SHARD: usize = usize::MAX;
 /// documents.
 #[derive(Debug)]
 pub struct ShardedKeywordIndex {
-    params: Bm25Params,
     /// Active-shard size that triggers an automatic seal; `0` = never.
     shard_cap: usize,
     sealed: Vec<Arc<KeywordIndex>>,
@@ -340,15 +266,10 @@ impl Default for ShardedKeywordIndex {
 
 impl ShardedKeywordIndex {
     pub fn new(shard_cap: usize) -> ShardedKeywordIndex {
-        ShardedKeywordIndex::with_params(Bm25Params::default(), shard_cap)
-    }
-
-    pub fn with_params(params: Bm25Params, shard_cap: usize) -> ShardedKeywordIndex {
         ShardedKeywordIndex {
-            params,
             shard_cap,
             sealed: Vec::new(),
-            active: KeywordIndex::with_params(params),
+            active: KeywordIndex::new(),
             owner: BTreeMap::new(),
             live_len: 0,
             dead: 0,
@@ -433,7 +354,7 @@ impl ShardedKeywordIndex {
                 *loc = idx;
             }
         }
-        let frozen = std::mem::replace(&mut self.active, KeywordIndex::with_params(self.params));
+        let frozen = std::mem::replace(&mut self.active, KeywordIndex::new());
         self.sealed.push(Arc::new(frozen));
     }
 
@@ -455,7 +376,6 @@ impl ShardedKeywordIndex {
             self.shard_cap.saturating_mul(4)
         };
         fn flush(
-            params: Bm25Params,
             old: &[Arc<KeywordIndex>],
             owner: &BTreeMap<String, usize>,
             pending: &mut Vec<usize>,
@@ -469,7 +389,7 @@ impl ShardedKeywordIndex {
             for &i in pending.iter() {
                 remap[i] = new_sealed.len();
             }
-            let merged = merge_live(params, old, owner, pending);
+            let merged = merge_live(old, owner, pending);
             pending.clear();
             *pending_docs = 0;
             if merged.doc_count() > 0 {
@@ -489,18 +409,18 @@ impl ShardedKeywordIndex {
                 .count();
             if live == shard.doc_count() && live >= tier_cap {
                 // Settled and clean: keep the built postings, zero work.
-                flush(self.params, &old, &self.owner, &mut pending, &mut pending_docs, &mut new_sealed, &mut remap);
+                flush(&old, &self.owner, &mut pending, &mut pending_docs, &mut new_sealed, &mut remap);
                 remap[i] = new_sealed.len();
                 new_sealed.push(Arc::clone(shard));
                 continue;
             }
             if pending_docs + live > tier_cap {
-                flush(self.params, &old, &self.owner, &mut pending, &mut pending_docs, &mut new_sealed, &mut remap);
+                flush(&old, &self.owner, &mut pending, &mut pending_docs, &mut new_sealed, &mut remap);
             }
             pending_docs += live;
             pending.push(i);
         }
-        flush(self.params, &old, &self.owner, &mut pending, &mut pending_docs, &mut new_sealed, &mut remap);
+        flush(&old, &self.owner, &mut pending, &mut pending_docs, &mut new_sealed, &mut remap);
         self.sealed = new_sealed;
         for loc in self.owner.values_mut() {
             *loc = remap[*loc];
@@ -519,7 +439,7 @@ impl ShardedKeywordIndex {
         }
         let n = self.owner.len() as f64;
         let avg_len = self.live_len as f64 / n.max(1.0);
-        let consts = Bm25Consts::new(self.params, avg_len);
+        let consts = Bm25Consts::new(avg_len);
         let mut scores: BTreeMap<&str, f64> = BTreeMap::new();
         let mut matched: Vec<(&str, f64, f64)> = Vec::new();
         for term in &terms {
@@ -596,15 +516,6 @@ mod tests {
     }
 
     #[test]
-    fn search_all_terms_requires_every_term() {
-        let ix = sample_index();
-        let both = ix.search_all_terms("wind approach", 10);
-        assert_eq!(both.len(), 1);
-        assert_eq!(both[0].key, "a");
-        assert!(ix.search_all_terms("wind spaceship", 10).is_empty());
-    }
-
-    #[test]
     fn remove_and_reindex() {
         let mut ix = sample_index();
         ix.remove("c");
@@ -641,24 +552,6 @@ mod tests {
         let hits = ix.search("identical", 5);
         assert_eq!(hits[0].key, "y");
         assert_eq!(hits[1].key, "z");
-    }
-
-    #[test]
-    fn all_terms_short_circuit_equals_old_semantics() {
-        let mut ix = KeywordIndex::new();
-        for i in 0..50 {
-            ix.add(format!("common{i}"), "airplane wind weather report");
-        }
-        ix.add("rare", "airplane turbulence encounter over the ridge");
-        // "turbulence" is the rarest term: the intersection starts from its
-        // single posting instead of scoring 51 docs.
-        let hits = ix.search_all_terms("airplane turbulence", 10);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].key, "rare");
-        // Scores still match plain search for the surviving doc.
-        let full = ix.search("airplane turbulence", 60);
-        let want = full.iter().find(|h| h.key == "rare").unwrap();
-        assert_eq!(hits[0].score, want.score);
     }
 }
 
@@ -813,7 +706,7 @@ mod sharded_tests {
     fn seal_walking_every_owner(ix: &mut ShardedKeywordIndex) {
         let idx = ix.sealed.len();
         ix.owner.values_mut().filter(|loc| **loc == ACTIVE_SHARD).for_each(|loc| *loc = idx);
-        let frozen = std::mem::replace(&mut ix.active, KeywordIndex::with_params(ix.params));
+        let frozen = std::mem::replace(&mut ix.active, KeywordIndex::new());
         ix.sealed.push(Arc::new(frozen));
     }
 
@@ -846,12 +739,11 @@ mod sharded_tests {
     /// The compaction merge as it stood before ordinal remapping: two key
     /// lookups per posting and a term copy per term per shard, then a sort.
     fn merge_by_key_lookup(
-        params: Bm25Params,
         old: &[Arc<KeywordIndex>],
         owner: &BTreeMap<String, usize>,
         pending: &[usize],
     ) -> KeywordIndex {
-        let mut merged = KeywordIndex::with_params(params);
+        let mut merged = KeywordIndex::new();
         for &i in pending {
             for (key, dl) in &old[i].docs {
                 if key.is_empty() || owner.get(key) != Some(&i) {
@@ -897,8 +789,8 @@ mod sharded_tests {
         assert!(ix.sealed_count() >= 8 && ix.dead() > 0);
         let all: Vec<usize> = (0..ix.sealed_count()).collect();
         for pending in [&all[..], &all[..1], &all[2..5], &all[all.len() - 3..]] {
-            let got = merge_live(ix.params, &ix.sealed, &ix.owner, pending);
-            let want = merge_by_key_lookup(ix.params, &ix.sealed, &ix.owner, pending);
+            let got = merge_live(&ix.sealed, &ix.owner, pending);
+            let want = merge_by_key_lookup(&ix.sealed, &ix.owner, pending);
             assert_eq!(got.postings, want.postings, "{pending:?}");
             assert_eq!(got.docs, want.docs, "{pending:?}");
             assert_eq!(got.by_key, want.by_key, "{pending:?}");

@@ -21,8 +21,8 @@ pub use docstore::{
     StoreConfig, StoreSnapshot, StoreStats, WalConfig,
 };
 pub use graph::{Edge, GraphNode, GraphStore};
-pub use hybrid::{fuse_hits, rrf_fuse, RRF_K};
-pub use keyword::{Bm25Params, Hit, KeywordIndex, ShardedKeywordIndex};
+pub use hybrid::{rrf_fuse, RRF_K};
+pub use keyword::{Hit, KeywordIndex, ShardedKeywordIndex};
 pub use vector::{
-    recall_at_k, FlatIndex, HnswIndex, HnswParams, Neighbor, ShardedHnsw, VectorIndex,
+    recall_at_k, FlatIndex, HnswIndex, Neighbor, ShardedHnsw, VectorIndex,
 };

@@ -157,26 +157,21 @@ impl VectorIndex for FlatIndex {
     }
 }
 
-/// HNSW configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct HnswParams {
-    /// Max links per node on upper layers (layer 0 uses `2 * m`).
-    pub m: usize,
-    /// Candidate-list width during construction.
-    pub ef_construction: usize,
-    /// Candidate-list width during search.
-    pub ef_search: usize,
-    pub seed: u64,
-}
+/// Max links per node on upper layers (layer 0 keeps `2 * M`).
+const M: usize = 12;
+/// Candidate-list width while inserting.
+const EF_CONSTRUCTION: usize = 80;
+/// Candidate-list width while searching (at least `k`).
+const EF_SEARCH: usize = 40;
+/// Seeds each node's level draw.
+const LEVEL_SEED: u64 = 0x45_57;
 
-impl Default for HnswParams {
-    fn default() -> Self {
-        HnswParams {
-            m: 12,
-            ef_construction: 80,
-            ef_search: 40,
-            seed: 0x45_57,
-        }
+/// Link-list bound on `layer`.
+fn max_links(layer: usize) -> usize {
+    if layer == 0 {
+        M * 2
+    } else {
+        M
     }
 }
 
@@ -194,7 +189,6 @@ struct Link {
 /// Hierarchical navigable small-world index.
 #[derive(Clone)]
 pub struct HnswIndex {
-    params: HnswParams,
     arena: Arena,
     /// layers[l][node] = the node's links; nodes absent from a layer have no
     /// entry.
@@ -262,9 +256,8 @@ impl Scratch {
 }
 
 impl HnswIndex {
-    pub fn new(dims: usize, params: HnswParams) -> HnswIndex {
+    pub fn with_dims(dims: usize) -> HnswIndex {
         HnswIndex {
-            params,
             arena: Arena::new(dims),
             layers: Vec::new(),
             node_level: Vec::new(),
@@ -272,14 +265,9 @@ impl HnswIndex {
         }
     }
 
-    pub fn with_dims(dims: usize) -> HnswIndex {
-        HnswIndex::new(dims, HnswParams::default())
-    }
-
     fn random_level(&self, node: usize) -> usize {
         // Geometric distribution with p = 1/e-like decay, deterministic per node.
-        let mut rng =
-            StdRng::seed_from_u64(stable_hash(self.params.seed, &["level", &node.to_string()]));
+        let mut rng = StdRng::seed_from_u64(stable_hash(LEVEL_SEED, &["level", &node.to_string()]));
         let mut level = 0usize;
         while rng.gen::<f64>() < 1.0 / std::f64::consts::E && level < 16 {
             level += 1;
@@ -332,15 +320,7 @@ impl HnswIndex {
         for layer in (1..self.layers.len()).rev() {
             cur = self.search_layer(s, query, qn, cur, 1, layer);
         }
-        self.search_layer(s, query, qn, cur, self.params.ef_search.max(k), 0);
-    }
-
-    fn max_links(&self, layer: usize) -> usize {
-        if layer == 0 {
-            self.params.m * 2
-        } else {
-            self.params.m
-        }
+        self.search_layer(s, query, qn, cur, EF_SEARCH.max(k), 0);
     }
 
     /// Links `a` and `b` both ways (`sim` is their similarity), pruning a
@@ -349,7 +329,7 @@ impl HnswIndex {
         if a == b {
             return;
         }
-        let max_links = self.max_links(layer);
+        let max_links = max_links(layer);
         for (x, y) in [(a, b), (b, a)] {
             let links = &mut self.layers[layer][x as usize];
             if links.iter().any(|l| l.id == y) {
@@ -379,9 +359,9 @@ impl HnswIndex {
         }
         // Insert with links from level down to 0.
         for layer in (0..=level.min(top)).rev() {
-            cur = self.search_layer(s, query, qn, cur, self.params.ef_construction, layer);
+            cur = self.search_layer(s, query, qn, cur, EF_CONSTRUCTION, layer);
             // `link` prunes through its own buffer, so `results` stays put.
-            for i in 0..s.results.len().min(self.max_links(layer)) {
+            for i in 0..s.results.len().min(max_links(layer)) {
                 let (sim, nb) = s.results[i];
                 self.link(s, layer, id, nb, sim);
             }
@@ -472,7 +452,6 @@ struct Slot {
 /// deterministic key tie-breaks.
 pub struct ShardedHnsw {
     dims: usize,
-    params: HnswParams,
     /// Vectors per shard: the active shard seals when it holds this many,
     /// and compaction refills into shards of at most this many.
     tier_cap: usize,
@@ -487,16 +466,11 @@ impl ShardedHnsw {
     /// `shard_cap` is the store's segment size (`0` = unbounded): shards
     /// grow to a tier of `4 × shard_cap` vectors.
     pub fn new(dims: usize, shard_cap: usize) -> ShardedHnsw {
-        ShardedHnsw::with_params(dims, HnswParams::default(), shard_cap)
-    }
-
-    pub fn with_params(dims: usize, params: HnswParams, shard_cap: usize) -> ShardedHnsw {
         ShardedHnsw {
             dims,
-            params,
             tier_cap: if shard_cap == 0 { usize::MAX } else { shard_cap.saturating_mul(4) },
             sealed: Vec::new(),
-            active: HnswIndex::new(dims, params),
+            active: HnswIndex::with_dims(dims),
             owner: BTreeMap::new(),
             dead: 0,
         }
@@ -539,7 +513,7 @@ impl ShardedHnsw {
             return;
         }
         let idx = self.sealed.len();
-        let mut frozen = std::mem::replace(&mut self.active, HnswIndex::new(self.dims, self.params));
+        let mut frozen = std::mem::replace(&mut self.active, HnswIndex::with_dims(self.dims));
         for (key, _) in frozen.entries() {
             if let Some(slot) = self.owner.get_mut(key).filter(|slot| slot.shard == ACTIVE_SHARD) {
                 slot.shard = idx;
@@ -563,7 +537,7 @@ impl ShardedHnsw {
 
     /// A fresh graph over `entries`, inserted in order.
     fn build<'a>(&self, entries: impl Iterator<Item = (&'a str, &'a [f32])>) -> HnswIndex {
-        let mut shard = HnswIndex::new(self.dims, self.params);
+        let mut shard = HnswIndex::with_dims(self.dims);
         for (key, vector) in entries {
             let _ = shard.add_slice(key, vector);
         }
@@ -829,7 +803,7 @@ mod tests {
         for (layer, lists) in h.layers.iter().enumerate() {
             for (x, list) in lists.iter().enumerate() {
                 let x = x as u32;
-                assert!(list.len() <= h.max_links(layer));
+                assert!(list.len() <= max_links(layer));
                 for l in list {
                     let recomputed = h.arena.sim(h.arena.vector(x), h.arena.norms[x as usize], l.id);
                     assert_eq!(l.sim.to_bits(), recomputed.to_bits(), "layer {layer}: {x} -> {}", l.id);
@@ -924,7 +898,7 @@ mod tests {
     fn seal_walking_every_owner(ix: &mut ShardedHnsw) {
         let idx = ix.sealed.len();
         ix.owner.values_mut().filter(|slot| slot.shard == ACTIVE_SHARD).for_each(|slot| slot.shard = idx);
-        let frozen = std::mem::replace(&mut ix.active, HnswIndex::new(ix.dims, ix.params));
+        let frozen = std::mem::replace(&mut ix.active, HnswIndex::with_dims(ix.dims));
         ix.sealed.push(Arc::new(frozen));
     }
 

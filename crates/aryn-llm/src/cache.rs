@@ -277,29 +277,6 @@ impl LlmCallCache {
         Ok(self)
     }
 
-    /// Rewrites the disk tier to exactly the live in-memory entries (atomic
-    /// temp→sync→rename): drops superseded duplicates and evicted entries.
-    /// Returns the number of entries written; no-op `Ok(0)` without a disk
-    /// tier.
-    pub fn compact_disk(&self) -> Result<usize> {
-        let Some(disk) = &self.disk else {
-            return Ok(0);
-        };
-        let tier = lock(disk);
-        let g = lock(&self.inner);
-        let mut keys: Vec<u64> = g.entries.keys().copied().collect();
-        keys.sort_unstable();
-        let mut out = Vec::new();
-        for key in &keys {
-            if let Some(entry) = g.entries.get(key) {
-                encode_entry(&mut out, *key, &entry.text, entry.usage)?;
-            }
-        }
-        drop(g);
-        vfs::atomic_write(&tier.vfs, &tier.path, &out)?;
-        Ok(keys.len())
-    }
-
     pub fn capacity(&self) -> usize {
         self.capacity
     }
@@ -841,30 +818,6 @@ mod tests {
             let again = reload(&fs, 8);
             assert_eq!((again.len(), again.stats().corrupt_entries), (3, 0), "cut at {cut}");
         }
-    }
-
-    #[test]
-    fn compact_disk_drops_dead_lines_atomically() {
-        let fs = Arc::new(MemFs::new());
-        let cache = reload(&fs, 2);
-        for i in 0..3 {
-            cache
-                .get_or_compute(entry_key(i), || Ok((format!("v{i}"), usage(0.1))))
-                .unwrap();
-        }
-        // Append-only tier holds all 3 entries; memory holds the live 2.
-        let entries = |b: Vec<u8>| frame_ends(&b).len();
-        assert_eq!(entries(fs.read(&log_path()).unwrap()), 3);
-        assert_eq!(cache.compact_disk().unwrap(), 2);
-        assert_eq!(entries(fs.read(&log_path()).unwrap()), 2);
-        drop(cache);
-        let warm = reload(&fs, 8);
-        assert_eq!(warm.len(), 2);
-        assert_eq!(warm.stats().corrupt_entries, 0);
-        assert!(warm
-            .get_or_compute(entry_key(2), || panic!("compacted entry must survive"))
-            .unwrap()
-            .hit);
     }
 
     #[test]

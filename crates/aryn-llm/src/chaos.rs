@@ -95,8 +95,8 @@ pub struct ChaosSchedule {
     /// Storage-fault plan riding alongside the LLM faults: torn writes,
     /// short reads, ENOSPC, and crash points over IO-op indices.
     /// `Context::set_chaos` wraps the session VFS in a `ChaosFs` when this
-    /// is non-calm. Always calm from [`ChaosSchedule::from_seed`]; attach
-    /// explicitly via [`ChaosSchedule::with_storage`].
+    /// is non-calm. Always calm from [`ChaosSchedule::from_seed`]; set it
+    /// explicitly to attach storage faults.
     pub storage: StorageSchedule,
 }
 
@@ -144,12 +144,6 @@ impl ChaosSchedule {
         self
     }
 
-    /// Attaches a storage-fault schedule (see [`StorageSchedule`]).
-    pub fn with_storage(mut self, storage: StorageSchedule) -> ChaosSchedule {
-        self.storage = storage;
-        self
-    }
-
     /// Switches the schedule to [`ChaosKeying::RequestKey`]: faults land by
     /// request content instead of arrival order, so they are reproducible
     /// under any parallel schedule. A request's virtual index is
@@ -162,7 +156,7 @@ impl ChaosSchedule {
     }
 
     /// The virtual index [`ChaosKeying::RequestKey`] assigns to a request.
-    pub fn request_index(prompt: &str, attempt: u32, horizon: u64) -> u64 {
+    fn request_index(prompt: &str, attempt: u32, horizon: u64) -> u64 {
         stable_hash(0xC4A0_6B1D, &[prompt]) % horizon.max(1) + attempt as u64
     }
 

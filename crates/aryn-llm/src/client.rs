@@ -182,16 +182,17 @@ pub struct RetryPolicy {
     pub max_transient: u32,
     /// Max re-asks when output JSON is unparseable even leniently.
     pub max_reask: u32,
-    /// Base of the (simulated) exponential backoff, in ms.
-    pub backoff_base_ms: f64,
 }
+
+/// Base of the (simulated) exponential backoff between transient retries,
+/// in ms.
+pub const BACKOFF_BASE_MS: f64 = 100.0;
 
 impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
             max_transient: 4,
             max_reask: 2,
-            backoff_base_ms: 100.0,
         }
     }
 }
@@ -244,7 +245,8 @@ impl LlmClient {
     }
 
     /// Shares an existing meter (so multiple clients aggregate together).
-    pub fn with_meter(mut self, meter: Arc<UsageMeter>) -> LlmClient {
+    #[cfg(test)]
+    fn with_meter(mut self, meter: Arc<UsageMeter>) -> LlmClient {
         self.meter = meter;
         self
     }
@@ -578,8 +580,7 @@ impl LlmClient {
                     let mut usage = resp.usage;
                     // Simulated backoff time joins the latency account.
                     if attempt > 0 {
-                        usage.latency_ms +=
-                            self.policy.backoff_base_ms * ((1 << (attempt - 1)) as f64);
+                        usage.latency_ms += BACKOFF_BASE_MS * ((1 << (attempt - 1)) as f64);
                     }
                     return Ok((resp.text, usage));
                 }
@@ -592,11 +593,8 @@ impl LlmClient {
                     if let Some(r) = rel {
                         // Exponential backoff with seeded jitter, charged to
                         // the virtual clock instead of sleeping.
-                        let backoff = r.policy().backoff_ms(
-                            self.policy.backoff_base_ms,
-                            self.model.name(),
-                            attempt + 1,
-                        );
+                        let backoff =
+                            crate::reliability::backoff_ms(self.model.name(), attempt + 1);
                         r.charge(backoff);
                         if let Some(b) = &breaker {
                             if b.record(false, r.now_ms()) {

@@ -95,7 +95,7 @@ impl EmbeddingModel for HashedBowEmbedder {
 }
 
 /// Normalizes in place; zero vectors stay zero.
-pub fn l2_normalize(v: &mut [f32]) {
+fn l2_normalize(v: &mut [f32]) {
     let norm: f32 = v.iter().map(|x| x * x).sum::<f32>().sqrt();
     if norm > 0.0 {
         for x in v.iter_mut() {

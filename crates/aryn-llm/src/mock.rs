@@ -35,7 +35,7 @@ pub struct EngineCtx<'a> {
 
 impl<'a> EngineCtx<'a> {
     /// Bernoulli draw with probability `p`, keyed by `tag`.
-    pub fn chance(&self, tag: &str, p: f64) -> bool {
+    fn chance(&self, tag: &str, p: f64) -> bool {
         self.uniform(tag) < p
     }
 

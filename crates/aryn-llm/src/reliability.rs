@@ -31,6 +31,7 @@
 //! every mechanism, so clients without an explicit policy behave exactly as
 //! before (same call counts, same usage accounting).
 
+use crate::client::BACKOFF_BASE_MS;
 use aryn_core::{stable_hash, ArynError, Result};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, VecDeque};
@@ -63,8 +64,6 @@ pub struct ReliabilityPolicy {
     pub breaker_threshold: f64,
     /// Simulated ms an open breaker waits before admitting a half-open probe.
     pub breaker_cooldown_ms: f64,
-    /// Seed for the backoff jitter (mixed with model name and attempt).
-    pub jitter_seed: u64,
     /// When the remaining deadline budget drops below this many simulated ms,
     /// degradation chains skip the primary model and go straight to the
     /// cheaper fallback. `0.0` disables proactive degradation.
@@ -81,7 +80,6 @@ impl Default for ReliabilityPolicy {
             breaker_window: 0,
             breaker_threshold: 0.5,
             breaker_cooldown_ms: 0.0,
-            jitter_seed: 0x5EED,
             degrade_below_ms: 0.0,
         }
     }
@@ -100,7 +98,6 @@ impl ReliabilityPolicy {
             breaker_window: 8,
             breaker_threshold: 0.5,
             breaker_cooldown_ms: 30_000.0,
-            jitter_seed: 0x5EED,
             degrade_below_ms: 5_000.0,
         }
     }
@@ -125,16 +122,19 @@ impl ReliabilityPolicy {
             || self.max_cost_usd > 0.0
             || self.breaker_window > 0
     }
+}
 
-    /// Exponential backoff with seeded jitter for a retry `attempt` (1-based)
-    /// against `model`, in simulated ms. Deterministic for a given policy.
-    pub fn backoff_ms(&self, base_ms: f64, model: &str, attempt: u32) -> f64 {
-        let exp = base_ms * ((1u64 << (attempt.saturating_sub(1)).min(16)) as f64);
-        let h = stable_hash(self.jitter_seed ^ attempt as u64, &[model, "jitter"]);
-        // Jitter in [0, 0.5) of the exponential term, seeded and stable.
-        let frac = ((h >> 11) as f64 / (1u64 << 53) as f64) * 0.5;
-        exp * (1.0 + frac)
-    }
+/// Seed for the backoff jitter (mixed with model name and attempt).
+const JITTER_SEED: u64 = 0x5EED;
+
+/// Exponential backoff from [`BACKOFF_BASE_MS`] with seeded jitter for a
+/// retry `attempt` (1-based) against `model`, in simulated ms.
+pub(crate) fn backoff_ms(model: &str, attempt: u32) -> f64 {
+    let exp = BACKOFF_BASE_MS * ((1u64 << (attempt.saturating_sub(1)).min(16)) as f64);
+    let h = stable_hash(JITTER_SEED ^ attempt as u64, &[model, "jitter"]);
+    // Jitter in [0, 0.5) of the exponential term, seeded and stable.
+    let frac = ((h >> 11) as f64 / (1u64 << 53) as f64) * 0.5;
+    exp * (1.0 + frac)
 }
 
 /// Circuit-breaker state machine.
@@ -319,15 +319,6 @@ impl BreakerBoard {
     pub fn total_trips(&self) -> u64 {
         self.breakers.lock().values().map(|b| b.trips()).sum()
     }
-
-    /// Breaker states by key (for explain/debug output).
-    pub fn states(&self) -> BTreeMap<String, BreakerState> {
-        self.breakers
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.state()))
-            .collect()
-    }
 }
 
 /// The per-query clocks: simulated ms, tokens, and dollars spent so far.
@@ -376,7 +367,7 @@ impl ReliabilityState {
     /// [`fork`](Self::fork) with a per-query policy override (e.g. a
     /// tenant-specific deadline or dollar cap). Breaker parameters still
     /// come from the shared board, which was sized by the original policy.
-    pub fn fork_with(self: &Arc<Self>, policy: ReliabilityPolicy) -> Arc<ReliabilityState> {
+    fn fork_with(self: &Arc<Self>, policy: ReliabilityPolicy) -> Arc<ReliabilityState> {
         Arc::new(ReliabilityState {
             policy,
             budget: Mutex::new(BudgetInner::default()),
@@ -475,7 +466,7 @@ impl ReliabilityState {
     }
 
     /// Simulated ms left before the deadline (infinite when disabled).
-    pub fn remaining_ms(&self) -> f64 {
+    fn remaining_ms(&self) -> f64 {
         if self.policy.deadline_ms <= 0.0 {
             f64::INFINITY
         } else {
@@ -507,11 +498,6 @@ impl ReliabilityState {
     /// board.
     pub fn total_trips(&self) -> u64 {
         self.board.total_trips()
-    }
-
-    /// Breaker states by key (for explain/debug output).
-    pub fn breaker_states(&self) -> BTreeMap<String, BreakerState> {
-        self.board.states()
     }
 }
 
@@ -657,16 +643,15 @@ mod tests {
 
     #[test]
     fn jitter_is_deterministic_and_bounded() {
-        let p = ReliabilityPolicy { jitter_seed: 7, ..ReliabilityPolicy::default() };
-        let a = p.backoff_ms(100.0, "gpt-4-sim", 1);
-        let b = p.backoff_ms(100.0, "gpt-4-sim", 1);
+        let a = backoff_ms("gpt-4-sim", 1);
+        let b = backoff_ms("gpt-4-sim", 1);
         assert_eq!(a, b, "same inputs, same jitter");
         assert!((100.0..150.0).contains(&a), "attempt 1 in [base, 1.5*base): {a}");
-        let c = p.backoff_ms(100.0, "gpt-4-sim", 3);
+        let c = backoff_ms("gpt-4-sim", 3);
         assert!((400.0..600.0).contains(&c), "attempt 3 in [4*base, 6*base): {c}");
         assert_ne!(
-            p.backoff_ms(100.0, "gpt-4-sim", 1),
-            p.backoff_ms(100.0, "llama-7b-sim", 1),
+            backoff_ms("gpt-4-sim", 1),
+            backoff_ms("llama-7b-sim", 1),
             "jitter varies by model"
         );
     }
@@ -718,7 +703,7 @@ mod tests {
             "tenant-scoped breakers are independent"
         );
         assert_eq!(base.total_trips(), 1, "one shared board, one trip total");
-        assert!(base.breaker_states().contains_key("acme/m"));
+        assert!(base.board.breakers.lock().contains_key("acme/m"));
     }
 
     #[test]

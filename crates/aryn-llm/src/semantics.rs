@@ -835,7 +835,7 @@ pub fn answer_question(question: &str, context: &str) -> (String, f64) {
 /// Collects, across all JSON-ish rows in `text`, the distinct values of the
 /// best entity field for a list question (prefers name-like string fields:
 /// company, city, state, ...). Returns `None` when no such field exists.
-pub fn collect_json_field_values(question: &str, text: &str) -> Option<Vec<String>> {
+fn collect_json_field_values(question: &str, text: &str) -> Option<Vec<String>> {
     // Candidate keys in priority order; first one present wins.
     const NAME_KEYS: &[&str] = &["company", "city", "us_state_abbrev", "ceo", "ticker", "id"];
     let q = question.to_lowercase();
@@ -891,7 +891,7 @@ pub fn collect_json_field_values(question: &str, text: &str) -> Option<Vec<Strin
 /// For questions like "list the companies and their competitors": renders
 /// each JSON-ish row as `Entity (field: a, b)` using the array field whose
 /// key matches a question term.
-pub fn render_rows_with_array_field(question: &str, text: &str) -> Option<String> {
+fn render_rows_with_array_field(question: &str, text: &str) -> Option<String> {
     let q_terms = analyze(question);
     let mut out: Vec<String> = Vec::new();
     for line in text.lines().filter(|l| l.contains("\":")) {
@@ -939,7 +939,7 @@ pub fn render_rows_with_array_field(question: &str, text: &str) -> Option<String
 /// ("the revenue growth and outlook of companies ..."), renders each row as
 /// `Entity: field=value, field=value`. Returns `None` when fewer than two
 /// fields match (single-field extraction handles that case better).
-pub fn render_rows_with_fields(question: &str, text: &str) -> Option<String> {
+fn render_rows_with_fields(question: &str, text: &str) -> Option<String> {
     const NAME_KEYS: &[&str] = &["company", "city", "us_state_abbrev", "name", "id"];
     let q_terms = analyze(question);
     let rows: Vec<&str> = text.lines().filter(|l| l.contains("\":")).collect();
@@ -988,7 +988,7 @@ pub fn render_rows_with_fields(question: &str, text: &str) -> Option<String> {
 
 /// Looks for a JSON-ish `"key": value` pair whose key shares a content term
 /// with the question, returning the value's text.
-pub fn find_json_field_value(question: &str, row_text: &str) -> Option<String> {
+fn find_json_field_value(question: &str, row_text: &str) -> Option<String> {
     let q_terms = analyze(question);
     // Rank by key-term overlap, breaking ties toward the more specific
     // (longer) value — "engine failure" over "mechanical".

@@ -21,4 +21,4 @@ pub use noise::{NoiseModel, DETR_SIM, VENDOR_SIM};
 pub use ocr::{character_error_rate, OcrEngine};
 pub use partition::{Detector, Partitioner, PartitionerOptions};
 pub use segment::{segment, Region};
-pub use tables::{cell_f1, merge_cross_page_tables, recover_table};
+pub use tables::{cell_f1, merge_cross_page_tables};

@@ -12,7 +12,7 @@ use aryn_core::{BBox, Document, ElementType, Table};
 use aryn_docgen::layout::{Fragment, RawDocument};
 
 /// Recovers a structured table from the fragments inside a table region.
-pub fn recover_table(region_bbox: &BBox, frags: &[&Fragment]) -> Option<Table> {
+fn recover_table(region_bbox: &BBox, frags: &[&Fragment]) -> Option<Table> {
     if frags.is_empty() {
         return None;
     }

@@ -62,12 +62,8 @@ impl RagPipeline {
         Ok(n)
     }
 
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
-    }
-
     /// Retrieves the top-k chunk ids for a query.
-    pub fn retrieve(&self, query: &str, k: usize) -> Result<Vec<String>> {
+    fn retrieve(&self, query: &str, k: usize) -> Result<Vec<String>> {
         let vector_hits = || -> Result<Vec<String>> {
             Ok(self
                 .vector
@@ -187,8 +183,8 @@ mod tests {
     #[test]
     fn ingest_builds_both_indexes() {
         let (rag, _) = pipeline(4);
-        assert!(rag.chunk_count() >= 4);
-        assert_eq!(rag.vector.len(), rag.chunk_count());
+        assert!(rag.chunks.len() >= 4);
+        assert_eq!(rag.vector.len(), rag.chunks.len());
     }
 
     #[test]

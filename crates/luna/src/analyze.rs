@@ -133,7 +133,7 @@ impl FieldType {
     }
 
     /// The type of a literal JSON value.
-    pub fn of_value(v: &Value) -> FieldType {
+    fn of_value(v: &Value) -> FieldType {
         match v {
             Value::Str(_) => FieldType::Str,
             Value::Int(_) | Value::Float(_) => FieldType::Num,
@@ -167,7 +167,7 @@ impl FieldType {
         )
     }
 
-    pub fn is_numeric(self) -> bool {
+    fn is_numeric(self) -> bool {
         matches!(self, FieldType::Num | FieldType::Any)
     }
 
@@ -210,7 +210,7 @@ pub enum Shape {
 }
 
 impl Shape {
-    pub fn open_rows() -> Shape {
+    fn open_rows() -> Shape {
         Shape::Rows {
             fields: BTreeMap::new(),
             open: true,
@@ -234,7 +234,7 @@ impl Shape {
     }
 
     /// Field names, for `unknown-field` suggestions.
-    pub fn field_names(&self) -> Vec<&str> {
+    fn field_names(&self) -> Vec<&str> {
         match self {
             Shape::Rows { fields, .. } => fields.keys().map(String::as_str).collect(),
             Shape::Scalar(_) => Vec::new(),
@@ -585,12 +585,12 @@ impl<'a> PlanCtx<'a> {
         }
     }
 
-    pub fn shape_of(&self, node_id: usize) -> Option<&Shape> {
+    fn shape_of(&self, node_id: usize) -> Option<&Shape> {
         self.shapes.get(&node_id)
     }
 
     /// Shape of a node's i-th input (open rows when unavailable).
-    pub fn input_shape(&self, node: &PlanNode, i: usize) -> Shape {
+    fn input_shape(&self, node: &PlanNode, i: usize) -> Shape {
         input_rows_shape(node, self.shapes, i)
     }
 }
@@ -624,17 +624,11 @@ impl Analyzer {
                 Box::new(FieldRefRule),
                 Box::new(MathRule),
                 Box::new(UnknownIndexRule),
-                Box::new(PushdownHintRule),
-                Box::new(ReorderHintRule),
+                Box::new(RewriteHintRule),
                 Box::new(DeadNodeRule),
                 Box::new(RedundantExtractRule),
             ],
         }
-    }
-
-    /// An analyzer with no rules (structural checks + inference only).
-    pub fn empty() -> Analyzer {
-        Analyzer { rules: Vec::new() }
     }
 
     pub fn with_rule(mut self, rule: Box<dyn LintRule>) -> Analyzer {
@@ -1035,20 +1029,27 @@ impl LintRule for UnknownIndexRule {
     }
 }
 
-/// `llmFilter` predicates the optimizer answers by string matching against
-/// an extracted property — the paper's "string matching vs semantic
-/// matching" decision (§6.1): the sites [`crate::optimize::pushdown_sites`]
-/// finds, which the pushdown pass rewrites.
-struct PushdownHintRule;
+/// The rewrites the default pass order makes, as hints, each detected by
+/// the optimizer's own site finder:
+/// - `semantic-pushdown`: `llmFilter` predicates the optimizer answers by
+///   string matching against an extracted property — the paper's "string
+///   matching vs semantic matching" decision (§6.1) — at the sites
+///   [`crate::optimize::pushdown_sites`] finds;
+/// - `filter-reorder`: structured filters downstream of a semantic filter in
+///   a linear chain, which the reorder pass moves first to shrink the rows
+///   the LLM sees — [`crate::optimize::reorder_sites`] of the plan as
+///   pushdown leaves it, so a pushed-down filter is never named semantic.
+struct RewriteHintRule;
 
-impl LintRule for PushdownHintRule {
+impl LintRule for RewriteHintRule {
     fn code(&self) -> &'static str {
         codes::SEMANTIC_PUSHDOWN
     }
 
     fn check(&self, cx: &PlanCtx<'_>, out: &mut Vec<Diagnostic>) {
-        for (id, op) in crate::optimize::pushdown_sites(cx.plan, cx.shapes) {
-            let Some(PlanOp::LlmFilter { predicate, .. }) = cx.plan.node(id).map(|n| &n.op) else { continue };
+        let pushdowns = crate::optimize::pushdown_sites(cx.plan, cx.shapes);
+        for (id, op) in &pushdowns {
+            let Some(PlanOp::LlmFilter { predicate, .. }) = cx.plan.node(*id).map(|n| &n.op) else { continue };
             out.push(
                 Diagnostic::hint(
                     codes::SEMANTIC_PUSHDOWN,
@@ -1056,26 +1057,13 @@ impl LintRule for PushdownHintRule {
                         "node {id}: llmFilter {predicate:?} can be answered by string matching on an extracted property"
                     ),
                 )
-                .at_node(id)
-                .at_path(cx.path(id, "predicate"))
-                .with_suggestion(format!("{} {}", op.kind(), crate::optimize::condition(&op))),
+                .at_node(*id)
+                .at_path(cx.path(*id, "predicate"))
+                .with_suggestion(format!("{} {}", op.kind(), crate::optimize::condition(op))),
             );
         }
-    }
-}
-
-/// Structured filters downstream of a semantic filter in a linear chain:
-/// running them first shrinks the row set the LLM sees. The sites
-/// [`crate::optimize::reorder_sites`] finds, which the reorder pass swaps.
-struct ReorderHintRule;
-
-impl LintRule for ReorderHintRule {
-    fn code(&self) -> &'static str {
-        codes::FILTER_REORDER
-    }
-
-    fn check(&self, cx: &PlanCtx<'_>, out: &mut Vec<Diagnostic>) {
-        for (parent, child) in crate::optimize::reorder_sites(cx.plan) {
+        let pushed: Vec<usize> = pushdowns.iter().map(|(id, _)| *id).collect();
+        for (parent, child) in crate::optimize::reorder_sites(cx.plan, &pushed) {
             out.push(
                 Diagnostic::hint(
                     codes::FILTER_REORDER,
@@ -1414,37 +1402,34 @@ mod tests {
 
     #[test]
     fn hints_fire_for_pushdown_and_reorder() {
-        let plan = Plan {
-            nodes: vec![
-                scan(0),
-                node(
-                    1,
-                    PlanOp::LlmFilter {
-                        predicate: "the incident occurred in Alaska (AK)".into(),
-                        model: String::new(),
-                    },
-                    vec![0],
-                ),
-                node(
-                    2,
-                    PlanOp::RangeFilter {
-                        path: "year".into(),
-                        lo: Some(Value::Int(2019)),
-                        hi: None,
-                    },
-                    vec![1],
-                ),
-                node(3, PlanOp::Count, vec![2]),
-            ],
-            result: 3,
+        let llm_filter = |id: usize, predicate: &str| {
+            node(id, PlanOp::LlmFilter { predicate: predicate.into(), model: String::new() }, vec![id - 1])
         };
-        let a = analyze(&plan, &ntsb_schema_fixture());
-        assert!(!a.has_errors(), "{}", a.render());
-        assert!(a
-            .diagnostics
-            .iter()
-            .any(|d| d.code == codes::SEMANTIC_PUSHDOWN));
-        assert!(a.diagnostics.iter().any(|d| d.code == codes::FILTER_REORDER));
+        let since_2019 = |id: usize| {
+            node(id, PlanOp::RangeFilter { path: "year".into(), lo: Some(Value::Int(2019)), hi: None }, vec![id - 1])
+        };
+        let hinted = |nodes: Vec<PlanNode>, code: &str| {
+            let result = nodes.len();
+            let mut nodes = nodes;
+            nodes.push(node(result, PlanOp::Count, vec![result - 1]));
+            let a = analyze(&Plan { nodes, result }, &ntsb_schema_fixture());
+            assert!(!a.has_errors(), "{}", a.render());
+            a.diagnostics.iter().filter(|d| d.code == code).filter_map(|d| d.node_id).collect::<Vec<_>>()
+        };
+        let alaska = "the incident occurred in Alaska (AK)";
+        let gusts = "the report mentions strong gusts";
+        // The pushed-down filter is structured by the time the reorder pass
+        // runs: nothing to swap.
+        let pushed = || vec![scan(0), llm_filter(1, alaska), since_2019(2)];
+        assert_eq!(hinted(pushed(), codes::SEMANTIC_PUSHDOWN), vec![1]);
+        assert!(hinted(pushed(), codes::FILTER_REORDER).is_empty());
+        // A semantic filter the pushdown leaves alone keeps its reorder hint.
+        let kept = || vec![scan(0), llm_filter(1, alaska), llm_filter(2, gusts), since_2019(3)];
+        assert_eq!(hinted(kept(), codes::SEMANTIC_PUSHDOWN), vec![1]);
+        assert_eq!(hinted(kept(), codes::FILTER_REORDER), vec![3]);
+        // Pushdown can also make a site: its rewrite follows a semantic filter.
+        let made = vec![scan(0), llm_filter(1, gusts), llm_filter(2, alaska)];
+        assert_eq!(hinted(made, codes::FILTER_REORDER), vec![2]);
     }
 
     #[test]
@@ -1617,7 +1602,7 @@ mod tests {
             ],
             result: 2,
         };
-        let a = Analyzer::empty()
+        let a = Analyzer::new()
             .with_rule(Box::new(NoJoins))
             .analyze(&plan, &ntsb_schema_fixture());
         assert!(a.diagnostics.iter().any(|d| d.code == "no-joins"));

@@ -98,14 +98,14 @@ pub struct Bench18 {
     pub questions: Vec<BenchQuestion>,
 }
 
-/// Configuration for the fixture.
+/// Configuration for the fixture. Documents are partitioned with
+/// [`Detector::DetrSim`](aryn_partitioner::Detector::DetrSim).
 pub struct Bench18Cfg {
     pub seed: u64,
     pub n_ntsb: usize,
     pub n_earnings: usize,
     /// Simulation config for ingestion and querying.
     pub sim: SimConfig,
-    pub detector: aryn_partitioner::Detector,
     /// Enable Luna's shared LLM call cache (repeated-query workloads).
     pub call_cache: bool,
     /// Static cost analysis of every plan ([`CostAnalysis`]).
@@ -119,7 +119,6 @@ impl Default for Bench18Cfg {
             n_ntsb: 60,
             n_earnings: 48,
             sim: SimConfig::with_seed(42),
-            detector: aryn_partitioner::Detector::DetrSim,
             call_cache: false,
             cost_analysis: CostAnalysis::Off,
         }
@@ -140,15 +139,9 @@ impl Bench18 {
             &aryn_llm::GPT4_SIM,
             cfg.sim.clone(),
         )));
-        ingest_lake(&ctx, "ntsb", "ntsb", &ingest_client, ntsb_schema(), cfg.detector)?;
-        ingest_lake(
-            &ctx,
-            "earnings",
-            "earnings",
-            &ingest_client,
-            earnings_schema(),
-            cfg.detector,
-        )?;
+        let detector = aryn_partitioner::Detector::DetrSim;
+        ingest_lake(&ctx, "ntsb", "ntsb", &ingest_client, ntsb_schema(), detector)?;
+        ingest_lake(&ctx, "earnings", "earnings", &ingest_client, earnings_schema(), detector)?;
         let luna = Luna::new(
             ctx,
             &["ntsb", "earnings"],
@@ -507,120 +500,6 @@ mod tests {
         let ans = b.luna.ask("How many incidents were caused by wind?").unwrap();
         assert!(aryn_llm::semantics::first_number(ans.answer()).is_some());
         assert!(!ans.result.traces.is_empty());
-    }
-}
-
-#[cfg(test)]
-mod calibration_probe {
-    use super::*;
-
-    #[test]
-    #[ignore]
-    fn print_bench18_grades() {
-        let b = Bench18::build(Bench18Cfg::default()).unwrap();
-        let mut rows = Vec::new();
-        for q in &b.questions {
-            match b.luna.ask(&q.question) {
-                Ok(ans) => {
-                    let g = grade_answer(ans.answer(), &q.expected);
-                    rows.push((q.clone(), ans, g));
-                }
-                Err(e) => println!("[ERROR] {} => {e}", q.question),
-            }
-        }
-        for (q, a, g) in &rows {
-            let exp = match &q.expected {
-                Expected::Number { value, .. } => format!("{value:.2}"),
-                Expected::OneOf(v) => format!("one of {v:?}"),
-                Expected::AllOf(v) => format!("all of {} items", v.len()),
-            };
-            println!("[{g:?}] {} => {:?} (want {exp})", q.question, a.answer().chars().take(90).collect::<String>());
-        }
-        let (c, p, i) = tally(&rows);
-        println!("TALLY correct={c} plausible={p} incorrect={i}");
-    }
-}
-
-#[cfg(test)]
-mod extraction_probe {
-    use super::*;
-
-    #[test]
-    #[ignore]
-    fn print_extraction_facets() {
-        let b = Bench18::build(Bench18Cfg::default()).unwrap();
-        let truth_env = b.ntsb.docs.iter().filter(|d| d.record.get("weather_related").and_then(Value::as_bool) == Some(true)).count();
-        let truth_wind = b.ntsb.docs.iter().filter(|d| d.record.get("cause_detail").and_then(Value::as_str) == Some("wind")).count();
-        println!("truth env={truth_env} wind={truth_wind}");
-        b.luna.context().with_store("ntsb", |s| {
-            println!("cause_category facets: {:?}", s.facet("cause_category"));
-            println!("cause_detail facets: {:?}", s.facet("cause_detail").iter().take(8).collect::<Vec<_>>());
-            println!("weather_related facets: {:?}", s.facet("weather_related"));
-        }).unwrap();
-    }
-}
-
-#[cfg(test)]
-mod truth_probe {
-    use super::*;
-
-    #[test]
-    #[ignore]
-    fn print_detail_counts() {
-        let ntsb = Corpus::ntsb(42, 60);
-        let mut m: std::collections::BTreeMap<String, usize> = Default::default();
-        for d in &ntsb.docs {
-            let k = d.record.get("cause_detail").and_then(Value::as_str).unwrap_or("").to_string();
-            *m.entry(k).or_default() += 1;
-        }
-        println!("truth details: {m:?}");
-    }
-}
-
-#[cfg(test)]
-mod guidance_probe {
-    use super::*;
-    #[test]
-    #[ignore]
-    fn distinct_lowered() {
-        let earnings = Corpus::earnings(42, 48);
-        let rows: Vec<String> = earnings.docs.iter()
-            .filter(|d| d.record.get("guidance").and_then(Value::as_str) == Some("lowered"))
-            .map(|d| d.record.get("company").and_then(Value::as_str).unwrap_or("").to_string())
-            .collect();
-        let mut distinct = rows.clone(); distinct.sort(); distinct.dedup();
-        println!("lowered reports={} distinct companies={}", rows.len(), distinct.len());
-    }
-}
-
-#[cfg(test)]
-mod more_probe {
-    use super::*;
-    #[test]
-    #[ignore]
-    fn probe_plausible_candidates() {
-        let earnings = Corpus::earnings(42, 48);
-        let rows: Vec<(&str, f64)> = earnings.docs.iter()
-            .map(|d| (d.record.get("company").and_then(Value::as_str).unwrap_or(""),
-                      d.record.get("growth_pct").and_then(Value::as_float).unwrap_or(0.0)))
-            .collect();
-        let report_mean = rows.iter().map(|(_, g)| g).sum::<f64>() / rows.len() as f64;
-        let mut by_company: std::collections::BTreeMap<&str, Vec<f64>> = Default::default();
-        for (c, g) in &rows { by_company.entry(c).or_default().push(*g); }
-        let company_mean = by_company.values().map(|v| v.iter().sum::<f64>() / v.len() as f64).sum::<f64>() / by_company.len() as f64;
-        println!("report_mean={report_mean:.3} company_mean={company_mean:.3}");
-        // negative sentiment distinct
-        let neg: Vec<&str> = earnings.docs.iter()
-            .filter(|d| d.record.get("sentiment").and_then(Value::as_str) == Some("negative"))
-            .map(|d| d.record.get("company").and_then(Value::as_str).unwrap_or("")).collect();
-        let mut dn = neg.clone(); dn.sort(); dn.dedup();
-        println!("negative reports={} distinct={}", neg.len(), dn.len());
-        // raised guidance
-        let raised: Vec<&str> = earnings.docs.iter()
-            .filter(|d| d.record.get("guidance").and_then(Value::as_str) == Some("raised"))
-            .map(|d| d.record.get("company").and_then(Value::as_str).unwrap_or("")).collect();
-        let mut dr = raised.clone(); dr.sort(); dr.dedup();
-        println!("raised reports={} distinct={}", raised.len(), dr.len());
     }
 }
 

@@ -29,7 +29,7 @@ use crate::analyze::{codes, LintRule, PlanCtx};
 use crate::ops::{LlmCall, Plan, PlanOp, Prompts, RowFlow};
 use crate::schema::IndexSchema;
 use aryn_core::Diagnostic;
-use aryn_llm::registry::{ladder, spec_by_name, ModelSpec};
+use aryn_llm::registry::{ladder, spec_by_name, ModelSpec, GPT4_SIM};
 use std::collections::{BTreeMap, BTreeSet};
 
 pub use sycamore::cost::{CostKnobs, Interval, LlmBounds};
@@ -130,7 +130,7 @@ fn llm_node(
     call: &LlmCall<'_>,
     knobs: &CostKnobs,
 ) -> NodeCost {
-    let primary = model_of(call.model, knobs);
+    let primary = model_of(call.model);
     // The tiers this node's calls can reach: the catalogue ladder from the
     // primary down when it degrades, the primary alone otherwise.
     let facts = if call.terminal.is_some() && knobs.reliability.is_some() {
@@ -169,12 +169,10 @@ fn llm_node(
     }
 }
 
-fn model_of(name: &str, knobs: &CostKnobs) -> &'static ModelSpec {
-    if name.is_empty() {
-        knobs.default_model
-    } else {
-        spec_by_name(name).unwrap_or(knobs.default_model)
-    }
+/// A node's pinned model, else [`GPT4_SIM`], which runs every node that
+/// pins none.
+fn model_of(name: &str) -> &'static ModelSpec {
+    spec_by_name(name).unwrap_or(&GPT4_SIM)
 }
 
 /// Abstractly interprets a plan. Structurally broken plans (no topological
@@ -341,7 +339,7 @@ pub fn dead_extracts(plan: &Plan) -> Vec<usize> {
 /// Verifies a cost report against the active policy/knobs, emitting the
 /// `L22`–`L27` diagnostics. `enforce` promotes hard infeasibility to
 /// Error severity (gating planning/execution); otherwise it stays advisory.
-pub fn verify(
+fn verify(
     plan: &Plan,
     report: &CostReport,
     knobs: &CostKnobs,
@@ -406,7 +404,7 @@ pub fn verify(
         // L23: a guaranteed-minimum prompt that cannot fit the model window.
         let Some(call) = n.op.llm_call() else { continue };
         let (envelope, max_output, model) =
-            (call.envelope(), call.max_output as f64, model_of(call.model, knobs));
+            (call.envelope(), call.max_output as f64, model_of(call.model));
         if envelope + max_output + 16.0 > model.context_window as f64 {
             out.push(
                 Diagnostic::error(

@@ -380,12 +380,16 @@ impl PlanExecutor {
         pins: &Pins,
         reads: &Cell<ReadStats>,
     ) -> Result<Out> {
+        // Every analyzer runs `scalar-input` and only an analyzer makes a
+        // checked plan, so no row operator meets a scalar input here; this
+        // is the executor's one check of it.
+        if !matches!(op, PlanOp::Math { .. } | PlanOp::LlmGenerate { .. })
+            && inputs.iter().any(|o| o.scalar().is_some())
+        {
+            return Err(ArynError::Exec(format!("{} expects a row input", op.kind())));
+        }
         // The check's structural pass gave each node its operator's arity.
-        let rows_of = |i: usize| -> Result<&[Arc<Document>]> {
-            inputs[i]
-                .rows(reads)
-                .ok_or_else(|| ArynError::Exec(format!("{} expects a row input", op.kind())))
-        };
+        let rows_of = |i: usize| inputs[i].rows(reads).unwrap_or_default();
         let rows = |r: Vec<Arc<Document>>| Ok(Out::Done(NodeOutput::Rows(r)));
         let scalar = |v: Value| Ok(Out::Done(NodeOutput::Scalar(v)));
         match (op, parsed) {
@@ -399,19 +403,19 @@ impl PlanExecutor {
                 let c = Conjunct::eq(path, value);
                 match inputs[0] {
                     Out::Selection(sel) => Ok(Out::Selection(sel.narrowed(c, reads))),
-                    _ => rows(kept(rows_of(0)?, &c, reads)),
+                    _ => rows(kept(rows_of(0), &c, reads)),
                 }
             }
             (PlanOp::RangeFilter { path, lo, hi }, _) => {
                 let c = Conjunct::Prop(Predicate::Range { path: path.clone(), lo: lo.clone(), hi: hi.clone() });
                 match inputs[0] {
                     Out::Selection(sel) => Ok(Out::Selection(sel.narrowed(c, reads))),
-                    _ => rows(kept(rows_of(0)?, &c, reads)),
+                    _ => rows(kept(rows_of(0), &c, reads)),
                 }
             }
             (PlanOp::LlmFilter { predicate, model }, _) => rows(
                 self.ctx
-                    .read_shared(rows_of(0)?)
+                    .read_shared(rows_of(0))
                     .llm_filter(self.client_for(model), predicate)
                     .collect_shared()?,
             ),
@@ -419,12 +423,12 @@ impl PlanExecutor {
                 let schema = aryn_core::obj! { field.as_str() => ftype.as_str() };
                 rows(
                     self.ctx
-                        .read_shared(rows_of(0)?)
+                        .read_shared(rows_of(0))
                         .extract_properties(self.client_for(model), schema)
                         .collect_shared()?,
                 )
             }
-            (PlanOp::Count, _) => scalar(Value::Int(inputs[0].row_count()? as i64)),
+            (PlanOp::Count, _) => scalar(Value::Int(inputs[0].len() as i64)),
             (PlanOp::Aggregate { key, path, .. }, Parsed::Aggregate(func)) => {
                 let agg = func.agg(path);
                 let src = inputs[0];
@@ -433,7 +437,7 @@ impl PlanExecutor {
                     let mut fold = AggFold::new(&agg);
                     src.fold(agg.path().into_iter().collect(), reads, |_, vals| {
                         fold.push(vals.first().copied().flatten())
-                    })?;
+                    });
                     scalar(if fold.pushed() == 0 { Value::Null } else { fold.finish() })
                 } else {
                     let aggs = [("value".to_string(), agg)];
@@ -443,26 +447,26 @@ impl PlanExecutor {
                         Out::Selection(sel) => Ok(Out::Groups(sel.grouped(key, path, fold, reads))),
                         _ => {
                             let paths = std::iter::once(key.as_str()).chain(path).collect();
-                            src.fold(paths, reads, |id, vals| fold.push(id, vals[0], &vals[1..]))?;
+                            src.fold(paths, reads, |id, vals| fold.push(id, vals[0], &vals[1..]));
                             rows(fold.finish())
                         }
                     }
                 }
             }
             (PlanOp::Sort { path, descending }, _) => {
-                rows(sycamore::transforms::sort_by(rows_of(0)?, path, *descending))
+                rows(sycamore::transforms::sort_by(rows_of(0), path, *descending))
             }
             (PlanOp::TopK { path, descending, k }, _) => {
                 let mut docs = match inputs[0] {
                     Out::Groups(groups) => groups.top(path, *descending, *k, reads),
-                    _ => sycamore::transforms::sort_by(rows_of(0)?, path, *descending),
+                    _ => sycamore::transforms::sort_by(rows_of(0), path, *descending),
                 };
                 docs.truncate(*k);
                 rows(docs)
             }
             (PlanOp::Join { on }, _) => {
-                let left = rows_of(0)?;
-                let right = rows_of(1)?;
+                let left = rows_of(0);
+                let right = rows_of(1);
                 let mut out = Vec::new();
                 for l in left {
                     let Some(lv) = l.prop(on) else { continue };
@@ -499,7 +503,7 @@ impl PlanExecutor {
                 let graph = self.graph.as_ref().ok_or_else(|| {
                     ArynError::Exec("graphExpand requires a knowledge graph".into())
                 })?;
-                let docs = rows_of(0)?;
+                let docs = rows_of(0);
                 let mut out = Vec::with_capacity(docs.len());
                 for row in docs {
                     let mut d = Document::clone(row);
@@ -535,7 +539,7 @@ impl PlanExecutor {
             }
             (PlanOp::SummarizeData { instructions }, _) => {
                 let doc =
-                    sycamore::transforms::summarize_all(&self.client, instructions, rows_of(0)?)?;
+                    sycamore::transforms::summarize_all(&self.client, instructions, rows_of(0))?;
                 let text = doc
                     .prop("summary")
                     .and_then(Value::as_str)
@@ -852,13 +856,6 @@ impl Out {
         }
     }
 
-    fn row_count(&self) -> Result<usize> {
-        match self {
-            Out::Done(NodeOutput::Scalar(_)) => Err(ArynError::Exec("count expects a row input".into())),
-            _ => Ok(self.len()),
-        }
-    }
-
     fn sample_ids(&self) -> Vec<String> {
         match self {
             Out::Done(o) => {
@@ -871,7 +868,7 @@ impl Out {
 
     /// Streams every row with its id and values at `paths`, in row order:
     /// a selection's from the store's columns, rows' from the documents.
-    fn fold(&self, paths: Vec<&str>, reads: &Cell<ReadStats>, mut f: impl FnMut(&str, &[Option<&Value>])) -> Result<()> {
+    fn fold(&self, paths: Vec<&str>, reads: &Cell<ReadStats>, mut f: impl FnMut(&str, &[Option<&Value>])) {
         match self {
             Out::Selection(sel) => {
                 let stats = sel.snap.project(&sel.pred, &paths, |d, vals| {
@@ -881,7 +878,7 @@ impl Out {
                 });
                 add_column_reads(reads, stats);
             }
-            Out::Done(NodeOutput::Rows(_)) | Out::Groups(_) => {
+            Out::Done(_) | Out::Groups(_) => {
                 let rows = self.rows(reads).unwrap_or_default();
                 add_row_reads(reads, rows.len());
                 let mut vals = Vec::with_capacity(paths.len());
@@ -891,9 +888,7 @@ impl Out {
                     f(d.id.as_str(), &vals);
                 }
             }
-            Out::Done(NodeOutput::Scalar(_)) => return Err(ArynError::Exec("aggregate expects a row input".into())),
         }
-        Ok(())
     }
 
     fn into_output(self) -> NodeOutput {

@@ -20,7 +20,7 @@ use aryn_index::{DocStore, GraphNode, GraphStore};
 /// already known in the same sector. O(companies-in-sector) per call, with
 /// `competitor_of` derived from graph state (not a batch scan), so a
 /// streaming feed can call this per arrival. Returns competitor edges added.
-pub fn update_earnings_graph(d: &Document, graph: &mut GraphStore) -> Result<usize> {
+fn update_earnings_graph(d: &Document, graph: &mut GraphStore) -> Result<usize> {
     let Some(company) = d.prop("company").and_then(Value::as_str) else {
         return Ok(0);
     };
@@ -68,7 +68,7 @@ pub fn update_earnings_graph(d: &Document, graph: &mut GraphStore) -> Result<usi
 /// Merges one NTSB document into the graph: incident, state, and
 /// aircraft-make entities with `occurred_in` and `involved_make` edges.
 /// Returns edges added.
-pub fn update_ntsb_graph(d: &Document, graph: &mut GraphStore) -> Result<usize> {
+fn update_ntsb_graph(d: &Document, graph: &mut GraphStore) -> Result<usize> {
     graph.upsert_node(GraphNode {
         id: d.id.0.clone(),
         label: "incident".into(),

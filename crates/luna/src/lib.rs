@@ -23,7 +23,7 @@ pub mod serve;
 
 pub use analyze::{analyze, Analysis, Analyzer, CheckedPlan, FieldType, LintRule, Parsed, PlanCtx, Shape};
 pub use costmodel::{
-    dead_extracts, estimate as estimate_cost, liveness, verify as verify_budget, CostKnobs,
+    dead_extracts, estimate as estimate_cost, liveness, CostKnobs,
     CostReport, CostRules, Interval, Live, NodeCost,
 };
 pub use exec::{LunaResult, NodeOutput, NodeTrace, PlanExecutor};

@@ -13,7 +13,7 @@ use aryn_index::GraphStore;
 use aryn_llm::prompt::tasks;
 use aryn_llm::{
     CacheStats, FairShare, LlmCallCache, LlmClient, MeterScope, MockLlm, ModelSpec,
-    ReliabilitySlot, ReliabilityState, SimConfig, TaskEngine, UsageStats,
+    ReliabilitySlot, ReliabilityState, SimConfig, TaskEngine, UsageStats, GPT4_SIM,
 };
 use aryn_telemetry::{Telemetry, Trace};
 use std::sync::Arc;
@@ -126,12 +126,10 @@ pub enum CostAnalysis {
 }
 
 /// Luna configuration.
+///
+/// [`GPT4_SIM`] plans every question (plan-generation quality comes from its
+/// `plan` accuracy) and runs every plan node that pins no model.
 pub struct LunaConfig {
-    /// Planner model spec (plan-generation quality comes from its `plan`
-    /// accuracy).
-    pub planner_model: &'static ModelSpec,
-    /// Default execution model.
-    pub exec_model: &'static ModelSpec,
     pub sim: SimConfig,
     pub optimizer: OptimizerCfg,
     /// Override for the planner brain registered on the simulated LLM
@@ -174,8 +172,6 @@ pub struct LunaConfig {
 impl Default for LunaConfig {
     fn default() -> Self {
         LunaConfig {
-            planner_model: &aryn_llm::GPT4_SIM,
-            exec_model: &aryn_llm::GPT4_SIM,
             sim: SimConfig::default(),
             optimizer: OptimizerCfg::default(),
             planner_engine: None,
@@ -207,8 +203,6 @@ pub struct Luna {
     executor: PlanExecutor,
     optimizer: OptimizerCfg,
     call_cache: Option<Arc<LlmCallCache>>,
-    /// Model for plan nodes that pin none.
-    exec_model: &'static ModelSpec,
     cost_analysis: CostAnalysis,
     /// The base reliability state and the one slot the planner and every
     /// ladder tier hold. `ask` installs `base.fork()` into the slot, giving
@@ -268,7 +262,7 @@ impl Luna {
             Box::new(PlannerEngine::new(RulePlanner::new(schemas.clone())))
         });
         let schemas = Arc::from(schemas);
-        let planner_llm = MockLlm::new(cfg.planner_model, cfg.sim.clone()).with_engine(engine);
+        let planner_llm = MockLlm::new(&GPT4_SIM, cfg.sim.clone()).with_engine(engine);
         let planner_client = attach(LlmClient::new(Arc::new(planner_llm)).with_policy(
             aryn_llm::RetryPolicy {
                 max_reask: 4,
@@ -300,7 +294,7 @@ impl Luna {
                 })
                 .unwrap_or_else(|| model(primary))
         };
-        let mut executor = PlanExecutor::new(ctx, exec_client(cfg.exec_model)).with_graph(graph);
+        let mut executor = PlanExecutor::new(ctx, exec_client(&GPT4_SIM)).with_graph(graph);
         for spec in aryn_llm::ALL_MODELS {
             executor = executor.with_model(spec.name, exec_client(spec));
         }
@@ -310,7 +304,6 @@ impl Luna {
             executor,
             optimizer: cfg.optimizer,
             call_cache,
-            exec_model: cfg.exec_model,
             cost_analysis: cfg.cost_analysis,
             reliability,
         })
@@ -388,10 +381,7 @@ impl Luna {
     /// clients carry. Built per question, so settings changed on the
     /// context after `Luna::new` price and annotate plans too.
     pub fn cost_knobs(&self) -> CostKnobs {
-        CostKnobs {
-            default_model: self.exec_model,
-            ..CostKnobs::from_context(&self.executor.ctx).with_clients([&self.executor.client])
-        }
+        CostKnobs::from_context(&self.executor.ctx).with_clients([&self.executor.client])
     }
 
     /// Analyzes an already-built plan against the discovered schemas. With

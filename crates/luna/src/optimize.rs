@@ -21,7 +21,7 @@
 
 use crate::analyze::{Analyzer, CheckedPlan, FieldType, Resolution, Shape};
 use crate::costmodel::CostKnobs;
-use crate::ops::{MathExpr, Plan, PlanOp};
+use crate::ops::{MathExpr, Plan, PlanNode, PlanOp};
 use crate::schema::IndexSchema;
 use aryn_core::text::has_negation_cue;
 use aryn_core::{lexicon, Result, Value};
@@ -118,7 +118,7 @@ pub fn rewrite(
         note_batching(plan.plan(), plan.schemas(), knobs.batch_max_items, &mut notes);
     }
     if knobs.reliability.is_some() {
-        note_degradation(plan.plan(), knobs.default_model, &mut notes);
+        note_degradation(plan.plan(), &mut notes);
     }
     Ok((plan, notes))
 }
@@ -169,12 +169,12 @@ fn scanned_docs(plan: &Plan, schemas: &[IndexSchema], mut id: usize) -> Option<u
 /// Cost-model note for degradation ladders: records each semantic
 /// operator's fallback route under the reliability policy — the cheaper
 /// catalogue tiers its breaker/deadline failures would walk from its pinned
-/// model (`default_model` when none is pinned), ending at its terminal.
-fn note_degradation(plan: &Plan, default_model: &ModelSpec, notes: &mut Vec<String>) {
+/// model ([`GPT4_SIM`] when none is pinned), ending at its terminal.
+fn note_degradation(plan: &Plan, notes: &mut Vec<String>) {
     for n in &plan.nodes {
         let Some(call) = n.op.llm_call() else { continue };
         let Some(terminal) = call.terminal else { continue };
-        let primary = if call.model.is_empty() { default_model.name } else { call.model };
+        let primary = if call.model.is_empty() { GPT4_SIM.name } else { call.model };
         let mut tiers: Vec<&str> = ladder(primary).iter().map(|s| s.name).collect();
         tiers.push(terminal);
         notes.push(format!(
@@ -410,20 +410,25 @@ fn structured_equivalent(predicate: &str, usable: impl Fn(&str, FieldType) -> bo
 
 /// Structured filters fed by an `llmFilter` that feeds nothing else, as
 /// `(parent, child)`: running the structured filter first shrinks the rows
-/// the LLM sees. The analyzer's `filter-reorder` hint reports exactly these
-/// sites. No two share a node (a site's parent is semantic, its child
-/// structured), so the reorder pass swaps them all at once.
-pub(crate) fn reorder_sites(plan: &Plan) -> Vec<(usize, usize)> {
+/// the LLM sees. The `llmFilter`s in `pushed` count as the structured
+/// filters the pushdown pass makes them, so the analyzer's `filter-reorder`
+/// hint reports exactly the sites the reorder pass finds after pushdown. No
+/// two share a node (a site's parent is semantic, its child structured), so
+/// the reorder pass swaps them all at once.
+pub(crate) fn reorder_sites(plan: &Plan, pushed: &[usize]) -> Vec<(usize, usize)> {
+    let semantic =
+        |n: &PlanNode| matches!(n.op, PlanOp::LlmFilter { .. }) && !pushed.contains(&n.id);
     plan.nodes
         .iter()
         .filter_map(|child| {
-            if !matches!(child.op, PlanOp::BasicFilter { .. } | PlanOp::RangeFilter { .. }) {
+            if !matches!(child.op, PlanOp::BasicFilter { .. } | PlanOp::RangeFilter { .. })
+                && !pushed.contains(&child.id)
+            {
                 return None;
             }
             let [parent] = child.inputs[..] else { return None };
             let consumers = plan.nodes.iter().filter(|n| n.inputs.contains(&parent)).count();
-            (matches!(plan.node(parent)?.op, PlanOp::LlmFilter { .. }) && consumers == 1)
-                .then_some((parent, child.id))
+            (semantic(plan.node(parent)?) && consumers == 1).then_some((parent, child.id))
         })
         .collect()
 }
@@ -432,7 +437,7 @@ pub(crate) fn reorder_sites(plan: &Plan) -> Vec<(usize, usize)> {
 /// keeps the DAG valid) until none is left.
 fn reorder_filters(plan: &mut Plan, notes: &mut Vec<String>) {
     loop {
-        let sites = reorder_sites(plan);
+        let sites = reorder_sites(plan, &[]);
         if sites.is_empty() {
             return;
         }
@@ -501,7 +506,7 @@ fn select_models(plan: &mut Plan, cfg: &OptimizerCfg, notes: &mut Vec<String>) {
 
 /// Heuristic difficulty in `[0,1]`: lexicon-anchored predicates are easy;
 /// sentiment/comparison/vague phrasing is hard.
-pub fn predicate_difficulty(predicate: &str) -> f64 {
+fn predicate_difficulty(predicate: &str) -> f64 {
     let p = predicate.to_lowercase();
     let mut d: f64 = 0.5;
     // Easy: a concrete cause/category/field term the cheap model's lexicon
@@ -529,7 +534,7 @@ pub fn predicate_difficulty(predicate: &str) -> f64 {
 }
 
 /// Expected accuracy of a model on a predicate of given difficulty.
-pub fn expected_accuracy(spec: &ModelSpec, difficulty: f64) -> f64 {
+fn expected_accuracy(spec: &ModelSpec, difficulty: f64) -> f64 {
     // Harder predicates erode accuracy, weaker models erode faster.
     let erosion = difficulty * (1.0 - spec.accuracy.filter) * 1.5;
     (spec.accuracy.filter - erosion).clamp(0.0, 1.0)
@@ -548,7 +553,6 @@ fn choose_model(difficulty: f64, min_accuracy: f64) -> &'static ModelSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::PlanNode;
     use crate::planner::RulePlanner;
     use aryn_core::obj;
     use aryn_index::DocStore;
@@ -1019,7 +1023,7 @@ mod batch_tests {
     #[test]
     fn degradation_ladder_starts_at_the_default_model() {
         // An unpinned semantic operator runs on the executor's default
-        // model, so its ladder starts there, not at the catalogue's top.
+        // model, so its ladder starts there.
         let node = |id: usize, op: PlanOp, inputs: Vec<usize>| PlanNode { id, op, inputs, description: String::new() };
         let plan = Plan {
             nodes: vec![
@@ -1031,14 +1035,17 @@ mod batch_tests {
         };
         let cfg = OptimizerCfg { model_selection: false, ..OptimizerCfg::default() };
         let knobs = CostKnobs {
-            default_model: &LLAMA7B_SIM,
             reliability: Some(aryn_llm::ReliabilityPolicy::standard()),
             ..CostKnobs::default()
         };
         let opt = optimize(&plan, &[], &cfg, &knobs).unwrap();
         let ladders: Vec<&String> = opt.notes.iter().filter(|n| n.contains("degradation ladder")).collect();
         assert_eq!(ladders.len(), 1, "{:?}", opt.notes);
-        assert!(ladders[0].contains("ladder llama-7b-sim -> string-match ("), "{}", ladders[0]);
+        assert!(
+            ladders[0].contains("ladder gpt-4-sim -> gpt-3.5-sim -> llama-7b-sim -> string-match ("),
+            "{}",
+            ladders[0]
+        );
     }
 
     #[test]

@@ -96,14 +96,15 @@ pub struct ServeConfig {
     pub llm_slots: usize,
     /// Cache-key scoping across tenants.
     pub cache_policy: CacheKeyPolicy,
-    /// In-memory entry bound for the shared call cache.
-    pub cache_capacity: usize,
     /// Base reliability policy (per-question deadline/token/$ budgets and
     /// breaker tuning); tenants may override via [`TenantSpec::policy`].
     pub reliability: ReliabilityPolicy,
     pub tenants: Vec<TenantSpec>,
     pub sim: SimConfig,
 }
+
+/// In-memory entry bound for the call cache every session shares.
+const CALL_CACHE_CAPACITY: usize = 8192;
 
 impl Default for ServeConfig {
     fn default() -> Self {
@@ -112,7 +113,6 @@ impl Default for ServeConfig {
             queue_depth: 32,
             llm_slots: 4,
             cache_policy: CacheKeyPolicy::Shared,
-            cache_capacity: 8192,
             reliability: ReliabilityPolicy::standard(),
             tenants: Vec::new(),
             sim: SimConfig::default(),
@@ -222,13 +222,6 @@ pub struct ServeStats {
 // The service
 // ---------------------------------------------------------------------------
 
-struct TenantHandle {
-    spec: TenantSpec,
-    /// Tenant-scoped fork of the base state: breaker keys are
-    /// `{tenant}/{model}`, budget clocks are re-forked per question.
-    reliability: Arc<ReliabilityState>,
-}
-
 /// A multi-tenant Luna front end over one Sycamore runtime.
 pub struct QueryService {
     ctx: sycamore::Context,
@@ -239,7 +232,9 @@ pub struct QueryService {
     cache_policy: CacheKeyPolicy,
     gate: Arc<FairShare>,
     base: Arc<ReliabilityState>,
-    tenants: BTreeMap<String, TenantHandle>,
+    /// Each tenant's scoped fork of the base state: breaker keys are
+    /// `{tenant}/{model}`, budget clocks are re-forked per question.
+    tenants: BTreeMap<String, Arc<ReliabilityState>>,
     admission: Arc<Admission>,
     stats: Mutex<ServeStats>,
     session_seq: AtomicU64,
@@ -255,7 +250,7 @@ impl QueryService {
     pub fn new(ctx: sycamore::Context, indexes: &[&str], cfg: ServeConfig) -> Result<QueryService> {
         LunaConfig::default().apply_context_knobs(&ctx);
         let (schemas, graph) = discover(&ctx, indexes)?;
-        let cache = Arc::new(LlmCallCache::with_capacity(cfg.cache_capacity));
+        let cache = Arc::new(LlmCallCache::with_capacity(CALL_CACHE_CAPACITY));
         let base = ReliabilityState::new(cfg.reliability);
         let gate = FairShare::new(cfg.llm_slots);
         let mut tenants = BTreeMap::new();
@@ -263,9 +258,8 @@ impl QueryService {
         for spec in &cfg.tenants {
             gate.set_weight(&spec.id, spec.weight);
             let policy = spec.policy.unwrap_or(cfg.reliability);
-            let reliability = base.fork_scoped(&spec.id, policy);
             stats.tenants.insert(spec.id.clone(), TenantStats::default());
-            tenants.insert(spec.id.clone(), TenantHandle { spec: spec.clone(), reliability });
+            tenants.insert(spec.id.clone(), base.fork_scoped(&spec.id, policy));
         }
         Ok(QueryService {
             ctx,
@@ -284,7 +278,7 @@ impl QueryService {
         })
     }
 
-    fn handle(&self, tenant: &str) -> Result<&TenantHandle> {
+    fn handle(&self, tenant: &str) -> Result<&Arc<ReliabilityState>> {
         self.tenants
             .get(tenant)
             .ok_or_else(|| ArynError::Other(format!("unknown tenant: {tenant}")))
@@ -305,7 +299,7 @@ impl QueryService {
             session_tag: format!("{tenant}/session-{seq}"),
             call_cache: Some(Arc::clone(&self.cache)),
             cache_namespace: namespace,
-            reliability: Some(Arc::clone(&handle.reliability)),
+            reliability: Some(Arc::clone(handle)),
             slots: Some(Arc::clone(&self.gate)),
             schemas: self.schemas.clone(),
             graph: Arc::clone(&self.graph),
@@ -385,11 +379,6 @@ impl QueryService {
     /// deterministically).
     pub fn admission(&self) -> Arc<Admission> {
         Arc::clone(&self.admission)
-    }
-
-    /// Fair-share weights by tenant (for fairness reporting).
-    pub fn weights(&self) -> BTreeMap<String, f64> {
-        self.tenants.iter().map(|(id, h)| (id.clone(), h.spec.weight)).collect()
     }
 }
 

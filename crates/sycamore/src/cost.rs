@@ -23,9 +23,10 @@ use crate::transforms::{
     SECTION_SUMMARY_MAX_OUTPUT, SUMMARIZE_MAX_OUTPUT,
 };
 use aryn_core::text::count_tokens;
+use aryn_llm::client::BACKOFF_BASE_MS;
 use aryn_llm::prompt::tasks;
 use aryn_llm::registry::{ModelSpec, GPT4_SIM};
-use aryn_llm::{LlmClient, ReliabilityPolicy};
+use aryn_llm::{LlmClient, ReliabilityPolicy, RetryPolicy};
 
 /// A closed interval `[lo, hi]` over a non-negative cost dimension.
 /// `hi = +∞` means the dimension is statically unbounded (e.g. cardinality
@@ -121,22 +122,17 @@ impl Interval {
 /// Execution knobs the cost estimators read — this module's and
 /// `luna::costmodel`'s. Built by [`CostKnobs::from_context`] from the
 /// settings the engine runs with, then [`CostKnobs::with_clients`] adds what
-/// the op clients carry. The retry fields mirror [`aryn_llm::RetryPolicy`];
+/// the op clients carry. Retry ladders are [`RetryPolicy::default`]'s, and
+/// an op whose client names no catalogue model is priced as [`GPT4_SIM`];
 /// `reliability`, `chaos` and `call_cache` widen the bounds for execution
 /// modes where calls can legally vanish (cache hits, breaker/deadline skips)
 /// or multiply (chaos-driven retries walking a fallback ladder).
 #[derive(Debug, Clone)]
 pub struct CostKnobs {
-    /// Model for ops/nodes that pin none (or whose client cannot be
-    /// inspected).
-    pub default_model: &'static ModelSpec,
     pub workers: usize,
     /// Micro-batch width (1 = off) and token budget, as in `ExecConfig`.
     pub batch_max_items: usize,
     pub batch_token_budget: usize,
-    pub max_transient: u32,
-    pub max_reask: u32,
-    pub backoff_base_ms: f64,
     /// Active reliability policy: degradation ladders multiply the call
     /// ceiling, breakers/skips allow zero calls, and Luna verifies the
     /// deadline against it.
@@ -150,13 +146,9 @@ pub struct CostKnobs {
 impl Default for CostKnobs {
     fn default() -> Self {
         CostKnobs {
-            default_model: &GPT4_SIM,
             workers: 1,
             batch_max_items: 1,
             batch_token_budget: 2048,
-            max_transient: 4,
-            max_reask: 2,
-            backoff_base_ms: 100.0,
             reliability: None,
             chaos: false,
             call_cache: false,
@@ -299,7 +291,8 @@ pub fn llm_bounds(
     // transient retry and JSON re-ask meters as a call), repeated by every
     // degradation tier below it, doubled when micro-batch bisection can
     // re-submit items in shrinking packs.
-    let attempts = 1.0 + knobs.max_transient as f64 + knobs.max_reask as f64;
+    let retry = RetryPolicy::default();
+    let attempts = 1.0 + retry.max_transient as f64 + retry.max_reask as f64;
     let bisect = if pack > 1.0 { 2.0 } else { 1.0 };
     let calls = Interval::new(
         if knobs.calls_guaranteed() { (items.lo / pack).ceil() } else { 0.0 },
@@ -320,8 +313,8 @@ pub fn llm_bounds(
     // Worst-case retry backoff per item (exponential, ×1.5 jitter headroom),
     // summed over the attempt ladder; charged to the deadline budget, never
     // slept.
-    let retries = (knobs.max_transient + knobs.max_reask).min(30);
-    let backoff_ceiling = knobs.backoff_base_ms * 1.5 * ((1u64 << retries) as f64 - 1.0);
+    let retries = (retry.max_transient + retry.max_reask).min(30);
+    let backoff_ceiling = BACKOFF_BASE_MS * 1.5 * ((1u64 << retries) as f64 - 1.0);
     // Mock latency: base + (0.2·in + out)/tps · 1000, plus the backoff.
     let latency_ms = Interval::new(
         calls.lo * facts.base_ms_min,
@@ -376,14 +369,14 @@ impl PipelineCost {
 
 /// The tiers an op's client can reach: its degradation chain, or the
 /// default model when the client's models are not in the catalogue.
-fn client_facts(client: &LlmClient, knobs: &CostKnobs) -> TierFacts {
+fn client_facts(client: &LlmClient) -> TierFacts {
     let specs: Vec<&'static ModelSpec> = client
         .fallback_chain()
         .iter()
         .filter_map(|c| aryn_llm::registry::spec_by_name(c.model_name()))
         .collect();
     if specs.is_empty() {
-        TierFacts::of(&[knobs.default_model])
+        TierFacts::of(&[&GPT4_SIM])
     } else {
         TierFacts::of(&specs)
     }
@@ -399,7 +392,7 @@ pub fn estimate(ops: &[Op], input_docs: usize, knobs: &CostKnobs) -> PipelineCos
     let open = |d: Interval| if d.hi == 0.0 { Interval::ZERO } else { Interval::at_least(0.0) };
     let pure = |docs: Interval| (docs, LlmBounds::default());
     let llm = |docs_out, items, envelope: usize, max_output: usize, batchable, client| {
-        let facts = client_facts(client, knobs);
+        let facts = client_facts(client);
         (docs_out, llm_bounds(items, envelope as f64, max_output as f64, batchable, &facts, knobs))
     };
     for op in ops {

@@ -198,7 +198,7 @@ impl DocSet {
         self.extract_properties_selected(client, schema, ElementSelector::All)
     }
 
-    pub fn extract_properties_selected(
+    fn extract_properties_selected(
         self,
         client: &LlmClient,
         schema: Value,

@@ -1,8 +1,7 @@
 //! Streaming ingestion (DESIGN.md §5j): a continuous parse→ingest→index
 //! feed where every arrival pays O(doc) work — a memtable put against the
 //! LSM [`DocStore`], a postings delta against a [`ShardedKeywordIndex`], one
-//! graph insert into the active shard of a [`ShardedHnsw`], and an
-//! optional per-document hook (knowledge-graph upserts) — instead of the
+//! graph insert into the active shard of a [`ShardedHnsw`] — instead of the
 //! offline full-rebuild path. Seals and compactions happen inline at
 //! deterministic boundaries; their cost is charged to a virtual clock, which
 //! is what makes *index lag* (arrival-to-searchable delay, including any
@@ -21,8 +20,8 @@ use std::sync::Arc;
 
 /// Streaming-ingestion knobs. One `seal_threshold`/`compact_fanout` pair
 /// drives the store *and* its keyword/vector sidecars (keyword shards seal
-/// at `seal_threshold`, vector shards grow to `4 × seal_threshold`); the
-/// `*_cost_ms` knobs price pipeline stages on the virtual clock
+/// at `seal_threshold`, vector shards grow to `4 × seal_threshold`). The
+/// `*_COST_MS` constants price pipeline stages on the virtual clock
 /// (deterministic latency accounting, like the serving layer's DES).
 #[derive(Debug, Clone, Copy)]
 pub struct IngestConfig {
@@ -30,21 +29,6 @@ pub struct IngestConfig {
     pub seal_threshold: usize,
     /// Sealed-segment count that triggers compaction.
     pub compact_fanout: usize,
-    /// Virtual cost of one document's parse+index work.
-    pub doc_cost_ms: f64,
-    /// Virtual cost of sealing a segment (freeze + stats refresh).
-    pub seal_cost_ms: f64,
-    /// Virtual cost of one full-merge compaction.
-    pub compact_cost_ms: f64,
-    /// Virtual cost of appending one document's WAL record. Charged only
-    /// when the target store is durable (DESIGN.md §5k): an in-memory
-    /// store's lag profile is unchanged.
-    pub wal_cost_ms: f64,
-    /// Additional virtual cost of the per-append fsync when the store's
-    /// [`aryn_index::WalConfig`] has `fsync` on. Durable-ack streams pay
-    /// `wal_cost_ms + fsync_cost_ms` per arrival before the doc counts as
-    /// searchable.
-    pub fsync_cost_ms: f64,
     /// Maintain the vector sidecar (embedding each arrival if the document
     /// carries none).
     pub embed: bool,
@@ -55,15 +39,26 @@ impl Default for IngestConfig {
         IngestConfig {
             seal_threshold: 256,
             compact_fanout: 4,
-            doc_cost_ms: 2.0,
-            seal_cost_ms: 8.0,
-            compact_cost_ms: 24.0,
-            wal_cost_ms: 0.5,
-            fsync_cost_ms: 2.0,
             embed: true,
         }
     }
 }
+
+/// Virtual cost of one document's parse+index work, in ms.
+pub const DOC_COST_MS: f64 = 2.0;
+/// Virtual cost of sealing a segment (freeze + stats refresh), in ms.
+pub const SEAL_COST_MS: f64 = 8.0;
+/// Virtual cost of one full-merge compaction, in ms.
+pub const COMPACT_COST_MS: f64 = 24.0;
+/// Virtual cost of appending one document's WAL record, in ms. Charged only
+/// when the target store is durable (DESIGN.md §5k): an in-memory store's
+/// lag profile is unchanged.
+pub const WAL_COST_MS: f64 = 0.5;
+/// Additional virtual cost of the per-append fsync when the store's
+/// [`aryn_index::WalConfig`] has `fsync` on, in ms. Durable-ack streams pay
+/// `WAL_COST_MS + FSYNC_COST_MS` per arrival before the doc counts as
+/// searchable.
+pub const FSYNC_COST_MS: f64 = 2.0;
 
 /// Counters an ingest stream shares with query layers (registered on the
 /// [`Context`] under the target store's name). Luna reads these to surface
@@ -117,10 +112,6 @@ pub struct IngestReport {
     pub clock_ms: f64,
 }
 
-/// Per-document callback invoked on every arrival (e.g. incremental
-/// knowledge-graph upserts).
-type DocHook = Box<dyn FnMut(&Document) + Send>;
-
 /// A streaming-ingestion pipeline bound to one store on a [`Context`].
 /// Feed it documents with [`Ingestor::ingest_at`]; take consistent
 /// [`StoreSnapshot`]s at any point with [`Ingestor::snapshot`].
@@ -131,8 +122,6 @@ pub struct Ingestor {
     keyword: ShardedKeywordIndex,
     vector: ShardedHnsw,
     embedder: Arc<dyn EmbeddingModel>,
-    /// Per-document hook (e.g. incremental knowledge-graph upserts).
-    doc_hook: Option<DocHook>,
     clock_ms: f64,
     lags: Vec<f64>,
     shared: Arc<IngestShared>,
@@ -170,7 +159,6 @@ impl Ingestor {
             keyword: ShardedKeywordIndex::new(cfg.seal_threshold),
             vector: ShardedHnsw::new(dims, cfg.seal_threshold),
             embedder,
-            doc_hook: None,
             clock_ms: 0.0,
             lags: Vec::new(),
             shared: Arc::new(IngestShared::default()),
@@ -182,12 +170,6 @@ impl Ingestor {
     fn with_shared(mut self, shared: Arc<IngestShared>) -> Ingestor {
         self.shared = shared;
         self
-    }
-
-    /// Installs a per-document hook, run before the store put (e.g.
-    /// incremental knowledge-graph node/edge upserts).
-    pub fn set_doc_hook(&mut self, hook: impl FnMut(&Document) + Send + 'static) {
-        self.doc_hook = Some(Box::new(hook));
     }
 
     /// Ingests one document arriving at `arrival_ms` on the virtual clock.
@@ -204,11 +186,8 @@ impl Ingestor {
     pub fn ingest_at(&mut self, doc: Document, arrival_ms: f64) -> Result<f64> {
         // The pipeline is busy until `clock_ms`; a doc arriving earlier
         // waits, one arriving later finds the pipeline idle.
-        self.clock_ms = self.clock_ms.max(arrival_ms) + self.cfg.doc_cost_ms;
+        self.clock_ms = self.clock_ms.max(arrival_ms) + DOC_COST_MS;
         let text = doc.full_text();
-        if let Some(hook) = &mut self.doc_hook {
-            hook(&doc);
-        }
         let doc_id = doc.id.0.clone();
         let embedding = if self.cfg.embed {
             Some(match &doc.embedding {
@@ -223,9 +202,9 @@ impl Ingestor {
             (put, s.stats(), s.is_durable(), s.wal_fsync())
         })?;
         if durable {
-            self.clock_ms += self.cfg.wal_cost_ms;
+            self.clock_ms += WAL_COST_MS;
             if fsync {
-                self.clock_ms += self.cfg.fsync_cost_ms;
+                self.clock_ms += FSYNC_COST_MS;
             }
         }
         // A failed WAL append is a refused ack: the store did not take the
@@ -241,12 +220,12 @@ impl Ingestor {
         let compactions = stats.compactions - self.last_stats.compactions;
         self.last_stats = stats;
         if seals > 0 {
-            self.clock_ms += seals as f64 * self.cfg.seal_cost_ms;
+            self.clock_ms += seals as f64 * SEAL_COST_MS;
         }
         if compactions > 0 {
             self.keyword.compact();
             self.vector.compact();
-            self.clock_ms += compactions as f64 * self.cfg.compact_cost_ms;
+            self.clock_ms += compactions as f64 * COMPACT_COST_MS;
         }
         let lag = self.clock_ms - arrival_ms;
         self.lags.push(lag);
@@ -436,18 +415,5 @@ mod tests {
             .count()
             .unwrap();
         assert_eq!(n, 10);
-    }
-
-    #[test]
-    fn doc_hook_sees_every_arrival() {
-        let ctx = Context::new();
-        let mut ing = Ingestor::new(&ctx, "s", IngestConfig::default());
-        let seen = Arc::new(AtomicUsize::new(0));
-        let seen2 = Arc::clone(&seen);
-        ing.set_doc_hook(move |_| {
-            seen2.fetch_add(1, Ordering::Relaxed);
-        });
-        feed(&mut ing, 7, 1.0);
-        assert_eq!(seen.load(Ordering::Relaxed), 7);
     }
 }

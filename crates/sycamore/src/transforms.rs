@@ -595,7 +595,7 @@ impl<'a> GroupFold<'a> {
     }
 
     /// [`GroupFold::push`] reading the key and values from the document.
-    pub fn push_row(&mut self, doc: &Document) {
+    fn push_row(&mut self, doc: &Document) {
         let aggs = self.aggs;
         let slot = self.slot(doc.prop(self.key));
         let group = &mut self.groups[slot];

@@ -32,6 +32,9 @@
 //!    `sycamore::ExecConfig` has a row in README's knob table whose "Where"
 //!    cell names the struct, and every field the table names for either
 //!    struct exists.
+//! 7. **Uncalled-pub-fn scan.** Every non-test `pub fn` in a library crate
+//!    has a caller outside its own file, or a reasoned line in
+//!    `crates/xtask/pub-fn-allow.txt` (see [`uncalled_pub_fn_scan`]).
 //!
 //! `lint --plans` is the plan-feasibility pass: it builds the bench18
 //! fixture at smoke corpus sizes, plans every question with the static cost
@@ -39,7 +42,7 @@
 //! diagnostic (L22/L23 hard infeasibility, or any semantic error) that
 //! survives the repair re-prompt.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -86,6 +89,7 @@ fn lint(root: &Path) -> Result<(), String> {
     raw_fs_scan(root, &mut failures)?;
     doc_code_check(root, &mut failures)?;
     knob_table_check(root, &mut failures)?;
+    uncalled_pub_fn_scan(root, &mut failures)?;
     if failures.is_empty() {
         println!("xtask lint: ok");
         Ok(())
@@ -179,13 +183,26 @@ fn scan_dir_for(
     patterns: &[&str],
     counts: &mut BTreeMap<String, Vec<(usize, String)>>,
 ) -> Result<(), String> {
+    let mut files = Vec::new();
+    read_rs_files(dir, root, &mut files)?;
+    for (rel, text) in files {
+        for site in scan_source_for(&text, patterns) {
+            counts.entry(rel.clone()).or_default().push(site);
+        }
+    }
+    Ok(())
+}
+
+/// Appends (repo-relative path, text) for every `.rs` file under `dir`; a
+/// missing `dir` adds nothing.
+fn read_rs_files(dir: &Path, root: &Path, out: &mut Vec<(String, String)>) -> Result<(), String> {
     let Ok(entries) = fs::read_dir(dir) else {
-        return Ok(()); // crates without src/ (none today) are fine
+        return Ok(());
     };
     for entry in entries.flatten() {
         let path = entry.path();
         if path.is_dir() {
-            scan_dir_for(&path, root, patterns, counts)?;
+            read_rs_files(&path, root, out)?;
         } else if path.extension().is_some_and(|e| e == "rs") {
             let text = fs::read_to_string(&path)
                 .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
@@ -194,9 +211,7 @@ fn scan_dir_for(
                 .unwrap_or(&path)
                 .to_string_lossy()
                 .replace('\\', "/");
-            for site in scan_source_for(&text, patterns) {
-                counts.entry(rel.clone()).or_default().push(site);
-            }
+            out.push((rel, text));
         }
     }
     Ok(())
@@ -274,12 +289,22 @@ fn batch_bypass_scan(root: &Path, failures: &mut Vec<String>) -> Result<(), Stri
 /// Returns (1-based line, trimmed text) for each line containing one of
 /// `patterns` outside comments and `#[cfg(test)]` blocks.
 fn scan_source_for(text: &str, patterns: &[&str]) -> Vec<(usize, String)> {
+    code_lines(text)
+        .into_iter()
+        .filter(|(_, line)| patterns.iter().any(|p| line.contains(p)))
+        .map(|(lineno, line)| (lineno, line.to_string()))
+        .collect()
+}
+
+/// (1-based line, trimmed text) of each line outside comments and
+/// `#[cfg(test)]` blocks.
+fn code_lines(text: &str) -> Vec<(usize, &str)> {
     let lines: Vec<&str> = text.lines().collect();
     let mut out = Vec::new();
     let mut i = 0;
     while i < lines.len() {
         let trimmed = lines[i].trim();
-        if trimmed.contains("#[cfg(test)]") {
+        if trimmed.starts_with("#[cfg(test)]") {
             // Skip the attached item (a mod or fn block): advance to the end
             // of the next brace-balanced block.
             let mut depth = 0i32;
@@ -298,8 +323,8 @@ fn scan_source_for(text: &str, patterns: &[&str]) -> Vec<(usize, String)> {
             i += 1;
             continue;
         }
-        if !trimmed.starts_with("//") && patterns.iter().any(|f| trimmed.contains(f)) {
-            out.push((i + 1, trimmed.to_string()));
+        if !trimmed.starts_with("//") {
+            out.push((i + 1, trimmed));
         }
         i += 1;
     }
@@ -439,6 +464,157 @@ fn raw_fs_scan(root: &Path, failures: &mut Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
+// --- Uncalled-pub-fn scan -----------------------------------------------------
+
+/// Caller directories besides every crate's `src`, `tests` and `benches`.
+const CALLER_DIRS: [&str; 3] = ["tests", "examples", "benchmark/src"];
+
+/// Crates whose `pub fn`s are not library API (repo automation and the bench
+/// harness); they still count as callers.
+const NON_LIBRARY_CRATES: [&str; 2] = ["xtask", "bench"];
+
+/// Allowlist entries beyond this mean the rule no longer describes the code.
+const PUB_FN_ALLOW_MAX: usize = 39;
+
+/// Every non-test `pub fn` in a library crate's `src/` must be named by some
+/// other file under a caller directory, or have a `path name reason` line in
+/// `crates/xtask/pub-fn-allow.txt`; otherwise it is surface nothing uses.
+/// Matching is by name, so this is a lower bound: a common name (`new`,
+/// `len`) passes whenever any other file says it. A `pub use` re-export and
+/// a comment name a function without calling it, so neither counts.
+fn uncalled_pub_fn_scan(root: &Path, failures: &mut Vec<String>) -> Result<(), String> {
+    let mut files = Vec::new();
+    let crates = root.join("crates");
+    let entries =
+        fs::read_dir(&crates).map_err(|e| format!("cannot list {}: {e}", crates.display()))?;
+    for entry in entries.flatten() {
+        for sub in ["src", "tests", "benches"] {
+            read_rs_files(&entry.path().join(sub), root, &mut files)?;
+        }
+    }
+    for dir in CALLER_DIRS {
+        read_rs_files(&root.join(dir), root, &mut files)?;
+    }
+    files.sort();
+    let allow = load_pub_fn_allowlist(root)?;
+    if allow.len() > PUB_FN_ALLOW_MAX {
+        failures.push(format!(
+            "crates/xtask/pub-fn-allow.txt: {} entries, at most {PUB_FN_ALLOW_MAX} — \
+             delete or narrow functions instead of allowing them",
+            allow.len()
+        ));
+    }
+    let uncalled = uncalled_pub_fns(&files);
+    for (file, lineno, name) in &uncalled {
+        if !allow.contains(&(file.clone(), name.clone())) {
+            failures.push(format!(
+                "{file}:{lineno}: `pub fn {name}` has no caller outside its file — delete it, \
+                 make it private or `pub(crate)`, or allow it with a reason in \
+                 crates/xtask/pub-fn-allow.txt"
+            ));
+        }
+    }
+    for (file, name) in &allow {
+        if !uncalled.iter().any(|(f, _, n)| f == file && n == name) {
+            failures.push(format!(
+                "crates/xtask/pub-fn-allow.txt: `{file} {name}` is no uncalled pub fn — \
+                 remove the line"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// (file, 1-based line, name) of each non-test `pub fn` in a library crate's
+/// `src/` that no other of `files` (repo-relative path, text) names.
+fn uncalled_pub_fns(files: &[(String, String)]) -> Vec<(String, usize, String)> {
+    let words: Vec<BTreeSet<&str>> = files.iter().map(|(_, text)| caller_words(text)).collect();
+    let mut out = Vec::new();
+    for (i, (rel, text)) in files.iter().enumerate() {
+        if !is_library_src(rel) {
+            continue;
+        }
+        for (lineno, line) in code_lines(text) {
+            let Some(name) = pub_fn_name(line) else {
+                continue;
+            };
+            let called = words
+                .iter()
+                .enumerate()
+                .any(|(j, w)| j != i && w.contains(name));
+            if !called {
+                out.push((rel.clone(), lineno, name.to_string()));
+            }
+        }
+    }
+    out
+}
+
+fn is_library_src(rel: &str) -> bool {
+    let mut parts = rel.split('/');
+    parts.next() == Some("crates")
+        && parts
+            .next()
+            .is_some_and(|c| !NON_LIBRARY_CRATES.contains(&c))
+        && parts.next() == Some("src")
+}
+
+/// The name a trimmed line declares as `pub [const|async|unsafe] fn`.
+fn pub_fn_name(line: &str) -> Option<&str> {
+    let mut rest = line.strip_prefix("pub ")?;
+    for qualifier in ["const ", "async ", "unsafe "] {
+        rest = rest.strip_prefix(qualifier).unwrap_or(rest);
+    }
+    let rest = rest.strip_prefix("fn ")?;
+    let end = rest
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(rest.len());
+    Some(&rest[..end]).filter(|name| !name.is_empty())
+}
+
+/// The words `text` says outside comment lines and `pub use` statements.
+fn caller_words(text: &str) -> BTreeSet<&str> {
+    let mut out = BTreeSet::new();
+    let mut in_reexport = false;
+    for line in text.lines().map(str::trim) {
+        in_reexport |= line.starts_with("pub use ");
+        if in_reexport {
+            in_reexport = !line.contains(';');
+            continue;
+        }
+        if !line.starts_with("//") {
+            out.extend(line.split(|c: char| !(c.is_alphanumeric() || c == '_')));
+        }
+    }
+    out
+}
+
+/// Parses `pub-fn-allow.txt`: `path name reason` lines, `#` comments; a line
+/// without a reason is an error.
+fn load_pub_fn_allowlist(root: &Path) -> Result<BTreeSet<(String, String)>, String> {
+    let path = root.join("crates/xtask/pub-fn-allow.txt");
+    let text =
+        fs::read_to_string(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let mut out = BTreeSet::new();
+    for line in text.lines().map(str::trim) {
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let mut parts = line.splitn(3, char::is_whitespace);
+        match (parts.next(), parts.next(), parts.next().map(str::trim)) {
+            (Some(file), Some(name), Some(reason)) if !reason.is_empty() => {
+                out.insert((file.to_string(), name.to_string()));
+            }
+            _ => {
+                return Err(format!(
+                    "malformed pub-fn allowlist line (want `path name reason`): {line:?}"
+                ))
+            }
+        }
+    }
+    Ok(out)
+}
+
 // --- Bench18 plan lint (`cargo xtask lint --plans`) ---------------------------
 
 /// Runs the planner + static cost analyzer (DESIGN.md §5h) over every
@@ -574,8 +750,8 @@ fn pub_fields(src: &str, name: &str) -> Option<Vec<String>> {
 /// The config fields a markdown table names for `path`: in a row whose
 /// second ("Where") cell mentions `path`, `path.field` names `field`, and a
 /// bare `path` names every backticked knob in the row's first cell.
-fn table_fields(markdown: &str, path: &str) -> std::collections::BTreeSet<String> {
-    let mut out = std::collections::BTreeSet::new();
+fn table_fields(markdown: &str, path: &str) -> BTreeSet<String> {
+    let mut out = BTreeSet::new();
     for line in markdown.lines().filter(|l| l.starts_with('|')) {
         let cells: Vec<&str> = line.split('|').collect();
         let (Some(knob), Some(place)) = (cells.get(1), cells.get(2)) else { continue };
@@ -661,13 +837,14 @@ mod tests {
         let y = maybe().unwrap();
     }
 }
+/// A comment naming `#[cfg(test)]` is no attribute.
 fn c() {
     other().expect(\"boom\");
 }
 ";
         let sites = scan_source_for(src, FORBIDDEN);
         let linenos: Vec<usize> = sites.iter().map(|(n, _)| *n).collect();
-        assert_eq!(linenos, vec![2, 12]);
+        assert_eq!(linenos, vec![2, 13]);
     }
 
     #[test]
@@ -732,6 +909,68 @@ mod tests {
         let sites = scan_source_for(src, &["fs::write(", "fs::rename("]);
         let linenos: Vec<usize> = sites.iter().map(|(n, _)| *n).collect();
         assert_eq!(linenos, vec![2, 3]);
+    }
+
+    /// Rule 7 over an in-memory tree: the uncalled `pub fn`s, by name.
+    fn uncalled(files: &[(&str, &str)]) -> Vec<String> {
+        let files: Vec<(String, String)> = files
+            .iter()
+            .map(|(p, t)| (p.to_string(), t.to_string()))
+            .collect();
+        uncalled_pub_fns(&files)
+            .into_iter()
+            .map(|(_, _, name)| name)
+            .collect()
+    }
+
+    const LIB: &str = "\
+pub fn reexported() {}
+pub(crate) fn internal() {}
+#[cfg(test)]
+pub fn test_helper() {}
+";
+
+    #[test]
+    fn a_pub_use_reexport_is_not_a_caller() {
+        let lib_rs = "pub use crate::a::{\n    reexported,\n};\n// reexported() in a comment\n";
+        let files = [
+            ("crates/foo/src/a.rs", LIB),
+            ("crates/foo/src/lib.rs", lib_rs),
+        ];
+        assert_eq!(uncalled(&files), vec!["reexported"]);
+    }
+
+    #[test]
+    fn a_caller_in_the_benchmark_counts() {
+        let bench = "fn main() {\n    foo::reexported();\n}\n";
+        let files = [
+            ("crates/foo/src/a.rs", LIB),
+            ("benchmark/src/main.rs", bench),
+        ];
+        assert!(uncalled(&files).is_empty());
+        // The bench harness crate is a caller, not library API.
+        let files = [("crates/bench/src/lib.rs", "pub fn export() {}\n")];
+        assert!(uncalled(&files).is_empty());
+    }
+
+    #[test]
+    fn a_call_from_the_functions_own_test_module_does_not_count() {
+        let lib = "\
+pub fn tested_here() {}
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() {
+        super::tested_here();
+    }
+}
+";
+        assert_eq!(
+            uncalled(&[("crates/foo/src/a.rs", lib)]),
+            vec!["tested_here"]
+        );
+        assert_eq!(pub_fn_name("pub const fn new() -> Self {"), Some("new"));
+        assert_eq!(pub_fn_name("pub(crate) fn hidden() {"), None);
     }
 
     #[test]

@@ -387,6 +387,7 @@ mod prop {
 /// arrival survives a restart of the store directory.
 #[test]
 fn ingestor_durable_acks_survive_restart() {
+    use sycamore::ingest::{DOC_COST_MS, FSYNC_COST_MS, WAL_COST_MS};
     use sycamore::{Context, IngestConfig, Ingestor};
     let mem: Arc<MemFs> = Arc::new(MemFs::new());
     let ctx = Context::new();
@@ -397,7 +398,6 @@ fn ingestor_durable_acks_survive_restart() {
         seal_threshold: 8,
         compact_fanout: 2,
         embed: false,
-        ..IngestConfig::default()
     };
     let mut ing = Ingestor::new(&ctx, "dur", cfg);
     let mut lags = Vec::new();
@@ -406,7 +406,7 @@ fn ingestor_durable_acks_survive_restart() {
         lags.push(ing.ingest_at(doc(i), i as f64 * 100.0).unwrap());
     }
     // First arrival's lag = doc + wal + fsync cost, nothing queued behind.
-    let expected = cfg.doc_cost_ms + cfg.wal_cost_ms + cfg.fsync_cost_ms;
+    let expected = DOC_COST_MS + WAL_COST_MS + FSYNC_COST_MS;
     assert_eq!(lags[0], expected, "durable ack must charge WAL+fsync");
     let report = ing.report();
     assert_eq!(report.docs, 20);
@@ -435,7 +435,6 @@ fn wal_overhead_absent_for_in_memory_stores() {
             seal_threshold: 8,
             compact_fanout: 2,
             embed: false,
-            ..IngestConfig::default()
         };
         let mut ing = Ingestor::new(&ctx, "s", cfg);
         for i in 0..12 {
