@@ -443,6 +443,8 @@ pub enum StorageFault {
     ShortRead,
     /// A write/append fails without persisting anything (disk full).
     Enospc,
+    /// A sync fails: the file's unsynced tail stays volatile.
+    SyncError,
 }
 
 impl StorageFault {
@@ -451,6 +453,7 @@ impl StorageFault {
             StorageFault::TornWrite => "torn_write",
             StorageFault::ShortRead => "short_read",
             StorageFault::Enospc => "enospc",
+            StorageFault::SyncError => "sync_error",
         }
     }
 }
@@ -753,6 +756,10 @@ impl Vfs for ChaosFs {
             // Crash before the sync takes effect: the tail stays volatile.
             self.crash(&mut s, op);
             return Err(ArynError::Io("simulated crash during sync".into()));
+        }
+        if self.schedule.fault_at(op) == Some(StorageFault::SyncError) {
+            s.faults += 1;
+            return Err(ArynError::Io(format!("{}: sync failed", path.display())));
         }
         self.inner.sync(path)?;
         if let Some(t) = s.tracked.get_mut(&norm(path)) {

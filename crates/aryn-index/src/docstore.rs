@@ -23,7 +23,8 @@ use aryn_core::{ArynError, Document, Result, Value};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, OnceLock};
+use std::sync::{mpsc, Arc, OnceLock};
+use std::thread::JoinHandle;
 
 /// A store's observed property schema: `path -> (dominant type name,
 /// occurrence count)` ([`DocStore::schema`]).
@@ -420,13 +421,82 @@ struct Durable {
     fsync: bool,
     /// Rotates on every seal; the manifest names the live sequence.
     wal_seq: u64,
-    /// The live WAL's path (`wal_seq`'s file).
-    wal: PathBuf,
-    /// Set when an append failed and the WAL tail may be torn; the log is
-    /// atomically rewritten from the memtable before the next append.
+    /// The live WAL's path (`wal_seq`'s file), shared with the syncer.
+    wal: Arc<Path>,
+    /// Set while the WAL tail may be torn or hold a record memory never
+    /// applied (an append or its fsync failed, or the put's work unwound);
+    /// the log is atomically rewritten from the memtable before the next
+    /// append.
     wal_dirty: bool,
     /// The record being appended, reused so a put stages nothing.
     frame: Vec<u8>,
+    /// The WAL's fsync thread, started by the first append with fsync on.
+    syncer: Option<Syncer>,
+}
+
+/// A long-lived thread that fsyncs the WAL, so a put's caller can do the
+/// arrival's read-only work while the sync is in flight
+/// ([`DocStore::try_put_with`]). One request is outstanding at a time;
+/// dropping the store stops and joins the thread.
+#[derive(Debug)]
+struct Syncer {
+    /// `None` only while dropping: closing the channel ends the thread.
+    requests: Option<mpsc::Sender<Arc<Path>>>,
+    /// Behind a `Mutex` only so that `DocStore` stays `Sync`; reached
+    /// through `get_mut`, never locked.
+    replies: Mutex<mpsc::Receiver<Result<()>>>,
+    /// A request whose reply was never taken (the caller's work unwound):
+    /// drained before the next request so replies stay paired.
+    pending: bool,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Syncer {
+    fn start(vfs: Arc<dyn Vfs>) -> Result<Syncer> {
+        let (requests, inbox) = mpsc::channel::<Arc<Path>>();
+        let (outbox, replies) = mpsc::channel();
+        let thread = std::thread::Builder::new()
+            .name("wal-sync".into())
+            .spawn(move || {
+                for path in inbox {
+                    if outbox.send(vfs.sync(&path)).is_err() {
+                        break;
+                    }
+                }
+            })
+            .map_err(|e| ArynError::Io(format!("cannot start the WAL syncer: {e}")))?;
+        Ok(Syncer { requests: Some(requests), replies: Mutex::new(replies), pending: false, thread: Some(thread) })
+    }
+
+    /// Fsyncs `path` on the syncer thread while `work` runs on this one;
+    /// returns `work`'s value once the sync has finished, with its result.
+    fn sync_while<R>(&mut self, path: &Arc<Path>, work: impl FnOnce() -> R) -> (R, Result<()>) {
+        let gone = || ArynError::Io("the WAL syncer thread has stopped".into());
+        let replies = self.replies.get_mut();
+        if self.pending {
+            let _ = replies.recv();
+            self.pending = false;
+        }
+        let sent = self.requests.as_ref().is_some_and(|tx| tx.send(Arc::clone(path)).is_ok());
+        self.pending = sent;
+        let value = work();
+        if !sent {
+            return (value, Err(gone()));
+        }
+        let synced = replies.recv().unwrap_or_else(|_| Err(gone()));
+        self.pending = false;
+        (value, synced)
+    }
+}
+
+impl Drop for Syncer {
+    fn drop(&mut self) {
+        self.requests.take();
+        if let Some(thread) = self.thread.take() {
+            // A panic on the syncer already failed its put's ack.
+            let _ = thread.join();
+        }
+    }
 }
 
 impl Durable {
@@ -623,7 +693,19 @@ impl DocStore {
     /// survives a crash; `Err` means it was never applied. In-memory
     /// stores never fail.
     pub fn try_put(&mut self, doc: Document) -> Result<()> {
-        self.wal_append(b'p', |o| aryn_core::serialize::encode_document(&doc, o))
+        self.try_put_with(doc, || ())
+    }
+
+    /// [`DocStore::try_put`] that also runs `work` on the caller's thread
+    /// and returns its value: after the WAL append, while the record's
+    /// fsync runs on the store's syncer thread, and before the memtable
+    /// put, which waits for the sync to succeed. `work` must not touch this
+    /// store; it suits the arrival's read-only index work. It does not run
+    /// when the append fails; when the sync fails, its value is dropped
+    /// with the refused ack.
+    pub fn try_put_with<R>(&mut self, doc: Document, work: impl FnOnce() -> R) -> Result<R> {
+        let value = self
+            .wal_append(b'p', |o| aryn_core::serialize::encode_document(&doc, o), work)
             .inspect_err(|_| self.stats.io_errors += 1)?;
         self.apply_put(doc);
         if self.config.seal_threshold > 0 && self.mem.docs.len() >= self.config.seal_threshold {
@@ -632,7 +714,7 @@ impl DocStore {
             // until a seal succeeds.
             let _ = self.try_seal();
         }
-        Ok(())
+        Ok(value)
     }
 
     /// The memtable's entries for writing: copied first if a snapshot still
@@ -662,11 +744,19 @@ impl DocStore {
     }
 
     /// Appends one checksummed frame, whose payload `fill` writes, to the
-    /// WAL (no-op on in-memory stores), repairing a torn tail first if a
-    /// previous append failed mid-write.
-    fn wal_append(&mut self, tag: u8, fill: impl FnOnce(&mut Vec<u8>) -> Result<()>) -> Result<()> {
+    /// WAL, repairing a torn tail first if a previous append failed
+    /// mid-write, and runs `work` once the frame is appended: beside the
+    /// fsync when the store syncs, after the append otherwise, and alone on
+    /// in-memory stores. `Ok` carries `work`'s value once the record is
+    /// durable.
+    fn wal_append<R>(
+        &mut self,
+        tag: u8,
+        fill: impl FnOnce(&mut Vec<u8>) -> Result<()>,
+        work: impl FnOnce() -> R,
+    ) -> Result<R> {
         let Some(d) = self.durable.as_mut() else {
-            return Ok(());
+            return Ok(work());
         };
         if d.wal_dirty {
             // State-equivalent rewrite: the memtable already reflects every
@@ -676,16 +766,26 @@ impl DocStore {
         }
         d.frame.clear();
         vfs::encode_frame_with(&mut d.frame, tag, fill)?;
-        let mut io = d.vfs.append(&d.wal, &d.frame);
-        if io.is_ok() && d.fsync {
-            io = d.vfs.sync(&d.wal);
+        if d.fsync && d.syncer.is_none() {
+            // Started before the append, so a store that cannot sync
+            // refuses the put with the WAL untouched.
+            d.syncer = Some(Syncer::start(Arc::clone(&d.vfs))?);
         }
-        if io.is_err() {
-            d.wal_dirty = true;
-            return io;
-        }
+        // Dirty until the record is durable: an error or an unwinding
+        // `work` leaves a tail that memory never applies.
+        d.wal_dirty = true;
+        d.vfs.append(&d.wal, &d.frame)?;
+        let value = match &mut d.syncer {
+            Some(syncer) => {
+                let (value, synced) = syncer.sync_while(&d.wal, work);
+                synced?;
+                value
+            }
+            None => work(),
+        };
+        d.wal_dirty = false;
         self.stats.wal_appends += 1;
-        Ok(())
+        Ok(value)
     }
 
     pub fn get(&self, id: &str) -> Option<&Document> {
@@ -700,10 +800,14 @@ impl DocStore {
         if layered_lookup(&self.mem.docs, &self.segments, id).is_none() {
             return Ok(false);
         }
-        self.wal_append(b'd', |o| {
-            o.extend_from_slice(id.as_bytes());
-            Ok(())
-        })
+        self.wal_append(
+            b'd',
+            |o| {
+                o.extend_from_slice(id.as_bytes());
+                Ok(())
+            },
+            || (),
+        )
         .inspect_err(|_| self.stats.io_errors += 1)?;
         self.apply_delete(id);
         Ok(true)
@@ -729,8 +833,8 @@ impl DocStore {
 
     /// Seals the memtable into an immutable segment (no-op when empty), then
     /// compacts if the sealed-segment count reached `compact_fanout`.
-    /// Deterministic inline "background" maintenance: there are no threads,
-    /// so runs are bit-reproducible. On a durable store the order is
+    /// Deterministic inline "background" maintenance: no maintenance
+    /// thread, so runs are bit-reproducible. On a durable store the order is
     /// crash-safe: segment file (atomic temp→sync→rename), then the manifest
     /// naming it and rotating the WAL (atomic), then memory. A crash between
     /// any two steps recovers to either the pre-seal state (WAL replay) or
@@ -752,7 +856,7 @@ impl DocStore {
                 .inspect_err(|_| self.stats.io_errors += 1)?;
             // The seal is durable; the superseded WAL is garbage (recovery
             // sweeps it if this remove never runs).
-            let old = std::mem::replace(&mut d.wal, d.dir.join(wal_name(new_wal)));
+            let old = std::mem::replace(&mut d.wal, d.dir.join(wal_name(new_wal)).into());
             d.wal_seq = new_wal;
             d.wal_dirty = false;
             let _ = d.vfs.remove(&old);
@@ -1419,12 +1523,13 @@ impl DocStore {
         }
         store.durable = Some(Durable {
             vfs: fs,
-            wal: dir.join(keep_wal),
+            wal: dir.join(keep_wal).into(),
             dir,
             fsync: wal.fsync,
             wal_seq,
             wal_dirty: false,
             frame: Vec::new(),
+            syncer: None,
         });
         // The replayed memtable may already exceed the seal threshold; a
         // failed seal (counted by `try_seal`) leaves it in the memtable.

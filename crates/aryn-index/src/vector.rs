@@ -180,7 +180,7 @@ fn max_links(layer: usize) -> usize {
 /// and sums in a fixed order, so cosine is symmetric bit for bit: both ends
 /// of an edge hold the same value, and a prune reads exactly what
 /// recomputing it would give.
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Link {
     sim: f32,
     id: u32,
@@ -196,6 +196,16 @@ pub struct HnswIndex {
     /// Highest layer of each node.
     node_level: Vec<usize>,
     entry: Option<u32>,
+}
+
+/// The searched half of one [`HnswIndex`] insert
+/// ([`HnswIndex::plan_insert`]): the node it is for, its level, and the
+/// links to make, per layer from the highest down, best first.
+#[derive(Debug)]
+pub struct InsertPlan {
+    node: usize,
+    level: usize,
+    links: Vec<(usize, Link)>,
 }
 
 /// Max-heap entry by similarity.
@@ -348,30 +358,52 @@ impl HnswIndex {
         }
     }
 
-    /// Links node `id` (already in the arena and layer tables) into the graph.
-    fn connect(&mut self, s: &mut Scratch, id: u32, level: usize, entry: u32, query: &[f32]) {
-        let qn = self.arena.norms[id as usize];
-        let top = self.layers.len() - 1;
-        let mut cur = entry;
-        // Descend from the top to level+1 greedily.
-        for layer in (level + 1..=top).rev() {
-            cur = self.search_layer(s, query, qn, cur, 1, layer);
+    /// The read-only half of an insert: draws the next node's level and
+    /// runs every layer search for `vector`, leaving the links to make in
+    /// the plan. Valid until the index next changes.
+    fn plan_insert(&self, vector: &[f32]) -> Result<InsertPlan> {
+        self.arena.check(vector.len(), "vector")?;
+        let node = self.arena.keys.len();
+        let level = self.random_level(node);
+        // The most links the node can get: one allocation, never regrown.
+        let mut links = Vec::with_capacity(max_links(0) + M * level);
+        if let Some(entry) = self.entry {
+            // The searches may run before any link is made: a link at layer
+            // L never changes the search at layer L−1, and the search on a
+            // layer above the current top meets only the entry point.
+            let qn = norm(vector);
+            let top = self.layers.len() - 1;
+            let entry_link = Link { sim: self.arena.sim(vector, qn, entry), id: entry };
+            links.extend((top + 1..=level).rev().map(|layer| (layer, entry_link)));
+            SCRATCH.with(|s| {
+                let s = &mut *s.borrow_mut();
+                let mut cur = entry;
+                // Descend from the top to level+1 greedily.
+                for layer in (level + 1..=top).rev() {
+                    cur = self.search_layer(s, vector, qn, cur, 1, layer);
+                }
+                // Candidates from level down to 0.
+                for layer in (0..=level.min(top)).rev() {
+                    cur = self.search_layer(s, vector, qn, cur, EF_CONSTRUCTION, layer);
+                    links.extend(s.results.iter().take(max_links(layer)).map(|&(sim, id)| (layer, Link { sim, id })));
+                }
+            });
         }
-        // Insert with links from level down to 0.
-        for layer in (0..=level.min(top)).rev() {
-            cur = self.search_layer(s, query, qn, cur, EF_CONSTRUCTION, layer);
-            // `link` prunes through its own buffer, so `results` stays put.
-            for i in 0..s.results.len().min(max_links(layer)) {
-                let (sim, nb) = s.results[i];
-                self.link(s, layer, id, nb, sim);
-            }
-        }
+        Ok(InsertPlan { node, level, links })
     }
 
-    /// Adds a vector and links it into the graph; returns its node id.
-    fn add_node(&mut self, key: &str, vector: &[f32]) -> Result<u32> {
+    /// The writing half of an insert: pushes the node `plan` was made for
+    /// and makes its links. Errors if the index changed since the plan.
+    fn apply_insert(&mut self, key: &str, vector: &[f32], plan: InsertPlan) -> Result<u32> {
+        if plan.node != self.arena.keys.len() {
+            return Err(ArynError::Index(format!(
+                "insert planned for node {} of an index now holding {}",
+                plan.node,
+                self.arena.keys.len()
+            )));
+        }
         let id = self.arena.push(key, vector)?;
-        let level = self.random_level(id as usize);
+        let level = plan.level;
         self.node_level.push(level);
         while self.layers.len() <= level {
             // New top layer: every existing node slot exists but unlinked.
@@ -384,7 +416,12 @@ impl HnswIndex {
             self.entry = Some(id);
             return Ok(id);
         };
-        SCRATCH.with(|s| self.connect(&mut s.borrow_mut(), id, level, entry, vector));
+        SCRATCH.with(|s| {
+            let s = &mut *s.borrow_mut();
+            for (layer, Link { sim, id: nb }) in plan.links {
+                self.link(s, layer, id, nb, sim);
+            }
+        });
         // Track the entry point at the highest level (`entry` is the
         // pre-insert entry point bound above).
         if level >= self.node_level[entry as usize] {
@@ -403,7 +440,8 @@ impl HnswIndex {
 
 impl VectorIndex for HnswIndex {
     fn add_slice(&mut self, key: &str, vector: &[f32]) -> Result<()> {
-        self.add_node(key, vector).map(|_| ())
+        let plan = self.plan_insert(vector)?;
+        self.apply_insert(key, vector, plan).map(|_| ())
     }
 
     fn search(&self, query: &[f32], k: usize) -> Result<Vec<Neighbor>> {
@@ -603,13 +641,18 @@ impl ShardedHnsw {
         }
         self.dead = 0;
     }
-}
 
-impl VectorIndex for ShardedHnsw {
-    /// Adds (or replaces) a vector: one insert into the active shard's graph.
-    /// A replaced copy goes stale where it is.
-    fn add_slice(&mut self, key: &str, vector: &[f32]) -> Result<()> {
-        let node = self.active.add_node(key, vector)?;
+    /// The read-only half of an add: the active shard's layer searches for
+    /// `vector`, which may run while other work waits on the index.
+    pub fn plan_add(&self, vector: &[f32]) -> Result<InsertPlan> {
+        self.active.plan_insert(vector)
+    }
+
+    /// The writing half of an add, given the plan [`ShardedHnsw::plan_add`]
+    /// made with no change to the index since: one insert into the active
+    /// shard's graph. A replaced copy goes stale where it is.
+    pub fn add_planned(&mut self, key: &str, vector: &[f32], plan: InsertPlan) -> Result<()> {
+        let node = self.active.apply_insert(key, vector, plan)?;
         if self.owner.insert(key.to_string(), Slot { shard: ACTIVE_SHARD, node }).is_some() {
             self.dead += 1;
         }
@@ -617,6 +660,15 @@ impl VectorIndex for ShardedHnsw {
             self.seal_active();
         }
         Ok(())
+    }
+}
+
+impl VectorIndex for ShardedHnsw {
+    /// Adds (or replaces) a vector: [`ShardedHnsw::plan_add`], then
+    /// [`ShardedHnsw::add_planned`].
+    fn add_slice(&mut self, key: &str, vector: &[f32]) -> Result<()> {
+        let plan = self.plan_add(vector)?;
+        self.add_planned(key, vector, plan)
     }
 
     fn search(&self, query: &[f32], k: usize) -> Result<Vec<Neighbor>> {
@@ -1043,6 +1095,45 @@ mod tests {
         assert!(SCRATCH.with(|s| s.borrow().generation) < u32::MAX / 2, "the counter wrapped");
         let got: Vec<_> = queries.iter().map(|q| wrapped.search(q, 10).unwrap()).collect();
         assert_eq!(got, want);
+    }
+
+    /// Every link (layer, owner, neighbour, similarity bits), every node's
+    /// level and the entry point.
+    fn graph_pin(h: &HnswIndex) -> u64 {
+        let mut parts: Vec<String> = Vec::new();
+        for (layer, lists) in h.layers.iter().enumerate() {
+            for (node, list) in lists.iter().enumerate() {
+                let links: Vec<String> = list.iter().map(|l| format!("{}:{:08x}", l.id, l.sim.to_bits())).collect();
+                parts.push(format!("{layer}/{node}/{}", links.join(",")));
+            }
+        }
+        parts.push(format!("{:?} {:?}", h.node_level, h.entry));
+        stable_hash(0, &parts.iter().map(String::as_str).collect::<Vec<_>>())
+    }
+
+    /// Planned inserts build, link for link, the graphs the one-step insert
+    /// they replaced built (pins recorded from it): a 1 000-vector index
+    /// nine layers tall, whose top rose mid-stream, and the five shards of
+    /// a sharded index after overwrites and a compaction.
+    #[test]
+    fn insert_plans_build_the_pinned_graphs() {
+        let mut rng = StdRng::seed_from_u64(71);
+        let vecs: Vec<Vec<f32>> = (0..1000).map(|_| (0..32).map(|_| rng.gen_range(-1.0f32..1.0)).collect()).collect();
+        let mut h = HnswIndex::with_dims(32);
+        let mut sharded = ShardedHnsw::new(32, 64);
+        for (i, v) in vecs.iter().enumerate() {
+            h.add_slice(&format!("v{i}"), v).unwrap();
+            sharded.add_slice(&format!("v{i}"), v).unwrap();
+        }
+        for i in (0..1000).step_by(9) {
+            sharded.add_slice(&format!("v{i}"), &vecs[(i + 1) % 1000]).unwrap();
+        }
+        sharded.compact();
+        let shards: Vec<String> = sharded.layers().map(|(_, s)| graph_pin(s).to_string()).collect();
+        let shards = stable_hash(0, &shards.iter().map(String::as_str).collect::<Vec<_>>());
+        assert_eq!(h.layers.len(), 9);
+        assert_eq!(sharded.layers().count(), 5);
+        assert_eq!((graph_pin(&h), shards), (0x8cea_2021_3abc_021f, 0xb514_861e_05cf_fd76));
     }
 
     #[test]

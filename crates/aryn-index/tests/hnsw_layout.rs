@@ -105,3 +105,40 @@ fn dot_matches_an_f64_reference() {
         assert!((got - exact).abs() <= 1e-5 * scale, "len {len}: {got} vs {exact}");
     }
 }
+
+/// Fingerprint of the top-10 keys, in rank order, of every query.
+fn top10_pin(ix: &dyn VectorIndex, queries: &[Vec<f32>]) -> u64 {
+    let keys: Vec<String> = queries.iter().flat_map(|q| ix.search(q, 10).unwrap().into_iter().map(|n| n.key)).collect();
+    assert_eq!(keys.len(), 10 * queries.len());
+    aryn_core::stable_hash(0, &keys.iter().map(String::as_str).collect::<Vec<_>>())
+}
+
+/// The graphs a seeded insert sequence builds are pinned: the top-10 keys of
+/// 20 seeded queries over a 1 000-vector monolithic index, and over a
+/// sharded one (shard cap 256) that seals, takes overwrites in its sealed
+/// and active shards, and compacts. Recorded from the one-step insert that
+/// `plan_insert` + `apply_insert` replaced; a change to either half that
+/// moves a link shows here.
+#[test]
+fn seeded_graphs_answer_as_pinned() {
+    let vecs = embedding_like(1000, 61);
+    let queries = embedding_like(20, 67);
+    let mut hnsw = HnswIndex::with_dims(256);
+    let mut sharded = ShardedHnsw::new(256, 256);
+    for (i, v) in vecs.iter().enumerate() {
+        let key = format!("v{i:04}");
+        hnsw.add_slice(&key, v).unwrap();
+        sharded.add_slice(&key, v).unwrap();
+    }
+    // 40 overwrites, each key given its neighbour's vector: the 24th seals
+    // the 1 024-vector tier, so stale copies sit in both shards.
+    for i in (0..1000).step_by(25) {
+        sharded.add_slice(&format!("v{i:04}"), &vecs[(i + 1) % 1000]).unwrap();
+    }
+    assert_eq!((sharded.sealed_count(), sharded.dead(), sharded.len()), (1, 40, 1000));
+    let before = top10_pin(&sharded, &queries);
+    sharded.compact();
+    assert_eq!((sharded.sealed_count(), sharded.dead(), sharded.len()), (1, 0, 1000));
+    let pins = (top10_pin(&hnsw, &queries), before, top10_pin(&sharded, &queries));
+    assert_eq!(pins, (0x0360_4aa6_a071_4c7b, 0xd4aa_5b8b_2f2f_c67c, 0xd4aa_5b8b_2f2f_c67c));
+}

@@ -7,6 +7,13 @@
 //! is what makes *index lag* (arrival-to-searchable delay, including any
 //! seal/compaction work the document queues behind) a measurable,
 //! reproducible number rather than a wall-time artifact.
+//!
+//! A durable arrival is acked in this order: the WAL record is appended;
+//! its fsync runs on the store's syncer thread while this thread embeds the
+//! document and runs the HNSW layer searches for it (read-only work); once
+//! the fsync succeeds the store, the keyword sidecar and the vector sidecar
+//! (the planned graph insert) take the document. A refused ack leaves all
+//! three untouched.
 
 use crate::context::Context;
 use aryn_core::{percentile, Document, Result};
@@ -151,13 +158,31 @@ impl Ingestor {
         let shared = Arc::new(IngestShared::default());
         ctx.register_ingest(store, Arc::clone(&shared));
         let embedder = ctx.embedder();
-        let dims = embedder.dims();
+        let mut keyword = ShardedKeywordIndex::new(cfg.seal_threshold);
+        let mut vector = ShardedHnsw::new(embedder.dims(), cfg.seal_threshold);
+        // A store that already holds documents (recovered or preloaded) is
+        // served by the sidecars too. They are not persisted, so they are
+        // rebuilt here, embedding what carries no embedding. A stored
+        // embedding of another width stays out of the vector sidecar, as
+        // `ingest_at` leaves it out.
+        let _ = ctx.with_store(store, |s| {
+            for doc in s.scan() {
+                let text = doc.full_text();
+                keyword.add(doc.id.0.clone(), &text);
+                if cfg.embed {
+                    let _ = match &doc.embedding {
+                        Some(v) => vector.add_slice(doc.id.as_str(), v),
+                        None => vector.add(doc.id.as_str(), embedder.embed(&text)),
+                    };
+                }
+            }
+        });
         Ingestor {
             ctx: ctx.clone(),
             store: store.to_string(),
             cfg,
-            keyword: ShardedKeywordIndex::new(cfg.seal_threshold),
-            vector: ShardedHnsw::new(dims, cfg.seal_threshold),
+            keyword,
+            vector,
             embedder,
             clock_ms: 0.0,
             lags: Vec::new(),
@@ -183,22 +208,30 @@ impl Ingestor {
     /// before the arrival counts as searchable. `Err` means the arrival was
     /// not acknowledged — it is absent from the store and the sidecars, and
     /// will not survive a crash.
+    ///
+    /// The order: [`DocStore::try_put_with`] appends the WAL record, then
+    /// embeds the document and plans its HNSW insert
+    /// ([`ShardedHnsw::plan_add`]) while the fsync runs on the store's
+    /// syncer thread, then applies the put to the store once the fsync
+    /// succeeded; the keyword add and the planned vector insert follow.
     pub fn ingest_at(&mut self, doc: Document, arrival_ms: f64) -> Result<f64> {
         // The pipeline is busy until `clock_ms`; a doc arriving earlier
         // waits, one arriving later finds the pipeline idle.
         self.clock_ms = self.clock_ms.max(arrival_ms) + DOC_COST_MS;
         let text = doc.full_text();
         let doc_id = doc.id.0.clone();
-        let embedding = if self.cfg.embed {
-            Some(match &doc.embedding {
-                Some(v) => v.clone(),
-                None => self.embedder.embed(&text),
-            })
-        } else {
-            None
+        let given = if self.cfg.embed { doc.embedding.clone() } else { None };
+        // Read-only: nothing reaches a sidecar before the ack.
+        let plan = || {
+            if !self.cfg.embed {
+                return Ok(None);
+            }
+            let v = given.unwrap_or_else(|| self.embedder.embed(&text));
+            let plan = self.vector.plan_add(&v)?;
+            Ok(Some((v, plan)))
         };
         let (put, stats, durable, fsync) = self.ctx.with_store_mut(&self.store, |s| {
-            let put = s.try_put(doc);
+            let put = s.try_put_with(doc, plan);
             (put, s.stats(), s.is_durable(), s.wal_fsync())
         })?;
         if durable {
@@ -207,12 +240,12 @@ impl Ingestor {
                 self.clock_ms += FSYNC_COST_MS;
             }
         }
-        // A failed WAL append is a refused ack: the store did not take the
-        // document, so the sidecars must not serve it either.
-        put?;
+        // A failed WAL append or fsync is a refused ack: the store did not
+        // take the document, so the sidecars must not serve it either.
+        let planned: Result<_> = put?;
         self.keyword.add(doc_id.clone(), &text);
-        if let Some(v) = embedding {
-            self.vector.add(&doc_id, v)?;
+        if let Some((v, plan)) = planned? {
+            self.vector.add_planned(&doc_id, &v, plan)?;
         }
         // The store seals/compacts inline at its thresholds; mirror those
         // boundaries onto the sidecars and charge their virtual cost.

@@ -474,3 +474,107 @@ fn torn_materialize_checkpoint_is_discarded() {
     let again = sycamore::load_materialized(&*mem, &path).unwrap();
     assert_eq!(again.len(), 6);
 }
+
+/// A restarted stream serves what it recovered: after 300 durable arrivals
+/// and a drop, a new `Ingestor` bound to the reopened directory answers
+/// keyword queries as a monolithic BM25 index over the recovered documents
+/// does, and vector queries with recall@10 ≥ 0.95 against exact search.
+#[test]
+fn a_restarted_stream_searches_what_it_recovered() {
+    use aryn_docgen::DocStream;
+    use aryn_index::{recall_at_k, FlatIndex, KeywordIndex, VectorIndex};
+    use sycamore::{Context, IngestConfig, Ingestor};
+    let mem: Arc<MemFs> = Arc::new(MemFs::new());
+    let cfg = IngestConfig { seal_threshold: 64, compact_fanout: 3, embed: true };
+    let store = StoreConfig { seal_threshold: cfg.seal_threshold, compact_fanout: cfg.compact_fanout };
+    let fsync = WalConfig { fsync: true };
+    {
+        let ctx = Context::new();
+        ctx.set_vfs(mem.clone() as Arc<dyn Vfs>);
+        ctx.open_store("s", "/restart/s", store, fsync).unwrap();
+        let mut ing = Ingestor::new(&ctx, "s", cfg);
+        let mut stream = DocStream::ntsb(31, 300, 5.0);
+        while let Some((doc, at)) = stream.next_arrival() {
+            ing.ingest_at(doc, at).unwrap();
+        }
+    }
+    let ctx = Context::new();
+    ctx.set_vfs(mem as Arc<dyn Vfs>);
+    let stats = ctx.open_store("s", "/restart/s", store, fsync).unwrap();
+    assert!(stats.segments_recovered > 0 && stats.wal_replayed > 0, "{stats:?}");
+    let ing = Ingestor::new(&ctx, "s", cfg);
+    let docs: Vec<Document> = ctx.with_store("s", |s| s.scan().cloned().collect()).unwrap();
+    assert_eq!(docs.len(), 300);
+    let embedder = ctx.embedder();
+    let mut keyword = KeywordIndex::new();
+    let mut flat = FlatIndex::new(embedder.dims());
+    for d in &docs {
+        keyword.add(d.id.0.clone(), &d.full_text());
+        flat.add(d.id.as_str(), embedder.embed(&d.full_text())).unwrap();
+    }
+    assert_eq!((ing.keyword().len(), ing.vector().len()), (300, 300));
+    let keys = |hits: Vec<aryn_index::Hit>| hits.into_iter().map(|h| h.key).collect::<Vec<_>>();
+    for q in ["engine failure during the landing approach", "fog obscured the runway", "bird strike on climb"] {
+        let want = keys(keyword.search(q, 10));
+        assert!(!want.is_empty(), "{q}");
+        assert_eq!(keys(ing.keyword().search(q, 10)), want, "{q}");
+    }
+    let queries: Vec<Vec<f32>> = docs.iter().step_by(15).map(|d| embedder.embed(&d.full_text())).collect();
+    let recall = recall_at_k(&flat, ing.vector(), &queries, 10).unwrap();
+    assert!(recall >= 0.95, "recall@10 after restart = {recall}");
+}
+
+/// A failed fsync refuses the ack cleanly: arrivals whose WAL sync fails
+/// are absent from the store and both sidecars, the next append repairs
+/// the WAL so later arrivals are acked and searchable, and a reopen holds
+/// exactly the acked set.
+#[test]
+fn a_failed_fsync_refuses_the_ack_cleanly() {
+    use aryn_docgen::DocStream;
+    use aryn_index::VectorIndex;
+    use sycamore::{Context, IngestConfig, Ingestor};
+    let mem: Arc<MemFs> = Arc::new(MemFs::new());
+    // Opening an empty directory takes five ops and each arrival then
+    // appends and syncs: op 20 fails the eighth arrival's sync, and ops 22,
+    // 24 and 26 the syncs of the WAL repairs that the next three arrivals
+    // try first. No seal rotates the WAL, so the reopen replays all of it.
+    let schedule = StorageSchedule::calm().with_seed(13).with_window(StorageFault::SyncError, 20, 8);
+    let chaos: Arc<dyn Vfs> = Arc::new(ChaosFs::wrap(mem.clone(), schedule));
+    let ctx = Context::new();
+    ctx.set_vfs(chaos);
+    ctx.open_store("s", "/syncerr/s", store_cfg(), WalConfig { fsync: true }).unwrap();
+    let mut ing = Ingestor::new(&ctx, "s", IngestConfig { seal_threshold: 64, compact_fanout: 2, embed: true });
+    let mut stream = DocStream::ntsb(5, 30, 5.0);
+    // Per arrival, in order: id, text, acked.
+    let mut arrivals = Vec::new();
+    while let Some((doc, at)) = stream.next_arrival() {
+        let text = doc.full_text();
+        let ok = ing.ingest_at(doc.clone(), at).is_ok();
+        arrivals.push((doc.id.0, text, ok));
+    }
+    let (acked, refused): (Vec<_>, Vec<_>) = arrivals.iter().partition(|a| a.2);
+    assert_eq!(refused.len(), 4, "the window refuses four arrivals");
+    let after = &arrivals[arrivals.iter().rposition(|a| !a.2).unwrap() + 1..];
+    assert!(after.len() >= 10, "{} arrivals acked after the window", after.len());
+    assert!(ctx.with_store("s", |s| s.stats().io_errors).unwrap() >= refused.len());
+    assert_eq!(ctx.with_store("s", |s| s.len()).unwrap(), acked.len());
+    assert_eq!((ing.keyword().len(), ing.vector().len()), (acked.len(), acked.len()));
+    let embedder = ctx.embedder();
+    let found = |id: &str, text: &str| {
+        let in_store = ctx.with_store("s", |s| s.get(id).is_some()).unwrap();
+        let by_keyword = ing.keyword().search(text, 10).iter().any(|h| h.key == id);
+        let by_vector = ing.vector().search(&embedder.embed(text), 10).unwrap().iter().any(|n| n.key == id);
+        (in_store, by_keyword, by_vector)
+    };
+    for (id, text, _) in refused {
+        assert_eq!(found(id, text), (false, false, false), "refused {id} is served");
+    }
+    for (id, text, _) in after {
+        assert_eq!(found(id, text), (true, true, true), "acked {id} is not served");
+    }
+    drop(ing);
+    let recovered = DocStore::open("/syncerr/s", mem as Arc<dyn Vfs>).unwrap();
+    let mut want: Vec<&str> = acked.iter().map(|a| a.0.as_str()).collect();
+    want.sort();
+    assert_eq!(recovered.scan().map(|d| d.id.as_str()).collect::<Vec<_>>(), want);
+}
